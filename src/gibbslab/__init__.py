@@ -14,7 +14,7 @@ from .errors import (
     SetupError,
     ValidationError,
 )
-from .estimates import DensityEstimate, Estimate, MCParams
+from .estimates import Estimate, MCParams
 from .lattice import Configuration, Neighborhood, Volume, concat, interior
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "BudgetError",
     "Configuration",
     "CoverageError",
-    "DensityEstimate",
     "DomainConflictError",
     "Estimate",
     "GibbslabError",

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Usage:
-  gibbslab <subcommand> --config CONFIG.json [--seed N] [--out DIR] [--threads N]
+  gibbslab <subcommand> --config CONFIG.json [--seed N] [--out DIR]
   gibbslab replay --artifacts DIR
 
 Exit codes: 0 success, 2 validation error, 3 numerical error,
@@ -32,10 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker threads (recorded; computation is numpy-vectorized)",
-        )
     rp = sub.add_parser("replay", help="re-run a stored experiment and compare")
     rp.add_argument("--artifacts", required=True, help="directory of a previous run")
     return parser

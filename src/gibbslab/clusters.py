@@ -67,23 +67,29 @@ class TemporalEdge:
         return frozenset({(self.site, self.slice), (self.site, self.slice + 1)})
 
 
+def _connected(neighbours) -> bool:
+    """True iff a graph search from vertex 0 reaches every vertex.
+
+    ``neighbours[i]`` lists the vertices adjacent to vertex i.
+    """
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        for nxt in neighbours[frontier.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return len(reached) == len(neighbours)
+
+
 def is_chain_connected(sites: Iterable[Site], nbhd: Neighborhood) -> bool:
     """True iff the sites form one component of the (i+N) overlap graph."""
     sites = [as_site(s) for s in sites]
     if not sites:
         return False
-    if len(sites) == 1:
-        return True
-    reached = {sites[0]}
-    frontier = [sites[0]]
-    rest = set(sites[1:])
-    while frontier:
-        cur = frontier.pop()
-        hit = {s for s in rest if nbhd.overlaps(cur, s)}
-        rest -= hit
-        reached |= hit
-        frontier.extend(hit)
-    return not rest
+    return _connected(
+        [[j for j, b in enumerate(sites) if nbhd.overlaps(a, b)] for a in sites]
+    )
 
 
 @dataclass(frozen=True)
@@ -99,13 +105,6 @@ class SpaceCluster:
             raise ValidationError("space cluster must be nonempty")
         if self.slice < 0:
             raise ValidationError("negative slice index")
-
-    @classmethod
-    def build(cls, slice: int, sites: Iterable, nbhd: Neighborhood) -> "SpaceCluster":
-        cluster = cls(slice, frozenset(sites))
-        if not is_chain_connected(cluster.sites, nbhd):
-            raise ValidationError("space cluster sites are not chain-connected")
-        return cluster
 
     @property
     def edges(self) -> frozenset:
@@ -344,22 +343,11 @@ def enumerate_clusters(
                     f"cluster enumeration exceeded cap of {cap} collections"
                 )
             new = chosen + (cand,)
-            if _constituents_connected(new):
+            if len(new) == 1 or _connected(
+                [[j for j, b in enumerate(new) if touches(a, b)] for a in new]
+            ):
                 results.append(new)
             search(idx + 1, new, w)
-
-    def _constituents_connected(parts: tuple) -> bool:
-        if len(parts) == 1:
-            return True
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            cur = frontier.pop()
-            for other in range(len(parts)):
-                if other not in reached and touches(parts[cur], parts[other]):
-                    reached.add(other)
-                    frontier.append(other)
-        return len(reached) == len(parts)
 
     search(0, (), 0)
 
@@ -375,6 +363,24 @@ def enumerate_clusters(
     return clusters
 
 
+def conflict_graph(
+    clusters: Sequence[SpaceTimeCluster], nbhd: Neighborhood
+) -> List[List[int]]:
+    """Neighbour lists of the conflict graph, each in index order.
+
+    ``conflicts`` is called once per unordered pair, a cluster with itself
+    included, so every cluster lists itself.
+    """
+    graph: List[List[int]] = [[] for _ in clusters]
+    for i, G in enumerate(clusters):
+        for j in range(i, len(clusters)):
+            if conflicts(G, clusters[j], nbhd):
+                graph[i].append(j)
+                if j != i:
+                    graph[j].append(i)
+    return graph
+
+
 def _connected_spanning_sign_sum(n: int, edges: List[Tuple[int, int]]) -> int:
     """Sum of (-1)^{|H|} over connected spanning edge subsets H."""
     if n == 1:
@@ -385,19 +391,11 @@ def _connected_spanning_sign_sum(n: int, edges: List[Tuple[int, int]]) -> int:
         chosen = [edges[k] for k in range(m) if mask >> k & 1]
         if len(chosen) < n - 1:
             continue
-        reached = {0}
-        frontier = [0]
-        adj = {}
+        adj: List[List[int]] = [[] for _ in range(n)]
         for a, b in chosen:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj.get(cur, ()):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) == n:
+            adj[a].append(b)
+            adj[b].append(a)
+        if _connected(adj):
             total += -1 if len(chosen) % 2 else 1
     return total
 
@@ -410,11 +408,9 @@ def ursell_coefficient(Gs: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> Fr
     """
     if not Gs:
         raise ValidationError("ursell_coefficient needs at least one cluster")
-    n = len(Gs)
-    edges = [
-        (i, j) for i, j in combinations(range(n), 2) if conflicts(Gs[i], Gs[j], nbhd)
-    ]
-    sign_sum = _connected_spanning_sign_sum(n, edges)
+    graph = conflict_graph(Gs, nbhd)
+    edges = [(i, j) for i, nbrs in enumerate(graph) for j in nbrs if j > i]
+    sign_sum = _connected_spanning_sign_sum(len(Gs), edges)
     mult: dict = {}
     for g in Gs:
         mult[g.key()] = mult.get(g.key(), 0) + 1
@@ -428,13 +424,4 @@ def is_connected(Gs: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> bool:
     """True iff the conflict graph on the collection is connected."""
     if not Gs:
         raise ValidationError("is_connected needs a nonempty collection")
-    n = len(Gs)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for other in range(n):
-            if other not in reached and conflicts(Gs[cur], Gs[other], nbhd):
-                reached.add(other)
-                frontier.append(other)
-    return len(reached) == n
+    return _connected(conflict_graph(Gs, nbhd))

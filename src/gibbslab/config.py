@@ -1,6 +1,8 @@
 """Experiment configuration: one JSON file resolves into domain objects.
 
-Schema (all keys camelCase; unknown keys rejected at the top level):
+Schema (all keys camelCase; unknown keys are rejected at the top level and
+inside lattice, potential, drift (not drift.params), time, mc, truncation
+and interaction):
 
   seed            int, master seed for every derived random stream
   lattice         {"box": [[lo...], [hi...]], "neighborhoodRadius": int}
@@ -9,7 +11,7 @@ Schema (all keys camelCase; unknown keys rejected at the top level):
                    "params": {...}}   params are family-specific
   time            {"t": float, "dt": float, "T": float?, "M": int?}
   mc              {"nSamples", "dt", "bandwidthScale", "essThreshold",
-                   "sweeps", "burnIn", "thin"}  all optional
+                   "burnIn", "thin"}  all optional
   truncation      {"kMax": int, "nMax": int}
   interaction     {"beta0": float, "terms": [{"template": ..., ...}]}
   betaGrid        [float, ...]
@@ -26,8 +28,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-from typing import Optional
 
 import numpy as np
 
@@ -50,6 +50,16 @@ TOP_KEYS = {
     "interaction", "betaGrid", "x", "y", "probes", "out",
 }
 
+SECTION_KEYS = {
+    "lattice": {"box", "neighborhoodRadius"},
+    "potential": {"family"},
+    "drift": {"family", "beta", "memory", "params"},
+    "time": {"t", "dt", "T", "M"},
+    "mc": {"nSamples", "dt", "bandwidthScale", "essThreshold", "burnIn", "thin"},
+    "truncation": {"kMax", "nMax"},
+    "interaction": {"beta0", "terms"},
+}
+
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -59,6 +69,13 @@ def load_config(path: str) -> dict:
     unknown = set(cfg) - TOP_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for section, allowed in SECTION_KEYS.items():
+        spec = cfg.get(section, {})
+        if not isinstance(spec, dict):
+            raise ValidationError(f"config '{section}' must be a JSON object")
+        unknown = set(spec) - allowed
+        if unknown:
+            raise ValidationError(f"unknown keys under '{section}': {sorted(unknown)}")
     return cfg
 
 
@@ -129,7 +146,6 @@ def resolve_mc(cfg: dict) -> MCParams:
         dt=float(mc.get("dt", 0.01)),
         bandwidth_scale=float(mc.get("bandwidthScale", 1.0)),
         ess_threshold=float(mc.get("essThreshold", 200.0)),
-        sweeps=int(mc.get("sweeps", 200)),
         burn_in=int(mc.get("burnIn", 100)),
         thin=int(mc.get("thin", 2)),
     )

@@ -16,7 +16,8 @@ is available as a switch on the drift spec).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +52,13 @@ class PotentialSpec:
     family: str = "general"  # quadratic | circle_free | general
     halfwidth: float = 6.0   # truncation [-L, L] for line quadrature/grids
 
-    def __hash__(self):  # callables hash by identity; good enough for caching
+    def __hash__(self):
         return hash((id(self.U), id(self.dU), self.state_space, self.family, self.halfwidth))
+
+    @cached_property
+    def _eigensystem(self):
+        # owned by the spec, so it lives and dies with the callables it reads
+        return _fp_eigensystem(self)
 
 
 def quadratic_potential() -> PotentialSpec:
@@ -133,26 +139,23 @@ def _sample_reference_rng(pot: PotentialSpec, n: int, rng: np.random.Generator) 
     return np.interp(u, cdf, xs)
 
 
-_FP_CACHE: dict = {}
+def _fp_eigensystem(pot: PotentialSpec):
+    """Eigendecomposition of the discrete free generator, weighted by m.
 
-
-def _fp_eigensystem(pot: PotentialSpec, n_grid: int = 400):
-    """Eigendecomposition of the discrete free generator, weighted by m."""
-    key = (hash(pot), n_grid)
-    if key in _FP_CACHE:
-        return _FP_CACHE[key]
+    Read through ``pot._eigensystem``, which computes it once per spec.
+    """
+    n = 400
     if pot.state_space == CIRCLE:
-        xs = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-        h = TWO_PI / n_grid
+        xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        h = TWO_PI / n
         periodic = True
     else:
-        xs = np.linspace(-pot.halfwidth, pot.halfwidth, n_grid)
+        xs = np.linspace(-pot.halfwidth, pot.halfwidth, n)
         h = xs[1] - xs[0]
         periodic = False
     dens = np.exp(-np.asarray(pot.U(xs), dtype=float))
     dens = dens / (dens.sum() * h)
     w = dens * h  # normalized lattice masses of m
-    n = n_grid
     d = np.sqrt(w)
     # conductances C_i between i and i+1 from the Dirichlet form
     # (1/2) int f'^2 dm ~ sum_i C_i (f_{i+1} - f_i)^2, C_i = m_mid / (2h)
@@ -180,9 +183,7 @@ def _fp_eigensystem(pot: PotentialSpec, n_grid: int = 400):
     phis = phis[:, order]
     lam[0] = 0.0
     phis[:, 0] = 1.0
-    result = (xs, w, lam, phis)
-    _FP_CACHE[key] = result
-    return result
+    return xs, w, lam, phis
 
 
 def _circle_heat_kernel(t, d):
@@ -216,7 +217,7 @@ def free_kernel(pot: PotentialSpec, t: float, x, y):
         return np.exp(expo) / math.sqrt(denom)
     if pot.family == "circle_free":
         return _circle_heat_kernel(t, y - x)
-    xs, w, lam, phis = _fp_eigensystem(pot)
+    xs, w, lam, phis = pot._eigensystem
     keep = lam * t > -45.0
     lam_k = lam[keep]
     phi_k = phis[:, keep]

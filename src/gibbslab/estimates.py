@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class Estimate:
         return f"{self.value:.6g} +- {self.stderr:.2g} (n={self.n}, {self.method})"
 
 
-# DensityEstimate is an Estimate whose method tag names the density route.
-DensityEstimate = Estimate
-
-
 @dataclass(frozen=True)
 class MCParams:
     """Monte Carlo knobs shared by the stochastic operations."""
@@ -44,13 +40,14 @@ class MCParams:
     dt: float = 0.01
     bandwidth_scale: float = 1.0
     ess_threshold: float = 200.0
-    sweeps: int = 200
     burn_in: int = 100
     thin: int = 2
 
     def __post_init__(self):
         if self.n_samples < 2 or self.dt <= 0:
             raise ValidationError("MC params need n_samples >= 2 and dt > 0")
+        if self.thin < 1 or self.burn_in < 0:
+            raise ValidationError("MC params need thin >= 1 and burn_in >= 0")
 
     def with_samples(self, n: int) -> "MCParams":
         return replace(self, n_samples=n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,10 +30,9 @@ import numpy as np
 from .clusters import (
     SpaceTimeCluster,
     TimeGrid,
-    conflicts,
+    conflict_graph,
     enumerate_clusters,
     is_connected,
-    non_intersecting,
     trace,
     ursell_coefficient,
 )
@@ -152,12 +152,6 @@ class WeightTable:
     def items(self):
         return zip(self.clusters, self.estimates)
 
-    def get(self, G: SpaceTimeCluster) -> Estimate:
-        for cluster, est in self.items():
-            if cluster.key() == G.key():
-                return est
-        raise KeyError(f"cluster {G.key()} not in table")
-
 
 def weight_table(
     vol: Volume,
@@ -197,6 +191,7 @@ def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
     """
     clusters = table.clusters
     n = len(clusters)
+    graph = [set(nbrs) for nbrs in conflict_graph(clusters, table.nbhd)]
     terms: List[Estimate] = []
     counter = [0]
 
@@ -206,9 +201,7 @@ def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
             w = total + G.size
             if w > table.k_max:
                 continue
-            if any(
-                not non_intersecting(G, clusters[i], table.nbhd) for i in idxs
-            ):
+            if any(i in graph[idx] for i in idxs):
                 continue
             counter[0] += 1
             if counter[0] > cap:
@@ -233,9 +226,6 @@ class InteractionTable:
     grid: TimeGrid
     nbhd: Neighborhood
 
-    def as_dict(self) -> Dict[tuple, Estimate]:
-        return dict(self.entries)
-
     def traces(self) -> List[Volume]:
         return [Volume(frozenset(key)) for key, _ in self.entries]
 
@@ -250,6 +240,39 @@ class InteractionTable:
         return sum_estimates([e for _, e in self.entries], method="interaction-sum")
 
 
+def connected_collections(
+    clusters: Sequence[SpaceTimeCluster],
+    nbhd: Neighborhood,
+    n_max: int,
+    cap: int = 200_000,
+) -> Dict[tuple, List[Tuple[tuple, float]]]:
+    """Connected collections of up to n_max clusters, grouped by trace.
+
+    Multisets of cluster indices are visited in combinations_with_replacement
+    order; those whose conflict graph is disconnected or whose Ursell
+    coefficient C is zero are dropped.  Returns {trace key: [(combo, C), ...]}
+    with each list in visiting order.  Raises BudgetError when more than
+    ``cap`` multisets are visited.
+    """
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    groups: Dict[tuple, List[Tuple[tuple, float]]] = {}
+    counter = 0
+    for n in range(1, n_max + 1):
+        for combo in combinations_with_replacement(range(len(clusters)), n):
+            counter += 1
+            if counter > cap:
+                raise BudgetError(f"collection enumeration exceeded cap of {cap}")
+            Gs = [clusters[i] for i in combo]
+            if n > 1 and not is_connected(Gs, nbhd):
+                continue
+            C = ursell_coefficient(Gs, nbhd)
+            if C == 0:
+                continue
+            groups.setdefault(volume_key(trace(Gs)), []).append((combo, float(C)))
+    return groups
+
+
 def interaction_terms(
     table: WeightTable, n_max: int, cap: int = 200_000
 ) -> InteractionTable:
@@ -259,45 +282,40 @@ def interaction_terms(
     n_max clusters, trace Delta) of the Ursell coefficient times the product
     of the collection's weights.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    clusters = table.clusters
     est = table.estimates
-    acc: Dict[tuple, List[float]] = {}
-    counter = 0
-    for n in range(1, n_max + 1):
-        for combo in combinations_with_replacement(range(len(clusters)), n):
-            counter += 1
-            if counter > cap:
-                raise BudgetError(f"collection enumeration exceeded cap of {cap}")
-            Gs = [clusters[i] for i in combo]
-            if n > 1 and not is_connected(Gs, table.nbhd):
-                continue
-            C = ursell_coefficient(Gs, table.nbhd)
-            if C == 0:
-                continue
-            distinct: Dict[int, int] = {}
-            for i in combo:
-                distinct[i] = distinct.get(i, 0) + 1
+    entries = []
+    groups = connected_collections(table.clusters, table.nbhd, n_max, cap)
+    for key, group in sorted(groups.items()):
+        value, var, n = 0.0, 0.0, 10**9
+        for combo, c in group:
+            distinct = Counter(combo)
             pe = power_product_estimate(
                 [est[i] for i in distinct], list(distinct.values())
             )
-            key = volume_key(trace(Gs))
-            slot = acc.setdefault(key, [0.0, 0.0, 10**9])
-            c = float(C)
-            slot[0] += -c * pe.value
-            slot[1] += (c * pe.stderr) ** 2
-            slot[2] = min(slot[2], pe.n)
-    entries = tuple(
-        (key, Estimate(v, math.sqrt(var), nn, method="interaction"))
-        for key, (v, var, nn) in sorted(acc.items())
-    )
-    return InteractionTable(entries, n_max, table.grid, table.nbhd)
+            value += -c * pe.value
+            var += (c * pe.stderr) ** 2
+            n = min(n, pe.n)
+        entries.append((key, Estimate(value, math.sqrt(var), n, method="interaction")))
+    return InteractionTable(tuple(entries), n_max, table.grid, table.nbhd)
 
 
 # ---------------------------------------------------------------------------
 # convergence checkers
 # ---------------------------------------------------------------------------
+
+_KP_SLACK = 1e-12
+
+
+def _kp_worst_ratio(lam: float, sizes: Sequence[int], graph) -> float:
+    """max over G of sum_{H conflicting with G} |H| (lam e)^{|H|} / |G|."""
+    worst = 0.0
+    for size, nbrs in zip(sizes, graph):
+        total = 0.0
+        for h in nbrs:
+            total += sizes[h] * (lam * math.e) ** sizes[h]
+        worst = max(worst, total / size)
+    return worst
+
 
 def kp_check(
     lam: float, vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
@@ -311,15 +329,10 @@ def kp_check(
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
     clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-    worst = 0.0
-    for G in clusters:
-        total = 0.0
-        for H in clusters:
-            if conflicts(G, H, nbhd):
-                total += H.size * (lam * math.e) ** H.size
-        worst = max(worst, total / G.size)
+    sizes = [G.size for G in clusters]
+    worst = _kp_worst_ratio(lam, sizes, conflict_graph(clusters, nbhd))
     return {
-        "satisfied": bool(worst <= 1.0 + 1e-12),
+        "satisfied": bool(worst <= 1.0 + _KP_SLACK),
         "worstRatio": worst,
         "nClusters": len(clusters),
         "lambda": lam,
@@ -335,14 +348,21 @@ def kp_lambda_star(
     hi: float = 1.0,
 ) -> float:
     """Largest lambda passing kp_check, located by bisection on [0, hi]."""
-    if not kp_check(0.0, vol, nbhd, grid, k_max)["satisfied"]:
+    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+    sizes = [G.size for G in clusters]
+    graph = conflict_graph(clusters, nbhd)
+
+    def satisfied(lam: float) -> bool:
+        return _kp_worst_ratio(lam, sizes, graph) <= 1.0 + _KP_SLACK
+
+    if not satisfied(0.0):
         return 0.0
     lo = 0.0
-    if kp_check(hi, vol, nbhd, grid, k_max)["satisfied"]:
+    if satisfied(hi):
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if kp_check(mid, vol, nbhd, grid, k_max)["satisfied"]:
+        if satisfied(mid):
             lo = mid
         else:
             hi = mid

@@ -15,9 +15,8 @@ the window) and averaging the window factors.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dynamics import (
 )
 from .errors import CoverageError, NumericalError, SetupError, ValidationError
 from .estimates import Estimate, MCParams
-from .expansion import InteractionTable, interaction_terms, volume_key, weight_table
+from .expansion import cluster_weight, connected_collections, volume_key
 from .lattice import Configuration, Neighborhood, Volume, concat
 from .rng import substream
 
@@ -90,29 +89,6 @@ class Interaction:
                 plain, dob = out.get(s, (0.0, 0.0))
                 out[s] = (plain + t.sup_norm, dob + (len(t.volume) - 1) * t.sup_norm)
         return out
-
-    def summability_flags(self) -> dict:
-        """Summability diagnostics; finite term lists always qualify."""
-        sums = self.per_site_norm_sums()
-        plain = max((v[0] for v in sums.values()), default=0.0)
-        strong = 0.0
-        for t in self.terms:
-            strong = max(
-                strong,
-                max(
-                    sum(
-                        math.exp(len(u.volume)) * u.sup_norm
-                        for u in self.terms_at(s)
-                    )
-                    for s in t.volume.sites
-                ),
-            )
-        return {
-            "absolutelySummable": math.isfinite(plain),
-            "supPlainSum": plain,
-            "supStrongSum": strong,
-            "nTerms": len(self.terms),
-        }
 
     def spot_check_norms(self, pot: PotentialSpec, seed: int, n_probe: int = 256) -> None:
         """Verify declared sup-norms against random probe configurations."""
@@ -204,30 +180,57 @@ def hamiltonian(
     return total
 
 
+def _draw_moves(pot: PotentialSpec, sweeps: int, n_sites: int, rng: np.random.Generator):
+    """Proposals from m and log-uniforms for ``sweeps`` sweeps over n_sites."""
+    proposals = _sample_reference_rng(pot, sweeps * n_sites, rng).reshape(sweeps, n_sites)
+    logu = np.log(rng.uniform(size=(sweeps, n_sites)))
+    return proposals, logu
+
+
 def _metropolis_sweeps(
-    phi: Interaction,
-    pot: PotentialSpec,
-    vol: Volume,
+    sites: Sequence,
     values: Dict,
-    sweeps: int,
-    rng: np.random.Generator,
+    local_energy: Callable,
+    scale: float,
+    proposals: np.ndarray,
+    logu: np.ndarray,
 ) -> None:
-    """In-place single-site Metropolis with proposals from m."""
-    sites = vol.sorted_sites()
-    site_terms = {s: phi.terms_at(s) for s in sites}
-    n = len(sites)
-    proposals = _sample_reference_rng(pot, sweeps * n, rng).reshape(sweeps, n)
-    logu = np.log(rng.uniform(size=(sweeps, n)))
-    for sweep in range(sweeps):
-        for j, s in enumerate(sites):
+    """In-place single-site Metropolis over pre-drawn moves.
+
+    Row k of ``proposals`` and ``logu`` drives sweep k.  The move at site s
+    is rejected when logu >= -scale * (change of local_energy(values, s)).
+    """
+    for props, us in zip(proposals, logu):
+        for s, prop, lu in zip(sites, props, us):
             old = values[s]
-            old_e = sum(t.value(values) for t in site_terms[s])
-            values[s] = proposals[sweep, j]
-            new_e = sum(t.value(values) for t in site_terms[s])
+            old_e = local_energy(values, s)
+            values[s] = prop
+            new_e = local_energy(values, s)
             if not (math.isfinite(old_e) and math.isfinite(new_e)):
                 raise SetupError("non-finite local energy in Gibbs sampling")
-            if logu[sweep, j] >= -phi.beta0 * (new_e - old_e):
+            if lu >= -scale * (new_e - old_e):
                 values[s] = old
+
+
+def _initial_values(
+    pot: PotentialSpec,
+    vol: Volume,
+    boundary: Optional[Configuration],
+    rng: np.random.Generator,
+) -> Dict:
+    """Draws from m on vol, plus the boundary values outside vol."""
+    values = dict(zip(vol.sorted_sites(), _sample_reference_rng(pot, len(vol), rng)))
+    if boundary is not None:
+        for s, v in boundary.values.items():
+            if s not in vol.sites:
+                values[s] = v
+    return values
+
+
+def _site_energy(phi: Interaction, sites: Sequence) -> Callable:
+    """Local energy at s: the sum of the terms of phi that contain s."""
+    site_terms = {s: phi.terms_at(s) for s in sites}
+    return lambda values, s: sum(t.value(values) for t in site_terms[s])
 
 
 def sample_gibbs(
@@ -249,12 +252,11 @@ def sample_gibbs(
     if rng is None:
         rng = substream(seed, "gibbs")
     sites = vol.sorted_sites()
-    values = dict(zip(sites, _sample_reference_rng(pot, len(sites), rng)))
-    if boundary is not None:
-        for s, v in boundary.values.items():
-            if s not in vol.sites:
-                values[s] = v
-    _metropolis_sweeps(phi, pot, vol, values, sweeps, rng)
+    values = _initial_values(pot, vol, boundary, rng)
+    _metropolis_sweeps(
+        sites, values, _site_energy(phi, sites), phi.beta0,
+        *_draw_moves(pot, sweeps, len(sites), rng),
+    )
     return Configuration({s: values[s] for s in sites}, pot.state_space)
 
 
@@ -269,15 +271,16 @@ def gibbs_chain(
 ) -> List[Configuration]:
     """Thinned samples from one Metropolis chain after burn-in."""
     sites = vol.sorted_sites()
-    values = dict(zip(sites, _sample_reference_rng(pot, len(sites), rng)))
-    if boundary is not None:
-        for s, v in boundary.values.items():
-            if s not in vol.sites:
-                values[s] = v
-    _metropolis_sweeps(phi, pot, vol, values, mc.burn_in, rng)
+    values = _initial_values(pot, vol, boundary, rng)
+    energy = _site_energy(phi, sites)
+    _metropolis_sweeps(
+        sites, values, energy, phi.beta0, *_draw_moves(pot, mc.burn_in, len(sites), rng)
+    )
     out = []
     for _ in range(n_samples):
-        _metropolis_sweeps(phi, pot, vol, values, mc.thin, rng)
+        _metropolis_sweeps(
+            sites, values, energy, phi.beta0, *_draw_moves(pot, mc.thin, len(sites), rng)
+        )
         out.append(Configuration({s: values[s] for s in sites}, pot.state_space))
     return out
 
@@ -417,10 +420,6 @@ class ExpansionDynamicInteraction:
         mc: MCParams,
         seed: int,
     ):
-        from itertools import combinations_with_replacement
-
-        from .clusters import is_connected, ursell_coefficient
-
         self.drift = drift
         self.pot = pot
         self.vol = vol
@@ -431,17 +430,7 @@ class ExpansionDynamicInteraction:
         self.mc = mc
         self.seed = seed
         self._clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-        self._groups: Dict[tuple, List[tuple]] = {}
-        for n in range(1, n_max + 1):
-            for combo in combinations_with_replacement(range(len(self._clusters)), n):
-                Gs = [self._clusters[i] for i in combo]
-                if n > 1 and not is_connected(Gs, nbhd):
-                    continue
-                C = ursell_coefficient(Gs, nbhd)
-                if C == 0:
-                    continue
-                key = volume_key(trace(Gs))
-                self._groups.setdefault(key, []).append((combo, float(C)))
+        self._groups = connected_collections(self._clusters, nbhd, n_max)
         self._weights: Dict[tuple, float] = {}
 
     def traces(self) -> List[Volume]:
@@ -455,8 +444,6 @@ class ExpansionDynamicInteraction:
         return Configuration(vals, self.pot.state_space)
 
     def _weight(self, i: int, x: Configuration, y: Configuration) -> float:
-        from .expansion import cluster_weight
-
         G = self._clusters[i]
         tr = trace(G).sorted_sites()
         M = self.grid.M
@@ -474,13 +461,6 @@ class ExpansionDynamicInteraction:
             )
             self._weights[key] = est.value
         return self._weights[key]
-
-    def table(self, x: Configuration, y: Configuration) -> InteractionTable:
-        tab = weight_table(
-            self.vol, self.nbhd, self.grid, self.k_max,
-            self._filled(x), self._filled(y), self.drift, self.pot, self.mc, self.seed,
-        )
-        return interaction_terms(tab, self.n_max)
 
     def value(self, delta: Volume, x: Configuration, y: Configuration) -> float:
         group = self._groups.get(volume_key(delta))
@@ -559,7 +539,6 @@ def _modified_energy_sampler(
     """
     phi = bsi.initial
     sites = work.sorted_sites()
-    off_window = [s for s in sites if s not in lam.sites]
     phi_vols = [dv for dv in bsi.dynamic.traces() if not (dv.sites & lam.sites)]
 
     def local_energy(values: Dict, s) -> float:
@@ -573,23 +552,20 @@ def _modified_energy_sampler(
                     e += bsi.dynamic.value(dv, xcfg, y)
         return e
 
-    values = dict(zip(sites, _sample_reference_rng(bsi.pot, len(sites), rng)))
-    n_sweeps_total = mc.burn_in + n_samples * mc.thin
-    proposals = _sample_reference_rng(bsi.pot, n_sweeps_total * len(sites), rng)
-    proposals = proposals.reshape(n_sweeps_total, len(sites))
-    logu = np.log(rng.uniform(size=(n_sweeps_total, len(sites))))
+    values = _initial_values(bsi.pot, work, None, rng)
+    proposals, logu = _draw_moves(
+        bsi.pot, mc.burn_in + n_samples * mc.thin, len(sites), rng
+    )
+    b = mc.burn_in
+    _metropolis_sweeps(sites, values, local_energy, 1.0, proposals[:b], logu[:b])
     out = []
-    for sweep in range(n_sweeps_total):
-        for j, s in enumerate(sites):
-            old = values[s]
-            e_old = local_energy(values, s)
-            values[s] = proposals[sweep, j]
-            e_new = local_energy(values, s)
-            if logu[sweep, j] >= -(e_new - e_old):
-                values[s] = old
-        if sweep >= mc.burn_in and (sweep - mc.burn_in) % mc.thin == mc.thin - 1:
-            out.append(dict(values))
-    return out[:n_samples]
+    for k in range(b, len(proposals), mc.thin):
+        _metropolis_sweeps(
+            sites, values, local_energy, 1.0,
+            proposals[k:k + mc.thin], logu[k:k + mc.thin],
+        )
+        out.append(dict(values))
+    return out
 
 
 def conditional_density(

@@ -30,7 +30,6 @@ from .dynamics import (
 )
 from .errors import CoverageError, PrecisionError, ValidationError
 from .estimates import (
-    DensityEstimate,
     Estimate,
     MCParams,
     mean_estimate,
@@ -297,7 +296,7 @@ def density(
     t: float,
     mc: MCParams,
     seed: int,
-) -> DensityEstimate:
+) -> Estimate:
     """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting."""
 
     def F(bundle: PathBundle) -> np.ndarray:
@@ -329,7 +328,7 @@ def density_endpoint_ratio(
     t: float,
     mc: MCParams,
     seed: int,
-) -> DensityEstimate:
+) -> Estimate:
     """Independent density route: ratio of kernel-smoothed endpoint laws.
 
     Simulates the interacting and the free system forward from x and

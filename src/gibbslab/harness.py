@@ -11,7 +11,6 @@ byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -19,13 +18,9 @@ import os
 import tempfile
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from . import config as cfgmod
-from .clusters import enumerate_clusters
-from .dynamics import kernel_sup_distance, simulate, ultracontractivity_report
+from .dynamics import simulate
 from .errors import ValidationError
-from .estimates import MCParams
 from .expansion import (
     interaction_terms,
     kp_check,
@@ -40,13 +35,12 @@ from .gibbs import (
     ExpansionDynamicInteraction,
     ZeroDynamicInteraction,
     bispace_hamiltonian,
-    conditional_density,
     dlr_test,
     dobrushin_check,
     quasilocality_probe,
 )
 from .girsanov import density, density_endpoint_ratio
-from .lattice import Configuration, Volume
+from .lattice import Volume
 
 
 def _write_text(path: str, text: str) -> None:

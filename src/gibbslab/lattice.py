@@ -8,7 +8,8 @@ All objects are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Tuple
 
 import numpy as np
@@ -102,10 +103,6 @@ class Neighborhood:
             raise ValidationError("neighborhood must contain the zero offset")
 
     @classmethod
-    def from_offsets(cls, offsets: Iterable) -> "Neighborhood":
-        return cls(frozenset(offsets))
-
-    @classmethod
     def range1d(cls, radius: int) -> "Neighborhood":
         return cls(frozenset((k,) for k in range(-radius, radius + 1)))
 
@@ -113,9 +110,16 @@ class Neighborhood:
         """The translate site + N."""
         return frozenset(site_add(site, o) for o in self.offsets)
 
+    @cached_property
+    def _differences(self) -> frozenset:
+        """The difference set N - N."""
+        return frozenset(
+            tuple(p - q for p, q in zip(o1, o2)) for o1 in self.offsets for o2 in self.offsets
+        )
+
     def overlaps(self, a: Site, b: Site) -> bool:
-        """True iff (a + N) and (b + N) intersect."""
-        return bool(self.around(a) & self.around(b))
+        """True iff (a + N) and (b + N) intersect, that is a - b lies in N - N."""
+        return tuple(x - y for x, y in zip(a, b)) in self._differences
 
     def to_record(self) -> list:
         return [list(s) for s in sorted(self.offsets)]

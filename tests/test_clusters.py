@@ -9,6 +9,8 @@ from gibbslab.clusters import (
     SpaceTimeCluster,
     TimeCluster,
     TimeGrid,
+    conflict_graph,
+    conflicts,
     enumerate_clusters,
     is_chain_connected,
     is_connected,
@@ -137,6 +139,14 @@ def test_ursell_clique_invariant(n):
 def test_is_connected_matches_conflict_graph():
     assert is_connected([_space(0, 0), _space(0, 2)], NB1)
     assert not is_connected([_space(0, 0), _space(0, 3)], NB1)
+
+
+def test_conflict_graph_lists_every_conflict_in_index_order():
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), NB1, TimeGrid(1.0, 3), k_max=2)
+    graph = conflict_graph(clusters, NB1)
+    for i, G in enumerate(clusters):
+        assert graph[i] == [j for j, H in enumerate(clusters) if conflicts(G, H, NB1)]
+        assert i in graph[i]
 
 
 @given(

@@ -88,6 +88,27 @@ def test_general_potential_kernel_matches_closed_form():
     assert np.max(np.abs(approx / exact - 1.0)) < 5e-3
 
 
+def test_general_kernel_cache_follows_the_potential():
+    # potentials built and dropped in turn may reuse the ids of their
+    # callables; each must still get its own eigensystem.  U = a x^2 is an
+    # OU process of rate a, whose kernel relative to m is a Mehler kernel.
+    # a = 2 only takes part in the build-and-drop sequence: the default grid
+    # resolves its kernel poorly, so its value is not checked.
+    t, x, y = 0.5, 0.3, 0.3
+    got = {}
+    for a in (1.0, 0.5, 2.0, 0.3):
+        pot = custom_potential(
+            lambda z: a * np.asarray(z) ** 2, lambda z: 2.0 * a * np.asarray(z)
+        )
+        got[a] = float(free_kernel(pot, t, x, y))
+        del pot
+    for a in (1.0, 0.5, 0.3):
+        rho = math.exp(-a * t)
+        d = 1.0 - rho * rho
+        mehler = math.exp(a * (2 * rho * x * y - rho * rho * (x * x + y * y)) / d) / math.sqrt(d)
+        assert got[a] == pytest.approx(mehler, rel=1e-2)
+
+
 def test_custom_potential_rejects_growth():
     with pytest.raises(SetupError):
         custom_potential(lambda x: -np.asarray(x), lambda x: -np.ones_like(np.asarray(x)))

@@ -38,6 +38,14 @@ def test_mcparams_validation():
     assert MCParams().with_samples(5).n_samples == 5
 
 
+def test_mcparams_rejects_bad_chain_lengths():
+    with pytest.raises(ValidationError):
+        MCParams(thin=0)
+    with pytest.raises(ValidationError):
+        MCParams(burn_in=-1)
+    assert MCParams(burn_in=0, thin=1).burn_in == 0
+
+
 def test_mean_estimate_matches_numpy():
     xs = np.array([1.0, 2.0, 3.0, 4.0])
     est = mean_estimate(xs)

@@ -1,16 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gibbslab.clusters import SpaceCluster, SpaceTimeCluster, TimeCluster, TimeGrid
-from gibbslab.dynamics import constant_drift, quadratic_potential
-from gibbslab.errors import CoverageError, ValidationError
+from gibbslab.clusters import (
+    SpaceCluster,
+    SpaceTimeCluster,
+    TimeCluster,
+    TimeGrid,
+    enumerate_clusters,
+)
+from gibbslab.dynamics import constant_drift, markov_local_drift, quadratic_potential
+from gibbslab.errors import BudgetError, CoverageError, ValidationError
 from gibbslab.estimates import Estimate, MCParams
 from gibbslab.expansion import (
     InteractionTable,
     c2_hat,
     cluster_weight,
+    connected_collections,
     grid_for_beta,
     interaction_terms,
     kp_check,
@@ -20,6 +28,7 @@ from gibbslab.expansion import (
     volume_key,
     weight_table,
 )
+from gibbslab.gibbs import ExpansionDynamicInteraction
 from gibbslab.lattice import Configuration, Neighborhood, Volume
 from gibbslab.rng import substream
 
@@ -38,8 +47,6 @@ def _exact_density_const_drift(c, beta, x, y, t):
 
 
 def _drift(c, beta):
-    import dataclasses
-
     return dataclasses.replace(constant_drift(c), beta=beta)
 
 
@@ -173,6 +180,39 @@ def test_kp_check_monotone_and_lambda_star():
     assert lam > 0.0
     assert kp_check(lam, vol, NB1, grid, 3)["satisfied"]
     assert not kp_check(lam + 5e-4, vol, NB1, grid, 3)["satisfied"]
+
+
+def test_dynamic_interaction_matches_interaction_terms():
+    # ExpansionDynamicInteraction and interaction_terms share one collection
+    # enumerator and the same per-cluster random streams, so for every trace
+    # the on-demand value equals the resummed table entry
+    vol = Volume.box((0,), (3,))
+    grid = TimeGrid(1.0, 2)
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.3)
+    mc = MCParams(n_samples=64, dt=0.05)
+    x = Configuration({(0,): 0.3, (1,): -0.2, (2,): 0.6, (3,): 0.0})
+    y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
+    dyn = ExpansionDynamicInteraction(drift, QUAD, vol, NB1, grid, 2, 3, mc, seed=4)
+    tab = weight_table(vol, NB1, grid, 2, x, y, drift, QUAD, mc, seed=4)
+    itab = interaction_terms(tab, n_max=3)
+    assert [volume_key(d) for d in dyn.traces()] == [key for key, _ in itab.entries]
+    assert any(len(key) > 1 for key, _ in itab.entries)
+    for delta in dyn.traces():
+        assert dyn.value(delta, x, y) == pytest.approx(itab.get(delta).value, rel=1e-12)
+
+
+def test_connected_collections_cap_and_order():
+    vol = Volume.box((0,), (2,))
+    clusters = enumerate_clusters(vol, NB1, TimeGrid(1.0, 2), 2)
+    groups = connected_collections(clusters, NB1, n_max=2)
+    for group in groups.values():
+        combos = [combo for combo, _ in group]
+        assert combos == sorted(combos, key=lambda c: (len(c), c))
+        assert all(C != 0.0 for _, C in group)
+    with pytest.raises(BudgetError):
+        connected_collections(clusters, NB1, n_max=3, cap=100)
+    with pytest.raises(ValidationError):
+        connected_collections(clusters, NB1, n_max=0)
 
 
 def test_grid_for_beta_scaling():

@@ -247,6 +247,27 @@ def test_conditional_density_against_quadrature_oracle():
     assert abs(est.value - oracle) < 4 * est.stderr + 0.01
 
 
+class _NanDynamic:
+    """A dynamic interaction whose one term at site 0 is not finite."""
+
+    def traces(self):
+        return [Volume.box((0,), (0,))]
+
+    def value(self, delta, x, y):
+        return float("nan")
+
+
+def test_modified_sampler_rejects_non_finite_energy():
+    vol = Volume.box((1,), (1,))
+    bsi = BiSpaceInteraction(empty_interaction(), _NanDynamic(), QUAD, t=1.0)
+    z = Configuration({(0,): 0.1, (1,): 0.2})
+    with pytest.raises(SetupError):
+        conditional_density(
+            bsi, vol, z, Configuration({(0,): 0.1}),
+            MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3,
+        )
+
+
 def test_expansion_dynamic_interaction_trace_measurability():
     pot = QUAD
     W = Volume.box((0,), (1,))

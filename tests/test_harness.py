@@ -57,6 +57,19 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         cfgmod.load_config(str(p))
 
 
+def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
+    # a misspelt "nSamples" used to be ignored in favour of the default
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps({**SIM_CFG, "mc": {"nSample": 10}}))
+    with pytest.raises(ValidationError, match="nSample"):
+        cfgmod.load_config(str(bad))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # free-form drift params are not checked
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({**SIM_CFG, "drift": {**SIM_CFG["drift"], "params": {"zz": 1}}}))
+    assert cfgmod.load_config(str(ok))["mc"] == {"nSamples": 64, "dt": 0.05}
+
+
 def test_config_hash_canonical():
     assert cfgmod.config_hash({"a": 1, "b": 2}) == cfgmod.config_hash({"b": 2, "a": 1})
     assert cfgmod.config_hash({"a": 1}) != cfgmod.config_hash({"a": 2})
