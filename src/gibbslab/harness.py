@@ -11,6 +11,7 @@ byte.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -49,15 +50,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: List[str], rows: List[List], seed: int, chash: str) -> None:
-    lines = [",".join(header + ["seed", "configHash"])]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row) + f",{seed},{chash}")
-    _write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header + ["seed", "configHash"])
+        for row in rows:
+            writer.writerow([_cell(v) for v in row] + [seed, chash])
 
 
 def _cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy floats repr as "np.float64(...)"
     return str(v)
 
 

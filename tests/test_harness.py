@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -129,6 +130,45 @@ def test_replay_roundtrip_and_tamper_detection(tmp_path):
     res = replay(out)
     assert res["ok"] is False
     assert res["firstDivergence"].startswith("paths.csv:2")
+
+
+def _read_back(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_csv_rows_read_back_with_plain_numbers(tmp_path):
+    dlr_cfg = {
+        **DOB_CFG,
+        "lattice": {"box": [[0], [3]]},
+        "potential": {"family": "quadratic"},
+        "mc": {"nSamples": 2, "burnIn": 5, "thin": 2},
+        "probes": {"subBox": [[1], [2]], "nOuter": 6, "nInner": 2},
+    }
+    run("dlr", dlr_cfg, str(tmp_path / "dlr"))
+    for rec in _read_back(tmp_path / "dlr" / "dlr.csv"):
+        for col in ("direct", "directStderr", "twoStage", "twoStageStderr", "z", "seed"):
+            float(rec[col])
+    quasi_cfg = {
+        **DOB_CFG,
+        "potential": {"family": "quadratic"},
+        "time": {"t": 1.0},
+        "mc": {"nSamples": 4, "burnIn": 2, "thin": 1},
+        "probes": {
+            "window": [[2], [2]],
+            "deltas": [[[2], [2]], [[0], [4]]],
+            "pairs": [{"x": {"constant": 0.3}, "y": {"constant": -0.2}}],
+        },
+    }
+    run("quasilocality", quasi_cfg, str(tmp_path / "q"))
+    for rec in _read_back(tmp_path / "q" / "quasilocality.csv"):
+        assert json.loads(rec["delta"])
+        for col in ("supDiff", "noise", "seed"):
+            float(rec[col])
 
 
 def test_run_kp_subcommand(tmp_path):
