@@ -9,7 +9,7 @@ and interaction):
   potential       {"family": "quadratic" | "circle_free" | "quartic"}
   drift           {"family": <builtin name>, "beta": float, "memory": float,
                    "params": {...}}   params are family-specific
-  time            {"t": float, "dt": float, "T": float?, "M": int?}
+  time            {"t": float} or {"T": float, "M": int}; the step is mc.dt
   mc              {"nSamples", "dt", "bandwidthScale", "essThreshold",
                    "burnIn", "thin"}  all optional
   truncation      {"kMax": int, "nMax": int}
@@ -54,7 +54,7 @@ SECTION_KEYS = {
     "lattice": {"box", "neighborhoodRadius"},
     "potential": {"family"},
     "drift": {"family", "beta", "memory", "params"},
-    "time": {"t", "dt", "T", "M"},
+    "time": {"t", "T", "M"},
     "mc": {"nSamples", "dt", "bandwidthScale", "essThreshold", "burnIn", "thin"},
     "truncation": {"kMax", "nMax"},
     "interaction": {"beta0", "terms"},

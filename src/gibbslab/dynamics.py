@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import (
@@ -143,6 +144,9 @@ def _fp_eigensystem(pot: PotentialSpec):
     """Eigendecomposition of the discrete free generator, weighted by m.
 
     Read through ``pot._eigensystem``, which computes it once per spec.
+    Raises NumericalError when exp(-U) underflows on the grid: the generator
+    is then not finite, or the grid chain falls apart into pieces that each
+    carry a zero eigenvalue.
     """
     n = 400
     if pot.state_space == CIRCLE:
@@ -168,14 +172,27 @@ def _fp_eigensystem(pot: PotentialSpec):
             B[j, j] -= cond[i] / w[j]
             B[i, j] += cond[i] / (d[i] * d[j])
             B[j, i] += cond[i] / (d[i] * d[j])
-        lam, psi = eigh(B)
+        finite = np.all(np.isfinite(B))
     else:
         cond = np.sqrt(dens[:-1] * dens[1:]) / (2.0 * h)
         diag = np.zeros(n)
-        diag[:-1] -= cond / w[:-1]
-        diag[1:] -= cond / w[1:]
-        off = cond / (d[:-1] * d[1:])
-        lam, psi = eigh_tridiagonal(diag, off)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diag[:-1] -= cond / w[:-1]
+            diag[1:] -= cond / w[1:]
+            off = cond / (d[:-1] * d[1:])
+        finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+    if not finite:
+        raise NumericalError(
+            "the discretized free generator is not finite: exp(-U) underflows on its grid"
+        )
+    lam, psi = eigh(B) if periodic else eigh_tridiagonal(diag, off)
+    if not np.all(np.isfinite(lam)):
+        raise NumericalError("the spectrum of the discretized free generator is not finite")
+    if np.count_nonzero(np.abs(lam) <= 1e-10 * np.max(np.abs(lam))) > 1:
+        raise NumericalError(
+            "the discretized free generator decouples (more than one zero "
+            "eigenvalue): exp(-U) underflows between grid points"
+        )
     phis = psi / np.sqrt(w)[:, None]  # orthonormal in L^2(m_h), phi_0 = const
     # fix sign and the constant mode
     order = np.argsort(-lam)
@@ -218,6 +235,12 @@ def free_kernel(pot: PotentialSpec, t: float, x, y):
     if pot.family == "circle_free":
         return _circle_heat_kernel(t, y - x)
     xs, w, lam, phis = pot._eigensystem
+    if pot.state_space == LINE and (
+        np.any((x < xs[0]) | (x > xs[-1])) or np.any((y < xs[0]) | (y > xs[-1]))
+    ):
+        raise CoverageError(
+            f"free_kernel: points outside the eigenfunction grid [{xs[0]}, {xs[-1]}]"
+        )
     keep = lam * t > -45.0
     lam_k = lam[keep]
     phi_k = phis[:, keep]
@@ -301,9 +324,20 @@ class DriftSpec:
     """Bounded space-time-local drift functional with intensity beta.
 
     ``evaluator(site, t, window_times, window_values)`` receives the path of
-    the sites ``site + nbhd`` on the memory window as arrays of shape
-    (..., W); it must return an array broadcastable to the leading shape.
-    Its absolute value may never exceed ``bound`` (checked at runtime).
+    the sites ``site + nbhd`` on memory windows of W + 1 grid points ending
+    at t, either for one step or for a batch of steps:
+
+    - one step: ``t`` is a float, ``window_times`` has shape (W+1,) and each
+      ``window_values[s]`` has shape (R, W+1);
+    - a batch: ``t`` has shape (steps,), ``window_times`` (steps, W+1) and
+      each ``window_values[s]`` (R, steps, W+1).
+
+    It returns b for every replica (and step), an array broadcastable to
+    the values' shape without the window axis; evaluators must treat the
+    steps of a batch independently.  The window arrays are read-only views;
+    under the truncated pre-history a window reaching before the start of
+    the path is shorter.  The absolute value of b may never exceed ``bound``
+    (checked at runtime, once per call).
     """
 
     beta: float
@@ -370,7 +404,7 @@ def resonance_drift(amplitude: float, memory: float = 0.1) -> DriftSpec:
 
     def ev(site, t, wt, wv):
         shape = np.shape(next(iter(wv.values()))[..., -1])
-        return np.full(shape, amplitude * math.sin(t))
+        return np.full(shape, amplitude * np.sin(t))
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=memory,
@@ -398,10 +432,10 @@ def memory_integral_drift(
 
     def ev(site, t, wt, wv):
         vals = wv[site]
-        if wt.size < 2:
+        if wt.shape[-1] < 2:
             return np.zeros(np.shape(vals[..., -1]))
-        ds = np.diff(wt)
-        integrand = np.asarray(eps(wt[:-1]), dtype=float) * np.asarray(
+        ds = np.diff(wt, axis=-1)
+        integrand = np.asarray(eps(wt[..., :-1]), dtype=float) * np.asarray(
             f(vals[..., :-1]), dtype=float
         )
         return np.sum(integrand * ds, axis=-1)
@@ -422,20 +456,22 @@ def space_time_integral_drift(
 ) -> DriftSpec:
     """b_i(t) = integral of alpha(t - s, x_{i+N}(s)) dV_s over the window.
 
-    ``alpha(lag, values)`` gets values as a dict site -> array (..., W) slice;
-    ``integrator`` is the bounded-variation path V evaluated at times.
+    ``alpha(lag, values)`` gets the lag (a float, or one per step of a
+    batch) and values as a dict site -> array (R,) or (R, steps) at one
+    window point; ``integrator`` is the bounded-variation path V evaluated
+    elementwise at times.
     """
 
     def ev(site, t, wt, wv):
         any_vals = next(iter(wv.values()))
-        if wt.size < 2:
+        if wt.shape[-1] < 2:
             return np.zeros(np.shape(any_vals[..., -1]))
         v = np.asarray(integrator(wt), dtype=float)
-        dv = np.diff(v)
+        dv = np.diff(v, axis=-1)
         out = np.zeros(np.shape(any_vals[..., -1]))
-        for l in range(wt.size - 1):
+        for l in range(wt.shape[-1] - 1):
             snap = {s: vals[..., l] for s, vals in wv.items()}
-            out = out + np.asarray(alpha(t - wt[l], snap), dtype=float) * dv[l]
+            out = out + np.asarray(alpha(t - wt[..., l], snap), dtype=float) * dv[..., l]
         return out
 
     return DriftSpec(
@@ -500,33 +536,82 @@ class PathBundle:
             vals = wrap_angle(vals)
         return {s: float(v) for s, v in zip(self.sites, vals)}
 
-    def window(self, drift: DriftSpec, site, k: int):
-        """Memory window ending at grid index k for the drift evaluator."""
-        W = max(int(round(drift.memory / self.dt)), 1)
-        lo = k - W
-        idx = np.clip(np.arange(lo, k + 1), 0, None)
-        wt = self.times[0] + np.arange(lo, k + 1) * self.dt
-        cols = []
-        for off_site in sorted(drift.nbhd.around(tuple(site))):
-            vals = self.values[:, self.site_index(off_site), :][:, idx]
-            if self.state_space == CIRCLE:
-                vals = wrap_angle(vals)
-            cols.append((off_site, vals))
-        if drift.pre_history == PRE_HISTORY_TRUNCATED and lo < 0:
-            keep = wt >= self.times[0] - 1e-12
-            wt = wt[keep]
-            cols = [(s, v[:, keep]) for s, v in cols]
-        return wt, dict(cols)
+
+def _window_length(drift: DriftSpec, dt: float) -> int:
+    """W, the number of grid steps the drift's memory window spans."""
+    return max(int(round(drift.memory / dt)), 1)
+
+
+def _cut(drift: DriftSpec, W: int, k: int) -> int:
+    """Window points before the start of the path at grid index k; the
+    truncated pre-history drops them, the frozen one keeps them."""
+    if drift.pre_history == PRE_HISTORY_TRUNCATED and k < W:
+        return W - k
+    return 0
+
+
+def _windows(history: np.ndarray, W: int, t0: float, dt: float, lo: int):
+    """Zero-copy memory windows over a time-major history padded in front.
+
+    Row r of ``history``, shape (W + steps, R, ...), holds the path at grid
+    index lo + r; rows at negative indices repeat the frozen pre-history.
+    Returns the window times, shape (steps, W+1), and the value windows,
+    shape (R, steps, ..., W+1): window s spans indices lo + s .. lo + s + W.
+    """
+    times = t0 + np.arange(lo, lo + history.shape[0]) * dt
+    wt = sliding_window_view(times, W + 1)
+    wv = sliding_window_view(history, W + 1, axis=0).swapaxes(0, 1)
+    return wt, wv
+
+
+def _evaluation_batches(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int):
+    """Evaluator arguments for the steps k_lo .. k_hi-1 of a stored bundle.
+
+    Returns a list of (column, t, window_times, window_values): one entry
+    per step whose window the truncated pre-history shortens, then one batch
+    over every remaining step (column is the step's offset from k_lo, or a
+    slice for the batch).
+    """
+    W = _window_length(drift, path.dt)
+    lo = k_lo - W
+    front = max(-lo, 0)
+    wv = {}
+    for s in sorted(drift.nbhd.around(site)):
+        vals = path.values[:, path.site_index(s), :].T
+        history = np.empty((W + k_hi - k_lo, vals.shape[1]))
+        history[:front] = vals[0]
+        history[front:] = vals[lo + front : k_hi]
+        if path.state_space == CIRCLE:
+            history = wrap_angle(history)
+        wt, wv[s] = _windows(history, W, path.times[0], path.dt, lo)
+    t = path.times[k_lo:k_hi]
+    split = min(_cut(drift, W, k_lo), t.size)
+    batches = []
+    for j in range(split):
+        c = _cut(drift, W, k_lo + j)
+        batches.append((j, float(t[j]), wt[j, c:], {s: v[:, j, c:] for s, v in wv.items()}))
+    if split < t.size:
+        batches.append(
+            (slice(split, None), t[split:], wt[split:], {s: v[:, split:] for s, v in wv.items()})
+        )
+    return batches
+
+
+def _drift_along(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int) -> np.ndarray:
+    """b_site(t_k, X) at the steps k_lo .. k_hi-1 of a stored bundle.
+
+    Shape (R, steps), stored step-major so each step is contiguous.
+    """
+    site = tuple(site)
+    out = np.empty((k_hi - k_lo, path.n_replicas)).T
+    for col, t, wt, wv in _evaluation_batches(drift, path, site, k_lo, k_hi):
+        out[:, col] = drift.evaluate(site, t, wt, wv)
+    return out
 
 
 def drift_values(drift: DriftSpec, path: PathBundle, site) -> np.ndarray:
     """Re-evaluate b_site(t_k, X) along a stored bundle, shape (R, K)."""
-    K = path.times.size - 1
-    out = np.empty((path.n_replicas, K))
-    for k in range(K):
-        wt, wv = path.window(drift, site, k)
-        out[:, k] = drift.evaluate(tuple(site), float(path.times[k]), wt, wv)
-    return out
+    return _drift_along(drift, path, site, 0, path.times.size - 1)
 
 
 def simulate(
@@ -557,7 +642,6 @@ def simulate(
 
     sites = tuple(vol.sorted_sites())
     inner = interior(vol, drift.nbhd)
-    inner_idx = [i for i, s in enumerate(sites) if s in inner]
     K = int(round(t / dt))
     if K < 1 or abs(K * dt - t) > 1e-9 * max(t, 1.0):
         raise ValidationError("t must be an integer multiple of dt")
@@ -565,26 +649,48 @@ def simulate(
         rng = substream(seed, "simulate")
 
     R, n = n_replicas, len(sites)
-    values = np.empty((R, n, K + 1))
-    values[:, :, 0] = x0.array_for(sites)[None, :]
-    dbar = np.empty((R, n, K))
+    W = _window_length(drift, dt)
     times = dt * np.arange(K + 1)
-    noise = rng.standard_normal((R, n, K)) * math.sqrt(dt)
+    # time-major path: W rows of frozen pre-history, then x_0 .. x_K.  Its
+    # memory first holds the noise, drawn replica-major as (R, n, K) and
+    # scaled into the time-major dbar; each step then overwrites its noise
+    # with the compensated increment
+    history = np.empty((W + K + 1, R, n))
+    noise = history.reshape(-1)[: R * n * K].reshape(R, n, K)
+    rng.standard_normal(out=noise)
+    dbar = np.empty((K, R, n))
+    np.multiply(noise.transpose(2, 0, 1), math.sqrt(dt), out=dbar)
+    history[: W + 1] = x0.array_for(sites)
+    circle = pot.state_space == CIRCLE
+    # the drift and U' read wrapped angles on the circle
+    state = np.empty_like(history) if circle else history
+    if circle:
+        state[: W + 1] = wrap_angle(history[: W + 1])
+    wt, wv = _windows(state, W, times[0], dt, -W)
+    readers = [
+        (i, s, [(nb, sites.index(nb)) for nb in sorted(drift.nbhd.around(s))])
+        for i, s in enumerate(sites)
+        if s in inner
+    ]
 
-    bundle_view = PathBundle(sites, times, values, dbar, pot.state_space)
     for k in range(K):
-        xk = values[:, :, k]
-        state = wrap_angle(xk) if pot.state_space == CIRCLE else xk
-        du = np.asarray(pot.dU(state), dtype=float)
+        xk = history[W + k]
+        du = np.asarray(pot.dU(state[W + k]), dtype=float)
         drift_term = -0.5 * du
         if drift.beta > 0:
-            for i in inner_idx:
-                wt, wv = bundle_view.window(drift, sites[i], k)
-                b = drift.evaluate(sites[i], float(times[k]), wt, wv)
+            c = _cut(drift, W, k)
+            for i, site, nbrs in readers:
+                b = drift.evaluate(
+                    site, float(times[k]), wt[k, c:], {s: wv[:, k, j, c:] for s, j in nbrs}
+                )
                 drift_term[:, i] = drift_term[:, i] + drift.beta * b
-        step = noise[:, :, k] + drift_term * dt
-        values[:, :, k + 1] = xk + step
-        dbar[:, :, k] = step + 0.5 * du * dt
-    if not np.all(np.isfinite(values)):
+        step = dbar[k] + drift_term * dt
+        history[W + k + 1] = xk + step
+        if circle:
+            state[W + k + 1] = wrap_angle(history[W + k + 1])
+        dbar[k] = step + 0.5 * du * dt
+    if not np.all(np.isfinite(history)):
         raise NumericalError("simulation produced NaN or overflow")
-    return bundle_view
+    return PathBundle(
+        sites, times, history[W:].transpose(1, 2, 0), dbar.transpose(1, 2, 0), pot.state_space
+    )

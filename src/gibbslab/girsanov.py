@@ -25,6 +25,7 @@ from .dynamics import (
     DriftSpec,
     PathBundle,
     PotentialSpec,
+    _drift_along,
     constant_drift,
     simulate,
 )
@@ -74,10 +75,10 @@ def psi(
     out = np.zeros(path.n_replicas)
     if beta == 0.0 or k_hi <= k_lo:
         return out
-    for k in range(k_lo, k_hi):
-        wt, wv = path.window(drift, site, k)
-        b = drift.evaluate(site, float(path.times[k]), wt, wv)
-        out += -beta * b * path.dbar[:, idx, k] + 0.5 * beta * beta * b * b * dt
+    b = _drift_along(drift, path, site, k_lo, k_hi)
+    terms = -beta * b * path.dbar[:, idx, k_lo:k_hi] + 0.5 * beta * beta * b * b * dt
+    for term in terms.T:  # accumulated in step order
+        out += term
     return out
 
 
@@ -115,15 +116,15 @@ def _ou_variance(s: float) -> float:
 
 
 def _ou_bridge_segment(
-    a: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact bridge of dx = dB - x dt from a to b over [0, tau], shape (R, K+1)."""
-    K = int(round(tau / dt))
-    if K < 1 or abs(K * dt - tau) > 1e-9 * max(tau, 1.0):
-        raise ValidationError("segment length must be an integer multiple of dt")
-    R = a.shape[0]
-    vals = np.empty((R, K + 1))
-    vals[:, 0] = a
+    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+) -> None:
+    """Exact bridge of dx = dB - x dt over [0, tau], written into vals.
+
+    ``vals`` has shape (K+1, R) and holds the start in row 0; rows 1 .. K-1
+    first take the step noise, drawn in step order, and row K gets b.
+    """
+    K = vals.shape[0] - 1
+    rng.standard_normal(out=vals[1:K])
     e1 = math.exp(-dt)
     v1 = _ou_variance(dt)
     for k in range(1, K):
@@ -131,20 +132,22 @@ def _ou_bridge_segment(
         er = math.exp(-rem)
         vr = _ou_variance(rem)
         prec = 1.0 / v1 + er * er / vr
-        mean = (vals[:, k - 1] * e1 / v1 + b * er / vr) / prec
-        vals[:, k] = mean + rng.standard_normal(R) / math.sqrt(prec)
-    vals[:, K] = b
-    return vals
+        mean = (vals[k - 1] * e1 / v1 + b * er / vr) / prec
+        vals[k] = mean + vals[k] / math.sqrt(prec)
+    vals[K] = b
 
 
 def _circle_bridge_segment(
-    a: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Brownian bridge on the circle, returned as a continuous lift from a."""
-    K = int(round(tau / dt))
-    if K < 1 or abs(K * dt - tau) > 1e-9 * max(tau, 1.0):
-        raise ValidationError("segment length must be an integer multiple of dt")
-    R = a.shape[0]
+    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+) -> None:
+    """Brownian bridge on the circle as a continuous lift, written into vals.
+
+    ``vals`` has shape (K+1, R) and holds the start a in row 0; the lifted
+    end lands in row K.
+    """
+    K = vals.shape[0] - 1
+    R = vals.shape[1]
+    a = vals[0]
     # shortest angular displacement, then a winding number weighted by the
     # free Gaussian likelihood of each lifted endpoint
     d = np.mod(b - a + np.pi, TWO_PI) - np.pi
@@ -157,15 +160,13 @@ def _circle_bridge_segment(
     u = rng.uniform(size=R) * cdf[:, -1]
     pick = (u[:, None] > cdf).sum(axis=1)
     target = a + disp[np.arange(R), pick]
-    vals = np.empty((R, K + 1))
-    vals[:, 0] = a
+    rng.standard_normal(out=vals[1:K])
     for k in range(1, K):
         rem = tau - (k - 1) * dt
-        mean = vals[:, k - 1] + (target - vals[:, k - 1]) * dt / rem
+        mean = vals[k - 1] + (target - vals[k - 1]) * dt / rem
         var = dt * (rem - dt) / rem
-        vals[:, k] = mean + rng.standard_normal(R) * math.sqrt(max(var, 0.0))
-    vals[:, K] = target
-    return vals
+        vals[k] = mean + vals[k] * math.sqrt(max(var, 0.0))
+    vals[K] = target
 
 
 def _as_replica_array(value, n_replicas: int) -> np.ndarray:
@@ -206,22 +207,21 @@ def multi_bridge_bundle(
         raise ValidationError("tau must be an integer multiple of dt")
     R = n_replicas
     K = n_seg * Kseg
-    values = np.empty((R, len(sites), K + 1))
+    segment = _ou_bridge_segment if pot.family == "quadratic" else _circle_bridge_segment
+    # site-major, then time: every step of a site's path is contiguous
+    values = np.empty((len(sites), K + 1, R))
     for i, s in enumerate(sites):
-        cur = _as_replica_array(layers[0][s], R)
-        values[:, i, 0] = cur
+        values[i, 0] = _as_replica_array(layers[0][s], R)
         for j in range(n_seg):
             nxt = _as_replica_array(layers[j + 1][s], R)
-            if pot.family == "quadratic":
-                seg = _ou_bridge_segment(values[:, i, j * Kseg], nxt, tau, dt, rng)
-            else:
-                seg = _circle_bridge_segment(values[:, i, j * Kseg], nxt, tau, dt, rng)
-            values[:, i, j * Kseg : (j + 1) * Kseg + 1] = seg
+            segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, dt, rng)
     times = t_start + dt * np.arange(K + 1)
-    state = wrap_angle(values[:, :, :-1]) if pot.state_space == CIRCLE else values[:, :, :-1]
+    state = wrap_angle(values[:, :-1]) if pot.state_space == CIRCLE else values[:, :-1]
     du = np.asarray(pot.dU(state), dtype=float)
-    dbar = np.diff(values, axis=2) + 0.5 * du * dt
-    return PathBundle(sites, times, values, dbar, pot.state_space)
+    dbar = np.diff(values, axis=1) + 0.5 * du * dt
+    return PathBundle(
+        sites, times, values.transpose(2, 0, 1), dbar.transpose(2, 0, 1), pot.state_space
+    )
 
 
 def free_bridge_paths(

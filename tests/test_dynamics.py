@@ -7,6 +7,7 @@ from scipy import stats
 from gibbslab.dynamics import (
     PRE_HISTORY_TRUNCATED,
     DriftSpec,
+    _evaluation_batches,
     constant_drift,
     custom_potential,
     circle_free_potential,
@@ -24,6 +25,7 @@ from gibbslab.dynamics import (
 from gibbslab.errors import (
     BoundViolationError,
     CoverageError,
+    NumericalError,
     SetupError,
     ValidationError,
 )
@@ -92,21 +94,46 @@ def test_general_kernel_cache_follows_the_potential():
     # potentials built and dropped in turn may reuse the ids of their
     # callables; each must still get its own eigensystem.  U = a x^2 is an
     # OU process of rate a, whose kernel relative to m is a Mehler kernel.
-    # a = 2 only takes part in the build-and-drop sequence: the default grid
-    # resolves its kernel poorly, so its value is not checked.
+    # a = 2 only takes part in the build-and-drop sequence: exp(-U)
+    # underflows on its grid, so its kernel must raise rather than be read
+    # from an earlier potential's eigensystem.
     t, x, y = 0.5, 0.3, 0.3
     got = {}
     for a in (1.0, 0.5, 2.0, 0.3):
         pot = custom_potential(
             lambda z: a * np.asarray(z) ** 2, lambda z: 2.0 * a * np.asarray(z)
         )
-        got[a] = float(free_kernel(pot, t, x, y))
+        if a == 2.0:
+            with pytest.raises(NumericalError):
+                free_kernel(pot, t, x, y)
+        else:
+            got[a] = float(free_kernel(pot, t, x, y))
         del pot
     for a in (1.0, 0.5, 0.3):
         rho = math.exp(-a * t)
         d = 1.0 - rho * rho
         mehler = math.exp(a * (2 * rho * x * y - rho * rho * (x * x + y * y)) / d) / math.sqrt(d)
         assert got[a] == pytest.approx(mehler, rel=1e-2)
+
+
+def test_general_kernel_rejects_a_decoupled_grid():
+    # U = 2 x^2 on [-16, 16]: exp(-U) ~ 1e-223 at the edges, so the edge
+    # conductances underflow to 0 and the grid chain falls apart; the kernel
+    # used to return 2.186 where the Mehler kernel gives 1.185
+    pot = custom_potential(lambda z: 2.0 * np.asarray(z) ** 2, lambda z: 4.0 * np.asarray(z))
+    with pytest.raises(NumericalError, match="decouples"):
+        free_kernel(pot, 0.5, 0.3, 0.3)
+
+
+def test_general_kernel_rejects_points_off_its_grid():
+    # np.interp would clamp the eigenfunctions to their edge values
+    pot = custom_potential(lambda z: np.asarray(z) ** 2, lambda z: 2.0 * np.asarray(z))
+    L = pot.halfwidth
+    assert np.isfinite(free_kernel(pot, 1.0, np.array([-L, 0.0, L]), 0.0)).all()
+    with pytest.raises(CoverageError):
+        free_kernel(pot, 1.0, L + 0.5, 0.0)
+    with pytest.raises(CoverageError):
+        free_kernel(pot, 1.0, 0.0, np.array([0.1, -L - 1.0]))
 
 
 def test_custom_potential_rejects_growth():
@@ -217,10 +244,10 @@ def test_delayed_feedback_reads_left_edge():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 2.0)
     path = simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, seed=2, n_replicas=3)
-    wt, wv = path.window(d, (0,), 0)
+    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 0, 1)
     # frozen pre-history: the left edge before time 0 is the initial value
     assert np.all(wv[(0,)][..., 0] == 2.0)
-    val = d.evaluate((0,), 0.0, wt, wv)
+    val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, -1.0 * 2.0 / (1.0 + 4.0))
 
 
@@ -237,7 +264,8 @@ def test_truncated_pre_history_shrinks_window():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 0.0)
     path = simulate(d, QUAD, vol, x0, t=0.3, dt=0.05, seed=2)
-    wt, wv = path.window(d, (0,), 1)  # window [t-0.2, t] at t=0.05 underruns
+    # window [t-0.2, t] at t=0.05 underruns
+    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 1, 2)
     assert wt[0] >= -1e-12
     assert wv[(0,)].shape[-1] == wt.size
 
@@ -252,8 +280,8 @@ def test_memory_integral_drift_on_frozen_path():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 1.5)
     path = simulate(d, QUAD, vol, x0, t=0.05, dt=0.05, seed=2)
-    wt, wv = path.window(d, (0,), 0)
-    val = d.evaluate((0,), 0.0, wt, wv)
+    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 0, 1)
+    val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, math.tanh(1.5) * t0)
 
 

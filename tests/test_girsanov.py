@@ -122,6 +122,66 @@ def test_circle_bridge_hits_endpoint_mod_wrap():
     assert np.allclose(np.mod(end - b, TWO_PI) * (TWO_PI - np.mod(end - b, TWO_PI)), 0.0, atol=1e-9)
 
 
+def _ref_ou_segment(a, b, tau, dt, rng):
+    # one step at a time, replica-major, drawing the noise step by step
+    K = int(round(tau / dt))
+    vals = np.empty((a.shape[0], K + 1))
+    vals[:, 0] = a
+    v = lambda s: 0.5 * (1.0 - math.exp(-2.0 * s))
+    e1, v1 = math.exp(-dt), v(dt)
+    for k in range(1, K):
+        rem = tau - k * dt
+        er, vr = math.exp(-rem), v(rem)
+        prec = 1.0 / v1 + er * er / vr
+        mean = (vals[:, k - 1] * e1 / v1 + b * er / vr) / prec
+        vals[:, k] = mean + rng.standard_normal(a.shape[0]) / math.sqrt(prec)
+    vals[:, K] = b
+    return vals
+
+
+def _ref_circle_segment(a, b, tau, dt, rng):
+    K, R = int(round(tau / dt)), a.shape[0]
+    d = np.mod(b - a + np.pi, TWO_PI) - np.pi
+    n_max = max(3, int(math.ceil(4.0 * math.sqrt(tau) / TWO_PI)) + 1)
+    disp = d[:, None] + TWO_PI * np.arange(-n_max, n_max + 1)[None, :]
+    logw = -(disp**2) / (2.0 * tau)
+    cdf = np.cumsum(np.exp(logw - logw.max(axis=1, keepdims=True)), axis=1)
+    u = rng.uniform(size=R) * cdf[:, -1]
+    target = a + disp[np.arange(R), (u[:, None] > cdf).sum(axis=1)]
+    vals = np.empty((R, K + 1))
+    vals[:, 0] = a
+    for k in range(1, K):
+        rem = tau - (k - 1) * dt
+        mean = vals[:, k - 1] + (target - vals[:, k - 1]) * dt / rem
+        var = dt * (rem - dt) / rem
+        vals[:, k] = mean + rng.standard_normal(R) * math.sqrt(max(var, 0.0))
+    vals[:, K] = target
+    return vals
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_bundle_matches_the_per_step_loop(pot):
+    # the bundle stores each step contiguously and draws a segment's noise
+    # at once; values, increments and the draw order are those of the
+    # replica-major per-step loop
+    sites, R, tau, dt = [(0,), (1,)], 5, 0.3, 0.05
+    src = np.random.default_rng(8)
+    layers = [{s: src.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    bundle = multi_bridge_bundle(pot, sites, layers, 0.5, tau, dt, substream(6, "b"), R)
+    rng = substream(6, "b")
+    segment = _ref_ou_segment if pot is QUAD else _ref_circle_segment
+    values = np.empty((R, 2, 13))
+    for i, s in enumerate(sites):
+        values[:, i, 0] = layers[0][s]
+        for j in range(2):
+            values[:, i, 6 * j : 6 * j + 7] = segment(values[:, i, 6 * j], layers[j + 1][s], tau, dt, rng)
+    assert np.array_equal(bundle.values, values)
+    state = np.mod(values[:, :, :-1], TWO_PI) if pot is CIRC else values[:, :, :-1]
+    dbar = np.diff(values, axis=2) + 0.5 * np.asarray(pot.dU(state), dtype=float) * dt
+    assert np.array_equal(bundle.dbar, dbar)
+    assert np.array_equal(bundle.times, 0.5 + dt * np.arange(13))
+
+
 def test_circle_bridge_winding_spread():
     # long bridges must use several winding classes
     rng = substream(4, "wind")

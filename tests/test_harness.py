@@ -71,6 +71,35 @@ def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
     assert cfgmod.load_config(str(ok))["mc"] == {"nSamples": 64, "dt": 0.05}
 
 
+def test_time_section_has_no_step_key(tmp_path, capsys):
+    # the step is mc.dt; a time.dt key used to pass and change nothing
+    bad = tmp_path / "time_dt.json"
+    bad.write_text(json.dumps({**SIM_CFG, "time": {"t": 1, "dt": 0.1}}))
+    with pytest.raises(ValidationError, match="dt"):
+        cfgmod.load_config(str(bad))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_expand_on_quartic_exits_with_a_numerical_error(tmp_path, capsys):
+    # exp(-x^4) underflows on the kernel grid; this used to end in a raw
+    # ValueError from the eigensolver and exit code 1
+    cfg = {
+        "seed": 1,
+        "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+        "potential": {"family": "quartic"},
+        "drift": {"family": "constant", "beta": 0.2, "memory": 0.1, "params": {"c": 0.5}},
+        "time": {"T": 0.5, "M": 2},
+        "mc": {"nSamples": 16, "dt": 0.05},
+        "truncation": {"kMax": 2, "nMax": 1},
+        "x": {"constant": 0.0},
+        "y": {"constant": 0.2},
+    }
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "exp(-U) underflows" in capsys.readouterr().err
+
+
 def test_config_hash_canonical():
     assert cfgmod.config_hash({"a": 1, "b": 2}) == cfgmod.config_hash({"b": 2, "a": 1})
     assert cfgmod.config_hash({"a": 1}) != cfgmod.config_hash({"a": 2})
