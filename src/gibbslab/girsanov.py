@@ -77,7 +77,9 @@ def psi(
         return out
     b = _drift_along(drift, path, site, k_lo, k_hi)
     terms = -beta * b * path.dbar[:, idx, k_lo:k_hi] + 0.5 * beta * beta * b * b * dt
-    for term in terms.T:  # accumulated in step order
+    # summed in step order, as a running sum over the steps would; a
+    # pairwise np.sum along the step axis would change the low bits
+    for term in terms.T:
         out += term
     return out
 
