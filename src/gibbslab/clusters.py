@@ -1,6 +1,7 @@
 """Space-time cluster combinatorics.
 
-Temporal edges live on a uniform grid of M intervals of length T.
+A temporal edge (site, slice) joins the vertices (site, slice) and
+(site, slice + 1) of a uniform grid of M intervals of length T.
 A space cluster is a chain-connected set of same-slice edges; a time
 cluster is a run of consecutive slices at one site.  A space-time cluster
 bundles space and time clusters whose supports form a connected whole.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterable, List, Sequence, Tuple
@@ -48,23 +50,6 @@ class TimeGrid:
     @classmethod
     def from_record(cls, rec) -> "TimeGrid":
         return cls(float(rec["T"]), int(rec["M"]))
-
-
-@dataclass(frozen=True)
-class TemporalEdge:
-    """The unit space-time pair (site, I_slice)."""
-
-    site: Site
-    slice: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "site", as_site(self.site))
-        if self.slice < 0:
-            raise ValidationError("negative slice index")
-
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset({(self.site, self.slice), (self.site, self.slice + 1)})
 
 
 def _connected(neighbours) -> bool:
@@ -107,10 +92,6 @@ class SpaceCluster:
             raise ValidationError("negative slice index")
 
     @property
-    def edges(self) -> frozenset:
-        return frozenset(TemporalEdge(s, self.slice) for s in self.sites)
-
-    @property
     def size(self) -> int:
         return len(self.sites)
 
@@ -142,10 +123,6 @@ class TimeCluster:
         return range(self.start, self.stop + 1)
 
     @property
-    def edges(self) -> frozenset:
-        return frozenset(TemporalEdge(self.site, j) for j in self.slices)
-
-    @property
     def size(self) -> int:
         return self.stop - self.start + 1
 
@@ -159,7 +136,12 @@ class TimeCluster:
 
 @dataclass(frozen=True)
 class SpaceTimeCluster:
-    """A nonempty collection of space and time clusters."""
+    """A nonempty collection of space and time clusters.
+
+    ``support``, ``sites`` and ``key()`` are computed once per instance; the
+    instance is frozen, so they are functions of its value and never enter
+    ``==``, ``hash`` or ``to_record``.
+    """
 
     space_clusters: tuple
     time_clusters: tuple
@@ -179,15 +161,17 @@ class SpaceTimeCluster:
             if g.stop >= self.grid.M - 1:
                 raise ValidationError("time cluster slice outside kernel range")
 
-    @property
+    @cached_property
     def support(self) -> frozenset:
         """All vertices (site, layer) of the constituent edges."""
-        verts = frozenset()
-        for g in self.space_clusters:
-            verts |= g.vertices
-        for g in self.time_clusters:
-            verts |= g.vertices
-        return verts
+        return frozenset().union(
+            *(g.vertices for g in self.space_clusters + self.time_clusters)
+        )
+
+    @cached_property
+    def sites(self) -> frozenset:
+        """The sites of the support: the set that ``trace`` projects to."""
+        return frozenset(site for site, _ in self.support)
 
     @property
     def size(self) -> int:
@@ -196,11 +180,15 @@ class SpaceTimeCluster:
             g.size for g in self.time_clusters
         )
 
-    def key(self):
+    @cached_property
+    def _key(self):
         return (
             tuple(g.key() for g in self.space_clusters),
             tuple(g.key() for g in self.time_clusters),
         )
+
+    def key(self):
+        return self._key
 
     def to_record(self) -> dict:
         return {
@@ -237,18 +225,20 @@ def space_compatible(g1: SpaceCluster, g2: SpaceCluster, nbhd: Neighborhood) -> 
 def non_intersecting(
     G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood
 ) -> bool:
-    """Compatible space clusters, disjoint time clusters, disjoint supports."""
-    if G1.grid != G2.grid:
+    """Disjoint supports and compatible same-slice space clusters.
+
+    Disjoint time clusters are implied: a shared time edge (s, j) puts the
+    vertex (s, j) in both supports.
+    """
+    if G1.grid is not G2.grid and G1.grid != G2.grid:
         raise ValidationError("clusters live on different grids")
-    for a in G1.space_clusters:
-        for b in G2.space_clusters:
-            if a.slice == b.slice and not space_compatible(a, b, nbhd):
-                return False
-    edges1 = frozenset().union(*(g.edges for g in G1.time_clusters)) if G1.time_clusters else frozenset()
-    edges2 = frozenset().union(*(g.edges for g in G2.time_clusters)) if G2.time_clusters else frozenset()
-    if edges1 & edges2:
+    if not G1.support.isdisjoint(G2.support):
         return False
-    return not (G1.support & G2.support)
+    return all(
+        a.slice != b.slice or space_compatible(a, b, nbhd)
+        for a in G1.space_clusters
+        for b in G2.space_clusters
+    )
 
 
 def conflicts(G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood) -> bool:
@@ -259,11 +249,8 @@ def conflicts(G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood) ->
 def trace(G) -> Volume:
     """Spatial projection of one cluster or of a collection of clusters."""
     if isinstance(G, SpaceTimeCluster):
-        return Volume(frozenset(site for site, _ in G.support))
-    sites = frozenset()
-    for g in G:
-        sites |= frozenset(site for site, _ in g.support)
-    return Volume(sites)
+        return Volume(G.sites)
+    return Volume(frozenset().union(*(g.sites for g in G)))
 
 
 def _connected_site_subsets(sites: Sequence[Site], nbhd: Neighborhood, k_max: int):
@@ -381,8 +368,13 @@ def conflict_graph(
     return graph
 
 
-def _connected_spanning_sign_sum(n: int, edges: List[Tuple[int, int]]) -> int:
-    """Sum of (-1)^{|H|} over connected spanning edge subsets H."""
+@lru_cache(maxsize=4096)
+def _connected_spanning_sign_sum(n: int, edges: Tuple[Tuple[int, int], ...]) -> int:
+    """Sum of (-1)^{|H|} over connected spanning edge subsets H.
+
+    Memoized on (n, edges): a collection's value depends only on the shape
+    of its conflict graph, and few shapes occur.
+    """
     if n == 1:
         return 1
     total = 0
@@ -409,7 +401,7 @@ def ursell_coefficient(Gs: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> Fr
     if not Gs:
         raise ValidationError("ursell_coefficient needs at least one cluster")
     graph = conflict_graph(Gs, nbhd)
-    edges = [(i, j) for i, nbrs in enumerate(graph) for j in nbrs if j > i]
+    edges = tuple((i, j) for i, nbrs in enumerate(graph) for j in nbrs if j > i)
     sign_sum = _connected_spanning_sign_sum(len(Gs), edges)
     mult: dict = {}
     for g in Gs:

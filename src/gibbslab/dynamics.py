@@ -244,9 +244,11 @@ def free_kernel(pot: PotentialSpec, t: float, x, y):
     keep = lam * t > -45.0
     lam_k = lam[keep]
     phi_k = phis[:, keep]
+    # on the circle the grid stops at 2*pi - h; interpolate across the seam
+    period = TWO_PI if pot.state_space == CIRCLE else None
     def interp_modes(z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        cols = [np.interp(z, xs, phi_k[:, k]) for k in range(phi_k.shape[1])]
+        cols = [np.interp(z, xs, phi_k[:, k], period=period) for k in range(phi_k.shape[1])]
         return np.stack(cols, axis=-1)
     px = interp_modes(x)
     py = interp_modes(y)

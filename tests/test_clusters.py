@@ -1,4 +1,8 @@
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from gibbslab.clusters import (
     SpaceTimeCluster,
     TimeCluster,
     TimeGrid,
+    _connected_spanning_sign_sum,
     conflict_graph,
     conflicts,
     enumerate_clusters,
@@ -20,6 +25,7 @@ from gibbslab.clusters import (
     ursell_coefficient,
 )
 from gibbslab.errors import BudgetError, ValidationError
+from gibbslab.expansion import connected_collections
 from gibbslab.lattice import Neighborhood, Volume
 
 
@@ -159,3 +165,120 @@ def test_conflict_graph_lists_every_conflict_in_index_order():
 def test_non_intersecting_symmetric(s1, s2, j1, j2):
     G1, G2 = _space(j1, s1), _space(j2, s2)
     assert non_intersecting(G1, G2, NB1) == non_intersecting(G2, G1, NB1)
+
+
+def _reference_support(G):
+    return {v for g in G.space_clusters + G.time_clusters for v in g.vertices}
+
+
+def _reference_non_intersecting(G1, G2, nbhd):
+    """Compatible same-slice space clusters, disjoint time edges and disjoint
+    supports, each rebuilt from the constituents on every call."""
+    for a in G1.space_clusters:
+        for b in G2.space_clusters:
+            if a.slice == b.slice and not space_compatible(a, b, nbhd):
+                return False
+
+    def time_edges(G):
+        return {(g.site, j) for g in G.time_clusters for j in g.slices}
+
+    if time_edges(G1) & time_edges(G2):
+        return False
+    return not (_reference_support(G1) & _reference_support(G2))
+
+
+def _brute_sign_sum(n, edges):
+    """Sum of (-1)^{|H|} over edge subsets H that connect all n vertices."""
+    total = 0
+    for k in range(len(edges) + 1):
+        for H in combinations(edges, k):
+            root = list(range(n))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for a, b in H:
+                root[find(a)] = find(b)
+            if len({find(v) for v in range(n)}) == 1:
+                total += (-1) ** k
+    return total
+
+
+@pytest.mark.parametrize("hi", [3, 4])
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize("M", [2, 3])
+def test_non_intersecting_matches_the_three_condition_reference(hi, radius, M):
+    nbhd = Neighborhood.range1d(radius)
+    clusters = enumerate_clusters(Volume.box((0,), (hi,)), nbhd, TimeGrid(1.0, M), k_max=3)
+    for G1 in clusters:
+        for G2 in clusters:
+            assert non_intersecting(G1, G2, nbhd) == _reference_non_intersecting(G1, G2, nbhd)
+
+
+def test_connected_collections_match_uncached_reference():
+    # the expansion workload geometry: box 0..3, r = 1, M = 2, kMax = 3, nMax = 3
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    ref, coefficients = {}, {}
+    for n in (1, 2, 3):
+        for combo in combinations_with_replacement(range(len(clusters)), n):
+            Gs = [SpaceTimeCluster.from_record(clusters[i].to_record()) for i in combo]
+            edges = [
+                (a, b)
+                for a, b in combinations(range(n), 2)
+                if not _reference_non_intersecting(Gs[a], Gs[b], nbhd)
+            ]
+            denom = prod(factorial(c) for c in Counter(combo).values())
+            C = Fraction(_brute_sign_sum(n, edges), denom)
+            if C == 0:
+                continue
+            key = tuple(sorted({site for G in Gs for site, _ in _reference_support(G)}))
+            ref.setdefault(key, []).append((combo, float(C)))
+            coefficients[combo] = C
+    assert connected_collections(clusters, nbhd, 3) == ref
+    for combo, C in coefficients.items():
+        assert ursell_coefficient([clusters[i] for i in combo], nbhd) == C
+
+
+def test_cached_footprints_are_keyed_by_value():
+    sc = (SpaceCluster(0, frozenset({(0,), (1,)})), SpaceCluster(1, frozenset({(3,)})))
+    tc = (TimeCluster((1,), 0, 1), TimeCluster((4,), 0, 0))
+    G = SpaceTimeCluster(sc, tc, GRID3)
+    equal = [
+        SpaceTimeCluster(sc[::-1], tc[::-1], TimeGrid(0.5, 3)),
+        SpaceTimeCluster.from_record(G.to_record()),
+    ]
+    for H in equal:
+        assert H == G and hash(H) == hash(G)
+        assert H.support == G.support == _reference_support(G)
+        assert H.key() == G.key()
+        assert trace(H) == trace(G)
+        assert set(trace(H).sites) == {(0,), (1,), (3,), (4,)}
+
+
+def test_cached_footprints_stay_out_of_equality_hash_and_record():
+    sc = (SpaceCluster(0, frozenset({(0,)})),)
+    tc = (TimeCluster((1,), 0, 1),)
+    cached, fresh = SpaceTimeCluster(sc, tc, GRID3), SpaceTimeCluster(sc, tc, GRID3)
+    record, digest = fresh.to_record(), hash(fresh)
+    trace(cached)  # reads sites, which read support
+    cached.key()
+    assert {"support", "sites", "_key"} <= set(vars(cached))
+    assert not {"support", "sites", "_key"} & set(vars(fresh))
+    assert cached == fresh and hash(cached) == digest
+    assert cached.to_record() == record
+    assert [f.name for f in fields(cached)] == ["space_clusters", "time_clusters", "grid"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoized_sign_sum_matches_brute_force(n):
+    complete = list(combinations(range(n), 2))
+    for k in range(len(complete) + 1):
+        for edges in combinations(complete, k):
+            expected = _brute_sign_sum(n, edges)
+            assert _connected_spanning_sign_sum(n, edges) == expected
+            assert _connected_spanning_sign_sum(n, edges) == expected  # cached
+    # the complete graph: (-1)^(n-1) (n-1)!
+    assert _connected_spanning_sign_sum(n, tuple(complete)) == (-1) ** (n - 1) * factorial(n - 1)

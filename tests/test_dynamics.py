@@ -90,6 +90,23 @@ def test_general_potential_kernel_matches_closed_form():
     assert np.max(np.abs(approx / exact - 1.0)) < 5e-3
 
 
+def test_general_circle_kernel_interpolates_across_the_seam():
+    # U = 0 on the circle through the eigendecomposition route vs the heat
+    # kernel's Fourier series; the 400-point grid ends at 2*pi - h, so the
+    # points past it must interpolate towards the value at 0, not hold the
+    # last grid value (which gave 3.2087 instead of 3.2396 at 2*pi - 1e-4)
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    gen = custom_potential(zero, zero, state_space="circle")
+    h = TWO_PI / 400
+    xs = np.concatenate([TWO_PI - h * np.array([0.9, 0.5, 1e-3]), [1.0, 3.0]])
+    t, y = 0.5, 0.3
+    exact = 1.0 + sum(
+        2.0 * math.exp(-k * k * t / 2.0) * np.cos(k * (y - xs)) for k in range(1, 60)
+    )
+    approx = free_kernel(gen, t, xs, y)
+    assert np.max(np.abs(approx - exact)) < 1e-3
+
+
 def test_general_kernel_cache_follows_the_potential():
     # potentials built and dropped in turn may reuse the ids of their
     # callables; each must still get its own eigensystem.  U = a x^2 is an
