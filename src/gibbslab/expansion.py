@@ -269,7 +269,8 @@ def connected_collections(
             C = ursell_coefficient(Gs, nbhd)
             if C == 0:
                 continue
-            groups.setdefault(volume_key(trace(Gs)), []).append((combo, float(C)))
+            key = tuple(sorted(frozenset().union(*(G.sites for G in Gs))))
+            groups.setdefault(key, []).append((combo, float(C)))
     return groups
 
 

@@ -45,7 +45,7 @@ class InteractionTerm:
     """One volume-local potential with a declared sup-norm."""
 
     volume: Volume
-    evaluator: Callable  # dict site -> value, restricted to volume
+    evaluator: Callable  # dict site -> float or (chains,) array, restricted to volume
     sup_norm: float
     label: str = "term"
 
@@ -58,8 +58,13 @@ class InteractionTerm:
     def __hash__(self):
         return hash((self.volume, id(self.evaluator), self.sup_norm, self.label))
 
-    def value(self, values: Dict) -> float:
-        return float(self.evaluator({s: values[s] for s in self.volume.sites}))
+    def value(self, values: Dict):
+        """The evaluator on values restricted to the volume.
+
+        Scalar values give a scalar; arrays along a chain axis give the
+        broadcast array of the per-chain values.
+        """
+        return self.evaluator({s: values[s] for s in self.volume.sites})
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,9 @@ def nearest_neighbor_terms(
     kind "cos_diff": coupling * cos(x_i - x_j) (circle rotors).
     """
     if kind == "tanh":
-        fn = lambda a, b: coupling * math.tanh(a) * math.tanh(b)
+        fn = lambda a, b: coupling * np.tanh(a) * np.tanh(b)
     elif kind == "cos_diff":
-        fn = lambda a, b: coupling * math.cos(a - b)
+        fn = lambda a, b: coupling * np.cos(a - b)
     else:
         raise SetupError(f"unknown pair template {kind!r}")
     out = []
@@ -147,7 +152,7 @@ def site_field_terms(vol: Volume, coupling: float, kind: str = "bounded") -> Lis
     if kind == "bounded":
         fn = lambda a: coupling * a * a / (1.0 + a * a)
     elif kind == "cos":
-        fn = lambda a: coupling * math.cos(a)
+        fn = lambda a: coupling * np.cos(a)
     else:
         raise SetupError(f"unknown site template {kind!r}")
     return [site_term(s, fn, abs(coupling), f"site-{kind}") for s in vol.sorted_sites()]
@@ -174,17 +179,53 @@ def hamiltonian(
         if not t.volume.issubset(full.domain):
             missing = sorted(t.volume.sites - full.domain.sites)
             raise CoverageError(f"term '{t.label}' misses sites {missing[:4]}")
-        total += t.value(full.values)
+        total += float(t.value(full.values))
     if not math.isfinite(total):
         raise NumericalError("hamiltonian evaluated to a non-finite value")
     return total
 
 
-def _draw_moves(pot: PotentialSpec, sweeps: int, n_sites: int, rng: np.random.Generator):
-    """Proposals from m and log-uniforms for ``sweeps`` sweeps over n_sites."""
-    proposals = _sample_reference_rng(pot, sweeps * n_sites, rng).reshape(sweeps, n_sites)
-    logu = np.log(rng.uniform(size=(sweeps, n_sites)))
-    return proposals, logu
+def _draw_chains(
+    pot: PotentialSpec,
+    n_sites: int,
+    blocks: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+):
+    """Initial values and pre-drawn moves of independent chains.
+
+    Chain c reads rngs[c]: n_sites initial draws from m, then for each block
+    of sweeps its proposals from m followed by its uniforms.  Chains draw in
+    list order, so a generator shared by several chains is read chain after
+    chain.  Returns the initial values, (n_sites, chains), and the proposals
+    and log-uniforms, both (sum(blocks), n_sites, chains).
+    """
+    init = np.empty((n_sites, len(rngs)))
+    proposals = np.empty((sum(blocks), n_sites, len(rngs)))
+    logu = np.empty_like(proposals)
+    for c, rng in enumerate(rngs):
+        init[:, c] = _sample_reference_rng(pot, n_sites, rng)
+        start = 0
+        for sweeps in blocks:
+            stop = start + sweeps
+            proposals[start:stop, :, c] = _sample_reference_rng(
+                pot, sweeps * n_sites, rng
+            ).reshape(sweeps, n_sites)
+            logu[start:stop, :, c] = np.log(rng.uniform(size=(sweeps, n_sites)))
+            start = stop
+    return init, proposals, logu
+
+
+def _chain_values(
+    sites: Sequence, init: np.ndarray, boundaries: Sequence[Optional[Configuration]]
+) -> Dict:
+    """Site -> (chains,) values: init on sites, chain c's boundary elsewhere."""
+    values = dict(zip(sites, init))
+    held = {s for b in boundaries if b is not None for s in b.values} - values.keys()
+    for s in sorted(held):
+        if any(b is None or s not in b.values for b in boundaries):
+            raise CoverageError(f"boundary site {s} is not held in every chain")
+        values[s] = np.array([b.values[s] for b in boundaries])
+    return values
 
 
 def _metropolis_sweeps(
@@ -195,36 +236,26 @@ def _metropolis_sweeps(
     proposals: np.ndarray,
     logu: np.ndarray,
 ) -> None:
-    """In-place single-site Metropolis over pre-drawn moves.
+    """In-place single-site Metropolis of independent chains over pre-drawn moves.
 
-    Row k of ``proposals`` and ``logu`` drives sweep k.  The move at site s
-    is rejected when logu >= -scale * (change of local_energy(values, s)).
+    ``values`` maps each site to a (chains,) array.  ``proposals`` and
+    ``logu`` are (sweeps, sites, chains) arrays whose row k drives sweep k.
+    For the move at site s, values[s] holds the (2, chains) stack of the old
+    and the proposed value while local_energy(values, s) evaluates both; a
+    scalar energy broadcasts over the stack.  Each chain rejects its
+    proposal when logu >= -scale * (change of the local energy).
     """
     for props, us in zip(proposals, logu):
         for s, prop, lu in zip(sites, props, us):
             old = values[s]
-            old_e = local_energy(values, s)
-            values[s] = prop
-            new_e = local_energy(values, s)
-            if not (math.isfinite(old_e) and math.isfinite(new_e)):
+            values[s] = np.array((old, prop))
+            energy = local_energy(values, s)
+            if np.ndim(energy) < 2:  # the same for both values, e.g. no terms
+                energy = (energy, energy)
+            d_e = energy[1] - energy[0]
+            if not np.isfinite(d_e).all():
                 raise SetupError("non-finite local energy in Gibbs sampling")
-            if lu >= -scale * (new_e - old_e):
-                values[s] = old
-
-
-def _initial_values(
-    pot: PotentialSpec,
-    vol: Volume,
-    boundary: Optional[Configuration],
-    rng: np.random.Generator,
-) -> Dict:
-    """Draws from m on vol, plus the boundary values outside vol."""
-    values = dict(zip(vol.sorted_sites(), _sample_reference_rng(pot, len(vol), rng)))
-    if boundary is not None:
-        for s, v in boundary.values.items():
-            if s not in vol.sites:
-                values[s] = v
-    return values
+            values[s] = np.where(lu >= -scale * d_e, old, prop)
 
 
 def _site_energy(phi: Interaction, sites: Sequence) -> Callable:
@@ -252,36 +283,43 @@ def sample_gibbs(
     if rng is None:
         rng = substream(seed, "gibbs")
     sites = vol.sorted_sites()
-    values = _initial_values(pot, vol, boundary, rng)
-    _metropolis_sweeps(
-        sites, values, _site_energy(phi, sites), phi.beta0,
-        *_draw_moves(pot, sweeps, len(sites), rng),
-    )
-    return Configuration({s: values[s] for s in sites}, pot.state_space)
+    init, proposals, logu = _draw_chains(pot, len(sites), [sweeps], [rng])
+    values = _chain_values(sites, init, [boundary])
+    _metropolis_sweeps(sites, values, _site_energy(phi, sites), phi.beta0, proposals, logu)
+    return Configuration({s: values[s][0] for s in sites}, pot.state_space)
 
 
 def gibbs_chain(
     phi: Interaction,
     pot: PotentialSpec,
     vol: Volume,
-    boundary: Optional[Configuration],
+    boundaries: Sequence[Optional[Configuration]],
     n_samples: int,
     mc: MCParams,
-    rng: np.random.Generator,
-) -> List[Configuration]:
-    """Thinned samples from one Metropolis chain after burn-in."""
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Thinned samples of independent Metropolis chains after burn-in.
+
+    Chain c is held at boundaries[c] outside vol (None for a free boundary)
+    and draws from rngs[c], as laid out in ``_draw_chains``.  All chains
+    advance together.  Returns a (chains, n_samples, |vol|) array in
+    ``vol.sorted_sites()`` order.
+    """
+    if len(boundaries) != len(rngs):
+        raise ValidationError("gibbs_chain needs one boundary per generator")
     sites = vol.sorted_sites()
-    values = _initial_values(pot, vol, boundary, rng)
+    b, thin = mc.burn_in, mc.thin
+    init, proposals, logu = _draw_chains(pot, len(sites), [b] + [thin] * n_samples, rngs)
+    values = _chain_values(sites, init, boundaries)
     energy = _site_energy(phi, sites)
-    _metropolis_sweeps(
-        sites, values, energy, phi.beta0, *_draw_moves(pot, mc.burn_in, len(sites), rng)
-    )
-    out = []
-    for _ in range(n_samples):
+    out = np.empty((len(rngs), n_samples, len(sites)))
+    _metropolis_sweeps(sites, values, energy, phi.beta0, proposals[:b], logu[:b])
+    for j, k in enumerate(range(b, len(proposals), thin)):
         _metropolis_sweeps(
-            sites, values, energy, phi.beta0, *_draw_moves(pot, mc.thin, len(sites), rng)
+            sites, values, energy, phi.beta0, proposals[k:k + thin], logu[k:k + thin]
         )
-        out.append(Configuration({s: values[s] for s in sites}, pot.state_space))
+        for i, s in enumerate(sites):
+            out[:, j, i] = values[s]
     return out
 
 
@@ -348,24 +386,33 @@ def dlr_test(
         i1 = sub_sites[1]
         fs.append(("pair_tanh", lambda c: math.tanh(c[i0]) * math.tanh(c[i1])))
 
-    rng_direct = substream(seed, "dlr", "direct")
-    direct = gibbs_chain(phi, pot, big_vol, None, n_outer, mc, rng_direct)
-    rng_outer = substream(seed, "dlr", "outer")
-    outer = gibbs_chain(phi, pot, big_vol, None, n_outer, mc, rng_outer)
-    boundary_vol = Volume(big_vol.sites - sub_vol.sites)
+    big_sites = big_vol.sorted_sites()
+    # direct and outer chains advance together on their own generators; the
+    # inner chains share rng_inner and read it chain after chain
+    direct, outer = gibbs_chain(
+        phi, pot, big_vol, [None, None], n_outer, mc,
+        [substream(seed, "dlr", "direct"), substream(seed, "dlr", "outer")],
+    )
+    held = [(s, i) for i, s in enumerate(big_sites) if s not in sub_vol.sites]
+    boundaries = [
+        Configuration({s: row[i] for s, i in held}, pot.state_space)
+        for row in outer.tolist()
+    ]
     rng_inner = substream(seed, "dlr", "inner")
+    inner = gibbs_chain(
+        phi, pot, sub_vol, boundaries, n_inner, mc, [rng_inner] * n_outer
+    )
 
     inner_means: Dict[str, list] = {name: [] for name, _ in fs}
-    for z in outer:
-        inner = gibbs_chain(
-            phi, pot, sub_vol, z.restrict(boundary_vol), n_inner, mc, rng_inner
-        )
+    for chain in inner:
+        samples = [dict(zip(sub_sites, row)) for row in chain.tolist()]
         for name, f in fs:
-            inner_means[name].append(float(np.mean([f(c.values) for c in inner])))
+            inner_means[name].append(float(np.mean([f(c) for c in samples])))
+    direct_samples = [dict(zip(big_sites, row)) for row in direct.tolist()]
 
     rows = []
     for name, f in fs:
-        d = np.array([f(c.values) for c in direct])
+        d = np.array([f(c) for c in direct_samples])
         a = np.array(inner_means[name])
         m1, s1 = d.mean(), d.std(ddof=1) / math.sqrt(d.size)
         m2, s2 = a.mean(), a.std(ddof=1) / math.sqrt(a.size)
@@ -541,7 +588,7 @@ def _modified_energy_sampler(
     sites = work.sorted_sites()
     phi_vols = [dv for dv in bsi.dynamic.traces() if not (dv.sites & lam.sites)]
 
-    def local_energy(values: Dict, s) -> float:
+    def point_energy(values: Dict, s) -> float:
         e = phi.beta0 * sum(t.value(values) for t in phi.terms_at(s))
         if s not in lam.sites:
             e -= _log_kernel(bsi.pot, bsi.t, values[s], y[s])
@@ -552,11 +599,20 @@ def _modified_energy_sampler(
                     e += bsi.dynamic.value(dv, xcfg, y)
         return e
 
-    values = _initial_values(bsi.pot, work, None, rng)
-    proposals, logu = _draw_moves(
-        bsi.pot, mc.burn_in + n_samples * mc.thin, len(sites), rng
-    )
+    def local_energy(values: Dict, s) -> np.ndarray:
+        # one chain: the (2, 1) stack at s becomes two scalar evaluations
+        point = {r: v[0] for r, v in values.items()}
+        energies = np.empty((2, 1))
+        for j, v in enumerate(values[s][:, 0]):
+            point[s] = v
+            energies[j, 0] = point_energy(point, s)
+        return energies
+
     b = mc.burn_in
+    init, proposals, logu = _draw_chains(
+        bsi.pot, len(sites), [b + n_samples * mc.thin], [rng]
+    )
+    values = dict(zip(sites, init))
     _metropolis_sweeps(sites, values, local_energy, 1.0, proposals[:b], logu[:b])
     out = []
     for k in range(b, len(proposals), mc.thin):
@@ -564,7 +620,7 @@ def _modified_energy_sampler(
             sites, values, local_energy, 1.0,
             proposals[k:k + mc.thin], logu[k:k + mc.thin],
         )
-        out.append(dict(values))
+        out.append({s: v[0] for s, v in values.items()})
     return out
 
 
@@ -651,19 +707,34 @@ def quasilocality_probe(
     for i in range(1, len(deltas)):
         if not deltas[i - 1].issubset(deltas[i]):
             raise ValidationError("delta sequence must be increasing")
-    rows = []
-    for delta in deltas:
-        sup_diff = 0.0
-        noise = 0.0
-        for z_a, z_b in probe_pairs:
-            boundary_sites = z_a.domain.sites - vol.sites
-            y1 = z_a.restrict(Volume(boundary_sites))
+    # conditional_density is a pure function of its inputs (weights use
+    # common random numbers keyed by value), so each distinct pair of window
+    # values and boundary is estimated once: y1 serves every delta, and the
+    # mixed boundary at the full delta is y1 again
+    window = vol.sorted_sites()
+    seen: Dict[tuple, Estimate] = {}
+    estimates = []  # per pair: g1, then g2 for each delta
+    for z_a, z_b in probe_pairs:
+        boundary_sites = z_a.domain.sites - vol.sites
+        ys = [z_a.restrict(Volume(boundary_sites))]
+        for delta in deltas:
             mixed = {
                 s: (z_a[s] if s in delta.sites else z_b[s]) for s in boundary_sites
             }
-            y2 = Configuration(mixed, z_a.state_space)
-            g1 = conditional_density(bsi, vol, z_a, y1, mc, seed)
-            g2 = conditional_density(bsi, vol, z_a, y2, mc, seed)
+            ys.append(Configuration(mixed, z_a.state_space))
+        pair_estimates = []
+        for y in ys:
+            key = (tuple(z_a[s] for s in window), tuple(sorted(y.values.items())))
+            if key not in seen:
+                seen[key] = conditional_density(bsi, vol, z_a, y, mc, seed)
+            pair_estimates.append(seen[key])
+        estimates.append(pair_estimates)
+    rows = []
+    for k, delta in enumerate(deltas):
+        sup_diff = 0.0
+        noise = 0.0
+        for g1, *g2s in estimates:
+            g2 = g2s[k]
             sup_diff = max(sup_diff, abs(g1.value - g2.value))
             noise = max(noise, math.hypot(g1.stderr, g2.stderr))
         rows.append(

@@ -6,7 +6,10 @@ import pytest
 from scipy import stats
 
 from gibbslab.clusters import TimeGrid
+from gibbslab import gibbs
 from gibbslab.dynamics import (
+    _sample_reference_rng,
+    circle_free_potential,
     constant_drift,
     free_kernel,
     quadratic_potential,
@@ -34,7 +37,7 @@ from gibbslab.gibbs import (
     site_field_terms,
     site_term,
 )
-from gibbslab.lattice import Configuration, Neighborhood, Volume
+from gibbslab.lattice import CIRCLE, TWO_PI, Configuration, Neighborhood, Volume
 from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
@@ -130,14 +133,127 @@ def test_single_site_conditional_matches_chain():
     xs, probs = single_site_conditional_quadrature(phi, QUAD, (0,), boundary)
     target = float(np.sum(np.tanh(xs) * probs))
     rng = substream(17, "chain")
-    chain = gibbs_chain(
-        phi, QUAD, Volume.box((0,), (0,)), boundary, 2000,
-        MCParams(n_samples=2, burn_in=100, thin=2), rng,
+    (chain,) = gibbs_chain(
+        phi, QUAD, Volume.box((0,), (0,)), [boundary], 2000,
+        MCParams(n_samples=2, burn_in=100, thin=2), [rng],
     )
-    vals = np.array([math.tanh(c[(0,)]) for c in chain])
+    vals = np.tanh(chain[:, 0])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     # thinning leaves some autocorrelation; widen the error bar accordingly
     assert abs(vals.mean() - target) < 6 * se
+
+
+def _reference_chain(phi, pot, vol, boundary, n_samples, mc, rng):
+    """One chain of the per-chain dict kernel that gibbs_chain replaced."""
+    sites = vol.sorted_sites()
+    values = dict(zip(sites, _sample_reference_rng(pot, len(sites), rng)))
+    if boundary is not None:
+        values.update({s: v for s, v in boundary.values.items() if s not in vol.sites})
+    site_terms = {s: phi.terms_at(s) for s in sites}
+
+    def sweeps(n):
+        proposals = _sample_reference_rng(pot, n * len(sites), rng).reshape(n, len(sites))
+        logu = np.log(rng.uniform(size=(n, len(sites))))
+        for props, us in zip(proposals, logu):
+            for s, prop, lu in zip(sites, props, us):
+                old = values[s]
+                old_e = sum(t.value(values) for t in site_terms[s])
+                values[s] = prop
+                new_e = sum(t.value(values) for t in site_terms[s])
+                if not (math.isfinite(old_e) and math.isfinite(new_e)):
+                    raise SetupError("non-finite local energy")
+                if lu >= -phi.beta0 * (new_e - old_e):
+                    values[s] = old
+
+    sweeps(mc.burn_in)
+    out = []
+    for _ in range(n_samples):
+        sweeps(mc.thin)
+        out.append([values[s] for s in sites])
+    return np.array(out)
+
+
+def _line_phi(vol):
+    terms = nearest_neighbor_terms(vol, 0.8, "tanh") + site_field_terms(vol, 0.6, "bounded")
+    return Interaction(tuple(terms), beta0=0.9)
+
+
+def _circle_phi(vol):
+    terms = nearest_neighbor_terms(vol, 0.8, "cos_diff") + site_field_terms(vol, 0.6, "cos")
+    return Interaction(tuple(terms), beta0=0.9)
+
+
+@pytest.mark.parametrize(
+    "pot, make_phi",
+    [
+        (QUAD, _line_phi),
+        (circle_free_potential(), _circle_phi),
+        (QUAD, lambda vol: empty_interaction()),
+    ],
+    ids=["tanh-bounded", "cos_diff-cos", "empty"],
+)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-rng", "own-rngs"])
+def test_lockstep_chains_match_the_per_chain_reference(pot, make_phi, shared):
+    outer = Volume.box((0,), (4,))
+    vol = Volume.box((1,), (3,))
+    phi = make_phi(outer)
+    hi = TWO_PI if pot.state_space == CIRCLE else 1.5
+    rng = np.random.default_rng(3)
+    boundaries = [
+        Configuration(
+            {(0,): rng.uniform(-hi, hi), (4,): rng.uniform(-hi, hi)}, pot.state_space
+        )
+        for _ in range(4)
+    ]
+    mc = MCParams(n_samples=2, burn_in=7, thin=3)
+    if shared:
+        ref_rng = substream(23, "shared")
+        ref = [_reference_chain(phi, pot, vol, b, 5, mc, ref_rng) for b in boundaries]
+        rngs = [substream(23, "shared")] * len(boundaries)
+    else:
+        ref = [
+            _reference_chain(phi, pot, vol, b, 5, mc, substream(23, c))
+            for c, b in enumerate(boundaries)
+        ]
+        rngs = [substream(23, c) for c in range(len(boundaries))]
+    got = gibbs_chain(phi, pot, vol, boundaries, 5, mc, rngs)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, np.stack(ref))
+
+
+def test_lockstep_chains_free_boundary_and_shape_checks():
+    vol = Volume.box((0,), (2,))
+    phi = _line_phi(vol)
+    mc = MCParams(n_samples=2, burn_in=4, thin=2)
+    got = gibbs_chain(phi, QUAD, vol, [None, None], 3, mc, [substream(5, 0), substream(5, 1)])
+    ref = [_reference_chain(phi, QUAD, vol, None, 3, mc, substream(5, c)) for c in (0, 1)]
+    assert np.array_equal(got, np.stack(ref))
+    with pytest.raises(ValidationError):
+        gibbs_chain(phi, QUAD, vol, [None], 3, mc, [substream(5, 0), substream(5, 1)])
+    inner = Volume.box((1,), (1,))
+    with pytest.raises(CoverageError):
+        gibbs_chain(
+            phi, QUAD, inner, [Configuration({(0,): 0.1, (2,): 0.2}), None], 3, mc,
+            [substream(5, 0), substream(5, 1)],
+        )
+
+
+def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
+    vol = Volume.box((1,), (1,))
+    # not finite only in the chain whose boundary exceeds 5
+    blowup = pair_term((0,), (1,), lambda a, b: np.where(a > 5.0, np.nan, 0.0) + 0.0 * b, 1.0)
+    phi = Interaction((blowup,), beta0=0.5)
+    mc = MCParams(n_samples=2, burn_in=1, thin=1)
+    values = (0.0, 0.3, 9.0, -0.2, 0.7)
+    boundaries = [Configuration({(0,): v}) for v in values]
+    rngs = [substream(1, c) for c in range(len(values))]
+    with pytest.raises(SetupError):
+        gibbs_chain(phi, QUAD, vol, boundaries, 2, mc, rngs)
+    keep = [c for c, v in enumerate(values) if v < 5.0]
+    got = gibbs_chain(
+        phi, QUAD, vol, [boundaries[c] for c in keep], 2, mc, [substream(1, c) for c in keep]
+    )
+    assert np.isfinite(got).all()
 
 
 def test_dlr_consistency_cheap():
@@ -238,10 +354,11 @@ def test_conditional_density_against_quadrature_oracle():
     nu = np.exp(-beta0 * J * np.tanh(X0) * np.tanh(X1)) * w[:, None] * w[None, :]
     nu /= nu.sum()
 
-    def q(zz):
-        return float(np.sum(nu * ptilde(X0, y0) * ptilde(X1, zz)))
-
-    oracle = q(z1) / float(np.sum([q(zz) * wz for zz, wz in zip(xs, w)]))
+    # q(z) = sum_jk nu[j, k] ptilde(x_j, y0) ptilde(x_k, z) = m @ ptilde(xs, z),
+    # and the normalizer sum_l w_l q(x_l) = m @ (B @ w), B[k, l] = ptilde(x_k, x_l)
+    m = ptilde(xs, y0) @ nu
+    B = ptilde(xs[:, None], xs[None, :])
+    oracle = float(m @ ptilde(xs, z1) / (m @ (B @ w)))
     assert oracle == pytest.approx(1.158912221509535, rel=1e-9)
     # truncation of the expansion adds a small systematic allowance
     assert abs(est.value - oracle) < 4 * est.stderr + 0.01
@@ -297,3 +414,59 @@ def test_quasilocality_zero_dynamic_full_agreement():
     assert rows[-1]["supDiff"] == 0.0
     with pytest.raises(ValidationError):
         quasilocality_probe(bsi, vol, [big, Volume.box((1,), (1,))], [(z_a, z_b)], mc, seed=7)
+
+
+def _reference_probe(bsi, vol, deltas, probe_pairs, mc, seed):
+    """quasilocality_probe with two conditional densities per (delta, pair)."""
+    rows = []
+    for delta in deltas:
+        sup_diff = 0.0
+        noise = 0.0
+        for z_a, z_b in probe_pairs:
+            boundary_sites = z_a.domain.sites - vol.sites
+            y1 = z_a.restrict(Volume(boundary_sites))
+            mixed = {s: (z_a[s] if s in delta.sites else z_b[s]) for s in boundary_sites}
+            y2 = Configuration(mixed, z_a.state_space)
+            g1 = conditional_density(bsi, vol, z_a, y1, mc, seed)
+            g2 = conditional_density(bsi, vol, z_a, y2, mc, seed)
+            sup_diff = max(sup_diff, abs(g1.value - g2.value))
+            noise = max(noise, math.hypot(g1.stderr, g2.stderr))
+        rows.append(
+            {"delta": [list(s) for s in delta.sorted_sites()], "supDiff": sup_diff, "noise": noise}
+        )
+    return rows
+
+
+def test_quasilocality_estimates_each_distinct_boundary_once(monkeypatch):
+    big = Volume.box((0,), (4,))
+    vol = Volume.box((2,), (2,))
+    phi = Interaction(tuple(nearest_neighbor_terms(big, 0.8)), beta0=0.6)
+    bsi = BiSpaceInteraction(phi, ZeroDynamicInteraction(), QUAD, t=1.0)
+    deltas = [vol, Volume.box((1,), (3,)), big]
+    z_a = Configuration({(0,): 0.5, (1,): -0.7, (2,): 0.2, (3,): 1.1, (4,): -0.3})
+    z_b = Configuration({(0,): -0.8, (1,): 0.4, (2,): 0.2, (3,): -0.6, (4,): 0.9})
+    # agrees with z_a outside 1..3, so its mixed boundary there equals y1
+    z_c = Configuration({(0,): 0.5, (1,): 0.9, (2,): 0.2, (3,): -1.2, (4,): -0.3})
+    # the boundary of z_a with another window value
+    z_d = Configuration({**z_a.values, (2,): -0.5})
+    pairs = [(z_a, z_b), (z_a, z_c), (z_d, z_b)]
+    mc = MCParams(n_samples=30, dt=0.05, burn_in=10, thin=2)
+    ref = _reference_probe(bsi, vol, deltas, pairs, mc, seed=11)
+
+    calls = []
+    real = gibbs.conditional_density
+
+    def counting(bsi_, vol_, z_vol, y_boundary, mc_, seed_):
+        calls.append((z_vol[(2,)], tuple(sorted(y_boundary.values.items()))))
+        return real(bsi_, vol_, z_vol, y_boundary, mc_, seed_)
+
+    monkeypatch.setattr(gibbs, "conditional_density", counting)
+    rows = quasilocality_probe(bsi, vol, deltas, pairs, mc, seed=11)
+    assert rows == ref
+    assert ref[0]["supDiff"] > 0.0 and ref[-1]["supDiff"] == 0.0
+    # the first two pairs share z_a, so y1 once; (z_a, z_b) adds the mixed
+    # boundaries of the two smaller deltas and (z_a, z_c) that of the
+    # smallest; (z_d, z_b) repeats the boundaries of (z_a, z_b) at another
+    # window value, so all three are estimated again
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
