@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from .clusters import (
     conflict_graph,
     enumerate_clusters,
     is_connected,
-    trace,
     ursell_coefficient,
 )
 from .dynamics import (
     DriftSpec,
+    PathBundle,
     PotentialSpec,
     _sample_reference_rng,
     free_kernel,
@@ -52,7 +52,14 @@ from .estimates import (
     product_estimate,
     sum_estimates,
 )
-from .girsanov import multi_bridge_bundle, psi
+from .girsanov import (
+    _bridge_coefficients,
+    _bridge_lifts,
+    _compensated_increments,
+    _KeptUniforms,
+    multi_bridge_bundle,
+    psi,
+)
 from .lattice import Configuration, Neighborhood, Volume
 from .rng import substream
 
@@ -65,73 +72,203 @@ def volume_key(vol: Volume) -> tuple:
 # weights
 # ---------------------------------------------------------------------------
 
-def cluster_weight(
+def pinned_sites(G: SpaceTimeCluster) -> Tuple[tuple, tuple]:
+    """Sites of G pinned to x (layer 0) and to y (layer M), each sorted.
+
+    The weight K_G(x, y) reads x and y at these sites only.
+    """
+    M = G.grid.M
+    return (
+        tuple(sorted(s for s, layer in G.support if layer == 0)),
+        tuple(sorted(s for s, layer in G.support if layer == M)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _SpaceBridge:
+    """The bridge paths of one space cluster, with its pinned values at 0.
+
+    ``values`` is the bundle's site-major buffer, shape (sites, K+1, R).
+    ``scored`` lists (site, row) of the sites whose Psi enters the weight.
+    Each entry of ``pinned`` is (row of the site, its layer values with
+    None where the layer is pinned, the site's winding uniforms per
+    segment).  ``coef`` holds the weights of a segment's start and end in
+    its rows (``_bridge_coefficients``).
+    """
+
+    sites: tuple
+    scored: tuple
+    layers: tuple
+    window: Tuple[float, float]
+    times: np.ndarray
+    values: np.ndarray
+    pinned: tuple
+    coef: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        held = [u for _, nodes, us in self.pinned for u in (*nodes, *us) if u is not None]
+        return sum(np.asarray(u).nbytes for u in held + [self.times, self.values])
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterSampler:
+    """The randomness of one cluster weight K_G(x, y) that x and y leave alone.
+
+    Built by ``cluster_sampler``; ``cluster_weight`` evaluates it at any
+    (x, y).
+    """
+
+    cluster: SpaceTimeCluster
+    drift: DriftSpec
+    pot: PotentialSpec
+    dt: float
+    n_samples: int
+    pins: Tuple[tuple, tuple]
+    shared: Dict[tuple, np.ndarray]
+    bridges: tuple
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the sampler holds."""
+        held = sum(v.nbytes for v in self.shared.values())
+        return held + sum(b.nbytes for b in self.bridges)
+
+
+def cluster_sampler(
     G: SpaceTimeCluster,
-    x: Configuration,
-    y: Configuration,
     drift: DriftSpec,
     pot: PotentialSpec,
     mc: MCParams,
-    seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> Estimate:
-    """Monte Carlo estimate of the weight K_G(x, y).
+    rng: np.random.Generator,
+) -> ClusterSampler:
+    """Draw everything the weight K_G(x, y) needs except x and y.
 
     Layer values at the cluster's vertices are shared between all factors:
     pinned to x at layer 0 and to y at the final layer, drawn from m at the
-    intermediate layers.  Bridge sites outside those vertices get fresh
-    stationary draws per factor.
+    intermediate layers (in sorted-support order).  Then, per space cluster,
+    bridge sites outside those vertices get fresh stationary draws (layer
+    by layer), followed by the bridge noise.  Each bridge bundle is drawn
+    once with its pinned values set to 0; since a bridge is affine in its
+    (lifted) layer values, ``cluster_weight`` moves it to any (x, y).
     """
     grid = G.grid
     T, M = grid.T, grid.M
     if drift.beta > 0 and T < drift.memory - 1e-12:
         raise ValidationError("slice length T must be at least the drift memory t0")
-    if rng is None:
-        rng = substream(seed, "cluster-weight")
     R = mc.n_samples
-    tr = trace(G)
-    for s in tr.sorted_sites():
-        if (s, 0) in G.support and s not in x:
-            raise CoverageError(f"x does not cover trace site {s}")
-        if (s, M) in G.support and s not in y:
-            raise CoverageError(f"y does not cover trace site {s}")
-
     shared: Dict[tuple, np.ndarray] = {}
     for site, layer in sorted(G.support):
-        if layer == 0:
-            shared[(site, layer)] = np.full(R, x[site])
-        elif layer == M:
-            shared[(site, layer)] = np.full(R, y[site])
-        else:
+        if 0 < layer < M:
             shared[(site, layer)] = _sample_reference_rng(pot, R, rng)
+
+    bridges = []
+    for sc in G.space_clusters:
+        j = sc.slice
+        sites = tuple(sorted({s for k in sc.sites for s in drift.nbhd.around(k)}))
+        layer_ids = (0, 1) if j == 0 else (j - 1, j, j + 1)
+        nodes = {s: [] for s in sites}
+        for l in layer_ids:
+            for s in sites:
+                if (s, l) in G.support and l in (0, M):
+                    nodes[s].append(None)
+                elif (s, l) in shared:
+                    nodes[s].append(shared[(s, l)])
+                else:
+                    nodes[s].append(_sample_reference_rng(pot, R, rng))
+        layers = [
+            {s: 0.0 if nodes[s][n] is None else nodes[s][n] for s in sites}
+            for n in range(len(layer_ids))
+        ]
+        kept = _KeptUniforms(rng)
+        base = multi_bridge_bundle(pot, sites, layers, layer_ids[0] * T, T, mc.dt, kept, R)
+        n_seg = len(layer_ids) - 1
+        uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
+        pinned = tuple(
+            (i, tuple(nodes[s]), tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
+            for i, s in enumerate(sites)
+            if any(v is None for v in nodes[s])
+        )
+        bridges.append(
+            _SpaceBridge(
+                sites, tuple((k, sites.index(k)) for k in sorted(sc.sites)),
+                layer_ids, (j * T, (j + 1) * T),
+                base.times, base.values.transpose(1, 2, 0), pinned,
+                _bridge_coefficients(pot.family, T, mc.dt),
+            )
+        )
+    return ClusterSampler(G, drift, pot, mc.dt, R, pinned_sites(G), shared, tuple(bridges))
+
+
+def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
+    """Monte Carlo estimate of the weight K_G(x, y) from the cluster's sampler.
+
+    x and y map sites to values (a Configuration or a dict keyed by site
+    tuples) and must cover the sites ``pinned_sites`` names.  Each bridge
+    path is the sampler's base path plus the coefficient paths times the
+    pinned values; on the circle the windings are picked again from the
+    kept uniforms.  The factors are exp(-Psi) - 1 over each space cluster
+    and p_T - 1 over each time-cluster slice, averaged over the replicas.
+    Evaluating one sampler at several (x, y) uses common random numbers.
+    """
+    G, pot, R = sampler.cluster, sampler.pot, sampler.n_samples
+    T, M = G.grid.T, G.grid.M
+    xs, ys = sampler.pins
+    for s in xs:
+        if s not in x:
+            raise CoverageError(f"x does not cover trace site {s}")
+    for s in ys:
+        if s not in y:
+            raise CoverageError(f"y does not cover trace site {s}")
+    ends = {0: x, M: y}
+
+    def layer_value(site, layer) -> np.ndarray:
+        if layer in ends and (site, layer) in G.support:
+            return np.full(R, ends[layer][site])
+        return sampler.shared[(site, layer)]
 
     samples = np.ones(R)
     for tc in G.time_clusters:
         for j in tc.slices:
-            v0 = shared[(tc.site, j)]
-            v1 = shared[(tc.site, j + 1)]
+            v0 = layer_value(tc.site, j)
+            v1 = layer_value(tc.site, j + 1)
             samples = samples * (free_kernel(pot, T, v0, v1) - 1.0)
-    for sc in G.space_clusters:
-        j = sc.slice
-        sites_needed = sorted(
-            {s for k in sc.sites for s in drift.nbhd.around(k)}
-        )
-        layer_ids = [0, 1] if j == 0 else [j - 1, j, j + 1]
-        layers = []
-        for l in layer_ids:
-            row = {}
-            for s in sites_needed:
-                if (s, l) in shared:
-                    row[s] = shared[(s, l)]
-                else:
-                    row[s] = _sample_reference_rng(pot, R, rng)
-            layers.append(row)
-        bundle = multi_bridge_bundle(
-            pot, sites_needed, layers, layer_ids[0] * T, T, mc.dt, rng, R
+    for bridge in sampler.bridges:
+        coef = bridge.coef
+        K = coef.shape[0] - 1
+        values = bridge.values
+        if bridge.pinned:
+            values = values.copy()
+            for i, nodes, uniforms in bridge.pinned:
+                filled = [
+                    layer_value(bridge.sites[i], l) if v is None else v
+                    for l, v in zip(bridge.layers, nodes)
+                ]
+                lifts = _bridge_lifts(pot, filled, T, uniforms)
+                # base already passes through a stored layer value
+                for n, (lift, v) in enumerate(zip(lifts, nodes)):
+                    if lift is v:
+                        continue
+                    shift = lift - bridge.values[i, n * K]
+                    if n == 0:
+                        values[i, 0] += shift
+                    else:
+                        values[i, (n - 1) * K + 1:n * K + 1] += coef[1:, 1:] * shift
+                    if n < len(lifts) - 1:
+                        values[i, n * K + 1:(n + 1) * K + 1] += coef[1:, :1] * shift
+        # psi reads the increments of its own site only (the drift reads the
+        # neighbours' values), so only the scored sites' rows are formed, one
+        # at a time; this bundle stays here, and no call reads the other rows
+        dbar = np.empty((values.shape[0], values.shape[1] - 1, R))
+        for _, i in bridge.scored:
+            _compensated_increments(pot, values[i:i + 1], sampler.dt, out=dbar[i:i + 1])
+        bundle = PathBundle(
+            bridge.sites, bridge.times, values.transpose(2, 0, 1),
+            dbar.transpose(2, 0, 1), pot.state_space,
         )
         psi_sum = np.zeros(R)
-        for k in sorted(sc.sites):
-            psi_sum += psi(drift, k, (j * T, (j + 1) * T), bundle)
+        for k, _ in bridge.scored:
+            psi_sum += psi(sampler.drift, k, bridge.window, bundle)
         samples = samples * np.expm1(-psi_sum)
     return mean_estimate(samples, method="cluster-weight")
 
@@ -173,7 +310,9 @@ def weight_table(
     """
     clusters = enumerate_clusters(vol, nbhd, grid, k_max)
     estimates = tuple(
-        cluster_weight(G, x, y, drift, pot, mc, rng=substream(seed, "weight", i))
+        cluster_weight(
+            cluster_sampler(G, drift, pot, mc, substream(seed, "weight", i)), x, y
+        )
         for i, G in enumerate(clusters)
     )
     return WeightTable(tuple(clusters), estimates, grid, nbhd, k_max)
@@ -422,7 +561,7 @@ def weight_bound_fit(
         max_z = 0.0
         for i, G in enumerate(clusters):
             est = cluster_weight(
-                G, x, y, d, pot, mc, rng=substream(seed, "weight", i)
+                cluster_sampler(G, d, pot, mc, substream(seed, "weight", i)), x, y
             )
             bound = (abs(est.value) + 2.0 * est.stderr) ** (1.0 / G.size)
             lam_hat = max(lam_hat, bound)

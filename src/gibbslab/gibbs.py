@@ -16,12 +16,13 @@ the window) and averaging the window factors.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clusters import TimeGrid, enumerate_clusters, trace
+from .clusters import TimeGrid, enumerate_clusters
 from .dynamics import (
     DriftSpec,
     PotentialSpec,
@@ -31,7 +32,13 @@ from .dynamics import (
 )
 from .errors import CoverageError, NumericalError, SetupError, ValidationError
 from .estimates import Estimate, MCParams
-from .expansion import cluster_weight, connected_collections, volume_key
+from .expansion import (
+    cluster_sampler,
+    cluster_weight,
+    connected_collections,
+    pinned_sites,
+    volume_key,
+)
 from .lattice import Configuration, Neighborhood, Volume, concat
 from .rng import substream
 
@@ -434,13 +441,24 @@ def dlr_test(
 # two-layer structure
 # ---------------------------------------------------------------------------
 
+# Bytes of cluster samplers an ExpansionDynamicInteraction keeps, and the
+# number of cached weight values past which it clears that cache.
+SAMPLER_BUDGET_BYTES = 64 * 2**20
+WEIGHT_CACHE_ENTRIES = 200_000
+
+
+def _site_values(cfg) -> Mapping:
+    return cfg.values if isinstance(cfg, Configuration) else cfg
+
+
 class ZeroDynamicInteraction:
     """Phi identically zero (the beta = 0 evolved interaction)."""
 
     def traces(self) -> List[Volume]:
         return []
 
-    def value(self, delta: Volume, x: Configuration, y: Configuration) -> float:
+    def value(self, delta: Volume, x, y) -> float:
+        """Zero; x and y may be Configurations or site -> value mappings."""
         return 0.0
 
 
@@ -448,11 +466,18 @@ class ExpansionDynamicInteraction:
     """Phi from the truncated cluster expansion, evaluated on demand.
 
     The cluster enumeration and the connected-collection combinatorics are
-    precomputed once; per call only the weights of the clusters behind the
-    requested trace are estimated.  Every weight call with the same trace
-    values reuses both the cached result and the same random substream, so
-    Phi behaves as a fixed deterministic function of the configurations
-    (common random numbers).
+    precomputed once.  Each cluster's weight randomness is drawn once, into
+    a ``cluster_sampler`` built on first use from the substream keyed by
+    the cluster's index, and every weight is that sampler evaluated at the
+    pinned values of x and y (common random numbers), so Phi is a fixed
+    deterministic function of the configurations.  Weights are cached by
+    cluster and pinned values rounded to 12 digits.
+
+    Samplers are kept under SAMPLER_BUDGET_BYTES, the least recently used
+    evicted first, and the weight cache is cleared past
+    WEIGHT_CACHE_ENTRIES; ``evictions`` counts the samplers and weights
+    dropped.  A dropped sampler is drawn
+    again from the same substream, so no eviction changes a result.
     """
 
     def __init__(
@@ -477,42 +502,58 @@ class ExpansionDynamicInteraction:
         self.mc = mc
         self.seed = seed
         self._clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+        self._pins = [pinned_sites(G) for G in self._clusters]
         self._groups = connected_collections(self._clusters, nbhd, n_max)
+        self._samplers: OrderedDict = OrderedDict()
+        self._sampler_bytes = 0
         self._weights: Dict[tuple, float] = {}
+        self.evictions = {"samplers": 0, "weights": 0}
 
     def traces(self) -> List[Volume]:
         return [Volume(frozenset(k)) for k in sorted(self._groups)]
 
-    def _filled(self, cfg: Configuration) -> Configuration:
-        # weights only read the configurations on their own trace, so
-        # missing sites (e.g. window sites absent from a boundary-only y)
-        # can be padded with any value without changing the result
-        vals = {s: (cfg[s] if s in cfg else 0.0) for s in self.vol.sorted_sites()}
-        return Configuration(vals, self.pot.state_space)
-
-    def _weight(self, i: int, x: Configuration, y: Configuration) -> float:
-        G = self._clusters[i]
-        tr = trace(G).sorted_sites()
-        M = self.grid.M
-        key = (
-            i,
-            tuple(round(x[s], 12) if s in x else 0.0 for s in tr if (s, 0) in G.support),
-            tuple(round(y[s], 12) if s in y else 0.0 for s in tr if (s, M) in G.support),
+    def _sampler(self, i: int):
+        sampler = self._samplers.get(i)
+        if sampler is not None:
+            self._samplers.move_to_end(i)
+            return sampler
+        sampler = cluster_sampler(
+            self._clusters[i], self.drift, self.pot, self.mc,
+            substream(self.seed, "weight", i),
         )
-        if key not in self._weights:
-            if len(self._weights) > 200_000:
-                self._weights.clear()
-            est = cluster_weight(
-                G, self._filled(x), self._filled(y), self.drift, self.pot,
-                self.mc, rng=substream(self.seed, "weight", i),
-            )
-            self._weights[key] = est.value
-        return self._weights[key]
+        while self._samplers and self._sampler_bytes + sampler.nbytes > SAMPLER_BUDGET_BYTES:
+            _, old = self._samplers.popitem(last=False)
+            self._sampler_bytes -= old.nbytes
+            self.evictions["samplers"] += 1
+        self._samplers[i] = sampler
+        self._sampler_bytes += sampler.nbytes
+        return sampler
 
-    def value(self, delta: Volume, x: Configuration, y: Configuration) -> float:
+    def _weight(self, i: int, x: Mapping, y: Mapping) -> float:
+        xs, ys = self._pins[i]
+        try:
+            key = (i, tuple(round(x[s], 12) for s in xs), tuple(round(y[s], 12) for s in ys))
+        except KeyError as exc:
+            raise CoverageError(f"configuration misses pinned site {exc.args[0]}") from None
+        weight = self._weights.get(key)
+        if weight is None:
+            if len(self._weights) > WEIGHT_CACHE_ENTRIES:
+                self.evictions["weights"] += len(self._weights)
+                self._weights.clear()
+            weight = self._weights[key] = cluster_weight(self._sampler(i), x, y).value
+        return weight
+
+    def value(self, delta: Volume, x, y) -> float:
+        """Phi_delta(x, y).
+
+        x and y are Configurations or any mappings from site tuples to
+        values (on the circle, angles in [0, 2 pi) as a Configuration holds
+        them); they must cover the pinned sites of the clusters behind delta.
+        """
         group = self._groups.get(volume_key(delta))
         if not group:
             return 0.0
+        x, y = _site_values(x), _site_values(y)
         total = 0.0
         for combo, C in group:
             prod = 1.0
@@ -592,11 +633,9 @@ def _modified_energy_sampler(
         e = phi.beta0 * sum(t.value(values) for t in phi.terms_at(s))
         if s not in lam.sites:
             e -= _log_kernel(bsi.pot, bsi.t, values[s], y[s])
-        if phi_vols:
-            xcfg = Configuration(dict(values), bsi.pot.state_space)
-            for dv in phi_vols:
-                if s in dv.sites:
-                    e += bsi.dynamic.value(dv, xcfg, y)
+        for dv in phi_vols:
+            if s in dv.sites:
+                e += bsi.dynamic.value(dv, values, y)
         return e
 
     def local_energy(values: Dict, s) -> np.ndarray:
@@ -654,26 +693,25 @@ def conditional_density(
         bsi.pot, len(xs) * n_inner * len(lam_sites), rng
     ).reshape(len(xs), n_inner, len(lam_sites))
 
-    def window_factor(xcfg: Configuration, zvals: Dict) -> float:
+    def window_factor(xv: Dict, zvals: Dict) -> float:
         val = 0.0
         for s in lam_sites:
-            val += _log_kernel(bsi.pot, bsi.t, xcfg[s], zvals[s])
+            val += _log_kernel(bsi.pot, bsi.t, xv[s], zvals[s])
         if phi_window:
-            zcfg = Configuration(zvals, bsi.pot.state_space)
-            ycfg = concat(zcfg, y_boundary)
+            # the window and y_boundary are disjoint, checked above
+            yv = {**y_boundary.values, **zvals}
             for dv in phi_window:
-                val -= bsi.dynamic.value(dv, xcfg, ycfg)
+                val -= bsi.dynamic.value(dv, xv, yv)
         return math.exp(val)
 
     z_target = {s: z_vol[s] for s in lam_sites}
     a = np.empty(len(xs))
     b = np.empty(len(xs))
     for k, xv in enumerate(xs):
-        xcfg = Configuration(xv, bsi.pot.state_space)
-        a[k] = window_factor(xcfg, z_target)
+        a[k] = window_factor(xv, z_target)
         b[k] = np.mean(
             [
-                window_factor(xcfg, dict(zip(lam_sites, row)))
+                window_factor(xv, dict(zip(lam_sites, row)))
                 for row in z_inner[k]
             ]
         )

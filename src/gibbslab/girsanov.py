@@ -16,6 +16,7 @@ kernel at the terminal point, which is consistent as the bandwidth shrinks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Dict, Optional, Tuple
 
@@ -125,8 +126,13 @@ def _ou_bridge_segment(
     ``vals`` has shape (K+1, R) and holds the start in row 0; rows 1 .. K-1
     first take the step noise, drawn in step order, and row K gets b.
     """
+    rng.standard_normal(out=vals[1:-1])
+    _ou_bridge_steps(vals, b, tau, dt)
+
+
+def _ou_bridge_steps(vals: np.ndarray, b: np.ndarray, tau: float, dt: float) -> None:
+    """The steps of ``_ou_bridge_segment`` over the noise already in vals."""
     K = vals.shape[0] - 1
-    rng.standard_normal(out=vals[1:K])
     e1 = math.exp(-dt)
     v1 = _ou_variance(dt)
     for k in range(1, K):
@@ -139,19 +145,13 @@ def _ou_bridge_segment(
     vals[K] = b
 
 
-def _circle_bridge_segment(
-    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
-) -> None:
-    """Brownian bridge on the circle as a continuous lift, written into vals.
+def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> np.ndarray:
+    """Lifted end of a circle bridge from the lift a towards the angle b.
 
-    ``vals`` has shape (K+1, R) and holds the start a in row 0; the lifted
-    end lands in row K.
+    Takes the shortest angular displacement, then a winding number picked
+    by the uniforms u, weighted by the free Gaussian likelihood of each
+    lifted endpoint.  a, b and u have shape (R,).
     """
-    K = vals.shape[0] - 1
-    R = vals.shape[1]
-    a = vals[0]
-    # shortest angular displacement, then a winding number weighted by the
-    # free Gaussian likelihood of each lifted endpoint
     d = np.mod(b - a + np.pi, TWO_PI) - np.pi
     n_max = max(3, int(math.ceil(4.0 * math.sqrt(tau) / TWO_PI)) + 1)
     windings = np.arange(-n_max, n_max + 1)
@@ -159,16 +159,104 @@ def _circle_bridge_segment(
     logw = -(disp**2) / (2.0 * tau)
     w = np.exp(logw - logw.max(axis=1, keepdims=True))
     cdf = np.cumsum(w, axis=1)
-    u = rng.uniform(size=R) * cdf[:, -1]
-    pick = (u[:, None] > cdf).sum(axis=1)
-    target = a + disp[np.arange(R), pick]
-    rng.standard_normal(out=vals[1:K])
+    pick = ((u * cdf[:, -1])[:, None] > cdf).sum(axis=1)
+    return a + disp[np.arange(d.shape[0]), pick]
+
+
+def _circle_bridge_segment(
+    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+) -> None:
+    """Brownian bridge on the circle as a continuous lift, written into vals.
+
+    ``vals`` has shape (K+1, R) and holds the start a in row 0; the winding
+    uniforms are drawn before the step noise, and the lifted end lands in
+    row K.
+    """
+    target = _winding_target(vals[0], b, tau, rng.uniform(size=vals.shape[1]))
+    rng.standard_normal(out=vals[1:-1])
+    _lifted_bridge_steps(vals, target, tau, dt)
+
+
+def _lifted_bridge_steps(
+    vals: np.ndarray, target: np.ndarray, tau: float, dt: float
+) -> None:
+    """The linear Brownian bridge of ``_circle_bridge_segment`` over the
+    noise already in vals, ending at the lifted target."""
+    K = vals.shape[0] - 1
     for k in range(1, K):
         rem = tau - (k - 1) * dt
         mean = vals[k - 1] + (target - vals[k - 1]) * dt / rem
         var = dt * (rem - dt) / rem
         vals[k] = mean + vals[k] * math.sqrt(max(var, 0.0))
     vals[K] = target
+
+
+@functools.lru_cache(maxsize=32)
+def _bridge_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
+    """Weights of a segment's start and (lifted) end in each of its rows.
+
+    Given its noise, every step of an exact bridge segment is affine in the
+    previous row and the end, so a path is base + start * coef[:, 0] +
+    end * coef[:, 1], where base is the path from 0 to 0.  The weights are
+    the segment's own steps run without noise from the start (1, 0) to the
+    end (0, 1); the result is a read-only (K+1, 2) array, computed once per
+    potential family, tau and dt.
+    """
+    coef = np.zeros((int(round(tau / dt)) + 1, 2))
+    coef[0, 0] = 1.0
+    steps = _ou_bridge_steps if family == "quadratic" else _lifted_bridge_steps
+    steps(coef, np.array([0.0, 1.0]), tau, dt)
+    coef.flags.writeable = False
+    return coef
+
+
+class _KeptUniforms:
+    """Passes a generator's draws through and keeps its uniform draws.
+
+    The circle bridge picks each segment's winding from one uniform draw;
+    keeping them lets ``_bridge_lifts`` pick the windings again for other
+    end values.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.uniforms: list = []
+
+    def standard_normal(self, *args, **kwargs):
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        u = self._rng.uniform(*args, **kwargs)
+        self.uniforms.append(u)
+        return u
+
+
+def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
+    """The values a bridge path takes at its layers, given the layer values.
+
+    The OU path passes through the layer values themselves.  The circle
+    path passes through lifts: each segment's end is lifted from the
+    previous lift with that segment's winding uniforms.
+    """
+    if pot.family == "quadratic":
+        return list(nodes)
+    lifts = [nodes[0]]
+    for b, u in zip(nodes[1:], uniforms):
+        lifts.append(_winding_target(lifts[-1], b, tau, u))
+    return lifts
+
+
+def _compensated_increments(
+    pot: PotentialSpec, values: np.ndarray, dt: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """dX + (1/2) U'(X) dt (left-point rule) of site-major (sites, K+1, R)
+    paths, written into ``out`` when given."""
+    state = wrap_angle(values[:, :-1]) if pot.state_space == CIRCLE else values[:, :-1]
+    du = np.asarray(pot.dU(state), dtype=float)
+    # in place, so no buffer beyond the increments and one term is allocated
+    out = np.subtract(values[:, 1:], values[:, :-1], out=out)
+    out += 0.5 * du * dt
+    return out
 
 
 def _as_replica_array(value, n_replicas: int) -> np.ndarray:
@@ -218,9 +306,7 @@ def multi_bridge_bundle(
             nxt = _as_replica_array(layers[j + 1][s], R)
             segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, dt, rng)
     times = t_start + dt * np.arange(K + 1)
-    state = wrap_angle(values[:, :-1]) if pot.state_space == CIRCLE else values[:, :-1]
-    du = np.asarray(pot.dU(state), dtype=float)
-    dbar = np.diff(values, axis=1) + 0.5 * du * dt
+    dbar = _compensated_increments(pot, values, dt)
     return PathBundle(
         sites, times, values.transpose(2, 0, 1), dbar.transpose(2, 0, 1), pot.state_space
     )

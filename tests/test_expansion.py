@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,20 @@ from gibbslab.clusters import (
     TimeGrid,
     enumerate_clusters,
 )
-from gibbslab.dynamics import constant_drift, markov_local_drift, quadratic_potential
+from gibbslab.dynamics import (
+    _sample_reference_rng,
+    circle_free_potential,
+    constant_drift,
+    free_kernel,
+    markov_local_drift,
+    quadratic_potential,
+)
 from gibbslab.errors import BudgetError, CoverageError, ValidationError
-from gibbslab.estimates import Estimate, MCParams
+from gibbslab.estimates import Estimate, MCParams, mean_estimate
 from gibbslab.expansion import (
     InteractionTable,
     c2_hat,
+    cluster_sampler,
     cluster_weight,
     connected_collections,
     grid_for_beta,
@@ -29,7 +38,8 @@ from gibbslab.expansion import (
     weight_table,
 )
 from gibbslab.gibbs import ExpansionDynamicInteraction
-from gibbslab.lattice import Configuration, Neighborhood, Volume
+from gibbslab.girsanov import multi_bridge_bundle, psi
+from gibbslab.lattice import CIRCLE, LINE, Configuration, Neighborhood, Volume
 from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
@@ -50,6 +60,49 @@ def _drift(c, beta):
     return dataclasses.replace(constant_drift(c), beta=beta)
 
 
+def _reference_weight(G, x, y, drift, pot, mc, rng):
+    """The per-configuration weight: every draw and the bridge loop are
+    redone for each (x, y)."""
+    grid = G.grid
+    T, M = grid.T, grid.M
+    R = mc.n_samples
+    shared = {}
+    for site, layer in sorted(G.support):
+        if layer == 0:
+            shared[(site, layer)] = np.full(R, x[site])
+        elif layer == M:
+            shared[(site, layer)] = np.full(R, y[site])
+        else:
+            shared[(site, layer)] = _sample_reference_rng(pot, R, rng)
+    samples = np.ones(R)
+    for tc in G.time_clusters:
+        for j in tc.slices:
+            v0 = shared[(tc.site, j)]
+            v1 = shared[(tc.site, j + 1)]
+            samples = samples * (free_kernel(pot, T, v0, v1) - 1.0)
+    for sc in G.space_clusters:
+        j = sc.slice
+        sites_needed = sorted({s for k in sc.sites for s in drift.nbhd.around(k)})
+        layer_ids = [0, 1] if j == 0 else [j - 1, j, j + 1]
+        layers = []
+        for l in layer_ids:
+            row = {}
+            for s in sites_needed:
+                if (s, l) in shared:
+                    row[s] = shared[(s, l)]
+                else:
+                    row[s] = _sample_reference_rng(pot, R, rng)
+            layers.append(row)
+        bundle = multi_bridge_bundle(
+            pot, sites_needed, layers, layer_ids[0] * T, T, mc.dt, rng, R
+        )
+        psi_sum = np.zeros(R)
+        for k in sorted(sc.sites):
+            psi_sum += psi(drift, k, (j * T, (j + 1) * T), bundle)
+        samples = samples * np.expm1(-psi_sum)
+    return mean_estimate(samples, method="cluster-weight")
+
+
 def test_volume_key_is_sorted():
     assert volume_key(Volume.from_sites({(2,), (0,)})) == ((0,), (2,))
 
@@ -60,15 +113,22 @@ def test_cluster_weight_validates_slice_length():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.0)
     with pytest.raises(ValidationError):
-        cluster_weight(G, x, x, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05))
+        cluster_sampler(
+            G, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05),
+            substream(0, "cluster-weight"),
+        )
 
 
 def test_cluster_weight_requires_endpoint_coverage():
     grid = TimeGrid(1.0, 1)
     G = SpaceTimeCluster((SpaceCluster(0, frozenset({(0,)})),), (), grid)
     empty = Configuration({(5,): 0.0})
+    sampler = cluster_sampler(
+        G, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05),
+        substream(0, "cluster-weight"),
+    )
     with pytest.raises(CoverageError):
-        cluster_weight(G, empty, empty, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05))
+        cluster_weight(sampler, empty, empty)
 
 
 def test_single_space_cluster_weight_is_density_minus_one():
@@ -80,9 +140,11 @@ def test_single_space_cluster_weight_is_density_minus_one():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
-    est = cluster_weight(
-        G, x, y, _drift(c, beta), QUAD, MCParams(n_samples=20_000, dt=0.01), seed=3
+    sampler = cluster_sampler(
+        G, _drift(c, beta), QUAD, MCParams(n_samples=20_000, dt=0.01),
+        substream(3, "cluster-weight"),
     )
+    est = cluster_weight(sampler, x, y)
     exact = _exact_density_const_drift(c, beta, x0, y0, T) - 1.0
     assert abs(est.value - exact) < 4 * est.stderr + 0.005
 
@@ -95,7 +157,11 @@ def test_time_cluster_weight_has_zero_mean():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.4)
     y = Configuration.constant(vol, -0.1)
-    est = cluster_weight(G, x, y, _drift(0.5, 0.2), QUAD, MCParams(n_samples=20_000, dt=0.05), seed=5)
+    sampler = cluster_sampler(
+        G, _drift(0.5, 0.2), QUAD, MCParams(n_samples=20_000, dt=0.05),
+        substream(5, "cluster-weight"),
+    )
+    est = cluster_weight(sampler, x, y)
     assert abs(est.value) < 4 * est.stderr
 
 
@@ -107,8 +173,8 @@ def test_weight_trace_measurability():
     b = Configuration({(0,): 0.2, (1,): -9.0})
     mc = MCParams(n_samples=256, dt=0.05)
     d = _drift(0.7, 0.3)
-    e1 = cluster_weight(G, a, a, d, QUAD, mc, seed=7)
-    e2 = cluster_weight(G, b, b, d, QUAD, mc, seed=7)
+    e1 = cluster_weight(cluster_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), a, a)
+    e2 = cluster_weight(cluster_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), b, b)
     assert e1.value == e2.value and e1.stderr == e2.stderr
 
 
@@ -117,8 +183,74 @@ def test_weight_vanishes_at_beta_zero():
     G = SpaceTimeCluster((SpaceCluster(0, frozenset({(0,)})),), (), grid)
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.3)
-    est = cluster_weight(G, x, x, _drift(0.7, 0.0), QUAD, MCParams(n_samples=64, dt=0.05), seed=1)
+    sampler = cluster_sampler(
+        G, _drift(0.7, 0.0), QUAD, MCParams(n_samples=64, dt=0.05),
+        substream(1, "cluster-weight"),
+    )
+    est = cluster_weight(sampler, x, x)
     assert est.value == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize(
+    "family, M, radius",
+    list(itertools.product(("quadratic", "circle_free"), (1, 2, 3), (0, 1))),
+)
+def test_sampler_weight_matches_the_per_configuration_reference(family, M, radius):
+    # the sampler draws what the reference draws, in the same order, and
+    # moves each bridge to (x, y) by the affine map: same weights up to
+    # rounding, and the generator is left where the reference leaves it
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    space = LINE if family == "quadratic" else CIRCLE
+    nb = Neighborhood.range1d(radius)
+    vol = Volume.box((0,), (3,))
+    drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
+    mc = MCParams(n_samples=8, dt=0.1)
+    clusters = enumerate_clusters(vol, nb, TimeGrid(0.5, M), 3)
+    draw = np.random.default_rng(M + 10 * radius)
+    hi = 1.5 if space == LINE else 2 * math.pi
+    lo = -hi if space == LINE else 0.0
+    x = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
+    y = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
+    kinds = set()
+    for i, G in enumerate(clusters):
+        ref_rng = substream(2, "weight", i)
+        ref = _reference_weight(G, x, y, drift, pot, mc, ref_rng)
+        rng = substream(2, "weight", i)
+        sampler = cluster_sampler(G, drift, pot, mc, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        est = cluster_weight(sampler, x, y)
+        assert abs(est.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
+        kinds.update({"time"} if G.time_clusters else set())
+        for bridge in sampler.bridges:
+            kinds.add(f"{len(bridge.layers) - 1} segments")
+            if len(bridge.pinned) < len(bridge.sites):
+                kinds.add("unpinned site")
+            if bridge.pinned:
+                kinds.add("pinned site")
+    expected = {"1 segments", "pinned site"}
+    if M > 1:
+        expected |= {"time", "2 segments"}
+    if radius > 0:
+        expected.add("unpinned site")
+    assert expected <= kinds
+
+
+def test_sampler_revisits_give_the_same_float():
+    # a weight is a fixed function of (x, y): evaluating other endpoints in
+    # between leaves it bit for bit unchanged
+    vol = Volume.box((0,), (2,))
+    grid = TimeGrid(0.5, 2)
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.4)
+    mc = MCParams(n_samples=16, dt=0.1)
+    x = Configuration({(0,): 0.3, (1,): -0.4, (2,): 0.9})
+    y = Configuration({(0,): -0.2, (1,): 0.5, (2,): 0.1})
+    x2 = Configuration({(0,): 1.1, (1,): 0.0, (2,): -0.7})
+    for i, G in enumerate(enumerate_clusters(vol, NB1, grid, 2)):
+        sampler = cluster_sampler(G, drift, QUAD, mc, substream(1, "weight", i))
+        first = cluster_weight(sampler, x, y)
+        cluster_weight(sampler, x2, x)
+        assert cluster_weight(sampler, x, y) == first
 
 
 def test_reconstruction_matches_direct_density_one_slice():

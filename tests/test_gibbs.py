@@ -12,6 +12,7 @@ from gibbslab.dynamics import (
     circle_free_potential,
     constant_drift,
     free_kernel,
+    markov_local_drift,
     quadratic_potential,
     reference_quadrature,
 )
@@ -400,6 +401,96 @@ def test_expansion_dynamic_interaction_trace_measurability():
     y = Configuration({(0,): 0.1, (1,): 0.0})
     assert dyn.value(delta, x, y) == dyn.value(delta, x2, y)
     assert dyn.value(Volume.box((7,), (7,)), x, y) == 0.0
+
+
+def _small_dynamic(pot, seed=5):
+    nb = Neighborhood.range1d(1)
+    drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
+    return ExpansionDynamicInteraction(
+        drift, pot, Volume.box((0,), (2,)), nb, TimeGrid(0.5, 2), k_max=2, n_max=2,
+        mc=MCParams(n_samples=16, dt=0.1), seed=seed,
+    )
+
+
+@pytest.mark.parametrize("family", ["quadratic", "circle_free"])
+def test_dynamic_value_takes_site_value_dicts(family):
+    # the modified-energy sampler and the window factor pass plain dicts; on
+    # the circle their values are draws from m, which a Configuration keeps
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    rng = np.random.default_rng(4)
+    sites = [(0,), (1,), (2,)]
+    for _ in range(3):
+        xd = dict(zip(sites, _sample_reference_rng(pot, 3, rng)))
+        yd = dict(zip(sites, _sample_reference_rng(pot, 3, rng)))
+        xc = Configuration(xd, pot.state_space)
+        yc = Configuration(yd, pot.state_space)
+        assert xc.values == xd and yc.values == yd
+        from_dicts, from_configs = _small_dynamic(pot), _small_dynamic(pot)
+        for delta in from_dicts.traces():
+            assert from_dicts.value(delta, xd, yd) == from_configs.value(delta, xc, yc)
+
+
+class _RecordingDynamic:
+    """A zero dynamic interaction with one trace that records its inputs."""
+
+    def __init__(self):
+        self.seen = []
+
+    def traces(self):
+        return [Volume.box((0,), (1,))]
+
+    def value(self, delta, x, y):
+        self.seen.append((dict(x.values if isinstance(x, Configuration) else x),
+                          dict(y.values if isinstance(y, Configuration) else y)))
+        return 0.0
+
+
+def test_conditional_density_passes_wrapped_circle_values():
+    pot = circle_free_potential()
+    rec = _RecordingDynamic()
+    bsi = BiSpaceInteraction(empty_interaction(), rec, pot, t=1.0)
+    z = Configuration({(0,): 0.4, (1,): 6.0}, CIRCLE)
+    conditional_density(
+        bsi, Volume.box((1,), (1,)), z, Configuration({(0,): 0.4}, CIRCLE),
+        MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3, n_inner=3,
+    )
+    assert rec.seen
+    for x, y in rec.seen:
+        for v in (*x.values(), *y.values()):
+            assert 0.0 <= v < TWO_PI
+
+
+def test_dynamic_interaction_evictions_keep_every_weight(monkeypatch):
+    # dropped weights are recomputed from the kept sampler and dropped
+    # samplers are drawn again from the same substream: bit for bit the same
+    rng = np.random.default_rng(8)
+    sites = [(0,), (1,), (2,)]
+    pairs = [
+        (dict(zip(sites, rng.normal(size=3))), dict(zip(sites, rng.normal(size=3))))
+        for _ in range(4)
+    ]
+    plain = _small_dynamic(QUAD)
+    expected = [[plain.value(d, x, y) for d in plain.traces()] for x, y in pairs]
+    assert plain.evictions == {"samplers": 0, "weights": 0}
+    monkeypatch.setattr(gibbs, "WEIGHT_CACHE_ENTRIES", 2)
+    monkeypatch.setattr(gibbs, "SAMPLER_BUDGET_BYTES", 1)
+    capped = _small_dynamic(QUAD)
+    for _ in range(2):
+        got = [[capped.value(d, x, y) for d in capped.traces()] for x, y in pairs]
+        assert got == expected
+    assert capped.evictions["weights"] > 0 and capped.evictions["samplers"] > 0
+    assert len(capped._samplers) == 1
+
+
+def test_dynamic_interaction_requires_pinned_sites():
+    dyn = _small_dynamic(QUAD)
+    delta = Volume.box((1,), (1,))
+    full = {(0,): 0.1, (1,): 0.2, (2,): 0.3}
+    without_1 = {(0,): 0.1, (2,): 0.3}
+    with pytest.raises(CoverageError):
+        dyn.value(delta, without_1, full)
+    with pytest.raises(CoverageError):
+        dyn.value(delta, full, Configuration(without_1))
 
 
 def test_quasilocality_zero_dynamic_full_agreement():
