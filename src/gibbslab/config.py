@@ -12,7 +12,7 @@ and interaction):
   time            {"t": float} or {"T": float, "M": int}; the step is mc.dt
   mc              {"nSamples", "dt", "bandwidthScale", "essThreshold",
                    "burnIn", "thin"}  all optional
-  truncation      {"kMax": int, "nMax": int}
+  truncation      {"kMax": int, "nMax": int}   nMax defaults to 2
   interaction     {"beta0": float, "terms": [{"template": ..., ...}]}
   betaGrid        [float, ...]
   x, y            {"constant": v} or {"values": {"0": v0, "1": v1, ...}}
@@ -166,6 +166,12 @@ def resolve_time(cfg: dict) -> float:
     return float(tm["T"]) * int(tm["M"])
 
 
+def resolve_truncation(cfg: dict) -> tuple:
+    """(kMax, nMax) of the 'truncation' section; nMax defaults to 2."""
+    trunc = require(cfg, "truncation")
+    return int(require(trunc, "kMax")), int(trunc.get("nMax", 2))
+
+
 def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) -> Configuration:
     spec = require(cfg, key)
     if "constant" in spec:
@@ -174,6 +180,9 @@ def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) ->
     sites = vol.sorted_sites()
     if len(values) != len(sites):
         raise ValidationError(f"'{key}.values' must list one value per site")
+    for i in range(len(sites)):
+        if str(i) not in values:
+            raise ValidationError(f"'{key}.values' is missing key '{i}'")
     return Configuration(
         {s: float(values[str(i)]) for i, s in enumerate(sites)}, state_space
     )

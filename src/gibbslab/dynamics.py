@@ -501,18 +501,22 @@ def builtin_drifts() -> dict:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Discretized trajectories of all sites, with compensated increments.
+    """Discretized trajectories of all sites under the free potential ``pot``.
 
     ``values`` has shape (replicas, sites, K+1); circle paths are stored as
-    a continuous lift (wrap with ``state_at`` for circle reads).  ``dbar``
-    holds the compensated increments dX + (1/2) U'(X_k) dt (left-point rule).
+    a continuous lift (``state_values`` wraps them).  A bundle holds its
+    paths only: ``increments`` derives the compensated increments that the
+    Girsanov exponent reads.
     """
 
     sites: tuple
     times: np.ndarray
     values: np.ndarray
-    dbar: np.ndarray
-    state_space: str = LINE
+    pot: PotentialSpec
+
+    @property
+    def state_space(self) -> str:
+        return self.pot.state_space
 
     @property
     def n_replicas(self) -> int:
@@ -532,11 +536,18 @@ class PathBundle:
         vals = self.values[:, self.site_index(site), :]
         return wrap_angle(vals) if self.state_space == CIRCLE else vals
 
-    def state_at(self, k: int, replica: int = 0) -> dict:
-        vals = self.values[replica, :, k]
-        if self.state_space == CIRCLE:
-            vals = wrap_angle(vals)
-        return {s: float(v) for s, v in zip(self.sites, vals)}
+    def increments(self, idx: int, k_lo: int, k_hi: int) -> np.ndarray:
+        """dX + (1/2) U'(X_k) dt of site row idx at the steps k_lo .. k_hi-1.
+
+        The left-point rule, with U' read at the wrapped state on the
+        circle; shape (R, steps).
+        """
+        vals = self.values[:, idx, k_lo : k_hi + 1]
+        state = wrap_angle(vals[:, :-1]) if self.state_space == CIRCLE else vals[:, :-1]
+        du = np.asarray(self.pot.dU(state), dtype=float)
+        out = vals[:, 1:] - vals[:, :-1]
+        out += 0.5 * du * self.dt
+        return out
 
 
 def _window_length(drift: DriftSpec, dt: float) -> int:
@@ -655,13 +666,12 @@ def simulate(
     times = dt * np.arange(K + 1)
     # time-major path: W rows of frozen pre-history, then x_0 .. x_K.  Its
     # memory first holds the noise, drawn replica-major as (R, n, K) and
-    # scaled into the time-major dbar; each step then overwrites its noise
-    # with the compensated increment
+    # scaled into the time-major dB before the steps overwrite it
     history = np.empty((W + K + 1, R, n))
     noise = history.reshape(-1)[: R * n * K].reshape(R, n, K)
     rng.standard_normal(out=noise)
-    dbar = np.empty((K, R, n))
-    np.multiply(noise.transpose(2, 0, 1), math.sqrt(dt), out=dbar)
+    dB = np.empty((K, R, n))
+    np.multiply(noise.transpose(2, 0, 1), math.sqrt(dt), out=dB)
     history[: W + 1] = x0.array_for(sites)
     circle = pot.state_space == CIRCLE
     # the drift and U' read wrapped angles on the circle
@@ -686,13 +696,9 @@ def simulate(
                     site, float(times[k]), wt[k, c:], {s: wv[:, k, j, c:] for s, j in nbrs}
                 )
                 drift_term[:, i] = drift_term[:, i] + drift.beta * b
-        step = dbar[k] + drift_term * dt
-        history[W + k + 1] = xk + step
+        history[W + k + 1] = xk + (dB[k] + drift_term * dt)
         if circle:
             state[W + k + 1] = wrap_angle(history[W + k + 1])
-        dbar[k] = step + 0.5 * du * dt
     if not np.all(np.isfinite(history)):
         raise NumericalError("simulation produced NaN or overflow")
-    return PathBundle(
-        sites, times, history[W:].transpose(1, 2, 0), dbar.transpose(1, 2, 0), pot.state_space
-    )
+    return PathBundle(sites, times, history[W:].transpose(1, 2, 0), pot)

@@ -55,7 +55,6 @@ from .estimates import (
 from .girsanov import (
     _bridge_coefficients,
     _bridge_lifts,
-    _compensated_increments,
     _KeptUniforms,
     multi_bridge_bundle,
     psi,
@@ -122,7 +121,6 @@ class ClusterSampler:
     cluster: SpaceTimeCluster
     drift: DriftSpec
     pot: PotentialSpec
-    dt: float
     n_samples: int
     pins: Tuple[tuple, tuple]
     shared: Dict[tuple, np.ndarray]
@@ -197,7 +195,7 @@ def cluster_sampler(
                 _bridge_coefficients(pot.family, T, mc.dt),
             )
         )
-    return ClusterSampler(G, drift, pot, mc.dt, R, pinned_sites(G), shared, tuple(bridges))
+    return ClusterSampler(G, drift, pot, R, pinned_sites(G), shared, tuple(bridges))
 
 
 def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
@@ -256,16 +254,7 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
                         values[i, (n - 1) * K + 1:n * K + 1] += coef[1:, 1:] * shift
                     if n < len(lifts) - 1:
                         values[i, n * K + 1:(n + 1) * K + 1] += coef[1:, :1] * shift
-        # psi reads the increments of its own site only (the drift reads the
-        # neighbours' values), so only the scored sites' rows are formed, one
-        # at a time; this bundle stays here, and no call reads the other rows
-        dbar = np.empty((values.shape[0], values.shape[1] - 1, R))
-        for _, i in bridge.scored:
-            _compensated_increments(pot, values[i:i + 1], sampler.dt, out=dbar[i:i + 1])
-        bundle = PathBundle(
-            bridge.sites, bridge.times, values.transpose(2, 0, 1),
-            dbar.transpose(2, 0, 1), pot.state_space,
-        )
+        bundle = PathBundle(bridge.sites, bridge.times, values.transpose(2, 0, 1), pot)
         psi_sum = np.zeros(R)
         for k, _ in bridge.scored:
             psi_sum += psi(sampler.drift, k, bridge.window, bundle)
@@ -555,14 +544,11 @@ def weight_bound_fit(
     for beta in beta_grid:
         grid = grid_for_beta(t, drift.memory, beta)
         d = dataclasses.replace(drift, beta=float(beta))
-        clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+        table = weight_table(vol, nbhd, grid, k_max, x, y, d, pot, mc, seed)
         lam_hat = 0.0
         c1 = 0.0
         max_z = 0.0
-        for i, G in enumerate(clusters):
-            est = cluster_weight(
-                cluster_sampler(G, d, pot, mc, substream(seed, "weight", i)), x, y
-            )
+        for G, est in table.items():
             bound = (abs(est.value) + 2.0 * est.stderr) ** (1.0 / G.size)
             lam_hat = max(lam_hat, bound)
             if not G.time_clusters:
@@ -578,7 +564,7 @@ def weight_bound_fit(
                 "c1Hat": c1,
                 "c2Hat": c2_hat(pot, grid.T),
                 "maxAbsZ": max_z,
-                "nClusters": len(clusters),
+                "nClusters": len(table),
             }
         )
     return rows

@@ -38,7 +38,7 @@ from .estimates import (
     ratio_estimate,
     weighted_mean_estimate,
 )
-from .lattice import CIRCLE, TWO_PI, Configuration, Volume, interior, wrap_angle
+from .lattice import CIRCLE, TWO_PI, Configuration, Volume, interior
 from .rng import substream
 
 
@@ -77,7 +77,7 @@ def psi(
     if beta == 0.0 or k_hi <= k_lo:
         return out
     b = _drift_along(drift, path, site, k_lo, k_hi)
-    terms = -beta * b * path.dbar[:, idx, k_lo:k_hi] + 0.5 * beta * beta * b * b * dt
+    terms = -beta * b * path.increments(idx, k_lo, k_hi) + 0.5 * beta * beta * b * b * dt
     # summed in step order, as a running sum over the steps would; a
     # pairwise np.sum along the step axis would change the low bits
     for term in terms.T:
@@ -246,19 +246,6 @@ def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
     return lifts
 
 
-def _compensated_increments(
-    pot: PotentialSpec, values: np.ndarray, dt: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """dX + (1/2) U'(X) dt (left-point rule) of site-major (sites, K+1, R)
-    paths, written into ``out`` when given."""
-    state = wrap_angle(values[:, :-1]) if pot.state_space == CIRCLE else values[:, :-1]
-    du = np.asarray(pot.dU(state), dtype=float)
-    # in place, so no buffer beyond the increments and one term is allocated
-    out = np.subtract(values[:, 1:], values[:, :-1], out=out)
-    out += 0.5 * du * dt
-    return out
-
-
 def _as_replica_array(value, n_replicas: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -306,10 +293,7 @@ def multi_bridge_bundle(
             nxt = _as_replica_array(layers[j + 1][s], R)
             segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, dt, rng)
     times = t_start + dt * np.arange(K + 1)
-    dbar = _compensated_increments(pot, values, dt)
-    return PathBundle(
-        sites, times, values.transpose(2, 0, 1), dbar.transpose(2, 0, 1), pot.state_space
-    )
+    return PathBundle(sites, times, values.transpose(2, 0, 1), pot)
 
 
 def free_bridge_paths(

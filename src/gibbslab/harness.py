@@ -86,8 +86,11 @@ def _probe_pair_configs(cfg: dict, vol: Volume, state_space: str):
         raise ValidationError("config 'probes.pairs' is required for this subcommand")
     out = []
     for pair in pairs:
-        x = cfgmod.resolve_configuration({"x": pair["x"]}, "x", vol, state_space)
-        y = cfgmod.resolve_configuration({"y": pair["y"]}, "y", vol, state_space)
+        for key in ("x", "y"):
+            if key not in pair:
+                raise ValidationError(f"a 'probes.pairs' entry is missing key '{key}'")
+        x = cfgmod.resolve_configuration(pair, "x", vol, state_space)
+        y = cfgmod.resolve_configuration(pair, "y", vol, state_space)
         out.append((x, y))
     return out
 
@@ -151,9 +154,7 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
     drift = cfgmod.resolve_drift(cfg)
     mc = cfgmod.resolve_mc(cfg)
     grid = cfgmod.resolve_grid(cfg)
-    trunc = cfgmod.require(cfg, "truncation")
-    k_max = int(cfgmod.require(trunc, "kMax"))
-    n_max = int(trunc.get("nMax", 2))
+    k_max, n_max = cfgmod.resolve_truncation(cfg)
     x = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
     y = cfgmod.resolve_configuration(cfg, "y", vol, pot.state_space)
 
@@ -205,7 +206,7 @@ def _run_kp(cfg, out_dir, seed, chash) -> dict:
     vol = cfgmod.resolve_volume(cfg)
     nbhd = cfgmod.resolve_neighborhood(cfg)
     grid = cfgmod.resolve_grid(cfg)
-    k_max = int(cfgmod.require(cfgmod.require(cfg, "truncation"), "kMax"))
+    k_max, _ = cfgmod.resolve_truncation(cfg)
     lambdas = cfg.get("probes", {}).get("lambdas", [0.0, 1.0])
     rows = []
     for lam in lambdas:
@@ -271,11 +272,10 @@ def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
         drift = cfgmod.resolve_drift(cfg)
         nbhd = cfgmod.resolve_neighborhood(cfg)
         grid = cfgmod.resolve_grid(cfg)
-        trunc = cfgmod.require(cfg, "truncation")
+        k_max, n_max = cfgmod.resolve_truncation(cfg)
         mc = cfgmod.resolve_mc(cfg)
         dyn = ExpansionDynamicInteraction(
-            drift, pot, vol, nbhd, grid,
-            int(cfgmod.require(trunc, "kMax")), int(trunc.get("nMax", 1)),
+            drift, pot, vol, nbhd, grid, k_max, n_max,
             mc.with_samples(min(mc.n_samples, 1000)), seed,
         )
     else:
@@ -309,14 +309,7 @@ def _run_quasilocality(cfg, out_dir, seed, chash) -> dict:
     deltas = [Volume.box(b[0], b[1]) for b in probes.get("deltas", [])]
     if not deltas:
         raise ValidationError("config 'probes.deltas' is required for quasilocality")
-    pair_specs = probes.get("pairs")
-    if not pair_specs:
-        raise ValidationError("config 'probes.pairs' is required for quasilocality")
-    pairs = []
-    for pair in pair_specs:
-        za = cfgmod.resolve_configuration({"x": pair["x"]}, "x", work, pot.state_space)
-        zb = cfgmod.resolve_configuration({"y": pair["y"]}, "y", work, pot.state_space)
-        pairs.append((za, zb))
+    pairs = _probe_pair_configs(cfg, work, pot.state_space)
     bsi = _resolve_bispace(cfg, seed)
     mc = cfgmod.resolve_mc(cfg)
     rows = quasilocality_probe(bsi, window, deltas, pairs, mc, seed)

@@ -74,12 +74,13 @@ def test_criterion_1_girsanov_identity():
     for s in interior(vol, drift.nbhd).sorted_sites():
         lhs += psi(drift, s, (0.0, 0.5), path)
     # direct assembly from re-evaluated drift values and the compensated
-    # increments, bypassing psi entirely
+    # increments dX + (1/2) U'(X) dt of the stored values, bypassing psi
     log_m = np.zeros(path.n_replicas)
     beta, dt = drift.beta, path.dt
     for s in interior(vol, drift.nbhd).sorted_sites():
         b = drift_values(drift, path, s)
-        dbar = path.dbar[:, path.site_index(s), :]
+        xs = path.values[:, path.site_index(s), :]
+        dbar = np.diff(xs, axis=1) + 0.5 * QUAD.dU(xs[:, :-1]) * dt
         log_m += beta * np.sum(b * dbar, axis=1) - 0.5 * beta**2 * np.sum(b * b, axis=1) * dt
     rel = float(np.max(np.abs(np.exp(-lhs) - np.exp(log_m)) / np.abs(np.exp(log_m))))
     _verdict(1, "Girsanov identity", rel < 1e-10, f"max rel err {rel:.2e} on 128 paths")

@@ -240,8 +240,23 @@ def test_dbar_reconstructs_gaussian_increments():
         evaluator=d.evaluator, label="off",
     )
     path = simulate(zero, QUAD, vol, x0, t=0.5, dt=0.01, seed=3, n_replicas=50)
-    incr = path.dbar.reshape(-1) / math.sqrt(0.01)
+    incr = np.concatenate([path.increments(i, 0, 50).reshape(-1) for i in range(2)])
+    incr /= math.sqrt(0.01)
     assert stats.kstest(incr, "norm").pvalue > 0.01
+
+
+def test_increments_read_u_prime_at_the_wrapped_state():
+    # circle paths are stored as a lift; U' is read at the wrapped angle, so
+    # lifts past 2 pi give the same increments as the canonical angles
+    pot = custom_potential(np.cos, lambda x: -np.sin(x), state_space="circle")
+    vol = Volume.box((0,), (0,))
+    x0 = Configuration.constant(vol, 6.2, "circle")
+    path = simulate(constant_drift(0.0), pot, vol, x0, t=0.5, dt=0.01, seed=4, n_replicas=40)
+    vals = path.values[:, 0, :]
+    assert np.any(vals >= TWO_PI)
+    ref = np.diff(vals, axis=1) + 0.5 * -np.sin(np.mod(vals[:, :-1], TWO_PI)) * 0.01
+    assert np.array_equal(path.increments(0, 0, 50), ref)
+    assert np.array_equal(path.increments(0, 10, 30), ref[:, 10:30])
 
 
 def test_constant_drift_and_girsanov_shift():

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from gibbslab.dynamics import (
+    PathBundle,
     circle_free_potential,
     constant_drift,
     markov_local_drift,
@@ -176,10 +179,37 @@ def test_bridge_bundle_matches_the_per_step_loop(pot):
         for j in range(2):
             values[:, i, 6 * j : 6 * j + 7] = segment(values[:, i, 6 * j], layers[j + 1][s], tau, dt, rng)
     assert np.array_equal(bundle.values, values)
-    state = np.mod(values[:, :, :-1], TWO_PI) if pot is CIRC else values[:, :, :-1]
-    dbar = np.diff(values, axis=2) + 0.5 * np.asarray(pot.dU(state), dtype=float) * dt
-    assert np.array_equal(bundle.dbar, dbar)
     assert np.array_equal(bundle.times, 0.5 + dt * np.arange(13))
+    # the increments use the grid's own step, which at t_start = 0.5 differs
+    # from dt in the last bits
+    state = np.mod(values[:, :, :-1], TWO_PI) if pot is CIRC else values[:, :, :-1]
+    du = 0.5 * np.asarray(pot.dU(state), dtype=float)
+    for i in range(2):
+        incr = bundle.increments(i, 0, 12)
+        assert np.array_equal(incr, np.diff(values[:, i], axis=1) + du[:, i] * bundle.dt)
+        np.testing.assert_allclose(incr, np.diff(values[:, i], axis=1) + du[:, i] * dt, rtol=0, atol=1e-15)
+
+
+def test_bundle_holds_only_its_paths():
+    assert [f.name for f in dataclasses.fields(PathBundle)] == ["sites", "times", "values", "pot"]
+    bundle = multi_bridge_bundle(CIRC, [(0,)], [{(0,): 6.0}, {(0,): 0.2}], 0.0, 0.2, 0.05, substream(1, "b"), 3)
+    assert bundle.state_space == CIRC.state_space
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_bundle_allocates_only_its_values(pot):
+    # the bundle's one large buffer is its (sites, K+1, R) paths; forming
+    # increments for every site would at least double the traced peak
+    sites = [(0,), (1,), (2,), (3,)]
+    layers = [{s: 0.3 for s in sites}, {s: -0.2 for s in sites}, {s: 0.5 for s in sites}]
+    rng = substream(2, "b")
+    tracemalloc.start()
+    try:
+        bundle = multi_bridge_bundle(pot, sites, layers, 0.0, 0.5, 0.005, rng, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * bundle.values.nbytes
 
 
 def test_circle_bridge_winding_spread():

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from gibbslab import config as cfgmod
+from gibbslab import harness
 from gibbslab.cli import main
 from gibbslab.errors import (
     GibbslabError,
@@ -112,6 +113,63 @@ def test_resolve_configuration_by_values():
     assert x[(1,)] == 2.0
     with pytest.raises(ValidationError):
         cfgmod.resolve_configuration({"x": {"values": {"0": 1.0}}}, "x", vol, "line")
+
+
+def test_endpoint_values_missing_a_site_key_exit_2(tmp_path, capsys):
+    # two values on a 2-site box pass the length check; the gap used to end
+    # in a raw KeyError
+    bad = {**SIM_CFG, "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+           "x": {"values": {"0": 0.1, "2": 0.3}}}
+    with pytest.raises(ValidationError, match="'x.values' is missing key '1'"):
+        cfgmod.resolve_configuration(bad, "x", Volume.box((0,), (1,)), "line")
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(bad))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "missing key '1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["density", "quasilocality"])
+def test_probe_pair_without_y_exits_2(tmp_path, capsys, subcommand):
+    cfg = {
+        "seed": 1,
+        "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "constant", "beta": 0.2, "memory": 0.1, "params": {"c": 0.5}},
+        "time": {"t": 0.2},
+        "mc": {"nSamples": 16, "dt": 0.05},
+        "probes": {
+            "window": [[0], [0]], "deltas": [[[0], [1]]],
+            "pairs": [{"x": {"constant": 0.0}}],
+        },
+    }
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(cfg))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "'probes.pairs' entry is missing key 'y'" in capsys.readouterr().err
+
+
+def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
+    # expand used to default nMax to 2 and bispace / quasilocality to 1
+    cfg = {
+        "seed": 1,
+        "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "constant", "beta": 0.2, "memory": 0.1, "params": {"c": 0.5}},
+        "time": {"T": 0.5, "M": 2},
+        "mc": {"nSamples": 16, "dt": 0.05},
+        "truncation": {"kMax": 1},
+        "x": {"constant": 0.0},
+        "y": {"constant": 0.2},
+        "probes": {"dynamic": "expansion"},
+    }
+    assert cfgmod.resolve_truncation(cfg) == (1, 2)
+    seen = []
+    real = harness.interaction_terms
+    monkeypatch.setattr(
+        harness, "interaction_terms", lambda table, n_max: seen.append(n_max) or real(table, n_max)
+    )
+    run("expand", cfg, str(tmp_path / "expand"))
+    assert seen == [harness._resolve_bispace(cfg, 1).dynamic.n_max] == [2]
 
 
 def test_resolve_interaction_templates():
