@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import factorial
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
@@ -392,28 +391,35 @@ def _connected_spanning_sign_sum(n: int, edges: Tuple[Tuple[int, int], ...]) -> 
     return total
 
 
-def ursell_coefficient(Gs: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> Fraction:
+def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> Fraction:
     """Ursell coefficient of a multiset of clusters on its conflict graph.
 
+    ``combo`` is the multiset as a sorted tuple of cluster indices, so equal
+    clusters sit next to each other; ``edges`` is its induced conflict graph,
+    the pairs (a, b), a < b, of positions in combo whose clusters conflict.
     C = (1 / prod of multiplicity factorials) * sum over connected spanning
     subgraphs of (-1)^{#edges}; zero when the conflict graph is disconnected.
     """
-    if not Gs:
+    if not combo:
         raise ValidationError("ursell_coefficient needs at least one cluster")
-    graph = conflict_graph(Gs, nbhd)
-    edges = tuple((i, j) for i, nbrs in enumerate(graph) for j in nbrs if j > i)
-    sign_sum = _connected_spanning_sign_sum(len(Gs), edges)
-    mult: dict = {}
-    for g in Gs:
-        mult[g.key()] = mult.get(g.key(), 0) + 1
-    denom = 1
-    for c in mult.values():
-        denom *= factorial(c)
+    sign_sum = _connected_spanning_sign_sum(len(combo), edges)
+    # a run of m equal indices multiplies in 1, 2, ..., m, that is m!
+    denom = run = 1
+    for prev, cur in zip(combo, combo[1:]):
+        run = run + 1 if cur == prev else 1
+        denom *= run
     return Fraction(sign_sum, denom)
 
 
-def is_connected(Gs: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> bool:
-    """True iff the conflict graph on the collection is connected."""
-    if not Gs:
+def is_connected(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> bool:
+    """True iff the induced conflict graph of the multiset combo is connected.
+
+    ``combo`` and ``edges`` are as ``ursell_coefficient`` takes them.
+    """
+    if not combo:
         raise ValidationError("is_connected needs a nonempty collection")
-    return _connected(conflict_graph(Gs, nbhd))
+    neighbours: List[List[int]] = [[] for _ in combo]
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return _connected(neighbours)

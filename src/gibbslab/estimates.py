@@ -134,8 +134,8 @@ def ratio_estimate(num: Estimate, den: Estimate, method: str = "ratio") -> Estim
     if den.value == 0:
         raise PrecisionError("ratio estimate with zero denominator")
     value = num.value / den.value
-    rel = math.hypot(
-        num.stderr / num.value if num.value != 0 else num.stderr,
-        den.stderr / den.value,
-    )
-    return Estimate(value, abs(value) * rel if num.value != 0 else rel, min(num.n, den.n), method)
+    if num.value == 0:
+        # the limit of the delta-method error below as num.value -> 0
+        return Estimate(value, num.stderr / abs(den.value), min(num.n, den.n), method)
+    rel = math.hypot(num.stderr / num.value, den.stderr / den.value)
+    return Estimate(value, abs(value) * rel, min(num.n, den.n), method)

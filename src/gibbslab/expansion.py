@@ -22,7 +22,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -381,23 +381,31 @@ def connected_collections(
     coefficient C is zero are dropped.  Returns {trace key: [(combo, C), ...]}
     with each list in visiting order.  Raises BudgetError when more than
     ``cap`` multisets are visited.
+
+    ``conflict_graph`` is built once, as one bitset of conflicting indices
+    per cluster; each multiset's induced edges are read from those bitsets,
+    so ``conflicts`` runs once per unordered pair of clusters whatever n_max
+    is.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    bits = [sum(1 << j for j in nbrs) for nbrs in conflict_graph(clusters, nbhd)]
+    sites = [G.sites for G in clusters]
     groups: Dict[tuple, List[Tuple[tuple, float]]] = {}
     counter = 0
     for n in range(1, n_max + 1):
+        pairs = tuple(combinations(range(n), 2))
         for combo in combinations_with_replacement(range(len(clusters)), n):
             counter += 1
             if counter > cap:
                 raise BudgetError(f"collection enumeration exceeded cap of {cap}")
-            Gs = [clusters[i] for i in combo]
-            if n > 1 and not is_connected(Gs, nbhd):
+            edges = tuple((a, b) for a, b in pairs if bits[combo[a]] >> combo[b] & 1)
+            if n > 1 and not is_connected(combo, edges):
                 continue
-            C = ursell_coefficient(Gs, nbhd)
+            C = ursell_coefficient(combo, edges)
             if C == 0:
                 continue
-            key = tuple(sorted(frozenset().union(*(G.sites for G in Gs))))
+            key = tuple(sorted(frozenset().union(*(sites[i] for i in combo))))
             groups.setdefault(key, []).append((combo, float(C)))
     return groups
 

@@ -119,20 +119,30 @@ def _ou_variance(s: float) -> float:
 
 
 def _ou_bridge_segment(
-    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+    vals: np.ndarray, b: np.ndarray, tau: float, rng: np.random.Generator
 ) -> None:
-    """Exact bridge of dx = dB - x dt over [0, tau], written into vals.
+    """Draw one OU bridge segment of dx = dB - x dt over [0, tau] into vals.
 
     ``vals`` has shape (K+1, R) and holds the start in row 0; rows 1 .. K-1
-    first take the step noise, drawn in step order, and row K gets b.
+    take the step noise, drawn in step order, and row K gets the end b.
+    The steps themselves run later, for all segments of a bundle at once
+    (``_ou_bridge_steps``).  tau is unused; it is part of the signature
+    that ``_circle_bridge_segment`` shares.
     """
     rng.standard_normal(out=vals[1:-1])
-    _ou_bridge_steps(vals, b, tau, dt)
+    vals[-1] = b
 
 
-def _ou_bridge_steps(vals: np.ndarray, b: np.ndarray, tau: float, dt: float) -> None:
-    """The steps of ``_ou_bridge_segment`` over the noise already in vals."""
-    K = vals.shape[0] - 1
+def _ou_bridge_steps(rows: np.ndarray, ends: np.ndarray, tau: float, dt: float) -> None:
+    """Exact OU bridge steps over [0, tau], in place, for any number of segments.
+
+    ``rows`` has the K steps of a segment on its first axis, then any shape:
+    row 0 holds the starts and rows 1 .. K-1 the step noise, which step k
+    replaces by the path; ``ends`` holds the values at tau.  Every element
+    goes through the same scalar operations, so a segment's path does not
+    depend on which other segments are stepped with it.
+    """
+    K = rows.shape[0]
     e1 = math.exp(-dt)
     v1 = _ou_variance(dt)
     for k in range(1, K):
@@ -140,9 +150,8 @@ def _ou_bridge_steps(vals: np.ndarray, b: np.ndarray, tau: float, dt: float) -> 
         er = math.exp(-rem)
         vr = _ou_variance(rem)
         prec = 1.0 / v1 + er * er / vr
-        mean = (vals[k - 1] * e1 / v1 + b * er / vr) / prec
-        vals[k] = mean + vals[k] / math.sqrt(prec)
-    vals[K] = b
+        mean = (rows[k - 1] * e1 / v1 + ends * er / vr) / prec
+        rows[k] = mean + rows[k] / math.sqrt(prec)
 
 
 def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> np.ndarray:
@@ -164,31 +173,32 @@ def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> 
 
 
 def _circle_bridge_segment(
-    vals: np.ndarray, b: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+    vals: np.ndarray, b: np.ndarray, tau: float, rng: np.random.Generator
 ) -> None:
-    """Brownian bridge on the circle as a continuous lift, written into vals.
+    """Draw one Brownian bridge segment on the circle, as a continuous lift.
 
-    ``vals`` has shape (K+1, R) and holds the start a in row 0; the winding
-    uniforms are drawn before the step noise, and the lifted end lands in
-    row K.
+    ``vals`` has shape (K+1, R) and holds the start lift a in row 0; the
+    winding uniforms are drawn before the step noise, which goes to rows
+    1 .. K-1, and the lifted end lands in row K.  The steps run later
+    (``_lifted_bridge_steps``).
     """
-    target = _winding_target(vals[0], b, tau, rng.uniform(size=vals.shape[1]))
+    vals[-1] = _winding_target(vals[0], b, tau, rng.uniform(size=vals.shape[1]))
     rng.standard_normal(out=vals[1:-1])
-    _lifted_bridge_steps(vals, target, tau, dt)
 
 
 def _lifted_bridge_steps(
-    vals: np.ndarray, target: np.ndarray, tau: float, dt: float
+    rows: np.ndarray, ends: np.ndarray, tau: float, dt: float
 ) -> None:
-    """The linear Brownian bridge of ``_circle_bridge_segment`` over the
-    noise already in vals, ending at the lifted target."""
-    K = vals.shape[0] - 1
+    """The linear Brownian bridge steps towards the lifted ends, in place.
+
+    ``rows`` and ``ends`` are laid out as in ``_ou_bridge_steps``.
+    """
+    K = rows.shape[0]
     for k in range(1, K):
         rem = tau - (k - 1) * dt
-        mean = vals[k - 1] + (target - vals[k - 1]) * dt / rem
+        mean = rows[k - 1] + (ends - rows[k - 1]) * dt / rem
         var = dt * (rem - dt) / rem
-        vals[k] = mean + vals[k] * math.sqrt(max(var, 0.0))
-    vals[K] = target
+        rows[k] = mean + rows[k] * math.sqrt(max(var, 0.0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,10 +212,11 @@ def _bridge_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
     end (0, 1); the result is a read-only (K+1, 2) array, computed once per
     potential family, tau and dt.
     """
-    coef = np.zeros((int(round(tau / dt)) + 1, 2))
-    coef[0, 0] = 1.0
+    K = int(round(tau / dt))
+    coef = np.zeros((K + 1, 2))
+    coef[0, 0] = coef[K, 1] = 1.0
     steps = _ou_bridge_steps if family == "quadratic" else _lifted_bridge_steps
-    steps(coef, np.array([0.0, 1.0]), tau, dt)
+    steps(coef[:K], coef[K], tau, dt)
     coef.flags.writeable = False
     return coef
 
@@ -270,6 +281,12 @@ def multi_bridge_bundle(
     ``layers`` is a list of dicts site -> scalar or (R,) array; consecutive
     layers are tau apart and every segment is bridged exactly.  Only the
     quadratic and drift-free-circle potentials admit exact bridges.
+
+    The randomness is drawn site by site, and within a site segment by
+    segment (on the circle: each segment's winding uniforms, then its step
+    noise).  Once drawn, the segments are independent given their ends, so
+    the steps then run for every site and segment of the bundle together,
+    one step index at a time.
     """
     if pot.family not in ("quadratic", "circle_free"):
         raise ValidationError(
@@ -284,14 +301,21 @@ def multi_bridge_bundle(
         raise ValidationError("tau must be an integer multiple of dt")
     R = n_replicas
     K = n_seg * Kseg
-    segment = _ou_bridge_segment if pot.family == "quadratic" else _circle_bridge_segment
+    if pot.family == "quadratic":
+        segment, steps = _ou_bridge_segment, _ou_bridge_steps
+    else:
+        segment, steps = _circle_bridge_segment, _lifted_bridge_steps
     # site-major, then time: every step of a site's path is contiguous
     values = np.empty((len(sites), K + 1, R))
     for i, s in enumerate(sites):
         values[i, 0] = _as_replica_array(layers[0][s], R)
         for j in range(n_seg):
             nxt = _as_replica_array(layers[j + 1][s], R)
-            segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, dt, rng)
+            segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, rng)
+    # a (step, site, segment, replica) view of rows 0 .. Kseg-1 of every
+    # segment, and a (site, segment, replica) view of the segment ends
+    rows = np.moveaxis(values[:, :K].reshape(len(sites), n_seg, Kseg, R), 2, 0)
+    steps(rows, values[:, Kseg::Kseg], tau, dt)
     times = t_start + dt * np.arange(K + 1)
     return PathBundle(sites, times, values.transpose(2, 0, 1), pot)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslab import clusters as clusters_module
 from gibbslab.clusters import (
     SpaceCluster,
     SpaceTimeCluster,
@@ -126,12 +127,23 @@ def test_enumeration_budget_cap():
         enumerate_clusters(vol, NB1, grid, k_max=6, cap=50)
 
 
+def _induced(Gs):
+    """A multiset of clusters, listed with equal ones adjacent, as the
+    (combo, edges) pair that is_connected and ursell_coefficient take."""
+    distinct = list(dict.fromkeys(Gs))
+    combo = tuple(distinct.index(G) for G in Gs)
+    edges = tuple((a, b) for a, b in combinations(range(len(Gs)), 2) if conflicts(Gs[a], Gs[b], NB1))
+    return combo, edges
+
+
 def test_ursell_singleton_and_pair():
     a, b = _space(0, 0), _space(0, 2)
-    assert ursell_coefficient([a], NB1) == Fraction(1)
-    assert ursell_coefficient([a, b], NB1) == Fraction(-1)  # one conflicting pair
+    assert ursell_coefficient(*_induced([a])) == Fraction(1)
+    assert ursell_coefficient(*_induced([a, b])) == Fraction(-1)  # one conflicting pair
     # non-conflicting pair has disconnected graph: coefficient 0
-    assert ursell_coefficient([_space(0, 0), _space(0, 3)], NB1) == 0
+    assert ursell_coefficient(*_induced([_space(0, 0), _space(0, 3)])) == 0
+    with pytest.raises(ValidationError):
+        ursell_coefficient((), ())
 
 
 @given(st.integers(1, 5))
@@ -139,12 +151,16 @@ def test_ursell_singleton_and_pair():
 def test_ursell_clique_invariant(n):
     # n copies of one polymer form a clique: C = (-1)^(n+1) / n
     copies = [_space(0, 0)] * n
-    assert ursell_coefficient(copies, NB1) == Fraction((-1) ** (n + 1), n)
+    assert ursell_coefficient(*_induced(copies)) == Fraction((-1) ** (n + 1), n)
 
 
 def test_is_connected_matches_conflict_graph():
-    assert is_connected([_space(0, 0), _space(0, 2)], NB1)
-    assert not is_connected([_space(0, 0), _space(0, 3)], NB1)
+    assert is_connected(*_induced([_space(0, 0), _space(0, 2)]))
+    assert not is_connected(*_induced([_space(0, 0), _space(0, 3)]))
+    # connected through a third cluster that conflicts with both
+    assert is_connected(*_induced([_space(0, 0), _space(0, 2), _space(0, 4)]))
+    with pytest.raises(ValidationError):
+        is_connected((), ())
 
 
 def test_conflict_graph_lists_every_conflict_in_index_order():
@@ -217,12 +233,11 @@ def test_non_intersecting_matches_the_three_condition_reference(hi, radius, M):
             assert non_intersecting(G1, G2, nbhd) == _reference_non_intersecting(G1, G2, nbhd)
 
 
-def test_connected_collections_match_uncached_reference():
-    # the expansion workload geometry: box 0..3, r = 1, M = 2, kMax = 3, nMax = 3
-    nbhd = Neighborhood.range1d(1)
-    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+def _reference_collections(clusters, nbhd, n_max):
+    """connected_collections and every nonzero Ursell coefficient, from
+    fresh clusters and the three-condition conflict test."""
     ref, coefficients = {}, {}
-    for n in (1, 2, 3):
+    for n in range(1, n_max + 1):
         for combo in combinations_with_replacement(range(len(clusters)), n):
             Gs = [SpaceTimeCluster.from_record(clusters[i].to_record()) for i in combo]
             edges = [
@@ -236,10 +251,46 @@ def test_connected_collections_match_uncached_reference():
                 continue
             key = tuple(sorted({site for G in Gs for site, _ in _reference_support(G)}))
             ref.setdefault(key, []).append((combo, float(C)))
-            coefficients[combo] = C
+            coefficients[combo] = (C, tuple(edges))
+    return ref, coefficients
+
+
+def test_connected_collections_match_uncached_reference():
+    # the expansion workload geometry: box 0..3, r = 1, M = 2, kMax = 3, nMax = 3
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    ref, coefficients = _reference_collections(clusters, nbhd, 3)
     assert connected_collections(clusters, nbhd, 3) == ref
-    for combo, C in coefficients.items():
-        assert ursell_coefficient([clusters[i] for i in combo], nbhd) == C
+    for combo, (C, edges) in coefficients.items():
+        assert is_connected(combo, edges)
+        assert ursell_coefficient(combo, edges) == C
+
+
+def test_connected_collections_match_the_reference_at_four_clusters():
+    nbhd = Neighborhood.range1d(1)
+    # box 0..3, r = 1, M = 2, kMax = 2: 16 clusters, 3876 multisets of four
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=2)
+    assert len(clusters) == 16
+    ref, _ = _reference_collections(clusters, nbhd, 4)
+    assert any(len(combo) == 4 for group in ref.values() for combo, _ in group)
+    assert connected_collections(clusters, nbhd, 4) == ref
+
+
+def test_connected_collections_test_each_pair_of_clusters_once(monkeypatch):
+    # every multiset reads its edges from one conflict graph, so conflicts
+    # runs once per unordered pair, a cluster with itself included
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    assert len(clusters) == 26
+    calls = Counter()
+
+    def counted(G1, G2, nb):
+        calls["conflicts"] += 1
+        return conflicts(G1, G2, nb)
+
+    monkeypatch.setattr(clusters_module, "conflicts", counted)
+    connected_collections(clusters, nbhd, 3)
+    assert calls["conflicts"] == 26 * 27 // 2
 
 
 def test_cached_footprints_are_keyed_by_value():

@@ -99,3 +99,21 @@ def test_ratio_estimate():
     assert r.stderr == pytest.approx(0.5 * math.hypot(0.1, 0.1))
     with pytest.raises(PrecisionError):
         ratio_estimate(Estimate(1.0, 0.1, 10), Estimate(0.0, 0.1, 10))
+
+
+def test_ratio_estimate_is_continuous_at_a_zero_numerator():
+    den = Estimate(10.0, 1.0, 10)
+    at_zero = ratio_estimate(Estimate(0.0, 0.1, 10), den)
+    near_zero = ratio_estimate(Estimate(1e-9, 0.1, 10), den)
+    assert at_zero.value == 0.0
+    assert at_zero.stderr == pytest.approx(0.01)
+    assert near_zero.stderr == pytest.approx(at_zero.stderr, rel=1e-12)
+
+
+def test_ratio_estimate_with_a_negative_denominator():
+    den = Estimate(-10.0, 1.0, 10)
+    assert ratio_estimate(Estimate(0.0, 0.1, 10), den).stderr == pytest.approx(0.01)
+    r = ratio_estimate(Estimate(2.0, 0.2, 10), den)
+    assert r.value == pytest.approx(-0.2)
+    assert r.stderr == pytest.approx(0.2 * math.hypot(0.1, 0.1))
+    assert ratio_estimate(Estimate(-1e-9, 0.1, 10), den).stderr == pytest.approx(0.01, rel=1e-12)

@@ -164,28 +164,36 @@ def _ref_circle_segment(a, b, tau, dt, rng):
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
 def test_bridge_bundle_matches_the_per_step_loop(pot):
-    # the bundle stores each step contiguously and draws a segment's noise
-    # at once; values, increments and the draw order are those of the
-    # replica-major per-step loop
-    sites, R, tau, dt = [(0,), (1,)], 5, 0.3, 0.05
+    # the bundle draws a segment's noise at once and then steps all sites
+    # and segments together; values, increments, the draw order and the
+    # generator's final state are those of the replica-major per-step loop
+    # run one (site, segment) at a time
+    sites, R, tau, dt = [(0,), (1,), (2,)], 5, 0.3, 0.05
     src = np.random.default_rng(8)
-    layers = [{s: src.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
-    bundle = multi_bridge_bundle(pot, sites, layers, 0.5, tau, dt, substream(6, "b"), R)
+    # scalar and (R,) layer values
+    layers = [
+        {s: src.uniform(-1.0, 1.0, R) if (i + n) % 2 else float(src.uniform(-1.0, 1.0))
+         for i, s in enumerate(sites)}
+        for n in range(4)
+    ]
     rng = substream(6, "b")
+    bundle = multi_bridge_bundle(pot, sites, layers, 0.5, tau, dt, rng, R)
+    ref_rng = substream(6, "b")
     segment = _ref_ou_segment if pot is QUAD else _ref_circle_segment
-    values = np.empty((R, 2, 13))
+    values = np.empty((R, 3, 19))
     for i, s in enumerate(sites):
         values[:, i, 0] = layers[0][s]
-        for j in range(2):
-            values[:, i, 6 * j : 6 * j + 7] = segment(values[:, i, 6 * j], layers[j + 1][s], tau, dt, rng)
+        for j in range(3):
+            values[:, i, 6 * j : 6 * j + 7] = segment(values[:, i, 6 * j], layers[j + 1][s], tau, dt, ref_rng)
     assert np.array_equal(bundle.values, values)
-    assert np.array_equal(bundle.times, 0.5 + dt * np.arange(13))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+    assert np.array_equal(bundle.times, 0.5 + dt * np.arange(19))
     # the increments use the grid's own step, which at t_start = 0.5 differs
     # from dt in the last bits
     state = np.mod(values[:, :, :-1], TWO_PI) if pot is CIRC else values[:, :, :-1]
     du = 0.5 * np.asarray(pot.dU(state), dtype=float)
-    for i in range(2):
-        incr = bundle.increments(i, 0, 12)
+    for i in range(3):
+        incr = bundle.increments(i, 0, 18)
         assert np.array_equal(incr, np.diff(values[:, i], axis=1) + du[:, i] * bundle.dt)
         np.testing.assert_allclose(incr, np.diff(values[:, i], axis=1) + du[:, i] * dt, rtol=0, atol=1e-15)
 
