@@ -49,7 +49,6 @@ class PotentialSpec:
     U: Callable
     dU: Callable
     state_space: str = LINE
-    gap_hint: Optional[float] = None
     family: str = "general"  # quadratic | circle_free | general
     halfwidth: float = 6.0   # truncation [-L, L] for line quadrature/grids
 
@@ -68,7 +67,6 @@ def quadratic_potential() -> PotentialSpec:
         U=lambda x: np.asarray(x) ** 2,
         dU=lambda x: 2.0 * np.asarray(x),
         state_space=LINE,
-        gap_hint=1.0,
         family="quadratic",
         halfwidth=6.0,
     )
@@ -77,20 +75,13 @@ def quadratic_potential() -> PotentialSpec:
 def circle_free_potential() -> PotentialSpec:
     """U = 0 on the circle: Brownian motion, uniform m, spectral gap 1/2."""
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PotentialSpec(
-        U=zero, dU=zero, state_space=CIRCLE, gap_hint=0.5, family="circle_free"
-    )
+    return PotentialSpec(U=zero, dU=zero, state_space=CIRCLE, family="circle_free")
 
 
-def custom_potential(
-    U: Callable,
-    dU: Callable,
-    state_space: str = LINE,
-    gap_hint: Optional[float] = None,
-) -> PotentialSpec:
+def custom_potential(U: Callable, dU: Callable, state_space: str = LINE) -> PotentialSpec:
     """General smooth potential; normalizability is checked by quadrature."""
     if state_space == CIRCLE:
-        return PotentialSpec(U=U, dU=dU, state_space=CIRCLE, gap_hint=gap_hint)
+        return PotentialSpec(U=U, dU=dU, state_space=CIRCLE)
     L = 8.0
     prev_mass = None
     while L <= 64.0:
@@ -101,9 +92,7 @@ def custom_potential(
             raise SetupError("exp(-U) is not integrable on the check grid")
         edge = max(dens[0], dens[-1]) * 2 * L
         if prev_mass is not None and edge < 1e-12 * mass:
-            return PotentialSpec(
-                U=U, dU=dU, state_space=LINE, gap_hint=gap_hint, halfwidth=L
-            )
+            return PotentialSpec(U=U, dU=dU, state_space=LINE, halfwidth=L)
         prev_mass = mass
         L *= 2.0
     raise SetupError("exp(-U) does not decay on [-64, 64]; potential rejected")
@@ -325,21 +314,21 @@ def ultracontractivity_report(pot: PotentialSpec, n_grid: int = 801) -> dict:
 class DriftSpec:
     """Bounded space-time-local drift functional with intensity beta.
 
-    ``evaluator(site, t, window_times, window_values)`` receives the path of
-    the sites ``site + nbhd`` on memory windows of W + 1 grid points ending
-    at t, either for one step or for a batch of steps:
+    ``evaluator(site, t, window_times, window_values)`` evaluates b_site at
+    a batch of steps from the path of the sites ``site + nbhd`` on memory
+    windows of W + 1 grid points ending at each step:
 
-    - one step: ``t`` is a float, ``window_times`` has shape (W+1,) and each
-      ``window_values[s]`` has shape (R, W+1);
-    - a batch: ``t`` has shape (steps,), ``window_times`` (steps, W+1) and
-      each ``window_values[s]`` (R, steps, W+1).
+    - ``t`` has shape (steps,) and ``window_times`` (steps, W'+1);
+    - ``window_values`` is one array of shape (R, steps, |nbhd|, W'+1), its
+      axis 2 running over ``sorted(nbhd.around(site))``; it views the
+      caller's history and must not be written to.
 
-    It returns b for every replica (and step), an array broadcastable to
-    the values' shape without the window axis; evaluators must treat the
-    steps of a batch independently.  The window arrays are read-only views;
-    under the truncated pre-history a window reaching before the start of
-    the path is shorter.  The absolute value of b may never exceed ``bound``
-    (checked at runtime, once per call).
+    W' = W, except for a step whose window the truncated pre-history cuts
+    at the start of the path: such a step comes as a batch of its own with
+    a shorter window.  The evaluator returns b as an array broadcastable to
+    (R, steps) and must treat the steps of a batch independently.  The
+    absolute value of b may never exceed ``bound`` (checked at runtime,
+    once per call).
     """
 
     beta: float
@@ -381,9 +370,7 @@ def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:
         nbhd=Neighborhood.range1d(0),
         memory=memory,
         bound=abs(c),
-        evaluator=lambda site, t, wt, wv: np.full(
-            np.shape(next(iter(wv.values()))[..., -1]), float(c)
-        ),
+        evaluator=lambda site, t, wt, wv: np.full(wv.shape[:2], float(c)),
         label="constant",
     )
 
@@ -392,8 +379,7 @@ def markov_local_drift(scale: float, nbhd: Neighborhood, memory: float = 0.1) ->
     """b_i = scale * tanh(mean of the current neighborhood values)."""
 
     def ev(site, t, wt, wv):
-        cur = np.mean([v[..., -1] for v in wv.values()], axis=0)
-        return scale * np.tanh(cur)
+        return scale * np.tanh(np.mean(wv[..., -1], axis=-1))
 
     return DriftSpec(
         beta=1.0, nbhd=nbhd, memory=memory, bound=abs(scale), evaluator=ev,
@@ -405,8 +391,7 @@ def resonance_drift(amplitude: float, memory: float = 0.1) -> DriftSpec:
     """External periodic forcing b = A sin(t); declared bound equals A."""
 
     def ev(site, t, wt, wv):
-        shape = np.shape(next(iter(wv.values()))[..., -1])
-        return np.full(shape, amplitude * np.sin(t))
+        return np.full(wv.shape[:2], amplitude * np.sin(t))
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=memory,
@@ -418,7 +403,7 @@ def delayed_feedback_drift(alpha: float, t0: float) -> DriftSpec:
     """Saturated delayed feedback b = -alpha z / (1 + z^2), z = x(t - t0)."""
 
     def ev(site, t, wt, wv):
-        z = wv[site][..., 0]  # left edge of the window is t - t0
+        z = wv[..., 0, 0]  # left edge of the window is t - t0
         return -alpha * z / (1.0 + z * z)
 
     return DriftSpec(
@@ -433,12 +418,11 @@ def memory_integral_drift(
     """b_i(t) = integral of eps(s) f(x_i(s)) over the memory window."""
 
     def ev(site, t, wt, wv):
-        vals = wv[site]
         if wt.shape[-1] < 2:
-            return np.zeros(np.shape(vals[..., -1]))
+            return np.zeros(wv.shape[:2])
         ds = np.diff(wt, axis=-1)
         integrand = np.asarray(eps(wt[..., :-1]), dtype=float) * np.asarray(
-            f(vals[..., :-1]), dtype=float
+            f(wv[..., 0, :-1]), dtype=float
         )
         return np.sum(integrand * ds, axis=-1)
 
@@ -458,22 +442,20 @@ def space_time_integral_drift(
 ) -> DriftSpec:
     """b_i(t) = integral of alpha(t - s, x_{i+N}(s)) dV_s over the window.
 
-    ``alpha(lag, values)`` gets the lag (a float, or one per step of a
-    batch) and values as a dict site -> array (R,) or (R, steps) at one
-    window point; ``integrator`` is the bounded-variation path V evaluated
-    elementwise at times.
+    ``alpha(lag, values)`` gets the lags t - s, shape (steps,), and the
+    values at one window point s, shape (R, steps, |N|) with the
+    neighbourhood axis last in ``sorted(nbhd.around(site))`` order;
+    ``integrator`` is the bounded-variation path V evaluated elementwise at
+    times.
     """
 
     def ev(site, t, wt, wv):
-        any_vals = next(iter(wv.values()))
+        out = np.zeros(wv.shape[:2])
         if wt.shape[-1] < 2:
-            return np.zeros(np.shape(any_vals[..., -1]))
-        v = np.asarray(integrator(wt), dtype=float)
-        dv = np.diff(v, axis=-1)
-        out = np.zeros(np.shape(any_vals[..., -1]))
+            return out
+        dv = np.diff(np.asarray(integrator(wt), dtype=float), axis=-1)
         for l in range(wt.shape[-1] - 1):
-            snap = {s: vals[..., l] for s, vals in wv.items()}
-            out = out + np.asarray(alpha(t - wt[..., l], snap), dtype=float) * dv[..., l]
+            out = out + np.asarray(alpha(t - wt[:, l], wv[..., l]), dtype=float) * dv[:, l]
         return out
 
     return DriftSpec(
@@ -563,50 +545,65 @@ def _cut(drift: DriftSpec, W: int, k: int) -> int:
     return 0
 
 
-def _windows(history: np.ndarray, W: int, t0: float, dt: float, lo: int):
-    """Zero-copy memory windows over a time-major history padded in front.
+def _neighbour_block(drift: DriftSpec, sites: tuple, site):
+    """Rows of ``sorted(site + nbhd)`` among ``sites``: a slice when they are
+    consecutive (always so in 1-D), otherwise an index array."""
+    try:
+        rows = [sites.index(s) for s in sorted(drift.nbhd.around(site))]
+    except ValueError:
+        raise CoverageError(f"the neighbourhood of {site} is not covered by this path bundle")
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows)
 
-    Row r of ``history``, shape (W + steps, R, ...), holds the path at grid
-    index lo + r; rows at negative indices repeat the frozen pre-history.
-    Returns the window times, shape (steps, W+1), and the value windows,
-    shape (R, steps, ..., W+1): window s spans indices lo + s .. lo + s + W.
+
+def _windows(history: np.ndarray, W: int, t0: float, dt: float, lo: int):
+    """Zero-copy memory windows over a history padded in front.
+
+    Row r of ``history``, shape (W + steps, sites, R), holds the path at
+    grid index lo + r; rows at negative indices repeat the frozen
+    pre-history.  Returns the window times, shape (steps, W+1), and the
+    value windows, shape (R, steps, sites, W+1): window s spans indices
+    lo + s .. lo + s + W.
     """
     times = t0 + np.arange(lo, lo + history.shape[0]) * dt
     wt = sliding_window_view(times, W + 1)
-    wv = sliding_window_view(history, W + 1, axis=0).swapaxes(0, 1)
+    wv = sliding_window_view(history, W + 1, axis=0).transpose(2, 0, 1, 3)
     return wt, wv
 
 
 def _evaluation_batches(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int):
     """Evaluator arguments for the steps k_lo .. k_hi-1 of a stored bundle.
 
-    Returns a list of (column, t, window_times, window_values): one entry
-    per step whose window the truncated pre-history shortens, then one batch
-    over every remaining step (column is the step's offset from k_lo, or a
-    slice for the batch).
+    The path of ``site + nbhd`` is copied once into a (W + steps, |nbhd|, R)
+    history, front-padded with the frozen pre-history, and read through
+    ``_windows``.  Returns a list of (columns, t, window_times,
+    window_values): one one-step batch per step whose window the truncated
+    pre-history shortens, then one batch over every remaining step; columns
+    is the slice of the steps' offsets from k_lo.
     """
     W = _window_length(drift, path.dt)
     lo = k_lo - W
     front = max(-lo, 0)
-    wv = {}
-    for s in sorted(drift.nbhd.around(site)):
-        vals = path.values[:, path.site_index(s), :].T
-        history = np.empty((W + k_hi - k_lo, vals.shape[1]))
-        history[:front] = vals[0]
-        history[front:] = vals[lo + front : k_hi]
-        if path.state_space == CIRCLE:
-            history = wrap_angle(history)
-        wt, wv[s] = _windows(history, W, path.times[0], path.dt, lo)
+    block = _neighbour_block(drift, path.sites, site)
+    path_rows = path.values.transpose(2, 1, 0)  # (K+1, sites, R)
+    first = path_rows[0, block]
+    history = np.empty((W + k_hi - k_lo,) + first.shape)
+    history[:front] = first
+    history[front:] = path_rows[lo + front : k_hi, block]
+    if path.state_space == CIRCLE:
+        history = wrap_angle(history)
+    wt, wv = _windows(history, W, path.times[0], path.dt, lo)
     t = path.times[k_lo:k_hi]
     split = min(_cut(drift, W, k_lo), t.size)
     batches = []
     for j in range(split):
         c = _cut(drift, W, k_lo + j)
-        batches.append((j, float(t[j]), wt[j, c:], {s: v[:, j, c:] for s, v in wv.items()}))
+        col = slice(j, j + 1)
+        batches.append((col, t[col], wt[col, c:], wv[:, col, :, c:]))
     if split < t.size:
-        batches.append(
-            (slice(split, None), t[split:], wt[split:], {s: v[:, split:] for s, v in wv.items()})
-        )
+        col = slice(split, None)
+        batches.append((col, t[col], wt[col], wv[:, col]))
     return batches
 
 
@@ -664,41 +661,37 @@ def simulate(
     R, n = n_replicas, len(sites)
     W = _window_length(drift, dt)
     times = dt * np.arange(K + 1)
-    # time-major path: W rows of frozen pre-history, then x_0 .. x_K.  Its
-    # memory first holds the noise, drawn replica-major as (R, n, K) and
-    # scaled into the time-major dB before the steps overwrite it
-    history = np.empty((W + K + 1, R, n))
+    # path rows (time, site, replica): W rows of frozen pre-history, then
+    # x_0 .. x_K.  Its memory first holds the noise, drawn replica-major as
+    # (R, n, K) and scaled into the time-major dB before the steps overwrite it
+    history = np.empty((W + K + 1, n, R))
     noise = history.reshape(-1)[: R * n * K].reshape(R, n, K)
     rng.standard_normal(out=noise)
-    dB = np.empty((K, R, n))
-    np.multiply(noise.transpose(2, 0, 1), math.sqrt(dt), out=dB)
-    history[: W + 1] = x0.array_for(sites)
+    dB = np.empty((K, n, R))
+    np.multiply(noise.transpose(2, 1, 0), math.sqrt(dt), out=dB)
+    history[: W + 1] = x0.array_for(sites)[:, None]
     circle = pot.state_space == CIRCLE
     # the drift and U' read wrapped angles on the circle
     state = np.empty_like(history) if circle else history
     if circle:
         state[: W + 1] = wrap_angle(history[: W + 1])
     wt, wv = _windows(state, W, times[0], dt, -W)
-    readers = [
-        (i, s, [(nb, sites.index(nb)) for nb in sorted(drift.nbhd.around(s))])
-        for i, s in enumerate(sites)
-        if s in inner
-    ]
+    readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
 
     for k in range(K):
         xk = history[W + k]
         du = np.asarray(pot.dU(state[W + k]), dtype=float)
         drift_term = -0.5 * du
         if drift.beta > 0:
+            step = slice(k, k + 1)
             c = _cut(drift, W, k)
-            for i, site, nbrs in readers:
-                b = drift.evaluate(
-                    site, float(times[k]), wt[k, c:], {s: wv[:, k, j, c:] for s, j in nbrs}
-                )
-                drift_term[:, i] = drift_term[:, i] + drift.beta * b
+            wt_k, wv_k = wt[step, c:], wv[:, step, :, c:]
+            for i, site, block in readers:
+                b = drift.evaluate(site, times[step], wt_k, wv_k[:, :, block])
+                drift_term[i, :, None] += drift.beta * b
         history[W + k + 1] = xk + (dB[k] + drift_term * dt)
         if circle:
             state[W + k + 1] = wrap_angle(history[W + k + 1])
     if not np.all(np.isfinite(history)):
         raise NumericalError("simulation produced NaN or overflow")
-    return PathBundle(sites, times, history[W:].transpose(1, 2, 0), pot)
+    return PathBundle(sites, times, history[W:].transpose(2, 1, 0), pot)

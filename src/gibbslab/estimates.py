@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PrecisionError, ValidationError
+from .errors import NumericalError, PrecisionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,15 @@ class MCParams:
         return replace(self, n_samples=n)
 
 
-def mean_estimate(samples: np.ndarray, method: str = "mc") -> Estimate:
+def _finite_samples(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise NumericalError("Monte Carlo samples are not all finite")
+    return samples
+
+
+def mean_estimate(samples: np.ndarray, method: str = "mc") -> Estimate:
+    samples = _finite_samples(samples)
     n = samples.size
     return Estimate(
         value=float(np.mean(samples)),
@@ -71,7 +78,7 @@ def weighted_mean_estimate(
     method: str = "mc",
 ) -> Estimate:
     """Self-normalized importance-sampling estimate with an ESS guard."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _finite_samples(samples)
     logw = np.asarray(log_weights, dtype=float)
     w = np.exp(logw - np.max(logw))
     wsum = w.sum()

@@ -311,6 +311,12 @@ def weight_table(
 # reconstruction and the volume-indexed interaction
 # ---------------------------------------------------------------------------
 
+def _conflict_bits(clusters: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> List[int]:
+    """The conflict graph as one bitset per cluster: bit j of entry i is set
+    when clusters i and j conflict (every cluster conflicts with itself)."""
+    return [sum(1 << j for j in nbrs) for nbrs in conflict_graph(clusters, nbhd)]
+
+
 def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
     """1 + sum over families of pairwise non-intersecting clusters.
 
@@ -319,17 +325,15 @@ def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
     """
     clusters = table.clusters
     n = len(clusters)
-    graph = [set(nbrs) for nbrs in conflict_graph(clusters, table.nbhd)]
+    bits = _conflict_bits(clusters, table.nbhd)
     terms: List[Estimate] = []
     counter = [0]
 
-    def search(start: int, idxs: tuple, total: int):
+    def search(start: int, idxs: tuple, conflicting: int, total: int):
+        # conflicting: the union of the bitsets of the family's clusters
         for idx in range(start, n):
-            G = clusters[idx]
-            w = total + G.size
-            if w > table.k_max:
-                continue
-            if any(i in graph[idx] for i in idxs):
+            w = total + clusters[idx].size
+            if w > table.k_max or conflicting >> idx & 1:
                 continue
             counter[0] += 1
             if counter[0] > cap:
@@ -339,9 +343,9 @@ def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
                     [table.estimates[i] for i in idxs + (idx,)], method="family"
                 )
             )
-            search(idx + 1, idxs + (idx,), w)
+            search(idx + 1, idxs + (idx,), conflicting | bits[idx], w)
 
-    search(0, (), 0)
+    search(0, (), 0, 0)
     return sum_estimates(terms, offset=1.0, method="expansion")
 
 
@@ -389,7 +393,7 @@ def connected_collections(
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    bits = [sum(1 << j for j in nbrs) for nbrs in conflict_graph(clusters, nbhd)]
+    bits = _conflict_bits(clusters, nbhd)
     sites = [G.sites for G in clusters]
     groups: Dict[tuple, List[Tuple[tuple, float]]] = {}
     counter = 0

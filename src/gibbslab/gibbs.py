@@ -289,11 +289,9 @@ def sample_gibbs(
             raise CoverageError(f"term '{t.label}' reaches uncovered sites")
     if rng is None:
         rng = substream(seed, "gibbs")
-    sites = vol.sorted_sites()
-    init, proposals, logu = _draw_chains(pot, len(sites), [sweeps], [rng])
-    values = _chain_values(sites, init, [boundary])
-    _metropolis_sweeps(sites, values, _site_energy(phi, sites), phi.beta0, proposals, logu)
-    return Configuration({s: values[s][0] for s in sites}, pot.state_space)
+    mc = MCParams(burn_in=0, thin=sweeps)
+    [[sample]] = gibbs_chain(phi, pot, vol, [boundary], 1, mc, [rng])
+    return Configuration(dict(zip(vol.sorted_sites(), sample)), pot.state_space)
 
 
 def gibbs_chain(

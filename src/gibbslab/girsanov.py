@@ -118,21 +118,6 @@ def _ou_variance(s: float) -> float:
     return 0.5 * (1.0 - math.exp(-2.0 * s))
 
 
-def _ou_bridge_segment(
-    vals: np.ndarray, b: np.ndarray, tau: float, rng: np.random.Generator
-) -> None:
-    """Draw one OU bridge segment of dx = dB - x dt over [0, tau] into vals.
-
-    ``vals`` has shape (K+1, R) and holds the start in row 0; rows 1 .. K-1
-    take the step noise, drawn in step order, and row K gets the end b.
-    The steps themselves run later, for all segments of a bundle at once
-    (``_ou_bridge_steps``).  tau is unused; it is part of the signature
-    that ``_circle_bridge_segment`` shares.
-    """
-    rng.standard_normal(out=vals[1:-1])
-    vals[-1] = b
-
-
 def _ou_bridge_steps(rows: np.ndarray, ends: np.ndarray, tau: float, dt: float) -> None:
     """Exact OU bridge steps over [0, tau], in place, for any number of segments.
 
@@ -170,20 +155,6 @@ def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> 
     cdf = np.cumsum(w, axis=1)
     pick = ((u * cdf[:, -1])[:, None] > cdf).sum(axis=1)
     return a + disp[np.arange(d.shape[0]), pick]
-
-
-def _circle_bridge_segment(
-    vals: np.ndarray, b: np.ndarray, tau: float, rng: np.random.Generator
-) -> None:
-    """Draw one Brownian bridge segment on the circle, as a continuous lift.
-
-    ``vals`` has shape (K+1, R) and holds the start lift a in row 0; the
-    winding uniforms are drawn before the step noise, which goes to rows
-    1 .. K-1, and the lifted end lands in row K.  The steps run later
-    (``_lifted_bridge_steps``).
-    """
-    vals[-1] = _winding_target(vals[0], b, tau, rng.uniform(size=vals.shape[1]))
-    rng.standard_normal(out=vals[1:-1])
 
 
 def _lifted_bridge_steps(
@@ -301,20 +272,23 @@ def multi_bridge_bundle(
         raise ValidationError("tau must be an integer multiple of dt")
     R = n_replicas
     K = n_seg * Kseg
-    if pot.family == "quadratic":
-        segment, steps = _ou_bridge_segment, _ou_bridge_steps
-    else:
-        segment, steps = _circle_bridge_segment, _lifted_bridge_steps
-    # site-major, then time: every step of a site's path is contiguous
+    circle = pot.family == "circle_free"
+    # site-major, then time: every step of a site's path is contiguous.  A
+    # segment's rows hold its start, then the step noise, then its (lifted) end
     values = np.empty((len(sites), K + 1, R))
     for i, s in enumerate(sites):
         values[i, 0] = _as_replica_array(layers[0][s], R)
         for j in range(n_seg):
-            nxt = _as_replica_array(layers[j + 1][s], R)
-            segment(values[i, j * Kseg : (j + 1) * Kseg + 1], nxt, tau, rng)
+            seg = values[i, j * Kseg : (j + 1) * Kseg + 1]
+            end = _as_replica_array(layers[j + 1][s], R)
+            if circle:
+                end = _winding_target(seg[0], end, tau, rng.uniform(size=R))
+            seg[-1] = end
+            rng.standard_normal(out=seg[1:-1])
     # a (step, site, segment, replica) view of rows 0 .. Kseg-1 of every
     # segment, and a (site, segment, replica) view of the segment ends
     rows = np.moveaxis(values[:, :K].reshape(len(sites), n_seg, Kseg, R), 2, 0)
+    steps = _lifted_bridge_steps if circle else _ou_bridge_steps
     steps(rows, values[:, Kseg::Kseg], tau, dt)
     times = t_start + dt * np.arange(K + 1)
     return PathBundle(sites, times, values.transpose(2, 0, 1), pot)

@@ -188,7 +188,7 @@ def test_drift_bound_enforced():
         nbhd=Neighborhood.range1d(0),
         memory=0.1,
         bound=0.5,
-        evaluator=lambda site, t, wt, wv: np.ones_like(wv[site][..., -1]),
+        evaluator=lambda site, t, wt, wv: np.ones(wv.shape[:2]),
         label="too_big",
     )
     vol = Volume.box((0,), (0,))
@@ -219,7 +219,7 @@ def test_simulate_free_ou_moments():
         nbhd=Neighborhood.range1d(0),
         memory=0.1,
         bound=0.0,
-        evaluator=lambda site, t, wt, wv: np.zeros_like(wv[site][..., -1]),
+        evaluator=lambda site, t, wt, wv: np.zeros(wv.shape[:2]),
         label="free",
     )
     path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.005, seed=11, n_replicas=4000)
@@ -278,7 +278,7 @@ def test_delayed_feedback_reads_left_edge():
     path = simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, seed=2, n_replicas=3)
     [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 0, 1)
     # frozen pre-history: the left edge before time 0 is the initial value
-    assert np.all(wv[(0,)][..., 0] == 2.0)
+    assert np.all(wv[..., 0, 0] == 2.0)
     val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, -1.0 * 2.0 / (1.0 + 4.0))
 
@@ -289,7 +289,7 @@ def test_truncated_pre_history_shrinks_window():
         nbhd=Neighborhood.range1d(0),
         memory=0.2,
         bound=1.0,
-        evaluator=lambda site, t, wt, wv: np.zeros_like(wv[site][..., -1]),
+        evaluator=lambda site, t, wt, wv: np.zeros(wv.shape[:2]),
         label="probe",
         pre_history=PRE_HISTORY_TRUNCATED,
     )
@@ -298,8 +298,8 @@ def test_truncated_pre_history_shrinks_window():
     path = simulate(d, QUAD, vol, x0, t=0.3, dt=0.05, seed=2)
     # window [t-0.2, t] at t=0.05 underruns
     [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 1, 2)
-    assert wt[0] >= -1e-12
-    assert wv[(0,)].shape[-1] == wt.size
+    assert wt[0, 0] >= -1e-12
+    assert wv.shape[-1] == wt.shape[-1]
 
 
 def test_memory_integral_drift_on_frozen_path():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.errors import PrecisionError, ValidationError
+from gibbslab.errors import NumericalError, PrecisionError, ValidationError
 from gibbslab.estimates import (
     Estimate,
     MCParams,
@@ -117,3 +117,18 @@ def test_ratio_estimate_with_a_negative_denominator():
     assert r.value == pytest.approx(-0.2)
     assert r.stderr == pytest.approx(0.2 * math.hypot(0.1, 0.1))
     assert ratio_estimate(Estimate(-1e-9, 0.1, 10), den).stderr == pytest.approx(0.01, rel=1e-12)
+
+
+def test_mean_estimate_rejects_non_finite_samples():
+    # numpy used to return nan +- nan here, warning from its own module
+    with pytest.raises(NumericalError):
+        mean_estimate(np.array([np.inf, -np.inf, 1.0]))
+    with pytest.raises(NumericalError):
+        mean_estimate(np.array([0.5, np.nan]))
+
+
+def test_weighted_mean_estimate_rejects_non_finite_samples():
+    with pytest.raises(NumericalError):
+        weighted_mean_estimate(np.array([np.nan, 1.0, 2.0]), np.zeros(3), ess_threshold=1.0)
+    with pytest.raises(NumericalError):
+        weighted_mean_estimate(np.array([1.0, np.inf]), np.zeros(2), ess_threshold=1.0)

@@ -125,6 +125,26 @@ def test_sample_gibbs_beta_zero_is_reference():
     assert p > 0.01
 
 
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_sample_gibbs_is_one_chain_of_gibbs_chain(space):
+    # one sample after `sweeps` sweeps, no burn-in: the same draws, in the
+    # same order, as one gibbs_chain call on the same stream
+    pot = QUAD if space == "line" else circle_free_potential()
+    vol = Volume.box((1,), (3,))
+    kind = "tanh" if space == "line" else "cos_diff"
+    phi = Interaction(
+        tuple(nearest_neighbor_terms(Volume.box((0,), (4,)), 0.8, kind=kind)), beta0=0.6
+    )
+    boundary = Configuration({(0,): 0.4, (4,): 1.1}, pot.state_space)
+    for sweeps in (1, 5, 17):
+        got = sample_gibbs(phi, pot, vol, boundary, sweeps=sweeps, seed=3)
+        chain = gibbs_chain(
+            phi, pot, vol, [boundary], 1, MCParams(burn_in=0, thin=sweeps),
+            [substream(3, "gibbs")],
+        )
+        assert np.array_equal(got.array_for(vol.sorted_sites()), chain[0, 0])
+
+
 def test_single_site_conditional_matches_chain():
     # conditional at site 0 given the neighbor pinned at 1.0
     phi = Interaction(
