@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import (
     BoundViolationError,
@@ -51,9 +50,6 @@ class PotentialSpec:
     state_space: str = LINE
     family: str = "general"  # quadratic | circle_free | general
     halfwidth: float = 6.0   # truncation [-L, L] for line quadrature/grids
-
-    def __hash__(self):
-        return hash((id(self.U), id(self.dU), self.state_space, self.family, self.halfwidth))
 
     @cached_property
     def _eigensystem(self):
@@ -133,48 +129,41 @@ def _fp_eigensystem(pot: PotentialSpec):
     """Eigendecomposition of the discrete free generator, weighted by m.
 
     Read through ``pot._eigensystem``, which computes it once per spec.
-    Raises NumericalError when exp(-U) underflows on the grid: the generator
-    is then not finite, or the grid chain falls apart into pieces that each
-    carry a zero eigenvalue.
+    The generator G is a nearest-neighbour chain on a 400-point grid,
+    cyclic on the circle.  Its symmetrized form W^{1/2} G W^{-1/2}, W the
+    lattice masses of m, is assembled as one dense matrix for either state
+    space and diagonalized by ``np.linalg.eigh``.  Raises NumericalError
+    when exp(-U) underflows on the grid: the generator is then not finite,
+    or the grid chain falls apart into pieces that each carry a zero
+    eigenvalue.
     """
     n = 400
     if pot.state_space == CIRCLE:
         xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
         h = TWO_PI / n
-        periodic = True
+        nxt = np.roll(np.arange(n), -1)  # i + 1, wrapping to 0
     else:
         xs = np.linspace(-pot.halfwidth, pot.halfwidth, n)
         h = xs[1] - xs[0]
-        periodic = False
+        nxt = np.arange(1, n)
+    lo = np.arange(nxt.size)
     dens = np.exp(-np.asarray(pot.U(xs), dtype=float))
     dens = dens / (dens.sum() * h)
     w = dens * h  # normalized lattice masses of m
     d = np.sqrt(w)
     # conductances C_i between i and i+1 from the Dirichlet form
     # (1/2) int f'^2 dm ~ sum_i C_i (f_{i+1} - f_i)^2, C_i = m_mid / (2h)
-    if periodic:
-        cond = np.sqrt(dens * np.roll(dens, -1)) / (2.0 * h)
-        B = np.zeros((n, n))
-        for i in range(n):
-            j = (i + 1) % n
-            B[i, i] -= cond[i] / w[i]
-            B[j, j] -= cond[i] / w[j]
-            B[i, j] += cond[i] / (d[i] * d[j])
-            B[j, i] += cond[i] / (d[i] * d[j])
-        finite = np.all(np.isfinite(B))
-    else:
-        cond = np.sqrt(dens[:-1] * dens[1:]) / (2.0 * h)
-        diag = np.zeros(n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            diag[:-1] -= cond / w[:-1]
-            diag[1:] -= cond / w[1:]
-            off = cond / (d[:-1] * d[1:])
-        finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
-    if not finite:
+    cond = np.sqrt(dens[lo] * dens[nxt]) / (2.0 * h)
+    B = np.zeros((n, n))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        B[lo, lo] -= cond / w[lo]
+        B[nxt, nxt] -= cond / w[nxt]
+        B[lo, nxt] = B[nxt, lo] = cond / (d[lo] * d[nxt])
+    if not np.all(np.isfinite(B)):
         raise NumericalError(
             "the discretized free generator is not finite: exp(-U) underflows on its grid"
         )
-    lam, psi = eigh(B) if periodic else eigh_tridiagonal(diag, off)
+    lam, psi = np.linalg.eigh(B)
     if not np.all(np.isfinite(lam)):
         raise NumericalError("the spectrum of the discretized free generator is not finite")
     if np.count_nonzero(np.abs(lam) <= 1e-10 * np.max(np.abs(lam))) > 1:
@@ -348,9 +337,6 @@ class DriftSpec:
             raise SetupError("drift bound must be nonnegative")
         if self.pre_history not in (PRE_HISTORY_FROZEN, PRE_HISTORY_TRUNCATED):
             raise SetupError(f"unknown pre-history convention {self.pre_history!r}")
-
-    def __hash__(self):
-        return hash((self.beta, self.nbhd, self.memory, self.bound, id(self.evaluator)))
 
     def evaluate(self, site, t, window_times, window_values):
         val = np.asarray(

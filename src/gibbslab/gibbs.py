@@ -62,9 +62,6 @@ class InteractionTerm:
         if not self.volume.sites:
             raise SetupError("term volume must be nonempty")
 
-    def __hash__(self):
-        return hash((self.volume, id(self.evaluator), self.sup_norm, self.label))
-
     def value(self, values: Dict):
         """The evaluator on values restricted to the volume.
 
@@ -573,9 +570,6 @@ class BiSpaceInteraction:
     def __post_init__(self):
         if self.t <= 0:
             raise ValidationError("coupling time t must be positive")
-
-    def __hash__(self):
-        return hash((self.initial, id(self.dynamic), hash(self.pot), self.t))
 
 
 def _log_kernel(pot: PotentialSpec, t: float, xi: float, yi: float) -> float:

@@ -133,6 +133,19 @@ def test_general_kernel_cache_follows_the_potential():
         assert got[a] == pytest.approx(mehler, rel=1e-2)
 
 
+def test_general_circle_generator_has_the_exact_cyclic_spectrum():
+    # with U = 0 the discretized circle generator is (S + S^T - 2I) / (2h^2),
+    # S the cyclic shift, with eigenvalues (cos(2 pi k / n) - 1) / h^2; the
+    # wrap-around conductance between the last grid point and 0 is part of it
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    gen = custom_potential(zero, zero, state_space="circle")
+    _, _, lam, _ = gen._eigensystem
+    n = lam.size
+    h = TWO_PI / n
+    exact = np.sort((np.cos(TWO_PI * np.arange(n) / n) - 1.0) / h**2)[::-1]
+    assert np.max(np.abs(lam - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_general_kernel_rejects_a_decoupled_grid():
     # U = 2 x^2 on [-16, 16]: exp(-U) ~ 1e-223 at the edges, so the edge
     # conductances underflow to 0 and the grid chain falls apart; the kernel

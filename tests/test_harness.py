@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gibbslab
 from gibbslab import config as cfgmod
 from gibbslab import harness
 from gibbslab.cli import main
@@ -298,3 +301,71 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": 1}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_library_never_loads_scipy(tmp_path):
+    # scipy is test tooling only; these tests import scipy.stats, so the
+    # check runs in a fresh interpreter
+    code = f"""
+import importlib, pkgutil, sys
+import numpy as np
+import gibbslab
+for mod in pkgutil.iter_modules(gibbslab.__path__):
+    importlib.import_module("gibbslab." + mod.name)
+from gibbslab.dynamics import custom_potential, free_kernel
+line = custom_potential(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x))
+circle = custom_potential(np.cos, lambda x: -np.sin(x), state_space="circle")
+assert np.isfinite(free_kernel(line, 0.5, 0.3, -0.2))
+assert np.isfinite(free_kernel(circle, 0.5, 0.3, 6.0))
+from gibbslab.harness import run
+run("simulate", {SIM_CFG!r}, {str(tmp_path / "sim")!r})
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"{{len(loaded)}} scipy modules loaded: {{loaded[:3]}}"
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gibbslab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+ROBUSTNESS_CFG = {
+    "seed": 1,
+    "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+    "drift": {"family": "constant", "beta": 0.2, "memory": 0.1, "params": {"c": 0.5}},
+    # M = 2 puts pure time clusters, which read the free kernel, first
+    "time": {"T": 0.5, "M": 2},
+    "mc": {"nSamples": 16, "dt": 0.05, "burnIn": 2, "thin": 1},
+    "truncation": {"kMax": 1, "nMax": 2},
+    "interaction": {
+        "beta0": 0.4,
+        "terms": [{"template": "nearest_neighbor", "coupling": 0.8}],
+    },
+    "x": {"constant": 0.3},
+    "y": {"constant": 0.2},
+    "probes": {
+        "lambdas": [0.0, 1.0],
+        "subBox": [[1], [1]], "nOuter": 4, "nInner": 2,
+        "dynamic": "expansion",
+        "window": [[0], [0]], "deltas": [[[0], [0]], [[0], [1]]],
+        "pairs": [{"x": {"constant": 0.3}, "y": {"constant": 0.2}}],
+    },
+}
+
+
+def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
+    # under quartic, exp(-U) underflows on the general kernel's grid: the
+    # subcommands that read that kernel must say so with exit 3
+    reads_general_kernel = {"expand", "bispace", "quasilocality"}
+    for family in ("quadratic", "circle_free", "quartic"):
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps({**ROBUSTNESS_CFG, "potential": {"family": family}}))
+        for sub in sorted(set(harness.SUBCOMMANDS) - {"report"}):
+            out = str(tmp_path / f"{sub}-{family}")
+            code = main([sub, "--config", str(path), "--out", out])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (sub, family, code, err)
+            if family == "quartic" and sub in reads_general_kernel:
+                assert code == 3 and "exp(-U) underflows" in err, (sub, err)
