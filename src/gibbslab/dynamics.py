@@ -8,9 +8,9 @@ an eigendecomposition of the discretized generator on a truncated interval.
 
 The interacting system runs an Euler-Maruyama scheme: interior sites of the
 volume feel the drift functional, the boundary layer runs free.  Delay
-evaluators read a window [t - t0, t] from a history buffer; the pre-history
-for s < 0 is frozen at the initial configuration (a truncated-window variant
-is available as a switch on the drift spec).
+evaluators read windows [t - t0, t] of W + 1 = t0/dt + 1 grid points from a
+history buffer, every one of the same shape; before the start of the path
+the history is frozen at its first value.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .errors import (
 )
 from .lattice import CIRCLE, LINE, TWO_PI, Configuration, Neighborhood, Volume, interior, wrap_angle
 from .rng import substream
-
-PRE_HISTORY_FROZEN = "frozen"
-PRE_HISTORY_TRUNCATED = "truncated"
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +302,19 @@ class DriftSpec:
 
     ``evaluator(site, t, window_times, window_values)`` evaluates b_site at
     a batch of steps from the path of the sites ``site + nbhd`` on memory
-    windows of W + 1 grid points ending at each step:
+    windows of W + 1 grid points ending at each step, W = memory / dt:
 
-    - ``t`` has shape (steps,) and ``window_times`` (steps, W'+1);
-    - ``window_values`` is one array of shape (R, steps, |nbhd|, W'+1), its
+    - ``t`` has shape (steps,) and ``window_times`` (steps, W+1);
+    - ``window_values`` is one array of shape (R, steps, |nbhd|, W+1), its
       axis 2 running over ``sorted(nbhd.around(site))``; it views the
       caller's history and must not be written to.
 
-    W' = W, except for a step whose window the truncated pre-history cuts
-    at the start of the path: such a step comes as a batch of its own with
-    a shorter window.  The evaluator returns b as an array broadcastable to
-    (R, steps) and must treat the steps of a batch independently.  The
-    absolute value of b may never exceed ``bound`` (checked at runtime,
-    once per call).
+    Every call has these shapes.  Window points before the start of the
+    path repeat its first value at their own (earlier) times, so an
+    evaluator that wants the window cut at the path start ignores them.
+    The evaluator returns b as an array broadcastable to (R, steps) and
+    must treat the steps of a batch independently.  The absolute value of
+    b may never exceed ``bound`` (checked at runtime, once per call).
     """
 
     beta: float
@@ -326,7 +323,6 @@ class DriftSpec:
     bound: float
     evaluator: Callable
     label: str = "custom"
-    pre_history: str = PRE_HISTORY_FROZEN
 
     def __post_init__(self):
         if self.beta < 0:
@@ -335,8 +331,6 @@ class DriftSpec:
             raise SetupError("memory time t0 must be positive")
         if self.bound < 0:
             raise SetupError("drift bound must be nonnegative")
-        if self.pre_history not in (PRE_HISTORY_FROZEN, PRE_HISTORY_TRUNCATED):
-            raise SetupError(f"unknown pre-history convention {self.pre_history!r}")
 
     def evaluate(self, site, t, window_times, window_values):
         val = np.asarray(
@@ -404,8 +398,6 @@ def memory_integral_drift(
     """b_i(t) = integral of eps(s) f(x_i(s)) over the memory window."""
 
     def ev(site, t, wt, wv):
-        if wt.shape[-1] < 2:
-            return np.zeros(wv.shape[:2])
         ds = np.diff(wt, axis=-1)
         integrand = np.asarray(eps(wt[..., :-1]), dtype=float) * np.asarray(
             f(wv[..., 0, :-1]), dtype=float
@@ -437,8 +429,6 @@ def space_time_integral_drift(
 
     def ev(site, t, wt, wv):
         out = np.zeros(wv.shape[:2])
-        if wt.shape[-1] < 2:
-            return out
         dv = np.diff(np.asarray(integrator(wt), dtype=float), axis=-1)
         for l in range(wt.shape[-1] - 1):
             out = out + np.asarray(alpha(t - wt[:, l], wv[..., l]), dtype=float) * dv[:, l]
@@ -519,16 +509,20 @@ class PathBundle:
 
 
 def _window_length(drift: DriftSpec, dt: float) -> int:
-    """W, the number of grid steps the drift's memory window spans."""
-    return max(int(round(drift.memory / dt)), 1)
+    """W = t0 / dt, the number of grid steps the drift's memory window spans.
 
-
-def _cut(drift: DriftSpec, W: int, k: int) -> int:
-    """Window points before the start of the path at grid index k; the
-    truncated pre-history drops them, the frozen one keeps them."""
-    if drift.pre_history == PRE_HISTORY_TRUNCATED and k < W:
-        return W - k
-    return 0
+    A drift that acts (beta > 0) needs a whole number W >= 1, within the
+    relative tolerance of ``simulate``'s t check; otherwise its windows
+    would not span the declared memory.
+    """
+    W = int(round(drift.memory / dt))
+    off_grid = abs(W * dt - drift.memory) > 1e-9 * max(drift.memory, 1.0)
+    if drift.beta > 0 and (W < 1 or off_grid):
+        raise ValidationError(
+            f"the drift memory t0 = {drift.memory} must be a whole number (>= 1) "
+            f"of steps dt = {dt}"
+        )
+    return max(W, 1)
 
 
 def _neighbour_block(drift: DriftSpec, sites: tuple, site):
@@ -558,15 +552,13 @@ def _windows(history: np.ndarray, W: int, t0: float, dt: float, lo: int):
     return wt, wv
 
 
-def _evaluation_batches(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int):
-    """Evaluator arguments for the steps k_lo .. k_hi-1 of a stored bundle.
+def _evaluation_windows(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int):
+    """Evaluator arguments (t, window_times, window_values) for the steps
+    k_lo .. k_hi-1 of a stored bundle.
 
     The path of ``site + nbhd`` is copied once into a (W + steps, |nbhd|, R)
-    history, front-padded with the frozen pre-history, and read through
-    ``_windows``.  Returns a list of (columns, t, window_times,
-    window_values): one one-step batch per step whose window the truncated
-    pre-history shortens, then one batch over every remaining step; columns
-    is the slice of the steps' offsets from k_lo.
+    history, front-padded with the frozen pre-history, wrapped in place on
+    the circle, and read through ``_windows``.
     """
     W = _window_length(drift, path.dt)
     lo = k_lo - W
@@ -578,19 +570,9 @@ def _evaluation_batches(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_h
     history[:front] = first
     history[front:] = path_rows[lo + front : k_hi, block]
     if path.state_space == CIRCLE:
-        history = wrap_angle(history)
+        wrap_angle(history, out=history)
     wt, wv = _windows(history, W, path.times[0], path.dt, lo)
-    t = path.times[k_lo:k_hi]
-    split = min(_cut(drift, W, k_lo), t.size)
-    batches = []
-    for j in range(split):
-        c = _cut(drift, W, k_lo + j)
-        col = slice(j, j + 1)
-        batches.append((col, t[col], wt[col, c:], wv[:, col, :, c:]))
-    if split < t.size:
-        col = slice(split, None)
-        batches.append((col, t[col], wt[col], wv[:, col]))
-    return batches
+    return path.times[k_lo:k_hi], wt, wv
 
 
 def _drift_along(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int) -> np.ndarray:
@@ -600,8 +582,7 @@ def _drift_along(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int)
     """
     site = tuple(site)
     out = np.empty((k_hi - k_lo, path.n_replicas)).T
-    for col, t, wt, wv in _evaluation_batches(drift, path, site, k_lo, k_hi):
-        out[:, col] = drift.evaluate(site, t, wt, wv)
+    out[...] = drift.evaluate(site, *_evaluation_windows(drift, path, site, k_lo, k_hi))
     return out
 
 
@@ -629,8 +610,6 @@ def simulate(
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    if drift.beta > 0 and dt > drift.memory + 1e-12:
-        raise ValidationError("dt must not exceed the drift memory t0")
     if not vol.issubset(x0.domain):
         raise CoverageError("x0 does not cover the volume")
     if x0.state_space != pot.state_space:
@@ -660,7 +639,7 @@ def simulate(
     # the drift and U' read wrapped angles on the circle
     state = np.empty_like(history) if circle else history
     if circle:
-        state[: W + 1] = wrap_angle(history[: W + 1])
+        wrap_angle(history[: W + 1], out=state[: W + 1])
     wt, wv = _windows(state, W, times[0], dt, -W)
     readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
 
@@ -670,14 +649,12 @@ def simulate(
         drift_term = -0.5 * du
         if drift.beta > 0:
             step = slice(k, k + 1)
-            c = _cut(drift, W, k)
-            wt_k, wv_k = wt[step, c:], wv[:, step, :, c:]
             for i, site, block in readers:
-                b = drift.evaluate(site, times[step], wt_k, wv_k[:, :, block])
+                b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
                 drift_term[i, :, None] += drift.beta * b
         history[W + k + 1] = xk + (dB[k] + drift_term * dt)
         if circle:
-            state[W + k + 1] = wrap_angle(history[W + k + 1])
+            wrap_angle(history[W + k + 1], out=state[W + k + 1])
     if not np.all(np.isfinite(history)):
         raise NumericalError("simulation produced NaN or overflow")
     return PathBundle(sites, times, history[W:].transpose(2, 1, 0), pot)

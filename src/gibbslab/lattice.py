@@ -129,11 +129,15 @@ class Neighborhood:
         return cls(frozenset(as_site(s) for s in record))
 
 
-def wrap_angle(x):
-    """Canonical circle representative in [0, 2*pi)."""
-    w = np.mod(x, TWO_PI)
+def wrap_angle(x, out=None):
+    """Canonical circle representative in [0, 2*pi), written into ``out``
+    when given (``out`` may be ``x`` itself)."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.mod(x, TWO_PI, out=out)
     # np.mod may round to the modulus itself for tiny negative inputs
-    return np.where(w >= TWO_PI, 0.0, w)[()]
+    out[out >= TWO_PI] = 0.0
+    return out[()]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from gibbslab.clusters import TimeGrid

@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from gibbslab.dynamics import (
-    PRE_HISTORY_TRUNCATED,
     DriftSpec,
-    _evaluation_batches,
+    _evaluation_windows,
     constant_drift,
     custom_potential,
     circle_free_potential,
@@ -289,30 +288,11 @@ def test_delayed_feedback_reads_left_edge():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 2.0)
     path = simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, seed=2, n_replicas=3)
-    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 0, 1)
+    t, wt, wv = _evaluation_windows(d, path, (0,), 0, 1)
     # frozen pre-history: the left edge before time 0 is the initial value
     assert np.all(wv[..., 0, 0] == 2.0)
     val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, -1.0 * 2.0 / (1.0 + 4.0))
-
-
-def test_truncated_pre_history_shrinks_window():
-    d = DriftSpec(
-        beta=1.0,
-        nbhd=Neighborhood.range1d(0),
-        memory=0.2,
-        bound=1.0,
-        evaluator=lambda site, t, wt, wv: np.zeros(wv.shape[:2]),
-        label="probe",
-        pre_history=PRE_HISTORY_TRUNCATED,
-    )
-    vol = Volume.box((0,), (0,))
-    x0 = Configuration.constant(vol, 0.0)
-    path = simulate(d, QUAD, vol, x0, t=0.3, dt=0.05, seed=2)
-    # window [t-0.2, t] at t=0.05 underruns
-    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 1, 2)
-    assert wt[0, 0] >= -1e-12
-    assert wv.shape[-1] == wt.shape[-1]
 
 
 def test_memory_integral_drift_on_frozen_path():
@@ -325,7 +305,7 @@ def test_memory_integral_drift_on_frozen_path():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 1.5)
     path = simulate(d, QUAD, vol, x0, t=0.05, dt=0.05, seed=2)
-    [(_, t, wt, wv)] = _evaluation_batches(d, path, (0,), 0, 1)
+    t, wt, wv = _evaluation_windows(d, path, (0,), 0, 1)
     val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, math.tanh(1.5) * t0)
 

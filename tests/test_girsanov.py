@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from gibbslab.dynamics import (
     PathBundle,

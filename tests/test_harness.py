@@ -104,6 +104,31 @@ def test_expand_on_quartic_exits_with_a_numerical_error(tmp_path, capsys):
     assert "exp(-U) underflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("memory,dt", [(0.1, 0.03), (0.01, 0.05)])
+@pytest.mark.parametrize("subcommand", ["expand", "density"])
+def test_drift_memory_off_the_step_grid_exits_2(tmp_path, capsys, subcommand, memory, dt):
+    # t0 / dt must be a whole number of steps: 0.1 / 0.03 used to run on
+    # x(t - 0.09), and 0.01 / 0.05 on a one-step window five times the
+    # declared memory under expand while density refused it
+    cfg = {
+        "seed": 1,
+        "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "delayed_feedback", "beta": 0.2, "memory": memory,
+                  "params": {"alpha": 0.5}},
+        "time": {"t": 10 * dt, "T": 10 * dt, "M": 2},
+        "mc": {"nSamples": 256, "dt": dt},
+        "truncation": {"kMax": 1, "nMax": 1},
+        "x": {"constant": 0.3},
+        "y": {"constant": 0.2},
+        "probes": {"pairs": [{"x": {"constant": 0.3}, "y": {"constant": 0.2}}]},
+    }
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps(cfg))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a whole number" in capsys.readouterr().err
+
+
 def test_config_hash_canonical():
     assert cfgmod.config_hash({"a": 1, "b": 2}) == cfgmod.config_hash({"b": 2, "a": 1})
     assert cfgmod.config_hash({"a": 1}) != cfgmod.config_hash({"a": 2})

@@ -1,25 +1,29 @@
 """Batched drift windows against a per-step reference loop.
 
 The reference below reads every memory window by copying it out of the
-stored path one grid step at a time, with the index clipped at 0 (frozen
-pre-history) or the points before the path start dropped (truncated), and
-calls the evaluator once per step, as a one-step batch.  ``simulate``,
-``psi`` and ``drift_values`` read zero-copy windows and evaluate whole
-batches of steps; the arithmetic per element is the same, so the results
-must agree bit for bit.
+stored path one grid step at a time, with the index clipped at 0 (the
+frozen pre-history), and calls the evaluator once per step, as a one-step
+batch.  ``simulate``, ``psi`` and ``drift_values`` read zero-copy windows
+and evaluate whole batches of steps; the arithmetic per element is the
+same, so the results must agree bit for bit.
+
+The library's windows always have W + 1 points.  The reference can also cut
+them at the path start (the truncated window); the "truncated" cases check
+that an evaluator which drops the points before the path start itself
+reproduces that reference, so no drift is lost to the one window shape.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gibbslab.dynamics import (
-    PRE_HISTORY_FROZEN,
-    PRE_HISTORY_TRUNCATED,
     DriftSpec,
-    _evaluation_batches,
+    PathBundle,
+    _evaluation_windows,
     circle_free_potential,
     constant_drift,
     delayed_feedback_drift,
@@ -68,9 +72,10 @@ X0 = {
 }
 
 
-def _ref_window(drift, path, site, k):
-    """The window of step k as a one-step batch: times (1, W'+1) and values
-    (R, 1, |N|, W'+1), copied row by row out of the stored path."""
+def _ref_window(drift, path, site, k, cut=False):
+    """The window of step k as a one-step batch: times (1, W+1) and values
+    (R, 1, |N|, W+1), copied row by row out of the stored path; with ``cut``
+    the points before the path start are dropped."""
     dt = path.dt
     W = max(int(round(drift.memory / dt)), 1)
     lo = k - W
@@ -80,7 +85,7 @@ def _ref_window(drift, path, site, k):
     wv = path.values[:, rows, :][:, :, idx]
     if path.state_space == CIRCLE:
         wv = wrap_angle(wv)
-    if drift.pre_history == PRE_HISTORY_TRUNCATED and lo < 0:
+    if cut and lo < 0:
         keep = wt >= path.times[0] - 1e-12
         wt = wt[keep]
         wv = wv[:, :, keep]
@@ -95,7 +100,7 @@ class _Growing:
         self.dt = float(times[1] - times[0])
 
 
-def _ref_simulate(drift, pot, x0, seed, vol=VOL):
+def _ref_simulate(drift, pot, x0, seed, vol=VOL, cut=False):
     sites = tuple(vol.sorted_sites())
     inner = interior(vol, drift.nbhd)
     K = int(round(T / DT))
@@ -114,7 +119,7 @@ def _ref_simulate(drift, pot, x0, seed, vol=VOL):
         drift_term = -0.5 * du
         for i, s in enumerate(sites):
             if s in inner:
-                wt, wv = _ref_window(drift, path, s, k)
+                wt, wv = _ref_window(drift, path, s, k, cut)
                 b = drift.evaluate(s, times[k : k + 1], wt, wv)
                 drift_term[:, i] = drift_term[:, i] + drift.beta * b[:, 0]
         step = noise[:, :, k] + drift_term * DT
@@ -123,46 +128,66 @@ def _ref_simulate(drift, pot, x0, seed, vol=VOL):
     return values, dbar
 
 
-def _ref_drift(drift, path, site, k_lo, k_hi):
+def _ref_drift(drift, path, site, k_lo, k_hi, cut=False):
     out = np.empty((path.values.shape[0], k_hi - k_lo))
     for k in range(k_lo, k_hi):
-        wt, wv = _ref_window(drift, path, site, k)
+        wt, wv = _ref_window(drift, path, site, k, cut)
         out[:, k - k_lo] = drift.evaluate(site, path.times[k : k + 1], wt, wv)[:, 0]
     return out
 
 
-def _ref_psi(drift, site, k_lo, k_hi, path):
+def _ref_psi(drift, site, k_lo, k_hi, path, cut=False):
     beta, dt = drift.beta, path.dt
     vals = path.values[:, path.sites.index(site), :]
     state = wrap_angle(vals) if path.state_space == CIRCLE else vals
     dbar = np.diff(vals, axis=1) + 0.5 * np.asarray(path.pot.dU(state[:, :-1]), dtype=float) * dt
     out = np.zeros(path.values.shape[0])
     for k in range(k_lo, k_hi):
-        wt, wv = _ref_window(drift, path, site, k)
+        wt, wv = _ref_window(drift, path, site, k, cut)
         b = drift.evaluate(site, path.times[k : k + 1], wt, wv)[:, 0]
         out += -beta * b * dbar[:, k] + 0.5 * beta * beta * b * b * dt
     return out
 
 
-def _drift(family, pre_history):
-    return dataclasses.replace(DRIFTS[family](), pre_history=pre_history)
+def _cut_at_start(drift, start):
+    """``drift`` with its evaluator fed, step by step, only the window points
+    at or after ``start``, the start of the path: the truncated window."""
+
+    def ev(site, t, wt, wv):
+        b = np.empty(wv.shape[:2])
+        for s in range(t.size):
+            keep = wt[s] >= start - 1e-12
+            step = slice(s, s + 1)
+            b[:, step] = drift.evaluator(site, t[step], wt[step, keep], wv[:, step, :, keep])
+        return b
+
+    return dataclasses.replace(drift, evaluator=ev)
+
+
+def _library_drift(ref, window, start=0.0):
+    """The drift the library runs where the reference runs ``ref``, and
+    whether the reference cuts its windows at the path start."""
+    if window == "truncated":
+        return _cut_at_start(ref, start), True
+    return ref, False
 
 
 CASES = [
-    (family, pre, space)
+    (family, window, space)
     for family in DRIFTS
-    for pre in (PRE_HISTORY_FROZEN, PRE_HISTORY_TRUNCATED)
+    for window in ("frozen", "truncated")
     for space in POTENTIALS
 ]
 
 
-@pytest.mark.parametrize("family,pre_history,space", CASES)
-def test_batched_windows_match_the_per_step_loop(family, pre_history, space):
-    drift = _drift(family, pre_history)
+@pytest.mark.parametrize("family,window,space", CASES)
+def test_batched_windows_match_the_per_step_loop(family, window, space):
+    ref = DRIFTS[family]()
+    drift, cut = _library_drift(ref, window)
     pot = POTENTIALS[space]()
     x0 = Configuration(X0[space], pot.state_space)
     path = simulate(drift, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
-    values, dbar = _ref_simulate(drift, pot, x0, seed=17)
+    values, dbar = _ref_simulate(ref, pot, x0, seed=17, cut=cut)
     assert np.array_equal(path.values, values)
     K = path.times.size - 1
     # the increments derived from the values agree with the noise-based
@@ -172,16 +197,17 @@ def test_batched_windows_match_the_per_step_loop(family, pre_history, space):
 
     for site in sorted(interior(VOL, drift.nbhd).sites):
         _assert_windows_match(drift, path, site, K)
-        assert np.array_equal(drift_values(drift, path, site), _ref_drift(drift, path, site, 0, K))
+        assert np.array_equal(drift_values(drift, path, site), _ref_drift(ref, path, site, 0, K, cut))
         # a window that starts inside the memory length, and the whole path
         for (a, b), (k_lo, k_hi) in (((0.06, 0.26), (3, 13)), ((0.0, T), (0, K))):
-            assert np.array_equal(psi(drift, site, (a, b), path), _ref_psi(drift, site, k_lo, k_hi, path))
+            assert np.array_equal(psi(drift, site, (a, b), path), _ref_psi(ref, site, k_lo, k_hi, path, cut))
 
 
-@pytest.mark.parametrize("family,pre_history,space", CASES)
-def test_psi_on_bridges_matches_the_per_step_loop(family, pre_history, space):
+@pytest.mark.parametrize("family,window,space", CASES)
+def test_psi_on_bridges_matches_the_per_step_loop(family, window, space):
     # bridge bundles start at t_start > 0, as the space clusters' do
-    drift = _drift(family, pre_history)
+    ref = DRIFTS[family]()
+    drift, cut = _library_drift(ref, window, start=0.4)
     pot = POTENTIALS[space]()
     sites = VOL.sorted_sites()
     rng = np.random.default_rng(3)
@@ -189,7 +215,7 @@ def test_psi_on_bridges_matches_the_per_step_loop(family, pre_history, space):
     bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(5, "bridge"), R)
     for site in sorted(interior(VOL, drift.nbhd).sites):
         for (a, b), (k_lo, k_hi) in (((0.4, 0.6), (0, 10)), ((0.6, 0.8), (10, 20))):
-            assert np.array_equal(psi(drift, site, (a, b), bundle), _ref_psi(drift, site, k_lo, k_hi, bundle))
+            assert np.array_equal(psi(drift, site, (a, b), bundle), _ref_psi(ref, site, k_lo, k_hi, bundle, cut))
 
 
 # on a 2-D box the von Neumann neighbours of a site are not consecutive in
@@ -207,30 +233,75 @@ def _ordered_sum(site, t, wt, wv):
 
 
 def _assert_windows_match(drift, path, site, K):
-    for col, t, wt, wv in _evaluation_batches(drift, path, site, 0, K):
-        for j in range(col.start, col.stop or K):
-            ref_wt, ref_wv = _ref_window(drift, path, site, j)
-            assert np.array_equal(t[j - col.start], path.times[j])
-            assert np.array_equal(wt[j - col.start], ref_wt[0])
-            assert np.array_equal(wv[:, j - col.start], ref_wv[:, 0])
+    t, wt, wv = _evaluation_windows(drift, path, site, 0, K)
+    W = wt.shape[1] - 1
+    assert wt.shape == (K, W + 1) and wv.shape == (R, K, len(drift.nbhd.around(site)), W + 1)
+    for j in range(K):
+        ref_wt, ref_wv = _ref_window(drift, path, site, j)
+        assert np.array_equal(t[j], path.times[j])
+        assert np.array_equal(wt[j], ref_wt[0])
+        assert np.array_equal(wv[:, j], ref_wv[:, 0])
 
 
 @pytest.mark.parametrize("family", ["markov_local", "space_time_integral", "ordered_sum"])
-@pytest.mark.parametrize("pre_history", [PRE_HISTORY_FROZEN, PRE_HISTORY_TRUNCATED])
-def test_windows_gather_scattered_neighbours(family, pre_history):
+@pytest.mark.parametrize("window", ["frozen", "truncated"])
+def test_windows_gather_scattered_neighbours(family, window):
     if family == "ordered_sum":
-        drift = DriftSpec(1.0, VON_NEUMANN, T0, 0.1, _ordered_sum, pre_history=pre_history)
+        ref = DriftSpec(1.0, VON_NEUMANN, T0, 0.1, _ordered_sum)
     else:
-        drift = dataclasses.replace(DRIFTS[family](), nbhd=VON_NEUMANN, pre_history=pre_history)
+        ref = dataclasses.replace(DRIFTS[family](), nbhd=VON_NEUMANN)
+    drift, cut = _library_drift(ref, window)
     pot = quadratic_potential()
     x0 = Configuration({s: 0.3 * i - 1.0 for i, s in enumerate(VOL_2D.sorted_sites())})
     path = simulate(drift, pot, VOL_2D, x0, T, DT, seed=17, n_replicas=R)
-    values, _ = _ref_simulate(drift, pot, x0, seed=17, vol=VOL_2D)
+    values, _ = _ref_simulate(ref, pot, x0, seed=17, vol=VOL_2D, cut=cut)
     assert np.array_equal(path.values, values)
     K = path.times.size - 1
     inner = sorted(interior(VOL_2D, drift.nbhd).sites)
     assert inner == [(1, 1), (1, 2)]
     for site in inner:
         _assert_windows_match(drift, path, site, K)
-        assert np.array_equal(drift_values(drift, path, site), _ref_drift(drift, path, site, 0, K))
-        assert np.array_equal(psi(drift, site, (0.06, 0.26), path), _ref_psi(drift, site, 3, 13, path))
+        assert np.array_equal(drift_values(drift, path, site), _ref_drift(ref, path, site, 0, K, cut))
+        assert np.array_equal(psi(drift, site, (0.06, 0.26), path), _ref_psi(ref, site, 3, 13, path, cut))
+
+
+@pytest.mark.parametrize("space", POTENTIALS)
+def test_frozen_windows_give_the_truncated_memory_integral(space):
+    # eps * 1{s >= 0} weighs, on the frozen window, exactly the points that
+    # the window cut at the path start (time 0) keeps
+    eps = lambda s: np.cos(np.asarray(s))
+    plain = memory_integral_drift(f=np.tanh, f_bound=1.0, eps=eps, eps_l1=T0, t0=T0)
+    gated = memory_integral_drift(
+        f=np.tanh, f_bound=1.0, eps=lambda s: eps(s) * (np.asarray(s) >= 0.0), eps_l1=T0, t0=T0
+    )
+    pot = POTENTIALS[space]()
+    x0 = Configuration(X0[space], pot.state_space)
+    path = simulate(plain, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
+    K = path.times.size - 1
+    for site in sorted(interior(VOL, plain.nbhd).sites):
+        truncated = _ref_drift(plain, path, site, 0, K, cut=True)
+        np.testing.assert_allclose(drift_values(gated, path, site), truncated, rtol=0, atol=1e-12)
+        # the frozen pre-history does count without the indicator
+        assert not np.allclose(drift_values(plain, path, site), truncated)
+
+
+def _window_peak(pot, values, drift, K):
+    path = PathBundle(((0,),), 0.01 * np.arange(K + 1), values, pot)
+    tracemalloc.start()
+    try:
+        _evaluation_windows(drift, path, (0,), 0, K)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circle_windows_wrap_in_place():
+    # the front-padded history is the one copy the windows need; wrapping it
+    # onto the circle must not allocate more arrays of its size
+    R_big, K = 8000, 100
+    values = np.random.default_rng(0).normal(0.0, 5.0, (R_big, 1, K + 1))
+    drift = delayed_feedback_drift(1.0, 0.2)  # W = 20 steps of dt = 0.01
+    line = _window_peak(quadratic_potential(), values, drift, K)
+    circle = _window_peak(circle_free_potential(), values, drift, K)
+    assert line >= (20 + K) * R_big * 8
+    assert circle <= 1.25 * line
