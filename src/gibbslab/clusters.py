@@ -263,6 +263,31 @@ def _connected_site_subsets(sites: Sequence[Site], nbhd: Neighborhood, k_max: in
     return out
 
 
+def _capped_families(sizes: list, exclusion: list, limit: int, cap: int, message: str):
+    """Every family of indices with pairwise unexcluded members and total
+    size <= limit, as ascending tuples in depth-first visiting order.
+
+    Bit j of ``exclusion[i]`` is set when i and j may not share a family.
+    Raises BudgetError(message) when more than ``cap`` families are visited.
+    """
+    visited = 0
+
+    def search(start: int, family: tuple, banned: int, total: int):
+        nonlocal visited
+        for idx in range(start, len(sizes)):
+            size = total + sizes[idx]
+            if size > limit or banned >> idx & 1:
+                continue
+            visited += 1
+            if visited > cap:
+                raise BudgetError(message)
+            grown = family + (idx,)
+            yield grown
+            yield from search(idx + 1, grown, banned | exclusion[idx], size)
+
+    return search(0, (), 0, 0)
+
+
 def enumerate_clusters(
     vol: Volume,
     nbhd: Neighborhood,
@@ -294,57 +319,30 @@ def enumerate_clusters(
         for r in range(min(k_max, grid.M - 1 - j))
     ]
     pool: list = space_pool + time_pool
-    n = len(pool)
-
-    def weight(c) -> int:
-        return c.size
 
     def excluded(a, b) -> bool:
-        if isinstance(a, SpaceCluster) and isinstance(b, SpaceCluster):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, SpaceCluster):
             return a.slice == b.slice and not space_compatible(a, b, nbhd)
-        if isinstance(a, TimeCluster) and isinstance(b, TimeCluster):
-            if a.site != b.site:
-                return False
-            lo, hi = (a, b) if a.start <= b.start else (b, a)
-            return hi.start <= lo.stop + 1  # overlapping or adjacent runs
-        return False
+        # same-site time runs that overlap or are adjacent
+        return a.site == b.site and a.start <= b.stop + 1 and b.start <= a.stop + 1
 
-    def touches(a, b) -> bool:
-        return bool(a.vertices & b.vertices)
-
-    results: list = []
-    counter = [0]
-
-    def search(start: int, chosen: tuple, total: int):
-        for idx in range(start, n):
-            cand = pool[idx]
-            w = total + weight(cand)
-            if w > k_max:
-                continue
-            if any(excluded(cand, c) for c in chosen):
-                continue
-            counter[0] += 1
-            if counter[0] > cap:
-                raise BudgetError(
-                    f"cluster enumeration exceeded cap of {cap} collections"
-                )
-            new = chosen + (cand,)
-            if len(new) == 1 or _connected(
-                [[j for j, b in enumerate(new) if touches(a, b)] for a in new]
-            ):
-                results.append(new)
-            search(idx + 1, new, w)
-
-    search(0, (), 0)
-
-    clusters = [
-        SpaceTimeCluster(
-            tuple(c for c in parts if isinstance(c, SpaceCluster)),
-            tuple(c for c in parts if isinstance(c, TimeCluster)),
-            grid,
-        )
-        for parts in results
-    ]
+    exclusion = [sum(1 << j for j, b in enumerate(pool) if excluded(a, b)) for a in pool]
+    clusters = []
+    for idxs in _capped_families(
+        [c.size for c in pool], exclusion, k_max, cap,
+        f"cluster enumeration exceeded cap of {cap} collections",
+    ):
+        parts = [pool[i] for i in idxs]
+        if len(parts) == 1 or _connected(
+            [[j for j, b in enumerate(parts) if a.vertices & b.vertices] for a in parts]
+        ):
+            clusters.append(SpaceTimeCluster(
+                tuple(c for c in parts if isinstance(c, SpaceCluster)),
+                tuple(c for c in parts if isinstance(c, TimeCluster)),
+                grid,
+            ))
     clusters.sort(key=lambda g: (g.size, g.key()))
     return clusters
 

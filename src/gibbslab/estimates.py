@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -90,51 +89,6 @@ def weighted_mean_estimate(
     mu = float(np.sum(w * samples) / wsum)
     se = float(math.sqrt(np.sum((w * (samples - mu)) ** 2)) / wsum)
     return Estimate(value=mu, stderr=se, n=samples.size, method=method)
-
-
-def product_estimate(factors: Sequence[Estimate], method: str = "product") -> Estimate:
-    """Product of independent estimates; exact variance of the product."""
-    value = 1.0
-    var = None
-    n = None
-    for f in factors:
-        value *= f.value
-        var = (f.value**2 + f.stderr**2) if var is None else var * (f.value**2 + f.stderr**2)
-        n = f.n if n is None else min(n, f.n)
-    if var is None:
-        return Estimate(1.0, 0.0, 0, method)
-    sq = 1.0
-    for f in factors:
-        sq *= f.value**2
-    return Estimate(value, math.sqrt(max(var - sq, 0.0)), n or 0, method)
-
-
-def power_product_estimate(
-    factors: Sequence[Estimate], powers: Sequence[int], method: str = "product"
-) -> Estimate:
-    """Delta-method error for prod_i v_i^{m_i} with independent factors."""
-    value = 1.0
-    for f, m in zip(factors, powers):
-        value *= f.value**m
-    var = 0.0
-    for i, (f, m) in enumerate(zip(factors, powers)):
-        grad = m * (f.value ** (m - 1)) if m >= 1 else 0.0
-        for j, (g, mj) in enumerate(zip(factors, powers)):
-            if j != i:
-                grad *= g.value**mj
-        var += (grad * f.stderr) ** 2
-    n = min((f.n for f in factors), default=0)
-    return Estimate(value, math.sqrt(var), n, method)
-
-
-def sum_estimates(
-    terms: Sequence[Estimate], offset: float = 0.0, method: str = "sum"
-) -> Estimate:
-    """Sum of estimates; errors combined in quadrature (correlations ignored)."""
-    value = offset + sum(t.value for t in terms)
-    var = sum(t.stderr**2 for t in terms)
-    n = min((t.n for t in terms), default=0)
-    return Estimate(value, math.sqrt(var), n, method)
 
 
 def ratio_estimate(num: Estimate, den: Estimate, method: str = "ratio") -> Estimate:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
@@ -30,6 +29,7 @@ import numpy as np
 from .clusters import (
     SpaceTimeCluster,
     TimeGrid,
+    _capped_families,
     conflict_graph,
     enumerate_clusters,
     is_connected,
@@ -44,14 +44,7 @@ from .dynamics import (
     reference_quadrature,
 )
 from .errors import BudgetError, CoverageError, ValidationError
-from .estimates import (
-    Estimate,
-    MCParams,
-    mean_estimate,
-    power_product_estimate,
-    product_estimate,
-    sum_estimates,
-)
+from .estimates import Estimate, MCParams, mean_estimate
 from .girsanov import (
     _bridge_coefficients,
     _bridge_lifts,
@@ -317,59 +310,99 @@ def _conflict_bits(clusters: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> 
     return [sum(1 << j for j in nbrs) for nbrs in conflict_graph(clusters, nbhd)]
 
 
+def _padded(rows: Sequence[tuple], width: int) -> np.ndarray:
+    """The rows as an index matrix of the given width, padded with -1."""
+    return np.array(
+        [row + (-1,) * (width - len(row)) for row in rows], dtype=np.intp
+    ).reshape(len(rows), width)
+
+
+def _weight_polynomials(
+    estimates: Sequence[Estimate], index: np.ndarray, coef: np.ndarray,
+    group: np.ndarray, n_groups: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums per group of coef times the product of the weights each row
+    names, and the error terms of those sums.
+
+    Row r multiplies the weights at index[r] (-1 pads) left to right, and
+    group[r] names its sum.  The error terms, shape (n_groups,
+    len(estimates)), are d(sum)/dK_G * se_G.  The weights are independent
+    but the sums share them, so a sum's stderr is the norm of its row of
+    terms (the joint delta method), and a sum of sums adds the rows first.
+    Each position of a row adds the product of the row's other factors to
+    the gradient, so a zero weight needs no division.
+    """
+    n = len(estimates)
+    factors = np.append([e.value for e in estimates], 1.0)[index]  # a pad reads 1.0
+    ones = np.ones((len(index), 1))
+    # prefix[:, p] multiplies the factors before position p, suffix[:, p]
+    # those from position p on
+    prefix = np.cumprod(np.hstack([ones, factors]), axis=1)
+    suffix = np.cumprod(np.hstack([factors, ones])[:, ::-1], axis=1)[:, ::-1]
+    sums = np.bincount(group, weights=coef * prefix[:, -1], minlength=n_groups)
+    grad = np.bincount(
+        (group[:, None] * (n + 1) + index % (n + 1)).ravel(),
+        weights=(coef[:, None] * prefix[:, :-1] * suffix[:, 1:]).ravel(),
+        minlength=n_groups * (n + 1),
+    )
+    se = np.array([e.stderr for e in estimates])
+    return sums, grad.reshape(n_groups, n + 1)[:, :n] * se
+
+
 def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
     """1 + sum over families of pairwise non-intersecting clusters.
 
     Families are restricted to total size <= k_max, matching the table's
-    truncation; errors are propagated as if weights were independent.
+    truncation; the stderr is the joint delta method over the weights.
     """
-    clusters = table.clusters
-    n = len(clusters)
-    bits = _conflict_bits(clusters, table.nbhd)
-    terms: List[Estimate] = []
-    counter = [0]
-
-    def search(start: int, idxs: tuple, conflicting: int, total: int):
-        # conflicting: the union of the bitsets of the family's clusters
-        for idx in range(start, n):
-            w = total + clusters[idx].size
-            if w > table.k_max or conflicting >> idx & 1:
-                continue
-            counter[0] += 1
-            if counter[0] > cap:
-                raise BudgetError(f"family enumeration exceeded cap of {cap}")
-            terms.append(
-                product_estimate(
-                    [table.estimates[i] for i in idxs + (idx,)], method="family"
-                )
-            )
-            search(idx + 1, idxs + (idx,), conflicting | bits[idx], w)
-
-    search(0, (), 0, 0)
-    return sum_estimates(terms, offset=1.0, method="expansion")
+    families = list(_capped_families(
+        [G.size for G in table.clusters], _conflict_bits(table.clusters, table.nbhd),
+        table.k_max, cap, f"family enumeration exceeded cap of {cap}",
+    ))
+    sums, errors = _weight_polynomials(
+        table.estimates, _padded(families, table.k_max), np.ones(len(families)),
+        np.zeros(len(families), dtype=np.intp), 1,
+    )
+    n = min((e.n for e in table.estimates), default=0)
+    return Estimate(
+        1.0 + float(sums[0]), float(np.linalg.norm(errors[0])), n, method="expansion"
+    )
 
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """Volume-indexed truncated interaction: log f = -sum_Delta Phi_Delta."""
+    """Volume-indexed truncated interaction: log f = -sum_Delta Phi_Delta.
+
+    ``total`` is sum_Delta Phi_Delta, its stderr taken jointly over the
+    weights that the entries share.
+    """
 
     entries: tuple  # ((site-tuple key, Estimate), ...) sorted by key
+    total: Estimate
     n_max: int
     grid: TimeGrid
     nbhd: Neighborhood
 
-    def traces(self) -> List[Volume]:
-        return [Volume(frozenset(key)) for key, _ in self.entries]
-
     def get(self, vol: Volume) -> Estimate:
-        key = volume_key(vol)
-        for k, est in self.entries:
-            if k == key:
-                return est
-        return Estimate(0.0, 0.0, 0, method="interaction-empty")
+        empty = Estimate(0.0, 0.0, 0, method="interaction-empty")
+        return dict(self.entries).get(volume_key(vol), empty)
 
-    def total(self) -> Estimate:
-        return sum_estimates([e for _, e in self.entries], method="interaction-sum")
+
+@dataclass(frozen=True, eq=False)
+class CollectionTable:
+    """Connected collections as arrays, grouped by trace.
+
+    ``keys`` are the sorted trace keys.  Row r of ``index`` is one multiset
+    of cluster indices, ascending and padded with -1 to width n_max;
+    ``coef[r]`` is its Ursell coefficient and ``trace[r]`` the position of
+    its trace key in ``keys``.  The rows come grouped by trace, each group
+    in visiting order.
+    """
+
+    keys: tuple
+    index: np.ndarray
+    coef: np.ndarray
+    trace: np.ndarray
 
 
 def connected_collections(
@@ -377,13 +410,12 @@ def connected_collections(
     nbhd: Neighborhood,
     n_max: int,
     cap: int = 200_000,
-) -> Dict[tuple, List[Tuple[tuple, float]]]:
+) -> CollectionTable:
     """Connected collections of up to n_max clusters, grouped by trace.
 
     Multisets of cluster indices are visited in combinations_with_replacement
     order; those whose conflict graph is disconnected or whose Ursell
-    coefficient C is zero are dropped.  Returns {trace key: [(combo, C), ...]}
-    with each list in visiting order.  Raises BudgetError when more than
+    coefficient C is zero are dropped.  Raises BudgetError when more than
     ``cap`` multisets are visited.
 
     ``conflict_graph`` is built once, as one bitset of conflicting indices
@@ -411,7 +443,14 @@ def connected_collections(
                 continue
             key = tuple(sorted(frozenset().union(*(sites[i] for i in combo))))
             groups.setdefault(key, []).append((combo, float(C)))
-    return groups
+    keys = tuple(sorted(groups))
+    rows = [row for key in keys for row in groups[key]]
+    return CollectionTable(
+        keys,
+        _padded([combo for combo, _ in rows], n_max),
+        np.array([C for _, C in rows], dtype=float),
+        np.repeat(np.arange(len(keys)), [len(groups[key]) for key in keys]),
+    )
 
 
 def interaction_terms(
@@ -421,23 +460,25 @@ def interaction_terms(
 
     Phi_Delta(x, y) = -sum over connected collections (multisets of up to
     n_max clusters, trace Delta) of the Ursell coefficient times the product
-    of the collection's weights.
+    of the collection's weights.  Every stderr, the total's too, is the
+    joint delta method over the weights.
     """
-    est = table.estimates
-    entries = []
-    groups = connected_collections(table.clusters, table.nbhd, n_max, cap)
-    for key, group in sorted(groups.items()):
-        value, var, n = 0.0, 0.0, 10**9
-        for combo, c in group:
-            distinct = Counter(combo)
-            pe = power_product_estimate(
-                [est[i] for i in distinct], list(distinct.values())
-            )
-            value += -c * pe.value
-            var += (c * pe.stderr) ** 2
-            n = min(n, pe.n)
-        entries.append((key, Estimate(value, math.sqrt(var), n, method="interaction")))
-    return InteractionTable(tuple(entries), n_max, table.grid, table.nbhd)
+    coll = connected_collections(table.clusters, table.nbhd, n_max, cap)
+    phi, errors = _weight_polynomials(
+        table.estimates, coll.index, -coll.coef, coll.trace, len(coll.keys)
+    )
+    n = min((e.n for e in table.estimates), default=0)
+    entries = tuple(
+        (key, Estimate(value, stderr, n, method="interaction"))
+        for key, value, stderr in zip(
+            coll.keys, phi.tolist(), np.linalg.norm(errors, axis=1).tolist()
+        )
+    )
+    total = Estimate(
+        sum(phi.tolist()), float(np.linalg.norm(errors.sum(axis=0))), n,
+        method="interaction-sum",
+    )
+    return InteractionTable(entries, total, n_max, table.grid, table.nbhd)
 
 
 # ---------------------------------------------------------------------------

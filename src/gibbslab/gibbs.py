@@ -498,14 +498,19 @@ class ExpansionDynamicInteraction:
         self.seed = seed
         self._clusters = enumerate_clusters(vol, nbhd, grid, k_max)
         self._pins = [pinned_sites(G) for G in self._clusters]
-        self._groups = connected_collections(self._clusters, nbhd, n_max)
+        coll = connected_collections(self._clusters, nbhd, n_max)
+        # {trace key: [(cluster indices, C), ...]}, the table's rows in order
+        self._groups: Dict[tuple, list] = {}
+        for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):
+            combo = tuple(i for i in row if i >= 0)
+            self._groups.setdefault(coll.keys[t], []).append((combo, C))
         self._samplers: OrderedDict = OrderedDict()
         self._sampler_bytes = 0
         self._weights: Dict[tuple, float] = {}
         self.evictions = {"samplers": 0, "weights": 0}
 
     def traces(self) -> List[Volume]:
-        return [Volume(frozenset(k)) for k in sorted(self._groups)]
+        return [Volume(frozenset(k)) for k in self._groups]
 
     def _sampler(self, i: int):
         sampler = self._samplers.get(i)

@@ -178,7 +178,7 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
     summ = summability_report(itab)
     summary = {
         "reconstruct": _estimate_record(rec),
-        "interactionTotal": _estimate_record(itab.total()),
+        "interactionTotal": _estimate_record(itab.total),
         "summability": {"sup": summ["sup"], "nTerms": summ["nTerms"]},
         "nClusters": len(table),
     }

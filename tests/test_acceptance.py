@@ -144,7 +144,7 @@ def test_criterion_4_expansion_identity():
                 abs(rec.value - direct.value) / math.hypot(rec.stderr, direct.stderr),
             )
             itab = interaction_terms(tab, n_max=3)
-            tot = itab.total()
+            tot = itab.total
             log_val = math.exp(-tot.value)
             log_se = log_val * tot.stderr  # delta method for exp(-x)
             worst_log = max(

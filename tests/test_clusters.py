@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,8 +124,75 @@ def test_enumeration_k_max_filters_size():
 def test_enumeration_budget_cap():
     vol = Volume.box((0,), (9,))
     grid = TimeGrid(1.0, 4)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="cluster enumeration exceeded cap of 50 collections"):
         enumerate_clusters(vol, NB1, grid, k_max=6, cap=50)
+
+
+def _brute_force_clusters(vol, nbhd, grid, k_max):
+    """Every cluster from all subsets of the constituent pool, and the number
+    of subsets with pairwise compatible constituents and total size <= k_max
+    (the collections the enumeration visits).  Every constituent has size
+    >= 1, so no subset of more than k_max constituents fits."""
+    inner = [s for s in vol.sorted_sites() if nbhd.around(s) <= vol.sites]
+    pool = [
+        SpaceCluster(j, frozenset(sub))
+        for j in range(grid.M)
+        for r in range(1, k_max + 1)
+        for sub in combinations(inner, r)
+        if is_chain_connected(sub, nbhd)
+    ] + [
+        TimeCluster(s, j, stop)
+        for s in vol.sorted_sites()
+        for j in range(grid.M - 1)
+        for stop in range(j, grid.M - 1)
+        if stop - j < k_max
+    ]
+
+    def compatible(a, b):
+        if isinstance(a, SpaceCluster) and isinstance(b, SpaceCluster):
+            return a.slice != b.slice or space_compatible(a, b, nbhd)
+        if isinstance(a, TimeCluster) and isinstance(b, TimeCluster):
+            return a.site != b.site or a.stop + 1 < b.start or b.stop + 1 < a.start
+        return True
+
+    clusters, visited = set(), 0
+    for r in range(1, k_max + 1):
+        for parts in combinations(pool, r):
+            if sum(c.size for c in parts) > k_max:
+                continue
+            if not all(compatible(a, b) for a, b in combinations(parts, 2)):
+                continue
+            visited += 1
+            root = list(range(r))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for a, b in combinations(range(r), 2):
+                if parts[a].vertices & parts[b].vertices:
+                    root[find(a)] = find(b)
+            if len({find(v) for v in range(r)}) == 1:
+                clusters.add(SpaceTimeCluster(
+                    tuple(c for c in parts if isinstance(c, SpaceCluster)),
+                    tuple(c for c in parts if isinstance(c, TimeCluster)),
+                    grid,
+                ))
+    return sorted(clusters, key=lambda G: (G.size, G.key())), visited
+
+
+@pytest.mark.parametrize("M, count", [(2, 26), (3, 71)])
+def test_enumeration_matches_all_subsets_of_the_pool(M, count):
+    # the expansion workload geometry: box 0..3, r = 1, kMax = 3
+    vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, M)
+    ref, visited = _brute_force_clusters(vol, NB1, grid, 3)
+    assert len(ref) == count
+    assert enumerate_clusters(vol, NB1, grid, 3) == ref
+    # the cap counts exactly the compatible collections visited
+    assert enumerate_clusters(vol, NB1, grid, 3, cap=visited) == ref
+    with pytest.raises(BudgetError, match=f"cap of {visited - 1} collections"):
+        enumerate_clusters(vol, NB1, grid, 3, cap=visited - 1)
 
 
 def _induced(Gs):
@@ -255,12 +323,27 @@ def _reference_collections(clusters, nbhd, n_max):
     return ref, coefficients
 
 
+def _groups(table, n_max):
+    """The collection table as {trace key: [(combo, C), ...]}, checking its
+    layout: sorted keys, -1 padding to width n_max, rows grouped by trace."""
+    assert list(table.keys) == sorted(table.keys)
+    assert table.index.shape == (len(table.coef), n_max) == (len(table.trace), n_max)
+    assert np.all(np.diff(table.trace) >= 0)
+    groups = {}
+    for row, C, t in zip(table.index.tolist(), table.coef.tolist(), table.trace.tolist()):
+        combo = tuple(i for i in row if i >= 0)
+        assert row == [*combo, *[-1] * (n_max - len(combo))]
+        groups.setdefault(table.keys[t], []).append((combo, C))
+    assert list(groups) == list(table.keys)
+    return groups
+
+
 def test_connected_collections_match_uncached_reference():
     # the expansion workload geometry: box 0..3, r = 1, M = 2, kMax = 3, nMax = 3
     nbhd = Neighborhood.range1d(1)
     clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
     ref, coefficients = _reference_collections(clusters, nbhd, 3)
-    assert connected_collections(clusters, nbhd, 3) == ref
+    assert _groups(connected_collections(clusters, nbhd, 3), 3) == ref
     for combo, (C, edges) in coefficients.items():
         assert is_connected(combo, edges)
         assert ursell_coefficient(combo, edges) == C
@@ -273,7 +356,7 @@ def test_connected_collections_match_the_reference_at_four_clusters():
     assert len(clusters) == 16
     ref, _ = _reference_collections(clusters, nbhd, 4)
     assert any(len(combo) == 4 for group in ref.values() for combo, _ in group)
-    assert connected_collections(clusters, nbhd, 4) == ref
+    assert _groups(connected_collections(clusters, nbhd, 4), 4) == ref
 
 
 def test_connected_collections_test_each_pair_of_clusters_once(monkeypatch):

@@ -8,10 +8,7 @@ from gibbslab.estimates import (
     Estimate,
     MCParams,
     mean_estimate,
-    power_product_estimate,
-    product_estimate,
     ratio_estimate,
-    sum_estimates,
     weighted_mean_estimate,
 )
 
@@ -66,31 +63,6 @@ def test_weighted_mean_ess_guard():
     logw[0] = 50.0  # one dominant weight: ESS ~ 1
     with pytest.raises(PrecisionError):
         weighted_mean_estimate(xs, logw, ess_threshold=10.0)
-
-
-def test_product_estimate_exact_variance():
-    # var(XY) = (v1^2+s1^2)(v2^2+s2^2) - v1^2 v2^2 for independent factors
-    a = Estimate(2.0, 0.3, 50)
-    b = Estimate(-1.5, 0.2, 80)
-    p = product_estimate([a, b])
-    assert p.value == pytest.approx(-3.0)
-    var = (4 + 0.09) * (2.25 + 0.04) - 4 * 2.25
-    assert p.stderr == pytest.approx(math.sqrt(var))
-    assert p.n == 50
-
-
-def test_power_product_delta_method():
-    a = Estimate(2.0, 0.1, 30)
-    p = power_product_estimate([a], [3])
-    assert p.value == pytest.approx(8.0)
-    assert p.stderr == pytest.approx(3 * 4.0 * 0.1)  # d/dv v^3 = 3 v^2
-
-
-def test_sum_estimates_with_offset():
-    s = sum_estimates([Estimate(0.5, 0.3, 5), Estimate(-0.2, 0.4, 9)], offset=1.0)
-    assert s.value == pytest.approx(1.3)
-    assert s.stderr == pytest.approx(0.5)
-    assert s.n == 5
 
 
 def test_ratio_estimate():

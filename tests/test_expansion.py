@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gibbslab.clusters import (
     SpaceTimeCluster,
     TimeCluster,
     TimeGrid,
+    conflicts,
     enumerate_clusters,
 )
 from gibbslab.dynamics import (
@@ -286,12 +288,13 @@ def test_interaction_log_identity_one_slice():
     series = -(K - K**2 / 2 + K**3 / 3 - K**4 / 4)
     assert phi == pytest.approx(series, rel=1e-12)
     # and exp(-Phi) reproduces the reconstructed density up to truncation
-    assert math.exp(-itab.total().value) == pytest.approx(1.0 + K, abs=5e-4)
+    assert math.exp(-itab.total.value) == pytest.approx(1.0 + K, abs=5e-4)
 
 
 def test_interaction_get_missing_volume_is_zero():
     itab = InteractionTable(
         entries=(( ((0,),), Estimate(0.2, 0.01, 10)),),
+        total=Estimate(0.2, 0.01, 10),
         n_max=1,
         grid=TimeGrid(1.0, 1),
         nbhd=NB0,
@@ -315,9 +318,10 @@ def test_kp_check_monotone_and_lambda_star():
 
 
 def test_dynamic_interaction_matches_interaction_terms():
-    # ExpansionDynamicInteraction and interaction_terms share one collection
-    # enumerator and the same per-cluster random streams, so for every trace
-    # the on-demand value equals the resummed table entry
+    # ExpansionDynamicInteraction and interaction_terms read one collection
+    # table, use the same per-cluster random streams and multiply each
+    # collection left to right, so for every trace the on-demand value
+    # equals the resummed table entry bit for bit
     vol = Volume.box((0,), (3,))
     grid = TimeGrid(1.0, 2)
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.3)
@@ -330,21 +334,120 @@ def test_dynamic_interaction_matches_interaction_terms():
     assert [volume_key(d) for d in dyn.traces()] == [key for key, _ in itab.entries]
     assert any(len(key) > 1 for key, _ in itab.entries)
     for delta in dyn.traces():
-        assert dyn.value(delta, x, y) == pytest.approx(itab.get(delta).value, rel=1e-12)
+        assert dyn.value(delta, x, y) == itab.get(delta).value
 
 
 def test_connected_collections_cap_and_order():
     vol = Volume.box((0,), (2,))
     clusters = enumerate_clusters(vol, NB1, TimeGrid(1.0, 2), 2)
-    groups = connected_collections(clusters, NB1, n_max=2)
-    for group in groups.values():
-        combos = [combo for combo, _ in group]
+    table = connected_collections(clusters, NB1, n_max=2)
+    for t in range(len(table.keys)):
+        rows = table.index[table.trace == t].tolist()
+        combos = [tuple(i for i in row if i >= 0) for row in rows]
         assert combos == sorted(combos, key=lambda c: (len(c), c))
-        assert all(C != 0.0 for _, C in group)
+    assert np.all(table.coef != 0.0)
     with pytest.raises(BudgetError):
         connected_collections(clusters, NB1, n_max=3, cap=100)
     with pytest.raises(ValidationError):
         connected_collections(clusters, NB1, n_max=0)
+
+
+# box 0..3, r = 1, M = 2, kMax = nMax = 3: the expansion workload geometry
+JOINT_VOL = Volume.box((0,), (3,))
+JOINT_X = Configuration({(0,): 0.3, (1,): -0.2, (2,): 0.6, (3,): 0.0})
+JOINT_Y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
+
+
+def _joint_table(beta, n_samples):
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=beta)
+    return weight_table(
+        JOINT_VOL, NB1, TimeGrid(1.0, 2), 3, JOINT_X, JOINT_Y, drift, QUAD,
+        MCParams(n_samples=n_samples, dt=0.05), seed=7,
+    )
+
+
+def _with_weight(tab, G, value):
+    estimates = list(tab.estimates)
+    estimates[G] = dataclasses.replace(estimates[G], value=value)
+    return dataclasses.replace(tab, estimates=tuple(estimates))
+
+
+def _expansion_outputs(tab, n_max):
+    """Every interaction entry, the interaction total and the reconstructed
+    density, as (values, stderrs)."""
+    itab = interaction_terms(tab, n_max)
+    ests = [e for _, e in itab.entries] + [itab.total, reconstruct_density(tab)]
+    return np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
+
+
+def _central_difference_stderrs(tab, n_max, h=1e-5):
+    """sqrt(sum_G (dF/dK_G)^2 se_G^2) for every output F of
+    _expansion_outputs, each derivative a central difference in K_G."""
+    var = 0.0
+    for G, est in enumerate(tab.estimates):
+        up = _expansion_outputs(_with_weight(tab, G, est.value + h), n_max)[0]
+        down = _expansion_outputs(_with_weight(tab, G, est.value - h), n_max)[0]
+        var = var + ((up - down) / (2 * h) * est.stderr) ** 2
+    return np.sqrt(var)
+
+
+def _families(tab):
+    """Families of pairwise non-conflicting clusters with total size <= k_max,
+    as ascending index tuples in lexicographic (depth-first) order."""
+    clusters = tab.clusters
+    return sorted(
+        fam
+        for r in range(1, tab.k_max + 1)
+        for fam in itertools.combinations(range(len(clusters)), r)
+        if sum(clusters[i].size for i in fam) <= tab.k_max
+        and not any(conflicts(clusters[a], clusters[b], tab.nbhd)
+                    for a, b in itertools.combinations(fam, 2))
+    )
+
+
+def _loop_references(tab, n_max):
+    """Phi per trace, their sum and the reconstructed density, each from a
+    pure-Python loop in the library's summation order."""
+    coll = connected_collections(tab.clusters, tab.nbhd, n_max)
+    phi = [0.0] * len(coll.keys)
+    for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):
+        phi[t] += -C * math.prod(tab.estimates[i].value for i in row if i >= 0)
+    density = 1.0 + sum(
+        math.prod(tab.estimates[i].value for i in fam) for fam in _families(tab)
+    )
+    return phi + [sum(phi), density]
+
+
+@pytest.mark.parametrize("beta", [0.2, 1.0])
+def test_expansion_stderrs_are_the_joint_delta_method(beta):
+    # collections and families share cluster weights ({G} and {G, G} both
+    # read K_G), so each error is the delta method over all weights at once
+    tab = _joint_table(beta, 300)
+    _, stderrs = _expansion_outputs(tab, 3)
+    assert stderrs == pytest.approx(_central_difference_stderrs(tab, 3), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_a_zero_weight_keeps_values_and_stderrs_exact(n_max):
+    tab = _with_weight(_joint_table(0.2, 64), 0, 0.0)
+    coll = connected_collections(tab.clusters, tab.nbhd, n_max)
+    multiplicity = (coll.index == 0).sum(axis=1)
+    assert 1 in multiplicity
+    assert multiplicity.max() == n_max  # {G, G, G} at n_max = 3
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        values, stderrs = _expansion_outputs(tab, n_max)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(stderrs))
+    assert values.tolist() == _loop_references(tab, n_max)
+    assert stderrs == pytest.approx(_central_difference_stderrs(tab, n_max), rel=1e-6)
+
+
+def test_reconstruct_density_cap_counts_the_families():
+    tab = _joint_table(0.2, 64)
+    n = len(_families(tab))
+    reconstruct_density(tab, cap=n)
+    with pytest.raises(BudgetError, match=f"family enumeration exceeded cap of {n - 1}$"):
+        reconstruct_density(tab, cap=n - 1)
 
 
 def test_grid_for_beta_scaling():
@@ -371,6 +474,7 @@ def test_summability_report_hand_example():
             (((0,), (1,)), e(-0.2)),
             (((1,), (2,)), e(0.1)),
         ),
+        total=e(0.4),
         n_max=1,
         grid=TimeGrid(1.0, 1),
         nbhd=NB1,

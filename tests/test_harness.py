@@ -247,6 +247,33 @@ def test_replay_roundtrip_and_tamper_detection(tmp_path):
     assert res["firstDivergence"].startswith("paths.csv:2")
 
 
+def test_replay_roundtrip_of_an_expand_run(tmp_path):
+    # the weights, the interaction table and the summary are written from
+    # the array evaluator; a replay must reproduce them byte for byte
+    cfg = {
+        "seed": 3,
+        "lattice": {"box": [[0], [3]], "neighborhoodRadius": 1},
+        "potential": {"family": "quadratic"},
+        "drift": {
+            "family": "markov_local", "beta": 0.5, "memory": 0.1,
+            "params": {"scale": 1.0, "radius": 1},
+        },
+        "time": {"T": 1.0, "M": 2},
+        "mc": {"nSamples": 32, "dt": 0.1},
+        "truncation": {"kMax": 2, "nMax": 3},
+        "x": {"constant": 0.3},
+        "y": {"constant": -0.4},
+    }
+    out = str(tmp_path / "expand")
+    run("expand", cfg, out)
+    manifest = open(os.path.join(out, "manifest.txt")).read()
+    for name in ("weights.jsonl", "interaction.jsonl", "expand_summary.json"):
+        assert f"artifact: {name} sha256" in manifest
+    traces = [json.loads(line)["trace"] for line in open(os.path.join(out, "interaction.jsonl"))]
+    assert any(len(t) > 1 for t in traces)
+    assert replay(out) == {"ok": True, "firstDivergence": None}
+
+
 def _read_back(path):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
