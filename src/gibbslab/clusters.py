@@ -349,20 +349,20 @@ def enumerate_clusters(
 
 def conflict_graph(
     clusters: Sequence[SpaceTimeCluster], nbhd: Neighborhood
-) -> List[List[int]]:
-    """Neighbour lists of the conflict graph, each in index order.
+) -> List[int]:
+    """The conflict graph as one bitset per cluster: bit j of entry i is set
+    when clusters i and j conflict.
 
     ``conflicts`` is called once per unordered pair, a cluster with itself
-    included, so every cluster lists itself.
+    included, so every cluster conflicts with itself.
     """
-    graph: List[List[int]] = [[] for _ in clusters]
+    bits = [0] * len(clusters)
     for i, G in enumerate(clusters):
         for j in range(i, len(clusters)):
             if conflicts(G, clusters[j], nbhd):
-                graph[i].append(j)
-                if j != i:
-                    graph[j].append(i)
-    return graph
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+    return bits
 
 
 @lru_cache(maxsize=4096)

@@ -1,15 +1,16 @@
 """Experiment configuration: one JSON file resolves into domain objects.
 
 Schema (all keys camelCase; unknown keys are rejected at the top level and
-inside lattice, potential, drift (not drift.params), time, mc, truncation
-and interaction):
+inside lattice, potential, drift, time, mc, truncation and interaction;
+resolve_drift rejects drift.params that the family does not read):
 
   seed            int, master seed for every derived random stream
   lattice         {"box": [[lo...], [hi...]], "neighborhoodRadius": int}
+                  the radius is kp's range; with a drift it must be the drift's
   potential       {"family": "quadratic" | "circle_free" | "quartic"}
   drift           {"family": <builtin name>, "beta": float, "memory": float,
                    "params": {...}}   params are family-specific
-  time            {"t": float} or {"T": float, "M": int}; the step is mc.dt
+  time            {"t": float} or {"T": float, "M": int}, not both; step mc.dt
   mc              {"nSamples", "dt", "bandwidthScale", "essThreshold",
                    "burnIn", "thin"}  all optional
   truncation      {"kMax": int, "nMax": int}   nMax defaults to 2
@@ -28,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from typing import Tuple
 
 import numpy as np
 
@@ -48,6 +50,14 @@ from .lattice import Configuration, Neighborhood, Volume
 TOP_KEYS = {
     "seed", "lattice", "potential", "drift", "time", "mc", "truncation",
     "interaction", "betaGrid", "x", "y", "probes", "out",
+}
+
+# the drift families a config can build, and the params each reads
+DRIFT_PARAMS = {
+    "constant": {"c"},
+    "markov_local": {"scale", "radius"},
+    "resonance": {"amplitude"},
+    "delayed_feedback": {"alpha"},
 }
 
 SECTION_KEYS = {
@@ -97,6 +107,7 @@ def resolve_volume(cfg: dict) -> Volume:
 
 
 def resolve_neighborhood(cfg: dict) -> Neighborhood:
+    """The neighbourhood of kp, which has no drift to take it from."""
     lat = require(cfg, "lattice")
     return Neighborhood.range1d(int(lat.get("neighborhoodRadius", 1)))
 
@@ -115,12 +126,20 @@ def resolve_potential(cfg: dict) -> PotentialSpec:
 
 
 def resolve_drift(cfg: dict) -> DriftSpec:
+    """The drift of the 'drift' section; a lattice.neighborhoodRadius other
+    than the drift's range is rejected, never mixed with it."""
     spec = require(cfg, "drift")
     fam = spec.get("family", "constant")
+    if fam not in DRIFT_PARAMS:
+        raise ValidationError(
+            f"drift family '{fam}' cannot be configured from JSON; "
+            f"choose from {sorted(DRIFT_PARAMS)}"
+        )
     catalog = builtin_drifts()
-    if fam not in catalog:
-        raise ValidationError(f"unknown drift family '{fam}'")
     params = dict(spec.get("params", {}))
+    unknown = set(params) - DRIFT_PARAMS[fam]
+    if unknown:
+        raise ValidationError(f"unknown params of drift family '{fam}': {sorted(unknown)}")
     if fam == "constant":
         drift = catalog[fam](params.get("c", 1.0), memory=spec.get("memory", 0.1))
     elif fam == "markov_local":
@@ -130,11 +149,14 @@ def resolve_drift(cfg: dict) -> DriftSpec:
         )
     elif fam == "resonance":
         drift = catalog[fam](params.get("amplitude", 1.0), memory=spec.get("memory", 0.1))
-    elif fam == "delayed_feedback":
-        drift = catalog[fam](params.get("alpha", 1.0), spec.get("memory", 0.5))
     else:
+        drift = catalog[fam](params.get("alpha", 1.0), spec.get("memory", 0.5))
+    radius = cfg.get("lattice", {}).get("neighborhoodRadius")
+    drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
+    if radius is not None and int(radius) != drift_range:
         raise ValidationError(
-            f"drift family '{fam}' needs callables and cannot be configured from JSON"
+            f"lattice.neighborhoodRadius {radius} differs from the range "
+            f"{drift_range} of the '{fam}' drift"
         )
     return dataclasses.replace(drift, beta=float(spec.get("beta", 1.0)))
 
@@ -151,19 +173,19 @@ def resolve_mc(cfg: dict) -> MCParams:
     )
 
 
-def resolve_grid(cfg: dict) -> TimeGrid:
+def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
+    """(t, grid) of the 'time' section: {"t": t} is one slice of length t,
+    {"T": T, "M": M} is M slices of length T and t = T * M."""
     tm = require(cfg, "time")
-    if "T" in tm and "M" in tm:
-        return TimeGrid(float(tm["T"]), int(tm["M"]))
-    t = float(require(tm, "t"))
-    return TimeGrid(t, 1)
-
-
-def resolve_time(cfg: dict) -> float:
-    tm = require(cfg, "time")
-    if "t" in tm:
-        return float(tm["t"])
-    return float(tm["T"]) * int(tm["M"])
+    if set(tm) == {"t"}:
+        t = float(tm["t"])
+        return t, TimeGrid(t, 1)
+    if set(tm) == {"T", "M"}:
+        grid = TimeGrid(float(tm["T"]), int(tm["M"]))
+        return grid.horizon, grid
+    raise ValidationError(
+        f"config 'time' takes either 't' or both 'T' and 'M', not {sorted(tm)}"
+    )
 
 
 def resolve_truncation(cfg: dict) -> tuple:

@@ -234,27 +234,24 @@ def free_kernel(pot: PotentialSpec, t: float, x, y):
     return val
 
 
-def kernel_sup_distance(
-    pot: PotentialSpec, T: float, n_grid: int = 201, probe_halfwidth: float = 1.0
-) -> float:
-    """max |p_T(x, y) - 1| over a compact probe grid (truncated sup norm).
+def kernel_sup_distance(pot: PotentialSpec, T: float) -> float:
+    """max |p_T(x, y) - 1| over a 201-point probe grid (truncated sup norm).
 
-    On the line the probe box is [-probe_halfwidth, probe_halfwidth]; the
-    default keeps the decay in its asymptotic single-rate regime for
-    moderate T, which is what the ergodicity fits consume.
+    On the line the probe box is [-1, 1], which keeps the decay in its
+    asymptotic single-rate regime for moderate T, as the ergodicity fits need.
     """
     if T <= 0:
         raise ValidationError("kernel_sup_distance needs T > 0")
     if pot.state_space == CIRCLE:
-        xs = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+        xs = np.linspace(0.0, TWO_PI, 201, endpoint=False)
     else:
-        L = min(pot.halfwidth, probe_halfwidth)
-        xs = np.linspace(-L, L, n_grid)
+        L = min(pot.halfwidth, 1.0)
+        xs = np.linspace(-L, L, 201)
     vals = free_kernel(pot, T, xs[:, None], xs[None, :])
     return float(np.max(np.abs(vals - 1.0)))
 
 
-def ultracontractivity_report(pot: PotentialSpec, n_grid: int = 801) -> dict:
+def ultracontractivity_report(pot: PotentialSpec) -> dict:
     """Numerical check of the three sufficient ultracontractivity conditions.
 
     Returns flags and diagnostics; failures are reported as warnings since
@@ -262,6 +259,7 @@ def ultracontractivity_report(pot: PotentialSpec, n_grid: int = 801) -> dict:
     """
     if pot.state_space == CIRCLE:
         return {"state_space": CIRCLE, "ultracontractive": True, "warnings": []}
+    n_grid = 801  # points of the check grid over the truncation
     L = pot.halfwidth
     xs = np.linspace(-L, L, n_grid)
     h = xs[1] - xs[0]

@@ -257,11 +257,11 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Weights of all enumerated clusters up to k_max, in canonical order."""
+    """Weights of all enumerated clusters up to k_max, in canonical order;
+    ``nbhd`` is the drift's neighbourhood, which decides their conflicts."""
 
     clusters: tuple
     estimates: tuple
-    grid: TimeGrid
     nbhd: Neighborhood
     k_max: int
 
@@ -274,7 +274,6 @@ class WeightTable:
 
 def weight_table(
     vol: Volume,
-    nbhd: Neighborhood,
     grid: TimeGrid,
     k_max: int,
     x: Configuration,
@@ -284,31 +283,26 @@ def weight_table(
     mc: MCParams,
     seed: int,
 ) -> WeightTable:
-    """Estimate every cluster weight up to k_max.
+    """Estimate every cluster weight up to k_max, the clusters enumerated
+    with the drift's neighbourhood.
 
     The random stream of cluster index i is derived from (seed, "weight", i)
     only, so re-running with a different beta reuses the same randomness
     per cluster (common random numbers).
     """
-    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+    clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
     estimates = tuple(
         cluster_weight(
             cluster_sampler(G, drift, pot, mc, substream(seed, "weight", i)), x, y
         )
         for i, G in enumerate(clusters)
     )
-    return WeightTable(tuple(clusters), estimates, grid, nbhd, k_max)
+    return WeightTable(tuple(clusters), estimates, drift.nbhd, k_max)
 
 
 # ---------------------------------------------------------------------------
 # reconstruction and the volume-indexed interaction
 # ---------------------------------------------------------------------------
-
-def _conflict_bits(clusters: Sequence[SpaceTimeCluster], nbhd: Neighborhood) -> List[int]:
-    """The conflict graph as one bitset per cluster: bit j of entry i is set
-    when clusters i and j conflict (every cluster conflicts with itself)."""
-    return [sum(1 << j for j in nbrs) for nbrs in conflict_graph(clusters, nbhd)]
-
 
 def _padded(rows: Sequence[tuple], width: int) -> np.ndarray:
     """The rows as an index matrix of the given width, padded with -1."""
@@ -356,7 +350,7 @@ def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
     truncation; the stderr is the joint delta method over the weights.
     """
     families = list(_capped_families(
-        [G.size for G in table.clusters], _conflict_bits(table.clusters, table.nbhd),
+        [G.size for G in table.clusters], conflict_graph(table.clusters, table.nbhd),
         table.k_max, cap, f"family enumeration exceeded cap of {cap}",
     ))
     sums, errors = _weight_polynomials(
@@ -379,9 +373,6 @@ class InteractionTable:
 
     entries: tuple  # ((site-tuple key, Estimate), ...) sorted by key
     total: Estimate
-    n_max: int
-    grid: TimeGrid
-    nbhd: Neighborhood
 
     def get(self, vol: Volume) -> Estimate:
         empty = Estimate(0.0, 0.0, 0, method="interaction-empty")
@@ -425,7 +416,7 @@ def connected_collections(
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    bits = _conflict_bits(clusters, nbhd)
+    bits = conflict_graph(clusters, nbhd)
     sites = [G.sites for G in clusters]
     groups: Dict[tuple, List[Tuple[tuple, float]]] = {}
     counter = 0
@@ -478,7 +469,7 @@ def interaction_terms(
         sum(phi.tolist()), float(np.linalg.norm(errors.sum(axis=0))), n,
         method="interaction-sum",
     )
-    return InteractionTable(entries, total, n_max, table.grid, table.nbhd)
+    return InteractionTable(entries, total)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +479,15 @@ def interaction_terms(
 _KP_SLACK = 1e-12
 
 
-def _kp_worst_ratio(lam: float, sizes: Sequence[int], graph) -> float:
-    """max over G of sum_{H conflicting with G} |H| (lam e)^{|H|} / |G|."""
+def _kp_worst_ratio(lam: float, sizes: Sequence[int], graph: Sequence[int]) -> float:
+    """max over G of sum_{H conflicting with G} |H| (lam e)^{|H|} / |G|,
+    each sum in index order over the set bits of G's conflict bitset."""
     worst = 0.0
-    for size, nbrs in zip(sizes, graph):
+    for size, bits in zip(sizes, graph):
         total = 0.0
-        for h in nbrs:
-            total += sizes[h] * (lam * math.e) ** sizes[h]
+        for h in range(len(sizes)):
+            if bits >> h & 1:
+                total += sizes[h] * (lam * math.e) ** sizes[h]
         worst = max(worst, total / size)
     return worst
 
@@ -527,9 +520,8 @@ def kp_lambda_star(
     grid: TimeGrid,
     k_max: int,
     tol: float = 1e-4,
-    hi: float = 1.0,
 ) -> float:
-    """Largest lambda passing kp_check, located by bisection on [0, hi]."""
+    """Largest lambda passing kp_check, located by bisection on [0, 1]."""
     clusters = enumerate_clusters(vol, nbhd, grid, k_max)
     sizes = [G.size for G in clusters]
     graph = conflict_graph(clusters, nbhd)
@@ -539,7 +531,7 @@ def kp_lambda_star(
 
     if not satisfied(0.0):
         return 0.0
-    lo = 0.0
+    lo, hi = 0.0, 1.0
     if satisfied(hi):
         return hi
     while hi - lo > tol:
@@ -565,9 +557,9 @@ def grid_for_beta(t: float, t0: float, beta: float) -> TimeGrid:
     return TimeGrid(T, M)
 
 
-def c2_hat(pot: PotentialSpec, T: float, n_grid: int = 201) -> float:
+def c2_hat(pot: PotentialSpec, T: float) -> float:
     """Quadrature L^4(m x m) norm of p_T - 1, the time-factor bound."""
-    xs, w = reference_quadrature(pot, n_grid)
+    xs, w = reference_quadrature(pot, 201)
     vals = free_kernel(pot, T, xs[:, None], xs[None, :])
     fourth = np.einsum("i,j,ij->", w, w, np.abs(vals - 1.0) ** 4)
     return float(fourth**0.25)
@@ -576,7 +568,6 @@ def c2_hat(pot: PotentialSpec, T: float, n_grid: int = 201) -> float:
 def weight_bound_fit(
     beta_grid: Sequence[float],
     vol: Volume,
-    nbhd: Neighborhood,
     drift: DriftSpec,
     pot: PotentialSpec,
     x: Configuration,
@@ -597,7 +588,7 @@ def weight_bound_fit(
     for beta in beta_grid:
         grid = grid_for_beta(t, drift.memory, beta)
         d = dataclasses.replace(drift, beta=float(beta))
-        table = weight_table(vol, nbhd, grid, k_max, x, y, d, pot, mc, seed)
+        table = weight_table(vol, grid, k_max, x, y, d, pot, mc, seed)
         lam_hat = 0.0
         c1 = 0.0
         max_z = 0.0
@@ -623,17 +614,13 @@ def weight_bound_fit(
     return rows
 
 
-def summability_report(itab, extra_tables: Sequence = ()) -> dict:
+def summability_report(itab: InteractionTable) -> dict:
     """Per-site interaction sums with the Dobrushin-style (|Delta|-1) weight.
 
-    Norms are taken as a maximum over the given tables, which typically
-    come from a probe set of (x, y) pairs (a lower bound on the true sup).
+    The norm of each term is |Phi_Delta| at the table's one (x, y) pair, a
+    lower bound on its sup over configurations.
     """
-    tables = [itab, *extra_tables]
-    norms: Dict[tuple, float] = {}
-    for tab in tables:
-        for key, est in tab.entries:
-            norms[key] = max(norms.get(key, 0.0), abs(est.value))
+    norms = {key: abs(est.value) for key, est in itab.entries}
     sites = sorted({s for key in norms for s in key})
     per_site = {}
     per_site_plain = {}

@@ -39,7 +39,7 @@ from .expansion import (
     pinned_sites,
     volume_key,
 )
-from .lattice import Configuration, Neighborhood, Volume, concat
+from .lattice import Configuration, Volume, concat
 from .rng import substream
 
 
@@ -99,14 +99,12 @@ class Interaction:
                 out[s] = (plain + t.sup_norm, dob + (len(t.volume) - 1) * t.sup_norm)
         return out
 
-    def spot_check_norms(self, pot: PotentialSpec, seed: int, n_probe: int = 256) -> None:
-        """Verify declared sup-norms against random probe configurations."""
+    def spot_check_norms(self, pot: PotentialSpec, seed: int) -> None:
+        """Verify declared sup-norms against 256 random probe configurations."""
         rng = substream(seed, "norm-check")
         for t in self.terms:
             sites = t.volume.sorted_sites()
-            draws = _sample_reference_rng(pot, n_probe * len(sites), rng).reshape(
-                n_probe, len(sites)
-            )
+            draws = _sample_reference_rng(pot, 256 * len(sites), rng).reshape(-1, len(sites))
             for row in draws:
                 val = t.value(dict(zip(sites, row)))
                 if abs(val) > t.sup_norm + 1e-9:
@@ -461,12 +459,13 @@ class ExpansionDynamicInteraction:
     """Phi from the truncated cluster expansion, evaluated on demand.
 
     The cluster enumeration and the connected-collection combinatorics are
-    precomputed once.  Each cluster's weight randomness is drawn once, into
-    a ``cluster_sampler`` built on first use from the substream keyed by
-    the cluster's index, and every weight is that sampler evaluated at the
-    pinned values of x and y (common random numbers), so Phi is a fixed
-    deterministic function of the configurations.  Weights are cached by
-    cluster and pinned values rounded to 12 digits.
+    precomputed once, on the drift's neighbourhood.  Each cluster's weight
+    randomness is drawn once, into a ``cluster_sampler`` built on first use
+    from the substream keyed by the cluster's index, and every weight is
+    that sampler evaluated at the pinned values of x and y (common random
+    numbers), so Phi is a fixed deterministic function of the
+    configurations.  Weights are cached by cluster and pinned values
+    rounded to 12 digits.
 
     Samplers are kept under SAMPLER_BUDGET_BYTES, the least recently used
     evicted first, and the weight cache is cleared past
@@ -480,7 +479,6 @@ class ExpansionDynamicInteraction:
         drift: DriftSpec,
         pot: PotentialSpec,
         vol: Volume,
-        nbhd: Neighborhood,
         grid: TimeGrid,
         k_max: int,
         n_max: int,
@@ -489,16 +487,12 @@ class ExpansionDynamicInteraction:
     ):
         self.drift = drift
         self.pot = pot
-        self.vol = vol
-        self.nbhd = nbhd
-        self.grid = grid
-        self.k_max = k_max
         self.n_max = n_max
         self.mc = mc
         self.seed = seed
-        self._clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+        self._clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
         self._pins = [pinned_sites(G) for G in self._clusters]
-        coll = connected_collections(self._clusters, nbhd, n_max)
+        coll = connected_collections(self._clusters, drift.nbhd, n_max)
         # {trace key: [(cluster indices, C), ...]}, the table's rows in order
         self._groups: Dict[tuple, list] = {}
         for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):

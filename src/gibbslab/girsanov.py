@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -294,6 +294,23 @@ def multi_bridge_bundle(
     return PathBundle(sites, times, values.transpose(2, 0, 1), pot)
 
 
+def _endpoint_offsets(bundle: PathBundle, y: Configuration, mc: MCParams) -> list:
+    """(offsets of the path ends from y, kernel bandwidth h) per site, in the
+    bundle's order, with h = bandwidth_scale * spread * R^(-1/5).  On the
+    circle the offsets are wrapped into [-pi, pi) and the spread is theirs,
+    so an end just across the seam from y counts as near it; on the line
+    the spread is that of the ends."""
+    out = []
+    for s in bundle.sites:
+        end = bundle.state_values(s)[:, -1]
+        diff, spread = end - y[s], end
+        if bundle.state_space == CIRCLE:
+            diff = spread = np.mod(diff + np.pi, TWO_PI) - np.pi
+        h = mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * bundle.n_replicas ** (-0.2)
+        out.append((diff, h))
+    return out
+
+
 def free_bridge_paths(
     pot: PotentialSpec,
     vol: Volume,
@@ -306,8 +323,8 @@ def free_bridge_paths(
     """Replica bundle of free bridges from x to y over [0, t].
 
     Returns (bundle, log_weights); weights are None when the bridges are
-    exact, otherwise they reweight forward paths by a Gaussian kernel at
-    the pinned endpoint (bandwidth ~ bandwidth_scale * sd * R^{-1/5}).
+    exact, otherwise they reweight forward paths by a Gaussian kernel in
+    the offsets of their ends from y (``_endpoint_offsets``).
     """
     if not (vol.issubset(x.domain) and vol.issubset(y.domain)):
         raise CoverageError("endpoint configurations must cover the volume")
@@ -322,11 +339,7 @@ def free_bridge_paths(
         return bundle, None
     bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R, rng=rng)
     logw = np.zeros(R)
-    for s in sites:
-        end = bundle.state_values(s)[:, -1]
-        sd = float(np.std(end)) or 1.0
-        h = mc.bandwidth_scale * sd * R ** (-0.2)
-        diff = end - y[s]
+    for diff, h in _endpoint_offsets(bundle, y, mc):
         logw += -(diff**2) / (2.0 * h * h)
     return bundle, logw
 
@@ -376,15 +389,10 @@ def density(
     return dataclasses.replace(est, method="bridge")
 
 
-def _kde_products(
-    bundle: PathBundle, y: Configuration, bandwidths: Dict, circle: bool
-) -> np.ndarray:
-    prod = np.ones(bundle.n_replicas)
-    for s, h in bandwidths.items():
-        end = bundle.state_values(s)[:, -1]
-        diff = end - y[s]
-        if circle:
-            diff = np.mod(diff + np.pi, TWO_PI) - np.pi
+def _kde_products(terms, n_replicas: int) -> np.ndarray:
+    """Product over sites of the Gaussian kernel densities of (offsets, h) pairs."""
+    prod = np.ones(n_replicas)
+    for diff, h in terms:
         prod *= np.exp(-(diff**2) / (2.0 * h * h)) / (h * math.sqrt(2.0 * math.pi))
     return prod
 
@@ -410,14 +418,10 @@ def density_endpoint_ratio(
                         rng=substream(seed, "endpoint", "interacting"))
     p_bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
                         rng=substream(seed, "endpoint", "free"))
-    circle = pot.state_space == CIRCLE
-    bandwidths = {}
-    for s in vol.sorted_sites():
-        end = p_bundle.state_values(s)[:, -1]
-        sd = float(np.std(end)) or 1.0
-        bandwidths[s] = mc.bandwidth_scale * sd * R ** (-0.2)
-    q_hat = mean_estimate(_kde_products(q_bundle, y, bandwidths, circle))
-    p_hat = mean_estimate(_kde_products(p_bundle, y, bandwidths, circle))
+    p_terms = _endpoint_offsets(p_bundle, y, mc)
+    q_terms = [(d, h) for (d, _), (_, h) in zip(_endpoint_offsets(q_bundle, y, mc), p_terms)]
+    q_hat = mean_estimate(_kde_products(q_terms, R))
+    p_hat = mean_estimate(_kde_products(p_terms, R))
     if p_hat.value <= 0 or p_hat.value < 3.0 * p_hat.stderr:
         raise PrecisionError("free endpoint density at y is not resolved")
     return ratio_estimate(q_hat, p_hat, method="endpoint-ratio")

@@ -104,7 +104,7 @@ def _run_simulate(cfg, out_dir, seed, chash) -> dict:
     pot = cfgmod.resolve_potential(cfg)
     drift = cfgmod.resolve_drift(cfg)
     mc = cfgmod.resolve_mc(cfg)
-    t = cfgmod.resolve_time(cfg)
+    t, _ = cfgmod.resolve_time(cfg)
     x0 = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
     n_rep = min(mc.n_samples, 256)
     bundle = simulate(drift, pot, vol, x0, t, mc.dt, seed, n_replicas=n_rep)
@@ -133,7 +133,7 @@ def _run_density(cfg, out_dir, seed, chash) -> dict:
     pot = cfgmod.resolve_potential(cfg)
     drift = cfgmod.resolve_drift(cfg)
     mc = cfgmod.resolve_mc(cfg)
-    t = cfgmod.resolve_time(cfg)
+    t, _ = cfgmod.resolve_time(cfg)
     rows = []
     for i, (x, y) in enumerate(_probe_pair_configs(cfg, vol, pot.state_space)):
         est = density(drift, pot, vol, x, y, t, mc, seed)
@@ -149,16 +149,15 @@ def _run_density(cfg, out_dir, seed, chash) -> dict:
 
 def _run_expand(cfg, out_dir, seed, chash) -> dict:
     vol = cfgmod.resolve_volume(cfg)
-    nbhd = cfgmod.resolve_neighborhood(cfg)
     pot = cfgmod.resolve_potential(cfg)
     drift = cfgmod.resolve_drift(cfg)
     mc = cfgmod.resolve_mc(cfg)
-    grid = cfgmod.resolve_grid(cfg)
+    t, grid = cfgmod.resolve_time(cfg)
     k_max, n_max = cfgmod.resolve_truncation(cfg)
     x = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
     y = cfgmod.resolve_configuration(cfg, "y", vol, pot.state_space)
 
-    table = weight_table(vol, nbhd, grid, k_max, x, y, drift, pot, mc, seed)
+    table = weight_table(vol, grid, k_max, x, y, drift, pot, mc, seed)
     _write_jsonl(
         os.path.join(out_dir, "weights.jsonl"),
         [
@@ -184,15 +183,11 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
     }
     artifacts = ["weights.jsonl", "interaction.jsonl", "expand_summary.json"]
     if cfg.get("betaGrid"):
-        rows = weight_bound_fit(
-            cfg["betaGrid"], vol, nbhd, drift, pot, x, y,
-            cfgmod.resolve_time(cfg), k_max, mc, seed,
-        )
+        rows = weight_bound_fit(cfg["betaGrid"], vol, drift, pot, x, y, t, k_max, mc, seed)
+        cols = ["beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters"]
         _write_csv(
-            os.path.join(out_dir, "lambda_fit.csv"),
-            ["beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters"],
-            [[r[k] for k in ("beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters")] for r in rows],
-            seed, chash,
+            os.path.join(out_dir, "lambda_fit.csv"), cols,
+            [[r[k] for k in cols] for r in rows], seed, chash,
         )
         artifacts.append("lambda_fit.csv")
     _write_text(
@@ -205,7 +200,7 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
 def _run_kp(cfg, out_dir, seed, chash) -> dict:
     vol = cfgmod.resolve_volume(cfg)
     nbhd = cfgmod.resolve_neighborhood(cfg)
-    grid = cfgmod.resolve_grid(cfg)
+    _, grid = cfgmod.resolve_time(cfg)
     k_max, _ = cfgmod.resolve_truncation(cfg)
     lambdas = cfg.get("probes", {}).get("lambdas", [0.0, 1.0])
     rows = []
@@ -263,19 +258,17 @@ def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
     vol = cfgmod.resolve_volume(cfg)
     pot = cfgmod.resolve_potential(cfg)
     phi = cfgmod.resolve_interaction(cfg, vol)
-    t = cfgmod.resolve_time(cfg)
+    t, grid = cfgmod.resolve_time(cfg)
     probes = cfg.get("probes", {})
     kind = probes.get("dynamic", "zero")
     if kind == "zero":
         dyn = ZeroDynamicInteraction()
     elif kind == "expansion":
         drift = cfgmod.resolve_drift(cfg)
-        nbhd = cfgmod.resolve_neighborhood(cfg)
-        grid = cfgmod.resolve_grid(cfg)
         k_max, n_max = cfgmod.resolve_truncation(cfg)
         mc = cfgmod.resolve_mc(cfg)
         dyn = ExpansionDynamicInteraction(
-            drift, pot, vol, nbhd, grid, k_max, n_max,
+            drift, pot, vol, grid, k_max, n_max,
             mc.with_samples(min(mc.n_samples, 1000)), seed,
         )
     else:

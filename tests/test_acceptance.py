@@ -120,7 +120,6 @@ def test_criterion_4_expansion_identity():
     # stationary-draw boundary discrepancy ~ e^{-T} far below MC noise
     c = 0.7
     vol = Volume.box((0,), (0,))
-    nb = Neighborhood.range1d(0)
     pairs = [(0.2, 0.5), (-0.4, 0.1), (0.8, -0.6)]
     worst_rec, worst_log = 0.0, 0.0
     for beta in (0.05, 0.1):
@@ -131,7 +130,7 @@ def test_criterion_4_expansion_identity():
             x = Configuration.constant(vol, x0)
             y = Configuration.constant(vol, y0)
             tab = weight_table(
-                vol, nb, grid, 3, x, y, drift, QUAD,
+                vol, grid, 3, x, y, drift, QUAD,
                 MCParams(n_samples=4000, dt=0.05), seed=404,
             )
             rec = reconstruct_density(tab)
@@ -160,13 +159,12 @@ def test_criterion_4_expansion_identity():
 
 def test_criterion_5_weight_decay():
     vol = Volume.box((0,), (0,))
-    nb = Neighborhood.range1d(0)
     drift = constant_drift(0.7)
     x = Configuration.constant(vol, 0.2)
     y = Configuration.constant(vol, 0.5)
     betas = [0.0, 0.05, 0.1, 0.2, 0.4]
     rows = weight_bound_fit(
-        betas, vol, nb, drift, QUAD, x, y, t=5.0, k_max=3,
+        betas, vol, drift, QUAD, x, y, t=5.0, k_max=3,
         mc=MCParams(n_samples=3000, dt=0.05), seed=505,
     )
     lams = [r["lambdaHat"] for r in rows]
@@ -249,7 +247,7 @@ def test_criterion_10_quasilocality():
     phi = Interaction(tuple(nearest_neighbor_terms(work, 0.8)), beta0=0.4)
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, work, Neighborhood.range1d(0), TimeGrid(1.0, 1),
+        drift, pot, work, TimeGrid(1.0, 1),
         k_max=1, n_max=1, mc=MCParams(n_samples=300, dt=0.05), seed=10,
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t=1.0)

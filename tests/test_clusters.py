@@ -234,9 +234,12 @@ def test_is_connected_matches_conflict_graph():
 def test_conflict_graph_lists_every_conflict_in_index_order():
     clusters = enumerate_clusters(Volume.box((0,), (3,)), NB1, TimeGrid(1.0, 3), k_max=2)
     graph = conflict_graph(clusters, NB1)
+    assert len(graph) == len(clusters)
     for i, G in enumerate(clusters):
-        assert graph[i] == [j for j, H in enumerate(clusters) if conflicts(G, H, NB1)]
-        assert i in graph[i]
+        for j, H in enumerate(clusters):
+            assert bool(graph[i] >> j & 1) == conflicts(G, H, NB1)
+        assert graph[i] >> i & 1
+        assert graph[i] < 1 << len(clusters)
 
 
 @given(

@@ -45,7 +45,6 @@ from gibbslab.lattice import CIRCLE, LINE, Configuration, Neighborhood, Volume
 from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
-NB0 = Neighborhood.range1d(0)
 NB1 = Neighborhood.range1d(1)
 
 
@@ -262,7 +261,7 @@ def test_reconstruction_matches_direct_density_one_slice():
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
     tab = weight_table(
-        vol, NB0, TimeGrid(T, 1), 2, x, y, _drift(c, beta), QUAD,
+        vol, TimeGrid(T, 1), 2, x, y, _drift(c, beta), QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     assert len(tab) == 1
@@ -279,7 +278,7 @@ def test_interaction_log_identity_one_slice():
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
     tab = weight_table(
-        vol, NB0, TimeGrid(T, 1), 1, x, y, _drift(c, beta), QUAD,
+        vol, TimeGrid(T, 1), 1, x, y, _drift(c, beta), QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     K = tab.estimates[0].value
@@ -295,9 +294,6 @@ def test_interaction_get_missing_volume_is_zero():
     itab = InteractionTable(
         entries=(( ((0,),), Estimate(0.2, 0.01, 10)),),
         total=Estimate(0.2, 0.01, 10),
-        n_max=1,
-        grid=TimeGrid(1.0, 1),
-        nbhd=NB0,
     )
     z = itab.get(Volume.box((3,), (4,)))
     assert z.value == 0.0 and z.stderr == 0.0
@@ -328,8 +324,8 @@ def test_dynamic_interaction_matches_interaction_terms():
     mc = MCParams(n_samples=64, dt=0.05)
     x = Configuration({(0,): 0.3, (1,): -0.2, (2,): 0.6, (3,): 0.0})
     y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
-    dyn = ExpansionDynamicInteraction(drift, QUAD, vol, NB1, grid, 2, 3, mc, seed=4)
-    tab = weight_table(vol, NB1, grid, 2, x, y, drift, QUAD, mc, seed=4)
+    dyn = ExpansionDynamicInteraction(drift, QUAD, vol, grid, 2, 3, mc, seed=4)
+    tab = weight_table(vol, grid, 2, x, y, drift, QUAD, mc, seed=4)
     itab = interaction_terms(tab, n_max=3)
     assert [volume_key(d) for d in dyn.traces()] == [key for key, _ in itab.entries]
     assert any(len(key) > 1 for key, _ in itab.entries)
@@ -361,7 +357,7 @@ JOINT_Y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
 def _joint_table(beta, n_samples):
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=beta)
     return weight_table(
-        JOINT_VOL, NB1, TimeGrid(1.0, 2), 3, JOINT_X, JOINT_Y, drift, QUAD,
+        JOINT_VOL, TimeGrid(1.0, 2), 3, JOINT_X, JOINT_Y, drift, QUAD,
         MCParams(n_samples=n_samples, dt=0.05), seed=7,
     )
 
@@ -475,9 +471,6 @@ def test_summability_report_hand_example():
             (((1,), (2,)), e(0.1)),
         ),
         total=e(0.4),
-        n_max=1,
-        grid=TimeGrid(1.0, 1),
-        nbhd=NB1,
     )
     rep = summability_report(itab)
     # site 0: 0*0.5 + 1*0.2 = 0.2; site 1: 0.2 + 0.1 = 0.3; site 2: 0.1
@@ -495,8 +488,8 @@ def test_weight_table_common_random_numbers():
     x = Configuration.constant(vol, 0.2)
     grid = TimeGrid(1.0, 1)
     mc = MCParams(n_samples=128, dt=0.05)
-    t1 = weight_table(vol, NB0, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
-    t2 = weight_table(vol, NB0, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
+    t1 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
+    t2 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
     assert t1.estimates == t2.estimates
-    t3 = weight_table(vol, NB0, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=10)
+    t3 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=10)
     assert t1.estimates != t3.estimates

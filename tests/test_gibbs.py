@@ -343,12 +343,11 @@ def test_conditional_density_against_quadrature_oracle():
     pot = QUAD
     W = Volume.box((0,), (1,))
     lam = Volume.box((1,), (1,))
-    nb = Neighborhood.range1d(0)
     beta, c, t, beta0, J = 0.3, 0.7, 1.0, 0.4, 0.8
     drift = dataclasses.replace(constant_drift(c), beta=beta)
     phi = Interaction(tuple(nearest_neighbor_terms(W, J)), beta0=beta0)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, W, nb, TimeGrid(t, 1), k_max=2, n_max=3,
+        drift, pot, W, TimeGrid(t, 1), k_max=2, n_max=3,
         mc=MCParams(n_samples=800, dt=0.05), seed=5,
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t)
@@ -409,10 +408,9 @@ def test_modified_sampler_rejects_non_finite_energy():
 def test_expansion_dynamic_interaction_trace_measurability():
     pot = QUAD
     W = Volume.box((0,), (1,))
-    nb = Neighborhood.range1d(0)
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, W, nb, TimeGrid(1.0, 1), k_max=1, n_max=1,
+        drift, pot, W, TimeGrid(1.0, 1), k_max=1, n_max=1,
         mc=MCParams(n_samples=256, dt=0.05), seed=5,
     )
     delta = Volume.box((0,), (0,))
@@ -427,7 +425,7 @@ def _small_dynamic(pot, seed=5):
     nb = Neighborhood.range1d(1)
     drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
     return ExpansionDynamicInteraction(
-        drift, pot, Volume.box((0,), (2,)), nb, TimeGrid(0.5, 2), k_max=2, n_max=2,
+        drift, pot, Volume.box((0,), (2,)), TimeGrid(0.5, 2), k_max=2, n_max=2,
         mc=MCParams(n_samples=16, dt=0.1), seed=seed,
     )
 

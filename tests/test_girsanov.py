@@ -306,6 +306,26 @@ def test_free_bridge_reweighted_fallback():
     assert none_w is None
 
 
+@pytest.mark.parametrize("x0,y0", [(6.2, 0.05), (0.05, 6.2)])
+def test_reweighted_circle_bridges_across_the_seam(x0, y0):
+    # U = 0 on the circle through the reweighted forward paths vs the exact
+    # circle bridge; ends just across the seam from y used to count as
+    # 2 pi away, and the bandwidth came from the spread of the wrapped ends
+    # (1.1394 and 0.6645 against 0.9480 and 0.7660)
+    from gibbslab.dynamics import custom_potential
+
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    general = custom_potential(zero, zero, state_space="circle")
+    vol = Volume.box((0,), (0,))
+    x = Configuration.constant(vol, x0, "circle")
+    y = Configuration.constant(vol, y0, "circle")
+    d = constant_drift(0.8)
+    mc = MCParams(n_samples=20_000, dt=0.01)
+    est = density(d, general, vol, x, y, 0.5, mc, seed=3)
+    exact = density(d, CIRC, vol, x, y, 0.5, mc, seed=3)
+    assert abs(est.value - exact.value) < 4 * math.hypot(est.stderr, exact.stderr) + 0.01
+
+
 def test_log_weight_additive_over_windows():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(vol, 0.1)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +11,16 @@ import gibbslab
 from gibbslab import config as cfgmod
 from gibbslab import harness
 from gibbslab.cli import main
+from gibbslab.clusters import TimeGrid
 from gibbslab.errors import (
     GibbslabError,
     NumericalError,
     PrecisionError,
     ValidationError,
 )
+from gibbslab.expansion import kp_lambda_star
 from gibbslab.harness import replay, run
-from gibbslab.lattice import Volume
+from gibbslab.lattice import Neighborhood, Volume
 
 
 SIM_CFG = {
@@ -69,7 +72,7 @@ def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
     with pytest.raises(ValidationError, match="nSample"):
         cfgmod.load_config(str(bad))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    # free-form drift params are not checked
+    # drift params are checked per family by resolve_drift, not here
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({**SIM_CFG, "drift": {**SIM_CFG["drift"], "params": {"zz": 1}}}))
     assert cfgmod.load_config(str(ok))["mc"] == {"nSamples": 64, "dt": 0.05}
@@ -116,7 +119,7 @@ def test_drift_memory_off_the_step_grid_exits_2(tmp_path, capsys, subcommand, me
         "potential": {"family": "quadratic"},
         "drift": {"family": "delayed_feedback", "beta": 0.2, "memory": memory,
                   "params": {"alpha": 0.5}},
-        "time": {"t": 10 * dt, "T": 10 * dt, "M": 2},
+        "time": {"T": 10 * dt, "M": 2},
         "mc": {"nSamples": 256, "dt": dt},
         "truncation": {"kMax": 1, "nMax": 1},
         "x": {"constant": 0.3},
@@ -127,6 +130,32 @@ def test_drift_memory_off_the_step_grid_exits_2(tmp_path, capsys, subcommand, me
     path.write_text(json.dumps(cfg))
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "time", [{"t": 1.0, "T": 0.5, "M": 4}, {"t": 1.0, "M": 3}, {"T": 0.5}],
+    ids=["both-forms", "t-with-M", "T-alone"],
+)
+def test_time_takes_exactly_one_form(tmp_path, capsys, time):
+    # {"t": 1, "T": 0.5, "M": 4} used to couple the kernel at t = 1 but run
+    # the expansion to 2, and {"t": 1, "M": 3} dropped M
+    with pytest.raises(ValidationError, match="takes either 't' or both 'T' and 'M'"):
+        cfgmod.resolve_time({"time": time})
+    path = tmp_path / "time.json"
+    path.write_text(json.dumps({**ROBUSTNESS_CFG, "time": time}))
+    assert main(["quasilocality", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert cfgmod.resolve_time({"time": {"T": 0.5, "M": 4}}) == (2.0, TimeGrid(0.5, 4))
+    assert cfgmod.resolve_time({"time": {"t": 1.0}}) == (1.0, TimeGrid(1.0, 1))
+
+
+def test_unknown_drift_param_exits_2(tmp_path, capsys):
+    # a misspelt "scale" used to run the default scale
+    drift = {"family": "markov_local", "beta": 0.2, "memory": 0.1,
+             "params": {"scal": 2.0, "radius": 0}}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({**SIM_CFG, "drift": drift}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown params of drift family 'markov_local': ['scal']" in capsys.readouterr().err
 
 
 def test_config_hash_canonical():
@@ -421,3 +450,45 @@ def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
             assert code in (0, 2, 3, 4), (sub, family, code, err)
             if family == "quartic" and sub in reads_general_kernel:
                 assert code == 3 and "exp(-U) underflows" in err, (sub, err)
+
+
+@pytest.mark.parametrize("sub", ["simulate", "density", "expand", "bispace", "quasilocality"])
+def test_a_radius_other_than_the_drift_range_exits_2(tmp_path, capsys, sub):
+    # the expansion took its range from the radius (default 1) and the
+    # Girsanov factors from the drift (range 0), and mixed them silently
+    cfg = {**ROBUSTNESS_CFG, "potential": {"family": "quadratic"},
+           "lattice": {"box": [[0], [1]], "neighborhoodRadius": 1}}
+    path = tmp_path / "radius.json"
+    path.write_text(json.dumps(cfg))
+    assert main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "neighborhoodRadius 1 differs from the range 0 of the 'constant' drift" in (
+        capsys.readouterr().err
+    )
+    # kp has no drift: it reads the radius
+    summary = run("kp", cfg, str(tmp_path / "kp"))
+    vol, grid = Volume.box((0,), (1,)), TimeGrid(0.5, 2)
+    assert summary["lambdaStar"] == kp_lambda_star(vol, Neighborhood.range1d(1), grid, 1)
+    assert summary["lambdaStar"] != kp_lambda_star(vol, Neighborhood.range1d(0), grid, 1)
+
+
+def test_expand_takes_its_range_from_the_drift(tmp_path):
+    # with no radius set, expand used to enumerate with radius 1 under a
+    # range-0 drift: reconstruct 0.789 +- 0.003 against the bridge 0.492
+    cfg = {
+        "seed": 3,
+        "lattice": {"box": [[0], [2]]},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "constant", "beta": 0.5, "params": {"c": 0.7}},
+        "time": {"T": 2.0, "M": 1},
+        "mc": {"nSamples": 4000, "dt": 0.05},
+        "truncation": {"kMax": 3, "nMax": 3},
+        "x": {"constant": 0.3},
+        "y": {"constant": -0.2},
+        "probes": {"pairs": [{"x": {"constant": 0.3}, "y": {"constant": -0.2}}]},
+    }
+    rec = run("expand", cfg, str(tmp_path / "expand"))["reconstruct"]
+    run("density", cfg, str(tmp_path / "density"))
+    bridge = _read_back(tmp_path / "density" / "density.csv")[0]
+    assert bridge["method"] == "bridge"
+    value, stderr = float(bridge["value"]), float(bridge["stderr"])
+    assert abs(rec["value"] - value) < 4 * math.hypot(rec["stderr"], stderr)
