@@ -6,7 +6,8 @@ resolve_drift rejects drift.params that the family does not read):
 
   seed            int, master seed for every derived random stream
   lattice         {"box": [[lo...], [hi...]], "neighborhoodRadius": int}
-                  the radius is kp's range; with a drift it must be the drift's
+                  kp's range when there is no drift; with a drift it must
+                  be the drift's, and kp takes the drift's range
   potential       {"family": "quadratic" | "circle_free" | "quartic"}
   drift           {"family": <builtin name>, "beta": float, "memory": float,
                    "params": {...}}   params are family-specific
@@ -94,6 +95,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def number(value, key: str, kind: type = float):
+    """value as a float (or kind); a ValidationError naming the key otherwise."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"config '{key}' must be a number, not {value!r}") from None
+
+
 def require(cfg: dict, key: str):
     if key not in cfg:
         raise ValidationError(f"config is missing required key '{key}'")
@@ -101,15 +110,17 @@ def require(cfg: dict, key: str):
 
 
 def resolve_volume(cfg: dict) -> Volume:
-    lat = require(cfg, "lattice")
-    box = require(lat, "box")
-    return Volume.box(box[0], box[1])
+    box = require(require(cfg, "lattice"), "box")
+    lo, hi = ([number(c, "lattice.box", int) for c in box[k]] for k in (0, 1))
+    return Volume.box(lo, hi)
 
 
 def resolve_neighborhood(cfg: dict) -> Neighborhood:
-    """The neighbourhood of kp, which has no drift to take it from."""
-    lat = require(cfg, "lattice")
-    return Neighborhood.range1d(int(lat.get("neighborhoodRadius", 1)))
+    """kp's neighbourhood: the drift's, else range lattice.neighborhoodRadius."""
+    if "drift" in cfg:
+        return resolve_drift(cfg).nbhd
+    radius = require(cfg, "lattice").get("neighborhoodRadius", 1)
+    return Neighborhood.range1d(number(radius, "lattice.neighborhoodRadius", int))
 
 
 def resolve_potential(cfg: dict) -> PotentialSpec:
@@ -140,36 +151,38 @@ def resolve_drift(cfg: dict) -> DriftSpec:
     unknown = set(params) - DRIFT_PARAMS[fam]
     if unknown:
         raise ValidationError(f"unknown params of drift family '{fam}': {sorted(unknown)}")
+    memory = spec.get("memory", 0.5 if fam == "delayed_feedback" else 0.1)
+    memory = number(memory, "drift.memory")
     if fam == "constant":
-        drift = catalog[fam](params.get("c", 1.0), memory=spec.get("memory", 0.1))
+        drift = catalog[fam](number(params.get("c", 1.0), "drift.params.c"), memory=memory)
     elif fam == "markov_local":
-        nbhd = Neighborhood.range1d(int(params.get("radius", 1)))
-        drift = catalog[fam](
-            params.get("scale", 1.0), nbhd, memory=spec.get("memory", 0.1)
-        )
+        nbhd = Neighborhood.range1d(number(params.get("radius", 1), "drift.params.radius", int))
+        scale = number(params.get("scale", 1.0), "drift.params.scale")
+        drift = catalog[fam](scale, nbhd, memory=memory)
     elif fam == "resonance":
-        drift = catalog[fam](params.get("amplitude", 1.0), memory=spec.get("memory", 0.1))
+        amplitude = number(params.get("amplitude", 1.0), "drift.params.amplitude")
+        drift = catalog[fam](amplitude, memory=memory)
     else:
-        drift = catalog[fam](params.get("alpha", 1.0), spec.get("memory", 0.5))
+        drift = catalog[fam](number(params.get("alpha", 1.0), "drift.params.alpha"), memory)
     radius = cfg.get("lattice", {}).get("neighborhoodRadius")
     drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
-    if radius is not None and int(radius) != drift_range:
+    if radius is not None and number(radius, "lattice.neighborhoodRadius", int) != drift_range:
         raise ValidationError(
             f"lattice.neighborhoodRadius {radius} differs from the range "
             f"{drift_range} of the '{fam}' drift"
         )
-    return dataclasses.replace(drift, beta=float(spec.get("beta", 1.0)))
+    return dataclasses.replace(drift, beta=number(spec.get("beta", 1.0), "drift.beta"))
 
 
 def resolve_mc(cfg: dict) -> MCParams:
     mc = cfg.get("mc", {})
     return MCParams(
-        n_samples=int(mc.get("nSamples", 10_000)),
-        dt=float(mc.get("dt", 0.01)),
-        bandwidth_scale=float(mc.get("bandwidthScale", 1.0)),
-        ess_threshold=float(mc.get("essThreshold", 200.0)),
-        burn_in=int(mc.get("burnIn", 100)),
-        thin=int(mc.get("thin", 2)),
+        n_samples=number(mc.get("nSamples", 10_000), "mc.nSamples", int),
+        dt=number(mc.get("dt", 0.01), "mc.dt"),
+        bandwidth_scale=number(mc.get("bandwidthScale", 1.0), "mc.bandwidthScale"),
+        ess_threshold=number(mc.get("essThreshold", 200.0), "mc.essThreshold"),
+        burn_in=number(mc.get("burnIn", 100), "mc.burnIn", int),
+        thin=number(mc.get("thin", 2), "mc.thin", int),
     )
 
 
@@ -178,10 +191,10 @@ def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
     {"T": T, "M": M} is M slices of length T and t = T * M."""
     tm = require(cfg, "time")
     if set(tm) == {"t"}:
-        t = float(tm["t"])
+        t = number(tm["t"], "time.t")
         return t, TimeGrid(t, 1)
     if set(tm) == {"T", "M"}:
-        grid = TimeGrid(float(tm["T"]), int(tm["M"]))
+        grid = TimeGrid(number(tm["T"], "time.T"), number(tm["M"], "time.M", int))
         return grid.horizon, grid
     raise ValidationError(
         f"config 'time' takes either 't' or both 'T' and 'M', not {sorted(tm)}"
@@ -191,13 +204,15 @@ def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
 def resolve_truncation(cfg: dict) -> tuple:
     """(kMax, nMax) of the 'truncation' section; nMax defaults to 2."""
     trunc = require(cfg, "truncation")
-    return int(require(trunc, "kMax")), int(trunc.get("nMax", 2))
+    k_max = number(require(trunc, "kMax"), "truncation.kMax", int)
+    return k_max, number(trunc.get("nMax", 2), "truncation.nMax", int)
 
 
 def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) -> Configuration:
     spec = require(cfg, key)
     if "constant" in spec:
-        return Configuration.constant(vol, float(spec["constant"]), state_space)
+        constant = number(spec["constant"], f"{key}.constant")
+        return Configuration.constant(vol, constant, state_space)
     values = require(spec, "values")
     sites = vol.sorted_sites()
     if len(values) != len(sites):
@@ -206,7 +221,8 @@ def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) ->
         if str(i) not in values:
             raise ValidationError(f"'{key}.values' is missing key '{i}'")
     return Configuration(
-        {s: float(values[str(i)]) for i, s in enumerate(sites)}, state_space
+        {s: number(values[str(i)], f"{key}.values.{i}") for i, s in enumerate(sites)},
+        state_space,
     )
 
 
@@ -215,7 +231,7 @@ def resolve_interaction(cfg: dict, vol: Volume) -> Interaction:
     terms = []
     for tspec in spec.get("terms", []):
         template = require(tspec, "template")
-        coupling = float(tspec.get("coupling", 1.0))
+        coupling = number(tspec.get("coupling", 1.0), "interaction.terms.coupling")
         if template == "nearest_neighbor":
             terms.extend(
                 nearest_neighbor_terms(vol, coupling, tspec.get("kind", "tanh"))
@@ -224,4 +240,4 @@ def resolve_interaction(cfg: dict, vol: Volume) -> Interaction:
             terms.extend(site_field_terms(vol, coupling, tspec.get("kind", "bounded")))
         else:
             raise ValidationError(f"unknown interaction template '{template}'")
-    return Interaction(tuple(terms), beta0=float(spec.get("beta0", 0.0)))
+    return Interaction(tuple(terms), beta0=number(spec.get("beta0", 0.0), "interaction.beta0"))

@@ -5,12 +5,12 @@ An interaction is a finite list of volume-local terms with declared
 sup-norms; finite-volume Gibbs measures are sampled by single-site
 Metropolis with proposals from the a-priori measure m, so beta0 = 0 is
 exact.  The two-layer Hamiltonian couples an initial layer x to an evolved
-layer y through the free kernel factors -log p_t(x_i, y_i) and a
-volume-indexed dynamic interaction Phi (typically the truncated cluster
-expansion of the evolved density).  Conditional densities of the evolved
-layer are estimated by sampling x from the decoupled modified interaction
-(initial terms + kernel pinning off the window + Phi terms not touching
-the window) and averaging the window factors.
+layer y through coupling terms: the free kernel factors -log p_t(x_i, y_i)
+and a volume-indexed dynamic interaction Phi (typically the truncated
+cluster expansion of the evolved density).  Conditional densities of the
+evolved layer are estimated by sampling x from the modified interaction
+(initial terms + coupling terms off the window) and averaging the window
+factors (the coupling terms on the window).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,17 +190,20 @@ def hamiltonian(
 def _draw_chains(
     pot: PotentialSpec,
     n_sites: int,
-    blocks: Sequence[int],
+    mc: MCParams,
+    n_samples: int,
     rngs: Sequence[np.random.Generator],
 ):
     """Initial values and pre-drawn moves of independent chains.
 
-    Chain c reads rngs[c]: n_sites initial draws from m, then for each block
-    of sweeps its proposals from m followed by its uniforms.  Chains draw in
-    list order, so a generator shared by several chains is read chain after
-    chain.  Returns the initial values, (n_sites, chains), and the proposals
-    and log-uniforms, both (sum(blocks), n_sites, chains).
+    Chain c reads rngs[c]: n_sites initial draws from m, then for the
+    burn-in and for each of the n_samples blocks of thin sweeps its
+    proposals from m followed by its uniforms.  Chains draw in list order,
+    so a generator shared by several chains is read chain after chain.
+    Returns the initial values, (n_sites, chains), and the proposals and
+    log-uniforms, both (burn_in + n_samples * thin, n_sites, chains).
     """
+    blocks = [mc.burn_in] + [mc.thin] * n_samples
     init = np.empty((n_sites, len(rngs)))
     proposals = np.empty((sum(blocks), n_sites, len(rngs)))
     logu = np.empty_like(proposals)
@@ -217,23 +220,10 @@ def _draw_chains(
     return init, proposals, logu
 
 
-def _chain_values(
-    sites: Sequence, init: np.ndarray, boundaries: Sequence[Optional[Configuration]]
-) -> Dict:
-    """Site -> (chains,) values: init on sites, chain c's boundary elsewhere."""
-    values = dict(zip(sites, init))
-    held = {s for b in boundaries if b is not None for s in b.values} - values.keys()
-    for s in sorted(held):
-        if any(b is None or s not in b.values for b in boundaries):
-            raise CoverageError(f"boundary site {s} is not held in every chain")
-        values[s] = np.array([b.values[s] for b in boundaries])
-    return values
-
-
 def _metropolis_sweeps(
     sites: Sequence,
     values: Dict,
-    local_energy: Callable,
+    site_energy: Callable,
     scale: float,
     proposals: np.ndarray,
     logu: np.ndarray,
@@ -243,7 +233,7 @@ def _metropolis_sweeps(
     ``values`` maps each site to a (chains,) array.  ``proposals`` and
     ``logu`` are (sweeps, sites, chains) arrays whose row k drives sweep k.
     For the move at site s, values[s] holds the (2, chains) stack of the old
-    and the proposed value while local_energy(values, s) evaluates both; a
+    and the proposed value while site_energy(values, s) evaluates both; a
     scalar energy broadcasts over the stack.  Each chain rejects its
     proposal when logu >= -scale * (change of the local energy).
     """
@@ -251,7 +241,7 @@ def _metropolis_sweeps(
         for s, prop, lu in zip(sites, props, us):
             old = values[s]
             values[s] = np.array((old, prop))
-            energy = local_energy(values, s)
+            energy = site_energy(values, s)
             if np.ndim(energy) < 2:  # the same for both values, e.g. no terms
                 energy = (energy, energy)
             d_e = energy[1] - energy[0]
@@ -278,10 +268,6 @@ def sample_gibbs(
     """One draw from the finite-volume Gibbs measure (free boundary if None)."""
     if sweeps < 1:
         raise ValidationError("sweeps must be >= 1")
-    for t in phi.terms_reaching(vol):
-        dom = vol.sites | (boundary.domain.sites if boundary is not None else set())
-        if not t.volume.sites <= dom:
-            raise CoverageError(f"term '{t.label}' reaches uncovered sites")
     if rng is None:
         rng = substream(seed, "gibbs")
     mc = MCParams(burn_in=0, thin=sweeps)
@@ -301,16 +287,24 @@ def gibbs_chain(
     """Thinned samples of independent Metropolis chains after burn-in.
 
     Chain c is held at boundaries[c] outside vol (None for a free boundary)
-    and draws from rngs[c], as laid out in ``_draw_chains``.  All chains
-    advance together.  Returns a (chains, n_samples, |vol|) array in
-    ``vol.sorted_sites()`` order.
+    and draws from rngs[c], as laid out in ``_draw_chains``; a term that
+    reads a site neither in vol nor held by every boundary raises
+    CoverageError.  All chains advance together.  Returns a
+    (chains, n_samples, |vol|) array in ``vol.sorted_sites()`` order.
     """
     if len(boundaries) != len(rngs):
         raise ValidationError("gibbs_chain needs one boundary per generator")
     sites = vol.sorted_sites()
     b, thin = mc.burn_in, mc.thin
-    init, proposals, logu = _draw_chains(pot, len(sites), [b] + [thin] * n_samples, rngs)
-    values = _chain_values(sites, init, boundaries)
+    init, proposals, logu = _draw_chains(pot, len(sites), mc, n_samples, rngs)
+    # init on vol, then the boundaries at the other sites the terms read
+    values = dict(zip(sites, init))
+    for t in phi.terms_reaching(vol):
+        for s in sorted(t.volume.sites - values.keys()):
+            if any(z is None or s not in z.values for z in boundaries):
+                msg = f"term '{t.label}' reaches {s}, outside vol and not in every boundary"
+                raise CoverageError(msg)
+            values[s] = np.array([z.values[s] for z in boundaries])
     energy = _site_energy(phi, sites)
     out = np.empty((len(rngs), n_samples, len(sites)))
     _metropolis_sweeps(sites, values, energy, phi.beta0, proposals[:b], logu[:b])
@@ -368,11 +362,6 @@ def dlr_test(
     """
     if not sub_vol.issubset(big_vol):
         raise CoverageError("sub volume must sit inside the big volume")
-    for t in phi.terms_reaching(sub_vol):
-        if not t.volume.issubset(big_vol):
-            raise CoverageError(
-                f"term '{t.label}' reaches outside big_vol: margin too small"
-            )
     mc = mc or MCParams(n_samples=2, burn_in=100, thin=2)
     sub_sites = sub_vol.sorted_sites()
     i0 = sub_sites[0]
@@ -449,10 +438,6 @@ class ZeroDynamicInteraction:
 
     def traces(self) -> List[Volume]:
         return []
-
-    def value(self, delta: Volume, x, y) -> float:
-        """Zero; x and y may be Configurations or site -> value mappings."""
-        return 0.0
 
 
 class ExpansionDynamicInteraction:
@@ -557,6 +542,24 @@ class ExpansionDynamicInteraction:
         return total
 
 
+class CouplingTerm(NamedTuple):
+    """A term of the two-layer coupling: evaluator(x, y) reads the site ->
+    value mappings x and y on volume, and broadcasts over arrays in x."""
+
+    volume: Volume
+    evaluator: Callable
+
+
+def _pointwise(dynamic, delta: Volume, x: Mapping, y: Mapping):
+    """Phi_delta(x, y) at each point of the broadcast arrays of x: the
+    dynamic interaction caches its weights by scalar site values."""
+    cols = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in x.values()))
+    out = np.empty(cols[0].shape)
+    for idx in np.ndindex(out.shape):
+        out[idx] = dynamic.value(delta, {s: c[idx] for s, c in zip(x, cols)}, y)
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class BiSpaceInteraction:
     """Initial interaction, dynamic interaction and kernel coupling time."""
@@ -570,12 +573,28 @@ class BiSpaceInteraction:
         if self.t <= 0:
             raise ValidationError("coupling time t must be positive")
 
+    def coupling_terms(self, vol: Volume) -> List[CouplingTerm]:
+        """The kernel pinning -log p_t(x_i, y_i) at each site i of vol, in
+        sorted order, then Phi_Delta(x, y) for every dynamic trace Delta."""
+        return [
+            CouplingTerm(
+                Volume(frozenset({i})),
+                lambda x, y, i=i: -_log_kernel(self.pot, self.t, x[i], y[i]),
+            )
+            for i in vol.sorted_sites()
+        ] + [
+            CouplingTerm(dv, lambda x, y, dv=dv: _pointwise(self.dynamic, dv, x, y))
+            for dv in self.dynamic.traces()
+        ]
 
-def _log_kernel(pot: PotentialSpec, t: float, xi: float, yi: float) -> float:
-    p = float(free_kernel(pot, t, xi, yi))
-    if p <= 0.0 or not math.isfinite(p):
-        raise NumericalError(f"free kernel nonpositive at ({xi}, {yi})")
-    return math.log(p)
+
+def _log_kernel(pot: PotentialSpec, t: float, x, y):
+    """log p_t(x, y), elementwise; a scalar takes libm's log, from which
+    numpy's SIMD log can differ in the last place, depending on the CPU."""
+    p = free_kernel(pot, t, x, y)
+    if not np.all((p > 0.0) & np.isfinite(p)):
+        raise NumericalError(f"free kernel nonpositive at ({x}, {y})")
+    return np.log(p) if np.ndim(p) else math.log(p)
 
 
 def bispace_hamiltonian(
@@ -585,73 +604,34 @@ def bispace_hamiltonian(
     x: Configuration,
     y: Configuration,
 ) -> float:
-    """Two-layer Hamiltonian of the window (delta on layer x, delta_p on y).
-
-    beta0 * h_delta(x) - sum over delta union delta_p of log p_t(x_i, y_i)
-    plus the dynamic terms whose trace meets the union.
+    """Two-layer Hamiltonian of the window (delta on layer x, delta_p on y):
+    beta0 * h_delta(x) plus the coupling terms that meet delta union delta_p.
     """
     union = delta.union(delta_p)
-    if not union.sites:
-        return 0.0
-    total = bsi.initial.beta0 * hamiltonian(bsi.initial, delta, x) if delta.sites else 0.0
-    for i in union.sorted_sites():
-        total -= _log_kernel(bsi.pot, bsi.t, x[i], y[i])
-    for dv in bsi.dynamic.traces():
-        if dv.sites & union.sites:
-            total += bsi.dynamic.value(dv, x, y)
+    total = bsi.initial.beta0 * hamiltonian(bsi.initial, delta, x)
+    for c in bsi.coupling_terms(union):
+        if c.volume.sites & union.sites:
+            total += c.evaluator(x.values, y.values)
     return total
 
 
-def _modified_energy_sampler(
-    bsi: BiSpaceInteraction,
-    lam: Volume,
-    work: Volume,
-    y: Configuration,
-    n_samples: int,
-    mc: MCParams,
-    rng: np.random.Generator,
-) -> List[Dict]:
-    """Chain of x-layer samples from the decoupled modified interaction.
-
-    Energy: beta0 * (initial terms) + Phi terms avoiding the window
-    - sum over off-window sites of log p_t(x_i, y_i).
-    """
-    phi = bsi.initial
-    sites = work.sorted_sites()
-    phi_vols = [dv for dv in bsi.dynamic.traces() if not (dv.sites & lam.sites)]
-
-    def point_energy(values: Dict, s) -> float:
-        e = phi.beta0 * sum(t.value(values) for t in phi.terms_at(s))
-        if s not in lam.sites:
-            e -= _log_kernel(bsi.pot, bsi.t, values[s], y[s])
-        for dv in phi_vols:
-            if s in dv.sites:
-                e += bsi.dynamic.value(dv, values, y)
-        return e
-
-    def local_energy(values: Dict, s) -> np.ndarray:
-        # one chain: the (2, 1) stack at s becomes two scalar evaluations
-        point = {r: v[0] for r, v in values.items()}
-        energies = np.empty((2, 1))
-        for j, v in enumerate(values[s][:, 0]):
-            point[s] = v
-            energies[j, 0] = point_energy(point, s)
-        return energies
-
-    b = mc.burn_in
-    init, proposals, logu = _draw_chains(
-        bsi.pot, len(sites), [b + n_samples * mc.thin], [rng]
-    )
-    values = dict(zip(sites, init))
-    _metropolis_sweeps(sites, values, local_energy, 1.0, proposals[:b], logu[:b])
-    out = []
-    for k in range(b, len(proposals), mc.thin):
-        _metropolis_sweeps(
-            sites, values, local_energy, 1.0,
-            proposals[k:k + mc.thin], logu[k:k + mc.thin],
-        )
-        out.append({s: v[0] for s, v in values.items()})
-    return out
+def _modified_interaction(
+    bsi: BiSpaceInteraction, vol: Volume, y_boundary: Configuration
+) -> Interaction:
+    """beta0 times the initial terms, and the coupling terms off the window
+    vol at y = y_boundary (no declared bound: -log p_t is unbounded on the
+    line), at inverse temperature 1."""
+    b0, y = bsi.initial.beta0, y_boundary.values
+    initial = [
+        InteractionTerm(t.volume, lambda v, t=t: b0 * t.evaluator(v), b0 * t.sup_norm, t.label)
+        for t in bsi.initial.terms
+    ]
+    coupling = [
+        InteractionTerm(c.volume, lambda v, c=c: c.evaluator(v, y), math.inf, "coupling")
+        for c in bsi.coupling_terms(y_boundary.domain)
+        if not c.volume.sites & vol.sites
+    ]
+    return Interaction(tuple(initial + coupling), beta0=1.0)
 
 
 def conditional_density(
@@ -666,8 +646,8 @@ def conditional_density(
     """Density of the evolved window values z given the evolved boundary.
 
     Estimated as the ratio of the window factor averaged over x drawn from
-    the decoupled modified interaction, and its m-average over window
-    values (the normalizer), with a delta-method error bar.
+    the modified interaction, and its m-average over window values (the
+    normalizer), with a delta-method error bar.
     """
     if vol.sites & y_boundary.domain.sites:
         raise ValidationError("y_boundary must not cover the window itself")
@@ -675,25 +655,23 @@ def conditional_density(
         raise CoverageError("z_vol must cover the window")
     work = vol.union(y_boundary.domain)
     lam_sites = vol.sorted_sites()
-    phi_window = [dv for dv in bsi.dynamic.traces() if dv.sites & vol.sites]
+    window_terms = [c for c in bsi.coupling_terms(vol) if c.volume.sites & vol.sites]
 
     rng = substream(seed, "conditional")
-    xs = _modified_energy_sampler(bsi, vol, work, y_boundary, mc.n_samples, mc, rng)
+    [chain] = gibbs_chain(
+        _modified_interaction(bsi, vol, y_boundary), bsi.pot, work, [None],
+        mc.n_samples, mc, [rng],
+    )
+    xs = [dict(zip(work.sorted_sites(), row)) for row in chain.tolist()]
     # fresh normalizer draws per outer sample keep the b_k independent
     z_inner = _sample_reference_rng(
         bsi.pot, len(xs) * n_inner * len(lam_sites), rng
     ).reshape(len(xs), n_inner, len(lam_sites))
 
     def window_factor(xv: Dict, zvals: Dict) -> float:
-        val = 0.0
-        for s in lam_sites:
-            val += _log_kernel(bsi.pot, bsi.t, xv[s], zvals[s])
-        if phi_window:
-            # the window and y_boundary are disjoint, checked above
-            yv = {**y_boundary.values, **zvals}
-            for dv in phi_window:
-                val -= bsi.dynamic.value(dv, xv, yv)
-        return math.exp(val)
+        # the window and y_boundary are disjoint, checked above
+        yv = {**y_boundary.values, **zvals}
+        return math.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
 
     z_target = {s: z_vol[s] for s in lam_sites}
     a = np.empty(len(xs))

@@ -203,9 +203,11 @@ def _run_kp(cfg, out_dir, seed, chash) -> dict:
     _, grid = cfgmod.resolve_time(cfg)
     k_max, _ = cfgmod.resolve_truncation(cfg)
     lambdas = cfg.get("probes", {}).get("lambdas", [0.0, 1.0])
+    if not isinstance(lambdas, list):
+        raise ValidationError("config 'probes.lambdas' must be a list of numbers")
     rows = []
     for lam in lambdas:
-        res = kp_check(float(lam), vol, nbhd, grid, k_max)
+        res = kp_check(cfgmod.number(lam, "probes.lambdas"), vol, nbhd, grid, k_max)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
     star = kp_lambda_star(vol, nbhd, grid, k_max)
     rows.append([star, True, "lambdaStar", ""])
@@ -240,7 +242,8 @@ def _run_dlr(cfg, out_dir, seed, chash) -> dict:
     mc = cfgmod.resolve_mc(cfg)
     rep = dlr_test(
         phi, pot, big, sub,
-        int(probes.get("nOuter", 200)), int(probes.get("nInner", 4)), seed, mc,
+        cfgmod.number(probes.get("nOuter", 200), "probes.nOuter", int),
+        cfgmod.number(probes.get("nInner", 4), "probes.nInner", int), seed, mc,
     )
     rows = [
         [r["f"], r["direct"], r["directStderr"], r["twoStage"], r["twoStageStderr"], r["z"]]
@@ -348,7 +351,7 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
         raise ValidationError(
             f"unknown subcommand '{subcommand}'; choose from {sorted(SUBCOMMANDS)}"
         )
-    effective_seed = int(seed if seed is not None else cfg.get("seed", 0))
+    effective_seed = cfgmod.number(cfg.get("seed", 0) if seed is None else seed, "seed", int)
     resolved = dict(cfg)
     resolved["seed"] = effective_seed
     chash = cfgmod.config_hash(resolved)

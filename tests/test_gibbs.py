@@ -259,6 +259,18 @@ def test_lockstep_chains_free_boundary_and_shape_checks():
         )
 
 
+@pytest.mark.parametrize(
+    "boundary", [None, Configuration({(5,): 0.3})], ids=["free", "elsewhere"]
+)
+def test_gibbs_chain_rejects_a_term_reaching_an_unheld_site(boundary):
+    # the pair term (1, 2) reads site 2, which neither the volume nor the
+    # boundary holds; this used to end in a raw KeyError
+    phi = Interaction(tuple(nearest_neighbor_terms(Volume.box((0,), (2,)), 0.8)), beta0=0.5)
+    mc = MCParams(n_samples=2, burn_in=1, thin=1)
+    with pytest.raises(CoverageError, match=r"reaches \(2,\)"):
+        gibbs_chain(phi, QUAD, Volume.box((0,), (1,)), [boundary], 2, mc, [substream(2, 0)])
+
+
 def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
     vol = Volume.box((1,), (1,))
     # not finite only in the chain whose boundary exceeds 5
@@ -308,6 +320,92 @@ def test_bispace_hamiltonian_zero_dynamic():
     for i, (xi, yi) in enumerate([(0.3, 0.1), (-0.2, 0.7)]):
         expect -= math.log(float(free_kernel(QUAD, 1.0, xi, yi)))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def _old_bispace_hamiltonian(bsi, delta, delta_p, x, y):
+    """bispace_hamiltonian as it was written before the coupling terms."""
+    union = delta.union(delta_p)
+    if not union.sites:
+        return 0.0
+    total = bsi.initial.beta0 * hamiltonian(bsi.initial, delta, x) if delta.sites else 0.0
+    for i in union.sorted_sites():
+        total -= math.log(float(free_kernel(bsi.pot, bsi.t, x[i], y[i])))
+    for dv in bsi.dynamic.traces():
+        if dv.sites & union.sites:
+            total += bsi.dynamic.value(dv, x, y)
+    return total
+
+
+def _old_point_energy(bsi, lam, y, values, s):
+    """The local energy at s of the modified-interaction sampler before it
+    became an Interaction sampled by gibbs_chain."""
+    phi = bsi.initial
+    e = phi.beta0 * sum(t.value(values) for t in phi.terms_at(s))
+    if s not in lam.sites:
+        e -= math.log(float(free_kernel(bsi.pot, bsi.t, values[s], y[s])))
+    for dv in bsi.dynamic.traces():
+        if not (dv.sites & lam.sites) and s in dv.sites:
+            e += bsi.dynamic.value(dv, values, y)
+    return e
+
+
+def _two_layer(space, dynamic):
+    """A bi-space interaction on sites 0..2: line or circle terms, and the
+    zero or a small expansion dynamic interaction."""
+    pot = QUAD if space == "line" else circle_free_potential()
+    work = Volume.box((0,), (2,))
+    phi = _line_phi(work) if space == "line" else _circle_phi(work)
+    dyn = ZeroDynamicInteraction() if dynamic == "zero" else _small_dynamic(pot)
+    return BiSpaceInteraction(phi, dyn, pot, t=0.7)
+
+
+@pytest.mark.parametrize("dynamic", ["zero", "expansion"])
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_bispace_hamiltonian_equals_the_old_formula(space, dynamic):
+    bsi = _two_layer(space, dynamic)
+    rng = np.random.default_rng(6)
+    sites = [(0,), (1,), (2,)]
+    one, rest, none = Volume.box((0,), (0,)), Volume.box((1,), (2,)), Volume(frozenset())
+    full = Volume.box((0,), (2,))
+    for _ in range(3):
+        x, y = (
+            Configuration(dict(zip(sites, _sample_reference_rng(bsi.pot, 3, rng))),
+                          bsi.pot.state_space)
+            for _ in range(2)
+        )
+        for delta, delta_p in [(full, full), (one, rest), (none, rest), (rest, none), (none, none)]:
+            got = bispace_hamiltonian(bsi, delta, delta_p, x, y)
+            assert got == _old_bispace_hamiltonian(bsi, delta, delta_p, x, y)
+
+
+@pytest.mark.parametrize("dynamic", ["zero", "expansion"])
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_modified_interaction_matches_the_old_local_energy(space, dynamic):
+    bsi = _two_layer(space, dynamic)
+    lam = Volume.box((1,), (1,))
+    rng = np.random.default_rng(9)
+    sites = [(0,), (1,), (2,)]
+    for _ in range(3):
+        y = Configuration(
+            dict(zip([(0,), (2,)], _sample_reference_rng(bsi.pot, 2, rng))), bsi.pot.state_space
+        )
+        modified = gibbs._modified_interaction(bsi, lam, y)
+        assert modified.beta0 == 1.0
+        energy = gibbs._site_energy(modified, sites)
+        point = dict(zip(sites, _sample_reference_rng(bsi.pot, 3, rng)))
+        proposals = _sample_reference_rng(bsi.pot, 3, rng)
+        for s, prop in zip(sites, proposals):
+            old = _old_point_energy(bsi, lam, y.values, point, s)
+            assert sum(t.value(point) for t in modified.terms_at(s)) == pytest.approx(
+                old, rel=0, abs=1e-12
+            )
+            # the (2, 1) stack of one chain's Metropolis move at s
+            stack = {r: np.array([v]) for r, v in point.items()}
+            stack[s] = np.array([[point[s]], [prop]])
+            want = [old, _old_point_energy(bsi, lam, y.values, {**point, s: prop}, s)]
+            got = energy(stack, s)
+            assert np.shape(got) == (2, 1)
+            assert np.allclose(np.ravel(got), want, rtol=0, atol=1e-12)
 
 
 def test_conditional_density_free_case_is_one():

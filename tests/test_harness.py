@@ -452,7 +452,9 @@ def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
                 assert code == 3 and "exp(-U) underflows" in err, (sub, err)
 
 
-@pytest.mark.parametrize("sub", ["simulate", "density", "expand", "bispace", "quasilocality"])
+@pytest.mark.parametrize(
+    "sub", ["simulate", "density", "expand", "kp", "bispace", "quasilocality"]
+)
 def test_a_radius_other_than_the_drift_range_exits_2(tmp_path, capsys, sub):
     # the expansion took its range from the radius (default 1) and the
     # Girsanov factors from the drift (range 0), and mixed them silently
@@ -464,8 +466,9 @@ def test_a_radius_other_than_the_drift_range_exits_2(tmp_path, capsys, sub):
     assert "neighborhoodRadius 1 differs from the range 0 of the 'constant' drift" in (
         capsys.readouterr().err
     )
-    # kp has no drift: it reads the radius
-    summary = run("kp", cfg, str(tmp_path / "kp"))
+    # without a drift, kp reads the radius
+    no_drift = {k: v for k, v in cfg.items() if k != "drift"}
+    summary = run("kp", no_drift, str(tmp_path / "kp"))
     vol, grid = Volume.box((0,), (1,)), TimeGrid(0.5, 2)
     assert summary["lambdaStar"] == kp_lambda_star(vol, Neighborhood.range1d(1), grid, 1)
     assert summary["lambdaStar"] != kp_lambda_star(vol, Neighborhood.range1d(0), grid, 1)
@@ -492,3 +495,48 @@ def test_expand_takes_its_range_from_the_drift(tmp_path):
     assert bridge["method"] == "bridge"
     value, stderr = float(bridge["value"]), float(bridge["stderr"])
     assert abs(rec["value"] - value) < 4 * math.hypot(rec["stderr"], stderr)
+
+
+def test_kp_takes_its_range_from_the_drift(tmp_path):
+    # with a range-0 drift and no radius, kp used to check the radius-1
+    # geometry (1 cluster, lambdaStar 0.3679) while expand weighted 3 clusters
+    cfg = {
+        "seed": 3,
+        "lattice": {"box": [[0], [2]]},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "constant", "beta": 0.5, "params": {"c": 0.7}},
+        "time": {"T": 2.0, "M": 1},
+        "mc": {"nSamples": 64, "dt": 0.05},
+        "truncation": {"kMax": 3, "nMax": 3},
+        "x": {"constant": 0.3},
+        "y": {"constant": -0.2},
+    }
+    expand = run("expand", cfg, str(tmp_path / "expand"))
+    run("kp", cfg, str(tmp_path / "kp"))
+    rows = [r for r in _read_back(tmp_path / "kp" / "kp.csv") if r["worstRatio"] != "lambdaStar"]
+    assert rows and {int(r["nClusters"]) for r in rows} == {expand["nClusters"]}
+    assert expand["nClusters"] == 3
+
+
+@pytest.mark.parametrize(
+    "sub, base, section, key, value",
+    [
+        ("simulate", SIM_CFG, "mc", "nSamples", "lots"),
+        ("simulate", SIM_CFG, "lattice", "box", [[0], ["two"]]),
+        ("kp", KP_CFG, "lattice", "neighborhoodRadius", "one"),
+        ("kp", KP_CFG, "probes", "lambdas", [0.0, "half"]),
+        ("dlr", None, "probes", "nOuter", "many"),
+    ],
+    ids=["mc.nSamples", "lattice.box", "lattice.neighborhoodRadius", "probes.lambdas",
+         "probes.nOuter"],
+)
+def test_a_non_numeric_config_value_exits_2(tmp_path, capsys, sub, base, section, key, value):
+    # these used to end in a raw ValueError from int() or float()
+    if base is None:
+        base = {**DOB_CFG, "potential": {"family": "quadratic"},
+                "probes": {"subBox": [[1], [3]], "nOuter": 4, "nInner": 2}}
+    cfg = {**base, section: {**base.get(section, {}), key: value}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config '{section}.{key}' must be a number" in capsys.readouterr().err
