@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import load_config, value
 from .errors import GibbslabError
 from .harness import SUBCOMMANDS, replay, run
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
             print(json.dumps(result, sort_keys=True))
             return 0 if result["ok"] else 1
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.get("out") or os.path.join("runs", args.subcommand)
+        out_dir = args.out or value(cfg, "out") or os.path.join("runs", args.subcommand)
         summary = run(args.subcommand, cfg, out_dir, seed=args.seed)
         print(json.dumps(summary, sort_keys=True, default=str))
         return 0

@@ -1,36 +1,22 @@
 """Experiment configuration: one JSON file resolves into domain objects.
 
-Schema (all keys camelCase; unknown keys are rejected at the top level and
-inside lattice, potential, drift, time, mc, truncation and interaction;
-resolve_drift rejects drift.params that the family does not read):
+SCHEMA below is the whole schema: every key path the config accepts, with
+its kind, its bounds and its default.  ``check(cfg)`` checks a whole config
+against it; ``value(cfg, path)`` reads one key through it.  Keys are
+camelCase, and every key that is not in the table is rejected.
 
-  seed            int, master seed for every derived random stream
-  lattice         {"box": [[lo...], [hi...]], "neighborhoodRadius": int}
-                  kp's range when there is no drift; with a drift it must
-                  be the drift's, and kp takes the drift's range
-  potential       {"family": "quadratic" | "circle_free" | "quartic"}
-  drift           {"family": <builtin name>, "beta": float, "memory": float,
-                   "params": {...}}   params are family-specific
-  time            {"t": float} or {"T": float, "M": int}, not both; step mc.dt
-  mc              {"nSamples", "dt", "bandwidthScale", "essThreshold",
-                   "burnIn", "thin"}  all optional
-  truncation      {"kMax": int, "nMax": int}   nMax defaults to 2
-  interaction     {"beta0": float, "terms": [{"template": ..., ...}]}
-  betaGrid        [float, ...]
-  x, y            {"constant": v} or {"values": {"0": v0, "1": v1, ...}}
-  probes          subcommand-specific probe lists
-  out             default output directory
-
-Only the keys a subcommand needs are required; everything resolved is
+Only the keys a subcommand reads are required; everything resolved is
 echoed back into the run directory for replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Tuple
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,45 +34,127 @@ from .estimates import MCParams
 from .gibbs import Interaction, nearest_neighbor_terms, site_field_terms
 from .lattice import Configuration, Neighborhood, Volume
 
-TOP_KEYS = {
-    "seed", "lattice", "potential", "drift", "time", "mc", "truncation",
-    "interaction", "betaGrid", "x", "y", "probes", "out",
+POTENTIALS = {
+    "quadratic": quadratic_potential,
+    "circle_free": circle_free_potential,
+    "quartic": lambda: custom_potential(
+        lambda x: np.asarray(x) ** 4, lambda x: 4.0 * np.asarray(x) ** 3
+    ),
 }
 
-# the drift families a config can build, and the params each reads
-DRIFT_PARAMS = {
-    "constant": {"c"},
-    "markov_local": {"scale", "radius"},
-    "resonance": {"amplitude"},
-    "delayed_feedback": {"alpha"},
-}
+TEMPLATES = {"nearest_neighbor": nearest_neighbor_terms, "site_field": site_field_terms}
 
-SECTION_KEYS = {
-    "lattice": {"box", "neighborhoodRadius"},
-    "potential": {"family"},
-    "drift": {"family", "beta", "memory", "params"},
-    "time": {"t", "T", "M"},
-    "mc": {"nSamples", "dt", "bandwidthScale", "essThreshold", "burnIn", "thin"},
-    "truncation": {"kMax", "nMax"},
-    "interaction": {"beta0", "terms"},
-}
+# kinds: the leaves, and the containers whose entries are rows of their own
+NUMBER, INTEGER, ENUM, TEXT = "number", "integer", "enum", "text"
+BOX = "corner pair"  # [[lo, ...], [hi, ...]], integers, lo <= hi
+SECTION, LIST = "section", "list"  # keys are rows; entries are the row path.*
+CONFIGURATION = "configuration"  # a section of one key: {"constant": v} or {"values": {...}}
+
+REQUIRED = object()  # the default of a key that has none
+
+
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One row of the schema.
+
+    ``min`` is an inclusive lower bound (on a list: 1 makes it nonempty),
+    ``above`` an exclusive one.  A row with ``when = (path, v)`` exists only
+    while the key at ``path`` reads v; a ``*`` in that path stands for the
+    list entry that holds the row.  A key without a default is required
+    where it is read, and in every list entry that holds it.
+    """
+
+    path: str
+    kind: str
+    default: object = REQUIRED
+    min: Optional[float] = None
+    above: Optional[float] = None
+    choices: tuple = ()
+    when: Optional[tuple] = None
+
+
+SCHEMA = (
+    Key("seed", INTEGER, 0),
+    Key("lattice", SECTION, {}),
+    Key("lattice.box", BOX),
+    # kp's range when there is no drift; with one it must be the drift's
+    Key("lattice.neighborhoodRadius", INTEGER, 1, min=0),
+    Key("potential", SECTION, {}),
+    Key("potential.family", ENUM, "quadratic", choices=tuple(POTENTIALS)),
+    Key("drift", SECTION),
+    Key("drift.family", ENUM, "constant",
+        choices=("constant", "markov_local", "resonance", "delayed_feedback")),
+    Key("drift.beta", NUMBER, 1.0, min=0),
+    # the default is the family's: 0.5 for delayed_feedback, else 0.1
+    Key("drift.memory", NUMBER, above=0),
+    Key("drift.params", SECTION, {}),
+    Key("drift.params.c", NUMBER, 1.0, when=("drift.family", "constant")),
+    Key("drift.params.scale", NUMBER, 1.0, when=("drift.family", "markov_local")),
+    Key("drift.params.radius", INTEGER, 1, min=0, when=("drift.family", "markov_local")),
+    Key("drift.params.amplitude", NUMBER, 1.0, when=("drift.family", "resonance")),
+    Key("drift.params.alpha", NUMBER, 1.0, when=("drift.family", "delayed_feedback")),
+    # exactly one form: {"t": t}, or {"T": T, "M": M} with t = T M
+    Key("time", SECTION),
+    Key("time.t", NUMBER, above=0),
+    Key("time.T", NUMBER, above=0),
+    Key("time.M", INTEGER, min=1),
+    Key("mc", SECTION, {}),
+    Key("mc.nSamples", INTEGER, 10_000, min=2),
+    Key("mc.dt", NUMBER, 0.01, above=0),
+    Key("mc.bandwidthScale", NUMBER, 1.0, above=0),
+    Key("mc.essThreshold", NUMBER, 200.0, min=0),
+    Key("mc.burnIn", INTEGER, 100, min=0),
+    Key("mc.thin", INTEGER, 2, min=1),
+    Key("truncation", SECTION),
+    Key("truncation.kMax", INTEGER, min=1),
+    Key("truncation.nMax", INTEGER, 2, min=1),
+    Key("interaction", SECTION, {}),
+    Key("interaction.beta0", NUMBER, 0.0, min=0),
+    Key("interaction.terms", LIST, []),
+    Key("interaction.terms.*", SECTION),
+    Key("interaction.terms.*.template", ENUM, choices=tuple(TEMPLATES)),
+    Key("interaction.terms.*.coupling", NUMBER, 1.0),
+    Key("interaction.terms.*.kind", ENUM, "tanh", choices=("tanh", "cos_diff"),
+        when=("interaction.terms.*.template", "nearest_neighbor")),
+    Key("interaction.terms.*.kind", ENUM, "bounded", choices=("bounded", "cos"),
+        when=("interaction.terms.*.template", "site_field")),
+    Key("betaGrid", LIST, []),
+    Key("betaGrid.*", NUMBER, min=0),
+    *(
+        Key(prefix + key, kind)
+        for prefix in ("x", "y", "probes.pairs.*.x", "probes.pairs.*.y")
+        for key, kind in (
+            ("", CONFIGURATION), (".constant", NUMBER), (".values", SECTION), (".values.*", NUMBER)
+        )
+    ),
+    # probe lists, each read by the subcommands named
+    Key("probes", SECTION, {}),
+    Key("probes.pairs", LIST, min=1),  # density, quasilocality
+    Key("probes.pairs.*", SECTION),
+    Key("probes.lambdas", LIST, [0.0, 1.0]),  # kp
+    Key("probes.lambdas.*", NUMBER, min=0),
+    Key("probes.subBox", BOX),  # dlr
+    Key("probes.nOuter", INTEGER, 200, min=2),  # dlr
+    Key("probes.nInner", INTEGER, 4, min=1),  # dlr
+    Key("probes.dynamic", ENUM, "zero", choices=("zero", "expansion")),  # bispace, quasilocality
+    Key("probes.window", BOX),  # quasilocality
+    Key("probes.deltas", LIST, min=1),  # quasilocality
+    Key("probes.deltas.*", BOX),
+    Key("out", TEXT, None),  # the default output directory
+)
+
+_ROWS: dict = {}  # path -> its rows (several when they hold under different `when`s)
+_CHILDREN: dict = {}  # path -> the rows one level below it
+for _key in SCHEMA:
+    _ROWS.setdefault(_key.path, []).append(_key)
+    _CHILDREN.setdefault(_key.path.rpartition(".")[0], []).append(_key)
+_ROOT = Key("", SECTION)
 
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config root must be a JSON object")
-    unknown = set(cfg) - TOP_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in SECTION_KEYS.items():
-        spec = cfg.get(section, {})
-        if not isinstance(spec, dict):
-            raise ValidationError(f"config '{section}' must be a JSON object")
-        unknown = set(spec) - allowed
-        if unknown:
-            raise ValidationError(f"unknown keys under '{section}': {sorted(unknown)}")
+    check(cfg)
     return cfg
 
 
@@ -95,106 +163,224 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def number(value, key: str, kind: type = float):
-    """value as a float (or kind); a ValidationError naming the key otherwise."""
+def check(cfg: dict) -> None:
+    """A ValidationError naming the path of the first unknown or bad key."""
+    _checked(cfg, cfg, "", _ROOT)
+
+
+def value(cfg: dict, path: str):
+    """The checked value at ``path`` (e.g. "probes.pairs.0.x"), with its
+    numbers as float or int, else the table's default; a ValidationError
+    when it is bad, or missing and required."""
+    node, key, found = cfg, _ROOT, True
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        parent, sub = key, ".".join(parts[: i + 1])
+        key = _row(cfg, sub)
+        if key is None:
+            raise ValidationError(f"unknown config key '{sub}'")
+        _container(node, ".".join(parts[:i]), parent.kind)
+        if parent.kind == LIST:
+            part = int(part)
+        found = part < len(node) if parent.kind == LIST else part in node
+        if found:
+            node = node[part]
+        elif key.default is REQUIRED:
+            raise ValidationError(f"config is missing required key '{sub}'")
+        else:
+            node = key.default
+    return _checked(cfg, node, path, key) if found else node
+
+
+def _row(cfg: dict, path: str) -> Optional[Key]:
+    """The row of a concrete path, list indices read as ``*``; None if unknown."""
+    parts, rows = _rows_of(path)
+    for key in rows:
+        if key.when is None:
+            return key
+        sel = ".".join(parts[i] if p == "*" else p for i, p in enumerate(key.when[0].split(".")))
+        if value(cfg, sel) == key.when[1]:
+            return key
+    return None
+
+
+@functools.lru_cache(maxsize=4096)
+def _rows_of(path: str) -> tuple:
+    parts = tuple(path.split("."))
+    return parts, _ROWS.get(".".join("*" if p.isdigit() else p for p in parts), ())
+
+
+def _name(path: str) -> str:
+    return f"config '{path}'" if path else "config root"
+
+
+def _container(node, path: str, kind: str) -> None:
+    if not isinstance(node, list if kind == LIST else dict):
+        what = "a list" if kind == LIST else "a JSON object"
+        raise ValidationError(f"{_name(path)} must be {what}, not {node!r}")
+
+
+def _checked(cfg: dict, node, path: str, key: Key):
+    """node, checked against its row, with its numbers converted."""
+    if key.kind in (NUMBER, INTEGER):
+        return _number(node, path, key)
+    if key.kind in (ENUM, TEXT):
+        if not isinstance(node, str) or (key.kind == ENUM and node not in key.choices):
+            what = f"one of {list(key.choices)}" if key.kind == ENUM else "a string"
+            raise ValidationError(f"{_name(path)} must be {what}, not {node!r}")
+        return node
+    if key.kind == BOX:
+        return _box(node, path)
+    _container(node, path, key.kind)
+    if key.kind == CONFIGURATION and len(node) != 1:
+        raise ValidationError(
+            f"{_name(path)} must hold either 'constant' or 'values', not {node!r}"
+        )
+    prefix = path + "." if path else ""
+    if key.kind == LIST:
+        if len(node) < (key.min or 0):
+            raise ValidationError(f"{_name(path)} must not be empty")
+        return [
+            _checked(cfg, v, f"{prefix}{i}", _row(cfg, f"{prefix}{i}")) for i, v in enumerate(node)
+        ]
+    rows = {k: _row(cfg, prefix + str(k)) for k in node}
+    unknown = sorted(str(k) for k, row in rows.items() if row is None)
+    if unknown:
+        raise ValidationError(_unknown(cfg, path, key, unknown))
+    if key.path.endswith("*"):
+        for row in _CHILDREN.get(key.path, ()):
+            name = row.path.rpartition(".")[2]
+            if row.default is REQUIRED and name not in node:
+                raise ValidationError(
+                    f"a '{path.rpartition('.')[0]}' entry is missing key '{name}'"
+                )
+    return {k: _checked(cfg, v, prefix + str(k), rows[k]) for k, v in node.items()}
+
+
+def _unknown(cfg: dict, path: str, key: Key, unknown: list) -> str:
+    if not path:
+        return f"unknown config keys: {unknown}"
+    rows = _CHILDREN.get(key.path, ())
+    if not rows or not all(row.when for row in rows):
+        return f"unknown keys under '{path}': {unknown}"
+    # every key depends on one selector: "unknown params of drift family 'constant'"
+    sel = rows[0].when[0]
+    owner = path.rpartition(".")[2]
+    return f"unknown {owner} of {sel.replace('.', ' ')} '{value(cfg, sel)}': {unknown}"
+
+
+def _number(node, path: str, key: Key):
+    """A number, or a string that parses as one: finite, whole for an
+    integer, and inside the row's bounds."""
+    integer = key.kind == INTEGER
+    if isinstance(node, bool) or not isinstance(node, (int, float, str)):
+        raise ValidationError(f"{_name(path)} must be a number, not {node!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"config '{key}' must be a number, not {value!r}") from None
+        x = int(node) if integer and not isinstance(node, float) else float(node)
+    except ValueError:
+        raise ValidationError(f"{_name(path)} must be a number, not {node!r}") from None
+    except OverflowError:
+        x = math.inf
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValidationError(f"{_name(path)} must be a finite number, not {node!r}")
+    if integer and isinstance(x, float):
+        if not x.is_integer():
+            raise ValidationError(f"{_name(path)} must be a whole number, not {node!r}")
+        x = int(x)
+    if key.min is not None and x < key.min:
+        raise ValidationError(f"{_name(path)} must be >= {key.min}, not {node!r}")
+    if key.above is not None and not x > key.above:
+        raise ValidationError(f"{_name(path)} must be > {key.above}, not {node!r}")
+    return x
 
 
-def require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ValidationError(f"config is missing required key '{key}'")
-    return cfg[key]
+_COORD = Key("", INTEGER)
 
+
+def _box(node, path: str) -> list:
+    """[[lo...], [hi...]]: two integer corners of one dimension, lo <= hi."""
+    if (
+        not isinstance(node, list) or len(node) != 2
+        or not all(isinstance(c, list) and c for c in node) or len(node[0]) != len(node[1])
+    ):
+        raise ValidationError(
+            f"{_name(path)} must be two corners [[lo, ...], [hi, ...]] of one "
+            f"dimension, not {node!r}"
+        )
+    lo, hi = ([_number(c, path, _COORD) for c in corner] for corner in node)
+    if any(a > b for a, b in zip(lo, hi)):
+        raise ValidationError(f"{_name(path)} is empty: its corner {lo} exceeds {hi}")
+    return [lo, hi]
+
+
+# ---------------------------------------------------------------------------
+# resolvers: domain objects from checked values
+# ---------------------------------------------------------------------------
 
 def resolve_volume(cfg: dict) -> Volume:
-    box = require(require(cfg, "lattice"), "box")
-    lo, hi = ([number(c, "lattice.box", int) for c in box[k]] for k in (0, 1))
-    return Volume.box(lo, hi)
+    return Volume.box(*value(cfg, "lattice.box"))
 
 
 def resolve_neighborhood(cfg: dict) -> Neighborhood:
     """kp's neighbourhood: the drift's, else range lattice.neighborhoodRadius."""
     if "drift" in cfg:
         return resolve_drift(cfg).nbhd
-    radius = require(cfg, "lattice").get("neighborhoodRadius", 1)
-    return Neighborhood.range1d(number(radius, "lattice.neighborhoodRadius", int))
+    return Neighborhood.range1d(value(cfg, "lattice.neighborhoodRadius"))
 
 
 def resolve_potential(cfg: dict) -> PotentialSpec:
-    fam = require(cfg, "potential").get("family", "quadratic")
-    if fam == "quadratic":
-        return quadratic_potential()
-    if fam == "circle_free":
-        return circle_free_potential()
-    if fam == "quartic":
-        return custom_potential(
-            lambda x: np.asarray(x) ** 4, lambda x: 4.0 * np.asarray(x) ** 3
-        )
-    raise ValidationError(f"unknown potential family '{fam}'")
+    return POTENTIALS[value(cfg, "potential.family")]()
 
 
 def resolve_drift(cfg: dict) -> DriftSpec:
     """The drift of the 'drift' section; a lattice.neighborhoodRadius other
     than the drift's range is rejected, never mixed with it."""
-    spec = require(cfg, "drift")
-    fam = spec.get("family", "constant")
-    if fam not in DRIFT_PARAMS:
-        raise ValidationError(
-            f"drift family '{fam}' cannot be configured from JSON; "
-            f"choose from {sorted(DRIFT_PARAMS)}"
-        )
-    catalog = builtin_drifts()
-    params = dict(spec.get("params", {}))
-    unknown = set(params) - DRIFT_PARAMS[fam]
-    if unknown:
-        raise ValidationError(f"unknown params of drift family '{fam}': {sorted(unknown)}")
+    spec = value(cfg, "drift")
+    fam = value(cfg, "drift.family")
     memory = spec.get("memory", 0.5 if fam == "delayed_feedback" else 0.1)
-    memory = number(memory, "drift.memory")
+    make = builtin_drifts()[fam]
+
+    def param(name):
+        return value(cfg, f"drift.params.{name}")
+
     if fam == "constant":
-        drift = catalog[fam](number(params.get("c", 1.0), "drift.params.c"), memory=memory)
+        drift = make(param("c"), memory=memory)
     elif fam == "markov_local":
-        nbhd = Neighborhood.range1d(number(params.get("radius", 1), "drift.params.radius", int))
-        scale = number(params.get("scale", 1.0), "drift.params.scale")
-        drift = catalog[fam](scale, nbhd, memory=memory)
+        drift = make(param("scale"), Neighborhood.range1d(param("radius")), memory=memory)
     elif fam == "resonance":
-        amplitude = number(params.get("amplitude", 1.0), "drift.params.amplitude")
-        drift = catalog[fam](amplitude, memory=memory)
+        drift = make(param("amplitude"), memory=memory)
     else:
-        drift = catalog[fam](number(params.get("alpha", 1.0), "drift.params.alpha"), memory)
-    radius = cfg.get("lattice", {}).get("neighborhoodRadius")
+        drift = make(param("alpha"), memory)
     drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
-    if radius is not None and number(radius, "lattice.neighborhoodRadius", int) != drift_range:
-        raise ValidationError(
-            f"lattice.neighborhoodRadius {radius} differs from the range "
-            f"{drift_range} of the '{fam}' drift"
-        )
-    return dataclasses.replace(drift, beta=number(spec.get("beta", 1.0), "drift.beta"))
+    if "neighborhoodRadius" in value(cfg, "lattice"):
+        radius = value(cfg, "lattice.neighborhoodRadius")
+        if radius != drift_range:
+            raise ValidationError(
+                f"lattice.neighborhoodRadius {radius} differs from the range "
+                f"{drift_range} of the '{fam}' drift"
+            )
+    return dataclasses.replace(drift, beta=value(cfg, "drift.beta"))
 
 
 def resolve_mc(cfg: dict) -> MCParams:
-    mc = cfg.get("mc", {})
     return MCParams(
-        n_samples=number(mc.get("nSamples", 10_000), "mc.nSamples", int),
-        dt=number(mc.get("dt", 0.01), "mc.dt"),
-        bandwidth_scale=number(mc.get("bandwidthScale", 1.0), "mc.bandwidthScale"),
-        ess_threshold=number(mc.get("essThreshold", 200.0), "mc.essThreshold"),
-        burn_in=number(mc.get("burnIn", 100), "mc.burnIn", int),
-        thin=number(mc.get("thin", 2), "mc.thin", int),
+        n_samples=value(cfg, "mc.nSamples"),
+        dt=value(cfg, "mc.dt"),
+        bandwidth_scale=value(cfg, "mc.bandwidthScale"),
+        ess_threshold=value(cfg, "mc.essThreshold"),
+        burn_in=value(cfg, "mc.burnIn"),
+        thin=value(cfg, "mc.thin"),
     )
 
 
 def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
     """(t, grid) of the 'time' section: {"t": t} is one slice of length t,
     {"T": T, "M": M} is M slices of length T and t = T * M."""
-    tm = require(cfg, "time")
+    tm = value(cfg, "time")
     if set(tm) == {"t"}:
-        t = number(tm["t"], "time.t")
-        return t, TimeGrid(t, 1)
+        return tm["t"], TimeGrid(tm["t"], 1)
     if set(tm) == {"T", "M"}:
-        grid = TimeGrid(number(tm["T"], "time.T"), number(tm["M"], "time.M", int))
+        grid = TimeGrid(tm["T"], tm["M"])
         return grid.horizon, grid
     raise ValidationError(
         f"config 'time' takes either 't' or both 'T' and 'M', not {sorted(tm)}"
@@ -202,42 +388,28 @@ def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
 
 
 def resolve_truncation(cfg: dict) -> tuple:
-    """(kMax, nMax) of the 'truncation' section; nMax defaults to 2."""
-    trunc = require(cfg, "truncation")
-    k_max = number(require(trunc, "kMax"), "truncation.kMax", int)
-    return k_max, number(trunc.get("nMax", 2), "truncation.nMax", int)
+    """(kMax, nMax) of the 'truncation' section."""
+    return value(cfg, "truncation.kMax"), value(cfg, "truncation.nMax")
 
 
 def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) -> Configuration:
-    spec = require(cfg, key)
+    spec = value(cfg, key)
     if "constant" in spec:
-        constant = number(spec["constant"], f"{key}.constant")
-        return Configuration.constant(vol, constant, state_space)
-    values = require(spec, "values")
+        return Configuration.constant(vol, spec["constant"], state_space)
+    values = spec["values"]
     sites = vol.sorted_sites()
     if len(values) != len(sites):
         raise ValidationError(f"'{key}.values' must list one value per site")
     for i in range(len(sites)):
         if str(i) not in values:
             raise ValidationError(f"'{key}.values' is missing key '{i}'")
-    return Configuration(
-        {s: number(values[str(i)], f"{key}.values.{i}") for i, s in enumerate(sites)},
-        state_space,
-    )
+    return Configuration({s: values[str(i)] for i, s in enumerate(sites)}, state_space)
 
 
 def resolve_interaction(cfg: dict, vol: Volume) -> Interaction:
-    spec = cfg.get("interaction", {"beta0": 0.0, "terms": []})
     terms = []
-    for tspec in spec.get("terms", []):
-        template = require(tspec, "template")
-        coupling = number(tspec.get("coupling", 1.0), "interaction.terms.coupling")
-        if template == "nearest_neighbor":
-            terms.extend(
-                nearest_neighbor_terms(vol, coupling, tspec.get("kind", "tanh"))
-            )
-        elif template == "site_field":
-            terms.extend(site_field_terms(vol, coupling, tspec.get("kind", "bounded")))
-        else:
-            raise ValidationError(f"unknown interaction template '{template}'")
-    return Interaction(tuple(terms), beta0=number(spec.get("beta0", 0.0), "interaction.beta0"))
+    for i in range(len(value(cfg, "interaction.terms"))):
+        entry = f"interaction.terms.{i}"
+        make = TEMPLATES[value(cfg, f"{entry}.template")]
+        terms.extend(make(vol, value(cfg, f"{entry}.coupling"), value(cfg, f"{entry}.kind")))
+    return Interaction(tuple(terms), beta0=value(cfg, "interaction.beta0"))

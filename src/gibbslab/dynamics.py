@@ -506,6 +506,18 @@ class PathBundle:
         return out
 
 
+# More steps than a path array could ever hold; a longer span is refused.
+MAX_STEPS = 2**31 - 1
+
+
+def step_count(span: float, dt: float) -> int:
+    """span / dt rounded to whole steps; a ValidationError past MAX_STEPS."""
+    steps = span / dt
+    if not abs(steps) <= MAX_STEPS:
+        raise ValidationError(f"{span} / dt = {steps:.3g} steps, more than {MAX_STEPS}")
+    return int(round(steps))
+
+
 def _window_length(drift: DriftSpec, dt: float) -> int:
     """W = t0 / dt, the number of grid steps the drift's memory window spans.
 
@@ -513,7 +525,7 @@ def _window_length(drift: DriftSpec, dt: float) -> int:
     relative tolerance of ``simulate``'s t check; otherwise its windows
     would not span the declared memory.
     """
-    W = int(round(drift.memory / dt))
+    W = step_count(drift.memory, dt)
     off_grid = abs(W * dt - drift.memory) > 1e-9 * max(drift.memory, 1.0)
     if drift.beta > 0 and (W < 1 or off_grid):
         raise ValidationError(
@@ -615,7 +627,7 @@ def simulate(
 
     sites = tuple(vol.sorted_sites())
     inner = interior(vol, drift.nbhd)
-    K = int(round(t / dt))
+    K = step_count(t, dt)
     if K < 1 or abs(K * dt - t) > 1e-9 * max(t, 1.0):
         raise ValidationError("t must be an integer multiple of dt")
     if rng is None:

@@ -362,6 +362,11 @@ def dlr_test(
     """
     if not sub_vol.issubset(big_vol):
         raise CoverageError("sub volume must sit inside the big volume")
+    if n_outer < 2 or n_inner < 1:
+        # fewer leave the stderrs, and so every z, NaN
+        raise ValidationError(
+            f"dlr_test needs n_outer >= 2 and n_inner >= 1, not {n_outer} and {n_inner}"
+        )
     mc = mc or MCParams(n_samples=2, burn_in=100, thin=2)
     sub_sites = sub_vol.sorted_sites()
     i0 = sub_sites[0]
@@ -722,6 +727,8 @@ def quasilocality_probe(
     seen: Dict[tuple, Estimate] = {}
     estimates = []  # per pair: g1, then g2 for each delta
     for z_a, z_b in probe_pairs:
+        if not vol.issubset(z_a.domain) or z_b.domain != z_a.domain:
+            raise CoverageError("each probe pair must cover the window, on one domain")
         boundary_sites = z_a.domain.sites - vol.sites
         ys = [z_a.restrict(Volume(boundary_sites))]
         for delta in deltas:

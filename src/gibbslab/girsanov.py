@@ -29,6 +29,7 @@ from .dynamics import (
     _drift_along,
     constant_drift,
     simulate,
+    step_count,
 )
 from .errors import CoverageError, PrecisionError, ValidationError
 from .estimates import (
@@ -267,7 +268,7 @@ def multi_bridge_bundle(
     n_seg = len(layers) - 1
     if n_seg < 1:
         raise ValidationError("need at least two layers to bridge")
-    Kseg = int(round(tau / dt))
+    Kseg = step_count(tau, dt)
     if Kseg < 1 or abs(Kseg * dt - tau) > 1e-9 * max(tau, 1.0):
         raise ValidationError("tau must be an integer multiple of dt")
     R = n_replicas

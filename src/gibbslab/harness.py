@@ -80,19 +80,13 @@ def _estimate_record(est) -> dict:
 
 
 def _probe_pair_configs(cfg: dict, vol: Volume, state_space: str):
-    probes = cfg.get("probes", {})
-    pairs = probes.get("pairs")
-    if not pairs:
-        raise ValidationError("config 'probes.pairs' is required for this subcommand")
-    out = []
-    for pair in pairs:
-        for key in ("x", "y"):
-            if key not in pair:
-                raise ValidationError(f"a 'probes.pairs' entry is missing key '{key}'")
-        x = cfgmod.resolve_configuration(pair, "x", vol, state_space)
-        y = cfgmod.resolve_configuration(pair, "y", vol, state_space)
-        out.append((x, y))
-    return out
+    return [
+        tuple(
+            cfgmod.resolve_configuration(cfg, f"probes.pairs.{i}.{k}", vol, state_space)
+            for k in ("x", "y")
+        )
+        for i in range(len(cfgmod.value(cfg, "probes.pairs")))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +176,9 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
         "nClusters": len(table),
     }
     artifacts = ["weights.jsonl", "interaction.jsonl", "expand_summary.json"]
-    if cfg.get("betaGrid"):
-        rows = weight_bound_fit(cfg["betaGrid"], vol, drift, pot, x, y, t, k_max, mc, seed)
+    beta_grid = cfgmod.value(cfg, "betaGrid")
+    if beta_grid:
+        rows = weight_bound_fit(beta_grid, vol, drift, pot, x, y, t, k_max, mc, seed)
         cols = ["beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters"]
         _write_csv(
             os.path.join(out_dir, "lambda_fit.csv"), cols,
@@ -202,12 +197,9 @@ def _run_kp(cfg, out_dir, seed, chash) -> dict:
     nbhd = cfgmod.resolve_neighborhood(cfg)
     _, grid = cfgmod.resolve_time(cfg)
     k_max, _ = cfgmod.resolve_truncation(cfg)
-    lambdas = cfg.get("probes", {}).get("lambdas", [0.0, 1.0])
-    if not isinstance(lambdas, list):
-        raise ValidationError("config 'probes.lambdas' must be a list of numbers")
     rows = []
-    for lam in lambdas:
-        res = kp_check(cfgmod.number(lam, "probes.lambdas"), vol, nbhd, grid, k_max)
+    for lam in cfgmod.value(cfg, "probes.lambdas"):
+        res = kp_check(lam, vol, nbhd, grid, k_max)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
     star = kp_lambda_star(vol, nbhd, grid, k_max)
     rows.append([star, True, "lambdaStar", ""])
@@ -234,16 +226,11 @@ def _run_dlr(cfg, out_dir, seed, chash) -> dict:
     big = cfgmod.resolve_volume(cfg)
     pot = cfgmod.resolve_potential(cfg)
     phi = cfgmod.resolve_interaction(cfg, big)
-    probes = cfg.get("probes", {})
-    sub_box = probes.get("subBox")
-    if sub_box is None:
-        raise ValidationError("config 'probes.subBox' is required for dlr")
-    sub = Volume.box(sub_box[0], sub_box[1])
+    sub = Volume.box(*cfgmod.value(cfg, "probes.subBox"))
     mc = cfgmod.resolve_mc(cfg)
     rep = dlr_test(
-        phi, pot, big, sub,
-        cfgmod.number(probes.get("nOuter", 200), "probes.nOuter", int),
-        cfgmod.number(probes.get("nInner", 4), "probes.nInner", int), seed, mc,
+        phi, pot, big, sub, cfgmod.value(cfg, "probes.nOuter"),
+        cfgmod.value(cfg, "probes.nInner"), seed, mc,
     )
     rows = [
         [r["f"], r["direct"], r["directStderr"], r["twoStage"], r["twoStageStderr"], r["z"]]
@@ -262,11 +249,9 @@ def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
     pot = cfgmod.resolve_potential(cfg)
     phi = cfgmod.resolve_interaction(cfg, vol)
     t, grid = cfgmod.resolve_time(cfg)
-    probes = cfg.get("probes", {})
-    kind = probes.get("dynamic", "zero")
-    if kind == "zero":
+    if cfgmod.value(cfg, "probes.dynamic") == "zero":
         dyn = ZeroDynamicInteraction()
-    elif kind == "expansion":
+    else:
         drift = cfgmod.resolve_drift(cfg)
         k_max, n_max = cfgmod.resolve_truncation(cfg)
         mc = cfgmod.resolve_mc(cfg)
@@ -274,8 +259,6 @@ def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
             drift, pot, vol, grid, k_max, n_max,
             mc.with_samples(min(mc.n_samples, 1000)), seed,
         )
-    else:
-        raise ValidationError(f"unknown dynamic interaction kind '{kind}'")
     return BiSpaceInteraction(phi, dyn, pot, t)
 
 
@@ -297,14 +280,8 @@ def _run_bispace(cfg, out_dir, seed, chash) -> dict:
 def _run_quasilocality(cfg, out_dir, seed, chash) -> dict:
     pot = cfgmod.resolve_potential(cfg)
     work = cfgmod.resolve_volume(cfg)
-    probes = cfg.get("probes", {})
-    win_box = probes.get("window")
-    if win_box is None:
-        raise ValidationError("config 'probes.window' is required for quasilocality")
-    window = Volume.box(win_box[0], win_box[1])
-    deltas = [Volume.box(b[0], b[1]) for b in probes.get("deltas", [])]
-    if not deltas:
-        raise ValidationError("config 'probes.deltas' is required for quasilocality")
+    window = Volume.box(*cfgmod.value(cfg, "probes.window"))
+    deltas = [Volume.box(*box) for box in cfgmod.value(cfg, "probes.deltas")]
     pairs = _probe_pair_configs(cfg, work, pot.state_space)
     bsi = _resolve_bispace(cfg, seed)
     mc = cfgmod.resolve_mc(cfg)
@@ -351,9 +328,11 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
         raise ValidationError(
             f"unknown subcommand '{subcommand}'; choose from {sorted(SUBCOMMANDS)}"
         )
-    effective_seed = cfgmod.number(cfg.get("seed", 0) if seed is None else seed, "seed", int)
     resolved = dict(cfg)
-    resolved["seed"] = effective_seed
+    if seed is not None:
+        resolved["seed"] = seed
+    cfgmod.check(resolved)
+    effective_seed = resolved["seed"] = cfgmod.value(resolved, "seed")
     chash = cfgmod.config_hash(resolved)
     os.makedirs(out_dir, exist_ok=True)
     _write_text(

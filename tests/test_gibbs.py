@@ -302,6 +302,18 @@ def test_dlr_consistency_cheap():
     }
 
 
+@pytest.mark.parametrize("n_outer, n_inner", [(1, 4), (0, 4), (4, 0)])
+def test_dlr_refuses_too_few_samples(n_outer, n_inner):
+    # one outer draw or no inner draw used to return maxAbsZ NaN
+    vol = Volume.box((0,), (3,))
+    phi = Interaction(tuple(nearest_neighbor_terms(vol, 0.5)), beta0=0.4)
+    with pytest.raises(ValidationError, match="n_outer >= 2 and n_inner >= 1"):
+        dlr_test(
+            phi, QUAD, vol, Volume.box((1,), (2,)), n_outer, n_inner, seed=3,
+            mc=MCParams(n_samples=2, burn_in=4, thin=1),
+        )
+
+
 def test_dlr_requires_margin():
     vol = Volume.box((0,), (3,))
     phi = Interaction(tuple(nearest_neighbor_terms(Volume.box((0,), (4,)), 0.5)), beta0=0.4)

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbslab
 from gibbslab import config as cfgmod
@@ -72,10 +77,16 @@ def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
     with pytest.raises(ValidationError, match="nSample"):
         cfgmod.load_config(str(bad))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    # drift params are checked per family by resolve_drift, not here
-    ok = tmp_path / "ok.json"
-    ok.write_text(json.dumps({**SIM_CFG, "drift": {**SIM_CFG["drift"], "params": {"zz": 1}}}))
-    assert cfgmod.load_config(str(ok))["mc"] == {"nSamples": 64, "dt": 0.05}
+    # drift params are checked per family by the same table, at load
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**SIM_CFG, "drift": {**SIM_CFG["drift"], "params": {"zz": 1}}}))
+    with pytest.raises(ValidationError, match="zz"):
+        cfgmod.load_config(str(params))
+    # and so are the probes: a misspelt nOuter used to run the default 200
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({**SIM_CFG, "probes": {"nOutter": 4}}))
+    with pytest.raises(ValidationError, match=r"unknown keys under 'probes': \['nOutter'\]"):
+        cfgmod.load_config(str(probes))
 
 
 def test_time_section_has_no_step_key(tmp_path, capsys):
@@ -452,6 +463,60 @@ def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
                 assert code == 3 and "exp(-U) underflows" in err, (sub, err)
 
 
+def test_a_window_off_the_lattice_exits_2(tmp_path, capsys):
+    # a window site outside the box used to end in a raw KeyError
+    probes = {**ROBUSTNESS_CFG["probes"], "window": [[-1], [0]]}
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({**ROBUSTNESS_CFG, "probes": probes}))
+    assert main(["quasilocality", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "each probe pair must cover the window" in capsys.readouterr().err
+
+
+def _key_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, prefix + (key,))
+
+
+MUTATED_CFG = {**ROBUSTNESS_CFG, "potential": {"family": "quadratic"}}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    path=st.sampled_from(list(_key_paths(MUTATED_CFG))),
+    bad=st.sampled_from(["a", None, [], {}, -1, 0, 1.5, True, [[0]], -0.5]),
+    sub=st.sampled_from(sorted(set(harness.SUBCOMMANDS) - {"report"})),
+)
+def test_a_mutated_config_ends_in_a_typed_exit(path, bad, sub):
+    # one key set to one bad value used to end in a raw exception in 246 of
+    # the 710 such mutations, and dlr with nOuter 0 or 1 exited 0 on NaN
+    cfg = json.loads(json.dumps(MUTATED_CFG))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "cfg.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([sub, "--config", config_path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 2, 3, 4), (path, bad, sub, code)
+    if code == 0:
+        summary = json.loads(out.getvalue())
+        assert not _holds_nan(summary), (path, bad, sub, summary)
+
+
+def _holds_nan(node) -> bool:
+    if isinstance(node, float):
+        return math.isnan(node)
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return any(_holds_nan(c) for c in children)
+
+
 @pytest.mark.parametrize(
     "sub", ["simulate", "density", "expand", "kp", "bispace", "quasilocality"]
 )
@@ -518,25 +583,49 @@ def test_kp_takes_its_range_from_the_drift(tmp_path):
     assert expand["nClusters"] == 3
 
 
+DLR_CFG = {**DOB_CFG, "potential": {"family": "quadratic"},
+           "probes": {"subBox": [[1], [3]], "nOuter": 4, "nInner": 2}}
+
+
 @pytest.mark.parametrize(
-    "sub, base, section, key, value",
+    "sub, base, path, value, message",
     [
-        ("simulate", SIM_CFG, "mc", "nSamples", "lots"),
-        ("simulate", SIM_CFG, "lattice", "box", [[0], ["two"]]),
-        ("kp", KP_CFG, "lattice", "neighborhoodRadius", "one"),
-        ("kp", KP_CFG, "probes", "lambdas", [0.0, "half"]),
-        ("dlr", None, "probes", "nOuter", "many"),
+        ("simulate", SIM_CFG, "mc.nSamples", "lots", "config 'mc.nSamples' must be a number"),
+        ("simulate", SIM_CFG, "lattice.box", [[0], ["two"]],
+         "config 'lattice.box' must be a number"),
+        ("kp", KP_CFG, "lattice.neighborhoodRadius", "one",
+         "config 'lattice.neighborhoodRadius' must be a number"),
+        ("kp", KP_CFG, "probes.lambdas", [0.0, "half"],
+         "config 'probes.lambdas.1' must be a number"),
+        ("dlr", DLR_CFG, "probes.nOuter", "many", "config 'probes.nOuter' must be a number"),
+        # these used to run on a truncated value, on NaN or on nothing
+        ("simulate", SIM_CFG, "lattice.box", [[1.5], [2]],
+         "config 'lattice.box' must be a whole number, not 1.5"),
+        ("kp", KP_CFG, "truncation.kMax", 1.5, "config 'truncation.kMax' must be a whole number"),
+        ("dlr", DLR_CFG, "mc.thin", True, "config 'mc.thin' must be a number, not True"),
+        ("simulate", SIM_CFG, "seed", 1.7, "config 'seed' must be a whole number, not 1.7"),
+        ("kp", KP_CFG, "probes.lambdas", [float("nan")],
+         "config 'probes.lambdas.0' must be a finite number, not nan"),
+        ("simulate", SIM_CFG, "lattice.box", [[0], [-3]], "config 'lattice.box' is empty"),
+        ("dlr", DLR_CFG, "probes.nOuter", 1, "config 'probes.nOuter' must be >= 2, not 1"),
+        ("dlr", DLR_CFG, "probes.nInner", 0, "config 'probes.nInner' must be >= 1, not 0"),
+        # t / dt overflowed the step count into a raw OverflowError
+        ("simulate", SIM_CFG, "time.t", 1e308, "1e+308 / dt = inf steps"),
     ],
     ids=["mc.nSamples", "lattice.box", "lattice.neighborhoodRadius", "probes.lambdas",
-         "probes.nOuter"],
+         "probes.nOuter", "lattice.box-fraction", "truncation.kMax-fraction", "mc.thin-bool",
+         "seed-fraction", "probes.lambdas-nan", "lattice.box-empty", "probes.nOuter-one",
+         "probes.nInner-zero", "time.t-huge"],
 )
-def test_a_non_numeric_config_value_exits_2(tmp_path, capsys, sub, base, section, key, value):
-    # these used to end in a raw ValueError from int() or float()
-    if base is None:
-        base = {**DOB_CFG, "potential": {"family": "quadratic"},
-                "probes": {"subBox": [[1], [3]], "nOuter": 4, "nInner": 2}}
-    cfg = {**base, section: {**base.get(section, {}), key: value}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert f"config '{section}.{key}' must be a number" in capsys.readouterr().err
+def test_a_non_numeric_config_value_exits_2(tmp_path, capsys, sub, base, path, value, message):
+    # the first five used to end in a raw ValueError from int() or float()
+    cfg = json.loads(json.dumps(base))
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(cfg))
+    assert main([sub, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
