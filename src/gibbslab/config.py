@@ -1,9 +1,10 @@
 """Experiment configuration: one JSON file resolves into domain objects.
 
 SCHEMA below is the whole schema: every key path the config accepts, with
-its kind, its bounds and its default.  ``check(cfg)`` checks a whole config
-against it; ``value(cfg, path)`` reads one key through it.  Keys are
-camelCase, and every key that is not in the table is rejected.
+its kind and its default.  ``check(cfg)`` checks a whole config against it;
+``value(cfg, path)`` reads one key through it.  Keys are camelCase, and
+every key that is not in the table is rejected.  Numeric bounds are checked
+once, by the domain objects the values build.
 
 Only the keys a subcommand reads are required; everything resolved is
 echoed back into the run directory for replay.
@@ -12,7 +13,6 @@ echoed back into the run directory for replay.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -57,18 +57,16 @@ REQUIRED = object()  # the default of a key that has none
 class Key:
     """One row of the schema.
 
-    ``min`` is an inclusive lower bound (on a list: 1 makes it nonempty),
-    ``above`` an exclusive one.  A row with ``when = (path, v)`` exists only
-    while the key at ``path`` reads v; a ``*`` in that path stands for the
-    list entry that holds the row.  A key without a default is required
-    where it is read, and in every list entry that holds it.
+    A row with ``when = (path, v)`` exists only while the key at ``path``
+    reads v; a ``*`` in that path stands for the list entry that holds the
+    row.  A key without a default is required where it is read, and a list
+    without one must not be empty.  Numeric bounds are left to the domain
+    objects built from the values (MCParams, DriftSpec, TimeGrid, ...).
     """
 
     path: str
     kind: str
     default: object = REQUIRED
-    min: Optional[float] = None
-    above: Optional[float] = None
     choices: tuple = ()
     when: Optional[tuple] = None
 
@@ -78,38 +76,38 @@ SCHEMA = (
     Key("lattice", SECTION, {}),
     Key("lattice.box", BOX),
     # kp's range when there is no drift; with one it must be the drift's
-    Key("lattice.neighborhoodRadius", INTEGER, 1, min=0),
+    Key("lattice.neighborhoodRadius", INTEGER, 1),
     Key("potential", SECTION, {}),
     Key("potential.family", ENUM, "quadratic", choices=tuple(POTENTIALS)),
     Key("drift", SECTION),
     Key("drift.family", ENUM, "constant",
         choices=("constant", "markov_local", "resonance", "delayed_feedback")),
-    Key("drift.beta", NUMBER, 1.0, min=0),
+    Key("drift.beta", NUMBER, 1.0),
     # the default is the family's: 0.5 for delayed_feedback, else 0.1
-    Key("drift.memory", NUMBER, above=0),
+    Key("drift.memory", NUMBER),
     Key("drift.params", SECTION, {}),
     Key("drift.params.c", NUMBER, 1.0, when=("drift.family", "constant")),
     Key("drift.params.scale", NUMBER, 1.0, when=("drift.family", "markov_local")),
-    Key("drift.params.radius", INTEGER, 1, min=0, when=("drift.family", "markov_local")),
+    Key("drift.params.radius", INTEGER, 1, when=("drift.family", "markov_local")),
     Key("drift.params.amplitude", NUMBER, 1.0, when=("drift.family", "resonance")),
     Key("drift.params.alpha", NUMBER, 1.0, when=("drift.family", "delayed_feedback")),
     # exactly one form: {"t": t}, or {"T": T, "M": M} with t = T M
     Key("time", SECTION),
-    Key("time.t", NUMBER, above=0),
-    Key("time.T", NUMBER, above=0),
-    Key("time.M", INTEGER, min=1),
+    Key("time.t", NUMBER),
+    Key("time.T", NUMBER),
+    Key("time.M", INTEGER),
     Key("mc", SECTION, {}),
-    Key("mc.nSamples", INTEGER, 10_000, min=2),
-    Key("mc.dt", NUMBER, 0.01, above=0),
-    Key("mc.bandwidthScale", NUMBER, 1.0, above=0),
-    Key("mc.essThreshold", NUMBER, 200.0, min=0),
-    Key("mc.burnIn", INTEGER, 100, min=0),
-    Key("mc.thin", INTEGER, 2, min=1),
+    Key("mc.nSamples", INTEGER, 10_000),
+    Key("mc.dt", NUMBER, 0.01),
+    Key("mc.bandwidthScale", NUMBER, 1.0),
+    Key("mc.essThreshold", NUMBER, 200.0),
+    Key("mc.burnIn", INTEGER, 100),
+    Key("mc.thin", INTEGER, 2),
     Key("truncation", SECTION),
-    Key("truncation.kMax", INTEGER, min=1),
-    Key("truncation.nMax", INTEGER, 2, min=1),
+    Key("truncation.kMax", INTEGER),
+    Key("truncation.nMax", INTEGER, 2),
     Key("interaction", SECTION, {}),
-    Key("interaction.beta0", NUMBER, 0.0, min=0),
+    Key("interaction.beta0", NUMBER, 0.0),
     Key("interaction.terms", LIST, []),
     Key("interaction.terms.*", SECTION),
     Key("interaction.terms.*.template", ENUM, choices=tuple(TEMPLATES)),
@@ -119,7 +117,7 @@ SCHEMA = (
     Key("interaction.terms.*.kind", ENUM, "bounded", choices=("bounded", "cos"),
         when=("interaction.terms.*.template", "site_field")),
     Key("betaGrid", LIST, []),
-    Key("betaGrid.*", NUMBER, min=0),
+    Key("betaGrid.*", NUMBER),
     *(
         Key(prefix + key, kind)
         for prefix in ("x", "y", "probes.pairs.*.x", "probes.pairs.*.y")
@@ -129,25 +127,23 @@ SCHEMA = (
     ),
     # probe lists, each read by the subcommands named
     Key("probes", SECTION, {}),
-    Key("probes.pairs", LIST, min=1),  # density, quasilocality
+    Key("probes.pairs", LIST),  # density, quasilocality
     Key("probes.pairs.*", SECTION),
     Key("probes.lambdas", LIST, [0.0, 1.0]),  # kp
-    Key("probes.lambdas.*", NUMBER, min=0),
+    Key("probes.lambdas.*", NUMBER),
     Key("probes.subBox", BOX),  # dlr
-    Key("probes.nOuter", INTEGER, 200, min=2),  # dlr
-    Key("probes.nInner", INTEGER, 4, min=1),  # dlr
+    Key("probes.nOuter", INTEGER, 200),  # dlr
+    Key("probes.nInner", INTEGER, 4),  # dlr
     Key("probes.dynamic", ENUM, "zero", choices=("zero", "expansion")),  # bispace, quasilocality
     Key("probes.window", BOX),  # quasilocality
-    Key("probes.deltas", LIST, min=1),  # quasilocality
+    Key("probes.deltas", LIST),  # quasilocality
     Key("probes.deltas.*", BOX),
     Key("out", TEXT, None),  # the default output directory
 )
 
 _ROWS: dict = {}  # path -> its rows (several when they hold under different `when`s)
-_CHILDREN: dict = {}  # path -> the rows one level below it
 for _key in SCHEMA:
     _ROWS.setdefault(_key.path, []).append(_key)
-    _CHILDREN.setdefault(_key.path.rpartition(".")[0], []).append(_key)
 _ROOT = Key("", SECTION)
 
 
@@ -165,151 +161,126 @@ def config_hash(cfg: dict) -> str:
 
 def check(cfg: dict) -> None:
     """A ValidationError naming the path of the first unknown or bad key."""
-    _checked(cfg, cfg, "", _ROOT)
+    _checked(cfg, cfg, (), _ROOT)
 
 
 def value(cfg: dict, path: str):
     """The checked value at ``path`` (e.g. "probes.pairs.0.x"), with its
     numbers as float or int, else the table's default; a ValidationError
     when it is bad, or missing and required."""
-    node, key, found = cfg, _ROOT, True
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        parent, sub = key, ".".join(parts[: i + 1])
-        key = _row(cfg, sub)
+    node, key, parts, found = cfg, _ROOT, (), True
+    for part in path.split("."):
+        parent = key
+        _container(node, parts, parent)
+        parts += (int(part) if parent.kind == LIST else part,)
+        key = _row(cfg, parts, parent)
         if key is None:
-            raise ValidationError(f"unknown config key '{sub}'")
-        _container(node, ".".join(parts[:i]), parent.kind)
-        if parent.kind == LIST:
-            part = int(part)
-        found = part < len(node) if parent.kind == LIST else part in node
-        if found:
-            node = node[part]
-        elif key.default is REQUIRED:
-            raise ValidationError(f"config is missing required key '{sub}'")
+            raise ValidationError(f"unknown config key '{_dotted(parts)}'")
+        if parts[-1] in (range(len(node)) if parent.kind == LIST else node):
+            node, found = node[parts[-1]], True
+        elif key.default is not REQUIRED:
+            node, found = key.default, False
+        elif parent.path.endswith("*"):
+            raise ValidationError(f"a '{_dotted(parts[:-2])}' entry is missing key '{part}'")
         else:
-            node = key.default
-    return _checked(cfg, node, path, key) if found else node
+            raise ValidationError(f"config is missing required key '{_dotted(parts)}'")
+    return _checked(cfg, node, parts, key) if found else node
 
 
-def _row(cfg: dict, path: str) -> Optional[Key]:
-    """The row of a concrete path, list indices read as ``*``; None if unknown."""
-    parts, rows = _rows_of(path)
-    for key in rows:
+def _row(cfg: dict, parts: tuple, parent: Key) -> Optional[Key]:
+    """The row of the concrete path ``parts``, whose parent's row is
+    ``parent``; None if the last key is unknown there."""
+    name = parts[-1]
+    if parent.kind == LIST or (isinstance(name, str) and name.isdigit()):
+        name = "*"  # a list entry, or a site of a per-site map
+    elif not isinstance(name, str) or "." in name or "*" in name:
+        return None
+    for key in _ROWS.get(f"{parent.path}.{name}" if parent.path else name, ()):
         if key.when is None:
             return key
-        sel = ".".join(parts[i] if p == "*" else p for i, p in enumerate(key.when[0].split(".")))
-        if value(cfg, sel) == key.when[1]:
+        sel = (parts[i] if p == "*" else p for i, p in enumerate(key.when[0].split(".")))
+        if value(cfg, _dotted(sel)) == key.when[1]:
             return key
     return None
 
 
-@functools.lru_cache(maxsize=4096)
-def _rows_of(path: str) -> tuple:
-    parts = tuple(path.split("."))
-    return parts, _ROWS.get(".".join("*" if p.isdigit() else p for p in parts), ())
+def _dotted(parts) -> str:
+    return ".".join(map(str, parts))
 
 
-def _name(path: str) -> str:
-    return f"config '{path}'" if path else "config root"
+def _name(parts: tuple) -> str:
+    return f"config '{_dotted(parts)}'" if parts else "config root"
 
 
-def _container(node, path: str, kind: str) -> None:
-    if not isinstance(node, list if kind == LIST else dict):
-        what = "a list" if kind == LIST else "a JSON object"
-        raise ValidationError(f"{_name(path)} must be {what}, not {node!r}")
+def _container(node, parts: tuple, key: Key) -> None:
+    if not isinstance(node, list if key.kind == LIST else dict):
+        what = "a list" if key.kind == LIST else "a JSON object"
+        raise ValidationError(f"{_name(parts)} must be {what}, not {node!r}")
 
 
-def _checked(cfg: dict, node, path: str, key: Key):
+def _checked(cfg: dict, node, parts: tuple, key: Key):
     """node, checked against its row, with its numbers converted."""
     if key.kind in (NUMBER, INTEGER):
-        return _number(node, path, key)
+        return _number(node, parts, key.kind == INTEGER)
     if key.kind in (ENUM, TEXT):
         if not isinstance(node, str) or (key.kind == ENUM and node not in key.choices):
             what = f"one of {list(key.choices)}" if key.kind == ENUM else "a string"
-            raise ValidationError(f"{_name(path)} must be {what}, not {node!r}")
+            raise ValidationError(f"{_name(parts)} must be {what}, not {node!r}")
         return node
     if key.kind == BOX:
-        return _box(node, path)
-    _container(node, path, key.kind)
+        return _box(node, parts)
+    _container(node, parts, key)
     if key.kind == CONFIGURATION and len(node) != 1:
         raise ValidationError(
-            f"{_name(path)} must hold either 'constant' or 'values', not {node!r}"
+            f"{_name(parts)} must hold either 'constant' or 'values', not {node!r}"
         )
-    prefix = path + "." if path else ""
-    if key.kind == LIST:
-        if len(node) < (key.min or 0):
-            raise ValidationError(f"{_name(path)} must not be empty")
-        return [
-            _checked(cfg, v, f"{prefix}{i}", _row(cfg, f"{prefix}{i}")) for i, v in enumerate(node)
-        ]
-    rows = {k: _row(cfg, prefix + str(k)) for k in node}
-    unknown = sorted(str(k) for k, row in rows.items() if row is None)
+    if key.kind == LIST and not node and key.default is REQUIRED:
+        raise ValidationError(f"{_name(parts)} must not be empty")
+    items = list(enumerate(node) if key.kind == LIST else node.items())
+    rows = [_row(cfg, parts + (k,), key) for k, _ in items]
+    unknown = sorted(str(k) for (k, _), row in zip(items, rows) if row is None)
     if unknown:
-        raise ValidationError(_unknown(cfg, path, key, unknown))
-    if key.path.endswith("*"):
-        for row in _CHILDREN.get(key.path, ()):
-            name = row.path.rpartition(".")[2]
-            if row.default is REQUIRED and name not in node:
-                raise ValidationError(
-                    f"a '{path.rpartition('.')[0]}' entry is missing key '{name}'"
-                )
-    return {k: _checked(cfg, v, prefix + str(k), rows[k]) for k, v in node.items()}
+        where = f"keys under '{_dotted(parts)}'" if parts else "config keys"
+        if parts == ("drift", "params"):
+            where = f"params of drift family '{value(cfg, 'drift.family')}'"
+        raise ValidationError(f"unknown {where}: {unknown}")
+    checked = [_checked(cfg, v, parts + (k,), row) for (k, v), row in zip(items, rows)]
+    return checked if key.kind == LIST else dict(zip(node, checked))
 
 
-def _unknown(cfg: dict, path: str, key: Key, unknown: list) -> str:
-    if not path:
-        return f"unknown config keys: {unknown}"
-    rows = _CHILDREN.get(key.path, ())
-    if not rows or not all(row.when for row in rows):
-        return f"unknown keys under '{path}': {unknown}"
-    # every key depends on one selector: "unknown params of drift family 'constant'"
-    sel = rows[0].when[0]
-    owner = path.rpartition(".")[2]
-    return f"unknown {owner} of {sel.replace('.', ' ')} '{value(cfg, sel)}': {unknown}"
-
-
-def _number(node, path: str, key: Key):
-    """A number, or a string that parses as one: finite, whole for an
-    integer, and inside the row's bounds."""
-    integer = key.kind == INTEGER
+def _number(node, parts: tuple, integer: bool):
+    """A number, or a string that parses as one: finite, and whole for an
+    integer."""
     if isinstance(node, bool) or not isinstance(node, (int, float, str)):
-        raise ValidationError(f"{_name(path)} must be a number, not {node!r}")
+        raise ValidationError(f"{_name(parts)} must be a number, not {node!r}")
     try:
         x = int(node) if integer and not isinstance(node, float) else float(node)
     except ValueError:
-        raise ValidationError(f"{_name(path)} must be a number, not {node!r}") from None
+        raise ValidationError(f"{_name(parts)} must be a number, not {node!r}") from None
     except OverflowError:
         x = math.inf
     if isinstance(x, float) and not math.isfinite(x):
-        raise ValidationError(f"{_name(path)} must be a finite number, not {node!r}")
+        raise ValidationError(f"{_name(parts)} must be a finite number, not {node!r}")
     if integer and isinstance(x, float):
         if not x.is_integer():
-            raise ValidationError(f"{_name(path)} must be a whole number, not {node!r}")
+            raise ValidationError(f"{_name(parts)} must be a whole number, not {node!r}")
         x = int(x)
-    if key.min is not None and x < key.min:
-        raise ValidationError(f"{_name(path)} must be >= {key.min}, not {node!r}")
-    if key.above is not None and not x > key.above:
-        raise ValidationError(f"{_name(path)} must be > {key.above}, not {node!r}")
     return x
 
 
-_COORD = Key("", INTEGER)
-
-
-def _box(node, path: str) -> list:
+def _box(node, parts: tuple) -> list:
     """[[lo...], [hi...]]: two integer corners of one dimension, lo <= hi."""
     if (
         not isinstance(node, list) or len(node) != 2
         or not all(isinstance(c, list) and c for c in node) or len(node[0]) != len(node[1])
     ):
         raise ValidationError(
-            f"{_name(path)} must be two corners [[lo, ...], [hi, ...]] of one "
+            f"{_name(parts)} must be two corners [[lo, ...], [hi, ...]] of one "
             f"dimension, not {node!r}"
         )
-    lo, hi = ([_number(c, path, _COORD) for c in corner] for corner in node)
+    lo, hi = ([_number(c, parts, True) for c in corner] for corner in node)
     if any(a > b for a, b in zip(lo, hi)):
-        raise ValidationError(f"{_name(path)} is empty: its corner {lo} exceeds {hi}")
+        raise ValidationError(f"{_name(parts)} is empty: its corner {lo} exceeds {hi}")
     return [lo, hi]
 
 

@@ -87,6 +87,18 @@ def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
     probes.write_text(json.dumps({**SIM_CFG, "probes": {"nOutter": 4}}))
     with pytest.raises(ValidationError, match=r"unknown keys under 'probes': \['nOutter'\]"):
         cfgmod.load_config(str(probes))
+    # a dotted key names no row, at any level: it is not read as a path
+    for dotted in (
+        {**SIM_CFG, "mc.nSamples": 100},
+        {**SIM_CFG, "probes.nOuter": 1},
+        {**SIM_CFG, "drift": {**SIM_CFG["drift"], "params.c": 5}},
+        {**SIM_CFG, "x": {"values": {"*": 0.0}}},
+    ):
+        path = tmp_path / "dotted.json"
+        path.write_text(json.dumps(dotted))
+        with pytest.raises(ValidationError, match=r"unknown .*\['(mc\.|probes\.|params\.|\*)"):
+            cfgmod.load_config(str(path))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_time_section_has_no_step_key(tmp_path, capsys):
@@ -607,8 +619,8 @@ DLR_CFG = {**DOB_CFG, "potential": {"family": "quadratic"},
         ("kp", KP_CFG, "probes.lambdas", [float("nan")],
          "config 'probes.lambdas.0' must be a finite number, not nan"),
         ("simulate", SIM_CFG, "lattice.box", [[0], [-3]], "config 'lattice.box' is empty"),
-        ("dlr", DLR_CFG, "probes.nOuter", 1, "config 'probes.nOuter' must be >= 2, not 1"),
-        ("dlr", DLR_CFG, "probes.nInner", 0, "config 'probes.nInner' must be >= 1, not 0"),
+        ("dlr", DLR_CFG, "probes.nOuter", 1, "dlr_test needs n_outer >= 2 and n_inner >= 1"),
+        ("dlr", DLR_CFG, "probes.nInner", 0, "dlr_test needs n_outer >= 2 and n_inner >= 1"),
         # t / dt overflowed the step count into a raw OverflowError
         ("simulate", SIM_CFG, "time.t", 1e308, "1e+308 / dt = inf steps"),
     ],
