@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BoundViolationError,
@@ -304,8 +304,8 @@ class DriftSpec:
 
     - ``t`` has shape (steps,) and ``window_times`` (steps, W+1);
     - ``window_values`` is one array of shape (R, steps, |nbhd|, W+1), its
-      axis 2 running over ``sorted(nbhd.around(site))``; it views the
-      caller's history and must not be written to.
+      axis 2 running over ``sorted(nbhd.around(site))``; it is a read-only
+      view of the caller's history.
 
     Every call has these shapes.  Window points before the start of the
     path repeat its first value at their own (earlier) times, so an
@@ -500,9 +500,9 @@ class PathBundle:
         """
         vals = self.values[:, idx, k_lo : k_hi + 1]
         state = wrap_angle(vals[:, :-1]) if self.state_space == CIRCLE else vals[:, :-1]
-        du = np.asarray(self.pot.dU(state), dtype=float)
         out = vals[:, 1:] - vals[:, :-1]
-        out += 0.5 * du * self.dt
+        # U' unnamed, so numpy may reuse its temporary for the products
+        out += 0.5 * np.asarray(self.pot.dU(state), dtype=float) * self.dt
         return out
 
 
@@ -554,11 +554,17 @@ def _windows(history: np.ndarray, W: int, t0: float, dt: float, lo: int):
     grid index lo + r; rows at negative indices repeat the frozen
     pre-history.  Returns the window times, shape (steps, W+1), and the
     value windows, shape (R, steps, sites, W+1): window s spans indices
-    lo + s .. lo + s + W.
+    lo + s .. lo + s + W.  Both are read-only strided views, so an evaluator
+    cannot write into the path.
     """
+    steps = history.shape[0] - W
     times = t0 + np.arange(lo, lo + history.shape[0]) * dt
-    wt = sliding_window_view(times, W + 1)
-    wv = sliding_window_view(history, W + 1, axis=0).transpose(2, 0, 1, 3)
+    wt = as_strided(times, (steps, W + 1), times.strides * 2, writeable=False)
+    row, site, replica = history.strides
+    wv = as_strided(
+        history, (history.shape[2], steps, history.shape[1], W + 1),
+        (replica, row, site, row), writeable=False,
+    )
     return wt, wv
 
 
@@ -591,8 +597,10 @@ def _drift_along(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int)
     Shape (R, steps), stored step-major so each step is contiguous.
     """
     site = tuple(site)
+    # evaluated before ``out`` is allocated, so the window history is gone
+    b = drift.evaluate(site, *_evaluation_windows(drift, path, site, k_lo, k_hi))
     out = np.empty((k_hi - k_lo, path.n_replicas)).T
-    out[...] = drift.evaluate(site, *_evaluation_windows(drift, path, site, k_lo, k_hi))
+    out[...] = b
     return out
 
 

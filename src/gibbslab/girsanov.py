@@ -61,6 +61,12 @@ def _window_indices(path: PathBundle, window: Tuple[float, float]) -> Tuple[int,
     return k_lo, k_hi
 
 
+# Elements of one (R, steps) block of the Girsanov exponent: psi walks its
+# window this many replica-steps at a time, so its temporaries stay about
+# 1 MB whatever the path length.
+BLOCK_ELEMENTS = 1 << 17
+
+
 def psi(
     drift: DriftSpec, site, window: Tuple[float, float], path: PathBundle
 ) -> np.ndarray:
@@ -69,21 +75,36 @@ def psi(
     psi = -beta sum_l b(s_l) dBbar(s_l) + (beta^2/2) sum_l b(s_l)^2 dt,
     so that exp(-sum psi) over interior sites is the Girsanov density.
     Sites outside the drift's interaction reach contribute exactly zero.
+
+    The steps are taken in blocks of max(1, BLOCK_ELEMENTS // R); every
+    element goes through the same operations in the same order whatever
+    the block size, so the result does not depend on it.
     """
     site = tuple(int(c) for c in site)
     k_lo, k_hi = _window_indices(path, window)
     idx = path.site_index(site)
-    beta, dt = drift.beta, path.dt
     out = np.zeros(path.n_replicas)
-    if beta == 0.0 or k_hi <= k_lo:
+    if drift.beta == 0.0:
         return out
-    b = _drift_along(drift, path, site, k_lo, k_hi)
-    terms = -beta * b * path.increments(idx, k_lo, k_hi) + 0.5 * beta * beta * b * b * dt
+    block = max(1, BLOCK_ELEMENTS // path.n_replicas)
+    for lo in range(k_lo, k_hi, block):
+        _add_block(out, drift, path, site, idx, lo, min(lo + block, k_hi))
+    return out
+
+
+def _add_block(out: np.ndarray, drift: DriftSpec, path: PathBundle, site, idx: int,
+               lo: int, hi: int) -> None:
+    """Adds the terms of psi at the steps lo .. hi-1 to ``out``, in step order.
+
+    Its (R, steps) temporaries are released on return, before the next block.
+    """
+    beta, dt = drift.beta, path.dt
+    b = _drift_along(drift, path, site, lo, hi)
+    terms = -beta * b * path.increments(idx, lo, hi) + 0.5 * beta * beta * b * b * dt
     # summed in step order, as a running sum over the steps would; a
     # pairwise np.sum along the step axis would change the low bits
     for term in terms.T:
         out += term
-    return out
 
 
 def log_girsanov_weight(
@@ -415,12 +436,15 @@ def density_endpoint_ratio(
     site so the smoothing bias cancels to leading order in the ratio.
     """
     R = mc.n_samples
-    q_bundle = simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
-                        rng=substream(seed, "endpoint", "interacting"))
-    p_bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
-                        rng=substream(seed, "endpoint", "free"))
-    p_terms = _endpoint_offsets(p_bundle, y, mc)
-    q_terms = [(d, h) for (d, _), (_, h) in zip(_endpoint_offsets(q_bundle, y, mc), p_terms)]
+    # only the path ends are read, so each bundle is dropped as soon as its
+    # offsets are taken: the two systems' paths are never held at once
+    q_offsets = _endpoint_offsets(
+        simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
+                 rng=substream(seed, "endpoint", "interacting")), y, mc)
+    p_terms = _endpoint_offsets(
+        simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
+                 rng=substream(seed, "endpoint", "free")), y, mc)
+    q_terms = [(d, h) for (d, _), (_, h) in zip(q_offsets, p_terms)]
     q_hat = mean_estimate(_kde_products(q_terms, R))
     p_hat = mean_estimate(_kde_products(p_terms, R))
     if p_hat.value <= 0 or p_hat.value < 3.0 * p_hat.stderr:

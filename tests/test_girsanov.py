@@ -9,6 +9,7 @@ from gibbslab.dynamics import (
     PathBundle,
     circle_free_potential,
     constant_drift,
+    delayed_feedback_drift,
     markov_local_drift,
     quadratic_potential,
     simulate,
@@ -217,6 +218,48 @@ def test_bridge_bundle_allocates_only_its_values(pot):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * bundle.values.nbytes
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_psi_allocates_blocks_not_the_path():
+    # psi walks its window in blocks of BLOCK_ELEMENTS // R steps, so what it
+    # allocates is a few block-sized arrays however long the path; one pass
+    # over the whole window held about five (R, K) arrays of one site
+    R, rng = 8000, np.random.default_rng(0)
+    drift = delayed_feedback_drift(1.0, 0.2)  # W = 20 steps of dt = 0.01
+
+    def bundle(n_sites, K):
+        # time-major, as simulate and multi_bridge_bundle store paths
+        values = rng.normal(0.0, 1.0, (K + 1, n_sites, R)).transpose(2, 1, 0)
+        return PathBundle(tuple((i,) for i in range(n_sites)), 0.01 * np.arange(K + 1), values, QUAD)
+
+    short = bundle(4, 100)
+    short_peak = _traced_peak(lambda: psi(drift, (0,), (0.0, 1.0), short))
+    assert short_peak < 0.25 * short.values.nbytes
+    del short
+    long = bundle(1, 400)
+    assert _traced_peak(lambda: psi(drift, (0,), (0.0, 4.0), long)) <= 1.1 * short_peak
+
+
+def test_endpoint_ratio_holds_one_system_at_a_time():
+    # the route reads only the path ends, so the interacting bundle is gone
+    # before the free one is simulated
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 0.3, (1,): -0.5})
+    y = Configuration({(0,): 0.1, (1,): -0.2})
+    drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
+    mc = MCParams(n_samples=8000, dt=0.01)
+    one = _traced_peak(lambda: simulate(drift, QUAD, vol, x, 1.0, 0.01, seed=0, n_replicas=8000))
+    both = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, x, y, 1.0, mc, seed=5))
+    assert both <= 1.1 * one
 
 
 def test_circle_bridge_winding_spread():

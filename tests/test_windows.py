@@ -20,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gibbslab import girsanov
 from gibbslab.dynamics import (
     DriftSpec,
     PathBundle,
@@ -216,6 +217,70 @@ def test_psi_on_bridges_matches_the_per_step_loop(family, window, space):
     for site in sorted(interior(VOL, drift.nbhd).sites):
         for (a, b), (k_lo, k_hi) in (((0.4, 0.6), (0, 10)), ((0.6, 0.8), (10, 20))):
             assert np.array_equal(psi(drift, site, (a, b), bundle), _ref_psi(ref, site, k_lo, k_hi, bundle, cut))
+
+
+@pytest.mark.parametrize("steps", [1, 4], ids=["one-step", "ragged"])
+@pytest.mark.parametrize("family,window,space", CASES)
+def test_psi_blocks_match_the_per_step_loop(family, window, space, steps, monkeypatch):
+    # psi in blocks of one step and of four (K = 15 and the windows of 10
+    # steps are no multiple of 4); at R = 6 the default block is the whole
+    # window, which the two tests above check
+    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", steps * R)
+    ref = DRIFTS[family]()
+    drift, cut = _library_drift(ref, window)
+    pot = POTENTIALS[space]()
+    x0 = Configuration(X0[space], pot.state_space)
+    path = simulate(drift, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
+    K = path.times.size - 1
+    bridge_drift, bridge_cut = _library_drift(ref, window, start=0.4)
+    sites = VOL.sorted_sites()
+    rng = np.random.default_rng(3)
+    layers = [{s: rng.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(5, "bridge"), R)
+    for site in sorted(interior(VOL, drift.nbhd).sites):
+        for (a, b), (k_lo, k_hi) in (((0.06, 0.26), (3, 13)), ((0.0, T), (0, K))):
+            assert np.array_equal(psi(drift, site, (a, b), path), _ref_psi(ref, site, k_lo, k_hi, path, cut))
+        for (a, b), (k_lo, k_hi) in (((0.4, 0.6), (0, 10)), ((0.6, 0.8), (10, 20))):
+            assert np.array_equal(
+                psi(bridge_drift, site, (a, b), bundle), _ref_psi(ref, site, k_lo, k_hi, bundle, bridge_cut)
+            )
+
+
+@pytest.mark.parametrize("family", ["delayed_feedback", "space_time_integral"])
+def test_psi_blocks_at_a_large_replica_count(family):
+    # at R = 4000 the default budget gives blocks of 32 steps, so a window of
+    # 50 steps is two blocks, the second one ragged
+    R_big, K = 4000, 50
+    assert girsanov.BLOCK_ELEMENTS // R_big < K
+    drift = DRIFTS[family]()
+    pot = quadratic_potential()
+    path = simulate(drift, pot, VOL, Configuration(X0["line"]), K * DT, DT, seed=19, n_replicas=R_big)
+    for site in sorted(interior(VOL, drift.nbhd).sites):
+        # from the path start, and a window inside the path
+        for (a, b), (k_lo, k_hi) in (((0.0, K * DT), (0, K)), ((0.2, 0.9), (10, 45))):
+            assert np.array_equal(psi(drift, site, (a, b), path), _ref_psi(drift, site, k_lo, k_hi, path))
+
+
+@pytest.mark.parametrize("space", POTENTIALS)
+def test_windows_are_read_only(space):
+    # an evaluator gets views of the caller's history and must not be able
+    # to write into them, nor through them into a path
+    seen = []
+
+    def ev(site, t, wt, wv):
+        seen.append((wt, wv))
+        return np.zeros(wv.shape[:2])
+
+    drift = DriftSpec(1.0, Neighborhood.range1d(1), T0, 1.0, ev)
+    pot = POTENTIALS[space]()
+    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, seed=17, n_replicas=R)
+    K = path.times.size - 1
+    seen += [_evaluation_windows(drift, path, (1,), k_lo, K)[1:] for k_lo in (0, 8)]
+    for wt, wv in seen:
+        assert wt.flags.writeable is False and wv.flags.writeable is False
+        with pytest.raises(ValueError):
+            wv[0, 0, 0, 0] = 1.0
+    assert len(seen) == K * len(interior(VOL, drift.nbhd).sites) + 2
 
 
 # on a 2-D box the von Neumann neighbours of a site are not consecutive in
