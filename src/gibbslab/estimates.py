@@ -12,7 +12,8 @@ from .errors import NumericalError, PrecisionError, ValidationError
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo value with standard error and sample count."""
+    """A Monte Carlo value with standard error and sample count; value and
+    stderr are floats, or arrays of one shape for a batch of estimates."""
 
     value: float
     stderr: float
@@ -20,7 +21,7 @@ class Estimate:
     method: str = "mc"
 
     def __post_init__(self):
-        if self.stderr < 0:
+        if np.less(self.stderr, 0).any():
             raise ValidationError("stderr must be nonnegative")
 
     def agrees_with(self, other: "Estimate", n_sigma: float = 4.0, atol: float = 0.0) -> bool:
@@ -62,14 +63,15 @@ def _finite_samples(samples) -> np.ndarray:
 
 
 def mean_estimate(samples: np.ndarray, method: str = "mc") -> Estimate:
+    """Mean and stderr over the last axis: floats for one row of samples,
+    arrays of the leading shape for more."""
     samples = _finite_samples(samples)
-    n = samples.size
-    return Estimate(
-        value=float(np.mean(samples)),
-        stderr=float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        n=n,
-        method=method,
-    )
+    n = samples.shape[-1]
+    value = np.mean(samples, axis=-1)
+    stderr = np.std(samples, axis=-1, ddof=1) / math.sqrt(n) if n > 1 else value * 0.0
+    if samples.ndim == 1:
+        value, stderr = float(value), float(stderr)
+    return Estimate(value, stderr, n, method)
 
 
 def weighted_mean_estimate(

@@ -46,6 +46,7 @@ from .dynamics import (
 from .errors import BudgetError, CoverageError, ValidationError
 from .estimates import Estimate, MCParams, mean_estimate
 from .girsanov import (
+    BLOCK_ELEMENTS,
     _bridge_coefficients,
     _bridge_lifts,
     _KeptUniforms,
@@ -195,64 +196,86 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
     """Monte Carlo estimate of the weight K_G(x, y) from the cluster's sampler.
 
     x and y map sites to values (a Configuration or a dict keyed by site
-    tuples) and must cover the sites ``pinned_sites`` names.  Each bridge
-    path is the sampler's base path plus the coefficient paths times the
-    pinned values; on the circle the windings are picked again from the
-    kept uniforms.  The factors are exp(-Psi) - 1 over each space cluster
-    and p_T - 1 over each time-cluster slice, averaged over the replicas.
-    Evaluating one sampler at several (x, y) uses common random numbers.
+    tuples) and must cover the sites ``pinned_sites`` names.  The pinned
+    values are scalars or arrays of one broadcast shape, and the estimate
+    holds one weight per point of it, a float for scalars.  Each bridge path
+    is the sampler's base path plus the coefficient paths times the pinned
+    values; on the circle the windings are picked again from the kept
+    uniforms.  The factors are exp(-Psi) - 1 over each space cluster and
+    p_T - 1 over each time-cluster slice, averaged over the replicas.
+    Evaluating one sampler at several (x, y) uses common random numbers; a
+    point's weight does not depend on the other points, which are scored in
+    blocks of about BLOCK_ELEMENTS path elements.
     """
+    R, (xs, ys) = sampler.n_samples, sampler.pins
+    try:
+        pins = {(s, 0): x[s] for s in xs} | {(s, sampler.cluster.grid.M): y[s] for s in ys}
+    except KeyError as exc:
+        raise CoverageError(f"x or y does not cover pinned site {exc.args[0]}") from None
+    shape = np.broadcast(*pins.values()).shape
+    # row j holds the values of the j-th pin at every point
+    points = np.empty((len(pins),) + shape)
+    for j, v in enumerate(pins.values()):
+        points[j] = v
+    points = points.reshape(len(pins), math.prod(shape))
+    rows = max((b.values.shape[0] * b.values.shape[1] for b in sampler.bridges), default=1)
+    block = max(1, BLOCK_ELEMENTS // R // rows)
+    value, stderr = np.empty(points.shape[1]), np.empty(points.shape[1])
+    for lo in range(0, value.size, block):
+        hi = min(lo + block, value.size)
+        est = mean_estimate(_weight_samples(sampler, dict(zip(pins, points[:, lo:hi, None])), hi - lo))
+        value[lo:hi], stderr[lo:hi] = est.value, est.stderr
+    if not shape:
+        return Estimate(float(value[0]), float(stderr[0]), R, method="cluster-weight")
+    return Estimate(value.reshape(shape), stderr.reshape(shape), R, method="cluster-weight")
+
+
+def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: int) -> np.ndarray:
+    """(P, R) samples of K_G, ``pins`` mapping each pinned (site, layer) to
+    its values at P points, shape (P, 1)."""
     G, pot, R = sampler.cluster, sampler.pot, sampler.n_samples
-    T, M = G.grid.T, G.grid.M
-    xs, ys = sampler.pins
-    for s in xs:
-        if s not in x:
-            raise CoverageError(f"x does not cover trace site {s}")
-    for s in ys:
-        if s not in y:
-            raise CoverageError(f"y does not cover trace site {s}")
-    ends = {0: x, M: y}
+    T = G.grid.T
 
     def layer_value(site, layer) -> np.ndarray:
-        if layer in ends and (site, layer) in G.support:
-            return np.full(R, ends[layer][site])
-        return sampler.shared[(site, layer)]
+        pinned = pins.get((site, layer))
+        return sampler.shared[(site, layer)] if pinned is None else pinned
 
-    samples = np.ones(R)
+    samples = np.ones((P, R))
     for tc in G.time_clusters:
         for j in tc.slices:
             v0 = layer_value(tc.site, j)
             v1 = layer_value(tc.site, j + 1)
             samples = samples * (free_kernel(pot, T, v0, v1) - 1.0)
     for bridge in sampler.bridges:
-        coef = bridge.coef
+        coef = bridge.coef[:, :, None, None]
         K = coef.shape[0] - 1
-        values = bridge.values
-        if bridge.pinned:
-            values = values.copy()
-            for i, nodes, uniforms in bridge.pinned:
-                filled = [
-                    layer_value(bridge.sites[i], l) if v is None else v
-                    for l, v in zip(bridge.layers, nodes)
-                ]
-                lifts = _bridge_lifts(pot, filled, T, uniforms)
-                # base already passes through a stored layer value
-                for n, (lift, v) in enumerate(zip(lifts, nodes)):
-                    if lift is v:
-                        continue
-                    shift = lift - bridge.values[i, n * K]
-                    if n == 0:
-                        values[i, 0] += shift
-                    else:
-                        values[i, (n - 1) * K + 1:n * K + 1] += coef[1:, 1:] * shift
-                    if n < len(lifts) - 1:
-                        values[i, n * K + 1:(n + 1) * K + 1] += coef[1:, :1] * shift
-        bundle = PathBundle(bridge.sites, bridge.times, values.transpose(2, 0, 1), pot)
-        psi_sum = np.zeros(R)
+        # the base paths, (sites, K+1, P, R)
+        values = np.empty(bridge.values.shape[:2] + (P, R))
+        values[...] = bridge.values[:, :, None, :]
+        for i, nodes, uniforms in bridge.pinned:
+            filled = [
+                layer_value(bridge.sites[i], l) if v is None else v
+                for l, v in zip(bridge.layers, nodes)
+            ]
+            lifts = _bridge_lifts(pot, filled, T, uniforms)
+            # base already passes through a stored layer value
+            for n, (lift, v) in enumerate(zip(lifts, nodes)):
+                if lift is v:
+                    continue
+                shift = lift - bridge.values[i, n * K]
+                if n == 0:
+                    values[i, 0] += shift
+                else:
+                    values[i, (n - 1) * K + 1:n * K + 1] += coef[1:, 1] * shift
+                if n < len(lifts) - 1:
+                    values[i, n * K + 1:(n + 1) * K + 1] += coef[1:, 0] * shift
+        replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 0, 1)
+        bundle = PathBundle(bridge.sites, bridge.times, replicas, pot)
+        psi_sum = np.zeros(P * R)
         for k, _ in bridge.scored:
             psi_sum += psi(sampler.drift, k, bridge.window, bundle)
-        samples = samples * np.expm1(-psi_sum)
-    return mean_estimate(samples, method="cluster-weight")
+        samples = samples * np.expm1(-psi_sum).reshape(P, R)
+    return samples
 
 
 @dataclass(frozen=True)

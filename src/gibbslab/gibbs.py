@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .expansion import (
     cluster_sampler,
     cluster_weight,
     connected_collections,
-    pinned_sites,
     volume_key,
 )
 from .lattice import Configuration, Volume, concat
@@ -428,14 +427,8 @@ def dlr_test(
 # two-layer structure
 # ---------------------------------------------------------------------------
 
-# Bytes of cluster samplers an ExpansionDynamicInteraction keeps, and the
-# number of cached weight values past which it clears that cache.
+# Bytes of cluster samplers an ExpansionDynamicInteraction keeps.
 SAMPLER_BUDGET_BYTES = 64 * 2**20
-WEIGHT_CACHE_ENTRIES = 200_000
-
-
-def _site_values(cfg) -> Mapping:
-    return cfg.values if isinstance(cfg, Configuration) else cfg
 
 
 class ZeroDynamicInteraction:
@@ -454,14 +447,13 @@ class ExpansionDynamicInteraction:
     from the substream keyed by the cluster's index, and every weight is
     that sampler evaluated at the pinned values of x and y (common random
     numbers), so Phi is a fixed deterministic function of the
-    configurations.  Weights are cached by cluster and pinned values
-    rounded to 12 digits.
+    configurations.  ``value`` broadcasts over arrays of pinned values like
+    every other term, evaluating each cluster of the group once per call.
 
     Samplers are kept under SAMPLER_BUDGET_BYTES, the least recently used
-    evicted first, and the weight cache is cleared past
-    WEIGHT_CACHE_ENTRIES; ``evictions`` counts the samplers and weights
-    dropped.  A dropped sampler is drawn
-    again from the same substream, so no eviction changes a result.
+    evicted first; ``evictions`` counts the samplers dropped.  A dropped
+    sampler is drawn again from the same substream, so no eviction changes
+    a result.
     """
 
     def __init__(
@@ -481,7 +473,6 @@ class ExpansionDynamicInteraction:
         self.mc = mc
         self.seed = seed
         self._clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
-        self._pins = [pinned_sites(G) for G in self._clusters]
         coll = connected_collections(self._clusters, drift.nbhd, n_max)
         # {trace key: [(cluster indices, C), ...]}, the table's rows in order
         self._groups: Dict[tuple, list] = {}
@@ -490,8 +481,7 @@ class ExpansionDynamicInteraction:
             self._groups.setdefault(coll.keys[t], []).append((combo, C))
         self._samplers: OrderedDict = OrderedDict()
         self._sampler_bytes = 0
-        self._weights: Dict[tuple, float] = {}
-        self.evictions = {"samplers": 0, "weights": 0}
+        self.evictions = {"samplers": 0}
 
     def traces(self) -> List[Volume]:
         return [Volume(frozenset(k)) for k in self._groups]
@@ -513,37 +503,27 @@ class ExpansionDynamicInteraction:
         self._sampler_bytes += sampler.nbytes
         return sampler
 
-    def _weight(self, i: int, x: Mapping, y: Mapping) -> float:
-        xs, ys = self._pins[i]
-        try:
-            key = (i, tuple(round(x[s], 12) for s in xs), tuple(round(y[s], 12) for s in ys))
-        except KeyError as exc:
-            raise CoverageError(f"configuration misses pinned site {exc.args[0]}") from None
-        weight = self._weights.get(key)
-        if weight is None:
-            if len(self._weights) > WEIGHT_CACHE_ENTRIES:
-                self.evictions["weights"] += len(self._weights)
-                self._weights.clear()
-            weight = self._weights[key] = cluster_weight(self._sampler(i), x, y).value
-        return weight
-
-    def value(self, delta: Volume, x, y) -> float:
+    def value(self, delta: Volume, x, y):
         """Phi_delta(x, y).
 
         x and y are Configurations or any mappings from site tuples to
         values (on the circle, angles in [0, 2 pi) as a Configuration holds
         them); they must cover the pinned sites of the clusters behind delta.
+        Values may be scalars or arrays of one broadcast shape, and the
+        result broadcasts with them: a float for scalars.
         """
         group = self._groups.get(volume_key(delta))
         if not group:
             return 0.0
-        x, y = _site_values(x), _site_values(y)
+        weights: Dict[int, object] = {}
         total = 0.0
         for combo, C in group:
             prod = 1.0
             for i in combo:
-                prod *= self._weight(i, x, y)
-            total += -C * prod
+                if i not in weights:
+                    weights[i] = cluster_weight(self._sampler(i), x, y).value
+                prod = prod * weights[i]
+            total = total + -C * prod
         return total
 
 
@@ -553,16 +533,6 @@ class CouplingTerm(NamedTuple):
 
     volume: Volume
     evaluator: Callable
-
-
-def _pointwise(dynamic, delta: Volume, x: Mapping, y: Mapping):
-    """Phi_delta(x, y) at each point of the broadcast arrays of x: the
-    dynamic interaction caches its weights by scalar site values."""
-    cols = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in x.values()))
-    out = np.empty(cols[0].shape)
-    for idx in np.ndindex(out.shape):
-        out[idx] = dynamic.value(delta, {s: c[idx] for s, c in zip(x, cols)}, y)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -588,7 +558,7 @@ class BiSpaceInteraction:
             )
             for i in vol.sorted_sites()
         ] + [
-            CouplingTerm(dv, lambda x, y, dv=dv: _pointwise(self.dynamic, dv, x, y))
+            CouplingTerm(dv, lambda x, y, dv=dv: self.dynamic.value(dv, x, y))
             for dv in self.dynamic.traces()
         ]
 
@@ -667,32 +637,25 @@ def conditional_density(
         _modified_interaction(bsi, vol, y_boundary), bsi.pot, work, [None],
         mc.n_samples, mc, [rng],
     )
-    xs = [dict(zip(work.sorted_sites(), row)) for row in chain.tolist()]
+    n = len(chain)
     # fresh normalizer draws per outer sample keep the b_k independent
     z_inner = _sample_reference_rng(
-        bsi.pot, len(xs) * n_inner * len(lam_sites), rng
-    ).reshape(len(xs), n_inner, len(lam_sites))
+        bsi.pot, n * n_inner * len(lam_sites), rng
+    ).reshape(n, n_inner, len(lam_sites))
 
-    def window_factor(xv: Dict, zvals: Dict) -> float:
-        # the window and y_boundary are disjoint, checked above
-        yv = {**y_boundary.values, **zvals}
-        return math.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
-
-    z_target = {s: z_vol[s] for s in lam_sites}
-    a = np.empty(len(xs))
-    b = np.empty(len(xs))
-    for k, xv in enumerate(xs):
-        a[k] = window_factor(xv, z_target)
-        b[k] = np.mean(
-            [
-                window_factor(xv, dict(zip(lam_sites, row)))
-                for row in z_inner[k]
-            ]
-        )
+    # the window factors at an (outer sample, 1 + n_inner) grid of points:
+    # column 0 holds the target window values, the others z_inner; the
+    # window and y_boundary are disjoint, checked above
+    xv = {s: chain[:, j, None] for j, s in enumerate(work.sorted_sites())}
+    yv = dict(y_boundary.values)
+    for j, s in enumerate(lam_sites):
+        yv[s] = np.concatenate([np.full((n, 1), z_vol[s]), z_inner[:, :, j]], axis=1)
+    factors = np.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
+    a = factors[:, 0]
+    b = factors[:, 1:].mean(axis=1)
     ma, mb = a.mean(), b.mean()
     if mb <= 0:
         raise NumericalError("conditional density normalizer is nonpositive")
-    n = a.size
     va = a.var(ddof=1) / n
     vb = b.var(ddof=1) / n
     cab = float(np.cov(a, b, ddof=1)[0, 1]) / n if n > 1 else 0.0
@@ -719,10 +682,10 @@ def quasilocality_probe(
     for i in range(1, len(deltas)):
         if not deltas[i - 1].issubset(deltas[i]):
             raise ValidationError("delta sequence must be increasing")
-    # conditional_density is a pure function of its inputs (weights use
-    # common random numbers keyed by value), so each distinct pair of window
-    # values and boundary is estimated once: y1 serves every delta, and the
-    # mixed boundary at the full delta is y1 again
+    # conditional_density is a pure function of its inputs (each weight is
+    # its cluster's fixed sampler evaluated at the pinned values), so each
+    # distinct pair of window values and boundary is estimated once: y1
+    # serves every delta, and the mixed boundary at the full delta is y1 again
     window = vol.sorted_sites()
     seen: Dict[tuple, Estimate] = {}
     estimates = []  # per pair: g1, then g2 for each delta

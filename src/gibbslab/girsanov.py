@@ -166,17 +166,18 @@ def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> 
 
     Takes the shortest angular displacement, then a winding number picked
     by the uniforms u, weighted by the free Gaussian likelihood of each
-    lifted endpoint.  a, b and u have shape (R,).
+    lifted endpoint.  a, b and u broadcast to one shape, such as (R,) or
+    (points, R); each element is picked alone.
     """
     d = np.mod(b - a + np.pi, TWO_PI) - np.pi
     n_max = max(3, int(math.ceil(4.0 * math.sqrt(tau) / TWO_PI)) + 1)
     windings = np.arange(-n_max, n_max + 1)
-    disp = d[:, None] + TWO_PI * windings[None, :]
+    disp = d[..., None] + TWO_PI * windings
     logw = -(disp**2) / (2.0 * tau)
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    cdf = np.cumsum(w, axis=1)
-    pick = ((u * cdf[:, -1])[:, None] > cdf).sum(axis=1)
-    return a + disp[np.arange(d.shape[0]), pick]
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    cdf = np.cumsum(w, axis=-1)
+    pick = ((u * cdf[..., -1])[..., None] > cdf).sum(axis=-1)
+    return a + np.take_along_axis(disp, pick[..., None], axis=-1)[..., 0]
 
 
 def _lifted_bridge_steps(
@@ -240,7 +241,8 @@ def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
 
     The OU path passes through the layer values themselves.  The circle
     path passes through lifts: each segment's end is lifted from the
-    previous lift with that segment's winding uniforms.
+    previous lift with that segment's winding uniforms.  The layer values
+    may be (R,) arrays or broadcast against them, e.g. (points, 1).
     """
     if pot.family == "quadratic":
         return list(nodes)

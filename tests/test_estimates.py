@@ -16,6 +16,10 @@ from gibbslab.estimates import (
 def test_estimate_rejects_negative_stderr():
     with pytest.raises(ValidationError):
         Estimate(1.0, -0.1, 10)
+    # a batch is checked at every point
+    assert Estimate(np.zeros(3), np.array([0.1, 0.0, 0.2]), 10).stderr.shape == (3,)
+    with pytest.raises(ValidationError):
+        Estimate(np.zeros(3), np.array([0.1, -0.1, 0.2]), 10)
 
 
 def test_agrees_with_combined_error():
@@ -49,6 +53,16 @@ def test_mean_estimate_matches_numpy():
     assert est.value == pytest.approx(2.5)
     assert est.stderr == pytest.approx(np.std(xs, ddof=1) / 2.0)
     assert est.n == 4
+    assert isinstance(est.value, float) and isinstance(est.stderr, float)
+
+
+def test_mean_estimate_of_a_batch_is_bit_for_bit_each_row():
+    rows = np.random.default_rng(3).normal(size=(2, 3, 700))
+    batch = mean_estimate(rows)
+    assert batch.value.shape == batch.stderr.shape == (2, 3) and batch.n == 700
+    for idx in np.ndindex(2, 3):
+        one = mean_estimate(rows[idx])
+        assert (batch.value[idx], batch.stderr[idx]) == (one.value, one.stderr)
 
 
 def test_weighted_mean_uniform_weights():
@@ -97,6 +111,8 @@ def test_mean_estimate_rejects_non_finite_samples():
         mean_estimate(np.array([np.inf, -np.inf, 1.0]))
     with pytest.raises(NumericalError):
         mean_estimate(np.array([0.5, np.nan]))
+    with pytest.raises(NumericalError):
+        mean_estimate(np.array([[0.5, 1.0], [0.5, np.nan]]))
 
 
 def test_weighted_mean_estimate_rejects_non_finite_samples():

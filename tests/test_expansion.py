@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from gibbslab.dynamics import (
     markov_local_drift,
     quadratic_potential,
 )
+from gibbslab import expansion
 from gibbslab.errors import BudgetError, CoverageError, ValidationError
 from gibbslab.estimates import Estimate, MCParams, mean_estimate
 from gibbslab.expansion import (
@@ -130,6 +132,11 @@ def test_cluster_weight_requires_endpoint_coverage():
     )
     with pytest.raises(CoverageError):
         cluster_weight(sampler, empty, empty)
+    # a batch as well: every pinned site needs its values
+    batch = {(0,): np.linspace(-1.0, 1.0, 5)}
+    assert cluster_weight(sampler, batch, batch).value.shape == (5,)
+    with pytest.raises(CoverageError):
+        cluster_weight(sampler, batch, {(5,): np.zeros(5)})
 
 
 def test_single_space_cluster_weight_is_density_minus_one():
@@ -252,6 +259,77 @@ def test_sampler_revisits_give_the_same_float():
         first = cluster_weight(sampler, x, y)
         cluster_weight(sampler, x2, x)
         assert cluster_weight(sampler, x, y) == first
+
+
+def _pinned_batch(space, shape, rng):
+    """x and y on sites 0..3 with a batch of the given shape at sites 0 and
+    1 of x and site 2 of y, and scalars elsewhere."""
+    hi = 1.5 if space == LINE else 2 * math.pi
+    lo = -hi if space == LINE else 0.0
+    x = {(i,): rng.uniform(lo, hi) for i in range(4)}
+    y = {(i,): rng.uniform(lo, hi) for i in range(4)}
+    x[(0,)] = rng.uniform(lo, hi, shape)
+    x[(1,)] = rng.uniform(lo, hi, shape[-1:])
+    y[(2,)] = rng.uniform(lo, hi, shape)
+    return x, y
+
+
+def _point(values, idx, shape):
+    return {s: float(np.broadcast_to(v, shape)[idx]) for s, v in values.items()}
+
+
+@pytest.mark.parametrize("block_elements", [None, 1])
+@pytest.mark.parametrize("family, M", list(itertools.product(("quadratic", "circle_free"), (1, 2, 3))))
+def test_batched_weights_equal_per_point_calls(family, M, block_elements, monkeypatch):
+    # a point's weight does not depend on the batch or on the block it is
+    # scored in: bit for bit the weight of a scalar call at that point; on
+    # the circle the windings are picked on (points, R) arrays
+    if block_elements is not None:
+        monkeypatch.setattr(expansion, "BLOCK_ELEMENTS", block_elements)
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    space = LINE if family == "quadratic" else CIRCLE
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.4)
+    mc = MCParams(n_samples=8, dt=0.1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), NB1, TimeGrid(0.5, M), 2)
+    x, y = _pinned_batch(space, (2, 3), np.random.default_rng(M))
+    for i, G in enumerate(clusters):
+        sampler = cluster_sampler(G, drift, pot, mc, substream(6, "weight", i))
+        batch = cluster_weight(sampler, x, y)
+        shape = np.broadcast_shapes(*(
+            np.shape(v[s]) for v, sites in zip((x, y), sampler.pins) for s in sites
+        ))
+        assert np.shape(batch.value) == np.shape(batch.stderr) == shape
+        for idx in np.ndindex(shape):
+            full = (0,) * (2 - len(idx)) + idx
+            one = cluster_weight(sampler, _point(x, full, (2, 3)), _point(y, full, (2, 3)))
+            assert isinstance(one.value, float)
+            assert (np.asarray(batch.value)[idx], np.asarray(batch.stderr)[idx]) == (one.value, one.stderr)
+            assert batch.n == one.n == mc.n_samples
+
+
+def test_batched_weight_memory_stays_within_blocks():
+    # 10 000 points at R = 800 would need a 320 MB (sites, K+1, points, R)
+    # path array at once; in blocks of points the peak is a few blocks
+    R = 800
+    drift = _drift(0.7, 0.3)
+    mc = MCParams(n_samples=R, dt=0.05)
+    clusters = enumerate_clusters(Volume.box((0,), (1,)), drift.nbhd, TimeGrid(0.2, 1), 1)
+    G = next(G for G in clusters if G.space_clusters)
+    sampler = cluster_sampler(G, drift, QUAD, mc, substream(5, "weight", 0))
+    [bridge] = sampler.bridges
+    rows = bridge.values.shape[0] * bridge.values.shape[1]
+    block_bytes = max(1, expansion.BLOCK_ELEMENTS // R // rows) * R * rows * 8
+    pts = np.random.default_rng(0).normal(size=(100, 100))
+    x = {s: pts for s in sampler.pins[0]}
+    y = {s: pts.T for s in sampler.pins[1]}
+    tracemalloc.start()
+    try:
+        est = cluster_weight(sampler, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.value.shape == (100, 100)
+    assert peak <= 8 * block_bytes
 
 
 def test_reconstruction_matches_direct_density_one_slice():

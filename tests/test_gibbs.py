@@ -18,6 +18,7 @@ from gibbslab.dynamics import (
 )
 from gibbslab.errors import CoverageError, SetupError, ValidationError
 from gibbslab.estimates import MCParams
+from gibbslab.expansion import cluster_sampler, cluster_weight, volume_key
 from gibbslab.gibbs import (
     BiSpaceInteraction,
     ExpansionDynamicInteraction,
@@ -585,12 +586,12 @@ def test_conditional_density_passes_wrapped_circle_values():
     assert rec.seen
     for x, y in rec.seen:
         for v in (*x.values(), *y.values()):
-            assert 0.0 <= v < TWO_PI
+            assert np.all((0.0 <= v) & (v < TWO_PI))
 
 
 def test_dynamic_interaction_evictions_keep_every_weight(monkeypatch):
-    # dropped weights are recomputed from the kept sampler and dropped
-    # samplers are drawn again from the same substream: bit for bit the same
+    # dropped samplers are drawn again from the same substream: bit for bit
+    # the same values
     rng = np.random.default_rng(8)
     sites = [(0,), (1,), (2,)]
     pairs = [
@@ -599,15 +600,70 @@ def test_dynamic_interaction_evictions_keep_every_weight(monkeypatch):
     ]
     plain = _small_dynamic(QUAD)
     expected = [[plain.value(d, x, y) for d in plain.traces()] for x, y in pairs]
-    assert plain.evictions == {"samplers": 0, "weights": 0}
-    monkeypatch.setattr(gibbs, "WEIGHT_CACHE_ENTRIES", 2)
+    assert plain.evictions == {"samplers": 0}
     monkeypatch.setattr(gibbs, "SAMPLER_BUDGET_BYTES", 1)
     capped = _small_dynamic(QUAD)
     for _ in range(2):
         got = [[capped.value(d, x, y) for d in capped.traces()] for x, y in pairs]
         assert got == expected
-    assert capped.evictions["weights"] > 0 and capped.evictions["samplers"] > 0
+    assert capped.evictions["samplers"] > 0
     assert len(capped._samplers) == 1
+
+
+@pytest.mark.parametrize("family", ["quadratic", "circle_free"])
+def test_dynamic_value_at_a_batch_equals_per_point_calls(family):
+    # Phi broadcasts over arrays of pinned values; each point is bit for bit
+    # the value of a call at that point alone
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    rng = np.random.default_rng(12)
+    sites = [(0,), (1,), (2,)]
+    P = 5
+    x = dict(zip(sites, _sample_reference_rng(pot, 3 * P, rng).reshape(3, P)))
+    x[(2,)] = float(x[(2,)][0])
+    y = dict(zip(sites, _sample_reference_rng(pot, 3, rng)))
+    y[(1,)] = _sample_reference_rng(pot, P, rng)
+    dyn = _small_dynamic(pot)
+    shapes = set()
+    for delta in dyn.traces():
+        batch = dyn.value(delta, x, y)
+        shapes.add(np.shape(batch))
+        batch = np.broadcast_to(batch, (P,))
+        for p in range(P):
+            point = [{s: float(np.broadcast_to(v, (P,))[p]) for s, v in d.items()} for d in (x, y)]
+            assert batch[p] == dyn.value(delta, *point)
+    assert (P,) in shapes
+    with pytest.raises(CoverageError):
+        dyn.value(Volume.box((1,), (1,)), {(0,): x[(0,)], (2,): x[(2,)]}, y)
+
+
+def test_pinned_values_1e_13_apart_get_their_own_weights():
+    # no weight is shared through a rounded key: at k_max = n_max = 1 each
+    # trace is one cluster, Phi = -K_G, and each of two x values 1e-13
+    # apart gets -K_G of a fresh sampler at that exact value
+    pot, seed = QUAD, 5
+    drift = dataclasses.replace(markov_local_drift(1.0, Neighborhood.range1d(1), 0.1), beta=0.4)
+    mc = MCParams(n_samples=64, dt=0.1)
+    dyn = ExpansionDynamicInteraction(
+        drift, pot, Volume.box((0,), (2,)), TimeGrid(0.5, 1), 1, 1, mc, seed
+    )
+    y = {(0,): -0.2, (1,): 0.5, (2,): 0.1}
+    xa = {(0,): -0.4, (1,): 0.3, (2,): 0.9}
+    xb = {**xa, (1,): 0.3 + 1e-13}
+    moved = 0
+    for delta in dyn.traces():
+        [[(i,), C]] = dyn._groups[volume_key(delta)]
+        assert C == 1.0
+        got = [dyn.value(delta, x, y) for x in (xa, xb)]
+        fresh = [
+            cluster_weight(
+                cluster_sampler(dyn._clusters[i], drift, pot, mc, substream(seed, "weight", i)),
+                x, y,
+            ).value
+            for x in (xa, xb)
+        ]
+        assert got == [-w for w in fresh]
+        moved += got[0] != got[1]
+    assert moved > 0
 
 
 def test_dynamic_interaction_requires_pinned_sites():
