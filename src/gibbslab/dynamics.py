@@ -310,9 +310,10 @@ class DriftSpec:
     Every call has these shapes.  Window points before the start of the
     path repeat its first value at their own (earlier) times, so an
     evaluator that wants the window cut at the path start ignores them.
-    The evaluator returns b as an array broadcastable to (R, steps) and
-    must treat the steps of a batch independently.  The absolute value of
-    b may never exceed ``bound`` (checked at runtime, once per call).
+    The evaluator returns b as anything that broadcasts to (R, steps), a
+    scalar or a (steps,) array included, and must treat the steps of a
+    batch independently.  |b| may never exceed ``bound`` (checked once per
+    call); ``evaluate`` returns b as a read-only (R, steps) view.
     """
 
     beta: float
@@ -334,11 +335,12 @@ class DriftSpec:
         val = np.asarray(
             self.evaluator(site, t, window_times, window_values), dtype=float
         )
-        if np.any(np.abs(val) > self.bound + 1e-9):
+        top = self.bound + 1e-9  # fmax and fmin skip NaN, as |b| > top does
+        if val.size and (np.fmax.reduce(val, None) > top or np.fmin.reduce(val, None) < -top):
             raise BoundViolationError(
                 f"drift '{self.label}' exceeded its declared bound {self.bound}"
             )
-        return val
+        return np.broadcast_to(val, window_values.shape[:2])
 
 
 def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:
@@ -348,7 +350,7 @@ def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:
         nbhd=Neighborhood.range1d(0),
         memory=memory,
         bound=abs(c),
-        evaluator=lambda site, t, wt, wv: np.full(wv.shape[:2], float(c)),
+        evaluator=lambda site, t, wt, wv: float(c),
         label="constant",
     )
 
@@ -369,7 +371,7 @@ def resonance_drift(amplitude: float, memory: float = 0.1) -> DriftSpec:
     """External periodic forcing b = A sin(t); declared bound equals A."""
 
     def ev(site, t, wt, wv):
-        return np.full(wv.shape[:2], amplitude * np.sin(t))
+        return amplitude * np.sin(t)
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=memory,
@@ -460,9 +462,9 @@ class PathBundle:
     """Discretized trajectories of all sites under the free potential ``pot``.
 
     ``values`` has shape (replicas, sites, K+1); circle paths are stored as
-    a continuous lift (``state_values`` wraps them).  A bundle holds its
-    paths only: ``increments`` derives the compensated increments that the
-    Girsanov exponent reads.
+    a continuous lift, which ``wrap_angle`` maps to states.  A bundle holds
+    its paths only: ``increments`` derives the compensated increments that
+    the Girsanov exponent reads.
     """
 
     sites: tuple
@@ -487,10 +489,6 @@ class PathBundle:
             return self.sites.index(tuple(site))
         except ValueError:
             raise CoverageError(f"site {site} not covered by this path bundle")
-
-    def state_values(self, site) -> np.ndarray:
-        vals = self.values[:, self.site_index(site), :]
-        return wrap_angle(vals) if self.state_space == CIRCLE else vals
 
     def increments(self, idx: int, k_lo: int, k_hi: int) -> np.ndarray:
         """dX + (1/2) U'(X_k) dt of site row idx at the steps k_lo .. k_hi-1.
@@ -645,13 +643,10 @@ def simulate(
     W = _window_length(drift, dt)
     times = dt * np.arange(K + 1)
     # path rows (time, site, replica): W rows of frozen pre-history, then
-    # x_0 .. x_K.  Its memory first holds the noise, drawn replica-major as
-    # (R, n, K) and scaled into the time-major dB before the steps overwrite it
+    # x_0 .. x_K; the rows of x_1 .. x_K first hold the standard normals
+    # that step k scales and overwrites
     history = np.empty((W + K + 1, n, R))
-    noise = history.reshape(-1)[: R * n * K].reshape(R, n, K)
-    rng.standard_normal(out=noise)
-    dB = np.empty((K, n, R))
-    np.multiply(noise.transpose(2, 1, 0), math.sqrt(dt), out=dB)
+    rng.standard_normal(out=history[W + 1 :])
     history[: W + 1] = x0.array_for(sites)[:, None]
     circle = pot.state_space == CIRCLE
     # the drift and U' read wrapped angles on the circle
@@ -670,7 +665,7 @@ def simulate(
             for i, site, block in readers:
                 b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
                 drift_term[i, :, None] += drift.beta * b
-        history[W + k + 1] = xk + (dB[k] + drift_term * dt)
+        history[W + k + 1] = xk + (history[W + k + 1] * math.sqrt(dt) + drift_term * dt)
         if circle:
             wrap_angle(history[W + k + 1], out=state[W + k + 1])
     if not np.all(np.isfinite(history)):

@@ -39,7 +39,7 @@ from .estimates import (
     ratio_estimate,
     weighted_mean_estimate,
 )
-from .lattice import CIRCLE, TWO_PI, Configuration, Volume, interior
+from .lattice import CIRCLE, TWO_PI, Configuration, Volume, interior, wrap_angle
 from .rng import substream
 
 
@@ -325,11 +325,12 @@ def _endpoint_offsets(bundle: PathBundle, y: Configuration, mc: MCParams) -> lis
     so an end just across the seam from y counts as near it; on the line
     the spread is that of the ends."""
     out = []
-    for s in bundle.sites:
-        end = bundle.state_values(s)[:, -1]
-        diff, spread = end - y[s], end
+    for idx, s in enumerate(bundle.sites):
+        end = bundle.values[:, idx, -1]
         if bundle.state_space == CIRCLE:
-            diff = spread = np.mod(diff + np.pi, TWO_PI) - np.pi
+            diff = spread = np.mod(wrap_angle(end) - y[s] + np.pi, TWO_PI) - np.pi
+        else:
+            diff, spread = end - y[s], end
         h = mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * bundle.n_replicas ** (-0.2)
         out.append((diff, h))
     return out

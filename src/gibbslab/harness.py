@@ -100,7 +100,7 @@ def _run_simulate(cfg, out_dir, seed, chash) -> dict:
     mc = cfgmod.resolve_mc(cfg)
     t, _ = cfgmod.resolve_time(cfg)
     x0 = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
-    n_rep = min(mc.n_samples, 256)
+    n_rep = min(mc.n_samples, 256)  # a cap the README states under "Command line"
     bundle = simulate(drift, pot, vol, x0, t, mc.dt, seed, n_replicas=n_rep)
     sites = list(bundle.sites)
     header = ["time"] + ["x" + "_".join(map(str, s)) for s in sites]
@@ -257,7 +257,7 @@ def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
         mc = cfgmod.resolve_mc(cfg)
         dyn = ExpansionDynamicInteraction(
             drift, pot, vol, grid, k_max, n_max,
-            mc.with_samples(min(mc.n_samples, 1000)), seed,
+            mc.with_samples(min(mc.n_samples, 1000)), seed,  # a cap the README states
         )
     return BiSpaceInteraction(phi, dyn, pot, t)
 

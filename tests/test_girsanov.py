@@ -12,11 +12,13 @@ from gibbslab.dynamics import (
     delayed_feedback_drift,
     markov_local_drift,
     quadratic_potential,
+    resonance_drift,
     simulate,
 )
 from gibbslab.errors import CoverageError, ValidationError
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.girsanov import (
+    _endpoint_offsets,
     bridge_expectation,
     density,
     density_endpoint_ratio,
@@ -26,7 +28,7 @@ from gibbslab.girsanov import (
     multi_bridge_bundle,
     psi,
 )
-from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior
+from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior, wrap_angle
 from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
@@ -260,6 +262,59 @@ def test_endpoint_ratio_holds_one_system_at_a_time():
     one = _traced_peak(lambda: simulate(drift, QUAD, vol, x, 1.0, 0.01, seed=0, n_replicas=8000))
     both = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, x, y, 1.0, mc, seed=5))
     assert both <= 1.1 * one
+
+
+@pytest.mark.parametrize("pot,bound", [(QUAD, 1.5), (CIRC, 2.5)], ids=["line", "circle"])
+def test_simulate_holds_one_path_buffer(pot, bound):
+    # the Euler noise is drawn into the rows x_1 .. x_K that the steps
+    # overwrite, so the one large array is the (W + K + 1, n, R) history the
+    # bundle views; the circle keeps its wrapped state beside it.  A second,
+    # time-major copy of the noise read 2.0 and 3.0 times the history
+    W, K, n, R = 20, 100, 2, 8000
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 0.3, (1,): 6.2}, pot.state_space)
+    drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
+    peak = _traced_peak(lambda: simulate(drift, pot, vol, x, 1.0, 0.01, seed=0, n_replicas=R))
+    assert peak <= bound * (W + K + 1) * n * R * 8
+
+
+@pytest.mark.parametrize(
+    "drift,b", [(constant_drift(0.7), lambda t: 0.7), (resonance_drift(0.8), lambda t: 0.8 * np.sin(t))],
+    ids=["constant", "resonance"],
+)
+def test_constant_drifts_allocate_nothing(drift, b):
+    # a drift that does not read the path returns a scalar or a (steps,)
+    # array, and evaluate checks it and broadcasts it without copying
+    R, steps, W = 8000, 16, 10
+    t = 0.3 + 0.01 * np.arange(steps)
+    wt = t[:, None] + 0.01 * np.arange(-W, 1)
+    wv = np.zeros((R, steps, 1, W + 1))
+    out = []
+    assert _traced_peak(lambda: out.append(drift.evaluate((0,), t, wt, wv))) < 64 * 1024
+    (val,) = out
+    assert val.shape == (R, steps) and not val.flags.writeable
+    assert np.array_equal(val, np.full((R, steps), b(t)))
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_endpoint_offsets_read_only_the_path_ends(pot):
+    # the ends alone are wrapped; the offsets and bandwidths are those of the
+    # ends of the wrapped whole paths
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 6.2, (1,): 0.1}, pot.state_space)
+    y = Configuration({(0,): 0.05, (1,): 3.0}, pot.state_space)
+    mc = MCParams(n_samples=400, dt=0.01)
+    free = dataclasses.replace(constant_drift(0.0), beta=0.0)
+    bundle = simulate(free, pot, vol, x, 2.0, mc.dt, seed=4, n_replicas=mc.n_samples)
+    for i, (diff, h) in enumerate(_endpoint_offsets(bundle, y, mc)):
+        path = bundle.values[:, i]
+        end = wrap_angle(path)[:, -1] if pot is CIRC else path[:, -1]
+        ref = end - y[bundle.sites[i]]
+        if pot is CIRC:
+            ref = np.mod(ref + np.pi, TWO_PI) - np.pi
+        assert np.array_equal(diff, ref)
+        spread = ref if pot is CIRC else end
+        assert h == mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * mc.n_samples ** (-0.2)
 
 
 def test_circle_bridge_winding_spread():

@@ -111,7 +111,8 @@ def _ref_simulate(drift, pot, x0, seed, vol=VOL, cut=False):
     values[:, :, 0] = x0.array_for(sites)[None, :]
     dbar = np.empty((R, n, K))
     times = DT * np.arange(K + 1)
-    noise = rng.standard_normal((R, n, K)) * math.sqrt(DT)
+    # simulate draws time-major: x_{k+1} of site i, replica r takes draw k n R + i R + r
+    noise = rng.standard_normal((K, n, R)).transpose(2, 1, 0) * math.sqrt(DT)
     path = _Growing(sites, times, values, pot.state_space)
     for k in range(K):
         xk = values[:, :, k]
