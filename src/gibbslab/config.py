@@ -24,10 +24,13 @@ from .clusters import TimeGrid
 from .dynamics import (
     DriftSpec,
     PotentialSpec,
-    builtin_drifts,
     circle_free_potential,
+    constant_drift,
     custom_potential,
+    delayed_feedback_drift,
+    markov_local_drift,
     quadratic_potential,
+    resonance_drift,
 )
 from .errors import ValidationError
 from .estimates import MCParams
@@ -309,19 +312,20 @@ def resolve_drift(cfg: dict) -> DriftSpec:
     spec = value(cfg, "drift")
     fam = value(cfg, "drift.family")
     memory = spec.get("memory", 0.5 if fam == "delayed_feedback" else 0.1)
-    make = builtin_drifts()[fam]
 
     def param(name):
         return value(cfg, f"drift.params.{name}")
 
     if fam == "constant":
-        drift = make(param("c"), memory=memory)
+        drift = constant_drift(param("c"), memory=memory)
     elif fam == "markov_local":
-        drift = make(param("scale"), Neighborhood.range1d(param("radius")), memory=memory)
+        drift = markov_local_drift(
+            param("scale"), Neighborhood.range1d(param("radius")), memory=memory
+        )
     elif fam == "resonance":
-        drift = make(param("amplitude"), memory=memory)
+        drift = resonance_drift(param("amplitude"), memory=memory)
     else:
-        drift = make(param("alpha"), memory)
+        drift = delayed_feedback_drift(param("alpha"), memory)
     drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
     if "neighborhoodRadius" in value(cfg, "lattice"):
         radius = value(cfg, "lattice.neighborhoodRadius")

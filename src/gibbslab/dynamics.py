@@ -441,18 +441,6 @@ def space_time_integral_drift(
     )
 
 
-def builtin_drifts() -> dict:
-    """Catalog of drift constructors, keyed by family name."""
-    return {
-        "constant": constant_drift,
-        "markov_local": markov_local_drift,
-        "resonance": resonance_drift,
-        "delayed_feedback": delayed_feedback_drift,
-        "memory_integral": memory_integral_drift,
-        "space_time_integral": space_time_integral_drift,
-    }
-
-
 # ---------------------------------------------------------------------------
 # path bundles and the Euler-Maruyama integrator
 # ---------------------------------------------------------------------------

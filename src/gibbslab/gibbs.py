@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,7 +270,7 @@ def sample_gibbs(
     if rng is None:
         rng = substream(seed, "gibbs")
     mc = MCParams(burn_in=0, thin=sweeps)
-    [[sample]] = gibbs_chain(phi, pot, vol, [boundary], 1, mc, [rng])
+    [[sample]] = gibbs_chain(phi, pot, vol, boundary, 1, mc, [rng])
     return Configuration(dict(zip(vol.sorted_sites(), sample)), pot.state_space)
 
 
@@ -278,32 +278,36 @@ def gibbs_chain(
     phi: Interaction,
     pot: PotentialSpec,
     vol: Volume,
-    boundaries: Sequence[Optional[Configuration]],
+    boundary: Optional[Mapping],
     n_samples: int,
     mc: MCParams,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Thinned samples of independent Metropolis chains after burn-in.
 
-    Chain c is held at boundaries[c] outside vol (None for a free boundary)
-    and draws from rngs[c], as laid out in ``_draw_chains``; a term that
-    reads a site neither in vol nor held by every boundary raises
-    CoverageError.  All chains advance together.  Returns a
+    There is one chain per generator; chain c draws from rngs[c], as laid
+    out in ``_draw_chains``.  Outside vol every chain is held at
+    ``boundary`` (None for a free boundary), a mapping such as a
+    Configuration from each held site to one value for every chain or to a
+    (chains,) array; a term that reads a site neither in vol nor held
+    raises CoverageError.  All chains advance together.  Returns a
     (chains, n_samples, |vol|) array in ``vol.sorted_sites()`` order.
     """
-    if len(boundaries) != len(rngs):
-        raise ValidationError("gibbs_chain needs one boundary per generator")
     sites = vol.sorted_sites()
     b, thin = mc.burn_in, mc.thin
     init, proposals, logu = _draw_chains(pot, len(sites), mc, n_samples, rngs)
-    # init on vol, then the boundaries at the other sites the terms read
+    # init on vol, then the boundary at the other sites the terms read
     values = dict(zip(sites, init))
     for t in phi.terms_reaching(vol):
         for s in sorted(t.volume.sites - values.keys()):
-            if any(z is None or s not in z.values for z in boundaries):
-                msg = f"term '{t.label}' reaches {s}, outside vol and not in every boundary"
-                raise CoverageError(msg)
-            values[s] = np.array([z.values[s] for z in boundaries])
+            if boundary is None or s not in boundary:
+                raise CoverageError(f"term '{t.label}' reaches {s}, outside vol and not held")
+            held = np.asarray(boundary[s], dtype=float)
+            if held.shape not in ((), (len(rngs),)):
+                raise ValidationError(
+                    f"boundary value at {s} has shape {held.shape}, not () or ({len(rngs)},)"
+                )
+            values[s] = held
     energy = _site_energy(phi, sites)
     out = np.empty((len(rngs), n_samples, len(sites)))
     _metropolis_sweeps(sites, values, energy, phi.beta0, proposals[:b], logu[:b])
@@ -368,45 +372,36 @@ def dlr_test(
         )
     mc = mc or MCParams(n_samples=2, burn_in=100, thin=2)
     sub_sites = sub_vol.sorted_sites()
-    i0 = sub_sites[0]
 
+    # observables of (..., |sub|) arrays of sub_vol values
     fs: List[Tuple[str, Callable]] = [
-        ("tanh_first", lambda c: math.tanh(c[i0])),
-        ("cos_first", lambda c: math.cos(c[i0])),
-        ("mean_tanh", lambda c: np.mean([math.tanh(c[s]) for s in sub_sites])),
+        ("tanh_first", lambda c: np.tanh(c[..., 0])),
+        ("cos_first", lambda c: np.cos(c[..., 0])),
+        ("mean_tanh", lambda c: np.tanh(c).mean(axis=-1)),
     ]
     if len(sub_sites) >= 2:
-        i1 = sub_sites[1]
-        fs.append(("pair_tanh", lambda c: math.tanh(c[i0]) * math.tanh(c[i1])))
+        fs.append(("pair_tanh", lambda c: np.tanh(c[..., 0]) * np.tanh(c[..., 1])))
 
+    # every direct and outer draw is the one sample of its own chain, so the
+    # draws are independent as the stderrs assume: the direct chains read
+    # their substream chain after chain, then the outer chains theirs; the
+    # inner chains share the "inner" substream the same way
     big_sites = big_vol.sorted_sites()
-    # direct and outer chains advance together on their own generators; the
-    # inner chains share rng_inner and read it chain after chain
-    direct, outer = gibbs_chain(
-        phi, pot, big_vol, [None, None], n_outer, mc,
-        [substream(seed, "dlr", "direct"), substream(seed, "dlr", "outer")],
-    )
-    held = [(s, i) for i, s in enumerate(big_sites) if s not in sub_vol.sites]
-    boundaries = [
-        Configuration({s: row[i] for s, i in held}, pot.state_space)
-        for row in outer.tolist()
-    ]
-    rng_inner = substream(seed, "dlr", "inner")
+    direct_rng, outer_rng = substream(seed, "dlr", "direct"), substream(seed, "dlr", "outer")
+    draws = gibbs_chain(
+        phi, pot, big_vol, None, 1, mc, [direct_rng] * n_outer + [outer_rng] * n_outer
+    )[:, 0]
+    direct, outer = draws[:n_outer], draws[n_outer:]
+    boundary = {s: outer[:, i] for i, s in enumerate(big_sites) if s not in sub_vol.sites}
     inner = gibbs_chain(
-        phi, pot, sub_vol, boundaries, n_inner, mc, [rng_inner] * n_outer
+        phi, pot, sub_vol, boundary, n_inner, mc, [substream(seed, "dlr", "inner")] * n_outer
     )
-
-    inner_means: Dict[str, list] = {name: [] for name, _ in fs}
-    for chain in inner:
-        samples = [dict(zip(sub_sites, row)) for row in chain.tolist()]
-        for name, f in fs:
-            inner_means[name].append(float(np.mean([f(c) for c in samples])))
-    direct_samples = [dict(zip(big_sites, row)) for row in direct.tolist()]
+    direct_sub = direct[:, [big_sites.index(s) for s in sub_sites]]
 
     rows = []
     for name, f in fs:
-        d = np.array([f(c) for c in direct_samples])
-        a = np.array(inner_means[name])
+        d = f(direct_sub)
+        a = f(inner).mean(axis=1)
         m1, s1 = d.mean(), d.std(ddof=1) / math.sqrt(d.size)
         m2, s2 = a.mean(), a.std(ddof=1) / math.sqrt(a.size)
         denom = math.hypot(s1, s2) or 1.0
@@ -634,7 +629,7 @@ def conditional_density(
 
     rng = substream(seed, "conditional")
     [chain] = gibbs_chain(
-        _modified_interaction(bsi, vol, y_boundary), bsi.pot, work, [None],
+        _modified_interaction(bsi, vol, y_boundary), bsi.pot, work, None,
         mc.n_samples, mc, [rng],
     )
     n = len(chain)

@@ -80,13 +80,6 @@ class Volume:
     def issubset(self, other: "Volume") -> bool:
         return self.sites <= other.sites
 
-    def to_record(self) -> list:
-        return [list(s) for s in self.sorted_sites()]
-
-    @classmethod
-    def from_record(cls, record) -> "Volume":
-        return cls(frozenset(as_site(s) for s in record))
-
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -120,13 +113,6 @@ class Neighborhood:
     def overlaps(self, a: Site, b: Site) -> bool:
         """True iff (a + N) and (b + N) intersect, that is a - b lies in N - N."""
         return tuple(x - y for x, y in zip(a, b)) in self._differences
-
-    def to_record(self) -> list:
-        return [list(s) for s in sorted(self.offsets)]
-
-    @classmethod
-    def from_record(cls, record) -> "Neighborhood":
-        return cls(frozenset(as_site(s) for s in record))
 
 
 def wrap_angle(x, out=None):

@@ -140,7 +140,7 @@ def test_sample_gibbs_is_one_chain_of_gibbs_chain(space):
     for sweeps in (1, 5, 17):
         got = sample_gibbs(phi, pot, vol, boundary, sweeps=sweeps, seed=3)
         chain = gibbs_chain(
-            phi, pot, vol, [boundary], 1, MCParams(burn_in=0, thin=sweeps),
+            phi, pot, vol, boundary, 1, MCParams(burn_in=0, thin=sweeps),
             [substream(3, "gibbs")],
         )
         assert np.array_equal(got.array_for(vol.sorted_sites()), chain[0, 0])
@@ -156,7 +156,7 @@ def test_single_site_conditional_matches_chain():
     target = float(np.sum(np.tanh(xs) * probs))
     rng = substream(17, "chain")
     (chain,) = gibbs_chain(
-        phi, QUAD, Volume.box((0,), (0,)), [boundary], 2000,
+        phi, QUAD, Volume.box((0,), (0,)), boundary, 2000,
         MCParams(n_samples=2, burn_in=100, thin=2), [rng],
     )
     vals = np.tanh(chain[:, 0])
@@ -238,7 +238,9 @@ def test_lockstep_chains_match_the_per_chain_reference(pot, make_phi, shared):
             for c, b in enumerate(boundaries)
         ]
         rngs = [substream(23, c) for c in range(len(boundaries))]
-    got = gibbs_chain(phi, pot, vol, boundaries, 5, mc, rngs)
+    # one mapping holds every chain: a (chains,) array per boundary site
+    boundary = {s: np.array([b[s] for b in boundaries]) for s in [(0,), (4,)]}
+    got = gibbs_chain(phi, pot, vol, boundary, 5, mc, rngs)
     assert got.shape == (4, 5, 3)
     assert np.array_equal(got, np.stack(ref))
 
@@ -247,21 +249,38 @@ def test_lockstep_chains_free_boundary_and_shape_checks():
     vol = Volume.box((0,), (2,))
     phi = _line_phi(vol)
     mc = MCParams(n_samples=2, burn_in=4, thin=2)
-    got = gibbs_chain(phi, QUAD, vol, [None, None], 3, mc, [substream(5, 0), substream(5, 1)])
+    got = gibbs_chain(phi, QUAD, vol, None, 3, mc, [substream(5, 0), substream(5, 1)])
     ref = [_reference_chain(phi, QUAD, vol, None, 3, mc, substream(5, c)) for c in (0, 1)]
     assert np.array_equal(got, np.stack(ref))
-    with pytest.raises(ValidationError):
-        gibbs_chain(phi, QUAD, vol, [None], 3, mc, [substream(5, 0), substream(5, 1)])
     inner = Volume.box((1,), (1,))
-    with pytest.raises(CoverageError):
+    # one value held for both chains is the same as a (chains,) array of it
+    held = Configuration({(0,): 0.1, (2,): 0.2})
+    one = gibbs_chain(phi, QUAD, inner, held, 3, mc, [substream(5, 0), substream(5, 1)])
+    both = gibbs_chain(
+        phi, QUAD, inner, {(0,): np.full(2, 0.1), (2,): np.array([0.2, 0.2])}, 3, mc,
+        [substream(5, 0), substream(5, 1)],
+    )
+    assert np.array_equal(one, both)
+    # a boundary array that is not one value per chain exits 2 before any
+    # move, never as a numpy broadcast error
+    for bad in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.zeros(0)):
+        with pytest.raises(ValidationError, match=r"boundary value at \(0,\)") as err:
+            gibbs_chain(
+                phi, QUAD, inner, {(0,): bad, (2,): 0.2}, 3, mc,
+                [substream(5, 0), substream(5, 1)],
+            )
+        assert err.type is ValidationError and err.value.exit_code == 2
+    with pytest.raises(CoverageError, match=r"reaches \(2,\)"):
         gibbs_chain(
-            phi, QUAD, inner, [Configuration({(0,): 0.1, (2,): 0.2}), None], 3, mc,
+            phi, QUAD, inner, {(0,): np.array([0.1, 0.3])}, 3, mc,
             [substream(5, 0), substream(5, 1)],
         )
 
 
 @pytest.mark.parametrize(
-    "boundary", [None, Configuration({(5,): 0.3})], ids=["free", "elsewhere"]
+    "boundary",
+    [None, Configuration({(5,): 0.3}), {(5,): np.array([0.3, 0.1])}],
+    ids=["free", "elsewhere", "elsewhere-arrays"],
 )
 def test_gibbs_chain_rejects_a_term_reaching_an_unheld_site(boundary):
     # the pair term (1, 2) reads site 2, which neither the volume nor the
@@ -269,7 +288,10 @@ def test_gibbs_chain_rejects_a_term_reaching_an_unheld_site(boundary):
     phi = Interaction(tuple(nearest_neighbor_terms(Volume.box((0,), (2,)), 0.8)), beta0=0.5)
     mc = MCParams(n_samples=2, burn_in=1, thin=1)
     with pytest.raises(CoverageError, match=r"reaches \(2,\)"):
-        gibbs_chain(phi, QUAD, Volume.box((0,), (1,)), [boundary], 2, mc, [substream(2, 0)])
+        gibbs_chain(
+            phi, QUAD, Volume.box((0,), (1,)), boundary, 2, mc,
+            [substream(2, 0), substream(2, 1)],
+        )
 
 
 def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
@@ -278,14 +300,13 @@ def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
     blowup = pair_term((0,), (1,), lambda a, b: np.where(a > 5.0, np.nan, 0.0) + 0.0 * b, 1.0)
     phi = Interaction((blowup,), beta0=0.5)
     mc = MCParams(n_samples=2, burn_in=1, thin=1)
-    values = (0.0, 0.3, 9.0, -0.2, 0.7)
-    boundaries = [Configuration({(0,): v}) for v in values]
+    values = np.array((0.0, 0.3, 9.0, -0.2, 0.7))
     rngs = [substream(1, c) for c in range(len(values))]
     with pytest.raises(SetupError):
-        gibbs_chain(phi, QUAD, vol, boundaries, 2, mc, rngs)
+        gibbs_chain(phi, QUAD, vol, {(0,): values}, 2, mc, rngs)
     keep = [c for c, v in enumerate(values) if v < 5.0]
     got = gibbs_chain(
-        phi, QUAD, vol, [boundaries[c] for c in keep], 2, mc, [substream(1, c) for c in keep]
+        phi, QUAD, vol, {(0,): values[keep]}, 2, mc, [substream(1, c) for c in keep]
     )
     assert np.isfinite(got).all()
 
@@ -301,6 +322,68 @@ def test_dlr_consistency_cheap():
     assert {r["f"] for r in rep["rows"]} == {
         "tanh_first", "cos_first", "mean_tanh", "pair_tanh",
     }
+
+
+def _dlr_rows(direct, inner):
+    """The dlr_test rows of direct draws (n_outer, |sub|) and inner chains
+    (n_outer, n_inner, |sub|), each observable a numpy function of the
+    sub-volume values."""
+    fs = {
+        "tanh_first": lambda c: np.tanh(c[..., 0]),
+        "cos_first": lambda c: np.cos(c[..., 0]),
+        "mean_tanh": lambda c: np.tanh(c).mean(axis=-1),
+        "pair_tanh": lambda c: np.tanh(c[..., 0]) * np.tanh(c[..., 1]),
+    }
+    rows = []
+    for name, f in fs.items():
+        d, a = f(direct), f(inner).mean(axis=1)
+        m1, s1 = d.mean(), d.std(ddof=1) / math.sqrt(d.size)
+        m2, s2 = a.mean(), a.std(ddof=1) / math.sqrt(a.size)
+        rows.append({
+            "f": name, "direct": m1, "directStderr": s1, "twoStage": m2,
+            "twoStageStderr": s2, "z": (m1 - m2) / (math.hypot(s1, s2) or 1.0),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_dlr_draws_each_direct_and_outer_sample_from_its_own_chain(space):
+    pot = QUAD if space == "line" else circle_free_potential()
+    kind = "tanh" if space == "line" else "cos_diff"
+    big, sub = Volume.box((0,), (4,)), Volume.box((1,), (2,))
+    phi = Interaction(tuple(nearest_neighbor_terms(big, 0.8, kind)), beta0=0.5)
+    mc = MCParams(n_samples=2, burn_in=5, thin=3)
+    n_outer, n_inner, seed = 6, 3, 11
+    rep = dlr_test(phi, pot, big, sub, n_outer, n_inner, seed, mc)
+
+    # one call over 2 n_outer one-sample chains of burn_in + thin sweeps:
+    # the direct chains read their stream chain after chain, then the outer
+    # chains theirs, exactly as one-chain calls in that order would
+    direct_rng, outer_rng = substream(seed, "dlr", "direct"), substream(seed, "dlr", "outer")
+    draws = gibbs_chain(
+        phi, pot, big, None, 1, mc, [direct_rng] * n_outer + [outer_rng] * n_outer
+    )
+    assert draws.shape == (2 * n_outer, 1, len(big))
+    for name, rows in (("direct", draws[:n_outer]), ("outer", draws[n_outer:])):
+        rng = substream(seed, "dlr", name)
+        one_by_one = [gibbs_chain(phi, pot, big, None, 1, mc, [rng]) for _ in range(n_outer)]
+        assert np.array_equal(rows, np.concatenate(one_by_one))
+    direct, outer = draws[:n_outer, 0], draws[n_outer:, 0]
+    if space == "circle":
+        assert ((draws >= 0.0) & (draws < TWO_PI)).all()
+
+    # inner chain c is held at outer draw c outside sub, and all of them
+    # read one inner stream chain after chain
+    inner_rng = substream(seed, "dlr", "inner")
+    inner = np.concatenate([
+        gibbs_chain(
+            phi, pot, sub, Configuration(dict(zip(big.sorted_sites(), row)), pot.state_space),
+            n_inner, mc, [inner_rng],
+        )
+        for row in outer
+    ])
+    assert rep["rows"] == _dlr_rows(direct[:, [1, 2]], inner)
+    assert rep["maxAbsZ"] == max(abs(r["z"]) for r in rep["rows"])
 
 
 @pytest.mark.parametrize("n_outer, n_inner", [(1, 4), (0, 4), (4, 0)])

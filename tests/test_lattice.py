@@ -86,11 +86,6 @@ def test_restrict_and_array_for():
     assert list(c.array_for([(2,), (0,)])) == [3.0, 1.0]
 
 
-def test_volume_record_roundtrip():
-    vol = Volume.box((-1, 0), (1, 1))
-    assert Volume.from_record(vol.to_record()) == vol
-
-
 @given(st.sets(st.integers(-5, 5), min_size=1, max_size=8), st.integers(0, 2))
 @settings(max_examples=50, deadline=None)
 def test_interior_is_subset_and_monotone(sites, radius):
