@@ -38,7 +38,7 @@ from .expansion import (
     connected_collections,
     volume_key,
 )
-from .lattice import Configuration, Volume, concat
+from .lattice import CIRCLE, Configuration, Volume, concat, wrap_angle
 from .rng import substream
 
 
@@ -586,19 +586,19 @@ def bispace_hamiltonian(
 
 
 def _modified_interaction(
-    bsi: BiSpaceInteraction, vol: Volume, y_boundary: Configuration
+    bsi: BiSpaceInteraction, vol: Volume, y_boundary: Mapping
 ) -> Interaction:
     """beta0 times the initial terms, and the coupling terms off the window
-    vol at y = y_boundary (no declared bound: -log p_t is unbounded on the
-    line), at inverse temperature 1."""
-    b0, y = bsi.initial.beta0, y_boundary.values
+    vol at y = y_boundary, site -> (chains,) values (no declared bound:
+    -log p_t is unbounded on the line), at inverse temperature 1."""
+    b0 = bsi.initial.beta0
     initial = [
         InteractionTerm(t.volume, lambda v, t=t: b0 * t.evaluator(v), b0 * t.sup_norm, t.label)
         for t in bsi.initial.terms
     ]
     coupling = [
-        InteractionTerm(c.volume, lambda v, c=c: c.evaluator(v, y), math.inf, "coupling")
-        for c in bsi.coupling_terms(y_boundary.domain)
+        InteractionTerm(c.volume, lambda v, c=c: c.evaluator(v, y_boundary), math.inf, "coupling")
+        for c in bsi.coupling_terms(Volume(frozenset(y_boundary)))
         if not c.volume.sites & vol.sites
     ]
     return Interaction(tuple(initial + coupling), beta0=1.0)
@@ -607,56 +607,68 @@ def _modified_interaction(
 def conditional_density(
     bsi: BiSpaceInteraction,
     vol: Volume,
-    z_vol: Configuration,
-    y_boundary: Configuration,
+    z_vol,
+    y_boundary: Mapping,
     mc: MCParams,
     seed: int,
     n_inner: int = 16,
 ) -> Estimate:
-    """Density of the evolved window values z given the evolved boundary.
+    """Density of the evolved window values given the evolved boundary, for
+    B cases: z_vol is (B, |vol|) in ``vol.sorted_sites()`` order, y_boundary
+    maps each boundary site to its (B,) values (on the circle both are
+    wrapped to [0, 2 pi)), and the Estimate holds (B,) arrays.
 
-    Estimated as the ratio of the window factor averaged over x drawn from
-    the modified interaction, and its m-average over window values (the
-    normalizer), with a delta-method error bar.
+    Case k is the ratio of the window factor averaged over x drawn from the
+    modified interaction, and its m-average over window values (the
+    normalizer), with a delta-method error bar.  Each case runs its own
+    chain on a fresh (seed, "conditional") substream, all in one
+    ``gibbs_chain`` call, so the cases share common random numbers.
     """
-    if vol.sites & y_boundary.domain.sites:
+    z_vol = np.asarray(z_vol, dtype=float)
+    n_cases = len(z_vol) if z_vol.ndim == 2 else 0
+    y = {s: np.asarray(v, dtype=float) for s, v in y_boundary.items()}
+    shapes = [z_vol.shape] + [v.shape for v in y.values()]
+    if n_cases < 1 or shapes != [(n_cases, len(vol))] + [(n_cases,)] * len(y):
+        raise ValidationError(f"value shapes {shapes}, not (B, {len(vol)}) then (B,), B >= 1")
+    if vol.sites & y.keys():
         raise ValidationError("y_boundary must not cover the window itself")
-    if not vol.issubset(z_vol.domain):
-        raise CoverageError("z_vol must cover the window")
-    work = vol.union(y_boundary.domain)
+    if bsi.pot.state_space == CIRCLE:
+        z_vol, y = wrap_angle(z_vol), {s: wrap_angle(v) for s, v in y.items()}
+    work = vol.union(Volume(frozenset(y)))
     lam_sites = vol.sorted_sites()
     window_terms = [c for c in bsi.coupling_terms(vol) if c.volume.sites & vol.sites]
 
-    rng = substream(seed, "conditional")
-    [chain] = gibbs_chain(
-        _modified_interaction(bsi, vol, y_boundary), bsi.pot, work, None,
-        mc.n_samples, mc, [rng],
-    )
-    n = len(chain)
-    # fresh normalizer draws per outer sample keep the b_k independent
+    n = mc.n_samples
+    rngs = [substream(seed, "conditional") for _ in range(n_cases)]
+    chains = gibbs_chain(_modified_interaction(bsi, vol, y), bsi.pot, work, None, n, mc, rngs)
+    # fresh normalizer draws per outer sample keep the b_k independent; every
+    # generator has made the same draws so far, so one draw serves all cases
     z_inner = _sample_reference_rng(
-        bsi.pot, n * n_inner * len(lam_sites), rng
+        bsi.pot, n * n_inner * len(lam_sites), rngs[0]
     ).reshape(n, n_inner, len(lam_sites))
 
-    # the window factors at an (outer sample, 1 + n_inner) grid of points:
-    # column 0 holds the target window values, the others z_inner; the
-    # window and y_boundary are disjoint, checked above
-    xv = {s: chain[:, j, None] for j, s in enumerate(work.sorted_sites())}
-    yv = dict(y_boundary.values)
+    # the window factors at a (case, outer sample, 1 + n_inner) grid of
+    # points: column 0 holds the case's window values, the others z_inner;
+    # the window and the boundary are disjoint, checked above
+    xv = {s: chains[:, :, j, None] for j, s in enumerate(work.sorted_sites())}
+    yv = {s: v[:, None, None] for s, v in y.items()}
     for j, s in enumerate(lam_sites):
-        yv[s] = np.concatenate([np.full((n, 1), z_vol[s]), z_inner[:, :, j]], axis=1)
+        yv[s] = np.empty((n_cases, n, 1 + n_inner))
+        yv[s][:, :, 0] = z_vol[:, j, None]
+        yv[s][:, :, 1:] = z_inner[:, :, j]
     factors = np.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
-    a = factors[:, 0]
-    b = factors[:, 1:].mean(axis=1)
-    ma, mb = a.mean(), b.mean()
-    if mb <= 0:
-        raise NumericalError("conditional density normalizer is nonpositive")
-    va = a.var(ddof=1) / n
-    vb = b.var(ddof=1) / n
-    cab = float(np.cov(a, b, ddof=1)[0, 1]) / n if n > 1 else 0.0
-    value = ma / mb
-    var = va / mb**2 + ma**2 * vb / mb**4 - 2.0 * ma * cab / mb**3
-    return Estimate(value, math.sqrt(max(var, 0.0)), n, method="conditional")
+    value, stderr = np.empty(n_cases), np.empty(n_cases)
+    for k, f in enumerate(factors):
+        a, b = f[:, 0], f[:, 1:].mean(axis=1)
+        ma, mb = a.mean(), b.mean()
+        if mb <= 0:
+            raise NumericalError("conditional density normalizer is nonpositive")
+        va, vb = a.var(ddof=1) / n, b.var(ddof=1) / n
+        cab = float(np.cov(a, b, ddof=1)[0, 1]) / n
+        value[k] = ma / mb
+        var = va / mb**2 + ma**2 * vb / mb**4 - 2.0 * ma * cab / mb**3
+        stderr[k] = math.sqrt(max(var, 0.0))
+    return Estimate(value, stderr, n, method="conditional")
 
 
 def quasilocality_probe(
@@ -672,48 +684,39 @@ def quasilocality_probe(
     For each delta, every probe pair (z, z') is merged into boundaries that
     agree on delta and differ outside; the row reports the worst absolute
     difference of the two conditional-density estimates, computed with
-    common random numbers so full agreement gives an exact zero.
+    common random numbers so full agreement gives an exact zero.  All pairs
+    share one domain.
     """
     for i in range(1, len(deltas)):
         if not deltas[i - 1].issubset(deltas[i]):
             raise ValidationError("delta sequence must be increasing")
-    # conditional_density is a pure function of its inputs (each weight is
-    # its cluster's fixed sampler evaluated at the pinned values), so each
-    # distinct pair of window values and boundary is estimated once: y1
-    # serves every delta, and the mixed boundary at the full delta is y1 again
-    window = vol.sorted_sites()
-    seen: Dict[tuple, Estimate] = {}
-    estimates = []  # per pair: g1, then g2 for each delta
-    for z_a, z_b in probe_pairs:
-        if not vol.issubset(z_a.domain) or z_b.domain != z_a.domain:
-            raise CoverageError("each probe pair must cover the window, on one domain")
-        boundary_sites = z_a.domain.sites - vol.sites
-        ys = [z_a.restrict(Volume(boundary_sites))]
-        for delta in deltas:
-            mixed = {
-                s: (z_a[s] if s in delta.sites else z_b[s]) for s in boundary_sites
-            }
-            ys.append(Configuration(mixed, z_a.state_space))
-        pair_estimates = []
-        for y in ys:
-            key = (tuple(z_a[s] for s in window), tuple(sorted(y.values.items())))
-            if key not in seen:
-                seen[key] = conditional_density(bsi, vol, z_a, y, mc, seed)
-            pair_estimates.append(seen[key])
-        estimates.append(pair_estimates)
-    rows = []
-    for k, delta in enumerate(deltas):
-        sup_diff = 0.0
-        noise = 0.0
-        for g1, *g2s in estimates:
-            g2 = g2s[k]
-            sup_diff = max(sup_diff, abs(g1.value - g2.value))
-            noise = max(noise, math.hypot(g1.stderr, g2.stderr))
-        rows.append(
-            {
-                "delta": [list(s) for s in delta.sorted_sites()],
-                "supDiff": sup_diff,
-                "noise": noise,
-            }
+    domains = {z.domain for pair in probe_pairs for z in pair}
+    if len(domains) != 1 or not vol.issubset(*domains):
+        raise CoverageError(
+            f"{len(probe_pairs)} probe pairs: each probe pair must cover the window, on one domain"
         )
-    return rows
+    [domain] = domains
+    # the cases share common random numbers, so each distinct pair of window
+    # values and boundary is one case: z's own boundary, the mixed one at the
+    # whole domain, serves every delta and is the mixed one at the full delta
+    boundary = sorted(domain.sites - vol.sites)
+    cases: Dict[tuple, int] = {}  # window values + boundary values -> case
+    index = []  # per pair: the case of z's boundary, then the mixed one per delta
+    for z_a, z_b in probe_pairs:
+        win = [z_a[s] for s in vol.sorted_sites()]
+        for d in [domain, *deltas]:
+            key = tuple(win + [(z_a if s in d.sites else z_b)[s] for s in boundary])
+            index.append(cases.setdefault(key, len(cases)))
+    table = np.array(list(cases))
+    est = conditional_density(
+        bsi, vol, table[:, :len(vol)], dict(zip(boundary, table[:, len(vol):].T)), mc, seed
+    )
+    g1, *g2s = np.reshape(index, (len(probe_pairs), 1 + len(deltas))).T
+    return [
+        {
+            "delta": [list(s) for s in delta.sorted_sites()],
+            "supDiff": float(np.abs(est.value[g1] - est.value[g2]).max()),
+            "noise": max(map(math.hypot, est.stderr[g1], est.stderr[g2])),
+        }
+        for delta, g2 in zip(deltas, g2s)
+    ]

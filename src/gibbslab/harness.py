@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional
 from . import config as cfgmod
 from .dynamics import simulate
 from .errors import ValidationError
+from .estimates import MCParams
 from .expansion import (
     interaction_terms,
     kp_check,
@@ -227,7 +228,7 @@ def _run_dlr(cfg, out_dir, seed, chash) -> dict:
     pot = cfgmod.resolve_potential(cfg)
     phi = cfgmod.resolve_interaction(cfg, big)
     sub = Volume.box(*cfgmod.value(cfg, "probes.subBox"))
-    mc = cfgmod.resolve_mc(cfg)
+    mc = MCParams(burn_in=cfgmod.value(cfg, "mc.burnIn"), thin=cfgmod.value(cfg, "mc.thin"))
     rep = dlr_test(
         phi, pot, big, sub, cfgmod.value(cfg, "probes.nOuter"),
         cfgmod.value(cfg, "probes.nInner"), seed, mc,

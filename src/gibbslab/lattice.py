@@ -151,11 +151,6 @@ class Configuration:
     def __contains__(self, site) -> bool:
         return as_site(site) in self.values
 
-    def restrict(self, vol: Volume) -> "Configuration":
-        return Configuration(
-            {s: v for s, v in self.values.items() if s in vol.sites}, self.state_space
-        )
-
     def array_for(self, sites: Iterable) -> np.ndarray:
         return np.array([self.values[as_site(s)] for s in sites], dtype=float)
 

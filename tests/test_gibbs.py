@@ -481,27 +481,28 @@ def test_modified_interaction_matches_the_old_local_energy(space, dynamic):
     lam = Volume.box((1,), (1,))
     rng = np.random.default_rng(9)
     sites = [(0,), (1,), (2,)]
+    B = 3
+    # one boundary per chain, held as (B,) arrays
+    ys = [dict(zip([(0,), (2,)], _sample_reference_rng(bsi.pot, 2, rng))) for _ in range(B)]
+    modified = gibbs._modified_interaction(
+        bsi, lam, {s: np.array([y[s] for y in ys]) for s in [(0,), (2,)]}
+    )
+    assert modified.beta0 == 1.0
+    energy = gibbs._site_energy(modified, sites)
     for _ in range(3):
-        y = Configuration(
-            dict(zip([(0,), (2,)], _sample_reference_rng(bsi.pot, 2, rng))), bsi.pot.state_space
-        )
-        modified = gibbs._modified_interaction(bsi, lam, y)
-        assert modified.beta0 == 1.0
-        energy = gibbs._site_energy(modified, sites)
         point = dict(zip(sites, _sample_reference_rng(bsi.pot, 3, rng)))
         proposals = _sample_reference_rng(bsi.pot, 3, rng)
         for s, prop in zip(sites, proposals):
-            old = _old_point_energy(bsi, lam, y.values, point, s)
-            assert sum(t.value(point) for t in modified.terms_at(s)) == pytest.approx(
-                old, rel=0, abs=1e-12
-            )
-            # the (2, 1) stack of one chain's Metropolis move at s
-            stack = {r: np.array([v]) for r, v in point.items()}
-            stack[s] = np.array([[point[s]], [prop]])
-            want = [old, _old_point_energy(bsi, lam, y.values, {**point, s: prop}, s)]
+            old = [_old_point_energy(bsi, lam, y, point, s) for y in ys]
+            got = sum(t.value(point) for t in modified.terms_at(s))
+            assert np.allclose(got, old, rtol=0, atol=1e-12)
+            # the (2, B) stack of the B chains' Metropolis moves at s
+            stack = {r: np.full(B, v) for r, v in point.items()}
+            stack[s] = np.array([np.full(B, point[s]), np.full(B, prop)])
+            want = [old, [_old_point_energy(bsi, lam, y, {**point, s: prop}, s) for y in ys]]
             got = energy(stack, s)
-            assert np.shape(got) == (2, 1)
-            assert np.allclose(np.ravel(got), want, rtol=0, atol=1e-12)
+            assert np.shape(got) == (2, B)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_conditional_density_free_case_is_one():
@@ -509,25 +510,45 @@ def test_conditional_density_free_case_is_one():
     # window density exactly 1
     vol = Volume.box((1,), (1,))
     bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
-    z = Configuration({(0,): -0.4, (1,): 0.6})
-    yb = Configuration({(0,): -0.4})
     est = conditional_density(
-        bsi, vol, z, yb, MCParams(n_samples=400, dt=0.05, burn_in=40, thin=2),
+        bsi, vol, [[0.6]], {(0,): [-0.4]}, MCParams(n_samples=400, dt=0.05, burn_in=40, thin=2),
         seed=19, n_inner=16,
     )
-    assert abs(est.value - 1.0) < 4 * est.stderr + 0.01
+    [value], [stderr] = est.value, est.stderr
+    assert abs(value - 1.0) < 4 * stderr + 0.01
 
 
 def test_conditional_density_validation():
     vol = Volume.box((1,), (1,))
     bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
-    z = Configuration({(0,): 0.0, (1,): 0.0})
-    with pytest.raises(ValidationError):
-        conditional_density(bsi, vol, z, Configuration({(1,): 0.0}),
-                            MCParams(n_samples=8), seed=1)
-    with pytest.raises(CoverageError):
-        conditional_density(bsi, vol, Configuration({(0,): 0.0}),
-                            Configuration({(0,): 0.0}), MCParams(n_samples=8), seed=1)
+    mc = MCParams(n_samples=8)
+    with pytest.raises(ValidationError, match="must not cover the window"):
+        conditional_density(bsi, vol, [[0.0]], {(1,): [0.0]}, mc, seed=1)
+    # window values that are not (B, |vol|) and boundary values that are not
+    # (B,) raise before any numpy broadcast can
+    for z_vol, y in [
+        ([0.0], {(0,): [0.0]}),
+        ([[0.0, 0.1]], {(0,): [0.0]}),
+        (np.empty((0, 1)), {(0,): []}),
+        ([[0.0], [0.1]], {(0,): [0.0]}),
+        ([[0.0], [0.1]], {(0,): 0.0}),
+        ([[0.0]], {(0,): [[0.0]]}),
+    ]:
+        with pytest.raises(ValidationError, match=r"not \(B, 1\) then \(B,\)"):
+            conditional_density(bsi, vol, z_vol, y, mc, seed=1)
+
+
+def test_quasilocality_probe_pairs_share_one_domain():
+    vol = Volume.box((1,), (1,))
+    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
+    mc = MCParams(n_samples=8, burn_in=2, thin=1)
+    z3 = Configuration({(0,): 0.5, (1,): 0.2, (2,): -0.3})
+    z2 = Configuration({(0,): 0.5, (1,): 0.2})
+    off = Configuration({(0,): 0.1})  # misses the window
+    # within a pair, across pairs, off the window, and no pair at all
+    for pairs in [[(z3, z2)], [(z3, z3), (z2, z2)], [(off, off)], []]:
+        with pytest.raises(CoverageError, match="each probe pair must cover the window"):
+            quasilocality_probe(bsi, vol, [vol], pairs, mc, seed=1)
 
 
 def test_conditional_density_against_quadrature_oracle():
@@ -546,12 +567,11 @@ def test_conditional_density_against_quadrature_oracle():
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t)
     y0, z1 = -0.4, 0.6
-    zc = Configuration({(0,): y0, (1,): z1})
-    yb = Configuration({(0,): y0})
     est = conditional_density(
-        bsi, lam, zc, yb, MCParams(n_samples=400, dt=0.05, burn_in=50, thin=3),
+        bsi, lam, [[z1]], {(0,): [y0]}, MCParams(n_samples=400, dt=0.05, burn_in=50, thin=3),
         seed=31, n_inner=24,
     )
+    [value], [stderr] = est.value, est.stderr
 
     # independent quadrature oracle with the exact shifted-OU kernel
     v = 0.5 * (1 - math.exp(-2 * t))
@@ -575,7 +595,7 @@ def test_conditional_density_against_quadrature_oracle():
     oracle = float(m @ ptilde(xs, z1) / (m @ (B @ w)))
     assert oracle == pytest.approx(1.158912221509535, rel=1e-9)
     # truncation of the expansion adds a small systematic allowance
-    assert abs(est.value - oracle) < 4 * est.stderr + 0.01
+    assert abs(value - oracle) < 4 * stderr + 0.01
 
 
 class _NanDynamic:
@@ -591,10 +611,9 @@ class _NanDynamic:
 def test_modified_sampler_rejects_non_finite_energy():
     vol = Volume.box((1,), (1,))
     bsi = BiSpaceInteraction(empty_interaction(), _NanDynamic(), QUAD, t=1.0)
-    z = Configuration({(0,): 0.1, (1,): 0.2})
     with pytest.raises(SetupError):
         conditional_density(
-            bsi, vol, z, Configuration({(0,): 0.1}),
+            bsi, vol, [[0.2]], {(0,): [0.1]},
             MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3,
         )
 
@@ -661,9 +680,9 @@ def test_conditional_density_passes_wrapped_circle_values():
     pot = circle_free_potential()
     rec = _RecordingDynamic()
     bsi = BiSpaceInteraction(empty_interaction(), rec, pot, t=1.0)
-    z = Configuration({(0,): 0.4, (1,): 6.0}, CIRCLE)
+    # angles off [0, 2 pi) in both the window and the boundary values
     conditional_density(
-        bsi, Volume.box((1,), (1,)), z, Configuration({(0,): 0.4}, CIRCLE),
+        bsi, Volume.box((1,), (1,)), [[6.0 - TWO_PI], [6.0]], {(0,): [0.4 + TWO_PI, 0.4]},
         MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3, n_inner=3,
     )
     assert rec.seen
@@ -774,28 +793,36 @@ def test_quasilocality_zero_dynamic_full_agreement():
         quasilocality_probe(bsi, vol, [big, Volume.box((1,), (1,))], [(z_a, z_b)], mc, seed=7)
 
 
+def _one_case(bsi, vol, z, y, mc, seed):
+    """Value and stderr of a one-case conditional density at z's window
+    values given the boundary y, a site -> value mapping."""
+    est = conditional_density(
+        bsi, vol, [z.array_for(vol.sorted_sites())], {s: [v] for s, v in y.items()}, mc, seed
+    )
+    return est.value[0], est.stderr[0]
+
+
 def _reference_probe(bsi, vol, deltas, probe_pairs, mc, seed):
-    """quasilocality_probe with two conditional densities per (delta, pair)."""
+    """quasilocality_probe with two one-case conditional densities per
+    (delta, pair)."""
     rows = []
     for delta in deltas:
         sup_diff = 0.0
         noise = 0.0
         for z_a, z_b in probe_pairs:
             boundary_sites = z_a.domain.sites - vol.sites
-            y1 = z_a.restrict(Volume(boundary_sites))
-            mixed = {s: (z_a[s] if s in delta.sites else z_b[s]) for s in boundary_sites}
-            y2 = Configuration(mixed, z_a.state_space)
-            g1 = conditional_density(bsi, vol, z_a, y1, mc, seed)
-            g2 = conditional_density(bsi, vol, z_a, y2, mc, seed)
-            sup_diff = max(sup_diff, abs(g1.value - g2.value))
-            noise = max(noise, math.hypot(g1.stderr, g2.stderr))
+            y1 = {s: z_a[s] for s in boundary_sites}
+            y2 = {s: (z_a[s] if s in delta.sites else z_b[s]) for s in boundary_sites}
+            (v1, s1), (v2, s2) = (_one_case(bsi, vol, z_a, y, mc, seed) for y in (y1, y2))
+            sup_diff = max(sup_diff, abs(v1 - v2))
+            noise = max(noise, math.hypot(s1, s2))
         rows.append(
             {"delta": [list(s) for s in delta.sorted_sites()], "supDiff": sup_diff, "noise": noise}
         )
     return rows
 
 
-def test_quasilocality_estimates_each_distinct_boundary_once(monkeypatch):
+def test_quasilocality_estimates_every_distinct_boundary_in_one_call(monkeypatch):
     big = Volume.box((0,), (4,))
     vol = Volume.box((2,), (2,))
     phi = Interaction(tuple(nearest_neighbor_terms(big, 0.8)), beta0=0.6)
@@ -814,17 +841,42 @@ def test_quasilocality_estimates_each_distinct_boundary_once(monkeypatch):
     calls = []
     real = gibbs.conditional_density
 
-    def counting(bsi_, vol_, z_vol, y_boundary, mc_, seed_):
-        calls.append((z_vol[(2,)], tuple(sorted(y_boundary.values.items()))))
+    def recording(bsi_, vol_, z_vol, y_boundary, mc_, seed_):
+        sites = sorted(y_boundary)
+        calls.append(np.column_stack([z_vol] + [y_boundary[s] for s in sites]))
         return real(bsi_, vol_, z_vol, y_boundary, mc_, seed_)
 
-    monkeypatch.setattr(gibbs, "conditional_density", counting)
+    monkeypatch.setattr(gibbs, "conditional_density", recording)
     rows = quasilocality_probe(bsi, vol, deltas, pairs, mc, seed=11)
     assert rows == ref
     assert ref[0]["supDiff"] > 0.0 and ref[-1]["supDiff"] == 0.0
     # the first two pairs share z_a, so y1 once; (z_a, z_b) adds the mixed
     # boundaries of the two smaller deltas and (z_a, z_c) that of the
     # smallest; (z_d, z_b) repeats the boundaries of (z_a, z_b) at another
-    # window value, so all three are estimated again
-    assert len(calls) == 7
-    assert len(set(calls)) == 7
+    # window value, so all three are cases again: 7 cases, one call
+    [table] = calls
+    assert table.shape == (7, 5)
+    assert len({tuple(row) for row in table}) == 7
+
+
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_a_batch_of_cases_equals_one_case_calls(space):
+    # every case runs its own chain on a fresh substream: bit for bit the
+    # estimate of a call with that case alone
+    bsi = _two_layer(space, "expansion")
+    lam = Volume.box((1,), (1,))
+    rng = np.random.default_rng(21)
+    B = 4
+    z_vol = _sample_reference_rng(bsi.pot, B, rng).reshape(B, 1)
+    y = {s: _sample_reference_rng(bsi.pot, B, rng) for s in [(0,), (2,)]}
+    y[(2,)][1] = y[(2,)][0]  # two cases that differ only in the window value
+    mc = MCParams(n_samples=6, dt=0.05, burn_in=4, thin=1)
+    batch = conditional_density(bsi, lam, z_vol, y, mc, seed=8, n_inner=3)
+    assert np.shape(batch.value) == np.shape(batch.stderr) == (B,)
+    ones = [
+        conditional_density(bsi, lam, z_vol[k:k + 1], {s: v[k:k + 1] for s, v in y.items()},
+                            mc, seed=8, n_inner=3)
+        for k in range(B)
+    ]
+    assert np.array_equal(batch.value, np.concatenate([e.value for e in ones]))
+    assert np.array_equal(batch.stderr, np.concatenate([e.stderr for e in ones]))

@@ -475,6 +475,19 @@ def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
                 assert code == 3 and "exp(-U) underflows" in err, (sub, err)
 
 
+def test_dlr_reads_no_sample_count_from_mc(tmp_path):
+    # dlr's sample counts are probes.nOuter and probes.nInner, so mc.nSamples
+    # changes nothing, not even at 1, which MCParams rejects
+    tables = []
+    for n in (1, 2):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({**ROBUSTNESS_CFG, "mc": {**ROBUSTNESS_CFG["mc"], "nSamples": n}}))
+        assert main(["dlr", "--config", str(path), "--out", str(tmp_path / f"o{n}")]) == 0
+        rows = _read_back(tmp_path / f"o{n}" / "dlr.csv")
+        tables.append([{k: v for k, v in r.items() if k != "configHash"} for r in rows])
+    assert tables[0] == tables[1]
+
+
 def test_a_window_off_the_lattice_exits_2(tmp_path, capsys):
     # a window site outside the box used to end in a raw KeyError
     probes = {**ROBUSTNESS_CFG["probes"], "window": [[-1], [0]]}

@@ -79,10 +79,8 @@ def test_concat_state_space_mismatch_raises():
         concat(Configuration({(0,): 1.0}), Configuration({(1,): 1.0}, CIRCLE))
 
 
-def test_restrict_and_array_for():
+def test_array_for():
     c = Configuration({(0,): 1.0, (1,): 2.0, (2,): 3.0})
-    r = c.restrict(Volume.box((0,), (1,)))
-    assert set(r.domain.sites) == {(0,), (1,)}
     assert list(c.array_for([(2,), (0,)])) == [3.0, 1.0]
 
 
