@@ -19,7 +19,6 @@ Conventions baked into the enumeration:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, List, Sequence, Tuple
@@ -389,7 +388,7 @@ def _connected_spanning_sign_sum(n: int, edges: Tuple[Tuple[int, int], ...]) -> 
     return total
 
 
-def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> Fraction:
+def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> float:
     """Ursell coefficient of a multiset of clusters on its conflict graph.
 
     ``combo`` is the multiset as a sorted tuple of cluster indices, so equal
@@ -397,6 +396,7 @@ def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...])
     the pairs (a, b), a < b, of positions in combo whose clusters conflict.
     C = (1 / prod of multiplicity factorials) * sum over connected spanning
     subgraphs of (-1)^{#edges}; zero when the conflict graph is disconnected.
+    The float is the correctly rounded value of that rational.
     """
     if not combo:
         raise ValidationError("ursell_coefficient needs at least one cluster")
@@ -406,7 +406,7 @@ def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...])
     for prev, cur in zip(combo, combo[1:]):
         run = run + 1 if cur == prev else 1
         denom *= run
-    return Fraction(sign_sum, denom)
+    return sign_sum / denom
 
 
 def is_connected(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> bool:

@@ -82,7 +82,7 @@ class _SpaceBridge:
     """The bridge paths of one space cluster, with its pinned values at 0.
 
     ``values`` is the bundle's site-major buffer, shape (sites, K+1, R).
-    ``scored`` lists (site, row) of the sites whose Psi enters the weight.
+    ``scored`` lists the sites whose Psi enters the weight.
     Each entry of ``pinned`` is (row of the site, its layer values with
     None where the layer is pinned, the site's winding uniforms per
     segment).  ``coef`` holds the weights of a segment's start and end in
@@ -183,7 +183,7 @@ def cluster_sampler(
         )
         bridges.append(
             _SpaceBridge(
-                sites, tuple((k, sites.index(k)) for k in sorted(sc.sites)),
+                sites, tuple(sorted(sc.sites)),
                 layer_ids, (j * T, (j + 1) * T),
                 base.times, base.values.transpose(1, 2, 0), pinned,
                 _bridge_coefficients(pot.family, T, mc.dt),
@@ -272,7 +272,7 @@ def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: i
         replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 0, 1)
         bundle = PathBundle(bridge.sites, bridge.times, replicas, pot)
         psi_sum = np.zeros(P * R)
-        for k, _ in bridge.scored:
+        for k in bridge.scored:
             psi_sum += psi(sampler.drift, k, bridge.window, bundle)
         samples = samples * np.expm1(-psi_sum).reshape(P, R)
     return samples
@@ -428,8 +428,11 @@ def connected_collections(
     """Connected collections of up to n_max clusters, grouped by trace.
 
     Multisets of cluster indices are visited in combinations_with_replacement
-    order; those whose conflict graph is disconnected or whose Ursell
-    coefficient C is zero are dropped.  Raises BudgetError when more than
+    order; those whose conflict graph is disconnected are dropped.  The rest
+    keep their Ursell coefficient C as ``ursell_coefficient`` returns it, the
+    correctly rounded float of a rational that is never zero: a connected
+    conflict graph on n clusters has sign sum (-1)^(n-1) T_G(1, 0), and its
+    Tutte value T_G(1, 0) is positive.  Raises BudgetError when more than
     ``cap`` multisets are visited.
 
     ``conflict_graph`` is built once, as one bitset of conflicting indices
@@ -452,11 +455,8 @@ def connected_collections(
             edges = tuple((a, b) for a, b in pairs if bits[combo[a]] >> combo[b] & 1)
             if n > 1 and not is_connected(combo, edges):
                 continue
-            C = ursell_coefficient(combo, edges)
-            if C == 0:
-                continue
             key = tuple(sorted(frozenset().union(*(sites[i] for i in combo))))
-            groups.setdefault(key, []).append((combo, float(C)))
+            groups.setdefault(key, []).append((combo, ursell_coefficient(combo, edges)))
     keys = tuple(sorted(groups))
     rows = [row for key in keys for row in groups[key]]
     return CollectionTable(

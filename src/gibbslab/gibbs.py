@@ -89,15 +89,6 @@ class Interaction:
         site = tuple(site)
         return [t for t in self.terms if site in t.volume]
 
-    def per_site_norm_sums(self) -> Dict:
-        """Site -> (sum of norms, Dobrushin-weighted sum of norms)."""
-        out: Dict = {}
-        for t in self.terms:
-            for s in t.volume.sites:
-                plain, dob = out.get(s, (0.0, 0.0))
-                out[s] = (plain + t.sup_norm, dob + (len(t.volume) - 1) * t.sup_norm)
-        return out
-
     def spot_check_norms(self, pot: PotentialSpec, seed: int) -> None:
         """Verify declared sup-norms against 256 random probe configurations."""
         rng = substream(seed, "norm-check")
@@ -342,8 +333,11 @@ def single_site_conditional_quadrature(
 
 def dobrushin_check(phi: Interaction) -> dict:
     """Exact uniqueness bound beta0 * sup_i sum_{A ni i} (|A|-1) ||phi_A||."""
-    sums = phi.per_site_norm_sums()
-    value = phi.beta0 * max((v[1] for v in sums.values()), default=0.0)
+    sums: Dict = {}
+    for t in phi.terms:
+        for s in t.volume.sites:
+            sums[s] = sums.get(s, 0.0) + (len(t.volume) - 1) * t.sup_norm
+    value = phi.beta0 * max(sums.values(), default=0.0)
     return {"value": value, "passes": bool(value < 1.0)}
 
 
@@ -647,18 +641,18 @@ def conditional_density(
         bsi.pot, n * n_inner * len(lam_sites), rngs[0]
     ).reshape(n, n_inner, len(lam_sites))
 
-    # the window factors at a (case, outer sample, 1 + n_inner) grid of
-    # points: column 0 holds the case's window values, the others z_inner;
-    # the window and the boundary are disjoint, checked above
-    xv = {s: chains[:, :, j, None] for j, s in enumerate(work.sorted_sites())}
-    yv = {s: v[:, None, None] for s, v in y.items()}
-    for j, s in enumerate(lam_sites):
-        yv[s] = np.empty((n_cases, n, 1 + n_inner))
-        yv[s][:, :, 0] = z_vol[:, j, None]
-        yv[s][:, :, 1:] = z_inner[:, :, j]
-    factors = np.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
     value, stderr = np.empty(n_cases), np.empty(n_cases)
-    for k, f in enumerate(factors):
+    for k in range(n_cases):
+        # the case's window factors at an (outer sample, 1 + n_inner) grid of
+        # points: column 0 holds its window values, the others z_inner; the
+        # window and the boundary are disjoint, checked above
+        xv = {s: chains[k, :, j, None] for j, s in enumerate(work.sorted_sites())}
+        yv = {s: v[k, None, None] for s, v in y.items()}
+        for j, s in enumerate(lam_sites):
+            yv[s] = np.empty((n, 1 + n_inner))
+            yv[s][:, 0] = z_vol[k, j]
+            yv[s][:, 1:] = z_inner[:, :, j]
+        f = np.exp(-sum(c.evaluator(xv, yv) for c in window_terms))
         a, b = f[:, 0], f[:, 1:].mean(axis=1)
         ma, mb = a.mean(), b.mean()
         if mb <= 0:

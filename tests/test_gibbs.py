@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -880,3 +881,35 @@ def test_a_batch_of_cases_equals_one_case_calls(space):
     ]
     assert np.array_equal(batch.value, np.concatenate([e.value for e in ones]))
     assert np.array_equal(batch.stderr, np.concatenate([e.stderr for e in ones]))
+
+
+def test_a_batch_of_cases_holds_one_case_window_grid_after_the_chain(monkeypatch):
+    # the window factors of each case are built in turn, so after the chain
+    # a 16-case call holds a few (n, 1 + n_inner) grids, not 16 of them
+    n, n_inner, B = 2000, 16, 16
+    bsi = BiSpaceInteraction(_line_phi(Volume.box((0,), (2,))), ZeroDynamicInteraction(), QUAD, t=0.7)
+    rng = np.random.default_rng(3)
+    z_vol = _sample_reference_rng(QUAD, B, rng).reshape(B, 1)
+    y = {s: _sample_reference_rng(QUAD, B, rng) for s in [(0,), (2,)]}
+    mc = MCParams(n_samples=n, dt=0.05, burn_in=2, thin=1)
+    held = []
+    real = gibbs.gibbs_chain
+
+    def chain(*args):
+        out = real(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(gibbs, "gibbs_chain", chain)
+    tracemalloc.start()
+    try:
+        est = conditional_density(bsi, Volume.box((1,), (1,)), z_vol, y, mc, seed=4, n_inner=n_inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shape(est.value) == (B,)
+    grid_bytes = n * (1 + n_inner) * 8
+    # a one-case call peaks at about 5.2 grids past the chain; 16 cases'
+    # grids and their kernel temporaries at once would take over 60
+    assert peak - held[0] <= 8 * grid_bytes
