@@ -340,7 +340,14 @@ class DriftSpec:
             raise BoundViolationError(
                 f"drift '{self.label}' exceeded its declared bound {self.bound}"
             )
-        return np.broadcast_to(val, window_values.shape[:2])
+        shape = window_values.shape[:2]
+        if val.shape != shape:
+            return np.broadcast_to(val, shape)
+        # a read-only view, as broadcast_to gives; the evaluator's own array
+        # stays writable
+        view = val.view()
+        view.flags.writeable = False
+        return view
 
 
 def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:

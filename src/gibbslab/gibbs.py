@@ -38,6 +38,7 @@ from .expansion import (
     connected_collections,
     volume_key,
 )
+from .girsanov import BLOCK_ELEMENTS
 from .lattice import CIRCLE, Configuration, Volume, concat, wrap_angle
 from .rng import substream
 
@@ -51,7 +52,7 @@ class InteractionTerm:
     """One volume-local potential with a declared sup-norm."""
 
     volume: Volume
-    evaluator: Callable  # dict site -> float or (chains,) array, restricted to volume
+    evaluator: Callable  # dict site -> float or array of chain values, restricted to volume
     sup_norm: float
     label: str = "term"
 
@@ -211,39 +212,67 @@ def _draw_chains(
 
 
 def _metropolis_sweeps(
+    phi: Interaction,
     sites: Sequence,
     values: Dict,
-    site_energy: Callable,
-    scale: float,
     proposals: np.ndarray,
     logu: np.ndarray,
+    burn_in: int,
+    thin: int,
+    out: np.ndarray,
 ) -> None:
     """In-place single-site Metropolis of independent chains over pre-drawn moves.
 
-    ``values`` maps each site to a (chains,) array.  ``proposals`` and
-    ``logu`` are (sweeps, sites, chains) arrays whose row k drives sweep k.
-    For the move at site s, values[s] holds the (2, chains) stack of the old
-    and the proposed value while site_energy(values, s) evaluates both; a
-    scalar energy broadcasts over the stack.  Each chain rejects its
-    proposal when logu >= -scale * (change of the local energy).
+    ``values`` maps each site to its (chains,) array, or a held site to its
+    held value.  ``proposals`` and ``logu`` are (sweeps, sites, chains)
+    arrays whose row k drives sweep k; the state after each ``thin`` sweeps
+    past ``burn_in`` goes to ``out``, a (chains, samples, sites) array.
+
+    Each term carries its current value, so a move at s scores only the
+    proposal: d_e is the sum of the new values minus the sum of the carried
+    ones, both over ``phi.terms_at(s)`` in order, and a chain rejects when
+    logu >= -beta0 * d_e.  A term with one site in ``sites`` is scored in
+    one call over that site's candidates for a block of sweeps, the initial
+    value first, and the moves read that table; a block holds at most
+    BLOCK_ELEMENTS // chains sweeps.  The other terms are scored at the
+    (chains,) proposal state.
     """
-    for props, us in zip(proposals, logu):
-        for s, prop, lu in zip(sites, props, us):
-            old = values[s]
-            values[s] = np.array((old, prop))
-            energy = site_energy(values, s)
-            if np.ndim(energy) < 2:  # the same for both values, e.g. no terms
-                energy = (energy, energy)
-            d_e = energy[1] - energy[0]
+    n_sweeps, _, chains = proposals.shape
+    block = max(1, BLOCK_ELEMENTS // chains)
+    terms = phi.terms
+    at = [[j for j, t in enumerate(terms) if s in t.volume] for s in sites]
+    inside: Dict[int, list] = {}  # term index -> the indices of its sites in sites
+    for i, js in enumerate(at):
+        for j in js:
+            inside.setdefault(j, []).append(i)
+    one_site = {j: i for j, (i, *more) in inside.items() if not more}
+    current = {j: terms[j].value(values) for j in inside if j not in one_site}
+    for k in range(n_sweeps):
+        if k % block == 0:
+            tables = {}  # term index -> its values at the moves of this block
+            for j, i in one_site.items():
+                s, cand = sites[i], proposals[k:k + block, i]
+                if k == 0:
+                    cand = np.concatenate((values[s][None], cand))
+                table = np.broadcast_to(terms[j].value({**values, s: cand}), cand.shape)
+                if k == 0:
+                    current[j], table = table[0], table[1:]
+                tables[j] = table
+        for i, s in enumerate(sites):
+            old, prop = values[s], proposals[k, i]
+            values[s] = prop
+            new = [tables[j][k % block] if j in tables else terms[j].value(values) for j in at[i]]
+            d_e = sum(new) - sum(current[j] for j in at[i])
             if not np.isfinite(d_e).all():
                 raise SetupError("non-finite local energy in Gibbs sampling")
-            values[s] = np.where(lu >= -scale * d_e, old, prop)
-
-
-def _site_energy(phi: Interaction, sites: Sequence) -> Callable:
-    """Local energy at s: the sum of the terms of phi that contain s."""
-    site_terms = {s: phi.terms_at(s) for s in sites}
-    return lambda values, s: sum(t.value(values) for t in site_terms[s])
+            reject = logu[k, i] >= -phi.beta0 * d_e
+            values[s] = np.where(reject, old, prop)
+            for j, v in zip(at[i], new):
+                current[j] = np.where(reject, current[j], v)
+        done = k + 1 - burn_in
+        if done > 0 and done % thin == 0:
+            for i, s in enumerate(sites):
+                out[:, done // thin - 1, i] = values[s]
 
 
 def sample_gibbs(
@@ -285,7 +314,6 @@ def gibbs_chain(
     (chains, n_samples, |vol|) array in ``vol.sorted_sites()`` order.
     """
     sites = vol.sorted_sites()
-    b, thin = mc.burn_in, mc.thin
     init, proposals, logu = _draw_chains(pot, len(sites), mc, n_samples, rngs)
     # init on vol, then the boundary at the other sites the terms read
     values = dict(zip(sites, init))
@@ -299,15 +327,8 @@ def gibbs_chain(
                     f"boundary value at {s} has shape {held.shape}, not () or ({len(rngs)},)"
                 )
             values[s] = held
-    energy = _site_energy(phi, sites)
     out = np.empty((len(rngs), n_samples, len(sites)))
-    _metropolis_sweeps(sites, values, energy, phi.beta0, proposals[:b], logu[:b])
-    for j, k in enumerate(range(b, len(proposals), thin)):
-        _metropolis_sweeps(
-            sites, values, energy, phi.beta0, proposals[k:k + thin], logu[k:k + thin]
-        )
-        for i, s in enumerate(sites):
-            out[:, j, i] = values[s]
+    _metropolis_sweeps(phi, sites, values, proposals, logu, mc.burn_in, mc.thin, out)
     return out
 
 

@@ -24,6 +24,7 @@ from gibbslab.gibbs import (
     BiSpaceInteraction,
     ExpansionDynamicInteraction,
     Interaction,
+    InteractionTerm,
     ZeroDynamicInteraction,
     bispace_hamiltonian,
     conditional_density,
@@ -312,6 +313,27 @@ def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
     assert np.isfinite(got).all()
 
 
+@pytest.mark.parametrize("where", ["initial", "proposal"])
+def test_a_one_site_term_non_finite_at_one_candidate_raises(where, monkeypatch):
+    # a term with one chain site is scored over its pre-drawn candidates, a
+    # block of sweeps at a time; a non-finite value at one chain's initial
+    # value, or at one proposal in a later block, still raises at its move
+    vol = Volume.box((0,), (0,))
+    mc = MCParams(n_samples=2, burn_in=3, thin=2)
+
+    def rngs():
+        return [substream(4, c) for c in range(3)]
+
+    init, proposals, _ = gibbs._draw_chains(QUAD, 1, mc, 2, rngs())
+    bad = init[0, 1] if where == "initial" else proposals[5, 0, 1]
+    monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", 3 * 2)  # blocks of 2 sweeps
+    fine = Interaction((site_term((0,), lambda a: 0.3 * a, 1.0),), beta0=0.5)
+    assert np.isfinite(gibbs_chain(fine, QUAD, vol, None, 2, mc, rngs())).all()
+    blowup = site_term((0,), lambda a: np.where(a == bad, np.nan, 0.3 * a), 1.0)
+    with pytest.raises(SetupError, match="non-finite local energy"):
+        gibbs_chain(Interaction((blowup,), beta0=0.5), QUAD, vol, None, 2, mc, rngs())
+
+
 def test_dlr_consistency_cheap():
     vol = Volume.box((0,), (3,))
     phi = Interaction(tuple(nearest_neighbor_terms(vol, 0.5)), beta0=0.4)
@@ -489,7 +511,6 @@ def test_modified_interaction_matches_the_old_local_energy(space, dynamic):
         bsi, lam, {s: np.array([y[s] for y in ys]) for s in [(0,), (2,)]}
     )
     assert modified.beta0 == 1.0
-    energy = gibbs._site_energy(modified, sites)
     for _ in range(3):
         point = dict(zip(sites, _sample_reference_rng(bsi.pot, 3, rng)))
         proposals = _sample_reference_rng(bsi.pot, 3, rng)
@@ -497,13 +518,105 @@ def test_modified_interaction_matches_the_old_local_energy(space, dynamic):
             old = [_old_point_energy(bsi, lam, y, point, s) for y in ys]
             got = sum(t.value(point) for t in modified.terms_at(s))
             assert np.allclose(got, old, rtol=0, atol=1e-12)
-            # the (2, B) stack of the B chains' Metropolis moves at s
-            stack = {r: np.full(B, v) for r, v in point.items()}
-            stack[s] = np.array([np.full(B, point[s]), np.full(B, prop)])
-            want = [old, [_old_point_energy(bsi, lam, y, {**point, s: prop}, s) for y in ys]]
-            got = energy(stack, s)
-            assert np.shape(got) == (2, B)
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            # the B chains' local energies at s, at the old and at the
+            # proposed point of a Metropolis move, each a (B,) array
+            for at in (point, {**point, s: prop}):
+                want = [_old_point_energy(bsi, lam, y, at, s) for y in ys]
+                got = sum(t.value({r: np.full(B, v) for r, v in at.items()})
+                          for t in modified.terms_at(s))
+                assert np.shape(got) == (B,)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _triple_term(a, b, c):
+    """A three-site term that reads the values of a, b and c."""
+    return InteractionTerm(
+        Volume(frozenset({a, b, c})),
+        lambda v: 0.7 * np.tanh(v[a] - v[b]) * np.cos(v[c]), 0.7, "triple",
+    )
+
+
+@pytest.mark.parametrize("block_sweeps", [None, 3], ids=["one-block", "3-sweep-blocks"])
+@pytest.mark.parametrize("held", [False, True], ids=["free", "site-2-held"])
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_gibbs_chain_on_a_modified_interaction_matches_the_reference(
+    space, held, block_sweeps, monkeypatch
+):
+    # the modified interaction of an expansion dynamic interaction: the
+    # -log p_t and Phi terms off the window and the site fields have one
+    # chain site and are tabulated over the pre-drawn candidates; the pair
+    # terms and a three-site term are scored move by move.  With site 2
+    # held, the three-site term has two chain sites and one held site, and
+    # the pair (1, 2) one chain site
+    bsi = _two_layer(space, "expansion")
+    lam = Volume.box((1,), (1,))
+    rng = np.random.default_rng(14)
+    B = 3
+    y = {s: _sample_reference_rng(bsi.pot, B, rng) for s in [(0,), (2,)]}
+    triple = _triple_term((0,), (1,), (2,))
+    vol = Volume.box((0,), (1,)) if held else Volume.box((0,), (2,))
+    x2 = _sample_reference_rng(bsi.pot, B, rng)
+    mc = MCParams(n_samples=2, burn_in=5, thin=3)
+    refs = []
+    for c in range(B):
+        phi = gibbs._modified_interaction(bsi, lam, {s: float(v[c]) for s, v in y.items()})
+        boundary = Configuration({(2,): x2[c]}, bsi.pot.state_space) if held else None
+        phi = Interaction(phi.terms + (triple,), phi.beta0)
+        refs.append(_reference_chain(phi, bsi.pot, vol, boundary, 4, mc, substream(6, c)))
+    phi = gibbs._modified_interaction(bsi, lam, y)
+    phi = Interaction(phi.terms + (triple,), phi.beta0)
+    chain_sites = {(0,), (1,)} if held else {(0,), (1,), (2,)}
+    one_site = [t for t in phi.terms if len(t.volume.sites & chain_sites) == 1]
+    # free: the three site fields, and -log p_t and Phi at 0 and at 2; with
+    # site 2 held: the site fields at 0 and 1, -log p_t and Phi at 0, and the
+    # pair (1, 2)
+    assert len(one_site) == (5 if held else 7)
+    if block_sweeps is not None:
+        monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", B * block_sweeps)
+    boundary = {(2,): x2} if held else None
+    got = gibbs_chain(phi, bsi.pot, vol, boundary, 4, mc, [substream(6, c) for c in range(B)])
+    assert np.array_equal(got, np.stack(refs))
+
+
+def test_one_weight_call_per_tabulated_phi_term_and_block(monkeypatch):
+    # the gibbs benchmark geometry: box 0..4, window 2, kMax 1, nMax 1 and
+    # R = 6; every Phi term off the window has one chain site, so its
+    # weights are scored once per block of sweeps, however long the chain
+    box, lam = Volume.box((0,), (4,)), Volume.box((2,), (2,))
+    drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
+    dyn = ExpansionDynamicInteraction(
+        drift, QUAD, box, TimeGrid(1.0, 1), k_max=1, n_max=1,
+        mc=MCParams(n_samples=6, dt=0.05), seed=4,
+    )
+    phi = Interaction(tuple(nearest_neighbor_terms(box, 0.8)), beta0=0.4)
+    bsi = BiSpaceInteraction(phi, dyn, QUAD, t=1.0)
+    B = 3
+    rng = np.random.default_rng(2)
+    y = {s: _sample_reference_rng(QUAD, B, rng) for s in box.sorted_sites() if s != (2,)}
+    modified = gibbs._modified_interaction(bsi, lam, y)
+    phi_terms = [dv for dv in dyn.traces() if not dv.sites & lam.sites]
+    assert len(phi_terms) == 4 and all(len(dv) == 1 for dv in phi_terms)
+    calls = []
+    real = gibbs.cluster_weight
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gibbs, "cluster_weight", counting)
+
+    def count(burn_in):
+        calls.clear()
+        mc = MCParams(n_samples=6, dt=0.05, burn_in=burn_in, thin=2)
+        gibbs_chain(modified, QUAD, box, None, 6, mc, [substream(3, c) for c in range(B)])
+        return len(calls)
+
+    # 18 + 12 and 36 + 12 sweeps in one block
+    assert count(18) == count(36) == len(phi_terms)
+    # blocks of 10 sweeps: 3 and 5 blocks
+    monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", B * 10)
+    assert count(18) == 3 * len(phi_terms)
+    assert count(36) == 5 * len(phi_terms)
 
 
 def test_conditional_density_free_case_is_one():
