@@ -217,18 +217,14 @@ def free_kernel(pot: PotentialSpec, t: float, x, y):
             f"free_kernel: points outside the eigenfunction grid [{xs[0]}, {xs[-1]}]"
         )
     keep = lam * t > -45.0
-    lam_k = lam[keep]
-    phi_k = phis[:, keep]
     # on the circle the grid stops at 2*pi - h; interpolate across the seam
     period = TWO_PI if pot.state_space == CIRCLE else None
-    def interp_modes(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        cols = [np.interp(z, xs, phi_k[:, k], period=period) for k in range(phi_k.shape[1])]
-        return np.stack(cols, axis=-1)
-    px = interp_modes(x)
-    py = interp_modes(y)
-    val = np.einsum("...k,...k,k->...", px, py, np.exp(lam_k * t))
-    val = val.reshape(np.broadcast(x, y).shape)
+    # sum_k phi_k(x) phi_k(y) e^{lam_k t}, one mode at a time, so the memory
+    # is a few arrays of the broadcast shape whatever the number of modes
+    val = np.zeros(np.broadcast(x, y).shape)
+    for phi, w in zip(phis[:, keep].T, np.exp(lam[keep] * t)):
+        px = np.interp(x, xs, phi, period=period)
+        val = val + px * np.interp(y, xs, phi, period=period) * w
     if val.shape == ():
         return float(val)
     return val
@@ -340,14 +336,7 @@ class DriftSpec:
             raise BoundViolationError(
                 f"drift '{self.label}' exceeded its declared bound {self.bound}"
             )
-        shape = window_values.shape[:2]
-        if val.shape != shape:
-            return np.broadcast_to(val, shape)
-        # a read-only view, as broadcast_to gives; the evaluator's own array
-        # stays writable
-        view = val.view()
-        view.flags.writeable = False
-        return view
+        return np.broadcast_to(val, window_values.shape[:2])
 
 
 def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:

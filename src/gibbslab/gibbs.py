@@ -38,7 +38,7 @@ from .expansion import (
     connected_collections,
     volume_key,
 )
-from .girsanov import BLOCK_ELEMENTS
+from . import girsanov
 from .lattice import CIRCLE, Configuration, Volume, concat, wrap_angle
 from .rng import substream
 
@@ -232,13 +232,13 @@ def _metropolis_sweeps(
     proposal: d_e is the sum of the new values minus the sum of the carried
     ones, both over ``phi.terms_at(s)`` in order, and a chain rejects when
     logu >= -beta0 * d_e.  A term with one site in ``sites`` is scored in
-    one call over that site's candidates for a block of sweeps, the initial
-    value first, and the moves read that table; a block holds at most
-    BLOCK_ELEMENTS // chains sweeps.  The other terms are scored at the
-    (chains,) proposal state.
+    one call over that site's proposals for a block of sweeps, and the
+    moves read that table; a block holds at most
+    girsanov.BLOCK_ELEMENTS // chains sweeps.  The other terms are scored
+    at the (chains,) proposal state.
     """
     n_sweeps, _, chains = proposals.shape
-    block = max(1, BLOCK_ELEMENTS // chains)
+    block = max(1, girsanov.BLOCK_ELEMENTS // chains)
     terms = phi.terms
     at = [[j for j, t in enumerate(terms) if s in t.volume] for s in sites]
     inside: Dict[int, list] = {}  # term index -> the indices of its sites in sites
@@ -246,18 +246,14 @@ def _metropolis_sweeps(
         for j in js:
             inside.setdefault(j, []).append(i)
     one_site = {j: i for j, (i, *more) in inside.items() if not more}
-    current = {j: terms[j].value(values) for j in inside if j not in one_site}
+    current = {j: terms[j].value(values) for j in inside}
     for k in range(n_sweeps):
         if k % block == 0:
             tables = {}  # term index -> its values at the moves of this block
             for j, i in one_site.items():
-                s, cand = sites[i], proposals[k:k + block, i]
-                if k == 0:
-                    cand = np.concatenate((values[s][None], cand))
-                table = np.broadcast_to(terms[j].value({**values, s: cand}), cand.shape)
-                if k == 0:
-                    current[j], table = table[0], table[1:]
-                tables[j] = table
+                cand = proposals[k:k + block, i]
+                value = terms[j].value({**values, sites[i]: cand})
+                tables[j] = np.broadcast_to(value, cand.shape)
         for i, s in enumerate(sites):
             old, prop = values[s], proposals[k, i]
             values[s] = prop

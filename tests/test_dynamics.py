@@ -209,28 +209,6 @@ def test_drift_bound_enforced():
         simulate(bad, QUAD, vol, x0, t=0.1, dt=0.05, seed=1)
 
 
-@pytest.mark.parametrize("full", [True, False], ids=["R-by-steps", "broadcast"])
-def test_drift_evaluate_returns_a_read_only_r_by_steps_array(full):
-    # a value that is already (R, steps) comes back as a read-only view of
-    # the evaluator's array, which stays writable; anything else is
-    # broadcast to (R, steps), read-only too
-    R, steps = 4, 3
-    own = np.arange(R * steps, dtype=float).reshape(R, steps) / 100.0
-    value = own if full else own[0]
-    drift = DriftSpec(
-        beta=1.0, nbhd=Neighborhood.range1d(0), memory=0.1, bound=1.0,
-        evaluator=lambda site, t, wt, wv: value, label="own",
-    )
-    wv = np.zeros((R, steps, 1, 3))
-    b = drift.evaluate((0,), np.zeros(steps), np.zeros((steps, 3)), wv)
-    assert b.shape == (R, steps) and not b.flags.writeable
-    assert np.shares_memory(b, own)
-    assert np.array_equal(b, np.broadcast_to(value, (R, steps)))
-    assert own.flags.writeable
-    own[0, 0] = 0.5
-    assert b[0, 0] == 0.5
-
-
 def test_simulate_validates_inputs():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(Volume.box((0,), (1,)), 0.0)

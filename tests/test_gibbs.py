@@ -7,11 +7,12 @@ import pytest
 from scipy import stats
 
 from gibbslab.clusters import TimeGrid
-from gibbslab import gibbs
+from gibbslab import gibbs, girsanov
 from gibbslab.dynamics import (
     _sample_reference_rng,
     circle_free_potential,
     constant_drift,
+    custom_potential,
     free_kernel,
     markov_local_drift,
     quadratic_potential,
@@ -315,9 +316,10 @@ def test_lockstep_chains_reject_a_non_finite_energy_in_one_chain():
 
 @pytest.mark.parametrize("where", ["initial", "proposal"])
 def test_a_one_site_term_non_finite_at_one_candidate_raises(where, monkeypatch):
-    # a term with one chain site is scored over its pre-drawn candidates, a
-    # block of sweeps at a time; a non-finite value at one chain's initial
-    # value, or at one proposal in a later block, still raises at its move
+    # a term with one chain site is scored at the initial values, then over
+    # its pre-drawn proposals a block of sweeps at a time; a non-finite value
+    # at one chain's initial value, or at one proposal in a later block,
+    # still raises at its move
     vol = Volume.box((0,), (0,))
     mc = MCParams(n_samples=2, burn_in=3, thin=2)
 
@@ -326,7 +328,7 @@ def test_a_one_site_term_non_finite_at_one_candidate_raises(where, monkeypatch):
 
     init, proposals, _ = gibbs._draw_chains(QUAD, 1, mc, 2, rngs())
     bad = init[0, 1] if where == "initial" else proposals[5, 0, 1]
-    monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", 3 * 2)  # blocks of 2 sweeps
+    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 3 * 2)  # blocks of 2 sweeps
     fine = Interaction((site_term((0,), lambda a: 0.3 * a, 1.0),), beta0=0.5)
     assert np.isfinite(gibbs_chain(fine, QUAD, vol, None, 2, mc, rngs())).all()
     blowup = site_term((0,), lambda a: np.where(a == bad, np.nan, 0.3 * a), 1.0)
@@ -544,7 +546,7 @@ def test_gibbs_chain_on_a_modified_interaction_matches_the_reference(
 ):
     # the modified interaction of an expansion dynamic interaction: the
     # -log p_t and Phi terms off the window and the site fields have one
-    # chain site and are tabulated over the pre-drawn candidates; the pair
+    # chain site and are tabulated over the pre-drawn proposals; the pair
     # terms and a three-site term are scored move by move.  With site 2
     # held, the three-site term has two chain sites and one held site, and
     # the pair (1, 2) one chain site
@@ -572,16 +574,17 @@ def test_gibbs_chain_on_a_modified_interaction_matches_the_reference(
     # pair (1, 2)
     assert len(one_site) == (5 if held else 7)
     if block_sweeps is not None:
-        monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", B * block_sweeps)
+        monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", B * block_sweeps)
     boundary = {(2,): x2} if held else None
     got = gibbs_chain(phi, bsi.pot, vol, boundary, 4, mc, [substream(6, c) for c in range(B)])
     assert np.array_equal(got, np.stack(refs))
 
 
-def test_one_weight_call_per_tabulated_phi_term_and_block(monkeypatch):
+def test_tabulated_phi_terms_make_one_weight_call_per_block(monkeypatch):
     # the gibbs benchmark geometry: box 0..4, window 2, kMax 1, nMax 1 and
     # R = 6; every Phi term off the window has one chain site, so its
-    # weights are scored once per block of sweeps, however long the chain
+    # weights are scored once at the initial values and then once per block
+    # of sweeps, however long the chain
     box, lam = Volume.box((0,), (4,)), Volume.box((2,), (2,))
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
@@ -612,12 +615,40 @@ def test_one_weight_call_per_tabulated_phi_term_and_block(monkeypatch):
         return len(calls)
 
     # 18 + 12 and 36 + 12 sweeps in one block
-    assert count(18) == count(36) == len(phi_terms)
+    assert count(18) == count(36) == (1 + 1) * len(phi_terms)
     # blocks of 10 sweeps: 3 and 5 blocks
-    monkeypatch.setattr(gibbs, "BLOCK_ELEMENTS", B * 10)
-    assert count(18) == 3 * len(phi_terms)
-    assert count(36) == 5 * len(phi_terms)
+    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", B * 10)
+    assert count(18) == (1 + 3) * len(phi_terms)
+    assert count(36) == (1 + 5) * len(phi_terms)
 
+
+
+def test_a_tabulated_kernel_term_on_a_general_potential_stays_small():
+    # the -log p_t term of a general potential, scored over one full block
+    # of BLOCK_ELEMENTS // chains sweeps: the eigenfunction kernel (46 modes
+    # at t = 1) sums its modes one at a time, so the chain holds a few
+    # block-sized arrays, not a (points, modes) array per mode
+    pot = custom_potential(lambda x: x * x, lambda x: 2.0 * x)
+    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), pot, t=1.0)
+    B = 24
+    y = {(0,): _sample_reference_rng(pot, B, np.random.default_rng(1))}
+    modified = gibbs._modified_interaction(bsi, Volume.box((1,), (1,)), y)
+    assert len(modified.terms) == 1
+    free_kernel(pot, 1.0, 0.0, 0.0)  # the cached eigensystem, outside the trace
+    block = girsanov.BLOCK_ELEMENTS // B
+    mc = MCParams(burn_in=block - 1, thin=1)
+    vol = Volume.box((0,), (0,))
+    tracemalloc.start()
+    try:
+        got = gibbs_chain(modified, pot, vol, None, 1, mc, [substream(2, c) for c in range(B)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (B, 1, 1) and np.isfinite(got).all()
+    block_bytes = block * B * 8
+    # about 5.2 blocks: the proposals, the log-uniforms, the table and the
+    # kernel's temporaries; one (points, modes) array alone would be 46
+    assert peak <= 10 * block_bytes, peak
 
 def test_conditional_density_free_case_is_one():
     # no initial interaction, no dynamic interaction: stationarity makes the
