@@ -336,7 +336,13 @@ class DriftSpec:
             raise BoundViolationError(
                 f"drift '{self.label}' exceeded its declared bound {self.bound}"
             )
-        return np.broadcast_to(val, window_values.shape[:2])
+        shape = window_values.shape[:2]
+        if val.shape != shape:
+            return np.broadcast_to(val, shape)
+        # already (R, steps): a read-only view, without broadcast_to's cost
+        val = val.view()
+        val.flags.writeable = False
+        return val
 
 
 def constant_drift(c: float, memory: float = 0.1) -> DriftSpec:
@@ -554,41 +560,50 @@ def _evaluation_windows(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_h
     """Evaluator arguments (t, window_times, window_values) for the steps
     k_lo .. k_hi-1 of a stored bundle.
 
-    The path of ``site + nbhd`` is copied once into a (W + steps, |nbhd|, R)
-    history, front-padded with the frozen pre-history, wrapped in place on
-    the circle, and read through ``_windows``.
+    On the line, steps whose windows all start at or after the path start
+    read the stored path of ``site + nbhd`` in place.  Otherwise it is
+    copied once into a (W + steps, |nbhd|, R) history, front-padded with the
+    frozen pre-history and wrapped in place on the circle.  Either is read
+    through ``_windows``.
     """
     W = _window_length(drift, path.dt)
     lo = k_lo - W
     front = max(-lo, 0)
     block = _neighbour_block(drift, path.sites, site)
     path_rows = path.values.transpose(2, 1, 0)  # (K+1, sites, R)
-    first = path_rows[0, block]
-    history = np.empty((W + k_hi - k_lo,) + first.shape)
-    history[:front] = first
-    history[front:] = path_rows[lo + front : k_hi, block]
-    if path.state_space == CIRCLE:
-        wrap_angle(history, out=history)
+    if front == 0 and path.state_space != CIRCLE:
+        history = path_rows[lo:k_hi, block]
+    else:
+        first = path_rows[0, block]
+        history = np.empty((W + k_hi - k_lo,) + first.shape)
+        history[:front] = first
+        history[front:] = path_rows[lo + front : k_hi, block]
+        if path.state_space == CIRCLE:
+            wrap_angle(history, out=history)
     wt, wv = _windows(history, W, path.times[0], path.dt, lo)
     return path.times[k_lo:k_hi], wt, wv
 
 
-def _drift_along(drift: DriftSpec, path: PathBundle, site, k_lo: int, k_hi: int) -> np.ndarray:
-    """b_site(t_k, X) at the steps k_lo .. k_hi-1 of a stored bundle.
-
-    Shape (R, steps), stored step-major so each step is contiguous.
-    """
-    site = tuple(site)
-    # evaluated before ``out`` is allocated, so the window history is gone
-    b = drift.evaluate(site, *_evaluation_windows(drift, path, site, k_lo, k_hi))
-    out = np.empty((k_hi - k_lo, path.n_replicas)).T
-    out[...] = b
-    return out
-
-
 def drift_values(drift: DriftSpec, path: PathBundle, site) -> np.ndarray:
-    """Re-evaluate b_site(t_k, X) along a stored bundle, shape (R, K)."""
-    return _drift_along(drift, path, site, 0, path.times.size - 1)
+    """Re-evaluate b_site(t_k, X) along a stored bundle, a new (R, K) array."""
+    site = tuple(site)
+    windows = _evaluation_windows(drift, path, site, 0, path.times.size - 1)
+    return np.array(drift.evaluate(site, *windows))
+
+
+def _euler_grid(pot: PotentialSpec, vol: Volume, x0: Configuration, t: float, dt: float):
+    """The checks of an Euler run from x0 over [0, t]: returns the volume's
+    sites in sorted order and the number of steps K = t / dt."""
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    if not vol.issubset(x0.domain):
+        raise CoverageError("x0 does not cover the volume")
+    if x0.state_space != pot.state_space:
+        raise ValidationError("x0 state space does not match the potential")
+    K = step_count(t, dt)
+    if K < 1 or abs(K * dt - t) > 1e-9 * max(t, 1.0):
+        raise ValidationError("t must be an integer multiple of dt")
+    return tuple(vol.sorted_sites()), K
 
 
 def simulate(
@@ -608,18 +623,8 @@ def simulate(
     Deterministic given (seed, dt, inputs); replicas share one vectorized
     noise stream derived from (seed, "simulate").
     """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if not vol.issubset(x0.domain):
-        raise CoverageError("x0 does not cover the volume")
-    if x0.state_space != pot.state_space:
-        raise ValidationError("x0 state space does not match the potential")
-
-    sites = tuple(vol.sorted_sites())
+    sites, K = _euler_grid(pot, vol, x0, t, dt)
     inner = interior(vol, drift.nbhd)
-    K = step_count(t, dt)
-    if K < 1 or abs(K * dt - t) > 1e-9 * max(t, 1.0):
-        raise ValidationError("t must be an integer multiple of dt")
     if rng is None:
         rng = substream(seed, "simulate")
 
@@ -640,8 +645,8 @@ def simulate(
     wt, wv = _windows(state, W, times[0], dt, -W)
     readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
 
+    sqrt_dt = math.sqrt(dt)
     for k in range(K):
-        xk = history[W + k]
         du = np.asarray(pot.dU(state[W + k]), dtype=float)
         drift_term = -0.5 * du
         if drift.beta > 0:
@@ -649,7 +654,12 @@ def simulate(
             for i, site, block in readers:
                 b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
                 drift_term[i, :, None] += drift.beta * b
-        history[W + k + 1] = xk + (history[W + k + 1] * math.sqrt(dt) + drift_term * dt)
+        # x_{k+1} = x_k + (noise * sqrt(dt) + drift * dt), formed in the noise row
+        row = history[W + k + 1]
+        row *= sqrt_dt
+        drift_term *= dt
+        row += drift_term
+        row += history[W + k]
         if circle:
             wrap_angle(history[W + k + 1], out=state[W + k + 1])
     if not np.all(np.isfinite(history)):

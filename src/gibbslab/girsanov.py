@@ -26,12 +26,13 @@ from .dynamics import (
     DriftSpec,
     PathBundle,
     PotentialSpec,
-    _drift_along,
+    _euler_grid,
+    _evaluation_windows,
     constant_drift,
     simulate,
     step_count,
 )
-from .errors import CoverageError, PrecisionError, ValidationError
+from .errors import CoverageError, NumericalError, PrecisionError, ValidationError
 from .estimates import (
     Estimate,
     MCParams,
@@ -96,11 +97,20 @@ def _add_block(out: np.ndarray, drift: DriftSpec, path: PathBundle, site, idx: i
                lo: int, hi: int) -> None:
     """Adds the terms of psi at the steps lo .. hi-1 to ``out``, in step order.
 
-    Its (R, steps) temporaries are released on return, before the next block.
+    The terms -beta b dBbar + (beta^2/2) b^2 dt are formed in two (R, steps)
+    arrays, the increments' (step-major, so each step is contiguous) and one
+    more, with the rounding of ((-beta) b) dBbar + (((beta^2/2) b) b) dt.
+    They are released on return, before the next block.
     """
     beta, dt = drift.beta, path.dt
-    b = _drift_along(drift, path, site, lo, hi)
-    terms = -beta * b * path.increments(idx, lo, hi) + 0.5 * beta * beta * b * b * dt
+    b = drift.evaluate(site, *_evaluation_windows(drift, path, site, lo, hi))
+    terms = path.increments(idx, lo, hi)
+    work = np.multiply(b, -beta)
+    terms *= work
+    np.multiply(b, 0.5 * beta * beta, out=work)
+    work *= b
+    work *= dt
+    terms += work
     # summed in step order, as a running sum over the steps would; a
     # pairwise np.sum along the step axis would change the low bits
     for term in terms.T:
@@ -318,22 +328,29 @@ def multi_bridge_bundle(
     return PathBundle(sites, times, values.transpose(2, 0, 1), pot)
 
 
-def _endpoint_offsets(bundle: PathBundle, y: Configuration, mc: MCParams) -> list:
-    """(offsets of the path ends from y, kernel bandwidth h) per site, in the
-    bundle's order, with h = bandwidth_scale * spread * R^(-1/5).  On the
-    circle the offsets are wrapped into [-pi, pi) and the spread is theirs,
-    so an end just across the seam from y counts as near it; on the line
-    the spread is that of the ends."""
+def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration,
+                      mc: MCParams) -> list:
+    """(offsets of the path ends from y, kernel bandwidth h) per site.
+
+    ``ends`` holds the ends of the R paths of each of ``sites``, shape
+    (sites, R), and h = bandwidth_scale * spread * R^(-1/5).  On the circle
+    the offsets are wrapped into [-pi, pi) and the spread is theirs, so an
+    end just across the seam from y counts as near it; on the line the
+    spread is that of the ends."""
     out = []
-    for idx, s in enumerate(bundle.sites):
-        end = bundle.values[:, idx, -1]
-        if bundle.state_space == CIRCLE:
+    for s, end in zip(sites, ends):
+        if state_space == CIRCLE:
             diff = spread = np.mod(wrap_angle(end) - y[s] + np.pi, TWO_PI) - np.pi
         else:
             diff, spread = end - y[s], end
-        h = mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * bundle.n_replicas ** (-0.2)
+        h = mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * end.size ** (-0.2)
         out.append((diff, h))
     return out
+
+
+def _path_ends(bundle: PathBundle) -> np.ndarray:
+    """The last value of every path of a bundle, shape (sites, R)."""
+    return bundle.values[:, :, -1].T
 
 
 def free_bridge_paths(
@@ -364,7 +381,7 @@ def free_bridge_paths(
         return bundle, None
     bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R, rng=rng)
     logw = np.zeros(R)
-    for diff, h in _endpoint_offsets(bundle, y, mc):
+    for diff, h in _endpoint_offsets(bundle.sites, _path_ends(bundle), pot.state_space, y, mc):
         logw += -(diff**2) / (2.0 * h * h)
     return bundle, logw
 
@@ -422,6 +439,51 @@ def _kde_products(terms, n_replicas: int) -> np.ndarray:
     return prod
 
 
+def _free_endpoints(
+    pot: PotentialSpec,
+    vol: Volume,
+    x: Configuration,
+    t: float,
+    dt: float,
+    n_replicas: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Ends x_K of free Euler runs from x over [0, t], shape (sites, R).
+
+    The sites are in sorted order.  The quadratic and drift-free circle
+    families draw x_K from the exact law of the Euler scheme's end, one
+    standard normal per (site, replica), site-major:
+
+    - quadratic, x_{k+1} = a x_k + sqrt(dt) xi with a = 1 - dt: x_K is
+      normal with mean a^K x and variance dt (1 - a^{2K}) / (1 - a^2)
+      = (1 - a^{2K}) / (2 - dt), or dt K when a^2 = 1;
+    - circle_free: the lift x_K = x + sqrt(K dt) xi.
+
+    Any other potential runs ``simulate`` and keeps its ends.  Either way t
+    must be a whole number of dt, x must cover vol in the potential's state
+    space, and a non-finite end raises NumericalError.
+    """
+    if pot.family not in ("quadratic", "circle_free"):
+        bundle = simulate(_free_drift(), pot, vol, x, t, dt, seed=0, n_replicas=n_replicas, rng=rng)
+        return _path_ends(bundle)
+    sites, K = _euler_grid(pot, vol, x, t, dt)
+    x0 = x.array_for(sites)[:, None]
+    ends = rng.standard_normal((len(sites), n_replicas))
+    if pot.family == "quadratic":
+        a = np.float64(1.0 - dt)
+        # |a| > 1 overflows as the Euler run would; the check below raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = dt * K if a * a == 1.0 else (1.0 - a ** (2 * K)) / (2.0 - dt)
+            ends *= np.sqrt(var)
+            ends += a**K * x0
+    else:
+        ends *= math.sqrt(K * dt)
+        ends += x0
+    if not np.all(np.isfinite(ends)):
+        raise NumericalError("the free endpoint law is not finite")
+    return ends
+
+
 def density_endpoint_ratio(
     drift: DriftSpec,
     pot: PotentialSpec,
@@ -434,19 +496,21 @@ def density_endpoint_ratio(
 ) -> Estimate:
     """Independent density route: ratio of kernel-smoothed endpoint laws.
 
-    Simulates the interacting and the free system forward from x and
-    compares kernel density estimates at y, with one shared bandwidth per
-    site so the smoothing bias cancels to leading order in the ratio.
+    Simulates the interacting system forward from x, draws the free
+    system's ends (``_free_endpoints``) and compares kernel density
+    estimates at y, with one shared bandwidth per site so the smoothing
+    bias cancels to leading order in the ratio.
     """
     R = mc.n_samples
-    # only the path ends are read, so each bundle is dropped as soon as its
-    # offsets are taken: the two systems' paths are never held at once
-    q_offsets = _endpoint_offsets(
-        simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
-                 rng=substream(seed, "endpoint", "interacting")), y, mc)
-    p_terms = _endpoint_offsets(
-        simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
-                 rng=substream(seed, "endpoint", "free")), y, mc)
+    # only the path ends are read, so the interacting bundle is dropped as
+    # soon as its offsets are taken
+    interacting = simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
+                           rng=substream(seed, "endpoint", "interacting"))
+    q_offsets = _endpoint_offsets(interacting.sites, _path_ends(interacting),
+                                  pot.state_space, y, mc)
+    del interacting
+    free = _free_endpoints(pot, vol, x, t, mc.dt, R, substream(seed, "endpoint", "free"))
+    p_terms = _endpoint_offsets(vol.sorted_sites(), free, pot.state_space, y, mc)
     q_terms = [(d, h) for (d, _), (_, h) in zip(q_offsets, p_terms)]
     q_hat = mean_estimate(_kde_products(q_terms, R))
     p_hat = mean_estimate(_kde_products(p_terms, R))

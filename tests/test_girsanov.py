@@ -9,16 +9,19 @@ from gibbslab.dynamics import (
     PathBundle,
     circle_free_potential,
     constant_drift,
+    custom_potential,
     delayed_feedback_drift,
     markov_local_drift,
     quadratic_potential,
     resonance_drift,
     simulate,
 )
-from gibbslab.errors import CoverageError, ValidationError
+from gibbslab.errors import CoverageError, NumericalError, ValidationError
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.girsanov import (
     _endpoint_offsets,
+    _free_drift,
+    _free_endpoints,
     bridge_expectation,
     density,
     density_endpoint_ratio,
@@ -264,6 +267,90 @@ def test_endpoint_ratio_holds_one_system_at_a_time():
     assert both <= 1.1 * one
 
 
+def _moments(a):
+    """Mean and variance of a sample, each with its standard error."""
+    m, v = float(np.mean(a)), float(np.var(a))
+    m4 = float(np.mean((a - m) ** 4))
+    return m, math.sqrt(v / a.size), v, math.sqrt((m4 - v * v) / a.size)
+
+
+@pytest.mark.parametrize(
+    "pot,dt", [(QUAD, 0.01), (QUAD, 0.25), (CIRC, 0.01)], ids=["line", "line-coarse", "circle"]
+)
+def test_free_endpoints_follow_the_euler_ends(pot, dt):
+    # the drawn ends and the ends of free Euler runs have one law: means and
+    # variances of the offsets from y (wrapped on the circle, from x = 6.2
+    # across the seam) agree within 4 sigma.  At dt = 0.25 the Euler law
+    # (mean 0.75^4 x, variance 0.514) is far from the OU law (e^{-1} x,
+    # 0.432), which these R would tell apart
+    R, t = 20_000, 1.0
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 6.2 if pot is CIRC else 1.5, (1,): -0.4}, pot.state_space)
+    y = Configuration({(0,): 0.1, (1,): 0.2}, pot.state_space)
+    mc = MCParams(n_samples=R, dt=dt)
+    drawn = _free_endpoints(pot, vol, x, t, dt, R, substream(3, "free"))
+    ran = simulate(_free_drift(), pot, vol, x, t, dt, seed=4, n_replicas=R).values[:, :, -1].T
+    sites = vol.sorted_sites()
+    for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y, mc),
+                              _endpoint_offsets(sites, ran, pot.state_space, y, mc)):
+        ma, sma, va, sva = _moments(a)
+        mb, smb, vb, svb = _moments(b)
+        assert abs(ma - mb) < 4.0 * math.hypot(sma, smb)
+        assert abs(va - vb) < 4.0 * math.hypot(sva, svb)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_free_endpoints_take_one_draw_per_site_and_replica(pot):
+    # site-major: the end of site i, replica r is affine in draw i R + r
+    R, t, dt = 5, 0.3, 0.1
+    vol = Volume.box((0,), (2,))
+    x = Configuration({(0,): 0.5, (1,): 6.0, (2,): -0.2}, pot.state_space)
+    ends = _free_endpoints(pot, vol, x, t, dt, R, substream(8, "free"))
+    xi = substream(8, "free").standard_normal((3, R))
+    x0 = x.array_for(vol.sorted_sites())[:, None]  # wrapped on the circle
+    if pot is QUAD:
+        a = 1.0 - dt
+        expected = a**3 * x0 + math.sqrt((1.0 - a**6) / (2.0 - dt)) * xi
+    else:
+        expected = x0 + math.sqrt(t) * xi
+    np.testing.assert_allclose(ends, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_free_endpoints_of_a_general_potential_run_simulate():
+    # a potential without an exact endpoint law keeps the forward Euler run
+    pot = custom_potential(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x))
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 0.3, (1,): -0.5})
+    ends = _free_endpoints(pot, vol, x, 0.5, 0.01, 50, substream(6, "free"))
+    bundle = simulate(_free_drift(), pot, vol, x, 0.5, 0.01, seed=0, n_replicas=50,
+                      rng=substream(6, "free"))
+    assert np.array_equal(ends, bundle.values[:, :, -1].T)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_free_endpoints_keep_the_checks_of_simulate(pot):
+    vol = Volume.box((0,), (1,))
+    x = Configuration({(0,): 0.3, (1,): -0.5}, pot.state_space)
+
+    def draw(**changed):
+        args = dict(pot=pot, vol=vol, x=x, t=1.0, dt=0.01, n_replicas=4, rng=substream(1, "free"))
+        return _free_endpoints(**{**args, **changed})
+
+    with pytest.raises(ValidationError):
+        draw(t=1.005)
+    with pytest.raises(ValidationError):
+        draw(dt=0.0)
+    with pytest.raises(CoverageError):
+        draw(vol=Volume.box((0,), (2,)))
+    other = CIRC if pot is QUAD else QUAD
+    with pytest.raises(ValidationError):
+        draw(x=Configuration({(0,): 0.3, (1,): -0.5}, other.state_space))
+    if pot is QUAD:
+        # a = 1 - dt = -2: a^K overflows, as the Euler run would
+        with pytest.raises(NumericalError):
+            draw(t=3000.0, dt=3.0)
+
+
 @pytest.mark.parametrize("pot,bound", [(QUAD, 1.5), (CIRC, 2.5)], ids=["line", "circle"])
 def test_simulate_holds_one_path_buffer(pot, bound):
     # the Euler noise is drawn into the rows x_1 .. x_K that the steps
@@ -306,7 +393,8 @@ def test_endpoint_offsets_read_only_the_path_ends(pot):
     mc = MCParams(n_samples=400, dt=0.01)
     free = dataclasses.replace(constant_drift(0.0), beta=0.0)
     bundle = simulate(free, pot, vol, x, 2.0, mc.dt, seed=4, n_replicas=mc.n_samples)
-    for i, (diff, h) in enumerate(_endpoint_offsets(bundle, y, mc)):
+    ends = bundle.values[:, :, -1].T
+    for i, (diff, h) in enumerate(_endpoint_offsets(bundle.sites, ends, pot.state_space, y, mc)):
         path = bundle.values[:, i]
         end = wrap_angle(path)[:, -1] if pot is CIRC else path[:, -1]
         ref = end - y[bundle.sites[i]]

@@ -25,6 +25,9 @@ from gibbslab.dynamics import (
     DriftSpec,
     PathBundle,
     _evaluation_windows,
+    _neighbour_block,
+    _window_length,
+    _windows,
     circle_free_potential,
     constant_drift,
     delayed_feedback_drift,
@@ -328,7 +331,10 @@ def test_windows_gather_scattered_neighbours(family, window):
     for site in inner:
         _assert_windows_match(drift, path, site, K)
         assert np.array_equal(drift_values(drift, path, site), _ref_drift(ref, path, site, 0, K, cut))
+        # from inside the memory length, and past it, where the line windows
+        # read the gathered rows without front padding
         assert np.array_equal(psi(drift, site, (0.06, 0.26), path), _ref_psi(ref, site, 3, 13, path, cut))
+        assert np.array_equal(psi(drift, site, (0.12, T), path), _ref_psi(ref, site, 6, K, path, cut))
 
 
 @pytest.mark.parametrize("space", POTENTIALS)
@@ -371,3 +377,113 @@ def test_circle_windows_wrap_in_place():
     circle = _window_peak(circle_free_potential(), values, drift, K)
     assert line >= (20 + K) * R_big * 8
     assert circle <= 1.25 * line
+
+
+# The copy-window psi and the out-of-place Euler update that the in-place
+# forms replace: every block copied its front-padded (W + steps, |N|, R)
+# history and its drift values step-major, and each Euler step formed
+# x_k + (noise * sqrt(dt) + drift * dt) in new arrays.  The in-place forms
+# round every element the same way, so they must agree bit for bit.
+
+def _copy_windows(drift, path, site, k_lo, k_hi):
+    W = _window_length(drift, path.dt)
+    lo = k_lo - W
+    front = max(-lo, 0)
+    block = _neighbour_block(drift, path.sites, site)
+    path_rows = path.values.transpose(2, 1, 0)
+    first = path_rows[0, block]
+    history = np.empty((W + k_hi - k_lo,) + first.shape)
+    history[:front] = first
+    history[front:] = path_rows[lo + front : k_hi, block]
+    if path.state_space == CIRCLE:
+        wrap_angle(history, out=history)
+    wt, wv = _windows(history, W, path.times[0], path.dt, lo)
+    return path.times[k_lo:k_hi], wt, wv
+
+
+def _copy_window_psi(drift, site, k_lo, k_hi, path):
+    beta, dt = drift.beta, path.dt
+    idx = path.site_index(site)
+    out = np.zeros(path.n_replicas)
+    step = max(1, girsanov.BLOCK_ELEMENTS // path.n_replicas)
+    for lo in range(k_lo, k_hi, step):
+        hi = min(lo + step, k_hi)
+        b = np.empty((hi - lo, path.n_replicas)).T
+        b[...] = drift.evaluate(site, *_copy_windows(drift, path, site, lo, hi))
+        terms = -beta * b * path.increments(idx, lo, hi) + 0.5 * beta * beta * b * b * dt
+        for term in terms.T:
+            out += term
+    return out
+
+
+def _out_of_place_simulate(drift, pot, vol, x0, t, dt, seed, n_replicas):
+    sites = tuple(vol.sorted_sites())
+    inner = interior(vol, drift.nbhd)
+    K = int(round(t / dt))
+    R, n = n_replicas, len(sites)
+    W = _window_length(drift, dt)
+    times = dt * np.arange(K + 1)
+    history = np.empty((W + K + 1, n, R))
+    substream(seed, "simulate").standard_normal(out=history[W + 1 :])
+    history[: W + 1] = x0.array_for(sites)[:, None]
+    circle = pot.state_space == CIRCLE
+    state = np.empty_like(history) if circle else history
+    if circle:
+        wrap_angle(history[: W + 1], out=state[: W + 1])
+    wt, wv = _windows(state, W, times[0], dt, -W)
+    readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
+    for k in range(K):
+        xk = history[W + k]
+        drift_term = -0.5 * np.asarray(pot.dU(state[W + k]), dtype=float)
+        step = slice(k, k + 1)
+        for i, site, block in readers:
+            b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
+            drift_term[i, :, None] += drift.beta * b
+        history[W + k + 1] = xk + (history[W + k + 1] * math.sqrt(dt) + drift_term * dt)
+        if circle:
+            wrap_angle(history[W + k + 1], out=state[W + k + 1])
+    return history[W:].transpose(2, 1, 0)
+
+
+IN_PLACE = [
+    (family, space)
+    for family in ("delayed_feedback", "markov_local", "constant")
+    for space in POTENTIALS
+]
+
+
+@pytest.mark.parametrize("steps", [None, 4], ids=["default", "four-step"])
+@pytest.mark.parametrize("family,space", IN_PLACE)
+def test_in_place_psi_and_simulate_match_the_copying_forms(family, space, steps, monkeypatch):
+    # four-step blocks put the blocks from step 8 on past the front padding
+    # (W = 5), where the line windows view the path instead of copying it
+    if steps is not None:
+        monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", steps * R)
+    drift = dataclasses.replace(DRIFTS[family](), beta=0.7)
+    pot = POTENTIALS[space]()
+    x0 = Configuration(X0[space], pot.state_space)
+    path = simulate(drift, pot, VOL, x0, T, DT, seed=23, n_replicas=R)
+    assert np.array_equal(path.values, _out_of_place_simulate(drift, pot, VOL, x0, T, DT, 23, R))
+    K = path.times.size - 1
+    sites = VOL.sorted_sites()
+    rng = np.random.default_rng(4)
+    layers = [{s: rng.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(6, "bridge"), R)
+    for site in sorted(interior(VOL, drift.nbhd).sites):
+        for (a, b), (k_lo, k_hi) in (((0.0, T), (0, K)), ((0.12, 0.3), (6, K))):
+            assert np.array_equal(psi(drift, site, (a, b), path), _copy_window_psi(drift, site, k_lo, k_hi, path))
+        assert np.array_equal(psi(drift, site, (0.4, 0.8), bundle), _copy_window_psi(drift, site, 0, 20, bundle))
+
+
+@pytest.mark.parametrize("space", POTENTIALS)
+def test_line_windows_past_the_front_view_the_path(space):
+    # the windows of steps k >= W start inside the stored path: on the line
+    # they read it in place, on the circle they wrap a copy of it
+    drift = markov_local_drift(0.6, Neighborhood.range1d(1), memory=T0)
+    pot = POTENTIALS[space]()
+    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, seed=17, n_replicas=R)
+    K = path.times.size - 1
+    _, _, past = _evaluation_windows(drift, path, (1,), 5, K)
+    _, _, padded = _evaluation_windows(drift, path, (1,), 4, K)
+    assert np.shares_memory(past, path.values) == (space == "line")
+    assert not np.shares_memory(padded, path.values)
