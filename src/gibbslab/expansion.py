@@ -21,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .dynamics import (
 )
 from .errors import BudgetError, CoverageError, ValidationError
 from .estimates import Estimate, MCParams, mean_estimate
+from . import girsanov
 from .girsanov import (
-    BLOCK_ELEMENTS,
     _bridge_coefficients,
     _bridge_lifts,
     _KeptUniforms,
@@ -81,7 +81,7 @@ def pinned_sites(G: SpaceTimeCluster) -> Tuple[tuple, tuple]:
 class _SpaceBridge:
     """The bridge paths of one space cluster, with its pinned values at 0.
 
-    ``values`` is the bundle's site-major buffer, shape (sites, K+1, R).
+    ``values`` is the bundle's time-major buffer, shape (K+1, sites, R).
     ``scored`` lists the sites whose Psi enters the weight.
     Each entry of ``pinned`` is (row of the site, its layer values with
     None where the layer is pinned, the site's winding uniforms per
@@ -185,7 +185,7 @@ def cluster_sampler(
             _SpaceBridge(
                 sites, tuple(sorted(sc.sites)),
                 layer_ids, (j * T, (j + 1) * T),
-                base.times, base.values.transpose(1, 2, 0), pinned,
+                base.times, base.values.transpose(2, 1, 0), pinned,
                 _bridge_coefficients(pot.family, T, mc.dt),
             )
         )
@@ -205,7 +205,7 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
     p_T - 1 over each time-cluster slice, averaged over the replicas.
     Evaluating one sampler at several (x, y) uses common random numbers; a
     point's weight does not depend on the other points, which are scored in
-    blocks of about BLOCK_ELEMENTS path elements.
+    blocks of about ``girsanov.BLOCK_ELEMENTS`` path elements.
     """
     R, (xs, ys) = sampler.n_samples, sampler.pins
     try:
@@ -219,7 +219,7 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
         points[j] = v
     points = points.reshape(len(pins), math.prod(shape))
     rows = max((b.values.shape[0] * b.values.shape[1] for b in sampler.bridges), default=1)
-    block = max(1, BLOCK_ELEMENTS // R // rows)
+    block = max(1, girsanov.BLOCK_ELEMENTS // R // rows)
     value, stderr = np.empty(points.shape[1]), np.empty(points.shape[1])
     for lo in range(0, value.size, block):
         hi = min(lo + block, value.size)
@@ -249,7 +249,7 @@ def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: i
     for bridge in sampler.bridges:
         coef = bridge.coef[:, :, None, None]
         K = coef.shape[0] - 1
-        # the base paths, (sites, K+1, P, R)
+        # the base paths, (K+1, sites, P, R)
         values = np.empty(bridge.values.shape[:2] + (P, R))
         values[...] = bridge.values[:, :, None, :]
         for i, nodes, uniforms in bridge.pinned:
@@ -262,14 +262,14 @@ def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: i
             for n, (lift, v) in enumerate(zip(lifts, nodes)):
                 if lift is v:
                     continue
-                shift = lift - bridge.values[i, n * K]
+                shift = lift - bridge.values[n * K, i]
                 if n == 0:
-                    values[i, 0] += shift
+                    values[0, i] += shift
                 else:
-                    values[i, (n - 1) * K + 1:n * K + 1] += coef[1:, 1] * shift
+                    values[(n - 1) * K + 1:n * K + 1, i] += coef[1:, 1] * shift
                 if n < len(lifts) - 1:
-                    values[i, n * K + 1:(n + 1) * K + 1] += coef[1:, 0] * shift
-        replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 0, 1)
+                    values[n * K + 1:(n + 1) * K + 1, i] += coef[1:, 0] * shift
+        replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 1, 0)
         bundle = PathBundle(bridge.sites, bridge.times, replicas, pot)
         psi_sum = np.zeros(P * R)
         for k in bridge.scored:
@@ -419,6 +419,49 @@ class CollectionTable:
     trace: np.ndarray
 
 
+def _multisets(N: int, n_max: int):
+    """The multisets of 1 .. n_max of range(N), one (m, n) array per size n:
+    ascending rows in combinations_with_replacement order.
+
+    Each size extends every row of the size before by each index from its
+    last one on, in order.
+    """
+    rows = np.arange(N, dtype=np.intp)[:, None]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            last = rows[:, -1]
+            counts = N - last
+            starts = np.cumsum(counts) - counts
+            new = np.arange(counts.sum(), dtype=np.intp) - np.repeat(starts - last, counts)
+            rows = np.hstack([np.repeat(rows, counts, axis=0), new[:, None]])
+        yield n, rows
+
+
+# bits of a row's code per int64 word: those below the sign bit
+_CODE_BITS = 63
+
+
+def _row_groups(columns: list, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Groups m rows by their bits, column c of ``columns`` holding bit c of
+    every row.  Returns (first, group): the first row of each group, and
+    the group of each row.
+
+    The bits are packed into int64 words of _CODE_BITS bits, which are
+    sorted stably, so any number of bits fits and the first row of a group
+    leads it in the sorted order.
+    """
+    words = np.zeros((len(columns) // _CODE_BITS + 1, m), dtype=np.int64)
+    for c, column in enumerate(columns):
+        words[c // _CODE_BITS] |= column.astype(np.int64) << (c % _CODE_BITS)
+    order = np.lexsort(words)
+    ordered = words[:, order]
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    group = np.empty(m, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
 def connected_collections(
     clusters: Sequence[SpaceTimeCluster],
     nbhd: Neighborhood,
@@ -432,38 +475,65 @@ def connected_collections(
     keep their Ursell coefficient C as ``ursell_coefficient`` returns it, the
     correctly rounded float of a rational that is never zero: a connected
     conflict graph on n clusters has sign sum (-1)^(n-1) T_G(1, 0), and its
-    Tutte value T_G(1, 0) is positive.  Raises BudgetError when more than
-    ``cap`` multisets are visited.
+    Tutte value T_G(1, 0) is positive.  Raises BudgetError, before any
+    multiset is built, when there are more than ``cap`` of them.
 
-    ``conflict_graph`` is built once, as one bitset of conflicting indices
-    per cluster; each multiset's induced edges are read from those bitsets,
-    so ``conflicts`` runs once per unordered pair of clusters whatever n_max
-    is.
+    ``conflict_graph`` is built once, so ``conflicts`` runs once per
+    unordered pair of clusters whatever n_max is.  The multisets of each
+    size are one index array.  Connectivity and C depend only on a
+    multiset's shape, its induced conflict graph and its runs of equal
+    indices, so ``is_connected`` runs once per shape of two or more
+    clusters and ``ursell_coefficient`` once per connected shape, each on
+    the first multiset of that shape.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    N = len(clusters)
+    if sum(math.comb(N + n - 1, n) for n in range(1, n_max + 1)) > cap:
+        raise BudgetError(f"collection enumeration exceeded cap of {cap}")
     bits = conflict_graph(clusters, nbhd)
-    sites = [G.sites for G in clusters]
-    groups: Dict[tuple, List[Tuple[tuple, float]]] = {}
-    counter = 0
-    for n in range(1, n_max + 1):
+    conflict = np.array([[b >> j & 1 for j in range(N)] for b in bits], dtype=bool)
+    conflict = conflict.reshape(N, N)  # also when there are no clusters
+    index, coef = [], []
+    for n, rows in _multisets(N, n_max):
+        # a multiset's shape: its induced conflict graph, then which
+        # neighbouring positions hold one index
         pairs = tuple(combinations(range(n), 2))
-        for combo in combinations_with_replacement(range(len(clusters)), n):
-            counter += 1
-            if counter > cap:
-                raise BudgetError(f"collection enumeration exceeded cap of {cap}")
-            edges = tuple((a, b) for a, b in pairs if bits[combo[a]] >> combo[b] & 1)
-            if n > 1 and not is_connected(combo, edges):
-                continue
-            key = tuple(sorted(frozenset().union(*(sites[i] for i in combo))))
-            groups.setdefault(key, []).append((combo, ursell_coefficient(combo, edges)))
-    keys = tuple(sorted(groups))
-    rows = [row for key in keys for row in groups[key]]
+        first, shape_of = _row_groups(
+            [conflict[rows[:, a], rows[:, b]] for a, b in pairs]
+            + [rows[:, k] == rows[:, k + 1] for k in range(n - 1)],
+            len(rows),
+        )
+        connected = np.zeros(len(first), dtype=bool)
+        shape_coef = np.zeros(len(first))
+        for k, r in enumerate(first.tolist()):
+            combo = tuple(rows[r].tolist())
+            edges = tuple((a, b) for a, b in pairs if conflict[combo[a], combo[b]])
+            connected[k] = n == 1 or is_connected(combo, edges)
+            if connected[k]:
+                shape_coef[k] = ursell_coefficient(combo, edges)
+        keep = connected[shape_of]
+        padded = np.full((np.count_nonzero(keep), n_max), -1, dtype=np.intp)
+        padded[:, :n] = rows[keep]
+        index.append(padded)
+        coef.append(shape_coef[shape_of[keep]])
+    index, coef = np.concatenate(index), np.concatenate(coef)
+    # the trace of a row is the union of its clusters' sites, as one row of
+    # a site-membership table; the pad index -1 reads an empty row
+    sites = sorted(frozenset().union(*(G.sites for G in clusters)))
+    member = np.zeros((N + 1, len(sites)), dtype=bool)
+    for i, G in enumerate(clusters):
+        member[i, [sites.index(s) for s in G.sites]] = True
+    covered = member[index].any(axis=1)
+    first, trace_of = _row_groups(list(covered.T), len(index))
+    keys = [tuple(sites[j] for j in np.flatnonzero(covered[r])) for r in first]
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[by_key] = np.arange(len(keys))
+    trace = rank[trace_of]
+    order = np.argsort(trace, kind="stable")
     return CollectionTable(
-        keys,
-        _padded([combo for combo, _ in rows], n_max),
-        np.array([C for _, C in rows], dtype=float),
-        np.repeat(np.arange(len(keys)), [len(groups[key]) for key in keys]),
+        tuple(keys[k] for k in by_key), index[order], coef[order], trace[order]
     )
 
 
@@ -515,24 +585,35 @@ def _kp_worst_ratio(lam: float, sizes: Sequence[int], graph: Sequence[int]) -> f
     return worst
 
 
+def kp_geometry(
+    vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
+) -> Tuple[list, list]:
+    """(sizes, conflict graph) of the clusters up to k_max: what the
+    convergence checks read, enumerated once."""
+    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
+    return [G.size for G in clusters], conflict_graph(clusters, nbhd)
+
+
 def kp_check(
-    lam: float, vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
+    lam: float, vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int,
+    geometry: Optional[Tuple[list, list]] = None,
 ) -> dict:
     """Convergence criterion with weights majorized by lam^{|Gamma|}.
 
     Checks sum over Gamma' incompatible with Gamma of
     |Gamma'| (lam e)^{|Gamma'|} <= |Gamma| for every enumerated Gamma.
     Deterministic; returns the worst ratio over the enumeration.
+    ``geometry`` is ``kp_geometry`` of the same arguments, when the caller
+    already holds it.
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-    sizes = [G.size for G in clusters]
-    worst = _kp_worst_ratio(lam, sizes, conflict_graph(clusters, nbhd))
+    sizes, graph = kp_geometry(vol, nbhd, grid, k_max) if geometry is None else geometry
+    worst = _kp_worst_ratio(lam, sizes, graph)
     return {
         "satisfied": bool(worst <= 1.0 + _KP_SLACK),
         "worstRatio": worst,
-        "nClusters": len(clusters),
+        "nClusters": len(sizes),
         "lambda": lam,
     }
 
@@ -543,11 +624,13 @@ def kp_lambda_star(
     grid: TimeGrid,
     k_max: int,
     tol: float = 1e-4,
+    geometry: Optional[Tuple[list, list]] = None,
 ) -> float:
-    """Largest lambda passing kp_check, located by bisection on [0, 1]."""
-    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-    sizes = [G.size for G in clusters]
-    graph = conflict_graph(clusters, nbhd)
+    """Largest lambda passing kp_check, located by bisection on [0, 1].
+
+    ``geometry`` is as ``kp_check`` takes it.
+    """
+    sizes, graph = kp_geometry(vol, nbhd, grid, k_max) if geometry is None else geometry
 
     def satisfied(lam: float) -> bool:
         return _kp_worst_ratio(lam, sizes, graph) <= 1.0 + _KP_SLACK

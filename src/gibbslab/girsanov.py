@@ -150,25 +150,56 @@ def _ou_variance(s: float) -> float:
     return 0.5 * (1.0 - math.exp(-2.0 * s))
 
 
-def _ou_bridge_steps(rows: np.ndarray, ends: np.ndarray, tau: float, dt: float) -> None:
-    """Exact OU bridge steps over [0, tau], in place, for any number of segments.
+@functools.lru_cache(maxsize=32)
+def _step_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
+    """Row k, 1 <= k < K, holds (a_k, b_k, c_k) of the exact bridge step
+    x_k = c_k xi_k + a_k x_{k-1} + b_k end over [0, tau] in K = tau / dt steps.
+
+    - quadratic (OU): with rem = tau - k dt and the OU variance v(s),
+      prec = 1 / v(dt) + e^{-2 rem} / v(rem), a = e^{-dt} / (v(dt) prec),
+      b = e^{-rem} / (v(rem) prec) and c = 1 / sqrt(prec);
+    - otherwise the linear Brownian bridge towards the lifted end: with
+      rem = tau - (k - 1) dt, a = 1 - dt / rem, b = dt / rem and
+      c = sqrt(max(dt (rem - dt) / rem, 0)).
+
+    Row 0 is unused.  The result is a read-only (K, 3) array, computed once
+    per family, tau and dt.
+    """
+    K = int(round(tau / dt))
+    table = np.zeros((K, 3))
+    e1, v1 = math.exp(-dt), _ou_variance(dt)
+    for k in range(1, K):
+        if family == "quadratic":
+            rem = tau - k * dt
+            er, vr = math.exp(-rem), _ou_variance(rem)
+            prec = 1.0 / v1 + er * er / vr
+            table[k] = e1 / (v1 * prec), er / (vr * prec), 1.0 / math.sqrt(prec)
+        else:
+            rem = tau - (k - 1) * dt
+            table[k] = 1.0 - dt / rem, dt / rem, math.sqrt(max(dt * (rem - dt) / rem, 0.0))
+    table.flags.writeable = False
+    return table
+
+
+def _bridge_steps(rows: np.ndarray, ends: np.ndarray, table: np.ndarray) -> None:
+    """Exact bridge steps, in place, for any number of segments.
 
     ``rows`` has the K steps of a segment on its first axis, then any shape:
     row 0 holds the starts and rows 1 .. K-1 the step noise, which step k
-    replaces by the path; ``ends`` holds the values at tau.  Every element
-    goes through the same scalar operations, so a segment's path does not
-    depend on which other segments are stepped with it.
+    replaces by c_k noise + a_k row[k-1] + b_k end, the coefficients read
+    from row k of ``table`` (``_step_coefficients``); ``ends`` holds the
+    (lifted) values at tau.  Every element goes through the same scalar
+    operations, so a segment's path does not depend on which other
+    segments are stepped with it.
     """
-    K = rows.shape[0]
-    e1 = math.exp(-dt)
-    v1 = _ou_variance(dt)
-    for k in range(1, K):
-        rem = tau - k * dt
-        er = math.exp(-rem)
-        vr = _ou_variance(rem)
-        prec = 1.0 / v1 + er * er / vr
-        mean = (rows[k - 1] * e1 / v1 + ends * er / vr) / prec
-        rows[k] = mean + rows[k] / math.sqrt(prec)
+    work = np.empty_like(ends)
+    for k, (a, b, c) in enumerate(table.tolist()[1:], start=1):
+        row = rows[k]
+        row *= c
+        np.multiply(rows[k - 1], a, out=work)
+        row += work
+        np.multiply(ends, b, out=work)
+        row += work
 
 
 def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> np.ndarray:
@@ -190,21 +221,6 @@ def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> 
     return a + np.take_along_axis(disp, pick[..., None], axis=-1)[..., 0]
 
 
-def _lifted_bridge_steps(
-    rows: np.ndarray, ends: np.ndarray, tau: float, dt: float
-) -> None:
-    """The linear Brownian bridge steps towards the lifted ends, in place.
-
-    ``rows`` and ``ends`` are laid out as in ``_ou_bridge_steps``.
-    """
-    K = rows.shape[0]
-    for k in range(1, K):
-        rem = tau - (k - 1) * dt
-        mean = rows[k - 1] + (ends - rows[k - 1]) * dt / rem
-        var = dt * (rem - dt) / rem
-        rows[k] = mean + rows[k] * math.sqrt(max(var, 0.0))
-
-
 @functools.lru_cache(maxsize=32)
 def _bridge_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
     """Weights of a segment's start and (lifted) end in each of its rows.
@@ -219,8 +235,7 @@ def _bridge_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
     K = int(round(tau / dt))
     coef = np.zeros((K + 1, 2))
     coef[0, 0] = coef[K, 1] = 1.0
-    steps = _ou_bridge_steps if family == "quadratic" else _lifted_bridge_steps
-    steps(coef[:K], coef[K], tau, dt)
+    _bridge_steps(coef[:K], coef[K], _step_coefficients(family, tau, dt))
     coef.flags.writeable = False
     return coef
 
@@ -307,25 +322,32 @@ def multi_bridge_bundle(
     R = n_replicas
     K = n_seg * Kseg
     circle = pot.family == "circle_free"
-    # site-major, then time: every step of a site's path is contiguous.  A
-    # segment's rows hold its start, then the step noise, then its (lifted) end
-    values = np.empty((len(sites), K + 1, R))
+    # time-major, as ``simulate`` stores its paths: row k holds every site's
+    # values at step k.  A segment's rows hold its start, then the step
+    # noise, then its (lifted) end
+    values = np.empty((K + 1, len(sites), R))
+    # the generator refuses a strided ``out``, so a (site, segment)'s noise
+    # rows are drawn into one scratch block of at most BLOCK_ELEMENTS values
+    # and copied into place, in row order: the same draws as one call
+    noise = np.empty((min(Kseg - 1, max(1, BLOCK_ELEMENTS // R)), R))
     for i, s in enumerate(sites):
-        values[i, 0] = _as_replica_array(layers[0][s], R)
-        for j in range(n_seg):
-            seg = values[i, j * Kseg : (j + 1) * Kseg + 1]
-            end = _as_replica_array(layers[j + 1][s], R)
+        values[0, i] = _as_replica_array(layers[0][s], R)
+        for j in range(0, K, Kseg):
+            end = _as_replica_array(layers[j // Kseg + 1][s], R)
             if circle:
-                end = _winding_target(seg[0], end, tau, rng.uniform(size=R))
-            seg[-1] = end
-            rng.standard_normal(out=seg[1:-1])
-    # a (step, site, segment, replica) view of rows 0 .. Kseg-1 of every
-    # segment, and a (site, segment, replica) view of the segment ends
-    rows = np.moveaxis(values[:, :K].reshape(len(sites), n_seg, Kseg, R), 2, 0)
-    steps = _lifted_bridge_steps if circle else _ou_bridge_steps
-    steps(rows, values[:, Kseg::Kseg], tau, dt)
+                end = _winding_target(values[j, i], end, tau, rng.uniform(size=R))
+            values[j + Kseg, i] = end
+            for lo in range(j + 1, j + Kseg, len(noise)):
+                block = noise[: min(len(noise), j + Kseg - lo)]
+                rng.standard_normal(out=block)
+                values[lo : lo + len(block), i] = block
+    del noise
+    # a (step, segment, site, replica) view of rows 0 .. Kseg-1 of every
+    # segment, and a (segment, site, replica) view of the segment ends
+    rows = np.moveaxis(values[:K].reshape(n_seg, Kseg, len(sites), R), 1, 0)
+    _bridge_steps(rows, values[Kseg::Kseg], _step_coefficients(pot.family, tau, dt))
     times = t_start + dt * np.arange(K + 1)
-    return PathBundle(sites, times, values.transpose(2, 0, 1), pot)
+    return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
 def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration,

@@ -26,6 +26,7 @@ from .estimates import MCParams
 from .expansion import (
     interaction_terms,
     kp_check,
+    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     summability_report,
@@ -198,11 +199,12 @@ def _run_kp(cfg, out_dir, seed, chash) -> dict:
     nbhd = cfgmod.resolve_neighborhood(cfg)
     _, grid = cfgmod.resolve_time(cfg)
     k_max, _ = cfgmod.resolve_truncation(cfg)
+    geometry = kp_geometry(vol, nbhd, grid, k_max)
     rows = []
     for lam in cfgmod.value(cfg, "probes.lambdas"):
-        res = kp_check(lam, vol, nbhd, grid, k_max)
+        res = kp_check(lam, vol, nbhd, grid, k_max, geometry)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
-    star = kp_lambda_star(vol, nbhd, grid, k_max)
+    star = kp_lambda_star(vol, nbhd, grid, k_max, geometry=geometry)
     rows.append([star, True, "lambdaStar", ""])
     _write_csv(
         os.path.join(out_dir, "kp.csv"),

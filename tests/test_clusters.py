@@ -2,7 +2,7 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab import clusters as clusters_module
+from gibbslab import expansion as expansion_module
 from gibbslab.clusters import (
     SpaceCluster,
     SpaceTimeCluster,
@@ -378,6 +379,122 @@ def test_connected_collections_test_each_pair_of_clusters_once(monkeypatch):
     monkeypatch.setattr(clusters_module, "conflicts", counted)
     connected_collections(clusters, nbhd, 3)
     assert calls["conflicts"] == 26 * 27 // 2
+
+
+def _loop_collections(clusters, nbhd, n_max):
+    """The pure-Python enumerator that connected_collections replaced: every
+    multiset in combinations_with_replacement order, its edges read from
+    the conflict graph, is_connected and ursell_coefficient called on each.
+    Returns (keys, index, coef, trace) as the CollectionTable holds them."""
+    bits = conflict_graph(clusters, nbhd)
+    groups = {}
+    for n in range(1, n_max + 1):
+        pairs = tuple(combinations(range(n), 2))
+        for combo in combinations_with_replacement(range(len(clusters)), n):
+            edges = tuple((a, b) for a, b in pairs if bits[combo[a]] >> combo[b] & 1)
+            if n > 1 and not is_connected(combo, edges):
+                continue
+            key = tuple(sorted(frozenset().union(*(clusters[i].sites for i in combo))))
+            groups.setdefault(key, []).append((combo, ursell_coefficient(combo, edges)))
+    keys = tuple(sorted(groups))
+    rows = [row for key in keys for row in groups[key]]
+    index = np.array(
+        [combo + (-1,) * (n_max - len(combo)) for combo, _ in rows], dtype=np.intp
+    ).reshape(len(rows), n_max)
+    return (
+        keys,
+        index,
+        np.array([C for _, C in rows], dtype=float),
+        np.repeat(np.arange(len(keys)), [len(groups[key]) for key in keys]),
+    )
+
+
+@pytest.mark.parametrize("n_max, n_rows", [(3, 2801), (4, 19996), (2, 0)])
+def test_connected_collections_are_bit_equal_to_the_loop(n_max, n_rows):
+    # the expansion workload geometry, 26 clusters, and no clusters at all
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    assert len(clusters) == 26
+    if not n_rows:
+        clusters = []
+    table = connected_collections(clusters, nbhd, n_max)
+    keys, index, coef, trace = _loop_collections(clusters, nbhd, n_max)
+    assert table.keys == keys
+    assert len(table.coef) == n_rows
+    for got, want in ((table.index, index), (table.coef, coef), (table.trace, trace)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_connected_collections_score_each_shape_once(monkeypatch):
+    # connectivity and the Ursell coefficient depend only on a multiset's
+    # induced conflict graph and its runs of equal indices: is_connected
+    # runs once per such shape of two or more clusters, ursell_coefficient
+    # once per connected shape
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    bits = conflict_graph(clusters, nbhd)
+    shapes, connected = set(), set()
+    for n in range(1, 4):
+        pairs = tuple(combinations(range(n), 2))
+        for combo in combinations_with_replacement(range(len(clusters)), n):
+            edges = tuple((a, b) for a, b in pairs if bits[combo[a]] >> combo[b] & 1)
+            runs = tuple(a == b for a, b in zip(combo, combo[1:]))
+            shapes.add((n, edges, runs))
+            if n == 1 or is_connected(combo, edges):
+                connected.add((n, edges, runs))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(combo, edges):
+            calls[name] += 1
+            return fn(combo, edges)
+        return wrapper
+
+    monkeypatch.setattr(expansion_module, "is_connected", counted("is_connected", is_connected))
+    monkeypatch.setattr(
+        expansion_module, "ursell_coefficient", counted("ursell", ursell_coefficient)
+    )
+    connected_collections(clusters, nbhd, 3)
+    assert calls["is_connected"] == sum(1 for n, _, _ in shapes if n > 1)
+    assert calls["ursell"] == len(connected)
+    assert calls["is_connected"] < 20 < 2801
+
+
+def test_collection_budget_is_checked_before_any_row_is_built(monkeypatch):
+    nbhd = Neighborhood.range1d(1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    total = 26 + 26 * 27 // 2 + 26 * 27 * 28 // 6  # multisets of 1, 2 and 3
+    assert len(connected_collections(clusters, nbhd, 3, cap=total).keys) > 0
+
+    def refused(*args):
+        raise AssertionError("built rows past the cap")
+
+    monkeypatch.setattr(expansion_module, "_multisets", refused)
+    monkeypatch.setattr(expansion_module, "conflict_graph", refused)
+    with pytest.raises(BudgetError, match=f"collection enumeration exceeded cap of {total - 1}$"):
+        connected_collections(clusters, nbhd, 3, cap=total - 1)
+    # past 2^64 multisets (n_max 46) the count is still exact: refused at
+    # one below it, up front
+    big = comb(26 + 46, 46) - 1
+    assert big > 2**64
+    with pytest.raises(BudgetError, match=f"cap of {big - 1}$"):
+        connected_collections(clusters, nbhd, 46, cap=big - 1)
+
+
+def test_row_groups_pack_any_number_of_bits():
+    # rows with more bits than one int64 word holds group by all of them
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2, size=(300, 130)).astype(bool)
+    bits[150:] = bits[:150]
+    bits[10, 129] = not bits[10, 129]  # rows 10 and 160 differ in the last bit only
+    first, group = expansion_module._row_groups(list(bits.T), len(bits))
+    rows = [tuple(r) for r in bits.tolist()]
+    for r, g in enumerate(group.tolist()):
+        assert rows[first[g]] == rows[r]
+        assert first[g] <= r
+    assert len(first) == len(set(rows))
+    assert group[10] != group[160] and group[11] == group[161]
 
 
 def test_cached_footprints_are_keyed_by_value():

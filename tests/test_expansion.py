@@ -23,7 +23,7 @@ from gibbslab.dynamics import (
     markov_local_drift,
     quadratic_potential,
 )
-from gibbslab import expansion
+from gibbslab import girsanov
 from gibbslab.errors import BudgetError, CoverageError, ValidationError
 from gibbslab.estimates import Estimate, MCParams, mean_estimate
 from gibbslab.expansion import (
@@ -285,7 +285,7 @@ def test_batched_weights_equal_per_point_calls(family, M, block_elements, monkey
     # scored in: bit for bit the weight of a scalar call at that point; on
     # the circle the windings are picked on (points, R) arrays
     if block_elements is not None:
-        monkeypatch.setattr(expansion, "BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", block_elements)
     pot = QUAD if family == "quadratic" else circle_free_potential()
     space = LINE if family == "quadratic" else CIRCLE
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.4)
@@ -318,7 +318,7 @@ def test_batched_weight_memory_stays_within_blocks():
     sampler = cluster_sampler(G, drift, QUAD, mc, substream(5, "weight", 0))
     [bridge] = sampler.bridges
     rows = bridge.values.shape[0] * bridge.values.shape[1]
-    block_bytes = max(1, expansion.BLOCK_ELEMENTS // R // rows) * R * rows * 8
+    block_bytes = max(1, girsanov.BLOCK_ELEMENTS // R // rows) * R * rows * 8
     pts = np.random.default_rng(0).normal(size=(100, 100))
     x = {s: pts for s in sampler.pins[0]}
     y = {s: pts.T for s in sampler.pins[1]}

@@ -16,6 +16,7 @@ from gibbslab.dynamics import (
     resonance_drift,
     simulate,
 )
+from gibbslab import girsanov
 from gibbslab.errors import CoverageError, NumericalError, ValidationError
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.girsanov import (
@@ -130,8 +131,11 @@ def test_circle_bridge_hits_endpoint_mod_wrap():
     assert np.allclose(np.mod(end - b, TWO_PI) * (TWO_PI - np.mod(end - b, TWO_PI)), 0.0, atol=1e-9)
 
 
-def _ref_ou_segment(a, b, tau, dt, rng):
-    # one step at a time, replica-major, drawing the noise step by step
+def _ref_ou_segment(a, b, tau, dt, rng, mean_first=False):
+    # one step at a time, replica-major, drawing the noise step by step.
+    # Each step is c xi + a_k prev + b_k b, summed left to right; with
+    # mean_first, the conditional mean (prev e1 / v1 + b er / vr) / prec
+    # plus xi / sqrt(prec), the form that rounds differently
     K = int(round(tau / dt))
     vals = np.empty((a.shape[0], K + 1))
     vals[:, 0] = a
@@ -141,13 +145,24 @@ def _ref_ou_segment(a, b, tau, dt, rng):
         rem = tau - k * dt
         er, vr = math.exp(-rem), v(rem)
         prec = 1.0 / v1 + er * er / vr
-        mean = (vals[:, k - 1] * e1 / v1 + b * er / vr) / prec
-        vals[:, k] = mean + rng.standard_normal(a.shape[0]) / math.sqrt(prec)
+        xi = rng.standard_normal(a.shape[0])
+        if mean_first:
+            mean = (vals[:, k - 1] * e1 / v1 + b * er / vr) / prec
+            vals[:, k] = mean + xi / math.sqrt(prec)
+        else:
+            vals[:, k] = (
+                xi * (1.0 / math.sqrt(prec))
+                + vals[:, k - 1] * (e1 / (v1 * prec))
+                + b * (er / (vr * prec))
+            )
     vals[:, K] = b
     return vals
 
 
-def _ref_circle_segment(a, b, tau, dt, rng):
+def _ref_circle_segment(a, b, tau, dt, rng, mean_first=False):
+    # the lifted end as the bundle picks it, then the linear bridge steps:
+    # c xi + (1 - dt / rem) prev + (dt / rem) target, or with mean_first
+    # prev + (target - prev) dt / rem plus the noise
     K, R = int(round(tau / dt)), a.shape[0]
     d = np.mod(b - a + np.pi, TWO_PI) - np.pi
     n_max = max(3, int(math.ceil(4.0 * math.sqrt(tau) / TWO_PI)) + 1)
@@ -160,22 +175,24 @@ def _ref_circle_segment(a, b, tau, dt, rng):
     vals[:, 0] = a
     for k in range(1, K):
         rem = tau - (k - 1) * dt
-        mean = vals[:, k - 1] + (target - vals[:, k - 1]) * dt / rem
-        var = dt * (rem - dt) / rem
-        vals[:, k] = mean + rng.standard_normal(R) * math.sqrt(max(var, 0.0))
+        c = math.sqrt(max(dt * (rem - dt) / rem, 0.0))
+        xi = rng.standard_normal(R)
+        if mean_first:
+            mean = vals[:, k - 1] + (target - vals[:, k - 1]) * dt / rem
+            vals[:, k] = mean + xi * c
+        else:
+            vals[:, k] = xi * c + vals[:, k - 1] * (1.0 - dt / rem) + target * (dt / rem)
     vals[:, K] = target
     return vals
 
 
-@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
-def test_bridge_bundle_matches_the_per_step_loop(pot):
-    # the bundle draws a segment's noise at once and then steps all sites
-    # and segments together; values, increments, the draw order and the
-    # generator's final state are those of the replica-major per-step loop
-    # run one (site, segment) at a time
+def _bridge_case(pot, mean_first):
+    """A three-site, three-segment bundle and the per-step loop's values,
+    run one (site, segment) at a time from the same substream; scalar and
+    (R,) layer values.  Returns (bundle, reference values, the bundle's
+    generator, the reference's generator)."""
     sites, R, tau, dt = [(0,), (1,), (2,)], 5, 0.3, 0.05
     src = np.random.default_rng(8)
-    # scalar and (R,) layer values
     layers = [
         {s: src.uniform(-1.0, 1.0, R) if (i + n) % 2 else float(src.uniform(-1.0, 1.0))
          for i, s in enumerate(sites)}
@@ -189,8 +206,23 @@ def test_bridge_bundle_matches_the_per_step_loop(pot):
     for i, s in enumerate(sites):
         values[:, i, 0] = layers[0][s]
         for j in range(3):
-            values[:, i, 6 * j : 6 * j + 7] = segment(values[:, i, 6 * j], layers[j + 1][s], tau, dt, ref_rng)
+            values[:, i, 6 * j : 6 * j + 7] = segment(
+                values[:, i, 6 * j], layers[j + 1][s], tau, dt, ref_rng, mean_first
+            )
+    return bundle, values, rng, ref_rng
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_bundle_matches_the_per_step_loop(pot):
+    # the bundle draws a segment's noise at once and then steps all sites
+    # and segments together; values, increments, the draw order and the
+    # generator's final state are those of the replica-major per-step loop
+    # run one (site, segment) at a time
+    bundle, values, rng, ref_rng = _bridge_case(pot, mean_first=False)
+    dt = 0.05
     assert np.array_equal(bundle.values, values)
+    # stored time-major, (K+1, sites, R), as simulate stores its paths
+    assert bundle.values.transpose(2, 1, 0).flags.c_contiguous
     assert rng.standard_normal() == ref_rng.standard_normal()
     assert np.array_equal(bundle.times, 0.5 + dt * np.arange(19))
     # the increments use the grid's own step, which at t_start = 0.5 differs
@@ -203,6 +235,27 @@ def test_bridge_bundle_matches_the_per_step_loop(pot):
         np.testing.assert_allclose(incr, np.diff(values[:, i], axis=1) + du[:, i] * dt, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_noise_drawn_in_row_blocks_matches_the_per_step_loop(pot, monkeypatch):
+    # at BLOCK_ELEMENTS = 10 and R = 5 each segment's five noise rows are
+    # drawn 2 + 2 + 1 through the scratch block: the same values and draws
+    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 2 * 5)
+    bundle, values, rng, ref_rng = _bridge_case(pot, mean_first=False)
+    assert np.array_equal(bundle.values, values)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_steps_agree_with_the_conditional_mean_form(pot):
+    # the affine step c xi + a prev + b end is the conditional mean plus the
+    # scaled noise, rounded differently: the paths agree to 1e-12 and the
+    # draws are the same
+    bundle, values, rng, ref_rng = _bridge_case(pot, mean_first=True)
+    np.testing.assert_allclose(bundle.values, values, rtol=0, atol=1e-12)
+    assert not np.array_equal(bundle.values, values)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_bundle_holds_only_its_paths():
     assert [f.name for f in dataclasses.fields(PathBundle)] == ["sites", "times", "values", "pot"]
     bundle = multi_bridge_bundle(CIRC, [(0,)], [{(0,): 6.0}, {(0,): 0.2}], 0.0, 0.2, 0.05, substream(1, "b"), 3)
@@ -211,7 +264,7 @@ def test_bundle_holds_only_its_paths():
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
 def test_bridge_bundle_allocates_only_its_values(pot):
-    # the bundle's one large buffer is its (sites, K+1, R) paths; forming
+    # the bundle's one large buffer is its (K+1, sites, R) paths; forming
     # increments for every site would at least double the traced peak
     sites = [(0,), (1,), (2,), (3,)]
     layers = [{s: 0.3 for s in sites}, {s: -0.2 for s in sites}, {s: 0.5 for s in sites}]

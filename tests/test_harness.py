@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import gibbslab
 from gibbslab import config as cfgmod
-from gibbslab import harness
+from gibbslab import expansion, harness
 from gibbslab.cli import main
 from gibbslab.clusters import TimeGrid
 from gibbslab.errors import (
@@ -23,7 +23,7 @@ from gibbslab.errors import (
     PrecisionError,
     ValidationError,
 )
-from gibbslab.expansion import kp_lambda_star
+from gibbslab.expansion import kp_check, kp_lambda_star
 from gibbslab.harness import replay, run
 from gibbslab.lattice import Neighborhood, Volume
 
@@ -370,6 +370,36 @@ def test_run_kp_subcommand(tmp_path):
     assert summary["lambdaStar"] > 0.0
     rows = open(tmp_path / "kp" / "kp.csv").read().splitlines()
     assert len(rows) == 1 + 2 + 1  # header, two probes, lambda-star row
+
+
+def test_kp_enumerates_its_clusters_once_per_run(tmp_path, monkeypatch):
+    # every lambda probe and the lambda* bisection read one enumeration and
+    # one conflict graph, built afresh by each run
+    calls = {"enumerate_clusters": 0, "kp_check": 0, "kp_lambda_star": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(expansion, "enumerate_clusters")
+    counted(harness, "kp_check")
+    counted(harness, "kp_lambda_star")
+    for k in range(2):
+        summary = run("kp", KP_CFG, str(tmp_path / f"kp{k}"))
+    assert calls == {"enumerate_clusters": 2, "kp_check": 4, "kp_lambda_star": 2}
+    vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, 3)
+    assert summary["lambdaStar"] == kp_lambda_star(vol, Neighborhood.range1d(1), grid, 3)
+    assert calls["enumerate_clusters"] == 3
+    rows = _read_back(tmp_path / "kp1" / "kp.csv")[:2]
+    for lam, row in zip((0.0, 1.0), rows):
+        res = kp_check(lam, vol, Neighborhood.range1d(1), grid, 3)
+        assert row["worstRatio"] == str(res["worstRatio"])
+        assert row["nClusters"] == str(res["nClusters"])
 
 
 def test_run_dobrushin_subcommand(tmp_path):
