@@ -22,7 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -589,26 +589,22 @@ def kp_geometry(
     vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
 ) -> Tuple[list, list]:
     """(sizes, conflict graph) of the clusters up to k_max: what the
-    convergence checks read, enumerated once."""
+    convergence checks read, enumerated once per geometry."""
     clusters = enumerate_clusters(vol, nbhd, grid, k_max)
     return [G.size for G in clusters], conflict_graph(clusters, nbhd)
 
 
-def kp_check(
-    lam: float, vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int,
-    geometry: Optional[Tuple[list, list]] = None,
-) -> dict:
+def kp_check(lam: float, geometry: Tuple[list, list]) -> dict:
     """Convergence criterion with weights majorized by lam^{|Gamma|}.
 
     Checks sum over Gamma' incompatible with Gamma of
-    |Gamma'| (lam e)^{|Gamma'|} <= |Gamma| for every enumerated Gamma.
-    Deterministic; returns the worst ratio over the enumeration.
-    ``geometry`` is ``kp_geometry`` of the same arguments, when the caller
-    already holds it.
+    |Gamma'| (lam e)^{|Gamma'|} <= |Gamma| for every cluster Gamma of
+    ``geometry`` (``kp_geometry``).  Deterministic; returns the worst ratio
+    over the enumeration.
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    sizes, graph = kp_geometry(vol, nbhd, grid, k_max) if geometry is None else geometry
+    sizes, graph = geometry
     worst = _kp_worst_ratio(lam, sizes, graph)
     return {
         "satisfied": bool(worst <= 1.0 + _KP_SLACK),
@@ -618,19 +614,10 @@ def kp_check(
     }
 
 
-def kp_lambda_star(
-    vol: Volume,
-    nbhd: Neighborhood,
-    grid: TimeGrid,
-    k_max: int,
-    tol: float = 1e-4,
-    geometry: Optional[Tuple[list, list]] = None,
-) -> float:
-    """Largest lambda passing kp_check, located by bisection on [0, 1].
-
-    ``geometry`` is as ``kp_check`` takes it.
-    """
-    sizes, graph = kp_geometry(vol, nbhd, grid, k_max) if geometry is None else geometry
+def kp_lambda_star(geometry: Tuple[list, list], tol: float = 1e-4) -> float:
+    """Largest lambda passing kp_check on ``geometry``, located by
+    bisection on [0, 1]."""
+    sizes, graph = geometry
 
     def satisfied(lam: float) -> bool:
         return _kp_worst_ratio(lam, sizes, graph) <= 1.0 + _KP_SLACK

@@ -328,8 +328,10 @@ def multi_bridge_bundle(
     values = np.empty((K + 1, len(sites), R))
     # the generator refuses a strided ``out``, so a (site, segment)'s noise
     # rows are drawn into one scratch block of at most BLOCK_ELEMENTS values
-    # and copied into place, in row order: the same draws as one call
-    noise = np.empty((min(Kseg - 1, max(1, BLOCK_ELEMENTS // R)), R))
+    # and copied into place, in row order: the same draws as one call.  It
+    # keeps one row when a segment has none (tau == dt) so the loop's step
+    # is positive
+    noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
     for i, s in enumerate(sites):
         values[0, i] = _as_replica_array(layers[0][s], R)
         for j in range(0, K, Kseg):

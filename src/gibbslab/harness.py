@@ -202,9 +202,9 @@ def _run_kp(cfg, out_dir, seed, chash) -> dict:
     geometry = kp_geometry(vol, nbhd, grid, k_max)
     rows = []
     for lam in cfgmod.value(cfg, "probes.lambdas"):
-        res = kp_check(lam, vol, nbhd, grid, k_max, geometry)
+        res = kp_check(lam, geometry)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
-    star = kp_lambda_star(vol, nbhd, grid, k_max, geometry=geometry)
+    star = kp_lambda_star(geometry)
     rows.append([star, True, "lambdaStar", ""])
     _write_csv(
         os.path.join(out_dir, "kp.csv"),

@@ -24,6 +24,7 @@ from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.expansion import (
     interaction_terms,
     kp_check,
+    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     weight_bound_fit,
@@ -229,10 +230,12 @@ def test_criterion_9_kp_criterion():
     nb = Neighborhood.range1d(1)
     grid = TimeGrid(1.0, 3)
     tol = 1e-4
-    star_a = kp_lambda_star(vol, nb, grid, 3, tol=tol)
-    star_b = kp_lambda_star(vol, nb, grid, 3, tol=tol)  # deterministic re-run
-    pass0 = kp_check(0.0, vol, nb, grid, 3)["satisfied"]
-    fail1 = not kp_check(1.0, vol, nb, grid, 3)["satisfied"]
+    star_a = kp_lambda_star(kp_geometry(vol, nb, grid, 3), tol=tol)
+    # deterministic re-run
+    star_b = kp_lambda_star(kp_geometry(vol, nb, grid, 3), tol=tol)
+    geometry = kp_geometry(vol, nb, grid, 3)
+    pass0 = kp_check(0.0, geometry)["satisfied"]
+    fail1 = not kp_check(1.0, geometry)["satisfied"]
     ok = star_a > 0 and abs(star_a - star_b) <= tol and pass0 and fail1
     _verdict(
         9, "convergence criterion bisection", ok,

@@ -35,6 +35,7 @@ from gibbslab.expansion import (
     grid_for_beta,
     interaction_terms,
     kp_check,
+    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     summability_report,
@@ -380,15 +381,16 @@ def test_interaction_get_missing_volume_is_zero():
 def test_kp_check_monotone_and_lambda_star():
     vol = Volume.box((0,), (3,))
     grid = TimeGrid(1.0, 3)
-    assert kp_check(0.0, vol, NB1, grid, 3)["satisfied"]
-    assert not kp_check(1.0, vol, NB1, grid, 3)["satisfied"]
-    r_small = kp_check(0.01, vol, NB1, grid, 3)["worstRatio"]
-    r_big = kp_check(0.05, vol, NB1, grid, 3)["worstRatio"]
+    geometry = kp_geometry(vol, NB1, grid, 3)
+    assert kp_check(0.0, geometry)["satisfied"]
+    assert not kp_check(1.0, geometry)["satisfied"]
+    r_small = kp_check(0.01, geometry)["worstRatio"]
+    r_big = kp_check(0.05, geometry)["worstRatio"]
     assert r_small < r_big
-    lam = kp_lambda_star(vol, NB1, grid, 3)
+    lam = kp_lambda_star(geometry)
     assert lam > 0.0
-    assert kp_check(lam, vol, NB1, grid, 3)["satisfied"]
-    assert not kp_check(lam + 5e-4, vol, NB1, grid, 3)["satisfied"]
+    assert kp_check(lam, geometry)["satisfied"]
+    assert not kp_check(lam + 5e-4, geometry)["satisfied"]
 
 
 def test_dynamic_interaction_matches_interaction_terms():

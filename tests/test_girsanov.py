@@ -186,12 +186,13 @@ def _ref_circle_segment(a, b, tau, dt, rng, mean_first=False):
     return vals
 
 
-def _bridge_case(pot, mean_first):
+def _bridge_case(pot, mean_first, tau=0.3):
     """A three-site, three-segment bundle and the per-step loop's values,
     run one (site, segment) at a time from the same substream; scalar and
     (R,) layer values.  Returns (bundle, reference values, the bundle's
     generator, the reference's generator)."""
-    sites, R, tau, dt = [(0,), (1,), (2,)], 5, 0.3, 0.05
+    sites, R, dt = [(0,), (1,), (2,)], 5, 0.05
+    Kseg = int(round(tau / dt))
     src = np.random.default_rng(8)
     layers = [
         {s: src.uniform(-1.0, 1.0, R) if (i + n) % 2 else float(src.uniform(-1.0, 1.0))
@@ -202,12 +203,12 @@ def _bridge_case(pot, mean_first):
     bundle = multi_bridge_bundle(pot, sites, layers, 0.5, tau, dt, rng, R)
     ref_rng = substream(6, "b")
     segment = _ref_ou_segment if pot is QUAD else _ref_circle_segment
-    values = np.empty((R, 3, 19))
+    values = np.empty((R, 3, 3 * Kseg + 1))
     for i, s in enumerate(sites):
         values[:, i, 0] = layers[0][s]
         for j in range(3):
-            values[:, i, 6 * j : 6 * j + 7] = segment(
-                values[:, i, 6 * j], layers[j + 1][s], tau, dt, ref_rng, mean_first
+            values[:, i, Kseg * j : Kseg * (j + 1) + 1] = segment(
+                values[:, i, Kseg * j], layers[j + 1][s], tau, dt, ref_rng, mean_first
             )
     return bundle, values, rng, ref_rng
 
@@ -241,6 +242,16 @@ def test_bridge_noise_drawn_in_row_blocks_matches_the_per_step_loop(pot, monkeyp
     # drawn 2 + 2 + 1 through the scratch block: the same values and draws
     monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 2 * 5)
     bundle, values, rng, ref_rng = _bridge_case(pot, mean_first=False)
+    assert np.array_equal(bundle.values, values)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_bundle_of_one_step_segments_matches_the_per_step_loop(pot):
+    # at tau == dt a segment has no noise rows: its path is its start and
+    # its (lifted) end, and only the circle's winding uniforms are drawn
+    bundle, values, rng, ref_rng = _bridge_case(pot, mean_first=False, tau=0.05)
+    assert bundle.values.shape == (5, 3, 4)
     assert np.array_equal(bundle.values, values)
     assert rng.standard_normal() == ref_rng.standard_normal()
 
@@ -493,6 +504,16 @@ def test_density_matches_constant_drift_oracle():
     # small O(dt) discretization bias on top of the MC error
     assert abs(est.value - exact) < 4 * est.stderr + 0.01
     assert est.method == "bridge"
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_density_over_a_single_step(pot):
+    # t == dt: the exact bridge is its two ends, with no noise rows
+    vol = Volume.box((0,), (1,))
+    x = Configuration.constant(vol, 0.2)
+    y = Configuration.constant(vol, 0.5)
+    est = density(constant_drift(0.8), pot, vol, x, y, 0.05, MCParams(n_samples=64, dt=0.05), seed=13)
+    assert math.isfinite(est.value) and est.value > 0.0
 
 
 def test_density_routes_agree():

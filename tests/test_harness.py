@@ -23,7 +23,7 @@ from gibbslab.errors import (
     PrecisionError,
     ValidationError,
 )
-from gibbslab.expansion import kp_check, kp_lambda_star
+from gibbslab.expansion import kp_check, kp_geometry, kp_lambda_star
 from gibbslab.harness import replay, run
 from gibbslab.lattice import Neighborhood, Volume
 
@@ -393,11 +393,12 @@ def test_kp_enumerates_its_clusters_once_per_run(tmp_path, monkeypatch):
         summary = run("kp", KP_CFG, str(tmp_path / f"kp{k}"))
     assert calls == {"enumerate_clusters": 2, "kp_check": 4, "kp_lambda_star": 2}
     vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, 3)
-    assert summary["lambdaStar"] == kp_lambda_star(vol, Neighborhood.range1d(1), grid, 3)
+    geometry = kp_geometry(vol, Neighborhood.range1d(1), grid, 3)
+    assert summary["lambdaStar"] == kp_lambda_star(geometry)
     assert calls["enumerate_clusters"] == 3
     rows = _read_back(tmp_path / "kp1" / "kp.csv")[:2]
     for lam, row in zip((0.0, 1.0), rows):
-        res = kp_check(lam, vol, Neighborhood.range1d(1), grid, 3)
+        res = kp_check(lam, geometry)
         assert row["worstRatio"] == str(res["worstRatio"])
         assert row["nClusters"] == str(res["nClusters"])
 
@@ -590,8 +591,8 @@ def test_a_radius_other_than_the_drift_range_exits_2(tmp_path, capsys, sub):
     no_drift = {k: v for k, v in cfg.items() if k != "drift"}
     summary = run("kp", no_drift, str(tmp_path / "kp"))
     vol, grid = Volume.box((0,), (1,)), TimeGrid(0.5, 2)
-    assert summary["lambdaStar"] == kp_lambda_star(vol, Neighborhood.range1d(1), grid, 1)
-    assert summary["lambdaStar"] != kp_lambda_star(vol, Neighborhood.range1d(0), grid, 1)
+    assert summary["lambdaStar"] == kp_lambda_star(kp_geometry(vol, Neighborhood.range1d(1), grid, 1))
+    assert summary["lambdaStar"] != kp_lambda_star(kp_geometry(vol, Neighborhood.range1d(0), grid, 1))
 
 
 def test_expand_takes_its_range_from_the_drift(tmp_path):
