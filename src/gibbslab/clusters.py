@@ -368,24 +368,33 @@ def conflict_graph(
 def _connected_spanning_sign_sum(n: int, edges: Tuple[Tuple[int, int], ...]) -> int:
     """Sum of (-1)^{|H|} over connected spanning edge subsets H.
 
-    Memoized on (n, edges): a collection's value depends only on the shape
-    of its conflict graph, and few shapes occur.
+    Over vertex subsets S, as bit masks: A(S) = 1 when S spans no edge and
+    0 otherwise is the sum over all spanning subsets of S, and the
+    connected sum C(S) = A(S) - sum of C(T) A(S minus T) over the T that
+    hold S's lowest vertex, T != S.  Only the S holding vertex 0 are
+    needed, so the work is 3^(n-1) integer steps.  Memoized on (n, edges):
+    a collection's value depends only on the shape of its conflict graph,
+    and few shapes occur.
     """
-    if n == 1:
-        return 1
-    total = 0
-    m = len(edges)
-    for mask in range(1 << m):
-        chosen = [edges[k] for k in range(m) if mask >> k & 1]
-        if len(chosen) < n - 1:
-            continue
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for a, b in chosen:
-            adj[a].append(b)
-            adj[b].append(a)
-        if _connected(adj):
-            total += -1 if len(chosen) % 2 else 1
-    return total
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    free = [1] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        free[S] = 0 if adj[low.bit_length() - 1] & S else free[S ^ low]
+    C = [0] * (1 << n)
+    for S in range(1, 1 << n, 2):
+        c = free[S]
+        # R = S minus T runs over the nonempty subsets of S minus vertex 0
+        R = rest = S ^ 1
+        while R:
+            if free[R]:
+                c -= C[S ^ R]
+            R = (R - 1) & rest
+        C[S] = c
+    return C[-1]
 
 
 def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> float:
@@ -412,12 +421,10 @@ def ursell_coefficient(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...])
 def is_connected(combo: Sequence[int], edges: Tuple[Tuple[int, int], ...]) -> bool:
     """True iff the induced conflict graph of the multiset combo is connected.
 
-    ``combo`` and ``edges`` are as ``ursell_coefficient`` takes them.
+    ``combo`` and ``edges`` are as ``ursell_coefficient`` takes them.  Read
+    off the sign sum: it is 0 on a disconnected graph, and on a connected
+    one it is (-1)^(n-1) T_G(1, 0), where the Tutte value is positive.
     """
     if not combo:
         raise ValidationError("is_connected needs a nonempty collection")
-    neighbours: List[List[int]] = [[] for _ in combo]
-    for a, b in edges:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    return _connected(neighbours)
+    return _connected_spanning_sign_sum(len(combo), edges) != 0

@@ -462,6 +462,14 @@ def _row_groups(columns: list, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
+def _conflict_matrix(bits: Sequence[int]) -> np.ndarray:
+    """The conflict graph's bitsets as an (N, N) boolean matrix: entry
+    (i, j) is bit j of ``bits[i]``."""
+    N = len(bits)
+    matrix = np.array([[b >> j & 1 for j in range(N)] for b in bits], dtype=bool)
+    return matrix.reshape(N, N)  # also when there are no clusters
+
+
 def connected_collections(
     clusters: Sequence[SpaceTimeCluster],
     nbhd: Neighborhood,
@@ -473,10 +481,10 @@ def connected_collections(
     Multisets of cluster indices are visited in combinations_with_replacement
     order; those whose conflict graph is disconnected are dropped.  The rest
     keep their Ursell coefficient C as ``ursell_coefficient`` returns it, the
-    correctly rounded float of a rational that is never zero: a connected
-    conflict graph on n clusters has sign sum (-1)^(n-1) T_G(1, 0), and its
-    Tutte value T_G(1, 0) is positive.  Raises BudgetError, before any
-    multiset is built, when there are more than ``cap`` of them.
+    correctly rounded float of a rational that is zero exactly when the
+    conflict graph is disconnected.  Raises BudgetError, before any
+    multiset is built, when there are more than ``cap`` of them or when
+    3^n_max, the cost of one coefficient on n_max clusters, exceeds ``cap``.
 
     ``conflict_graph`` is built once, so ``conflicts`` runs once per
     unordered pair of clusters whatever n_max is.  The multisets of each
@@ -489,11 +497,9 @@ def connected_collections(
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     N = len(clusters)
-    if sum(math.comb(N + n - 1, n) for n in range(1, n_max + 1)) > cap:
+    if 3**n_max > cap or sum(math.comb(N + n - 1, n) for n in range(1, n_max + 1)) > cap:
         raise BudgetError(f"collection enumeration exceeded cap of {cap}")
-    bits = conflict_graph(clusters, nbhd)
-    conflict = np.array([[b >> j & 1 for j in range(N)] for b in bits], dtype=bool)
-    conflict = conflict.reshape(N, N)  # also when there are no clusters
+    conflict = _conflict_matrix(conflict_graph(clusters, nbhd))
     index, coef = [], []
     for n, rows in _multisets(N, n_max):
         # a multiset's shape: its induced conflict graph, then which
@@ -504,15 +510,13 @@ def connected_collections(
             + [rows[:, k] == rows[:, k + 1] for k in range(n - 1)],
             len(rows),
         )
-        connected = np.zeros(len(first), dtype=bool)
         shape_coef = np.zeros(len(first))
         for k, r in enumerate(first.tolist()):
             combo = tuple(rows[r].tolist())
             edges = tuple((a, b) for a, b in pairs if conflict[combo[a], combo[b]])
-            connected[k] = n == 1 or is_connected(combo, edges)
-            if connected[k]:
+            if n == 1 or is_connected(combo, edges):
                 shape_coef[k] = ursell_coefficient(combo, edges)
-        keep = connected[shape_of]
+        keep = shape_coef[shape_of] != 0.0
         padded = np.full((np.count_nonzero(keep), n_max), -1, dtype=np.intp)
         padded[:, :n] = rows[keep]
         index.append(padded)
@@ -572,29 +576,27 @@ def interaction_terms(
 _KP_SLACK = 1e-12
 
 
-def _kp_worst_ratio(lam: float, sizes: Sequence[int], graph: Sequence[int]) -> float:
+def _kp_worst_ratio(lam: float, sizes: Sequence[int], conflict: np.ndarray) -> float:
     """max over G of sum_{H conflicting with G} |H| (lam e)^{|H|} / |G|,
-    each sum in index order over the set bits of G's conflict bitset."""
-    worst = 0.0
-    for size, bits in zip(sizes, graph):
-        total = 0.0
-        for h in range(len(sizes)):
-            if bits >> h & 1:
-                total += sizes[h] * (lam * math.e) ** sizes[h]
-        worst = max(worst, total / size)
-    return worst
+    each sum in index order over G's row of the conflict matrix."""
+    if not sizes:
+        return 0.0
+    w = [s * (lam * math.e) ** s for s in sizes]
+    # cumsum adds left to right, and a non-conflicting H adds 0.0 exactly
+    totals = np.cumsum(np.where(conflict, w, 0.0), axis=1)[:, -1]
+    return max(0.0, float((totals / sizes).max()))
 
 
 def kp_geometry(
     vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
-) -> Tuple[list, list]:
-    """(sizes, conflict graph) of the clusters up to k_max: what the
+) -> Tuple[list, np.ndarray]:
+    """(sizes, conflict matrix) of the clusters up to k_max: what the
     convergence checks read, enumerated once per geometry."""
     clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-    return [G.size for G in clusters], conflict_graph(clusters, nbhd)
+    return [G.size for G in clusters], _conflict_matrix(conflict_graph(clusters, nbhd))
 
 
-def kp_check(lam: float, geometry: Tuple[list, list]) -> dict:
+def kp_check(lam: float, geometry: Tuple[list, np.ndarray]) -> dict:
     """Convergence criterion with weights majorized by lam^{|Gamma|}.
 
     Checks sum over Gamma' incompatible with Gamma of
@@ -604,8 +606,8 @@ def kp_check(lam: float, geometry: Tuple[list, list]) -> dict:
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    sizes, graph = geometry
-    worst = _kp_worst_ratio(lam, sizes, graph)
+    sizes, conflict = geometry
+    worst = _kp_worst_ratio(lam, sizes, conflict)
     return {
         "satisfied": bool(worst <= 1.0 + _KP_SLACK),
         "worstRatio": worst,
@@ -614,13 +616,13 @@ def kp_check(lam: float, geometry: Tuple[list, list]) -> dict:
     }
 
 
-def kp_lambda_star(geometry: Tuple[list, list], tol: float = 1e-4) -> float:
+def kp_lambda_star(geometry: Tuple[list, np.ndarray], tol: float = 1e-4) -> float:
     """Largest lambda passing kp_check on ``geometry``, located by
     bisection on [0, 1]."""
-    sizes, graph = geometry
+    sizes, conflict = geometry
 
     def satisfied(lam: float) -> bool:
-        return _kp_worst_ratio(lam, sizes, graph) <= 1.0 + _KP_SLACK
+        return _kp_worst_ratio(lam, sizes, conflict) <= 1.0 + _KP_SLACK
 
     if not satisfied(0.0):
         return 0.0
@@ -716,15 +718,12 @@ def summability_report(itab: InteractionTable) -> dict:
     norms = {key: abs(est.value) for key, est in itab.entries}
     sites = sorted({s for key in norms for s in key})
     per_site = {}
-    per_site_plain = {}
     for i in sites:
         per_site[i] = sum(
             (len(key) - 1) * v for key, v in norms.items() if i in key
         )
-        per_site_plain[i] = sum(v for key, v in norms.items() if i in key)
     return {
         "perSite": per_site,
         "sup": max(per_site.values(), default=0.0),
-        "supPlain": max(per_site_plain.values(), default=0.0),
         "nTerms": len(norms),
     }

@@ -6,7 +6,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbslab import clusters as clusters_module
@@ -216,10 +216,17 @@ def test_ursell_singleton_and_pair():
 
 
 @given(st.integers(1, 5))
+@example(6)
+@example(7)
+@example(8)
+@example(9)
+@example(10)
+@example(11)
 @settings(max_examples=10, deadline=None)
 def test_ursell_clique_invariant(n):
     # n copies of one polymer form a clique: C = (-1)^(n+1) / n, as the
-    # correctly rounded float of that rational
+    # correctly rounded float of that rational; n = 11 is the largest
+    # collection the default cap admits
     copies = [_space(0, 0)] * n
     assert ursell_coefficient(*_induced(copies)) == float(Fraction((-1) ** (n + 1), n))
 
@@ -480,6 +487,11 @@ def test_collection_budget_is_checked_before_any_row_is_built(monkeypatch):
     assert big > 2**64
     with pytest.raises(BudgetError, match=f"cap of {big - 1}$"):
         connected_collections(clusters, nbhd, 46, cap=big - 1)
+    # one cluster has 12 multisets up to n_max 12, but one coefficient on
+    # 12 clusters costs 3^12 > 200 000 steps: refused up front as well
+    assert 3**11 <= 200_000 < 3**12
+    with pytest.raises(BudgetError, match="exceeded cap of 200000$"):
+        connected_collections(clusters[:1], nbhd, 12)
 
 
 def test_row_groups_pack_any_number_of_bits():
@@ -537,3 +549,22 @@ def test_memoized_sign_sum_matches_brute_force(n):
             assert _connected_spanning_sign_sum(n, edges) == expected  # cached
     # the complete graph: (-1)^(n-1) (n-1)!
     assert _connected_spanning_sign_sum(n, tuple(complete)) == (-1) ** (n - 1) * factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sign_sum_matches_brute_force_on_random_graphs(n):
+    # each edge of the complete graph kept with a probability drawn per graph
+    rng = np.random.default_rng(26 + n)
+    complete = list(combinations(range(n), 2))
+    sizes = set()
+    for _ in range(60):
+        keep = rng.random(len(complete)) < rng.random()
+        edges = tuple(e for e, k in zip(complete, keep.tolist()) if k)
+        sizes.add(len(edges))
+        value = _connected_spanning_sign_sum(n, edges)
+        assert value == _brute_sign_sum(n, edges)
+        reached = {0}
+        for _ in range(n):
+            reached |= {v for e in edges if reached & set(e) for v in e}
+        assert is_connected(tuple(range(n)), edges) == (len(reached) == n)
+    assert len(sizes) > 5

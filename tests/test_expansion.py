@@ -12,6 +12,7 @@ from gibbslab.clusters import (
     SpaceTimeCluster,
     TimeCluster,
     TimeGrid,
+    conflict_graph,
     conflicts,
     enumerate_clusters,
 )
@@ -393,6 +394,33 @@ def test_kp_check_monotone_and_lambda_star():
     assert not kp_check(lam + 5e-4, geometry)["satisfied"]
 
 
+def _loop_worst_ratio(lam, sizes, graph):
+    """The pure-Python double loop that _kp_worst_ratio replaced: each sum in
+    index order over the set bits of a cluster's conflict bitset."""
+    worst = 0.0
+    for size, bits in zip(sizes, graph):
+        total = 0.0
+        for h in range(len(sizes)):
+            if bits >> h & 1:
+                total += sizes[h] * (lam * math.e) ** sizes[h]
+        worst = max(worst, total / size)
+    return worst
+
+
+@pytest.mark.parametrize("M, n_clusters", [(2, 26), (3, 71)])
+def test_kp_worst_ratio_is_bit_equal_to_the_loop(M, n_clusters):
+    vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, M)
+    clusters = enumerate_clusters(vol, NB1, grid, 3)
+    assert len(clusters) == n_clusters
+    graph = conflict_graph(clusters, NB1)
+    geometry = kp_geometry(vol, NB1, grid, 3)
+    assert geometry[0] == [G.size for G in clusters]
+    for lam in [0.0, 1e-3, 0.01, 0.02, 0.03, 0.05, 0.0368, 0.1, 0.25, 0.5, 1.0, 3.0]:
+        got = kp_check(lam, geometry)["worstRatio"]
+        assert type(got) is float
+        assert got == _loop_worst_ratio(lam, geometry[0], graph)
+
+
 def test_dynamic_interaction_matches_interaction_terms():
     # ExpansionDynamicInteraction and interaction_terms read one collection
     # table, use the same per-cluster random streams and multiply each
@@ -556,7 +584,6 @@ def test_summability_report_hand_example():
     # site 0: 0*0.5 + 1*0.2 = 0.2; site 1: 0.2 + 0.1 = 0.3; site 2: 0.1
     assert rep["perSite"][((0,))] == pytest.approx(0.2)
     assert rep["sup"] == pytest.approx(0.3)
-    assert rep["supPlain"] == pytest.approx(0.5 + 0.2)
     assert rep["nTerms"] == 3
 
 

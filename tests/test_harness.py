@@ -372,6 +372,17 @@ def test_run_kp_subcommand(tmp_path):
     assert len(rows) == 1 + 2 + 1  # header, two probes, lambda-star row
 
 
+def test_kp_on_a_geometry_without_clusters(tmp_path):
+    # one site, radius 1 and one slice: no interior site, no kernel layer
+    cfg = {**KP_CFG, "lattice": {"box": [[0], [0]], "neighborhoodRadius": 1}, "time": {"t": 1}}
+    summary = run("kp", cfg, str(tmp_path / "kp"))
+    assert summary["lambdaStar"] == 1.0
+    rows = _read_back(tmp_path / "kp" / "kp.csv")
+    assert [(r["lambda"], r["worstRatio"], r["nClusters"]) for r in rows] == [
+        ("0.0", "0.0", "0"), ("1.0", "0.0", "0"), ("1.0", "lambdaStar", ""),
+    ]
+
+
 def test_kp_enumerates_its_clusters_once_per_run(tmp_path, monkeypatch):
     # every lambda probe and the lambda* bisection read one enumeration and
     # one conflict graph, built afresh by each run
