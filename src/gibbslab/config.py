@@ -102,8 +102,6 @@ SCHEMA = (
     Key("mc", SECTION, {}),
     Key("mc.nSamples", INTEGER, 10_000),
     Key("mc.dt", NUMBER, 0.01),
-    Key("mc.bandwidthScale", NUMBER, 1.0),
-    Key("mc.essThreshold", NUMBER, 200.0),
     Key("mc.burnIn", INTEGER, 100),
     Key("mc.thin", INTEGER, 2),
     Key("truncation", SECTION),
@@ -341,8 +339,6 @@ def resolve_mc(cfg: dict) -> MCParams:
     return MCParams(
         n_samples=value(cfg, "mc.nSamples"),
         dt=value(cfg, "mc.dt"),
-        bandwidth_scale=value(cfg, "mc.bandwidthScale"),
-        ess_threshold=value(cfg, "mc.essThreshold"),
         burn_in=value(cfg, "mc.burnIn"),
         thin=value(cfg, "mc.thin"),
     )

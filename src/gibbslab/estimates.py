@@ -38,8 +38,6 @@ class MCParams:
 
     n_samples: int = 10_000
     dt: float = 0.01
-    bandwidth_scale: float = 1.0
-    ess_threshold: float = 200.0
     burn_in: int = 100
     thin: int = 2
 
@@ -48,8 +46,6 @@ class MCParams:
             raise ValidationError("MC params need n_samples >= 2 and dt > 0")
         if self.thin < 1 or self.burn_in < 0:
             raise ValidationError("MC params need thin >= 1 and burn_in >= 0")
-        if self.bandwidth_scale <= 0 or self.ess_threshold < 0:
-            raise ValidationError("MC params need bandwidth_scale > 0 and ess_threshold >= 0")
 
     def with_samples(self, n: int) -> "MCParams":
         return replace(self, n_samples=n)

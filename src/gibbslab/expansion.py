@@ -159,27 +159,25 @@ def cluster_sampler(
         j = sc.slice
         sites = tuple(sorted({s for k in sc.sites for s in drift.nbhd.around(k)}))
         layer_ids = (0, 1) if j == 0 else (j - 1, j, j + 1)
-        nodes = {s: [] for s in sites}
-        for l in layer_ids:
-            for s in sites:
-                if (s, l) in G.support and l in (0, M):
-                    nodes[s].append(None)
-                elif (s, l) in shared:
-                    nodes[s].append(shared[(s, l)])
-                else:
-                    nodes[s].append(_sample_reference_rng(pot, R, rng))
-        layers = [
-            {s: 0.0 if nodes[s][n] is None else nodes[s][n] for s in sites}
-            for n in range(len(layer_ids))
+        # nodes[n][i]: the value of site i at layer n, None where pinned
+        nodes = [
+            [
+                None if (s, l) in G.support and l in (0, M)
+                else shared[(s, l)] if (s, l) in shared
+                else _sample_reference_rng(pot, R, rng)
+                for s in sites
+            ]
+            for l in layer_ids
         ]
+        layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
         kept = _KeptUniforms(rng)
         base = multi_bridge_bundle(pot, sites, layers, layer_ids[0] * T, T, mc.dt, kept, R)
         n_seg = len(layer_ids) - 1
         uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
         pinned = tuple(
-            (i, tuple(nodes[s]), tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
-            for i, s in enumerate(sites)
-            if any(v is None for v in nodes[s])
+            (i, column, tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
+            for i, column in enumerate(zip(*nodes))
+            if any(v is None for v in column)
         )
         bridges.append(
             _SpaceBridge(
@@ -296,8 +294,7 @@ class WeightTable:
 
 
 def weight_table(
-    vol: Volume,
-    grid: TimeGrid,
+    clusters: Sequence[SpaceTimeCluster],
     k_max: int,
     x: Configuration,
     y: Configuration,
@@ -306,14 +303,13 @@ def weight_table(
     mc: MCParams,
     seed: int,
 ) -> WeightTable:
-    """Estimate every cluster weight up to k_max, the clusters enumerated
-    with the drift's neighbourhood.
+    """Estimate the weight of every cluster of ``clusters``, those up to
+    k_max that ``enumerate_clusters`` gives with the drift's neighbourhood.
 
     The random stream of cluster index i is derived from (seed, "weight", i)
     only, so re-running with a different beta reuses the same randomness
     per cluster (common random numbers).
     """
-    clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
     estimates = tuple(
         cluster_weight(
             cluster_sampler(G, drift, pot, mc, substream(seed, "weight", i)), x, y
@@ -541,17 +537,15 @@ def connected_collections(
     )
 
 
-def interaction_terms(
-    table: WeightTable, n_max: int, cap: int = 200_000
-) -> InteractionTable:
+def interaction_terms(table: WeightTable, coll: CollectionTable) -> InteractionTable:
     """Resummation of the log series into volume-local terms.
 
-    Phi_Delta(x, y) = -sum over connected collections (multisets of up to
-    n_max clusters, trace Delta) of the Ursell coefficient times the product
-    of the collection's weights.  Every stderr, the total's too, is the
-    joint delta method over the weights.
+    Phi_Delta(x, y) = -sum over connected collections (the rows of ``coll``,
+    ``connected_collections`` of the table's clusters, with trace Delta) of
+    the Ursell coefficient times the product of the collection's weights.
+    Every stderr, the total's too, is the joint delta method over the
+    weights.
     """
-    coll = connected_collections(table.clusters, table.nbhd, n_max, cap)
     phi, errors = _weight_polynomials(
         table.estimates, coll.index, -coll.coef, coll.trace, len(coll.keys)
     )
@@ -683,7 +677,9 @@ def weight_bound_fit(
     for beta in beta_grid:
         grid = grid_for_beta(t, drift.memory, beta)
         d = dataclasses.replace(drift, beta=float(beta))
-        table = weight_table(vol, grid, k_max, x, y, d, pot, mc, seed)
+        table = weight_table(
+            enumerate_clusters(vol, d.nbhd, grid, k_max), k_max, x, y, d, pot, mc, seed
+        )
         lam_hat = 0.0
         c1 = 0.0
         max_z = 0.0

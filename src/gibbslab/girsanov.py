@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,10 @@ def _window_indices(path: PathBundle, window: Tuple[float, float]) -> Tuple[int,
 # window this many replica-steps at a time, so its temporaries stay about
 # 1 MB whatever the path length.
 BLOCK_ELEMENTS = 1 << 17
+
+# Effective sample size below which a reweighted bridge estimate raises
+# PrecisionError.
+ESS_THRESHOLD = 200.0
 
 
 def psi(
@@ -131,15 +135,6 @@ def log_girsanov_weight(
     for site in inner.sorted_sites():
         total -= psi(drift, site, window, path)
     return total
-
-
-def girsanov_weight(
-    drift: DriftSpec,
-    vol: Volume,
-    path: PathBundle,
-    window: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    return np.exp(log_girsanov_weight(drift, vol, path, window))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,8 @@ class _KeptUniforms:
 
 
 def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
-    """The values a bridge path takes at its layers, given the layer values.
+    """The values one site's bridge path takes at its layers, given the
+    layer values.
 
     The OU path passes through the layer values themselves.  The circle
     path passes through lifts: each segment's end is lifted from the
@@ -277,15 +273,6 @@ def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
     return lifts
 
 
-def _as_replica_array(value, n_replicas: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n_replicas, float(arr))
-    if arr.shape != (n_replicas,):
-        raise ValidationError("endpoint arrays must be scalars or shape (R,)")
-    return arr
-
-
 def multi_bridge_bundle(
     pot: PotentialSpec,
     sites,
@@ -298,28 +285,40 @@ def multi_bridge_bundle(
 ) -> PathBundle:
     """Concatenated exact bridges through the given layer values.
 
-    ``layers`` is a list of dicts site -> scalar or (R,) array; consecutive
-    layers are tau apart and every segment is bridged exactly.  Only the
-    quadratic and drift-free-circle potentials admit exact bridges.
+    ``layers`` is a three-axis array that broadcasts to (layers, sites, R),
+    the sites in the order given, e.g. (layers, sites, 1) for one value per
+    site and layer; consecutive layers are tau apart and every segment is
+    bridged exactly.  Only the quadratic and drift-free-circle potentials
+    admit exact bridges.
 
     The randomness is drawn site by site, and within a site segment by
     segment (on the circle: each segment's winding uniforms, then its step
-    noise).  Once drawn, the segments are independent given their ends, so
-    the steps then run for every site and segment of the bundle together,
-    one step index at a time.
+    noise); each site's layer values are then lifted through
+    ``_bridge_lifts``.  Once drawn, the segments are independent given
+    their ends, so the steps then run for every site and segment of the
+    bundle together, one step index at a time.
     """
     if pot.family not in ("quadratic", "circle_free"):
         raise ValidationError(
             "exact bridges need the quadratic or drift-free circle potential"
         )
     sites = tuple(tuple(int(c) for c in s) for s in sites)
+    R = n_replicas
+    try:
+        layers = np.asarray(layers, dtype=float)
+        if layers.ndim != 3:
+            raise ValueError(f"they have {layers.ndim} axes, not 3")
+        layers = np.broadcast_to(layers, (len(layers), len(sites), R))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"layer values must broadcast to (layers, {len(sites)} sites, {R} replicas): {exc}"
+        ) from None
     n_seg = len(layers) - 1
     if n_seg < 1:
         raise ValidationError("need at least two layers to bridge")
     Kseg = step_count(tau, dt)
     if Kseg < 1 or abs(Kseg * dt - tau) > 1e-9 * max(tau, 1.0):
         raise ValidationError("tau must be an integer multiple of dt")
-    R = n_replicas
     K = n_seg * Kseg
     circle = pot.family == "circle_free"
     # time-major, as ``simulate`` stores its paths: row k holds every site's
@@ -332,17 +331,16 @@ def multi_bridge_bundle(
     # keeps one row when a segment has none (tau == dt) so the loop's step
     # is positive
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
-    for i, s in enumerate(sites):
-        values[0, i] = _as_replica_array(layers[0][s], R)
+    for i in range(len(sites)):
+        uniforms = []
         for j in range(0, K, Kseg):
-            end = _as_replica_array(layers[j // Kseg + 1][s], R)
             if circle:
-                end = _winding_target(values[j, i], end, tau, rng.uniform(size=R))
-            values[j + Kseg, i] = end
+                uniforms.append(rng.uniform(size=R))
             for lo in range(j + 1, j + Kseg, len(noise)):
                 block = noise[: min(len(noise), j + Kseg - lo)]
                 rng.standard_normal(out=block)
                 values[lo : lo + len(block), i] = block
+        values[::Kseg, i] = _bridge_lifts(pot, layers[:, i], tau, uniforms)
     del noise
     # a (step, segment, site, replica) view of rows 0 .. Kseg-1 of every
     # segment, and a (segment, site, replica) view of the segment ends
@@ -352,22 +350,21 @@ def multi_bridge_bundle(
     return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
-def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration,
-                      mc: MCParams) -> list:
+def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration) -> list:
     """(offsets of the path ends from y, kernel bandwidth h) per site.
 
     ``ends`` holds the ends of the R paths of each of ``sites``, shape
-    (sites, R), and h = bandwidth_scale * spread * R^(-1/5).  On the circle
-    the offsets are wrapped into [-pi, pi) and the spread is theirs, so an
-    end just across the seam from y counts as near it; on the line the
-    spread is that of the ends."""
+    (sites, R), and h = spread * R^(-1/5).  On the circle the offsets are
+    wrapped into [-pi, pi) and the spread is theirs, so an end just across
+    the seam from y counts as near it; on the line the spread is that of
+    the ends."""
     out = []
     for s, end in zip(sites, ends):
         if state_space == CIRCLE:
             diff = spread = np.mod(wrap_angle(end) - y[s] + np.pi, TWO_PI) - np.pi
         else:
             diff, spread = end - y[s], end
-        h = mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * end.size ** (-0.2)
+        h = (float(np.std(spread)) or 1.0) * end.size ** (-0.2)
         out.append((diff, h))
     return out
 
@@ -397,43 +394,13 @@ def free_bridge_paths(
     sites = tuple(vol.sorted_sites())
     R = mc.n_samples
     if pot.family in ("quadratic", "circle_free"):
-        layers = [
-            {s: x[s] for s in sites},
-            {s: y[s] for s in sites},
-        ]
-        bundle = multi_bridge_bundle(pot, sites, layers, 0.0, t, mc.dt, rng, R)
-        return bundle, None
+        layers = np.stack([x.array_for(sites), y.array_for(sites)])[:, :, None]
+        return multi_bridge_bundle(pot, sites, layers, 0.0, t, mc.dt, rng, R), None
     bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R, rng=rng)
     logw = np.zeros(R)
-    for diff, h in _endpoint_offsets(bundle.sites, _path_ends(bundle), pot.state_space, y, mc):
+    for diff, h in _endpoint_offsets(bundle.sites, _path_ends(bundle), pot.state_space, y):
         logw += -(diff**2) / (2.0 * h * h)
     return bundle, logw
-
-
-def bridge_expectation(
-    F: Callable,
-    pot: PotentialSpec,
-    vol: Volume,
-    x: Configuration,
-    y: Configuration,
-    t: float,
-    mc: MCParams,
-    seed: int,
-) -> Estimate:
-    """Monte Carlo estimate of E[F(X) | X_0 = x, X_t = y] under the free law.
-
-    ``F`` maps a PathBundle to one value per replica.  Reweighted bridges
-    are self-normalized; an effective sample size below the configured
-    threshold raises PrecisionError.
-    """
-    rng = substream(seed, "bridge")
-    bundle, logw = free_bridge_paths(pot, vol, x, y, t, mc, rng)
-    samples = np.asarray(F(bundle), dtype=float)
-    if samples.shape != (bundle.n_replicas,):
-        raise ValidationError("F must return one value per replica")
-    if logw is None:
-        return mean_estimate(samples, method="bridge-exact")
-    return weighted_mean_estimate(samples, logw, mc.ess_threshold, method="bridge-reweighted")
 
 
 def density(
@@ -446,13 +413,17 @@ def density(
     mc: MCParams,
     seed: int,
 ) -> Estimate:
-    """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting."""
+    """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting:
+    the mean of the Girsanov weight over free bridges from x to y.
 
-    def F(bundle: PathBundle) -> np.ndarray:
-        return girsanov_weight(drift, vol, bundle)
-
-    est = bridge_expectation(F, pot, vol, x, y, t, mc, seed)
-    return dataclasses.replace(est, method="bridge")
+    Reweighted bridges (``free_bridge_paths``) are self-normalized; an
+    effective sample size below ESS_THRESHOLD raises PrecisionError.
+    """
+    bundle, logw = free_bridge_paths(pot, vol, x, y, t, mc, substream(seed, "bridge"))
+    samples = np.exp(log_girsanov_weight(drift, vol, bundle))
+    if logw is None:
+        return mean_estimate(samples, method="bridge")
+    return weighted_mean_estimate(samples, logw, ESS_THRESHOLD, method="bridge")
 
 
 def _kde_products(terms, n_replicas: int) -> np.ndarray:
@@ -531,10 +502,10 @@ def density_endpoint_ratio(
     interacting = simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
                            rng=substream(seed, "endpoint", "interacting"))
     q_offsets = _endpoint_offsets(interacting.sites, _path_ends(interacting),
-                                  pot.state_space, y, mc)
+                                  pot.state_space, y)
     del interacting
     free = _free_endpoints(pot, vol, x, t, mc.dt, R, substream(seed, "endpoint", "free"))
-    p_terms = _endpoint_offsets(vol.sorted_sites(), free, pot.state_space, y, mc)
+    p_terms = _endpoint_offsets(vol.sorted_sites(), free, pot.state_space, y)
     q_terms = [(d, h) for (d, _), (_, h) in zip(q_offsets, p_terms)]
     q_hat = mean_estimate(_kde_products(q_terms, R))
     p_hat = mean_estimate(_kde_products(p_terms, R))

@@ -20,10 +20,12 @@ import tempfile
 from typing import Callable, Dict, List, Optional
 
 from . import config as cfgmod
+from .clusters import enumerate_clusters
 from .dynamics import simulate
 from .errors import ValidationError
 from .estimates import MCParams
 from .expansion import (
+    connected_collections,
     interaction_terms,
     kp_check,
     kp_geometry,
@@ -153,7 +155,11 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
     x = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
     y = cfgmod.resolve_configuration(cfg, "y", vol, pot.state_space)
 
-    table = weight_table(vol, grid, k_max, x, y, drift, pot, mc, seed)
+    clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
+    # built before any weight is drawn, so an nMax over the collection cap
+    # exits before the Monte Carlo work and writes no weights
+    coll = connected_collections(clusters, drift.nbhd, n_max)
+    table = weight_table(clusters, k_max, x, y, drift, pot, mc, seed)
     _write_jsonl(
         os.path.join(out_dir, "weights.jsonl"),
         [
@@ -161,7 +167,7 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
             for G, e in table.items()
         ],
     )
-    itab = interaction_terms(table, n_max)
+    itab = interaction_terms(table, coll)
     _write_jsonl(
         os.path.join(out_dir, "interaction.jsonl"),
         [

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from gibbslab.clusters import TimeGrid
+from gibbslab.clusters import TimeGrid, enumerate_clusters
 from gibbslab.dynamics import (
     circle_free_potential,
     constant_drift,
@@ -22,6 +22,7 @@ from gibbslab.dynamics import (
 )
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.expansion import (
+    connected_collections,
     interaction_terms,
     kp_check,
     kp_geometry,
@@ -42,7 +43,7 @@ from gibbslab.gibbs import (
     sample_gibbs,
     single_site_conditional_quadrature,
 )
-from gibbslab.girsanov import density, girsanov_weight, psi
+from gibbslab.girsanov import density, log_girsanov_weight, psi
 from gibbslab.lattice import Configuration, Neighborhood, Volume, interior
 
 QUAD = quadratic_potential()
@@ -92,7 +93,7 @@ def test_criterion_2_martingale_normalization():
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     free = dataclasses.replace(drift, beta=0.0)
     path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, seed=202, n_replicas=100_000)
-    est = mean_estimate(girsanov_weight(drift, vol, path))
+    est = mean_estimate(np.exp(log_girsanov_weight(drift, vol, path)))
     z = abs(est.value - 1.0) / est.stderr
     _verdict(
         2, "martingale normalization",
@@ -131,7 +132,7 @@ def test_criterion_4_expansion_identity():
             x = Configuration.constant(vol, x0)
             y = Configuration.constant(vol, y0)
             tab = weight_table(
-                vol, grid, 3, x, y, drift, QUAD,
+                enumerate_clusters(vol, drift.nbhd, grid, 3), 3, x, y, drift, QUAD,
                 MCParams(n_samples=4000, dt=0.05), seed=404,
             )
             rec = reconstruct_density(tab)
@@ -143,7 +144,7 @@ def test_criterion_4_expansion_identity():
                 worst_rec,
                 abs(rec.value - direct.value) / math.hypot(rec.stderr, direct.stderr),
             )
-            itab = interaction_terms(tab, n_max=3)
+            itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 3))
             tot = itab.total
             log_val = math.exp(-tot.value)
             log_se = log_val * tot.stderr  # delta method for exp(-x)

@@ -89,15 +89,13 @@ def _reference_weight(G, x, y, drift, pot, mc, rng):
         j = sc.slice
         sites_needed = sorted({s for k in sc.sites for s in drift.nbhd.around(k)})
         layer_ids = [0, 1] if j == 0 else [j - 1, j, j + 1]
-        layers = []
-        for l in layer_ids:
-            row = {}
-            for s in sites_needed:
-                if (s, l) in shared:
-                    row[s] = shared[(s, l)]
-                else:
-                    row[s] = _sample_reference_rng(pot, R, rng)
-            layers.append(row)
+        layers = np.array([
+            [
+                shared[(s, l)] if (s, l) in shared else _sample_reference_rng(pot, R, rng)
+                for s in sites_needed
+            ]
+            for l in layer_ids
+        ])
         bundle = multi_bridge_bundle(
             pot, sites_needed, layers, layer_ids[0] * T, T, mc.dt, rng, R
         )
@@ -340,8 +338,9 @@ def test_reconstruction_matches_direct_density_one_slice():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
+    drift = _drift(c, beta)
     tab = weight_table(
-        vol, TimeGrid(T, 1), 2, x, y, _drift(c, beta), QUAD,
+        enumerate_clusters(vol, drift.nbhd, TimeGrid(T, 1), 2), 2, x, y, drift, QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     assert len(tab) == 1
@@ -357,12 +356,13 @@ def test_interaction_log_identity_one_slice():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
+    drift = _drift(c, beta)
     tab = weight_table(
-        vol, TimeGrid(T, 1), 1, x, y, _drift(c, beta), QUAD,
+        enumerate_clusters(vol, drift.nbhd, TimeGrid(T, 1), 1), 1, x, y, drift, QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     K = tab.estimates[0].value
-    itab = interaction_terms(tab, n_max=4)
+    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 4))
     phi = itab.get(Volume.box((0,), (0,))).value
     series = -(K - K**2 / 2 + K**3 / 3 - K**4 / 4)
     assert phi == pytest.approx(series, rel=1e-12)
@@ -433,8 +433,8 @@ def test_dynamic_interaction_matches_interaction_terms():
     x = Configuration({(0,): 0.3, (1,): -0.2, (2,): 0.6, (3,): 0.0})
     y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
     dyn = ExpansionDynamicInteraction(drift, QUAD, vol, grid, 2, 3, mc, seed=4)
-    tab = weight_table(vol, grid, 2, x, y, drift, QUAD, mc, seed=4)
-    itab = interaction_terms(tab, n_max=3)
+    tab = weight_table(enumerate_clusters(vol, drift.nbhd, grid, 2), 2, x, y, drift, QUAD, mc, seed=4)
+    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 3))
     assert [volume_key(d) for d in dyn.traces()] == [key for key, _ in itab.entries]
     assert any(len(key) > 1 for key, _ in itab.entries)
     for delta in dyn.traces():
@@ -465,8 +465,8 @@ JOINT_Y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
 def _joint_table(beta, n_samples):
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=beta)
     return weight_table(
-        JOINT_VOL, TimeGrid(1.0, 2), 3, JOINT_X, JOINT_Y, drift, QUAD,
-        MCParams(n_samples=n_samples, dt=0.05), seed=7,
+        enumerate_clusters(JOINT_VOL, drift.nbhd, TimeGrid(1.0, 2), 3), 3, JOINT_X, JOINT_Y,
+        drift, QUAD, MCParams(n_samples=n_samples, dt=0.05), seed=7,
     )
 
 
@@ -479,7 +479,7 @@ def _with_weight(tab, G, value):
 def _expansion_outputs(tab, n_max):
     """Every interaction entry, the interaction total and the reconstructed
     density, as (values, stderrs)."""
-    itab = interaction_terms(tab, n_max)
+    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, n_max))
     ests = [e for _, e in itab.entries] + [itab.total, reconstruct_density(tab)]
     return np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
 
@@ -595,8 +595,10 @@ def test_weight_table_common_random_numbers():
     x = Configuration.constant(vol, 0.2)
     grid = TimeGrid(1.0, 1)
     mc = MCParams(n_samples=128, dt=0.05)
-    t1 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
-    t2 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=9)
+    drift = _drift(0.7, 0.3)
+    clusters = enumerate_clusters(vol, drift.nbhd, grid, 1)
+    t1 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=9)
+    t2 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=9)
     assert t1.estimates == t2.estimates
-    t3 = weight_table(vol, grid, 1, x, x, _drift(0.7, 0.3), QUAD, mc, seed=10)
+    t3 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=10)
     assert t1.estimates != t3.estimates

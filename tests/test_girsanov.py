@@ -23,11 +23,9 @@ from gibbslab.girsanov import (
     _endpoint_offsets,
     _free_drift,
     _free_endpoints,
-    bridge_expectation,
     density,
     density_endpoint_ratio,
     free_bridge_paths,
-    girsanov_weight,
     log_girsanov_weight,
     multi_bridge_bundle,
     psi,
@@ -82,7 +80,7 @@ def test_girsanov_identity_exact_on_grid():
     total = np.zeros(path.n_replicas)
     for s in interior(vol, d.nbhd).sorted_sites():
         total += psi(d, s, (0.0, 0.5), path)
-    assert np.max(np.abs(np.exp(-total) - girsanov_weight(d, vol, path))) == 0.0
+    assert np.max(np.abs(np.exp(-total) - np.exp(log_girsanov_weight(d, vol, path)))) == 0.0
 
 
 def test_expected_weight_is_one_under_free_law():
@@ -94,7 +92,7 @@ def test_expected_weight_is_one_under_free_law():
 
     free = dataclasses.replace(d, beta=0.0)
     path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, seed=5, n_replicas=20_000)
-    est = mean_estimate(girsanov_weight(d, vol, path))
+    est = mean_estimate(np.exp(log_girsanov_weight(d, vol, path)))
     assert abs(est.value - 1.0) < 4 * est.stderr
 
 
@@ -104,7 +102,7 @@ def test_ou_bridge_moments():
     # X_h | X_0=a, X_1=b with h=0.5: standard two-sided OU bridge formulas
     a, b, tau, dt = 0.3, 0.8, 1.0, 0.01
     rng = substream(11, "test-bridge")
-    bundle = multi_bridge_bundle(QUAD, [(0,)], [{(0,): a}, {(0,): b}], 0.0, tau, dt, rng, 40_000)
+    bundle = multi_bridge_bundle(QUAD, [(0,)], [[[a]], [[b]]], 0.0, tau, dt, rng, 40_000)
     mid = bundle.values[:, 0, 50]
     v = lambda s: 0.5 * (1.0 - math.exp(-2.0 * s))
     e1, er = math.exp(-0.5), math.exp(-0.5)
@@ -116,17 +114,34 @@ def test_ou_bridge_moments():
 
 def test_bridge_endpoints_pinned():
     rng = substream(2, "pin")
-    layers = [{(0,): 0.1}, {(0,): -0.4}, {(0,): 0.9}]
+    layers = np.array([0.1, -0.4, 0.9])[:, None, None]
     bundle = multi_bridge_bundle(QUAD, [(0,)], layers, 0.0, 0.5, 0.05, rng, 16)
     assert np.all(bundle.values[:, 0, 0] == 0.1)
     assert np.all(bundle.values[:, 0, 10] == -0.4)
     assert np.all(bundle.values[:, 0, 20] == 0.9)
 
 
+@pytest.mark.parametrize(
+    "layers",
+    [
+        np.zeros((2, 3, 4)),  # three sites, not two
+        np.zeros((2, 2, 3)),  # three replicas, not four
+        np.zeros((2, 4)),  # two axes
+        0.5,
+        [[[0.0, 0.1]], [[0.2]]],  # ragged
+        [{(0,): 0.1, (1,): 0.2}, {(0,): 0.3, (1,): 0.4}],  # per-site dicts
+    ],
+    ids=["sites", "replicas", "two-axes", "scalar", "ragged", "dicts"],
+)
+def test_bridge_layers_that_do_not_broadcast_raise(layers):
+    with pytest.raises(ValidationError, match="broadcast"):
+        multi_bridge_bundle(QUAD, [(0,), (1,)], layers, 0.0, 0.2, 0.05, substream(1, "b"), 4)
+
+
 def test_circle_bridge_hits_endpoint_mod_wrap():
     rng = substream(3, "circ")
     a, b = 0.3, 6.0
-    bundle = multi_bridge_bundle(CIRC, [(0,)], [{(0,): a}, {(0,): b}], 0.0, 1.0, 0.02, rng, 64)
+    bundle = multi_bridge_bundle(CIRC, [(0,)], [[[a]], [[b]]], 0.0, 1.0, 0.02, rng, 64)
     end = bundle.values[:, 0, -1]
     assert np.allclose(np.mod(end - b, TWO_PI) * (TWO_PI - np.mod(end - b, TWO_PI)), 0.0, atol=1e-9)
 
@@ -188,27 +203,26 @@ def _ref_circle_segment(a, b, tau, dt, rng, mean_first=False):
 
 def _bridge_case(pot, mean_first, tau=0.3):
     """A three-site, three-segment bundle and the per-step loop's values,
-    run one (site, segment) at a time from the same substream; scalar and
-    (R,) layer values.  Returns (bundle, reference values, the bundle's
-    generator, the reference's generator)."""
+    run one (site, segment) at a time from the same substream; layer values
+    that vary over the replicas and ones that do not.  Returns (bundle,
+    reference values, the bundle's generator, the reference's generator)."""
     sites, R, dt = [(0,), (1,), (2,)], 5, 0.05
     Kseg = int(round(tau / dt))
     src = np.random.default_rng(8)
-    layers = [
-        {s: src.uniform(-1.0, 1.0, R) if (i + n) % 2 else float(src.uniform(-1.0, 1.0))
-         for i, s in enumerate(sites)}
-        for n in range(4)
-    ]
+    layers = np.empty((4, len(sites), R))
+    for n in range(4):
+        for i in range(len(sites)):
+            layers[n, i] = src.uniform(-1.0, 1.0, R) if (i + n) % 2 else src.uniform(-1.0, 1.0)
     rng = substream(6, "b")
     bundle = multi_bridge_bundle(pot, sites, layers, 0.5, tau, dt, rng, R)
     ref_rng = substream(6, "b")
     segment = _ref_ou_segment if pot is QUAD else _ref_circle_segment
     values = np.empty((R, 3, 3 * Kseg + 1))
-    for i, s in enumerate(sites):
-        values[:, i, 0] = layers[0][s]
+    for i in range(len(sites)):
+        values[:, i, 0] = layers[0, i]
         for j in range(3):
             values[:, i, Kseg * j : Kseg * (j + 1) + 1] = segment(
-                values[:, i, Kseg * j], layers[j + 1][s], tau, dt, ref_rng, mean_first
+                values[:, i, Kseg * j], layers[j + 1, i], tau, dt, ref_rng, mean_first
             )
     return bundle, values, rng, ref_rng
 
@@ -269,7 +283,7 @@ def test_bridge_steps_agree_with_the_conditional_mean_form(pot):
 
 def test_bundle_holds_only_its_paths():
     assert [f.name for f in dataclasses.fields(PathBundle)] == ["sites", "times", "values", "pot"]
-    bundle = multi_bridge_bundle(CIRC, [(0,)], [{(0,): 6.0}, {(0,): 0.2}], 0.0, 0.2, 0.05, substream(1, "b"), 3)
+    bundle = multi_bridge_bundle(CIRC, [(0,)], [[[6.0]], [[0.2]]], 0.0, 0.2, 0.05, substream(1, "b"), 3)
     assert bundle.state_space == CIRC.state_space
 
 
@@ -278,7 +292,7 @@ def test_bridge_bundle_allocates_only_its_values(pot):
     # the bundle's one large buffer is its (K+1, sites, R) paths; forming
     # increments for every site would at least double the traced peak
     sites = [(0,), (1,), (2,), (3,)]
-    layers = [{s: 0.3 for s in sites}, {s: -0.2 for s in sites}, {s: 0.5 for s in sites}]
+    layers = np.array([0.3, -0.2, 0.5])[:, None, None]
     rng = substream(2, "b")
     tracemalloc.start()
     try:
@@ -351,12 +365,11 @@ def test_free_endpoints_follow_the_euler_ends(pot, dt):
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 6.2 if pot is CIRC else 1.5, (1,): -0.4}, pot.state_space)
     y = Configuration({(0,): 0.1, (1,): 0.2}, pot.state_space)
-    mc = MCParams(n_samples=R, dt=dt)
     drawn = _free_endpoints(pot, vol, x, t, dt, R, substream(3, "free"))
     ran = simulate(_free_drift(), pot, vol, x, t, dt, seed=4, n_replicas=R).values[:, :, -1].T
     sites = vol.sorted_sites()
-    for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y, mc),
-                              _endpoint_offsets(sites, ran, pot.state_space, y, mc)):
+    for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y),
+                              _endpoint_offsets(sites, ran, pot.state_space, y)):
         ma, sma, va, sva = _moments(a)
         mb, smb, vb, svb = _moments(b)
         assert abs(ma - mb) < 4.0 * math.hypot(sma, smb)
@@ -458,7 +471,7 @@ def test_endpoint_offsets_read_only_the_path_ends(pot):
     free = dataclasses.replace(constant_drift(0.0), beta=0.0)
     bundle = simulate(free, pot, vol, x, 2.0, mc.dt, seed=4, n_replicas=mc.n_samples)
     ends = bundle.values[:, :, -1].T
-    for i, (diff, h) in enumerate(_endpoint_offsets(bundle.sites, ends, pot.state_space, y, mc)):
+    for i, (diff, h) in enumerate(_endpoint_offsets(bundle.sites, ends, pot.state_space, y)):
         path = bundle.values[:, i]
         end = wrap_angle(path)[:, -1] if pot is CIRC else path[:, -1]
         ref = end - y[bundle.sites[i]]
@@ -466,26 +479,25 @@ def test_endpoint_offsets_read_only_the_path_ends(pot):
             ref = np.mod(ref + np.pi, TWO_PI) - np.pi
         assert np.array_equal(diff, ref)
         spread = ref if pot is CIRC else end
-        assert h == mc.bandwidth_scale * (float(np.std(spread)) or 1.0) * mc.n_samples ** (-0.2)
+        assert h == (float(np.std(spread)) or 1.0) * mc.n_samples ** (-0.2)
 
 
 def test_circle_bridge_winding_spread():
     # long bridges must use several winding classes
     rng = substream(4, "wind")
-    bundle = multi_bridge_bundle(CIRC, [(0,)], [{(0,): 0.0}, {(0,): 0.0}], 0.0, 9.0, 0.05, rng, 2000)
+    bundle = multi_bridge_bundle(CIRC, [(0,)], np.zeros((2, 1, 1)), 0.0, 9.0, 0.05, rng, 2000)
     lifts = np.round((bundle.values[:, 0, -1]) / TWO_PI).astype(int)
     assert len(set(lifts.tolist())) >= 3
 
 
-def test_bridge_expectation_free_midpoint():
+def test_free_bridge_paths_midpoint():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.3)
     y = Configuration.constant(vol, 0.8)
-
-    def F(bundle):
-        return bundle.values[:, 0, bundle.values.shape[2] // 2]
-
-    est = bridge_expectation(F, QUAD, vol, x, y, 1.0, MCParams(n_samples=20_000, dt=0.01), seed=7)
+    mc = MCParams(n_samples=20_000, dt=0.01)
+    bundle, logw = free_bridge_paths(QUAD, vol, x, y, 1.0, mc, substream(7, "bridge"))
+    assert logw is None
+    est = mean_estimate(bundle.values[:, 0, bundle.values.shape[2] // 2])
     v = lambda s: 0.5 * (1.0 - math.exp(-2.0 * s))
     er = math.exp(-0.5)
     prec = 1.0 / v(0.5) + er * er / v(0.5)

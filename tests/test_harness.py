@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,6 +78,13 @@ def test_load_config_rejects_unknown_nested_keys(tmp_path, capsys):
     with pytest.raises(ValidationError, match="nSample"):
         cfgmod.load_config(str(bad))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # the kernel bandwidth factor and the ESS threshold are constants, not keys
+    for key in ("bandwidthScale", "essThreshold"):
+        removed = tmp_path / f"{key}.json"
+        removed.write_text(json.dumps({**SIM_CFG, "mc": {key: 1.0}}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(removed), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys under 'mc': ['{key}']" in capsys.readouterr().err
     # drift params are checked per family by the same table, at load
     params = tmp_path / "params.json"
     params.write_text(json.dumps({**SIM_CFG, "drift": {**SIM_CFG["drift"], "params": {"zz": 1}}}))
@@ -244,12 +252,33 @@ def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
     }
     assert cfgmod.resolve_truncation(cfg) == (1, 2)
     seen = []
-    real = harness.interaction_terms
+    real = harness.connected_collections
     monkeypatch.setattr(
-        harness, "interaction_terms", lambda table, n_max: seen.append(n_max) or real(table, n_max)
+        harness, "connected_collections",
+        lambda clusters, nbhd, n_max: seen.append(n_max) or real(clusters, nbhd, n_max),
     )
     run("expand", cfg, str(tmp_path / "expand"))
     assert seen == [harness._resolve_bispace(cfg, 1).dynamic.n_max] == [2]
+
+
+def test_expand_over_the_collection_cap_exits_before_any_weight(tmp_path, capsys, monkeypatch):
+    # the README config at nMax 12: 3^12 exceeds the default collection cap,
+    # which is checked before the first cluster weight is drawn
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    cfg = json.loads(re.sub(r"//[^\n]*", "", block))
+    cfg["truncation"]["nMax"] = 12
+    path = tmp_path / "nmax12.json"
+    path.write_text(json.dumps(cfg))
+
+    def no_weights(*args, **kwargs):
+        raise AssertionError("a cluster weight was drawn")
+
+    monkeypatch.setattr(expansion, "cluster_sampler", no_weights)
+    out = tmp_path / "o"
+    assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
+    assert "collection enumeration exceeded cap of 200000" in capsys.readouterr().err
+    assert not (out / "weights.jsonl").exists()
 
 
 def test_resolve_interaction_templates():

@@ -216,7 +216,7 @@ def test_psi_on_bridges_matches_the_per_step_loop(family, window, space):
     pot = POTENTIALS[space]()
     sites = VOL.sorted_sites()
     rng = np.random.default_rng(3)
-    layers = [{s: rng.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    layers = rng.uniform(-1.0, 1.0, (3, len(sites), R))
     bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(5, "bridge"), R)
     for site in sorted(interior(VOL, drift.nbhd).sites):
         for (a, b), (k_lo, k_hi) in (((0.4, 0.6), (0, 10)), ((0.6, 0.8), (10, 20))):
@@ -239,7 +239,7 @@ def test_psi_blocks_match_the_per_step_loop(family, window, space, steps, monkey
     bridge_drift, bridge_cut = _library_drift(ref, window, start=0.4)
     sites = VOL.sorted_sites()
     rng = np.random.default_rng(3)
-    layers = [{s: rng.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    layers = rng.uniform(-1.0, 1.0, (3, len(sites), R))
     bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(5, "bridge"), R)
     for site in sorted(interior(VOL, drift.nbhd).sites):
         for (a, b), (k_lo, k_hi) in (((0.06, 0.26), (3, 13)), ((0.0, T), (0, K))):
@@ -467,7 +467,7 @@ def test_in_place_psi_and_simulate_match_the_copying_forms(family, space, steps,
     K = path.times.size - 1
     sites = VOL.sorted_sites()
     rng = np.random.default_rng(4)
-    layers = [{s: rng.uniform(-1.0, 1.0, R) for s in sites} for _ in range(3)]
+    layers = rng.uniform(-1.0, 1.0, (3, len(sites), R))
     bundle = multi_bridge_bundle(pot, sites, layers, 0.4, 0.2, DT, substream(6, "bridge"), R)
     for site in sorted(interior(VOL, drift.nbhd).sites):
         for (a, b), (k_lo, k_hi) in (((0.0, T), (0, K)), ((0.12, 0.3), (6, K))):
