@@ -45,10 +45,6 @@ class TimeGrid:
     def to_record(self) -> dict:
         return {"T": self.T, "M": self.M}
 
-    @classmethod
-    def from_record(cls, rec) -> "TimeGrid":
-        return cls(float(rec["T"]), int(rec["M"]))
-
 
 def _connected(neighbours) -> bool:
     """True iff a graph search from vertex 0 reaches every vertex.
@@ -168,7 +164,7 @@ class SpaceTimeCluster:
 
     @cached_property
     def sites(self) -> frozenset:
-        """The sites of the support: the set that ``trace`` projects to."""
+        """The sites of the support, its spatial trace."""
         return frozenset(site for site, _ in self.support)
 
     @property
@@ -201,54 +197,29 @@ class SpaceTimeCluster:
             "grid": self.grid.to_record(),
         }
 
-    @classmethod
-    def from_record(cls, rec) -> "SpaceTimeCluster":
-        grid = TimeGrid.from_record(rec["grid"])
-        sc = tuple(
-            SpaceCluster(g["slice"], frozenset(as_site(s) for s in g["sites"]))
-            for g in rec["spaceClusters"]
-        )
-        tc = tuple(
-            TimeCluster(as_site(g["site"]), g["start"], g["stop"])
-            for g in rec["timeClusters"]
-        )
-        return cls(sc, tc, grid)
-
 
 def space_compatible(g1: SpaceCluster, g2: SpaceCluster, nbhd: Neighborhood) -> bool:
     """No edge of g1 is space-connected with an edge of g2."""
     return not any(nbhd.overlaps(a, b) for a in g1.sites for b in g2.sites)
 
 
-def non_intersecting(
-    G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood
-) -> bool:
-    """Disjoint supports and compatible same-slice space clusters.
+def conflicts(G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood) -> bool:
+    """Polymer incompatibility: the supports meet, or two space clusters on
+    one slice are not compatible.  Two clusters that do not conflict are
+    non-intersecting.
 
-    Disjoint time clusters are implied: a shared time edge (s, j) puts the
-    vertex (s, j) in both supports.
+    A shared time edge (s, j) needs no test of its own: it puts the vertex
+    (s, j) in both supports.
     """
     if G1.grid is not G2.grid and G1.grid != G2.grid:
         raise ValidationError("clusters live on different grids")
     if not G1.support.isdisjoint(G2.support):
-        return False
-    return all(
-        a.slice != b.slice or space_compatible(a, b, nbhd)
+        return True
+    return any(
+        a.slice == b.slice and not space_compatible(a, b, nbhd)
         for a in G1.space_clusters
         for b in G2.space_clusters
     )
-
-
-def conflicts(G1: SpaceTimeCluster, G2: SpaceTimeCluster, nbhd: Neighborhood) -> bool:
-    """Polymer incompatibility: the negation of non_intersecting."""
-    return not non_intersecting(G1, G2, nbhd)
-
-
-def trace(G) -> Volume:
-    """Spatial projection of one cluster or of a collection of clusters."""
-    if isinstance(G, SpaceTimeCluster):
-        return Volume(G.sites)
-    return Volume(frozenset().union(*(g.sites for g in G)))
 
 
 def _connected_site_subsets(sites: Sequence[Site], nbhd: Neighborhood, k_max: int):
@@ -262,13 +233,20 @@ def _connected_site_subsets(sites: Sequence[Site], nbhd: Neighborhood, k_max: in
     return out
 
 
-def _capped_families(sizes: list, exclusion: list, limit: int, cap: int, message: str):
+# Most intermediate collections, families or multisets that one enumeration
+# visits before it raises BudgetError; read at call time.
+ENUMERATION_CAP = 200_000
+
+
+def _capped_families(sizes: list, exclusion: list, limit: int, message: str):
     """Every family of indices with pairwise unexcluded members and total
     size <= limit, as ascending tuples in depth-first visiting order.
 
     Bit j of ``exclusion[i]`` is set when i and j may not share a family.
-    Raises BudgetError(message) when more than ``cap`` families are visited.
+    Raises BudgetError(message) when more than ENUMERATION_CAP families are
+    visited.
     """
+    cap = ENUMERATION_CAP
     visited = 0
 
     def search(start: int, family: tuple, banned: int, total: int):
@@ -292,13 +270,12 @@ def enumerate_clusters(
     nbhd: Neighborhood,
     grid: TimeGrid,
     k_max: int,
-    cap: int = 200_000,
 ) -> List[SpaceTimeCluster]:
     """All distinct space-time clusters with size <= k_max, in canonical order.
 
     Space clusters are rooted at interior(vol) sites on slices 0..M-1; time
     clusters at sites of vol on slices 0..M-2.  Raises BudgetError when the
-    search exceeds ``cap`` intermediate collections.
+    search exceeds ENUMERATION_CAP intermediate collections.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
@@ -330,8 +307,8 @@ def enumerate_clusters(
     exclusion = [sum(1 << j for j, b in enumerate(pool) if excluded(a, b)) for a in pool]
     clusters = []
     for idxs in _capped_families(
-        [c.size for c in pool], exclusion, k_max, cap,
-        f"cluster enumeration exceeded cap of {cap} collections",
+        [c.size for c in pool], exclusion, k_max,
+        f"cluster enumeration exceeded cap of {ENUMERATION_CAP} collections",
     ):
         parts = [pool[i] for i in idxs]
         if len(parts) == 1 or _connected(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -31,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import CIRCLE, LINE, TWO_PI, Configuration, Neighborhood, Volume, interior, wrap_angle
-from .rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +103,8 @@ def reference_quadrature(pot: PotentialSpec, n: int = 2001):
     return xs, w / w.sum()
 
 
-def sample_reference(pot: PotentialSpec, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from m, by closed form or adaptive-grid inverse CDF."""
-    rng = substream(seed, "reference")
-    return _sample_reference_rng(pot, n, rng)
-
-
 def _sample_reference_rng(pot: PotentialSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from m, by closed form or adaptive-grid inverse CDF."""
     if pot.family == "quadratic":
         return rng.normal(0.0, math.sqrt(0.5), size=n)
     if pot.family == "circle_free":
@@ -613,20 +607,17 @@ def simulate(
     x0: Configuration,
     t: float,
     dt: float,
-    seed: int,
+    rng: np.random.Generator,
     n_replicas: int = 1,
-    rng: Optional[np.random.Generator] = None,
 ) -> PathBundle:
     """Euler-Maruyama trajectories of the finite-volume dynamics.
 
     Interior sites feel the interacting drift, the boundary layer runs free.
-    Deterministic given (seed, dt, inputs); replicas share one vectorized
-    noise stream derived from (seed, "simulate").
+    Deterministic given the state of rng, dt and the inputs; replicas share
+    one vectorized noise stream, rng.
     """
     sites, K = _euler_grid(pot, vol, x0, t, dt)
     inner = interior(vol, drift.nbhd)
-    if rng is None:
-        rng = substream(seed, "simulate")
 
     R, n = n_replicas, len(sites)
     W = _window_length(drift, dt)

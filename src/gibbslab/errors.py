@@ -30,7 +30,7 @@ class SetupError(ValidationError):
 
 
 class BudgetError(ValidationError):
-    """A combinatorial enumeration exceeded its configured cap."""
+    """A combinatorial enumeration exceeded its cap, ``clusters.ENUMERATION_CAP``."""
 
 
 class NumericalError(GibbslabError):

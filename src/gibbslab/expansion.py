@@ -26,6 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import clusters as _clusters
 from .clusters import (
     SpaceTimeCluster,
     TimeGrid,
@@ -362,15 +363,17 @@ def _weight_polynomials(
     return sums, grad.reshape(n_groups, n + 1)[:, :n] * se
 
 
-def reconstruct_density(table: WeightTable, cap: int = 200_000) -> Estimate:
+def reconstruct_density(table: WeightTable) -> Estimate:
     """1 + sum over families of pairwise non-intersecting clusters.
 
     Families are restricted to total size <= k_max, matching the table's
     truncation; the stderr is the joint delta method over the weights.
+    Raises BudgetError when the search visits more than
+    ``clusters.ENUMERATION_CAP`` families.
     """
     families = list(_capped_families(
         [G.size for G in table.clusters], conflict_graph(table.clusters, table.nbhd),
-        table.k_max, cap, f"family enumeration exceeded cap of {cap}",
+        table.k_max, f"family enumeration exceeded cap of {_clusters.ENUMERATION_CAP}",
     ))
     sums, errors = _weight_polynomials(
         table.estimates, _padded(families, table.k_max), np.ones(len(families)),
@@ -470,7 +473,6 @@ def connected_collections(
     clusters: Sequence[SpaceTimeCluster],
     nbhd: Neighborhood,
     n_max: int,
-    cap: int = 200_000,
 ) -> CollectionTable:
     """Connected collections of up to n_max clusters, grouped by trace.
 
@@ -479,8 +481,9 @@ def connected_collections(
     keep their Ursell coefficient C as ``ursell_coefficient`` returns it, the
     correctly rounded float of a rational that is zero exactly when the
     conflict graph is disconnected.  Raises BudgetError, before any
-    multiset is built, when there are more than ``cap`` of them or when
-    3^n_max, the cost of one coefficient on n_max clusters, exceeds ``cap``.
+    multiset is built, when there are more than ``clusters.ENUMERATION_CAP``
+    of them or when 3^n_max, the cost of one coefficient on n_max clusters,
+    exceeds it.
 
     ``conflict_graph`` is built once, so ``conflicts`` runs once per
     unordered pair of clusters whatever n_max is.  The multisets of each
@@ -493,6 +496,7 @@ def connected_collections(
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     N = len(clusters)
+    cap = _clusters.ENUMERATION_CAP
     if 3**n_max > cap or sum(math.comb(N + n - 1, n) for n in range(1, n_max + 1)) > cap:
         raise BudgetError(f"collection enumeration exceeded cap of {cap}")
     conflict = _conflict_matrix(conflict_graph(clusters, nbhd))
@@ -569,6 +573,10 @@ def interaction_terms(table: WeightTable, coll: CollectionTable) -> InteractionT
 
 _KP_SLACK = 1e-12
 
+# Width of the bracket at which the bisection of kp_lambda_star stops; read
+# at call time.
+KP_TOL = 1e-4
+
 
 def _kp_worst_ratio(lam: float, sizes: Sequence[int], conflict: np.ndarray) -> float:
     """max over G of sum_{H conflicting with G} |H| (lam e)^{|H|} / |G|,
@@ -610,9 +618,9 @@ def kp_check(lam: float, geometry: Tuple[list, np.ndarray]) -> dict:
     }
 
 
-def kp_lambda_star(geometry: Tuple[list, np.ndarray], tol: float = 1e-4) -> float:
+def kp_lambda_star(geometry: Tuple[list, np.ndarray]) -> float:
     """Largest lambda passing kp_check on ``geometry``, located by
-    bisection on [0, 1]."""
+    bisection on [0, 1] to within KP_TOL."""
     sizes, conflict = geometry
 
     def satisfied(lam: float) -> bool:
@@ -623,7 +631,7 @@ def kp_lambda_star(geometry: Tuple[list, np.ndarray], tol: float = 1e-4) -> floa
     lo, hi = 0.0, 1.0
     if satisfied(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > KP_TOL:
         mid = 0.5 * (lo + hi)
         if satisfied(mid):
             lo = mid

@@ -151,10 +151,6 @@ def site_field_terms(vol: Volume, coupling: float, kind: str = "bounded") -> Lis
     return [site_term(s, fn, abs(coupling), f"site-{kind}") for s in vol.sorted_sites()]
 
 
-def empty_interaction(beta0: float = 0.0) -> Interaction:
-    return Interaction((), beta0)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian and Gibbs sampling
 # ---------------------------------------------------------------------------
@@ -277,14 +273,11 @@ def sample_gibbs(
     vol: Volume,
     boundary: Optional[Configuration],
     sweeps: int,
-    seed: int,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> Configuration:
     """One draw from the finite-volume Gibbs measure (free boundary if None)."""
     if sweeps < 1:
         raise ValidationError("sweeps must be >= 1")
-    if rng is None:
-        rng = substream(seed, "gibbs")
     mc = MCParams(burn_in=0, thin=sweeps)
     [[sample]] = gibbs_chain(phi, pot, vol, boundary, 1, mc, [rng])
     return Configuration(dict(zip(vol.sorted_sites(), sample)), pot.state_space)
@@ -366,7 +359,7 @@ def dlr_test(
     n_outer: int,
     n_inner: int,
     seed: int,
-    mc: Optional[MCParams] = None,
+    mc: MCParams,
 ) -> dict:
     """Consistency of the big-volume measure with its conditional kernels.
 
@@ -381,7 +374,6 @@ def dlr_test(
         raise ValidationError(
             f"dlr_test needs n_outer >= 2 and n_inner >= 1, not {n_outer} and {n_inner}"
         )
-    mc = mc or MCParams(n_samples=2, burn_in=100, thin=2)
     sub_sites = sub_vol.sorted_sites()
 
     # observables of (..., |sub|) arrays of sub_vol values
@@ -615,6 +607,11 @@ def _modified_interaction(
     return Interaction(tuple(initial + coupling), beta0=1.0)
 
 
+# Fresh window values drawn from m per outer sample for the normalizer of
+# conditional_density; read at call time.
+N_INNER = 16
+
+
 def conditional_density(
     bsi: BiSpaceInteraction,
     vol: Volume,
@@ -622,7 +619,6 @@ def conditional_density(
     y_boundary: Mapping,
     mc: MCParams,
     seed: int,
-    n_inner: int = 16,
 ) -> Estimate:
     """Density of the evolved window values given the evolved boundary, for
     B cases: z_vol is (B, |vol|) in ``vol.sorted_sites()`` order, y_boundary
@@ -631,9 +627,10 @@ def conditional_density(
 
     Case k is the ratio of the window factor averaged over x drawn from the
     modified interaction, and its m-average over window values (the
-    normalizer), with a delta-method error bar.  Each case runs its own
-    chain on a fresh (seed, "conditional") substream, all in one
-    ``gibbs_chain`` call, so the cases share common random numbers.
+    normalizer, N_INNER draws per outer sample), with a delta-method error
+    bar.  Each case runs its own chain on a fresh (seed, "conditional")
+    substream, all in one ``gibbs_chain`` call, so the cases share common
+    random numbers.
     """
     z_vol = np.asarray(z_vol, dtype=float)
     n_cases = len(z_vol) if z_vol.ndim == 2 else 0
@@ -655,18 +652,18 @@ def conditional_density(
     # fresh normalizer draws per outer sample keep the b_k independent; every
     # generator has made the same draws so far, so one draw serves all cases
     z_inner = _sample_reference_rng(
-        bsi.pot, n * n_inner * len(lam_sites), rngs[0]
-    ).reshape(n, n_inner, len(lam_sites))
+        bsi.pot, n * N_INNER * len(lam_sites), rngs[0]
+    ).reshape(n, N_INNER, len(lam_sites))
 
     value, stderr = np.empty(n_cases), np.empty(n_cases)
     for k in range(n_cases):
-        # the case's window factors at an (outer sample, 1 + n_inner) grid of
+        # the case's window factors at an (outer sample, 1 + N_INNER) grid of
         # points: column 0 holds its window values, the others z_inner; the
         # window and the boundary are disjoint, checked above
         xv = {s: chains[k, :, j, None] for j, s in enumerate(work.sorted_sites())}
         yv = {s: v[k, None, None] for s, v in y.items()}
         for j, s in enumerate(lam_sites):
-            yv[s] = np.empty((n, 1 + n_inner))
+            yv[s] = np.empty((n, 1 + N_INNER))
             yv[s][:, 0] = z_vol[k, j]
             yv[s][:, 1:] = z_inner[:, :, j]
         f = np.exp(-sum(c.evaluator(xv, yv) for c in window_terms))

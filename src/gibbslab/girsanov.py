@@ -121,15 +121,9 @@ def _add_block(out: np.ndarray, drift: DriftSpec, path: PathBundle, site, idx: i
         out += term
 
 
-def log_girsanov_weight(
-    drift: DriftSpec,
-    vol: Volume,
-    path: PathBundle,
-    window: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    """log M over the interior of vol, one value per replica."""
-    if window is None:
-        window = (float(path.times[0]), float(path.times[-1]))
+def log_girsanov_weight(drift: DriftSpec, vol: Volume, path: PathBundle) -> np.ndarray:
+    """log M over the interior of vol and the whole path, one value per replica."""
+    window = (float(path.times[0]), float(path.times[-1]))
     inner = interior(vol, drift.nbhd)
     total = np.zeros(path.n_replicas)
     for site in inner.sorted_sites():
@@ -396,7 +390,7 @@ def free_bridge_paths(
     if pot.family in ("quadratic", "circle_free"):
         layers = np.stack([x.array_for(sites), y.array_for(sites)])[:, :, None]
         return multi_bridge_bundle(pot, sites, layers, 0.0, t, mc.dt, rng, R), None
-    bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, seed=0, n_replicas=R, rng=rng)
+    bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, rng, R)
     logw = np.zeros(R)
     for diff, h in _endpoint_offsets(bundle.sites, _path_ends(bundle), pot.state_space, y):
         logw += -(diff**2) / (2.0 * h * h)
@@ -459,7 +453,7 @@ def _free_endpoints(
     space, and a non-finite end raises NumericalError.
     """
     if pot.family not in ("quadratic", "circle_free"):
-        bundle = simulate(_free_drift(), pot, vol, x, t, dt, seed=0, n_replicas=n_replicas, rng=rng)
+        bundle = simulate(_free_drift(), pot, vol, x, t, dt, rng, n_replicas)
         return _path_ends(bundle)
     sites, K = _euler_grid(pot, vol, x, t, dt)
     x0 = x.array_for(sites)[:, None]
@@ -499,8 +493,8 @@ def density_endpoint_ratio(
     R = mc.n_samples
     # only the path ends are read, so the interacting bundle is dropped as
     # soon as its offsets are taken
-    interacting = simulate(drift, pot, vol, x, t, mc.dt, seed=0, n_replicas=R,
-                           rng=substream(seed, "endpoint", "interacting"))
+    interacting = simulate(drift, pot, vol, x, t, mc.dt,
+                           substream(seed, "endpoint", "interacting"), R)
     q_offsets = _endpoint_offsets(interacting.sites, _path_ends(interacting),
                                   pot.state_space, y)
     del interacting

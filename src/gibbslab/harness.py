@@ -46,6 +46,7 @@ from .gibbs import (
 )
 from .girsanov import density, density_endpoint_ratio
 from .lattice import Volume
+from .rng import substream
 
 
 def _write_text(path: str, text: str) -> None:
@@ -105,7 +106,7 @@ def _run_simulate(cfg, out_dir, seed, chash) -> dict:
     t, _ = cfgmod.resolve_time(cfg)
     x0 = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
     n_rep = min(mc.n_samples, 256)  # a cap the README states under "Command line"
-    bundle = simulate(drift, pot, vol, x0, t, mc.dt, seed, n_replicas=n_rep)
+    bundle = simulate(drift, pot, vol, x0, t, mc.dt, substream(seed, "simulate"), n_rep)
     sites = list(bundle.sites)
     header = ["time"] + ["x" + "_".join(map(str, s)) for s in sites]
     rows = [

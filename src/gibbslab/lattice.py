@@ -47,10 +47,6 @@ class Volume:
             raise ValidationError(f"mixed site dimensions in volume: {sorted(dims)}")
 
     @classmethod
-    def from_sites(cls, sites: Iterable) -> "Volume":
-        return cls(frozenset(sites))
-
-    @classmethod
     def box(cls, lo, hi) -> "Volume":
         """All sites with lo[k] <= coord[k] <= hi[k]."""
         lo, hi = as_site(lo), as_site(hi)

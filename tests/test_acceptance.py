@@ -22,6 +22,7 @@ from gibbslab.dynamics import (
 )
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.expansion import (
+    KP_TOL,
     connected_collections,
     interaction_terms,
     kp_check,
@@ -37,7 +38,6 @@ from gibbslab.gibbs import (
     Interaction,
     dlr_test,
     dobrushin_check,
-    empty_interaction,
     nearest_neighbor_terms,
     quasilocality_probe,
     sample_gibbs,
@@ -45,6 +45,7 @@ from gibbslab.gibbs import (
 )
 from gibbslab.girsanov import density, log_girsanov_weight, psi
 from gibbslab.lattice import Configuration, Neighborhood, Volume, interior
+from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
 CIRC = circle_free_potential()
@@ -70,7 +71,7 @@ def test_criterion_1_girsanov_identity():
     drift = dataclasses.replace(
         markov_local_drift(1.0, Neighborhood.range1d(1)), beta=0.2
     )
-    path = simulate(drift, QUAD, vol, x0, t=0.5, dt=0.01, seed=101, n_replicas=128)
+    path = simulate(drift, QUAD, vol, x0, t=0.5, dt=0.01, rng=substream(101, "simulate"), n_replicas=128)
     lhs = np.zeros(path.n_replicas)
     for s in interior(vol, drift.nbhd).sorted_sites():
         lhs += psi(drift, s, (0.0, 0.5), path)
@@ -92,7 +93,7 @@ def test_criterion_2_martingale_normalization():
     x0 = Configuration.constant(vol, 0.0)
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     free = dataclasses.replace(drift, beta=0.0)
-    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, seed=202, n_replicas=100_000)
+    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, rng=substream(202, "simulate"), n_replicas=100_000)
     est = mean_estimate(np.exp(log_girsanov_weight(drift, vol, path)))
     z = abs(est.value - 1.0) / est.stderr
     _verdict(
@@ -204,7 +205,7 @@ def test_criterion_7_dobrushin_exact():
 def test_criterion_8_dlr_consistency():
     big = Volume.box((0,), (3,))
     rep = dlr_test(
-        empty_interaction(), QUAD, big, Volume.box((1,), (2,)),
+        Interaction((), 0.0), QUAD, big, Volume.box((1,), (2,)),
         n_outer=300, n_inner=8, seed=808, mc=MCParams(n_samples=2, burn_in=40, thin=2),
     )
     # one-site conditional vs quadrature, by Kolmogorov-Smirnov
@@ -214,7 +215,7 @@ def test_criterion_8_dlr_consistency():
     cdf_grid = np.cumsum(probs)
     draws = np.array(
         [
-            sample_gibbs(phi, QUAD, Volume.box((0,), (0,)), boundary, sweeps=60, seed=s)[(0,)]
+            sample_gibbs(phi, QUAD, Volume.box((0,), (0,)), boundary, sweeps=60, rng=substream(s, "gibbs"))[(0,)]
             for s in range(400)
         ]
     )
@@ -230,14 +231,13 @@ def test_criterion_9_kp_criterion():
     vol = Volume.box((0,), (3,))
     nb = Neighborhood.range1d(1)
     grid = TimeGrid(1.0, 3)
-    tol = 1e-4
-    star_a = kp_lambda_star(kp_geometry(vol, nb, grid, 3), tol=tol)
+    star_a = kp_lambda_star(kp_geometry(vol, nb, grid, 3))
     # deterministic re-run
-    star_b = kp_lambda_star(kp_geometry(vol, nb, grid, 3), tol=tol)
+    star_b = kp_lambda_star(kp_geometry(vol, nb, grid, 3))
     geometry = kp_geometry(vol, nb, grid, 3)
     pass0 = kp_check(0.0, geometry)["satisfied"]
     fail1 = not kp_check(1.0, geometry)["satisfied"]
-    ok = star_a > 0 and abs(star_a - star_b) <= tol and pass0 and fail1
+    ok = star_a > 0 and abs(star_a - star_b) <= KP_TOL and pass0 and fail1
     _verdict(
         9, "convergence criterion bisection", ok,
         f"lambda* = {star_a:.4f} (stable), kp(0) pass, kp(1) fail",

@@ -1,5 +1,6 @@
+import json
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
@@ -22,9 +23,7 @@ from gibbslab.clusters import (
     enumerate_clusters,
     is_chain_connected,
     is_connected,
-    non_intersecting,
     space_compatible,
-    trace,
     ursell_coefficient,
 )
 from gibbslab.errors import BudgetError, ValidationError
@@ -66,13 +65,14 @@ def test_space_compatibility_is_overlap_of_translates():
 
 
 def test_non_intersecting_cases():
-    assert not non_intersecting(_space(0, 0), _space(0, 2), NB1)
-    assert non_intersecting(_space(0, 0), _space(0, 3), NB1)
+    # non-intersecting is the negation of conflicts
+    assert conflicts(_space(0, 0), _space(0, 2), NB1)
+    assert not conflicts(_space(0, 0), _space(0, 3), NB1)
     # different slices never space-conflict, but supports may share vertices
-    assert non_intersecting(_space(0, 0), _space(2, 0), NB1)
-    assert not non_intersecting(_space(0, 0), _space(1, 0), NB1)  # share (0, 1)
-    assert not non_intersecting(_time(0, 0, 0), _space(0, 0), NB1)
-    assert non_intersecting(_time(0, 0, 0), _space(0, 3), NB1)
+    assert not conflicts(_space(0, 0), _space(2, 0), NB1)
+    assert conflicts(_space(0, 0), _space(1, 0), NB1)  # share (0, 1)
+    assert conflicts(_time(0, 0, 0), _space(0, 0), NB1)
+    assert not conflicts(_time(0, 0, 0), _space(0, 3), NB1)
 
 
 def test_trace_projects_to_sites():
@@ -81,7 +81,7 @@ def test_trace_projects_to_sites():
         (TimeCluster((4,), 0, 0),),
         GRID3,
     )
-    assert set(trace(G).sites) == {(0,), (1,), (4,)}
+    assert G.sites == {(0,), (1,), (4,)}
 
 
 def test_record_roundtrip():
@@ -90,7 +90,13 @@ def test_record_roundtrip():
         (TimeCluster((1,), 0, 1),),
         GRID3,
     )
-    assert SpaceTimeCluster.from_record(G.to_record()) == G
+    record = G.to_record()
+    assert record == {
+        "spaceClusters": [{"slice": 0, "sites": [[0]]}],
+        "timeClusters": [{"site": [1], "start": 0, "stop": 1}],
+        "grid": {"T": 0.5, "M": 3},
+    }
+    assert json.loads(json.dumps(record)) == record
 
 
 # [DERIVED] hand count for one site {0}, neighborhood radius 1 on vol {-1,0,1},
@@ -122,11 +128,12 @@ def test_enumeration_k_max_filters_size():
     assert all(g.size == 1 for g in small)
 
 
-def test_enumeration_budget_cap():
+def test_enumeration_budget_cap(monkeypatch):
     vol = Volume.box((0,), (9,))
     grid = TimeGrid(1.0, 4)
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", 50)
     with pytest.raises(BudgetError, match="cluster enumeration exceeded cap of 50 collections"):
-        enumerate_clusters(vol, NB1, grid, k_max=6, cap=50)
+        enumerate_clusters(vol, NB1, grid, k_max=6)
 
 
 def _brute_force_clusters(vol, nbhd, grid, k_max):
@@ -184,16 +191,18 @@ def _brute_force_clusters(vol, nbhd, grid, k_max):
 
 
 @pytest.mark.parametrize("M, count", [(2, 26), (3, 71)])
-def test_enumeration_matches_all_subsets_of_the_pool(M, count):
+def test_enumeration_matches_all_subsets_of_the_pool(M, count, monkeypatch):
     # the expansion workload geometry: box 0..3, r = 1, kMax = 3
     vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, M)
     ref, visited = _brute_force_clusters(vol, NB1, grid, 3)
     assert len(ref) == count
     assert enumerate_clusters(vol, NB1, grid, 3) == ref
     # the cap counts exactly the compatible collections visited
-    assert enumerate_clusters(vol, NB1, grid, 3, cap=visited) == ref
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", visited)
+    assert enumerate_clusters(vol, NB1, grid, 3) == ref
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", visited - 1)
     with pytest.raises(BudgetError, match=f"cap of {visited - 1} collections"):
-        enumerate_clusters(vol, NB1, grid, 3, cap=visited - 1)
+        enumerate_clusters(vol, NB1, grid, 3)
 
 
 def _induced(Gs):
@@ -260,7 +269,7 @@ def test_conflict_graph_lists_every_conflict_in_index_order():
 @settings(max_examples=60, deadline=None)
 def test_non_intersecting_symmetric(s1, s2, j1, j2):
     G1, G2 = _space(j1, s1), _space(j2, s2)
-    assert non_intersecting(G1, G2, NB1) == non_intersecting(G2, G1, NB1)
+    assert conflicts(G1, G2, NB1) == conflicts(G2, G1, NB1)
 
 
 def _reference_support(G):
@@ -310,7 +319,7 @@ def test_non_intersecting_matches_the_three_condition_reference(hi, radius, M):
     clusters = enumerate_clusters(Volume.box((0,), (hi,)), nbhd, TimeGrid(1.0, M), k_max=3)
     for G1 in clusters:
         for G2 in clusters:
-            assert non_intersecting(G1, G2, nbhd) == _reference_non_intersecting(G1, G2, nbhd)
+            assert (not conflicts(G1, G2, nbhd)) == _reference_non_intersecting(G1, G2, nbhd)
 
 
 def _reference_collections(clusters, nbhd, n_max):
@@ -319,7 +328,7 @@ def _reference_collections(clusters, nbhd, n_max):
     ref, coefficients = {}, {}
     for n in range(1, n_max + 1):
         for combo in combinations_with_replacement(range(len(clusters)), n):
-            Gs = [SpaceTimeCluster.from_record(clusters[i].to_record()) for i in combo]
+            Gs = [replace(clusters[i]) for i in combo]
             edges = [
                 (a, b)
                 for a, b in combinations(range(n), 2)
@@ -472,23 +481,29 @@ def test_collection_budget_is_checked_before_any_row_is_built(monkeypatch):
     nbhd = Neighborhood.range1d(1)
     clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
     total = 26 + 26 * 27 // 2 + 26 * 27 * 28 // 6  # multisets of 1, 2 and 3
-    assert len(connected_collections(clusters, nbhd, 3, cap=total).keys) > 0
+    default = clusters_module.ENUMERATION_CAP
+    assert default == 200_000
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", total)
+    assert len(connected_collections(clusters, nbhd, 3).keys) > 0
 
     def refused(*args):
         raise AssertionError("built rows past the cap")
 
     monkeypatch.setattr(expansion_module, "_multisets", refused)
     monkeypatch.setattr(expansion_module, "conflict_graph", refused)
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", total - 1)
     with pytest.raises(BudgetError, match=f"collection enumeration exceeded cap of {total - 1}$"):
-        connected_collections(clusters, nbhd, 3, cap=total - 1)
+        connected_collections(clusters, nbhd, 3)
     # past 2^64 multisets (n_max 46) the count is still exact: refused at
     # one below it, up front
     big = comb(26 + 46, 46) - 1
     assert big > 2**64
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", big - 1)
     with pytest.raises(BudgetError, match=f"cap of {big - 1}$"):
-        connected_collections(clusters, nbhd, 46, cap=big - 1)
+        connected_collections(clusters, nbhd, 46)
     # one cluster has 12 multisets up to n_max 12, but one coefficient on
     # 12 clusters costs 3^12 > 200 000 steps: refused up front as well
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", default)
     assert 3**11 <= 200_000 < 3**12
     with pytest.raises(BudgetError, match="exceeded cap of 200000$"):
         connected_collections(clusters[:1], nbhd, 12)
@@ -515,14 +530,18 @@ def test_cached_footprints_are_keyed_by_value():
     G = SpaceTimeCluster(sc, tc, GRID3)
     equal = [
         SpaceTimeCluster(sc[::-1], tc[::-1], TimeGrid(0.5, 3)),
-        SpaceTimeCluster.from_record(G.to_record()),
+        # built afresh from the lists of a record
+        SpaceTimeCluster(
+            (SpaceCluster(1, [[3]]), SpaceCluster(0, [[1], [0]])),
+            (TimeCluster([4], 0, 0), TimeCluster([1], 0, 1)),
+            TimeGrid(0.5, 3),
+        ),
     ]
     for H in equal:
         assert H == G and hash(H) == hash(G)
         assert H.support == G.support == _reference_support(G)
         assert H.key() == G.key()
-        assert trace(H) == trace(G)
-        assert set(trace(H).sites) == {(0,), (1,), (3,), (4,)}
+        assert H.sites == G.sites == {(0,), (1,), (3,), (4,)}
 
 
 def test_cached_footprints_stay_out_of_equality_hash_and_record():
@@ -530,7 +549,7 @@ def test_cached_footprints_stay_out_of_equality_hash_and_record():
     tc = (TimeCluster((1,), 0, 1),)
     cached, fresh = SpaceTimeCluster(sc, tc, GRID3), SpaceTimeCluster(sc, tc, GRID3)
     record, digest = fresh.to_record(), hash(fresh)
-    trace(cached)  # reads sites, which read support
+    assert cached.sites  # reads support
     cached.key()
     assert {"support", "sites", "_key"} <= set(vars(cached))
     assert not {"support", "sites", "_key"} & set(vars(fresh))

@@ -7,6 +7,7 @@ from scipy import stats
 from gibbslab.dynamics import (
     DriftSpec,
     _evaluation_windows,
+    _sample_reference_rng,
     constant_drift,
     custom_potential,
     circle_free_potential,
@@ -17,7 +18,6 @@ from gibbslab.dynamics import (
     memory_integral_drift,
     quadratic_potential,
     reference_quadrature,
-    sample_reference,
     simulate,
     ultracontractivity_report,
 )
@@ -176,14 +176,14 @@ def test_kernel_sup_distance_decays():
 
 
 def test_sample_reference_quadratic_distribution():
-    draws = sample_reference(QUAD, 20_000, seed=7)
+    draws = _sample_reference_rng(QUAD, 20_000, substream(7, "reference"))
     # m = N(0, 1/2)
     p = stats.kstest(draws, "norm", args=(0.0, math.sqrt(0.5))).pvalue
     assert p > 0.01
 
 
 def test_sample_reference_circle_uniform():
-    draws = sample_reference(CIRC, 20_000, seed=7)
+    draws = _sample_reference_rng(CIRC, 20_000, substream(7, "reference"))
     p = stats.kstest(draws / TWO_PI, "uniform").pvalue
     assert p > 0.01
 
@@ -206,7 +206,7 @@ def test_drift_bound_enforced():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 0.0)
     with pytest.raises(BoundViolationError):
-        simulate(bad, QUAD, vol, x0, t=0.1, dt=0.05, seed=1)
+        simulate(bad, QUAD, vol, x0, t=0.1, dt=0.05, rng=substream(1, "simulate"))
 
 
 def test_simulate_validates_inputs():
@@ -214,12 +214,12 @@ def test_simulate_validates_inputs():
     x0 = Configuration.constant(Volume.box((0,), (1,)), 0.0)
     d = constant_drift(0.5)
     with pytest.raises(CoverageError):
-        simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, seed=1)
+        simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, rng=substream(1, "simulate"))
     x0 = Configuration.constant(vol, 0.0)
     with pytest.raises(ValidationError):
-        simulate(d, QUAD, vol, x0, t=0.1, dt=0.2, seed=1)  # dt > memory
+        simulate(d, QUAD, vol, x0, t=0.1, dt=0.2, rng=substream(1, "simulate"))  # dt > memory
     with pytest.raises(ValidationError):
-        simulate(d, QUAD, vol, x0, t=0.13, dt=0.05, seed=1)  # t not multiple
+        simulate(d, QUAD, vol, x0, t=0.13, dt=0.05, rng=substream(1, "simulate"))  # t not multiple
 
 
 def test_simulate_free_ou_moments():
@@ -234,7 +234,7 @@ def test_simulate_free_ou_moments():
         evaluator=lambda site, t, wt, wv: np.zeros(wv.shape[:2]),
         label="free",
     )
-    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.005, seed=11, n_replicas=4000)
+    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.005, rng=substream(11, "simulate"), n_replicas=4000)
     xt = path.values[:, 0, -1]
     mu, v = math.exp(-1.0), (1.0 - math.exp(-2.0)) / 2.0
     assert np.mean(xt) == pytest.approx(mu, abs=4 * math.sqrt(v / 4000) + 0.01)
@@ -251,7 +251,7 @@ def test_dbar_reconstructs_gaussian_increments():
         beta=0.0, nbhd=d.nbhd, memory=d.memory, bound=0.0,
         evaluator=d.evaluator, label="off",
     )
-    path = simulate(zero, QUAD, vol, x0, t=0.5, dt=0.01, seed=3, n_replicas=50)
+    path = simulate(zero, QUAD, vol, x0, t=0.5, dt=0.01, rng=substream(3, "simulate"), n_replicas=50)
     incr = np.concatenate([path.increments(i, 0, 50).reshape(-1) for i in range(2)])
     incr /= math.sqrt(0.01)
     assert stats.kstest(incr, "norm").pvalue > 0.01
@@ -263,7 +263,7 @@ def test_increments_read_u_prime_at_the_wrapped_state():
     pot = custom_potential(np.cos, lambda x: -np.sin(x), state_space="circle")
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 6.2, "circle")
-    path = simulate(constant_drift(0.0), pot, vol, x0, t=0.5, dt=0.01, seed=4, n_replicas=40)
+    path = simulate(constant_drift(0.0), pot, vol, x0, t=0.5, dt=0.01, rng=substream(4, "simulate"), n_replicas=40)
     vals = path.values[:, 0, :]
     assert np.any(vals >= TWO_PI)
     ref = np.diff(vals, axis=1) + 0.5 * -np.sin(np.mod(vals[:, :-1], TWO_PI)) * 0.01
@@ -276,7 +276,7 @@ def test_constant_drift_and_girsanov_shift():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 0.0)
     d = constant_drift(0.8)
-    path = simulate(d, QUAD, vol, x0, t=1.0, dt=0.005, seed=5, n_replicas=4000)
+    path = simulate(d, QUAD, vol, x0, t=1.0, dt=0.005, rng=substream(5, "simulate"), n_replicas=4000)
     xt = path.values[:, 0, -1]
     target = 0.8 * (1.0 - math.exp(-1.0))
     assert np.mean(xt) == pytest.approx(target, abs=0.03)
@@ -287,7 +287,7 @@ def test_delayed_feedback_reads_left_edge():
     d = delayed_feedback_drift(alpha=1.0, t0=t0)
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 2.0)
-    path = simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, seed=2, n_replicas=3)
+    path = simulate(d, QUAD, vol, x0, t=0.1, dt=0.05, rng=substream(2, "simulate"), n_replicas=3)
     t, wt, wv = _evaluation_windows(d, path, (0,), 0, 1)
     # frozen pre-history: the left edge before time 0 is the initial value
     assert np.all(wv[..., 0, 0] == 2.0)
@@ -304,7 +304,7 @@ def test_memory_integral_drift_on_frozen_path():
     )
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 1.5)
-    path = simulate(d, QUAD, vol, x0, t=0.05, dt=0.05, seed=2)
+    path = simulate(d, QUAD, vol, x0, t=0.05, dt=0.05, rng=substream(2, "simulate"))
     t, wt, wv = _evaluation_windows(d, path, (0,), 0, 1)
     val = d.evaluate((0,), t, wt, wv)
     assert np.allclose(val, math.tanh(1.5) * t0)
@@ -314,10 +314,10 @@ def test_simulate_deterministic_replay():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(vol, 0.1)
     d = markov_local_drift(0.5, Neighborhood.range1d(1))
-    a = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, seed=9, n_replicas=4)
-    b = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, seed=9, n_replicas=4)
+    a = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(9, "simulate"), n_replicas=4)
+    b = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(9, "simulate"), n_replicas=4)
     assert np.array_equal(a.values, b.values)
-    c = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, seed=10, n_replicas=4)
+    c = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(10, "simulate"), n_replicas=4)
     assert not np.array_equal(a.values, c.values)
 
 

@@ -24,6 +24,7 @@ from gibbslab.dynamics import (
     markov_local_drift,
     quadratic_potential,
 )
+from gibbslab import clusters as clusters_module
 from gibbslab import girsanov
 from gibbslab.errors import BudgetError, CoverageError, ValidationError
 from gibbslab.estimates import Estimate, MCParams, mean_estimate
@@ -107,7 +108,7 @@ def _reference_weight(G, x, y, drift, pot, mc, rng):
 
 
 def test_volume_key_is_sorted():
-    assert volume_key(Volume.from_sites({(2,), (0,)})) == ((0,), (2,))
+    assert volume_key(Volume(frozenset({(2,), (0,)}))) == ((0,), (2,))
 
 
 def test_cluster_weight_validates_slice_length():
@@ -441,7 +442,7 @@ def test_dynamic_interaction_matches_interaction_terms():
         assert dyn.value(delta, x, y) == itab.get(delta).value
 
 
-def test_connected_collections_cap_and_order():
+def test_connected_collections_cap_and_order(monkeypatch):
     vol = Volume.box((0,), (2,))
     clusters = enumerate_clusters(vol, NB1, TimeGrid(1.0, 2), 2)
     table = connected_collections(clusters, NB1, n_max=2)
@@ -450,8 +451,9 @@ def test_connected_collections_cap_and_order():
         combos = [tuple(i for i in row if i >= 0) for row in rows]
         assert combos == sorted(combos, key=lambda c: (len(c), c))
     assert np.all(table.coef != 0.0)
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", 100)
     with pytest.raises(BudgetError):
-        connected_collections(clusters, NB1, n_max=3, cap=100)
+        connected_collections(clusters, NB1, n_max=3)
     with pytest.raises(ValidationError):
         connected_collections(clusters, NB1, n_max=0)
 
@@ -546,12 +548,14 @@ def test_a_zero_weight_keeps_values_and_stderrs_exact(n_max):
     assert stderrs == pytest.approx(_central_difference_stderrs(tab, n_max), rel=1e-6)
 
 
-def test_reconstruct_density_cap_counts_the_families():
+def test_reconstruct_density_cap_counts_the_families(monkeypatch):
     tab = _joint_table(0.2, 64)
     n = len(_families(tab))
-    reconstruct_density(tab, cap=n)
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", n)
+    reconstruct_density(tab)
+    monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", n - 1)
     with pytest.raises(BudgetError, match=f"family enumeration exceeded cap of {n - 1}$"):
-        reconstruct_density(tab, cap=n - 1)
+        reconstruct_density(tab)
 
 
 def test_grid_for_beta_scaling():

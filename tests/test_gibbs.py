@@ -31,7 +31,6 @@ from gibbslab.gibbs import (
     conditional_density,
     dlr_test,
     dobrushin_check,
-    empty_interaction,
     gibbs_chain,
     hamiltonian,
     nearest_neighbor_terms,
@@ -114,14 +113,14 @@ def test_dobrushin_exact_value():
     assert rep["passes"]
     hot = Interaction(tuple(nearest_neighbor_terms(vol, 0.8)), beta0=0.7)
     assert not dobrushin_check(hot)["passes"]
-    assert dobrushin_check(empty_interaction())["value"] == 0.0
+    assert dobrushin_check(Interaction((), 0.0))["value"] == 0.0
 
 
 def test_sample_gibbs_beta_zero_is_reference():
     vol = Volume.box((0,), (0,))
     draws = np.array(
         [
-            sample_gibbs(empty_interaction(), QUAD, vol, None, sweeps=1, seed=s)[(0,)]
+            sample_gibbs(Interaction((), 0.0), QUAD, vol, None, sweeps=1, rng=substream(s, "gibbs"))[(0,)]
             for s in range(800)
         ]
     )
@@ -141,7 +140,7 @@ def test_sample_gibbs_is_one_chain_of_gibbs_chain(space):
     )
     boundary = Configuration({(0,): 0.4, (4,): 1.1}, pot.state_space)
     for sweeps in (1, 5, 17):
-        got = sample_gibbs(phi, pot, vol, boundary, sweeps=sweeps, seed=3)
+        got = sample_gibbs(phi, pot, vol, boundary, sweeps=sweeps, rng=substream(3, "gibbs"))
         chain = gibbs_chain(
             phi, pot, vol, boundary, 1, MCParams(burn_in=0, thin=sweeps),
             [substream(3, "gibbs")],
@@ -213,7 +212,7 @@ def _circle_phi(vol):
     [
         (QUAD, _line_phi),
         (circle_free_potential(), _circle_phi),
-        (QUAD, lambda vol: empty_interaction()),
+        (QUAD, lambda vol: Interaction((), 0.0)),
     ],
     ids=["tanh-bounded", "cos_diff-cos", "empty"],
 )
@@ -427,7 +426,10 @@ def test_dlr_requires_margin():
     vol = Volume.box((0,), (3,))
     phi = Interaction(tuple(nearest_neighbor_terms(Volume.box((0,), (4,)), 0.5)), beta0=0.4)
     with pytest.raises(CoverageError):
-        dlr_test(phi, QUAD, vol, Volume.box((2,), (3,)), 10, 2, seed=1)
+        dlr_test(
+            phi, QUAD, vol, Volume.box((2,), (3,)), 10, 2, seed=1,
+            mc=MCParams(n_samples=2, burn_in=100, thin=2),
+        )
 
 
 def test_bispace_hamiltonian_zero_dynamic():
@@ -629,7 +631,7 @@ def test_a_tabulated_kernel_term_on_a_general_potential_stays_small():
     # at t = 1) sums its modes one at a time, so the chain holds a few
     # block-sized arrays, not a (points, modes) array per mode
     pot = custom_potential(lambda x: x * x, lambda x: 2.0 * x)
-    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), pot, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), ZeroDynamicInteraction(), pot, t=1.0)
     B = 24
     y = {(0,): _sample_reference_rng(pot, B, np.random.default_rng(1))}
     modified = gibbs._modified_interaction(bsi, Volume.box((1,), (1,)), y)
@@ -654,10 +656,10 @@ def test_conditional_density_free_case_is_one():
     # no initial interaction, no dynamic interaction: stationarity makes the
     # window density exactly 1
     vol = Volume.box((1,), (1,))
-    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), ZeroDynamicInteraction(), QUAD, t=1.0)
     est = conditional_density(
         bsi, vol, [[0.6]], {(0,): [-0.4]}, MCParams(n_samples=400, dt=0.05, burn_in=40, thin=2),
-        seed=19, n_inner=16,
+        seed=19,
     )
     [value], [stderr] = est.value, est.stderr
     assert abs(value - 1.0) < 4 * stderr + 0.01
@@ -665,7 +667,7 @@ def test_conditional_density_free_case_is_one():
 
 def test_conditional_density_validation():
     vol = Volume.box((1,), (1,))
-    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), ZeroDynamicInteraction(), QUAD, t=1.0)
     mc = MCParams(n_samples=8)
     with pytest.raises(ValidationError, match="must not cover the window"):
         conditional_density(bsi, vol, [[0.0]], {(1,): [0.0]}, mc, seed=1)
@@ -685,7 +687,7 @@ def test_conditional_density_validation():
 
 def test_quasilocality_probe_pairs_share_one_domain():
     vol = Volume.box((1,), (1,))
-    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), ZeroDynamicInteraction(), QUAD, t=1.0)
     mc = MCParams(n_samples=8, burn_in=2, thin=1)
     z3 = Configuration({(0,): 0.5, (1,): 0.2, (2,): -0.3})
     z2 = Configuration({(0,): 0.5, (1,): 0.2})
@@ -696,7 +698,7 @@ def test_quasilocality_probe_pairs_share_one_domain():
             quasilocality_probe(bsi, vol, [vol], pairs, mc, seed=1)
 
 
-def test_conditional_density_against_quadrature_oracle():
+def test_conditional_density_against_quadrature_oracle(monkeypatch):
     # [DERIVED] two sites, nearest-neighbor initial interaction, constant
     # drift: the interacting one-site kernel is a shifted OU Gaussian, so the
     # full conditional g(z_1 | y_0) has a quadrature closed form = 1.158912...
@@ -712,9 +714,10 @@ def test_conditional_density_against_quadrature_oracle():
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t)
     y0, z1 = -0.4, 0.6
+    monkeypatch.setattr(gibbs, "N_INNER", 24)
     est = conditional_density(
         bsi, lam, [[z1]], {(0,): [y0]}, MCParams(n_samples=400, dt=0.05, burn_in=50, thin=3),
-        seed=31, n_inner=24,
+        seed=31,
     )
     [value], [stderr] = est.value, est.stderr
 
@@ -755,7 +758,7 @@ class _NanDynamic:
 
 def test_modified_sampler_rejects_non_finite_energy():
     vol = Volume.box((1,), (1,))
-    bsi = BiSpaceInteraction(empty_interaction(), _NanDynamic(), QUAD, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), _NanDynamic(), QUAD, t=1.0)
     with pytest.raises(SetupError):
         conditional_density(
             bsi, vol, [[0.2]], {(0,): [0.1]},
@@ -821,14 +824,15 @@ class _RecordingDynamic:
         return 0.0
 
 
-def test_conditional_density_passes_wrapped_circle_values():
+def test_conditional_density_passes_wrapped_circle_values(monkeypatch):
     pot = circle_free_potential()
     rec = _RecordingDynamic()
-    bsi = BiSpaceInteraction(empty_interaction(), rec, pot, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), rec, pot, t=1.0)
     # angles off [0, 2 pi) in both the window and the boundary values
+    monkeypatch.setattr(gibbs, "N_INNER", 3)
     conditional_density(
         bsi, Volume.box((1,), (1,)), [[6.0 - TWO_PI], [6.0]], {(0,): [0.4 + TWO_PI, 0.4]},
-        MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3, n_inner=3,
+        MCParams(n_samples=4, dt=0.05, burn_in=2, thin=1), seed=3,
     )
     assert rec.seen
     for x, y in rec.seen:
@@ -926,7 +930,7 @@ def test_dynamic_interaction_requires_pinned_sites():
 
 def test_quasilocality_zero_dynamic_full_agreement():
     vol = Volume.box((1,), (1,))
-    bsi = BiSpaceInteraction(empty_interaction(), ZeroDynamicInteraction(), QUAD, t=1.0)
+    bsi = BiSpaceInteraction(Interaction((), 0.0), ZeroDynamicInteraction(), QUAD, t=1.0)
     big = Volume.box((0,), (2,))
     z_a = Configuration({(0,): 0.5, (1,): 0.2, (2,): -0.3})
     z_b = Configuration({(0,): -0.8, (1,): 0.2, (2,): 0.9})
@@ -1005,7 +1009,7 @@ def test_quasilocality_estimates_every_distinct_boundary_in_one_call(monkeypatch
 
 
 @pytest.mark.parametrize("space", ["line", "circle"])
-def test_a_batch_of_cases_equals_one_case_calls(space):
+def test_a_batch_of_cases_equals_one_case_calls(space, monkeypatch):
     # every case runs its own chain on a fresh substream: bit for bit the
     # estimate of a call with that case alone
     bsi = _two_layer(space, "expansion")
@@ -1016,11 +1020,12 @@ def test_a_batch_of_cases_equals_one_case_calls(space):
     y = {s: _sample_reference_rng(bsi.pot, B, rng) for s in [(0,), (2,)]}
     y[(2,)][1] = y[(2,)][0]  # two cases that differ only in the window value
     mc = MCParams(n_samples=6, dt=0.05, burn_in=4, thin=1)
-    batch = conditional_density(bsi, lam, z_vol, y, mc, seed=8, n_inner=3)
+    monkeypatch.setattr(gibbs, "N_INNER", 3)
+    batch = conditional_density(bsi, lam, z_vol, y, mc, seed=8)
     assert np.shape(batch.value) == np.shape(batch.stderr) == (B,)
     ones = [
         conditional_density(bsi, lam, z_vol[k:k + 1], {s: v[k:k + 1] for s, v in y.items()},
-                            mc, seed=8, n_inner=3)
+                            mc, seed=8)
         for k in range(B)
     ]
     assert np.array_equal(batch.value, np.concatenate([e.value for e in ones]))
@@ -1029,8 +1034,9 @@ def test_a_batch_of_cases_equals_one_case_calls(space):
 
 def test_a_batch_of_cases_holds_one_case_window_grid_after_the_chain(monkeypatch):
     # the window factors of each case are built in turn, so after the chain
-    # a 16-case call holds a few (n, 1 + n_inner) grids, not 16 of them
+    # a 16-case call holds a few (n, 1 + N_INNER) grids, not 16 of them
     n, n_inner, B = 2000, 16, 16
+    monkeypatch.setattr(gibbs, "N_INNER", n_inner)
     bsi = BiSpaceInteraction(_line_phi(Volume.box((0,), (2,))), ZeroDynamicInteraction(), QUAD, t=0.7)
     rng = np.random.default_rng(3)
     z_vol = _sample_reference_rng(QUAD, B, rng).reshape(B, 1)
@@ -1048,7 +1054,7 @@ def test_a_batch_of_cases_holds_one_case_window_grid_after_the_chain(monkeypatch
     monkeypatch.setattr(gibbs, "gibbs_chain", chain)
     tracemalloc.start()
     try:
-        est = conditional_density(bsi, Volume.box((1,), (1,)), z_vol, y, mc, seed=4, n_inner=n_inner)
+        est = conditional_density(bsi, Volume.box((1,), (1,)), z_vol, y, mc, seed=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

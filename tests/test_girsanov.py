@@ -52,7 +52,7 @@ def test_psi_zero_outside_reach_and_for_free_drift():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(vol, 0.0)
     d = markov_local_drift(0.5, Neighborhood.range1d(1))
-    path = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, seed=1, n_replicas=3)
+    path = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(1, "simulate"), n_replicas=3)
     free = constant_drift(0.0)
     import dataclasses
 
@@ -64,7 +64,7 @@ def test_psi_window_validation():
     vol = Volume.box((0,), (0,))
     x0 = Configuration.constant(vol, 0.0)
     d = constant_drift(0.5)
-    path = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, seed=1)
+    path = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(1, "simulate"))
     with pytest.raises(ValidationError):
         psi(d, (0,), (0.2, 0.1), path)
     with pytest.raises(CoverageError):
@@ -76,7 +76,7 @@ def test_girsanov_identity_exact_on_grid():
     vol = Volume.box((0,), (4,))
     x0 = Configuration.constant(vol, 0.2)
     d = markov_local_drift(0.5, Neighborhood.range1d(1))
-    path = simulate(d, QUAD, vol, x0, t=0.5, dt=0.01, seed=3, n_replicas=8)
+    path = simulate(d, QUAD, vol, x0, t=0.5, dt=0.01, rng=substream(3, "simulate"), n_replicas=8)
     total = np.zeros(path.n_replicas)
     for s in interior(vol, d.nbhd).sorted_sites():
         total += psi(d, s, (0.0, 0.5), path)
@@ -91,7 +91,7 @@ def test_expected_weight_is_one_under_free_law():
     import dataclasses
 
     free = dataclasses.replace(d, beta=0.0)
-    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, seed=5, n_replicas=20_000)
+    path = simulate(free, QUAD, vol, x0, t=1.0, dt=0.02, rng=substream(5, "simulate"), n_replicas=20_000)
     est = mean_estimate(np.exp(log_girsanov_weight(d, vol, path)))
     assert abs(est.value - 1.0) < 4 * est.stderr
 
@@ -340,7 +340,7 @@ def test_endpoint_ratio_holds_one_system_at_a_time():
     y = Configuration({(0,): 0.1, (1,): -0.2})
     drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
     mc = MCParams(n_samples=8000, dt=0.01)
-    one = _traced_peak(lambda: simulate(drift, QUAD, vol, x, 1.0, 0.01, seed=0, n_replicas=8000))
+    one = _traced_peak(lambda: simulate(drift, QUAD, vol, x, 1.0, 0.01, substream(0, "simulate"), 8000))
     both = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, x, y, 1.0, mc, seed=5))
     assert both <= 1.1 * one
 
@@ -366,7 +366,7 @@ def test_free_endpoints_follow_the_euler_ends(pot, dt):
     x = Configuration({(0,): 6.2 if pot is CIRC else 1.5, (1,): -0.4}, pot.state_space)
     y = Configuration({(0,): 0.1, (1,): 0.2}, pot.state_space)
     drawn = _free_endpoints(pot, vol, x, t, dt, R, substream(3, "free"))
-    ran = simulate(_free_drift(), pot, vol, x, t, dt, seed=4, n_replicas=R).values[:, :, -1].T
+    ran = simulate(_free_drift(), pot, vol, x, t, dt, substream(4, "simulate"), R).values[:, :, -1].T
     sites = vol.sorted_sites()
     for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y),
                               _endpoint_offsets(sites, ran, pot.state_space, y)):
@@ -399,8 +399,7 @@ def test_free_endpoints_of_a_general_potential_run_simulate():
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 0.3, (1,): -0.5})
     ends = _free_endpoints(pot, vol, x, 0.5, 0.01, 50, substream(6, "free"))
-    bundle = simulate(_free_drift(), pot, vol, x, 0.5, 0.01, seed=0, n_replicas=50,
-                      rng=substream(6, "free"))
+    bundle = simulate(_free_drift(), pot, vol, x, 0.5, 0.01, substream(6, "free"), 50)
     assert np.array_equal(ends, bundle.values[:, :, -1].T)
 
 
@@ -438,7 +437,7 @@ def test_simulate_holds_one_path_buffer(pot, bound):
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 0.3, (1,): 6.2}, pot.state_space)
     drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
-    peak = _traced_peak(lambda: simulate(drift, pot, vol, x, 1.0, 0.01, seed=0, n_replicas=R))
+    peak = _traced_peak(lambda: simulate(drift, pot, vol, x, 1.0, 0.01, substream(0, "simulate"), R))
     assert peak <= bound * (W + K + 1) * n * R * 8
 
 
@@ -469,7 +468,7 @@ def test_endpoint_offsets_read_only_the_path_ends(pot):
     y = Configuration({(0,): 0.05, (1,): 3.0}, pot.state_space)
     mc = MCParams(n_samples=400, dt=0.01)
     free = dataclasses.replace(constant_drift(0.0), beta=0.0)
-    bundle = simulate(free, pot, vol, x, 2.0, mc.dt, seed=4, n_replicas=mc.n_samples)
+    bundle = simulate(free, pot, vol, x, 2.0, mc.dt, substream(4, "simulate"), mc.n_samples)
     ends = bundle.values[:, :, -1].T
     for i, (diff, h) in enumerate(_endpoint_offsets(bundle.sites, ends, pot.state_space, y)):
         path = bundle.values[:, i]
@@ -602,9 +601,10 @@ def test_log_weight_additive_over_windows():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(vol, 0.1)
     d = markov_local_drift(0.5, Neighborhood.range1d(1))
-    path = simulate(d, QUAD, vol, x0, t=0.4, dt=0.02, seed=9, n_replicas=6)
+    path = simulate(d, QUAD, vol, x0, t=0.4, dt=0.02, rng=substream(9, "simulate"), n_replicas=6)
     whole = log_girsanov_weight(d, vol, path)
-    split = log_girsanov_weight(d, vol, path, (0.0, 0.2)) + log_girsanov_weight(
-        d, vol, path, (0.2, 0.4)
-    )
+    split = np.zeros(path.n_replicas)
+    for site in interior(vol, d.nbhd).sorted_sites():
+        for window in ((0.0, 0.2), (0.2, 0.4)):
+            split -= psi(d, site, window, path)
     assert np.allclose(whole, split, atol=1e-12)

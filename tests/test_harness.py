@@ -355,6 +355,52 @@ def test_replay_roundtrip_of_an_expand_run(tmp_path):
     assert replay(out) == {"ok": True, "firstDivergence": None}
 
 
+def test_expand_with_a_beta_grid_writes_one_lambda_fit_row_per_beta(tmp_path):
+    cfg = {
+        "seed": 5,
+        "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
+        "potential": {"family": "quadratic"},
+        "drift": {"family": "constant", "beta": 0.2, "memory": 0.1, "params": {"c": 0.5}},
+        "time": {"t": 1.0},
+        "mc": {"nSamples": 16, "dt": 0.05},
+        "truncation": {"kMax": 2, "nMax": 2},
+        "x": {"constant": 0.3},
+        "y": {"constant": -0.2},
+        "betaGrid": [0.5, 2.0],
+    }
+    out = str(tmp_path / "expand")
+    summary = run("expand", cfg, out)
+    assert "lambda_fit.csv" in summary["artifacts"]
+    with open(os.path.join(out, "lambda_fit.csv"), newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert header == [
+        "beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters",
+        "seed", "configHash",
+    ]
+    rows = _read_back(os.path.join(out, "lambda_fit.csv"))
+    assert [float(r["beta"]) for r in rows] == cfg["betaGrid"]
+    grids = [expansion.grid_for_beta(1.0, 0.1, beta) for beta in cfg["betaGrid"]]
+    assert [(float(r["T"]), int(r["M"])) for r in rows] == [(g.T, g.M) for g in grids]
+    assert [g.M for g in grids] == [1, 2]  # the two rows slice the horizon differently
+    assert replay(out) == {"ok": True, "firstDivergence": None}
+
+
+DRIFT_FAMILIES = next(k.choices for k in cfgmod.SCHEMA if k.path == "drift.family")
+
+
+@pytest.mark.parametrize("family", DRIFT_FAMILIES)
+def test_every_drift_family_of_the_schema_simulates_and_replays(tmp_path, family):
+    # no neighborhoodRadius, so each family keeps its own range
+    cfg = {**SIM_CFG, "lattice": {"box": [[0], [2]]},
+           "drift": {"family": family, "beta": 0.3}}
+    drift = cfgmod.resolve_drift(cfg)
+    assert (drift.label, drift.beta) == (family, 0.3)
+    out = str(tmp_path / family)
+    run("simulate", cfg, out)
+    assert len(_read_back(os.path.join(out, "paths.csv"))) == 5  # t = 0.2 in steps of 0.05
+    assert replay(out) == {"ok": True, "firstDivergence": None}
+
+
 def _read_back(path):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))

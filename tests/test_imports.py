@@ -1,5 +1,6 @@
 """Every module of the library and of the test suite reads what it imports,
-and every private module-level name of the library is read in the library.
+every private module-level name of the library is read in the library, and
+so is every public top-level function and class but a listed few.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.
@@ -10,6 +11,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "gibbslab").glob("*.py"))
+SOURCES = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in LIBRARY}
 MODULES = sorted(
     p for p in (ROOT / "src" / "gibbslab").glob("*.py") if p.name != "__init__.py"
 ) + sorted((ROOT / "tests").glob("*.py"))
@@ -52,17 +54,74 @@ def _private_definitions(path):
     return out
 
 
-def test_every_private_library_name_is_read_in_the_library():
+def _reads(sources):
+    """Every name that the sources load and every attribute they name."""
     read = set()
-    for path in LIBRARY:
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for text in sources.values():
+        for n in ast.walk(ast.parse(text)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+    return read
+
+
+def test_every_private_library_name_is_read_in_the_library():
+    read = _reads(SOURCES)
     defined = [(p, line, name) for p in LIBRARY for line, name in _private_definitions(p)]
     assert len(defined) > 20
     unread = [
         f"{p.relative_to(ROOT)}:{line} {name}" for p, line, name in defined if name not in read
     ]
     assert unread == []
+
+
+# public names that only the tests read, one reason each
+UNREAD_PUBLIC = {
+    "drift_values": "oracle of the acceptance battery: b along a stored path",
+    "kernel_sup_distance": "oracle of the acceptance battery: sup |p_T - 1|",
+    "sample_gibbs": "oracle of the acceptance battery: one Gibbs draw",
+    "single_site_conditional_quadrature": "oracle of the acceptance battery: one-site law",
+    "memory_integral_drift": "ROADMAP item 8 decides whether to configure or delete it",
+    "space_time_integral_drift": "ROADMAP item 8 decides whether to configure or delete it",
+    "ultracontractivity_report": "ROADMAP item 8 decides whether to configure or delete it",
+}
+
+
+def _public_definitions(text):
+    """(line, name) of each public top-level function and class."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _unread_public(sources):
+    """'file:line name' for each public top-level function or class that no
+    source reads and UNREAD_PUBLIC does not list."""
+    read = _reads(sources)
+    return [
+        f"{name}:{line} {fn}"
+        for name, text in sources.items()
+        for line, fn in _public_definitions(text)
+        if fn not in read and fn not in UNREAD_PUBLIC
+    ]
+
+
+def test_every_public_library_function_and_class_is_read_in_the_library():
+    assert _unread_public(SOURCES) == []
+    # every listed name is still defined and still unread, so an entry goes
+    # once its name is deleted or read
+    read = _reads(SOURCES)
+    defined = {fn for text in SOURCES.values() for _, fn in _public_definitions(text)}
+    assert {fn for fn in UNREAD_PUBLIC if fn in defined and fn not in read} == set(UNREAD_PUBLIC)
+
+
+def test_the_public_name_guard_fails_on_an_unread_function():
+    sources = dict(SOURCES)
+    key = "src/gibbslab/lattice.py"
+    sources[key] += "\n\ndef unread_probe():\n    return 0\n"
+    line = sources[key].count("\n") - 1
+    assert _unread_public(sources) == [f"{key}:{line} unread_probe"]

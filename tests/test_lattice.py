@@ -87,7 +87,7 @@ def test_array_for():
 @given(st.sets(st.integers(-5, 5), min_size=1, max_size=8), st.integers(0, 2))
 @settings(max_examples=50, deadline=None)
 def test_interior_is_subset_and_monotone(sites, radius):
-    vol = Volume.from_sites({(s,) for s in sites})
+    vol = Volume(frozenset((s,) for s in sites))
     nb = Neighborhood.range1d(radius)
     inner = interior(vol, nb)
     assert inner.issubset(vol)

@@ -191,7 +191,7 @@ def test_batched_windows_match_the_per_step_loop(family, window, space):
     drift, cut = _library_drift(ref, window)
     pot = POTENTIALS[space]()
     x0 = Configuration(X0[space], pot.state_space)
-    path = simulate(drift, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
+    path = simulate(drift, pot, VOL, x0, T, DT, substream(17, "simulate"), R)
     values, dbar = _ref_simulate(ref, pot, x0, seed=17, cut=cut)
     assert np.array_equal(path.values, values)
     K = path.times.size - 1
@@ -234,7 +234,7 @@ def test_psi_blocks_match_the_per_step_loop(family, window, space, steps, monkey
     drift, cut = _library_drift(ref, window)
     pot = POTENTIALS[space]()
     x0 = Configuration(X0[space], pot.state_space)
-    path = simulate(drift, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
+    path = simulate(drift, pot, VOL, x0, T, DT, substream(17, "simulate"), R)
     K = path.times.size - 1
     bridge_drift, bridge_cut = _library_drift(ref, window, start=0.4)
     sites = VOL.sorted_sites()
@@ -258,7 +258,7 @@ def test_psi_blocks_at_a_large_replica_count(family):
     assert girsanov.BLOCK_ELEMENTS // R_big < K
     drift = DRIFTS[family]()
     pot = quadratic_potential()
-    path = simulate(drift, pot, VOL, Configuration(X0["line"]), K * DT, DT, seed=19, n_replicas=R_big)
+    path = simulate(drift, pot, VOL, Configuration(X0["line"]), K * DT, DT, substream(19, "simulate"), R_big)
     for site in sorted(interior(VOL, drift.nbhd).sites):
         # from the path start, and a window inside the path
         for (a, b), (k_lo, k_hi) in (((0.0, K * DT), (0, K)), ((0.2, 0.9), (10, 45))):
@@ -277,7 +277,7 @@ def test_windows_are_read_only(space):
 
     drift = DriftSpec(1.0, Neighborhood.range1d(1), T0, 1.0, ev)
     pot = POTENTIALS[space]()
-    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, seed=17, n_replicas=R)
+    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, substream(17, "simulate"), R)
     K = path.times.size - 1
     seen += [_evaluation_windows(drift, path, (1,), k_lo, K)[1:] for k_lo in (0, 8)]
     for wt, wv in seen:
@@ -322,7 +322,7 @@ def test_windows_gather_scattered_neighbours(family, window):
     drift, cut = _library_drift(ref, window)
     pot = quadratic_potential()
     x0 = Configuration({s: 0.3 * i - 1.0 for i, s in enumerate(VOL_2D.sorted_sites())})
-    path = simulate(drift, pot, VOL_2D, x0, T, DT, seed=17, n_replicas=R)
+    path = simulate(drift, pot, VOL_2D, x0, T, DT, substream(17, "simulate"), R)
     values, _ = _ref_simulate(ref, pot, x0, seed=17, vol=VOL_2D, cut=cut)
     assert np.array_equal(path.values, values)
     K = path.times.size - 1
@@ -348,7 +348,7 @@ def test_frozen_windows_give_the_truncated_memory_integral(space):
     )
     pot = POTENTIALS[space]()
     x0 = Configuration(X0[space], pot.state_space)
-    path = simulate(plain, pot, VOL, x0, T, DT, seed=17, n_replicas=R)
+    path = simulate(plain, pot, VOL, x0, T, DT, substream(17, "simulate"), R)
     K = path.times.size - 1
     for site in sorted(interior(VOL, plain.nbhd).sites):
         truncated = _ref_drift(plain, path, site, 0, K, cut=True)
@@ -462,7 +462,7 @@ def test_in_place_psi_and_simulate_match_the_copying_forms(family, space, steps,
     drift = dataclasses.replace(DRIFTS[family](), beta=0.7)
     pot = POTENTIALS[space]()
     x0 = Configuration(X0[space], pot.state_space)
-    path = simulate(drift, pot, VOL, x0, T, DT, seed=23, n_replicas=R)
+    path = simulate(drift, pot, VOL, x0, T, DT, substream(23, "simulate"), R)
     assert np.array_equal(path.values, _out_of_place_simulate(drift, pot, VOL, x0, T, DT, 23, R))
     K = path.times.size - 1
     sites = VOL.sorted_sites()
@@ -481,7 +481,7 @@ def test_line_windows_past_the_front_view_the_path(space):
     # they read it in place, on the circle they wrap a copy of it
     drift = markov_local_drift(0.6, Neighborhood.range1d(1), memory=T0)
     pot = POTENTIALS[space]()
-    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, seed=17, n_replicas=R)
+    path = simulate(drift, pot, VOL, Configuration(X0[space], pot.state_space), T, DT, substream(17, "simulate"), R)
     K = path.times.size - 1
     _, _, past = _evaluation_windows(drift, path, (1,), 5, K)
     _, _, padded = _evaluation_windows(drift, path, (1,), 4, K)
