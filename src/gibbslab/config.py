@@ -4,7 +4,8 @@ SCHEMA below is the whole schema: every key path the config accepts, with
 its kind and its default.  ``check(cfg)`` checks a whole config against it;
 ``value(cfg, path)`` reads one key through it.  Keys are camelCase, and
 every key that is not in the table is rejected.  Numeric bounds are checked
-once, by the domain objects the values build.
+once, by the domain objects the values build.  ``Resolved(cfg)`` builds
+those objects, each once, on first read.
 
 Only the keys a subcommand reads are required; everything resolved is
 echoed back into the run directory for replay.
@@ -16,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,7 +36,14 @@ from .dynamics import (
 )
 from .errors import ValidationError
 from .estimates import MCParams
-from .gibbs import Interaction, nearest_neighbor_terms, site_field_terms
+from .gibbs import (
+    BiSpaceInteraction,
+    ExpansionDynamicInteraction,
+    Interaction,
+    ZeroDynamicInteraction,
+    nearest_neighbor_terms,
+    site_field_terms,
+)
 from .lattice import Configuration, Neighborhood, Volume
 
 POTENTIALS = {
@@ -47,9 +56,22 @@ POTENTIALS = {
 
 TEMPLATES = {"nearest_neighbor": nearest_neighbor_terms, "site_field": site_field_terms}
 
+# family -> (builder from param(name) and the memory, default memory)
+DRIFTS = {
+    "constant": (lambda param, memory: constant_drift(param("c"), memory), 0.1),
+    "markov_local": (
+        lambda param, memory: markov_local_drift(
+            param("scale"), Neighborhood.range1d(param("radius")), memory
+        ),
+        0.1,
+    ),
+    "resonance": (lambda param, memory: resonance_drift(param("amplitude"), memory), 0.1),
+    "delayed_feedback": (lambda param, memory: delayed_feedback_drift(param("alpha"), memory), 0.5),
+}
+
 # kinds: the leaves, and the containers whose entries are rows of their own
 NUMBER, INTEGER, ENUM, TEXT = "number", "integer", "enum", "text"
-BOX = "corner pair"  # [[lo, ...], [hi, ...]], integers, lo <= hi
+BOX = "corner pair"  # [[lo], [hi]], integers, lo <= hi
 SECTION, LIST = "section", "list"  # keys are rows; entries are the row path.*
 CONFIGURATION = "configuration"  # a section of one key: {"constant": v} or {"values": {...}}
 
@@ -83,11 +105,10 @@ SCHEMA = (
     Key("potential", SECTION, {}),
     Key("potential.family", ENUM, "quadratic", choices=tuple(POTENTIALS)),
     Key("drift", SECTION),
-    Key("drift.family", ENUM, "constant",
-        choices=("constant", "markov_local", "resonance", "delayed_feedback")),
+    Key("drift.family", ENUM, "constant", choices=tuple(DRIFTS)),
     Key("drift.beta", NUMBER, 1.0),
-    # the default is the family's: 0.5 for delayed_feedback, else 0.1
-    Key("drift.memory", NUMBER),
+    *(Key("drift.memory", NUMBER, memory, when=("drift.family", fam))
+      for fam, (_, memory) in DRIFTS.items()),
     Key("drift.params", SECTION, {}),
     Key("drift.params.c", NUMBER, 1.0, when=("drift.family", "constant")),
     Key("drift.params.scale", NUMBER, 1.0, when=("drift.family", "markov_local")),
@@ -270,7 +291,7 @@ def _number(node, parts: tuple, integer: bool):
 
 
 def _box(node, parts: tuple) -> list:
-    """[[lo...], [hi...]]: two integer corners of one dimension, lo <= hi."""
+    """[[lo], [hi]]: two integer corners of one coordinate, lo <= hi."""
     if (
         not isinstance(node, list) or len(node) != 2
         or not all(isinstance(c, list) and c for c in node) or len(node[0]) != len(node[1])
@@ -279,6 +300,12 @@ def _box(node, parts: tuple) -> list:
             f"{_name(parts)} must be two corners [[lo, ...], [hi, ...]] of one "
             f"dimension, not {node!r}"
         )
+    if len(node[0]) > 1:
+        # a config names no neighbourhood but range1d's, which is 1-D
+        raise ValidationError(
+            f"{_name(parts)} has corners of {len(node[0])} coordinates, but boxes are "
+            f"one-dimensional: d-dimensional neighbourhoods are not configurable yet"
+        )
     lo, hi = ([_number(c, parts, True) for c in corner] for corner in node)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValidationError(f"{_name(parts)} is empty: its corner {lo} exceeds {hi}")
@@ -286,101 +313,134 @@ def _box(node, parts: tuple) -> list:
 
 
 # ---------------------------------------------------------------------------
-# resolvers: domain objects from checked values
+# the resolved config: domain objects from checked values
 # ---------------------------------------------------------------------------
 
-def resolve_volume(cfg: dict) -> Volume:
-    return Volume.box(*value(cfg, "lattice.box"))
+class Resolved:
+    """A config's domain objects, each resolved from its keys on first read
+    and kept, so a run reads each section once and only the sections it
+    uses.  ``cfg`` is the config as given; it is checked key by key as the
+    objects read it."""
 
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.seed = value(cfg, "seed")
 
-def resolve_neighborhood(cfg: dict) -> Neighborhood:
-    """kp's neighbourhood: the drift's, else range lattice.neighborhoodRadius."""
-    if "drift" in cfg:
-        return resolve_drift(cfg).nbhd
-    return Neighborhood.range1d(value(cfg, "lattice.neighborhoodRadius"))
+    @cached_property
+    def vol(self) -> Volume:
+        return Volume.box(*value(self.cfg, "lattice.box"))
 
+    @cached_property
+    def pot(self) -> PotentialSpec:
+        return POTENTIALS[value(self.cfg, "potential.family")]()
 
-def resolve_potential(cfg: dict) -> PotentialSpec:
-    return POTENTIALS[value(cfg, "potential.family")]()
-
-
-def resolve_drift(cfg: dict) -> DriftSpec:
-    """The drift of the 'drift' section; a lattice.neighborhoodRadius other
-    than the drift's range is rejected, never mixed with it."""
-    spec = value(cfg, "drift")
-    fam = value(cfg, "drift.family")
-    memory = spec.get("memory", 0.5 if fam == "delayed_feedback" else 0.1)
-
-    def param(name):
-        return value(cfg, f"drift.params.{name}")
-
-    if fam == "constant":
-        drift = constant_drift(param("c"), memory=memory)
-    elif fam == "markov_local":
-        drift = markov_local_drift(
-            param("scale"), Neighborhood.range1d(param("radius")), memory=memory
+    @cached_property
+    def drift(self) -> DriftSpec:
+        """The drift of the 'drift' section; a lattice.neighborhoodRadius
+        other than the drift's range is rejected, never mixed with it."""
+        fam = value(self.cfg, "drift.family")
+        build, _ = DRIFTS[fam]
+        drift = build(
+            lambda name: value(self.cfg, f"drift.params.{name}"), value(self.cfg, "drift.memory")
         )
-    elif fam == "resonance":
-        drift = resonance_drift(param("amplitude"), memory=memory)
-    else:
-        drift = delayed_feedback_drift(param("alpha"), memory)
-    drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
-    if "neighborhoodRadius" in value(cfg, "lattice"):
-        radius = value(cfg, "lattice.neighborhoodRadius")
-        if radius != drift_range:
-            raise ValidationError(
-                f"lattice.neighborhoodRadius {radius} differs from the range "
-                f"{drift_range} of the '{fam}' drift"
+        drift_range = max(abs(c) for offset in drift.nbhd.offsets for c in offset)
+        if "neighborhoodRadius" in value(self.cfg, "lattice"):
+            radius = value(self.cfg, "lattice.neighborhoodRadius")
+            if radius != drift_range:
+                raise ValidationError(
+                    f"lattice.neighborhoodRadius {radius} differs from the range "
+                    f"{drift_range} of the '{fam}' drift"
+                )
+        return dataclasses.replace(drift, beta=value(self.cfg, "drift.beta"))
+
+    @cached_property
+    def nbhd(self) -> Neighborhood:
+        """kp's neighbourhood: the drift's, else range lattice.neighborhoodRadius."""
+        if "drift" in self.cfg:
+            return self.drift.nbhd
+        return Neighborhood.range1d(value(self.cfg, "lattice.neighborhoodRadius"))
+
+    @cached_property
+    def mc(self) -> MCParams:
+        return MCParams(
+            n_samples=value(self.cfg, "mc.nSamples"),
+            dt=value(self.cfg, "mc.dt"),
+            burn_in=value(self.cfg, "mc.burnIn"),
+            thin=value(self.cfg, "mc.thin"),
+        )
+
+    @cached_property
+    def time(self) -> Tuple[float, TimeGrid]:
+        """(t, grid) of the 'time' section: {"t": t} is one slice of length
+        t, {"T": T, "M": M} is M slices of length T and t = T * M."""
+        tm = value(self.cfg, "time")
+        if set(tm) == {"t"}:
+            return tm["t"], TimeGrid(tm["t"], 1)
+        if set(tm) == {"T", "M"}:
+            grid = TimeGrid(tm["T"], tm["M"])
+            return grid.horizon, grid
+        raise ValidationError(
+            f"config 'time' takes either 't' or both 'T' and 'M', not {sorted(tm)}"
+        )
+
+    @cached_property
+    def truncation(self) -> Tuple[int, int]:
+        """(kMax, nMax) of the 'truncation' section."""
+        return value(self.cfg, "truncation.kMax"), value(self.cfg, "truncation.nMax")
+
+    @cached_property
+    def x(self) -> Configuration:
+        return self._configuration("x")
+
+    @cached_property
+    def y(self) -> Configuration:
+        return self._configuration("y")
+
+    @cached_property
+    def pairs(self) -> list:
+        """The (x, y) configurations of 'probes.pairs'."""
+        return [
+            (self._configuration(f"probes.pairs.{i}.x"), self._configuration(f"probes.pairs.{i}.y"))
+            for i in range(len(value(self.cfg, "probes.pairs")))
+        ]
+
+    @cached_property
+    def interaction(self) -> Interaction:
+        vol, terms = self.vol, []
+        for i in range(len(value(self.cfg, "interaction.terms"))):
+            entry = f"interaction.terms.{i}"
+            make = TEMPLATES[value(self.cfg, f"{entry}.template")]
+            terms.extend(
+                make(vol, value(self.cfg, f"{entry}.coupling"), value(self.cfg, f"{entry}.kind"))
             )
-    return dataclasses.replace(drift, beta=value(cfg, "drift.beta"))
+        return Interaction(tuple(terms), beta0=value(self.cfg, "interaction.beta0"))
 
+    @cached_property
+    def bispace(self) -> BiSpaceInteraction:
+        """The two-layer interaction of the initial interaction and the
+        'probes.dynamic' dynamics on the volume."""
+        pot, phi = self.pot, self.interaction
+        t, grid = self.time
+        if value(self.cfg, "probes.dynamic") == "zero":
+            dyn = ZeroDynamicInteraction()
+        else:
+            k_max, n_max = self.truncation
+            dyn = ExpansionDynamicInteraction(
+                self.drift, pot, self.vol, grid, k_max, n_max,
+                self.mc.with_samples(min(self.mc.n_samples, 1000)),  # a cap the README states
+                self.seed,
+            )
+        return BiSpaceInteraction(phi, dyn, pot, t)
 
-def resolve_mc(cfg: dict) -> MCParams:
-    return MCParams(
-        n_samples=value(cfg, "mc.nSamples"),
-        dt=value(cfg, "mc.dt"),
-        burn_in=value(cfg, "mc.burnIn"),
-        thin=value(cfg, "mc.thin"),
-    )
-
-
-def resolve_time(cfg: dict) -> Tuple[float, TimeGrid]:
-    """(t, grid) of the 'time' section: {"t": t} is one slice of length t,
-    {"T": T, "M": M} is M slices of length T and t = T * M."""
-    tm = value(cfg, "time")
-    if set(tm) == {"t"}:
-        return tm["t"], TimeGrid(tm["t"], 1)
-    if set(tm) == {"T", "M"}:
-        grid = TimeGrid(tm["T"], tm["M"])
-        return grid.horizon, grid
-    raise ValidationError(
-        f"config 'time' takes either 't' or both 'T' and 'M', not {sorted(tm)}"
-    )
-
-
-def resolve_truncation(cfg: dict) -> tuple:
-    """(kMax, nMax) of the 'truncation' section."""
-    return value(cfg, "truncation.kMax"), value(cfg, "truncation.nMax")
-
-
-def resolve_configuration(cfg: dict, key: str, vol: Volume, state_space: str) -> Configuration:
-    spec = value(cfg, key)
-    if "constant" in spec:
-        return Configuration.constant(vol, spec["constant"], state_space)
-    values = spec["values"]
-    sites = vol.sorted_sites()
-    if len(values) != len(sites):
-        raise ValidationError(f"'{key}.values' must list one value per site")
-    for i in range(len(sites)):
-        if str(i) not in values:
-            raise ValidationError(f"'{key}.values' is missing key '{i}'")
-    return Configuration({s: values[str(i)] for i, s in enumerate(sites)}, state_space)
-
-
-def resolve_interaction(cfg: dict, vol: Volume) -> Interaction:
-    terms = []
-    for i in range(len(value(cfg, "interaction.terms"))):
-        entry = f"interaction.terms.{i}"
-        make = TEMPLATES[value(cfg, f"{entry}.template")]
-        terms.extend(make(vol, value(cfg, f"{entry}.coupling"), value(cfg, f"{entry}.kind")))
-    return Interaction(tuple(terms), beta0=value(cfg, "interaction.beta0"))
+    def _configuration(self, key: str) -> Configuration:
+        spec = value(self.cfg, key)
+        if "constant" in spec:
+            return Configuration.constant(self.vol, spec["constant"], self.pot.state_space)
+        values = spec["values"]
+        sites = self.vol.sorted_sites()
+        if len(values) != len(sites):
+            raise ValidationError(f"'{key}.values' must list one value per site")
+        for i in range(len(sites)):
+            if str(i) not in values:
+                raise ValidationError(f"'{key}.values' is missing key '{i}'")
+        return Configuration({s: values[str(i)] for i, s in enumerate(sites)}, self.pot.state_space)

@@ -1,12 +1,12 @@
 """Experiment orchestration: run subcommands, persist artifacts, replay.
 
 Every run writes, into its output directory, the resolved config
-(config.resolved.json), a plain-text manifest (manifest.txt) listing the
-subcommand, seed, config hash and the sha256 of every artifact, and the
-subcommand's own CSV / JSON-lines outputs.  Numeric CSV rows always carry
-the seed and config hash.  A run is replayed by re-executing it from the
-resolved config into a scratch directory and comparing artifacts byte for
-byte.
+(config.resolved.json), the subcommand's own CSV / JSON-lines outputs, and
+a plain-text manifest (manifest.txt) listing the subcommand, seed, config
+hash and the sha256 of every file the run's writers wrote.  Numeric CSV
+rows always carry the seed and config hash.  A run is replayed by
+re-executing it from the resolved config into a scratch directory and
+comparing artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from .expansion import (
     weight_bound_fit,
     weight_table,
 )
-from .gibbs import (
-    BiSpaceInteraction,
-    ExpansionDynamicInteraction,
-    ZeroDynamicInteraction,
-    bispace_hamiltonian,
-    dlr_test,
-    dobrushin_check,
-    quasilocality_probe,
-)
+from .gibbs import bispace_hamiltonian, dlr_test, dobrushin_check, quasilocality_probe
 from .girsanov import density, density_endpoint_ratio
 from .lattice import Volume
 from .rng import substream
@@ -54,23 +46,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: List[str], rows: List[List], seed: int, chash: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header + ["seed", "configHash"])
-        for row in rows:
-            writer.writerow([_cell(v) for v in row] + [seed, chash])
-
-
 def _cell(v) -> str:
     if isinstance(v, float):
         return repr(float(v))  # numpy floats repr as "np.float64(...)"
     return str(v)
-
-
-def _write_jsonl(path: str, records: List[dict]) -> None:
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -84,93 +63,95 @@ def _estimate_record(est) -> dict:
     return {"value": est.value, "stderr": est.stderr, "n": est.n, "method": est.method}
 
 
-def _probe_pair_configs(cfg: dict, vol: Volume, state_space: str):
-    return [
-        tuple(
-            cfgmod.resolve_configuration(cfg, f"probes.pairs.{i}.{k}", vol, state_space)
-            for k in ("x", "y")
-        )
-        for i in range(len(cfgmod.value(cfg, "probes.pairs")))
-    ]
+class Run(cfgmod.Resolved):
+    """One run: its config, resolved on first read (``config.Resolved``),
+    its output directory and config hash, and ``artifacts``, the names of
+    the files its writers have written, in the order written."""
+
+    def __init__(self, cfg: dict, out_dir: str):
+        super().__init__(cfg)
+        self.out_dir = out_dir
+        self.chash = cfgmod.config_hash(cfg)
+        self.artifacts: List[str] = []
+
+    def _artifact(self, name: str) -> str:
+        self.artifacts.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def write_csv(self, name: str, header: List[str], rows: List[List]) -> None:
+        """Every row ends with the run's seed and config hash."""
+        with open(self._artifact(name), "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header + ["seed", "configHash"])
+            for row in rows:
+                writer.writerow([_cell(v) for v in row] + [self.seed, self.chash])
+
+    def write_jsonl(self, name: str, records: List[dict]) -> None:
+        lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+        _write_text(self._artifact(name), "\n".join(lines) + "\n")
+
+    def write_json(self, name: str, obj: dict) -> None:
+        _write_text(self._artifact(name), json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_simulate(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    drift = cfgmod.resolve_drift(cfg)
-    mc = cfgmod.resolve_mc(cfg)
-    t, _ = cfgmod.resolve_time(cfg)
-    x0 = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
-    n_rep = min(mc.n_samples, 256)  # a cap the README states under "Command line"
-    bundle = simulate(drift, pot, vol, x0, t, mc.dt, substream(seed, "simulate"), n_rep)
+def _run_simulate(run: Run) -> dict:
+    t, _ = run.time
+    n_rep = min(run.mc.n_samples, 256)  # a cap the README states under "Command line"
+    bundle = simulate(
+        run.drift, run.pot, run.vol, run.x, t, run.mc.dt, substream(run.seed, "simulate"), n_rep
+    )
     sites = list(bundle.sites)
     header = ["time"] + ["x" + "_".join(map(str, s)) for s in sites]
     rows = [
         [float(bundle.times[k])] + [float(bundle.values[0, i, k]) for i in range(len(sites))]
         for k in range(bundle.times.size)
     ]
-    _write_csv(os.path.join(out_dir, "paths.csv"), header, rows, seed, chash)
+    run.write_csv("paths.csv", header, rows)
     terminal = bundle.values[:, :, -1]
     srows = [
         ["_".join(map(str, s)), float(terminal[:, i].mean()),
          float(terminal[:, i].std(ddof=1) / math.sqrt(n_rep))]
         for i, s in enumerate(sites)
     ]
-    _write_csv(
-        os.path.join(out_dir, "terminal_summary.csv"),
-        ["site", "mean", "stderr"], srows, seed, chash,
-    )
-    return {"artifacts": ["paths.csv", "terminal_summary.csv"], "replicas": n_rep}
+    run.write_csv("terminal_summary.csv", ["site", "mean", "stderr"], srows)
+    return {"replicas": n_rep}
 
 
-def _run_density(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    drift = cfgmod.resolve_drift(cfg)
-    mc = cfgmod.resolve_mc(cfg)
-    t, _ = cfgmod.resolve_time(cfg)
+def _run_density(run: Run) -> dict:
+    t, _ = run.time
     rows = []
-    for i, (x, y) in enumerate(_probe_pair_configs(cfg, vol, pot.state_space)):
-        est = density(drift, pot, vol, x, y, t, mc, seed)
+    for i, (x, y) in enumerate(run.pairs):
+        est = density(run.drift, run.pot, run.vol, x, y, t, run.mc, run.seed)
         rows.append([i, "bridge", est.value, est.stderr, est.n])
-        oracle = density_endpoint_ratio(drift, pot, vol, x, y, t, mc, seed)
+        oracle = density_endpoint_ratio(run.drift, run.pot, run.vol, x, y, t, run.mc, run.seed)
         rows.append([i, "endpoint-ratio", oracle.value, oracle.stderr, oracle.n])
-    _write_csv(
-        os.path.join(out_dir, "density.csv"),
-        ["pair", "method", "value", "stderr", "n"], rows, seed, chash,
-    )
-    return {"artifacts": ["density.csv"], "pairs": len(rows) // 2}
+    run.write_csv("density.csv", ["pair", "method", "value", "stderr", "n"], rows)
+    return {"pairs": len(rows) // 2}
 
 
-def _run_expand(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    drift = cfgmod.resolve_drift(cfg)
-    mc = cfgmod.resolve_mc(cfg)
-    t, grid = cfgmod.resolve_time(cfg)
-    k_max, n_max = cfgmod.resolve_truncation(cfg)
-    x = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
-    y = cfgmod.resolve_configuration(cfg, "y", vol, pot.state_space)
-
-    clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
+def _run_expand(run: Run) -> dict:
+    t, grid = run.time
+    k_max, n_max = run.truncation
+    drift, x, y = run.drift, run.x, run.y
+    clusters = enumerate_clusters(run.vol, drift.nbhd, grid, k_max)
     # built before any weight is drawn, so an nMax over the collection cap
     # exits before the Monte Carlo work and writes no weights
     coll = connected_collections(clusters, drift.nbhd, n_max)
-    table = weight_table(clusters, k_max, x, y, drift, pot, mc, seed)
-    _write_jsonl(
-        os.path.join(out_dir, "weights.jsonl"),
+    table = weight_table(clusters, k_max, x, y, drift, run.pot, run.mc, run.seed)
+    run.write_jsonl(
+        "weights.jsonl",
         [
             {"cluster": G.to_record(), "estimate": _estimate_record(e)}
             for G, e in table.items()
         ],
     )
     itab = interaction_terms(table, coll)
-    _write_jsonl(
-        os.path.join(out_dir, "interaction.jsonl"),
+    run.write_jsonl(
+        "interaction.jsonl",
         [
             {"trace": [list(s) for s in key], "estimate": _estimate_record(e)}
             for key, e in itab.entries
@@ -184,139 +165,83 @@ def _run_expand(cfg, out_dir, seed, chash) -> dict:
         "summability": {"sup": summ["sup"], "nTerms": summ["nTerms"]},
         "nClusters": len(table),
     }
-    artifacts = ["weights.jsonl", "interaction.jsonl", "expand_summary.json"]
-    beta_grid = cfgmod.value(cfg, "betaGrid")
+    run.write_json("expand_summary.json", summary)
+    beta_grid = cfgmod.value(run.cfg, "betaGrid")
     if beta_grid:
-        rows = weight_bound_fit(beta_grid, vol, drift, pot, x, y, t, k_max, mc, seed)
-        cols = ["beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters"]
-        _write_csv(
-            os.path.join(out_dir, "lambda_fit.csv"), cols,
-            [[r[k] for k in cols] for r in rows], seed, chash,
+        rows = weight_bound_fit(
+            beta_grid, run.vol, drift, run.pot, x, y, t, k_max, run.mc, run.seed
         )
-        artifacts.append("lambda_fit.csv")
-    _write_text(
-        os.path.join(out_dir, "expand_summary.json"),
-        json.dumps(summary, sort_keys=True, indent=1) + "\n",
-    )
-    return {"artifacts": artifacts, **summary}
+        cols = ["beta", "T", "M", "lambdaHat", "c1Hat", "c2Hat", "maxAbsZ", "nClusters"]
+        run.write_csv("lambda_fit.csv", cols, [[r[k] for k in cols] for r in rows])
+    return summary
 
 
-def _run_kp(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    nbhd = cfgmod.resolve_neighborhood(cfg)
-    _, grid = cfgmod.resolve_time(cfg)
-    k_max, _ = cfgmod.resolve_truncation(cfg)
-    geometry = kp_geometry(vol, nbhd, grid, k_max)
+def _run_kp(run: Run) -> dict:
+    _, grid = run.time
+    k_max, _ = run.truncation
+    geometry = kp_geometry(run.vol, run.nbhd, grid, k_max)
     rows = []
-    for lam in cfgmod.value(cfg, "probes.lambdas"):
+    for lam in cfgmod.value(run.cfg, "probes.lambdas"):
         res = kp_check(lam, geometry)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
     star = kp_lambda_star(geometry)
     rows.append([star, True, "lambdaStar", ""])
-    _write_csv(
-        os.path.join(out_dir, "kp.csv"),
-        ["lambda", "satisfied", "worstRatio", "nClusters"], rows, seed, chash,
+    run.write_csv("kp.csv", ["lambda", "satisfied", "worstRatio", "nClusters"], rows)
+    return {"lambdaStar": star}
+
+
+def _run_dobrushin(run: Run) -> dict:
+    res = dobrushin_check(run.interaction)
+    run.write_csv(
+        "dobrushin.csv", ["value", "stderr", "passes"], [[res["value"], "exact", res["passes"]]]
     )
-    return {"artifacts": ["kp.csv"], "lambdaStar": star}
+    return res
 
 
-def _run_dobrushin(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    phi = cfgmod.resolve_interaction(cfg, vol)
-    res = dobrushin_check(phi)
-    _write_csv(
-        os.path.join(out_dir, "dobrushin.csv"),
-        ["value", "stderr", "passes"],
-        [[res["value"], "exact", res["passes"]]], seed, chash,
-    )
-    return {"artifacts": ["dobrushin.csv"], **res}
-
-
-def _run_dlr(cfg, out_dir, seed, chash) -> dict:
-    big = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    phi = cfgmod.resolve_interaction(cfg, big)
+def _run_dlr(run: Run) -> dict:
+    cfg = run.cfg
     sub = Volume.box(*cfgmod.value(cfg, "probes.subBox"))
+    # the chains' sample counts are nOuter and nInner, so mc.nSamples is not read
     mc = MCParams(burn_in=cfgmod.value(cfg, "mc.burnIn"), thin=cfgmod.value(cfg, "mc.thin"))
     rep = dlr_test(
-        phi, pot, big, sub, cfgmod.value(cfg, "probes.nOuter"),
-        cfgmod.value(cfg, "probes.nInner"), seed, mc,
+        run.interaction, run.pot, run.vol, sub, cfgmod.value(cfg, "probes.nOuter"),
+        cfgmod.value(cfg, "probes.nInner"), run.seed, mc,
     )
     rows = [
         [r["f"], r["direct"], r["directStderr"], r["twoStage"], r["twoStageStderr"], r["z"]]
         for r in rep["rows"]
     ]
-    _write_csv(
-        os.path.join(out_dir, "dlr.csv"),
-        ["f", "direct", "directStderr", "twoStage", "twoStageStderr", "z"],
-        rows, seed, chash,
+    run.write_csv(
+        "dlr.csv", ["f", "direct", "directStderr", "twoStage", "twoStageStderr", "z"], rows
     )
-    return {"artifacts": ["dlr.csv"], "maxAbsZ": rep["maxAbsZ"]}
+    return {"maxAbsZ": rep["maxAbsZ"]}
 
 
-def _resolve_bispace(cfg, seed) -> BiSpaceInteraction:
-    vol = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    phi = cfgmod.resolve_interaction(cfg, vol)
-    t, grid = cfgmod.resolve_time(cfg)
-    if cfgmod.value(cfg, "probes.dynamic") == "zero":
-        dyn = ZeroDynamicInteraction()
-    else:
-        drift = cfgmod.resolve_drift(cfg)
-        k_max, n_max = cfgmod.resolve_truncation(cfg)
-        mc = cfgmod.resolve_mc(cfg)
-        dyn = ExpansionDynamicInteraction(
-            drift, pot, vol, grid, k_max, n_max,
-            mc.with_samples(min(mc.n_samples, 1000)), seed,  # a cap the README states
-        )
-    return BiSpaceInteraction(phi, dyn, pot, t)
+def _run_bispace(run: Run) -> dict:
+    h = bispace_hamiltonian(run.bispace, run.vol, run.vol, run.x, run.y)
+    run.write_csv("bispace.csv", ["quantity", "value", "stderr"], [["hamiltonian", h, "exact"]])
+    return {"hamiltonian": h}
 
 
-def _run_bispace(cfg, out_dir, seed, chash) -> dict:
-    vol = cfgmod.resolve_volume(cfg)
-    pot = cfgmod.resolve_potential(cfg)
-    bsi = _resolve_bispace(cfg, seed)
-    x = cfgmod.resolve_configuration(cfg, "x", vol, pot.state_space)
-    y = cfgmod.resolve_configuration(cfg, "y", vol, pot.state_space)
-    h = bispace_hamiltonian(bsi, vol, vol, x, y)
-    _write_csv(
-        os.path.join(out_dir, "bispace.csv"),
-        ["quantity", "value", "stderr"],
-        [["hamiltonian", h, "exact"]], seed, chash,
-    )
-    return {"artifacts": ["bispace.csv"], "hamiltonian": h}
-
-
-def _run_quasilocality(cfg, out_dir, seed, chash) -> dict:
-    pot = cfgmod.resolve_potential(cfg)
-    work = cfgmod.resolve_volume(cfg)
-    window = Volume.box(*cfgmod.value(cfg, "probes.window"))
-    deltas = [Volume.box(*box) for box in cfgmod.value(cfg, "probes.deltas")]
-    pairs = _probe_pair_configs(cfg, work, pot.state_space)
-    bsi = _resolve_bispace(cfg, seed)
-    mc = cfgmod.resolve_mc(cfg)
-    rows = quasilocality_probe(bsi, window, deltas, pairs, mc, seed)
-    _write_csv(
-        os.path.join(out_dir, "quasilocality.csv"),
-        ["delta", "supDiff", "noise"],
+def _run_quasilocality(run: Run) -> dict:
+    window = Volume.box(*cfgmod.value(run.cfg, "probes.window"))
+    deltas = [Volume.box(*box) for box in cfgmod.value(run.cfg, "probes.deltas")]
+    rows = quasilocality_probe(run.bispace, window, deltas, run.pairs, run.mc, run.seed)
+    run.write_csv(
+        "quasilocality.csv", ["delta", "supDiff", "noise"],
         [[json.dumps(r["delta"]), r["supDiff"], r["noise"]] for r in rows],
-        seed, chash,
     )
-    return {"artifacts": ["quasilocality.csv"], "curve": [r["supDiff"] for r in rows]}
+    return {"curve": [r["supDiff"] for r in rows]}
 
 
-def _run_report(cfg, out_dir, seed, chash) -> dict:
+def _run_report(run: Run) -> dict:
     found = {}
-    for name in sorted(os.listdir(out_dir)):
+    for name in sorted(os.listdir(run.out_dir)):
         if name.endswith(".csv") or name.endswith(".jsonl"):
-            with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
+            with open(os.path.join(run.out_dir, name), "r", encoding="utf-8") as fh:
                 found[name] = sum(1 for _ in fh)
-    report = {"configHash": chash, "seed": seed, "files": found}
-    _write_text(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(report, sort_keys=True, indent=1) + "\n",
-    )
-    return {"artifacts": ["report.json"], "files": found}
+    run.write_json("report.json", {"configHash": run.chash, "seed": run.seed, "files": found})
+    return {"files": found}
 
 
 SUBCOMMANDS: Dict[str, Callable] = {
@@ -342,26 +267,21 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
     if seed is not None:
         resolved["seed"] = seed
     cfgmod.check(resolved)
-    effective_seed = resolved["seed"] = cfgmod.value(resolved, "seed")
-    chash = cfgmod.config_hash(resolved)
+    resolved["seed"] = cfgmod.value(resolved, "seed")
+    record = Run(resolved, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    _write_text(
-        os.path.join(out_dir, "config.resolved.json"),
-        json.dumps(resolved, sort_keys=True, indent=1) + "\n",
-    )
-    summary = SUBCOMMANDS[subcommand](resolved, out_dir, effective_seed, chash)
-    artifacts = ["config.resolved.json"] + summary.get("artifacts", [])
+    record.write_json("config.resolved.json", resolved)
+    summary = SUBCOMMANDS[subcommand](record)
     manifest = [
         f"subcommand: {subcommand}",
-        f"seed: {effective_seed}",
-        f"configHash: {chash}",
+        f"seed: {record.seed}",
+        f"configHash: {record.chash}",
     ]
-    for name in artifacts:
+    for name in record.artifacts:
         manifest.append(f"artifact: {name} sha256 {_sha256(os.path.join(out_dir, name))}")
     _write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
-    summary["configHash"] = chash
-    summary["seed"] = effective_seed
-    return summary
+    return {**summary, "artifacts": record.artifacts, "configHash": record.chash,
+            "seed": record.seed}
 
 
 def replay(artifact_dir: str) -> dict:

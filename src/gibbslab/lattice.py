@@ -31,6 +31,8 @@ def as_site(coords) -> Site:
 
 
 def site_add(a: Site, b: Site) -> Site:
+    if len(a) != len(b):
+        raise ValidationError(f"cannot add the {len(b)}-d offset {b} to the {len(a)}-d site {a}")
     return tuple(x + y for x, y in zip(a, b))
 
 

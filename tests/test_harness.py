@@ -171,12 +171,12 @@ def test_time_takes_exactly_one_form(tmp_path, capsys, time):
     # {"t": 1, "T": 0.5, "M": 4} used to couple the kernel at t = 1 but run
     # the expansion to 2, and {"t": 1, "M": 3} dropped M
     with pytest.raises(ValidationError, match="takes either 't' or both 'T' and 'M'"):
-        cfgmod.resolve_time({"time": time})
+        cfgmod.Resolved({"time": time}).time
     path = tmp_path / "time.json"
     path.write_text(json.dumps({**ROBUSTNESS_CFG, "time": time}))
     assert main(["quasilocality", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert cfgmod.resolve_time({"time": {"T": 0.5, "M": 4}}) == (2.0, TimeGrid(0.5, 4))
-    assert cfgmod.resolve_time({"time": {"t": 1.0}}) == (1.0, TimeGrid(1.0, 1))
+    assert cfgmod.Resolved({"time": {"T": 0.5, "M": 4}}).time == (2.0, TimeGrid(0.5, 4))
+    assert cfgmod.Resolved({"time": {"t": 1.0}}).time == (1.0, TimeGrid(1.0, 1))
 
 
 def test_unknown_drift_param_exits_2(tmp_path, capsys):
@@ -195,12 +195,12 @@ def test_config_hash_canonical():
 
 
 def test_resolve_configuration_by_values():
-    vol = Volume.box((0,), (2,))
-    cfg = {"x": {"values": {"0": 1.0, "1": 2.0, "2": 3.0}}}
-    x = cfgmod.resolve_configuration(cfg, "x", vol, "line")
+    lattice = {"box": [[0], [2]]}  # on the line: the default potential is quadratic
+    cfg = {"lattice": lattice, "x": {"values": {"0": 1.0, "1": 2.0, "2": 3.0}}}
+    x = cfgmod.Resolved(cfg).x
     assert x[(1,)] == 2.0
     with pytest.raises(ValidationError):
-        cfgmod.resolve_configuration({"x": {"values": {"0": 1.0}}}, "x", vol, "line")
+        cfgmod.Resolved({"lattice": lattice, "x": {"values": {"0": 1.0}}}).x
 
 
 def test_endpoint_values_missing_a_site_key_exit_2(tmp_path, capsys):
@@ -209,7 +209,7 @@ def test_endpoint_values_missing_a_site_key_exit_2(tmp_path, capsys):
     bad = {**SIM_CFG, "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
            "x": {"values": {"0": 0.1, "2": 0.3}}}
     with pytest.raises(ValidationError, match="'x.values' is missing key '1'"):
-        cfgmod.resolve_configuration(bad, "x", Volume.box((0,), (1,)), "line")
+        cfgmod.Resolved(bad).x
     path = tmp_path / "values.json"
     path.write_text(json.dumps(bad))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -250,7 +250,7 @@ def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
         "y": {"constant": 0.2},
         "probes": {"dynamic": "expansion"},
     }
-    assert cfgmod.resolve_truncation(cfg) == (1, 2)
+    assert cfgmod.Resolved(cfg).truncation == (1, 2)
     seen = []
     real = harness.connected_collections
     monkeypatch.setattr(
@@ -258,15 +258,20 @@ def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
         lambda clusters, nbhd, n_max: seen.append(n_max) or real(clusters, nbhd, n_max),
     )
     run("expand", cfg, str(tmp_path / "expand"))
-    assert seen == [harness._resolve_bispace(cfg, 1).dynamic.n_max] == [2]
+    assert seen == [cfgmod.Resolved(cfg).bispace.dynamic.n_max] == [2]
+
+
+def _readme_config() -> dict:
+    """The config documented in README.md, comments stripped."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    return json.loads(re.sub(r"//[^\n]*", "", block))
 
 
 def test_expand_over_the_collection_cap_exits_before_any_weight(tmp_path, capsys, monkeypatch):
     # the README config at nMax 12: 3^12 exceeds the default collection cap,
     # which is checked before the first cluster weight is drawn
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
-    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
-    cfg = json.loads(re.sub(r"//[^\n]*", "", block))
+    cfg = _readme_config()
     cfg["truncation"]["nMax"] = 12
     path = tmp_path / "nmax12.json"
     path.write_text(json.dumps(cfg))
@@ -281,15 +286,77 @@ def test_expand_over_the_collection_cap_exits_before_any_weight(tmp_path, capsys
     assert not (out / "weights.jsonl").exists()
 
 
+@pytest.mark.parametrize("sub", sorted(harness.SUBCOMMANDS))
+def test_the_manifest_lists_every_file_a_run_writes(tmp_path, sub):
+    # the manifest used to list what each subcommand declared it wrote
+    cfg = _readme_config()
+    if sub == "density":
+        # two sites, as in CI: the endpoint-ratio route does not resolve five
+        cfg["lattice"] = {"box": [[0], [1]], "neighborhoodRadius": 0}
+        cfg["drift"]["params"]["radius"] = 0
+    else:
+        cfg["mc"] = {"nSamples": 20, "burnIn": 10, "thin": 2}
+    out = tmp_path / sub
+    summary = run(sub, cfg, str(out))
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    listed = [line.split()[1] for line in manifest if line.startswith("artifact: ")]
+    assert listed == summary["artifacts"]
+    assert sorted(listed + ["manifest.txt"]) == sorted(os.listdir(out))
+
+
+def test_a_run_builds_its_potential_once(tmp_path, monkeypatch):
+    # quasilocality used to build the volume and the potential once for its
+    # probe pairs and again for its two-layer interaction
+    built = []
+    real = cfgmod.POTENTIALS["quadratic"]
+    monkeypatch.setitem(cfgmod.POTENTIALS, "quadratic", lambda: built.append(1) or real())
+    cfg = {**ROBUSTNESS_CFG, "potential": {"family": "quadratic"}}
+    assert cfg["probes"]["dynamic"] == "expansion"
+    run("quasilocality", cfg, str(tmp_path / "q"))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("sub", sorted(harness.SUBCOMMANDS))
+def test_a_two_dimensional_box_exits_2_before_the_run_directory(tmp_path, capsys, sub):
+    # on [[0, 0], [2, 2]] expand used to exit 0 with no cluster and kp with
+    # lambdaStar 1.0: the configurable neighbourhoods are one-dimensional
+    cfg = _readme_config()
+    cfg["lattice"]["box"] = [[0, 0], [2, 2]]
+    path = tmp_path / "2d.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+    assert "d-dimensional neighbourhoods are not configurable yet" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="not configurable yet"):
+        run(sub, cfg, str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["subBox", "window", "deltas"])
+def test_every_probe_box_is_one_dimensional(key):
+    cfg = _readme_config()
+    cfg["probes"][key] = [[0, 0], [1, 1]] if key != "deltas" else [[[0, 0], [1, 1]]]
+    with pytest.raises(ValidationError, match=f"'probes.{key}(.0)?' has corners of 2 coordinates"):
+        cfgmod.check(cfg)
+
+
+def test_bispace_with_zero_dynamics_reads_no_drift(tmp_path):
+    # only the expansion dynamics read the drift, truncation and mc sections
+    cfg = {**DOB_CFG, "time": {"t": 1.0}, "x": {"constant": 0.3}, "y": {"constant": -0.2}}
+    assert "drift" not in cfg and cfgmod.value(cfg, "probes.dynamic") == "zero"
+    assert math.isfinite(run("bispace", cfg, str(tmp_path / "b"))["hamiltonian"])
+
+
 def test_resolve_interaction_templates():
-    vol = Volume.box((0,), (3,))
-    phi = cfgmod.resolve_interaction(DOB_CFG, vol)
+    lattice = {"box": [[0], [3]]}
+    phi = cfgmod.Resolved({**DOB_CFG, "lattice": lattice}).interaction
     assert len(phi.terms) == 3
     assert phi.beta0 == 0.4
     with pytest.raises(ValidationError):
-        cfgmod.resolve_interaction(
-            {"interaction": {"terms": [{"template": "nope"}]}}, vol
-        )
+        cfgmod.Resolved(
+            {"lattice": lattice, "interaction": {"terms": [{"template": "nope"}]}}
+        ).interaction
 
 
 def test_run_simulate_artifacts_and_manifest(tmp_path):
@@ -393,7 +460,7 @@ def test_every_drift_family_of_the_schema_simulates_and_replays(tmp_path, family
     # no neighborhoodRadius, so each family keeps its own range
     cfg = {**SIM_CFG, "lattice": {"box": [[0], [2]]},
            "drift": {"family": family, "beta": 0.3}}
-    drift = cfgmod.resolve_drift(cfg)
+    drift = cfgmod.Resolved(cfg).drift
     assert (drift.label, drift.beta) == (family, 0.3)
     out = str(tmp_path / family)
     run("simulate", cfg, out)

@@ -13,6 +13,7 @@ from gibbslab.lattice import (
     Volume,
     concat,
     interior,
+    site_add,
     wrap_angle,
 )
 
@@ -37,6 +38,15 @@ def test_volume_rejects_mixed_site_dimensions():
 def test_neighborhood_requires_zero_offset():
     with pytest.raises(ValidationError):
         Neighborhood(frozenset({(1,)}))
+
+
+def test_site_add_rejects_an_offset_of_another_dimension():
+    # zip used to cut the 2-d site (0, 5) down to the 1-d site (1,)
+    assert site_add((0, 5), (1, -1)) == (1, 4)
+    with pytest.raises(ValidationError, match="1-d offset"):
+        site_add((0, 5), (1,))
+    with pytest.raises(ValidationError):
+        Neighborhood.range1d(1).around((0, 0))
 
 
 def test_neighborhood_overlap():
