@@ -23,6 +23,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetError, ValidationError
 from .lattice import Neighborhood, Site, Volume, as_site, interior
 
@@ -339,6 +341,36 @@ def conflict_graph(
                 bits[i] |= 1 << j
                 bits[j] |= 1 << i
     return bits
+
+
+@dataclass(frozen=True)
+class ClusterSet:
+    """Clusters in canonical order, the neighbourhood that decides their
+    conflicts and k_max, the size bound of their families.  Every reader
+    of the set reads one conflict graph, built on first read."""
+
+    clusters: tuple
+    nbhd: Neighborhood
+    k_max: int
+
+    @classmethod
+    def enumerate(cls, vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int) -> "ClusterSet":
+        return cls(tuple(enumerate_clusters(vol, nbhd, grid, k_max)), nbhd, k_max)
+
+    @cached_property
+    def sizes(self) -> List[int]:
+        return [G.size for G in self.clusters]
+
+    @cached_property
+    def conflict_bits(self) -> List[int]:
+        return conflict_graph(self.clusters, self.nbhd)
+
+    @cached_property
+    def conflict_matrix(self) -> np.ndarray:
+        """Entry (i, j) is bit j of ``conflict_bits[i]``; (N, N) also for N = 0."""
+        N = len(self.clusters)
+        bits = self.conflict_bits
+        return np.array([[b >> j & 1 for j in range(N)] for b in bits], dtype=bool).reshape(N, N)
 
 
 @lru_cache(maxsize=4096)

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .clusters import TimeGrid
+from .clusters import ClusterSet, TimeGrid
 from .dynamics import (
     DriftSpec,
     PotentialSpec,
@@ -354,13 +354,6 @@ class Resolved:
         return dataclasses.replace(drift, beta=value(self.cfg, "drift.beta"))
 
     @cached_property
-    def nbhd(self) -> Neighborhood:
-        """kp's neighbourhood: the drift's, else range lattice.neighborhoodRadius."""
-        if "drift" in self.cfg:
-            return self.drift.nbhd
-        return Neighborhood.range1d(value(self.cfg, "lattice.neighborhoodRadius"))
-
-    @cached_property
     def mc(self) -> MCParams:
         return MCParams(
             n_samples=value(self.cfg, "mc.nSamples"),
@@ -387,6 +380,19 @@ class Resolved:
     def truncation(self) -> Tuple[int, int]:
         """(kMax, nMax) of the 'truncation' section."""
         return value(self.cfg, "truncation.kMax"), value(self.cfg, "truncation.nMax")
+
+    @cached_property
+    def clusters(self) -> ClusterSet:
+        """The one set that expand, kp and the expansion dynamics read: the
+        clusters up to kMax on the volume and the time grid, on the drift's
+        neighbourhood, else (kp) on range lattice.neighborhoodRadius."""
+        _, grid = self.time
+        k_max, _ = self.truncation
+        if "drift" in self.cfg:
+            nbhd = self.drift.nbhd
+        else:
+            nbhd = Neighborhood.range1d(value(self.cfg, "lattice.neighborhoodRadius"))
+        return ClusterSet.enumerate(self.vol, nbhd, grid, k_max)
 
     @cached_property
     def x(self) -> Configuration:
@@ -420,13 +426,13 @@ class Resolved:
         """The two-layer interaction of the initial interaction and the
         'probes.dynamic' dynamics on the volume."""
         pot, phi = self.pot, self.interaction
-        t, grid = self.time
+        t, _ = self.time
         if value(self.cfg, "probes.dynamic") == "zero":
             dyn = ZeroDynamicInteraction()
         else:
-            k_max, n_max = self.truncation
+            _, n_max = self.truncation
             dyn = ExpansionDynamicInteraction(
-                self.drift, pot, self.vol, grid, k_max, n_max,
+                self.drift, pot, self.clusters, n_max,
                 self.mc.with_samples(min(self.mc.n_samples, 1000)),  # a cap the README states
                 self.seed,
             )

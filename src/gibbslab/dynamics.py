@@ -500,21 +500,24 @@ def step_count(span: float, dt: float) -> int:
     return int(round(steps))
 
 
+def whole_steps(span: float, dt: float, name: str) -> int:
+    """K = span / dt, which must be a whole number K >= 1 within a relative
+    1e-9; ``name`` names the span in the ValidationError otherwise."""
+    K = step_count(span, dt)
+    if K < 1 or abs(K * dt - span) > 1e-9 * max(span, 1.0):
+        raise ValidationError(f"{name} = {span} must be a whole number (>= 1) of steps dt = {dt}")
+    return K
+
+
 def _window_length(drift: DriftSpec, dt: float) -> int:
     """W = t0 / dt, the number of grid steps the drift's memory window spans.
 
-    A drift that acts (beta > 0) needs a whole number W >= 1, within the
-    relative tolerance of ``simulate``'s t check; otherwise its windows
-    would not span the declared memory.
+    A drift that acts (beta > 0) needs a whole number W >= 1; otherwise its
+    windows would not span the declared memory.
     """
-    W = step_count(drift.memory, dt)
-    off_grid = abs(W * dt - drift.memory) > 1e-9 * max(drift.memory, 1.0)
-    if drift.beta > 0 and (W < 1 or off_grid):
-        raise ValidationError(
-            f"the drift memory t0 = {drift.memory} must be a whole number (>= 1) "
-            f"of steps dt = {dt}"
-        )
-    return max(W, 1)
+    if drift.beta > 0:
+        return whole_steps(drift.memory, dt, "the drift memory t0")
+    return max(step_count(drift.memory, dt), 1)
 
 
 def _neighbour_block(drift: DriftSpec, sites: tuple, site):
@@ -594,10 +597,7 @@ def _euler_grid(pot: PotentialSpec, vol: Volume, x0: Configuration, t: float, dt
         raise CoverageError("x0 does not cover the volume")
     if x0.state_space != pot.state_space:
         raise ValidationError("x0 state space does not match the potential")
-    K = step_count(t, dt)
-    if K < 1 or abs(K * dt - t) > 1e-9 * max(t, 1.0):
-        raise ValidationError("t must be an integer multiple of dt")
-    return tuple(vol.sorted_sites()), K
+    return tuple(vol.sorted_sites()), whole_steps(t, dt, "t")
 
 
 def simulate(

@@ -28,11 +28,10 @@ import numpy as np
 
 from . import clusters as _clusters
 from .clusters import (
+    ClusterSet,
     SpaceTimeCluster,
     TimeGrid,
     _capped_families,
-    conflict_graph,
-    enumerate_clusters,
     is_connected,
     ursell_coefficient,
 )
@@ -54,7 +53,7 @@ from .girsanov import (
     multi_bridge_bundle,
     psi,
 )
-from .lattice import Configuration, Neighborhood, Volume
+from .lattice import Configuration, Volume
 from .rng import substream
 
 
@@ -279,24 +278,26 @@ def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: i
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Weights of all enumerated clusters up to k_max, in canonical order;
-    ``nbhd`` is the drift's neighbourhood, which decides their conflicts."""
+    """The weights of a cluster set, one per cluster in its order."""
 
-    clusters: tuple
+    clusters: ClusterSet
     estimates: tuple
-    nbhd: Neighborhood
-    k_max: int
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.estimates)
 
     def items(self):
-        return zip(self.clusters, self.estimates)
+        return zip(self.clusters.clusters, self.estimates)
+
+
+def _same_range(clusters: ClusterSet, drift: DriftSpec) -> None:
+    """Refuses a set built on another range than the drift's neighbourhood."""
+    if clusters.nbhd != drift.nbhd:
+        raise ValidationError("the cluster set's neighbourhood differs from the drift's")
 
 
 def weight_table(
-    clusters: Sequence[SpaceTimeCluster],
-    k_max: int,
+    clusters: ClusterSet,
     x: Configuration,
     y: Configuration,
     drift: DriftSpec,
@@ -304,20 +305,21 @@ def weight_table(
     mc: MCParams,
     seed: int,
 ) -> WeightTable:
-    """Estimate the weight of every cluster of ``clusters``, those up to
-    k_max that ``enumerate_clusters`` gives with the drift's neighbourhood.
+    """Estimate the weight of every cluster of the set, which must be built
+    on the drift's neighbourhood.
 
     The random stream of cluster index i is derived from (seed, "weight", i)
     only, so re-running with a different beta reuses the same randomness
     per cluster (common random numbers).
     """
+    _same_range(clusters, drift)
     estimates = tuple(
         cluster_weight(
             cluster_sampler(G, drift, pot, mc, substream(seed, "weight", i)), x, y
         )
-        for i, G in enumerate(clusters)
+        for i, G in enumerate(clusters.clusters)
     )
-    return WeightTable(tuple(clusters), estimates, drift.nbhd, k_max)
+    return WeightTable(clusters, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +368,18 @@ def _weight_polynomials(
 def reconstruct_density(table: WeightTable) -> Estimate:
     """1 + sum over families of pairwise non-intersecting clusters.
 
-    Families are restricted to total size <= k_max, matching the table's
+    Families are restricted to total size <= k_max, matching the set's
     truncation; the stderr is the joint delta method over the weights.
     Raises BudgetError when the search visits more than
     ``clusters.ENUMERATION_CAP`` families.
     """
+    cset = table.clusters
     families = list(_capped_families(
-        [G.size for G in table.clusters], conflict_graph(table.clusters, table.nbhd),
-        table.k_max, f"family enumeration exceeded cap of {_clusters.ENUMERATION_CAP}",
+        cset.sizes, cset.conflict_bits, cset.k_max,
+        f"family enumeration exceeded cap of {_clusters.ENUMERATION_CAP}",
     ))
     sums, errors = _weight_polynomials(
-        table.estimates, _padded(families, table.k_max), np.ones(len(families)),
+        table.estimates, _padded(families, cset.k_max), np.ones(len(families)),
         np.zeros(len(families), dtype=np.intp), 1,
     )
     n = min((e.n for e in table.estimates), default=0)
@@ -461,19 +464,7 @@ def _row_groups(columns: list, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def _conflict_matrix(bits: Sequence[int]) -> np.ndarray:
-    """The conflict graph's bitsets as an (N, N) boolean matrix: entry
-    (i, j) is bit j of ``bits[i]``."""
-    N = len(bits)
-    matrix = np.array([[b >> j & 1 for j in range(N)] for b in bits], dtype=bool)
-    return matrix.reshape(N, N)  # also when there are no clusters
-
-
-def connected_collections(
-    clusters: Sequence[SpaceTimeCluster],
-    nbhd: Neighborhood,
-    n_max: int,
-) -> CollectionTable:
+def connected_collections(clusters: ClusterSet, n_max: int) -> CollectionTable:
     """Connected collections of up to n_max clusters, grouped by trace.
 
     Multisets of cluster indices are visited in combinations_with_replacement
@@ -485,7 +476,7 @@ def connected_collections(
     of them or when 3^n_max, the cost of one coefficient on n_max clusters,
     exceeds it.
 
-    ``conflict_graph`` is built once, so ``conflicts`` runs once per
+    The set's conflict matrix is built once, so ``conflicts`` runs once per
     unordered pair of clusters whatever n_max is.  The multisets of each
     size are one index array.  Connectivity and C depend only on a
     multiset's shape, its induced conflict graph and its runs of equal
@@ -495,11 +486,11 @@ def connected_collections(
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    N = len(clusters)
+    N = len(clusters.clusters)
     cap = _clusters.ENUMERATION_CAP
     if 3**n_max > cap or sum(math.comb(N + n - 1, n) for n in range(1, n_max + 1)) > cap:
         raise BudgetError(f"collection enumeration exceeded cap of {cap}")
-    conflict = _conflict_matrix(conflict_graph(clusters, nbhd))
+    conflict = clusters.conflict_matrix
     index, coef = [], []
     for n, rows in _multisets(N, n_max):
         # a multiset's shape: its induced conflict graph, then which
@@ -524,9 +515,9 @@ def connected_collections(
     index, coef = np.concatenate(index), np.concatenate(coef)
     # the trace of a row is the union of its clusters' sites, as one row of
     # a site-membership table; the pad index -1 reads an empty row
-    sites = sorted(frozenset().union(*(G.sites for G in clusters)))
+    sites = sorted(frozenset().union(*(G.sites for G in clusters.clusters)))
     member = np.zeros((N + 1, len(sites)), dtype=bool)
-    for i, G in enumerate(clusters):
+    for i, G in enumerate(clusters.clusters):
         member[i, [sites.index(s) for s in G.sites]] = True
     covered = member[index].any(axis=1)
     first, trace_of = _row_groups(list(covered.T), len(index))
@@ -545,7 +536,7 @@ def interaction_terms(table: WeightTable, coll: CollectionTable) -> InteractionT
     """Resummation of the log series into volume-local terms.
 
     Phi_Delta(x, y) = -sum over connected collections (the rows of ``coll``,
-    ``connected_collections`` of the table's clusters, with trace Delta) of
+    ``connected_collections`` of the table's cluster set, with trace Delta) of
     the Ursell coefficient times the product of the collection's weights.
     Every stderr, the total's too, is the joint delta method over the
     weights.
@@ -589,39 +580,28 @@ def _kp_worst_ratio(lam: float, sizes: Sequence[int], conflict: np.ndarray) -> f
     return max(0.0, float((totals / sizes).max()))
 
 
-def kp_geometry(
-    vol: Volume, nbhd: Neighborhood, grid: TimeGrid, k_max: int
-) -> Tuple[list, np.ndarray]:
-    """(sizes, conflict matrix) of the clusters up to k_max: what the
-    convergence checks read, enumerated once per geometry."""
-    clusters = enumerate_clusters(vol, nbhd, grid, k_max)
-    return [G.size for G in clusters], _conflict_matrix(conflict_graph(clusters, nbhd))
-
-
-def kp_check(lam: float, geometry: Tuple[list, np.ndarray]) -> dict:
+def kp_check(lam: float, clusters: ClusterSet) -> dict:
     """Convergence criterion with weights majorized by lam^{|Gamma|}.
 
     Checks sum over Gamma' incompatible with Gamma of
-    |Gamma'| (lam e)^{|Gamma'|} <= |Gamma| for every cluster Gamma of
-    ``geometry`` (``kp_geometry``).  Deterministic; returns the worst ratio
-    over the enumeration.
+    |Gamma'| (lam e)^{|Gamma'|} <= |Gamma| for every cluster Gamma of the
+    set.  Deterministic; returns the worst ratio over the set.
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    sizes, conflict = geometry
-    worst = _kp_worst_ratio(lam, sizes, conflict)
+    worst = _kp_worst_ratio(lam, clusters.sizes, clusters.conflict_matrix)
     return {
         "satisfied": bool(worst <= 1.0 + _KP_SLACK),
         "worstRatio": worst,
-        "nClusters": len(sizes),
+        "nClusters": len(clusters.clusters),
         "lambda": lam,
     }
 
 
-def kp_lambda_star(geometry: Tuple[list, np.ndarray]) -> float:
-    """Largest lambda passing kp_check on ``geometry``, located by
-    bisection on [0, 1] to within KP_TOL."""
-    sizes, conflict = geometry
+def kp_lambda_star(clusters: ClusterSet) -> float:
+    """Largest lambda passing kp_check on the set, located by bisection on
+    [0, 1] to within KP_TOL."""
+    sizes, conflict = clusters.sizes, clusters.conflict_matrix
 
     def satisfied(lam: float) -> bool:
         return _kp_worst_ratio(lam, sizes, conflict) <= 1.0 + _KP_SLACK
@@ -685,9 +665,7 @@ def weight_bound_fit(
     for beta in beta_grid:
         grid = grid_for_beta(t, drift.memory, beta)
         d = dataclasses.replace(drift, beta=float(beta))
-        table = weight_table(
-            enumerate_clusters(vol, d.nbhd, grid, k_max), k_max, x, y, d, pot, mc, seed
-        )
+        table = weight_table(ClusterSet.enumerate(vol, d.nbhd, grid, k_max), x, y, d, pot, mc, seed)
         lam_hat = 0.0
         c1 = 0.0
         max_z = 0.0

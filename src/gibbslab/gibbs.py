@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .clusters import TimeGrid, enumerate_clusters
+from .clusters import ClusterSet
 from .dynamics import (
     DriftSpec,
     PotentialSpec,
@@ -33,6 +33,7 @@ from .dynamics import (
 from .errors import CoverageError, NumericalError, SetupError, ValidationError
 from .estimates import Estimate, MCParams
 from .expansion import (
+    _same_range,
     cluster_sampler,
     cluster_weight,
     connected_collections,
@@ -439,8 +440,8 @@ class ZeroDynamicInteraction:
 class ExpansionDynamicInteraction:
     """Phi from the truncated cluster expansion, evaluated on demand.
 
-    The cluster enumeration and the connected-collection combinatorics are
-    precomputed once, on the drift's neighbourhood.  Each cluster's weight
+    The connected-collection combinatorics of the cluster set, built on the
+    drift's neighbourhood, are precomputed once.  Each cluster's weight
     randomness is drawn once, into a ``cluster_sampler`` built on first use
     from the substream keyed by the cluster's index, and every weight is
     that sampler evaluated at the pinned values of x and y (common random
@@ -458,20 +459,19 @@ class ExpansionDynamicInteraction:
         self,
         drift: DriftSpec,
         pot: PotentialSpec,
-        vol: Volume,
-        grid: TimeGrid,
-        k_max: int,
+        clusters: ClusterSet,
         n_max: int,
         mc: MCParams,
         seed: int,
     ):
+        _same_range(clusters, drift)
         self.drift = drift
         self.pot = pot
         self.n_max = n_max
         self.mc = mc
         self.seed = seed
-        self._clusters = enumerate_clusters(vol, drift.nbhd, grid, k_max)
-        coll = connected_collections(self._clusters, drift.nbhd, n_max)
+        self._clusters = clusters.clusters
+        coll = connected_collections(clusters, n_max)
         # {trace key: [(cluster indices, C), ...]}, the table's rows in order
         self._groups: Dict[tuple, list] = {}
         for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):

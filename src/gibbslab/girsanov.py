@@ -30,7 +30,7 @@ from .dynamics import (
     _evaluation_windows,
     constant_drift,
     simulate,
-    step_count,
+    whole_steps,
 )
 from .errors import CoverageError, NumericalError, PrecisionError, ValidationError
 from .estimates import (
@@ -310,9 +310,7 @@ def multi_bridge_bundle(
     n_seg = len(layers) - 1
     if n_seg < 1:
         raise ValidationError("need at least two layers to bridge")
-    Kseg = step_count(tau, dt)
-    if Kseg < 1 or abs(Kseg * dt - tau) > 1e-9 * max(tau, 1.0):
-        raise ValidationError("tau must be an integer multiple of dt")
+    Kseg = whole_steps(tau, dt, "tau")
     K = n_seg * Kseg
     circle = pot.family == "circle_free"
     # time-major, as ``simulate`` stores its paths: row k holds every site's

@@ -3,10 +3,10 @@
 Every run writes, into its output directory, the resolved config
 (config.resolved.json), the subcommand's own CSV / JSON-lines outputs, and
 a plain-text manifest (manifest.txt) listing the subcommand, seed, config
-hash and the sha256 of every file the run's writers wrote.  Numeric CSV
-rows always carry the seed and config hash.  A run is replayed by
-re-executing it from the resolved config into a scratch directory and
-comparing artifacts byte for byte.
+hash and the sha256 of every file the run's writers wrote; a failed run
+leaves no output directory.  Numeric CSV rows always carry the seed and
+config hash.  A run is replayed by re-executing it from the resolved config
+into a scratch directory and comparing artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import tempfile
 from typing import Callable, Dict, List, Optional
 
 from . import config as cfgmod
-from .clusters import enumerate_clusters
 from .dynamics import simulate
 from .errors import ValidationError
 from .estimates import MCParams
@@ -28,7 +27,6 @@ from .expansion import (
     connected_collections,
     interaction_terms,
     kp_check,
-    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     summability_report,
@@ -65,18 +63,19 @@ def _estimate_record(est) -> dict:
 
 class Run(cfgmod.Resolved):
     """One run: its config, resolved on first read (``config.Resolved``),
-    its output directory and config hash, and ``artifacts``, the names of
-    the files its writers have written, in the order written."""
+    its output directory, the staging directory its writers write into, its
+    config hash, and ``artifacts``, the names of the files written, in order."""
 
-    def __init__(self, cfg: dict, out_dir: str):
+    def __init__(self, cfg: dict, out_dir: str, stage: str):
         super().__init__(cfg)
         self.out_dir = out_dir
+        self.stage = stage
         self.chash = cfgmod.config_hash(cfg)
         self.artifacts: List[str] = []
 
     def _artifact(self, name: str) -> str:
         self.artifacts.append(name)
-        return os.path.join(self.out_dir, name)
+        return os.path.join(self.stage, name)
 
     def write_csv(self, name: str, header: List[str], rows: List[List]) -> None:
         """Every row ends with the run's seed and config hash."""
@@ -134,14 +133,13 @@ def _run_density(run: Run) -> dict:
 
 
 def _run_expand(run: Run) -> dict:
-    t, grid = run.time
+    t, _ = run.time
     k_max, n_max = run.truncation
     drift, x, y = run.drift, run.x, run.y
-    clusters = enumerate_clusters(run.vol, drift.nbhd, grid, k_max)
     # built before any weight is drawn, so an nMax over the collection cap
     # exits before the Monte Carlo work and writes no weights
-    coll = connected_collections(clusters, drift.nbhd, n_max)
-    table = weight_table(clusters, k_max, x, y, drift, run.pot, run.mc, run.seed)
+    coll = connected_collections(run.clusters, n_max)
+    table = weight_table(run.clusters, x, y, drift, run.pot, run.mc, run.seed)
     run.write_jsonl(
         "weights.jsonl",
         [
@@ -177,14 +175,11 @@ def _run_expand(run: Run) -> dict:
 
 
 def _run_kp(run: Run) -> dict:
-    _, grid = run.time
-    k_max, _ = run.truncation
-    geometry = kp_geometry(run.vol, run.nbhd, grid, k_max)
-    rows = []
+    clusters, rows = run.clusters, []
     for lam in cfgmod.value(run.cfg, "probes.lambdas"):
-        res = kp_check(lam, geometry)
+        res = kp_check(lam, clusters)
         rows.append([res["lambda"], res["satisfied"], res["worstRatio"], res["nClusters"]])
-    star = kp_lambda_star(geometry)
+    star = kp_lambda_star(clusters)
     rows.append([star, True, "lambdaStar", ""])
     run.write_csv("kp.csv", ["lambda", "satisfied", "worstRatio", "nClusters"], rows)
     return {"lambdaStar": star}
@@ -236,7 +231,8 @@ def _run_quasilocality(run: Run) -> dict:
 
 def _run_report(run: Run) -> dict:
     found = {}
-    for name in sorted(os.listdir(run.out_dir)):
+    existing = os.listdir(run.out_dir) if os.path.isdir(run.out_dir) else []
+    for name in sorted(existing):
         if name.endswith(".csv") or name.endswith(".jsonl"):
             with open(os.path.join(run.out_dir, name), "r", encoding="utf-8") as fh:
                 found[name] = sum(1 for _ in fh)
@@ -258,7 +254,8 @@ SUBCOMMANDS: Dict[str, Callable] = {
 
 
 def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) -> dict:
-    """Execute one subcommand; writes artifacts and the run manifest."""
+    """Execute one subcommand; writes artifacts and the run manifest,
+    staged beside ``out_dir`` and moved into it (new or not) on success."""
     if subcommand not in SUBCOMMANDS:
         raise ValidationError(
             f"unknown subcommand '{subcommand}'; choose from {sorted(SUBCOMMANDS)}"
@@ -268,18 +265,23 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
         resolved["seed"] = seed
     cfgmod.check(resolved)
     resolved["seed"] = cfgmod.value(resolved, "seed")
-    record = Run(resolved, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    record.write_json("config.resolved.json", resolved)
-    summary = SUBCOMMANDS[subcommand](record)
-    manifest = [
-        f"subcommand: {subcommand}",
-        f"seed: {record.seed}",
-        f"configHash: {record.chash}",
-    ]
-    for name in record.artifacts:
-        manifest.append(f"artifact: {name} sha256 {_sha256(os.path.join(out_dir, name))}")
-    _write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".stage-", dir=parent) as stage:
+        record = Run(resolved, out_dir, stage)
+        record.write_json("config.resolved.json", resolved)
+        summary = SUBCOMMANDS[subcommand](record)
+        manifest = [
+            f"subcommand: {subcommand}",
+            f"seed: {record.seed}",
+            f"configHash: {record.chash}",
+        ]
+        for name in record.artifacts:
+            manifest.append(f"artifact: {name} sha256 {_sha256(os.path.join(stage, name))}")
+        _write_text(os.path.join(stage, "manifest.txt"), "\n".join(manifest) + "\n")
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     return {**summary, "artifacts": record.artifacts, "configHash": record.chash,
             "seed": record.seed}
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from gibbslab.clusters import TimeGrid, enumerate_clusters
+from gibbslab.clusters import ClusterSet, TimeGrid
 from gibbslab.dynamics import (
     circle_free_potential,
     constant_drift,
@@ -26,7 +26,6 @@ from gibbslab.expansion import (
     connected_collections,
     interaction_terms,
     kp_check,
-    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     weight_bound_fit,
@@ -133,7 +132,7 @@ def test_criterion_4_expansion_identity():
             x = Configuration.constant(vol, x0)
             y = Configuration.constant(vol, y0)
             tab = weight_table(
-                enumerate_clusters(vol, drift.nbhd, grid, 3), 3, x, y, drift, QUAD,
+                ClusterSet.enumerate(vol, drift.nbhd, grid, 3), x, y, drift, QUAD,
                 MCParams(n_samples=4000, dt=0.05), seed=404,
             )
             rec = reconstruct_density(tab)
@@ -145,7 +144,7 @@ def test_criterion_4_expansion_identity():
                 worst_rec,
                 abs(rec.value - direct.value) / math.hypot(rec.stderr, direct.stderr),
             )
-            itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 3))
+            itab = interaction_terms(tab, connected_collections(tab.clusters, 3))
             tot = itab.total
             log_val = math.exp(-tot.value)
             log_se = log_val * tot.stderr  # delta method for exp(-x)
@@ -231,12 +230,12 @@ def test_criterion_9_kp_criterion():
     vol = Volume.box((0,), (3,))
     nb = Neighborhood.range1d(1)
     grid = TimeGrid(1.0, 3)
-    star_a = kp_lambda_star(kp_geometry(vol, nb, grid, 3))
+    star_a = kp_lambda_star(ClusterSet.enumerate(vol, nb, grid, 3))
     # deterministic re-run
-    star_b = kp_lambda_star(kp_geometry(vol, nb, grid, 3))
-    geometry = kp_geometry(vol, nb, grid, 3)
-    pass0 = kp_check(0.0, geometry)["satisfied"]
-    fail1 = not kp_check(1.0, geometry)["satisfied"]
+    star_b = kp_lambda_star(ClusterSet.enumerate(vol, nb, grid, 3))
+    clusters = ClusterSet.enumerate(vol, nb, grid, 3)
+    pass0 = kp_check(0.0, clusters)["satisfied"]
+    fail1 = not kp_check(1.0, clusters)["satisfied"]
     ok = star_a > 0 and abs(star_a - star_b) <= KP_TOL and pass0 and fail1
     _verdict(
         9, "convergence criterion bisection", ok,
@@ -251,8 +250,8 @@ def test_criterion_10_quasilocality():
     phi = Interaction(tuple(nearest_neighbor_terms(work, 0.8)), beta0=0.4)
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, work, TimeGrid(1.0, 1),
-        k_max=1, n_max=1, mc=MCParams(n_samples=300, dt=0.05), seed=10,
+        drift, pot, ClusterSet.enumerate(work, drift.nbhd, TimeGrid(1.0, 1), 1),
+        n_max=1, mc=MCParams(n_samples=300, dt=0.05), seed=10,
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t=1.0)
     z_a = Configuration({(0,): 0.6, (1,): -1.2, (2,): 0.4, (3,): 1.0, (4,): -0.7})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gibbslab import clusters as clusters_module
 from gibbslab import expansion as expansion_module
 from gibbslab.clusters import (
+    ClusterSet,
     SpaceCluster,
     SpaceTimeCluster,
     TimeCluster,
@@ -364,7 +365,7 @@ def test_connected_collections_match_uncached_reference():
     nbhd = Neighborhood.range1d(1)
     clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
     ref, coefficients = _reference_collections(clusters, nbhd, 3)
-    assert _groups(connected_collections(clusters, nbhd, 3), 3) == ref
+    assert _groups(connected_collections(ClusterSet(tuple(clusters), nbhd, 3), 3), 3) == ref
     for combo, (C, edges) in coefficients.items():
         assert is_connected(combo, edges)
         assert ursell_coefficient(combo, edges) == float(C)
@@ -377,7 +378,7 @@ def test_connected_collections_match_the_reference_at_four_clusters():
     assert len(clusters) == 16
     ref, _ = _reference_collections(clusters, nbhd, 4)
     assert any(len(combo) == 4 for group in ref.values() for combo, _ in group)
-    assert _groups(connected_collections(clusters, nbhd, 4), 4) == ref
+    assert _groups(connected_collections(ClusterSet(tuple(clusters), nbhd, 2), 4), 4) == ref
 
 
 def test_connected_collections_test_each_pair_of_clusters_once(monkeypatch):
@@ -393,7 +394,7 @@ def test_connected_collections_test_each_pair_of_clusters_once(monkeypatch):
         return conflicts(G1, G2, nb)
 
     monkeypatch.setattr(clusters_module, "conflicts", counted)
-    connected_collections(clusters, nbhd, 3)
+    connected_collections(ClusterSet(tuple(clusters), nbhd, 3), 3)
     assert calls["conflicts"] == 26 * 27 // 2
 
 
@@ -433,7 +434,7 @@ def test_connected_collections_are_bit_equal_to_the_loop(n_max, n_rows):
     assert len(clusters) == 26
     if not n_rows:
         clusters = []
-    table = connected_collections(clusters, nbhd, n_max)
+    table = connected_collections(ClusterSet(tuple(clusters), nbhd, 3), n_max)
     keys, index, coef, trace = _loop_collections(clusters, nbhd, n_max)
     assert table.keys == keys
     assert len(table.coef) == n_rows
@@ -471,7 +472,7 @@ def test_connected_collections_score_each_shape_once(monkeypatch):
     monkeypatch.setattr(
         expansion_module, "ursell_coefficient", counted("ursell", ursell_coefficient)
     )
-    connected_collections(clusters, nbhd, 3)
+    connected_collections(ClusterSet(tuple(clusters), nbhd, 3), 3)
     assert calls["is_connected"] == sum(1 for n, _, _ in shapes if n > 1)
     assert calls["ursell"] == len(connected)
     assert calls["is_connected"] < 20 < 2801
@@ -479,34 +480,36 @@ def test_connected_collections_score_each_shape_once(monkeypatch):
 
 def test_collection_budget_is_checked_before_any_row_is_built(monkeypatch):
     nbhd = Neighborhood.range1d(1)
-    clusters = enumerate_clusters(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
+    clusters = ClusterSet.enumerate(Volume.box((0,), (3,)), nbhd, TimeGrid(1.0, 2), k_max=3)
     total = 26 + 26 * 27 // 2 + 26 * 27 * 28 // 6  # multisets of 1, 2 and 3
     default = clusters_module.ENUMERATION_CAP
     assert default == 200_000
     monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", total)
-    assert len(connected_collections(clusters, nbhd, 3).keys) > 0
+    assert len(connected_collections(clusters, 3).keys) > 0
 
     def refused(*args):
         raise AssertionError("built rows past the cap")
 
+    # a fresh set, whose conflict graph is not built yet
+    clusters = ClusterSet(clusters.clusters, nbhd, 3)
     monkeypatch.setattr(expansion_module, "_multisets", refused)
-    monkeypatch.setattr(expansion_module, "conflict_graph", refused)
+    monkeypatch.setattr(clusters_module, "conflict_graph", refused)
     monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", total - 1)
     with pytest.raises(BudgetError, match=f"collection enumeration exceeded cap of {total - 1}$"):
-        connected_collections(clusters, nbhd, 3)
+        connected_collections(clusters, 3)
     # past 2^64 multisets (n_max 46) the count is still exact: refused at
     # one below it, up front
     big = comb(26 + 46, 46) - 1
     assert big > 2**64
     monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", big - 1)
     with pytest.raises(BudgetError, match=f"cap of {big - 1}$"):
-        connected_collections(clusters, nbhd, 46)
+        connected_collections(clusters, 46)
     # one cluster has 12 multisets up to n_max 12, but one coefficient on
     # 12 clusters costs 3^12 > 200 000 steps: refused up front as well
     monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", default)
     assert 3**11 <= 200_000 < 3**12
     with pytest.raises(BudgetError, match="exceeded cap of 200000$"):
-        connected_collections(clusters[:1], nbhd, 12)
+        connected_collections(ClusterSet(clusters.clusters[:1], nbhd, 3), 12)
 
 
 def test_row_groups_pack_any_number_of_bits():

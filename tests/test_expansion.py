@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbslab.clusters import (
+    ClusterSet,
     SpaceCluster,
     SpaceTimeCluster,
     TimeCluster,
@@ -37,7 +38,6 @@ from gibbslab.expansion import (
     grid_for_beta,
     interaction_terms,
     kp_check,
-    kp_geometry,
     kp_lambda_star,
     reconstruct_density,
     summability_report,
@@ -341,7 +341,7 @@ def test_reconstruction_matches_direct_density_one_slice():
     y = Configuration.constant(vol, y0)
     drift = _drift(c, beta)
     tab = weight_table(
-        enumerate_clusters(vol, drift.nbhd, TimeGrid(T, 1), 2), 2, x, y, drift, QUAD,
+        ClusterSet.enumerate(vol, drift.nbhd, TimeGrid(T, 1), 2), x, y, drift, QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     assert len(tab) == 1
@@ -359,11 +359,11 @@ def test_interaction_log_identity_one_slice():
     y = Configuration.constant(vol, y0)
     drift = _drift(c, beta)
     tab = weight_table(
-        enumerate_clusters(vol, drift.nbhd, TimeGrid(T, 1), 1), 1, x, y, drift, QUAD,
+        ClusterSet.enumerate(vol, drift.nbhd, TimeGrid(T, 1), 1), x, y, drift, QUAD,
         MCParams(n_samples=20_000, dt=0.01), seed=11,
     )
     K = tab.estimates[0].value
-    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 4))
+    itab = interaction_terms(tab, connected_collections(tab.clusters, 4))
     phi = itab.get(Volume.box((0,), (0,))).value
     series = -(K - K**2 / 2 + K**3 / 3 - K**4 / 4)
     assert phi == pytest.approx(series, rel=1e-12)
@@ -383,16 +383,16 @@ def test_interaction_get_missing_volume_is_zero():
 def test_kp_check_monotone_and_lambda_star():
     vol = Volume.box((0,), (3,))
     grid = TimeGrid(1.0, 3)
-    geometry = kp_geometry(vol, NB1, grid, 3)
-    assert kp_check(0.0, geometry)["satisfied"]
-    assert not kp_check(1.0, geometry)["satisfied"]
-    r_small = kp_check(0.01, geometry)["worstRatio"]
-    r_big = kp_check(0.05, geometry)["worstRatio"]
+    clusters = ClusterSet.enumerate(vol, NB1, grid, 3)
+    assert kp_check(0.0, clusters)["satisfied"]
+    assert not kp_check(1.0, clusters)["satisfied"]
+    r_small = kp_check(0.01, clusters)["worstRatio"]
+    r_big = kp_check(0.05, clusters)["worstRatio"]
     assert r_small < r_big
-    lam = kp_lambda_star(geometry)
+    lam = kp_lambda_star(clusters)
     assert lam > 0.0
-    assert kp_check(lam, geometry)["satisfied"]
-    assert not kp_check(lam + 5e-4, geometry)["satisfied"]
+    assert kp_check(lam, clusters)["satisfied"]
+    assert not kp_check(lam + 5e-4, clusters)["satisfied"]
 
 
 def _loop_worst_ratio(lam, sizes, graph):
@@ -414,38 +414,53 @@ def test_kp_worst_ratio_is_bit_equal_to_the_loop(M, n_clusters):
     clusters = enumerate_clusters(vol, NB1, grid, 3)
     assert len(clusters) == n_clusters
     graph = conflict_graph(clusters, NB1)
-    geometry = kp_geometry(vol, NB1, grid, 3)
-    assert geometry[0] == [G.size for G in clusters]
+    cset = ClusterSet.enumerate(vol, NB1, grid, 3)
+    assert cset.sizes == [G.size for G in clusters]
     for lam in [0.0, 1e-3, 0.01, 0.02, 0.03, 0.05, 0.0368, 0.1, 0.25, 0.5, 1.0, 3.0]:
-        got = kp_check(lam, geometry)["worstRatio"]
+        got = kp_check(lam, cset)["worstRatio"]
         assert type(got) is float
-        assert got == _loop_worst_ratio(lam, geometry[0], graph)
+        assert got == _loop_worst_ratio(lam, cset.sizes, graph)
 
 
 def test_dynamic_interaction_matches_interaction_terms():
-    # ExpansionDynamicInteraction and interaction_terms read one collection
-    # table, use the same per-cluster random streams and multiply each
-    # collection left to right, so for every trace the on-demand value
-    # equals the resummed table entry bit for bit
+    # ExpansionDynamicInteraction and interaction_terms read one cluster set
+    # and one collection table, use the same per-cluster random streams and
+    # multiply each collection left to right, so for every trace the
+    # on-demand value equals the resummed table entry bit for bit
     vol = Volume.box((0,), (3,))
     grid = TimeGrid(1.0, 2)
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.3)
     mc = MCParams(n_samples=64, dt=0.05)
     x = Configuration({(0,): 0.3, (1,): -0.2, (2,): 0.6, (3,): 0.0})
     y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
-    dyn = ExpansionDynamicInteraction(drift, QUAD, vol, grid, 2, 3, mc, seed=4)
-    tab = weight_table(enumerate_clusters(vol, drift.nbhd, grid, 2), 2, x, y, drift, QUAD, mc, seed=4)
-    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, 3))
+    clusters = ClusterSet.enumerate(vol, drift.nbhd, grid, 2)
+    dyn = ExpansionDynamicInteraction(drift, QUAD, clusters, 3, mc, seed=4)
+    tab = weight_table(clusters, x, y, drift, QUAD, mc, seed=4)
+    itab = interaction_terms(tab, connected_collections(tab.clusters, 3))
     assert [volume_key(d) for d in dyn.traces()] == [key for key, _ in itab.entries]
     assert any(len(key) > 1 for key, _ in itab.entries)
     for delta in dyn.traces():
         assert dyn.value(delta, x, y) == itab.get(delta).value
 
 
+def test_a_cluster_set_on_another_neighbourhood_is_refused():
+    # the drift's neighbourhood is the one source of range: a set built on
+    # radius 0 under a range-1 drift would mix two ranges
+    vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, 1)
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=0.3)
+    other = ClusterSet.enumerate(vol, Neighborhood.range1d(0), grid, 1)
+    mc = MCParams(n_samples=16, dt=0.05)
+    x = Configuration.constant(vol, 0.2)
+    with pytest.raises(ValidationError, match="neighbourhood differs from the drift's"):
+        weight_table(other, x, x, drift, QUAD, mc, seed=1)
+    with pytest.raises(ValidationError, match="neighbourhood differs from the drift's"):
+        ExpansionDynamicInteraction(drift, QUAD, other, 1, mc, seed=1)
+
+
 def test_connected_collections_cap_and_order(monkeypatch):
     vol = Volume.box((0,), (2,))
-    clusters = enumerate_clusters(vol, NB1, TimeGrid(1.0, 2), 2)
-    table = connected_collections(clusters, NB1, n_max=2)
+    clusters = ClusterSet.enumerate(vol, NB1, TimeGrid(1.0, 2), 2)
+    table = connected_collections(clusters, n_max=2)
     for t in range(len(table.keys)):
         rows = table.index[table.trace == t].tolist()
         combos = [tuple(i for i in row if i >= 0) for row in rows]
@@ -453,9 +468,9 @@ def test_connected_collections_cap_and_order(monkeypatch):
     assert np.all(table.coef != 0.0)
     monkeypatch.setattr(clusters_module, "ENUMERATION_CAP", 100)
     with pytest.raises(BudgetError):
-        connected_collections(clusters, NB1, n_max=3)
+        connected_collections(clusters, n_max=3)
     with pytest.raises(ValidationError):
-        connected_collections(clusters, NB1, n_max=0)
+        connected_collections(clusters, n_max=0)
 
 
 # box 0..3, r = 1, M = 2, kMax = nMax = 3: the expansion workload geometry
@@ -467,7 +482,7 @@ JOINT_Y = Configuration({(0,): -0.5, (1,): 0.4, (2,): 0.1, (3,): -0.3})
 def _joint_table(beta, n_samples):
     drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.1), beta=beta)
     return weight_table(
-        enumerate_clusters(JOINT_VOL, drift.nbhd, TimeGrid(1.0, 2), 3), 3, JOINT_X, JOINT_Y,
+        ClusterSet.enumerate(JOINT_VOL, drift.nbhd, TimeGrid(1.0, 2), 3), JOINT_X, JOINT_Y,
         drift, QUAD, MCParams(n_samples=n_samples, dt=0.05), seed=7,
     )
 
@@ -481,7 +496,7 @@ def _with_weight(tab, G, value):
 def _expansion_outputs(tab, n_max):
     """Every interaction entry, the interaction total and the reconstructed
     density, as (values, stderrs)."""
-    itab = interaction_terms(tab, connected_collections(tab.clusters, tab.nbhd, n_max))
+    itab = interaction_terms(tab, connected_collections(tab.clusters, n_max))
     ests = [e for _, e in itab.entries] + [itab.total, reconstruct_density(tab)]
     return np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
 
@@ -500,13 +515,13 @@ def _central_difference_stderrs(tab, n_max, h=1e-5):
 def _families(tab):
     """Families of pairwise non-conflicting clusters with total size <= k_max,
     as ascending index tuples in lexicographic (depth-first) order."""
-    clusters = tab.clusters
+    clusters, k_max, nbhd = tab.clusters.clusters, tab.clusters.k_max, tab.clusters.nbhd
     return sorted(
         fam
-        for r in range(1, tab.k_max + 1)
+        for r in range(1, k_max + 1)
         for fam in itertools.combinations(range(len(clusters)), r)
-        if sum(clusters[i].size for i in fam) <= tab.k_max
-        and not any(conflicts(clusters[a], clusters[b], tab.nbhd)
+        if sum(clusters[i].size for i in fam) <= k_max
+        and not any(conflicts(clusters[a], clusters[b], nbhd)
                     for a, b in itertools.combinations(fam, 2))
     )
 
@@ -514,7 +529,7 @@ def _families(tab):
 def _loop_references(tab, n_max):
     """Phi per trace, their sum and the reconstructed density, each from a
     pure-Python loop in the library's summation order."""
-    coll = connected_collections(tab.clusters, tab.nbhd, n_max)
+    coll = connected_collections(tab.clusters, n_max)
     phi = [0.0] * len(coll.keys)
     for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):
         phi[t] += -C * math.prod(tab.estimates[i].value for i in row if i >= 0)
@@ -536,7 +551,7 @@ def test_expansion_stderrs_are_the_joint_delta_method(beta):
 @pytest.mark.parametrize("n_max", [1, 3])
 def test_a_zero_weight_keeps_values_and_stderrs_exact(n_max):
     tab = _with_weight(_joint_table(0.2, 64), 0, 0.0)
-    coll = connected_collections(tab.clusters, tab.nbhd, n_max)
+    coll = connected_collections(tab.clusters, n_max)
     multiplicity = (coll.index == 0).sum(axis=1)
     assert 1 in multiplicity
     assert multiplicity.max() == n_max  # {G, G, G} at n_max = 3
@@ -600,9 +615,9 @@ def test_weight_table_common_random_numbers():
     grid = TimeGrid(1.0, 1)
     mc = MCParams(n_samples=128, dt=0.05)
     drift = _drift(0.7, 0.3)
-    clusters = enumerate_clusters(vol, drift.nbhd, grid, 1)
-    t1 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=9)
-    t2 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=9)
+    clusters = ClusterSet.enumerate(vol, drift.nbhd, grid, 1)
+    t1 = weight_table(clusters, x, x, drift, QUAD, mc, seed=9)
+    t2 = weight_table(clusters, x, x, drift, QUAD, mc, seed=9)
     assert t1.estimates == t2.estimates
-    t3 = weight_table(clusters, 1, x, x, drift, QUAD, mc, seed=10)
+    t3 = weight_table(clusters, x, x, drift, QUAD, mc, seed=10)
     assert t1.estimates != t3.estimates

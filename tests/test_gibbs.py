@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbslab.clusters import TimeGrid
+from gibbslab.clusters import ClusterSet, TimeGrid
 from gibbslab import gibbs, girsanov
 from gibbslab.dynamics import (
     _sample_reference_rng,
@@ -590,7 +590,7 @@ def test_tabulated_phi_terms_make_one_weight_call_per_block(monkeypatch):
     box, lam = Volume.box((0,), (4,)), Volume.box((2,), (2,))
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
-        drift, QUAD, box, TimeGrid(1.0, 1), k_max=1, n_max=1,
+        drift, QUAD, ClusterSet.enumerate(box, drift.nbhd, TimeGrid(1.0, 1), 1), n_max=1,
         mc=MCParams(n_samples=6, dt=0.05), seed=4,
     )
     phi = Interaction(tuple(nearest_neighbor_terms(box, 0.8)), beta0=0.4)
@@ -709,7 +709,7 @@ def test_conditional_density_against_quadrature_oracle(monkeypatch):
     drift = dataclasses.replace(constant_drift(c), beta=beta)
     phi = Interaction(tuple(nearest_neighbor_terms(W, J)), beta0=beta0)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, W, TimeGrid(t, 1), k_max=2, n_max=3,
+        drift, pot, ClusterSet.enumerate(W, drift.nbhd, TimeGrid(t, 1), 2), n_max=3,
         mc=MCParams(n_samples=800, dt=0.05), seed=5,
     )
     bsi = BiSpaceInteraction(phi, dyn, pot, t)
@@ -771,7 +771,7 @@ def test_expansion_dynamic_interaction_trace_measurability():
     W = Volume.box((0,), (1,))
     drift = dataclasses.replace(constant_drift(0.7), beta=0.3)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, W, TimeGrid(1.0, 1), k_max=1, n_max=1,
+        drift, pot, ClusterSet.enumerate(W, drift.nbhd, TimeGrid(1.0, 1), 1), n_max=1,
         mc=MCParams(n_samples=256, dt=0.05), seed=5,
     )
     delta = Volume.box((0,), (0,))
@@ -785,9 +785,9 @@ def test_expansion_dynamic_interaction_trace_measurability():
 def _small_dynamic(pot, seed=5):
     nb = Neighborhood.range1d(1)
     drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
+    clusters = ClusterSet.enumerate(Volume.box((0,), (2,)), nb, TimeGrid(0.5, 2), 2)
     return ExpansionDynamicInteraction(
-        drift, pot, Volume.box((0,), (2,)), TimeGrid(0.5, 2), k_max=2, n_max=2,
-        mc=MCParams(n_samples=16, dt=0.1), seed=seed,
+        drift, pot, clusters, n_max=2, mc=MCParams(n_samples=16, dt=0.1), seed=seed,
     )
 
 
@@ -895,7 +895,8 @@ def test_pinned_values_1e_13_apart_get_their_own_weights():
     drift = dataclasses.replace(markov_local_drift(1.0, Neighborhood.range1d(1), 0.1), beta=0.4)
     mc = MCParams(n_samples=64, dt=0.1)
     dyn = ExpansionDynamicInteraction(
-        drift, pot, Volume.box((0,), (2,)), TimeGrid(0.5, 1), 1, 1, mc, seed
+        drift, pot, ClusterSet.enumerate(Volume.box((0,), (2,)), drift.nbhd, TimeGrid(0.5, 1), 1),
+        1, mc, seed,
     )
     y = {(0,): -0.2, (1,): 0.5, (2,): 0.1}
     xa = {(0,): -0.4, (1,): 0.3, (2,): 0.9}

@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 
 import gibbslab
 from gibbslab import config as cfgmod
+from gibbslab import clusters as clusters_module
 from gibbslab import expansion, harness
 from gibbslab.cli import main
-from gibbslab.clusters import TimeGrid
+from gibbslab.clusters import ClusterSet, TimeGrid
 from gibbslab.errors import (
+    BudgetError,
     GibbslabError,
     NumericalError,
     PrecisionError,
     ValidationError,
 )
-from gibbslab.expansion import kp_check, kp_geometry, kp_lambda_star
+from gibbslab.expansion import kp_check, kp_lambda_star
 from gibbslab.harness import replay, run
 from gibbslab.lattice import Neighborhood, Volume
 
@@ -255,7 +257,7 @@ def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
     real = harness.connected_collections
     monkeypatch.setattr(
         harness, "connected_collections",
-        lambda clusters, nbhd, n_max: seen.append(n_max) or real(clusters, nbhd, n_max),
+        lambda clusters, n_max: seen.append(n_max) or real(clusters, n_max),
     )
     run("expand", cfg, str(tmp_path / "expand"))
     assert seen == [cfgmod.Resolved(cfg).bispace.dynamic.n_max] == [2]
@@ -284,6 +286,55 @@ def test_expand_over_the_collection_cap_exits_before_any_weight(tmp_path, capsys
     assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
     assert "collection enumeration exceeded cap of 200000" in capsys.readouterr().err
     assert not (out / "weights.jsonl").exists()
+
+
+def test_a_failed_run_leaves_no_directory(tmp_path):
+    # expand at nMax 12 exits 2, and used to leave a directory holding only
+    # config.resolved.json
+    cfg = _readme_config()
+    cfg["truncation"]["nMax"] = 12
+    with pytest.raises(BudgetError, match="collection enumeration exceeded cap"):
+        run("expand", cfg, str(tmp_path / "runs" / "o"))
+    assert os.listdir(tmp_path / "runs") == []
+    # an existing directory keeps what it held and gets nothing new
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    with pytest.raises(BudgetError):
+        run("expand", cfg, str(out))
+    assert os.listdir(out) == ["kept.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["existing", "runs"]
+
+
+def test_a_run_into_an_existing_directory_writes_its_files_there(tmp_path):
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    summary = run("dobrushin", DOB_CFG, str(out))
+    assert sorted(os.listdir(out)) == sorted(summary["artifacts"] + ["kept.txt", "manifest.txt"])
+    assert (out / "kept.txt").read_text() == "kept"
+    assert replay(str(out)) == {"ok": True, "firstDivergence": None}
+    assert sorted(os.listdir(tmp_path)) == ["existing"]
+
+
+def test_expand_tests_each_pair_of_clusters_once(tmp_path, monkeypatch):
+    # the collections, the reconstruction and the weights read one cluster
+    # set, whose conflict graph is built once: expand used to build it twice
+    calls = []
+    real = clusters_module.conflicts
+    monkeypatch.setattr(
+        clusters_module, "conflicts", lambda G1, G2, nbhd: calls.append(1) or real(G1, G2, nbhd)
+    )
+    cfg = {
+        **ROBUSTNESS_CFG,
+        "lattice": {"box": [[0], [3]]},
+        "drift": {"family": "markov_local", "beta": 0.2, "params": {"scale": 1.0, "radius": 1}},
+        "time": {"T": 1.0, "M": 2},
+        "truncation": {"kMax": 2, "nMax": 2},
+    }
+    N = run("expand", cfg, str(tmp_path / "o"))["nClusters"]
+    assert N == 16
+    assert len(calls) == N * (N + 1) // 2
 
 
 @pytest.mark.parametrize("sub", sorted(harness.SUBCOMMANDS))
@@ -539,19 +590,19 @@ def test_kp_enumerates_its_clusters_once_per_run(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(expansion, "enumerate_clusters")
+    counted(clusters_module, "enumerate_clusters")
     counted(harness, "kp_check")
     counted(harness, "kp_lambda_star")
     for k in range(2):
         summary = run("kp", KP_CFG, str(tmp_path / f"kp{k}"))
     assert calls == {"enumerate_clusters": 2, "kp_check": 4, "kp_lambda_star": 2}
     vol, grid = Volume.box((0,), (3,)), TimeGrid(1.0, 3)
-    geometry = kp_geometry(vol, Neighborhood.range1d(1), grid, 3)
-    assert summary["lambdaStar"] == kp_lambda_star(geometry)
+    cset = ClusterSet.enumerate(vol, Neighborhood.range1d(1), grid, 3)
+    assert summary["lambdaStar"] == kp_lambda_star(cset)
     assert calls["enumerate_clusters"] == 3
     rows = _read_back(tmp_path / "kp1" / "kp.csv")[:2]
     for lam, row in zip((0.0, 1.0), rows):
-        res = kp_check(lam, geometry)
+        res = kp_check(lam, cset)
         assert row["worstRatio"] == str(res["worstRatio"])
         assert row["nClusters"] == str(res["nClusters"])
 
@@ -744,8 +795,9 @@ def test_a_radius_other_than_the_drift_range_exits_2(tmp_path, capsys, sub):
     no_drift = {k: v for k, v in cfg.items() if k != "drift"}
     summary = run("kp", no_drift, str(tmp_path / "kp"))
     vol, grid = Volume.box((0,), (1,)), TimeGrid(0.5, 2)
-    assert summary["lambdaStar"] == kp_lambda_star(kp_geometry(vol, Neighborhood.range1d(1), grid, 1))
-    assert summary["lambdaStar"] != kp_lambda_star(kp_geometry(vol, Neighborhood.range1d(0), grid, 1))
+    for radius, same in ((1, True), (0, False)):
+        cset = ClusterSet.enumerate(vol, Neighborhood.range1d(radius), grid, 1)
+        assert (summary["lambdaStar"] == kp_lambda_star(cset)) is same
 
 
 def test_expand_takes_its_range_from_the_drift(tmp_path):

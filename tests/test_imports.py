@@ -1,6 +1,7 @@
 """Every module of the library and of the test suite reads what it imports,
 every private module-level name of the library is read in the library, and
-so is every public top-level function and class but a listed few.
+so is every public top-level function and class, and every public method of
+a library class, but a listed few.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.
@@ -76,8 +77,11 @@ def test_every_private_library_name_is_read_in_the_library():
     assert unread == []
 
 
-# public names that only the tests read, one reason each
+# public names that only the tests read, one reason each; a method is
+# listed as Class.method
 UNREAD_PUBLIC = {
+    "Estimate.agrees_with": "the tests' n-sigma comparison of two estimates",
+    "Interaction.spot_check_norms": "the tests' probe of declared sup-norms",
     "drift_values": "oracle of the acceptance battery: b along a stored path",
     "kernel_sup_distance": "oracle of the acceptance battery: sup |p_T - 1|",
     "sample_gibbs": "oracle of the acceptance battery: one Gibbs draw",
@@ -89,24 +93,36 @@ UNREAD_PUBLIC = {
 
 
 def _public_definitions(text):
-    """(line, name) of each public top-level function and class."""
-    return [
-        (node.lineno, node.name)
-        for node in ast.parse(text).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+    """(line, name) of each public top-level function and class, and of
+    each public method of a top-level class, named Class.method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (m.lineno, f"{node.name}.{m.name}")
+                for m in node.body
+                if isinstance(m, defs[:2]) and not m.name.startswith("_")
+            ]
+    return out
+
+
+def _unread(fn, read):
+    """True iff no source reads fn, a method by its own name."""
+    return fn.rpartition(".")[2] not in read
 
 
 def _unread_public(sources):
-    """'file:line name' for each public top-level function or class that no
-    source reads and UNREAD_PUBLIC does not list."""
+    """'file:line name' for each public top-level function or class, or
+    public method, that no source reads and UNREAD_PUBLIC does not list."""
     read = _reads(sources)
     return [
         f"{name}:{line} {fn}"
         for name, text in sources.items()
         for line, fn in _public_definitions(text)
-        if fn not in read and fn not in UNREAD_PUBLIC
+        if _unread(fn, read) and fn not in UNREAD_PUBLIC
     ]
 
 
@@ -116,7 +132,7 @@ def test_every_public_library_function_and_class_is_read_in_the_library():
     # once its name is deleted or read
     read = _reads(SOURCES)
     defined = {fn for text in SOURCES.values() for _, fn in _public_definitions(text)}
-    assert {fn for fn in UNREAD_PUBLIC if fn in defined and fn not in read} == set(UNREAD_PUBLIC)
+    assert {fn for fn in UNREAD_PUBLIC if fn in defined and _unread(fn, read)} == set(UNREAD_PUBLIC)
 
 
 def test_the_public_name_guard_fails_on_an_unread_function():
@@ -125,3 +141,13 @@ def test_the_public_name_guard_fails_on_an_unread_function():
     sources[key] += "\n\ndef unread_probe():\n    return 0\n"
     line = sources[key].count("\n") - 1
     assert _unread_public(sources) == [f"{key}:{line} unread_probe"]
+
+
+def test_the_public_name_guard_fails_on_an_unread_method():
+    sources = dict(SOURCES)
+    key = "src/gibbslab/lattice.py"
+    sources[key] += "\n\nclass Probe:\n    def unread_method(self):\n        return 0\n"
+    line = sources[key].count("\n") - 1
+    assert _unread_public(sources) == [
+        f"{key}:{line - 1} Probe", f"{key}:{line} Probe.unread_method"
+    ]
