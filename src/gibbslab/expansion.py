@@ -29,6 +29,7 @@ import numpy as np
 from . import clusters as _clusters
 from .clusters import (
     ClusterSet,
+    SpaceCluster,
     SpaceTimeCluster,
     TimeGrid,
     _capped_families,
@@ -37,7 +38,6 @@ from .clusters import (
 )
 from .dynamics import (
     DriftSpec,
-    PathBundle,
     PotentialSpec,
     _sample_reference_rng,
     free_kernel,
@@ -46,13 +46,7 @@ from .dynamics import (
 from .errors import BudgetError, CoverageError, ValidationError
 from .estimates import Estimate, MCParams, mean_estimate
 from . import girsanov
-from .girsanov import (
-    _bridge_coefficients,
-    _bridge_lifts,
-    _KeptUniforms,
-    multi_bridge_bundle,
-    psi,
-)
+from .girsanov import pinned_bridges, psi
 from .lattice import Configuration, Volume
 from .rng import substream
 
@@ -77,31 +71,12 @@ def pinned_sites(G: SpaceTimeCluster) -> Tuple[tuple, tuple]:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _SpaceBridge:
-    """The bridge paths of one space cluster, with its pinned values at 0.
-
-    ``values`` is the bundle's time-major buffer, shape (K+1, sites, R).
-    ``scored`` lists the sites whose Psi enters the weight.
-    Each entry of ``pinned`` is (row of the site, its layer values with
-    None where the layer is pinned, the site's winding uniforms per
-    segment).  ``coef`` holds the weights of a segment's start and end in
-    its rows (``_bridge_coefficients``).
-    """
-
-    sites: tuple
-    scored: tuple
-    layers: tuple
-    window: Tuple[float, float]
-    times: np.ndarray
-    values: np.ndarray
-    pinned: tuple
-    coef: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        held = [u for _, nodes, us in self.pinned for u in (*nodes, *us) if u is not None]
-        return sum(np.asarray(u).nbytes for u in held + [self.times, self.values])
+def _bridge_span(sc: SpaceCluster, T: float) -> Tuple[tuple, Tuple[float, float]]:
+    """The layers a space cluster's bridges run through, and the window its
+    Psi is scored on: slice j's two layers, and from j = 1 on the layer
+    before, whose slice holds the drift's memory at the window's start."""
+    j = sc.slice
+    return (0, 1) if j == 0 else (j - 1, j, j + 1), (j * T, (j + 1) * T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +84,10 @@ class ClusterSampler:
     """The randomness of one cluster weight K_G(x, y) that x and y leave alone.
 
     Built by ``cluster_sampler``; ``cluster_weight`` evaluates it at any
-    (x, y).
+    (x, y).  ``shared`` maps each intermediate (site, layer) vertex of the
+    cluster to its drawn values; ``bridges`` holds one
+    ``girsanov.PinnedBridges`` per space cluster, in ``G.space_clusters``
+    order.
     """
 
     cluster: SpaceTimeCluster
@@ -140,9 +118,9 @@ def cluster_sampler(
     pinned to x at layer 0 and to y at the final layer, drawn from m at the
     intermediate layers (in sorted-support order).  Then, per space cluster,
     bridge sites outside those vertices get fresh stationary draws (layer
-    by layer), followed by the bridge noise.  Each bridge bundle is drawn
-    once with its pinned values set to 0; since a bridge is affine in its
-    (lifted) layer values, ``cluster_weight`` moves it to any (x, y).
+    by layer), followed by the bridge noise, drawn once with the pinned
+    values at 0 (``girsanov.pinned_bridges``), so that ``cluster_weight``
+    moves the bridges to any (x, y).
     """
     grid = G.grid
     T, M = grid.T, grid.M
@@ -156,9 +134,8 @@ def cluster_sampler(
 
     bridges = []
     for sc in G.space_clusters:
-        j = sc.slice
         sites = tuple(sorted({s for k in sc.sites for s in drift.nbhd.around(k)}))
-        layer_ids = (0, 1) if j == 0 else (j - 1, j, j + 1)
+        layer_ids, _ = _bridge_span(sc, T)
         # nodes[n][i]: the value of site i at layer n, None where pinned
         nodes = [
             [
@@ -169,24 +146,7 @@ def cluster_sampler(
             ]
             for l in layer_ids
         ]
-        layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
-        kept = _KeptUniforms(rng)
-        base = multi_bridge_bundle(pot, sites, layers, layer_ids[0] * T, T, mc.dt, kept, R)
-        n_seg = len(layer_ids) - 1
-        uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
-        pinned = tuple(
-            (i, column, tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
-            for i, column in enumerate(zip(*nodes))
-            if any(v is None for v in column)
-        )
-        bridges.append(
-            _SpaceBridge(
-                sites, tuple(sorted(sc.sites)),
-                layer_ids, (j * T, (j + 1) * T),
-                base.times, base.values.transpose(2, 1, 0), pinned,
-                _bridge_coefficients(pot.family, T, mc.dt),
-            )
-        )
+        bridges.append(pinned_bridges(pot, sites, nodes, layer_ids[0] * T, T, mc.dt, rng, R))
     return ClusterSampler(G, drift, pot, R, pinned_sites(G), shared, tuple(bridges))
 
 
@@ -196,11 +156,11 @@ def cluster_weight(sampler: ClusterSampler, x, y) -> Estimate:
     x and y map sites to values (a Configuration or a dict keyed by site
     tuples) and must cover the sites ``pinned_sites`` names.  The pinned
     values are scalars or arrays of one broadcast shape, and the estimate
-    holds one weight per point of it, a float for scalars.  Each bridge path
-    is the sampler's base path plus the coefficient paths times the pinned
-    values; on the circle the windings are picked again from the kept
-    uniforms.  The factors are exp(-Psi) - 1 over each space cluster and
-    p_T - 1 over each time-cluster slice, averaged over the replicas.
+    holds one weight per point of it, a float for scalars.  Each space
+    cluster's bridges are moved to the pinned values
+    (``PinnedBridges.moved``).  The factors are exp(-Psi) - 1 over each
+    space cluster and p_T - 1 over each time-cluster slice, averaged over
+    the replicas.
     Evaluating one sampler at several (x, y) uses common random numbers; a
     point's weight does not depend on the other points, which are scored in
     blocks of about ``girsanov.BLOCK_ELEMENTS`` path elements.
@@ -244,34 +204,12 @@ def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: i
             v0 = layer_value(tc.site, j)
             v1 = layer_value(tc.site, j + 1)
             samples = samples * (free_kernel(pot, T, v0, v1) - 1.0)
-    for bridge in sampler.bridges:
-        coef = bridge.coef[:, :, None, None]
-        K = coef.shape[0] - 1
-        # the base paths, (K+1, sites, P, R)
-        values = np.empty(bridge.values.shape[:2] + (P, R))
-        values[...] = bridge.values[:, :, None, :]
-        for i, nodes, uniforms in bridge.pinned:
-            filled = [
-                layer_value(bridge.sites[i], l) if v is None else v
-                for l, v in zip(bridge.layers, nodes)
-            ]
-            lifts = _bridge_lifts(pot, filled, T, uniforms)
-            # base already passes through a stored layer value
-            for n, (lift, v) in enumerate(zip(lifts, nodes)):
-                if lift is v:
-                    continue
-                shift = lift - bridge.values[n * K, i]
-                if n == 0:
-                    values[0, i] += shift
-                else:
-                    values[(n - 1) * K + 1:n * K + 1, i] += coef[1:, 1] * shift
-                if n < len(lifts) - 1:
-                    values[n * K + 1:(n + 1) * K + 1, i] += coef[1:, 0] * shift
-        replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 1, 0)
-        bundle = PathBundle(bridge.sites, bridge.times, replicas, pot)
+    for sc, bridge in zip(G.space_clusters, sampler.bridges):
+        layer_ids, window = _bridge_span(sc, T)
+        bundle = bridge.moved([[pins.get((s, l)) for s in bridge.sites] for l in layer_ids], P)
         psi_sum = np.zeros(P * R)
-        for k in bridge.scored:
-            psi_sum += psi(sampler.drift, k, bridge.window, bundle)
+        for k in sorted(sc.sites):
+            psi_sum += psi(sampler.drift, k, window, bundle)
         samples = samples * np.expm1(-psi_sum).reshape(P, R)
     return samples
 
@@ -552,7 +490,7 @@ def interaction_terms(table: WeightTable, coll: CollectionTable) -> InteractionT
         )
     )
     total = Estimate(
-        sum(phi.tolist()), float(np.linalg.norm(errors.sum(axis=0))), n,
+        sum(phi.tolist(), 0.0), float(np.linalg.norm(errors.sum(axis=0))), n,
         method="interaction-sum",
     )
     return InteractionTable(entries, total)

@@ -342,6 +342,100 @@ def multi_bridge_bundle(
     return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class PinnedBridges:
+    """Bridges drawn once with their pinned layer values at 0.
+
+    Given its noise, a bridge is affine in its (lifted) layer values, so
+    ``moved`` carries the paths to any pinned values.  ``values`` is the
+    drawn bundle's time-major buffer, shape (K+1, sites, R).  Each entry of
+    ``pinned`` is (row of a site with a pinned layer, its layer values with
+    None where pinned, its winding uniforms per segment, None off the
+    circle).  ``coef`` holds the weights of a segment's start and end in its
+    rows (``_bridge_coefficients``).
+    """
+
+    pot: PotentialSpec
+    tau: float
+    sites: tuple
+    times: np.ndarray
+    values: np.ndarray
+    pinned: tuple
+    coef: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        held = [u for _, nodes, us in self.pinned for u in (*nodes, *us) if u is not None]
+        return sum(np.asarray(u).nbytes for u in held + [self.times, self.values])
+
+    def moved(self, nodes, P: int) -> PathBundle:
+        """The bundle with its pinned values set, as P x R replicas.
+
+        ``nodes[n][i]`` is site i's values at layer n at P points, shape
+        (P, 1), read only where the layer is pinned.  Each path is the
+        drawn path plus the coefficient paths times the shift of its
+        (lifted) layer values; on the circle the windings are picked again
+        from the kept uniforms.  A point's paths do not depend on the other
+        points.
+        """
+        coef = self.coef[:, :, None, None]
+        K = coef.shape[0] - 1
+        R = self.values.shape[2]
+        # the drawn paths, (K+1, sites, P, R)
+        values = np.empty(self.values.shape[:2] + (P, R))
+        values[...] = self.values[:, :, None, :]
+        for i, column, uniforms in self.pinned:
+            filled = [nodes[n][i] if v is None else v for n, v in enumerate(column)]
+            lifts = _bridge_lifts(self.pot, filled, self.tau, uniforms)
+            # the drawn path already passes through a stored layer value
+            for n, (lift, v) in enumerate(zip(lifts, column)):
+                if lift is v:
+                    continue
+                shift = lift - self.values[n * K, i]
+                if n == 0:
+                    values[0, i] += shift
+                else:
+                    values[(n - 1) * K + 1:n * K + 1, i] += coef[1:, 1] * shift
+                if n < len(lifts) - 1:
+                    values[n * K + 1:(n + 1) * K + 1, i] += coef[1:, 0] * shift
+        replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 1, 0)
+        return PathBundle(self.sites, self.times, replicas, self.pot)
+
+
+def pinned_bridges(
+    pot: PotentialSpec,
+    sites,
+    nodes,
+    t_start: float,
+    tau: float,
+    dt: float,
+    rng: np.random.Generator,
+    n_replicas: int,
+) -> PinnedBridges:
+    """Exact bridges through layer values of which some are pinned later.
+
+    ``nodes[n][i]`` is site i's (R,) value at layer n, or None where the
+    value is pinned.  One ``multi_bridge_bundle`` call draws the bridges
+    with the pinned values at 0, keeping the circle's winding uniforms;
+    ``PinnedBridges.moved`` sets the pinned values.
+    """
+    R = n_replicas
+    layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
+    kept = _KeptUniforms(rng)
+    drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R)
+    n_seg = len(nodes) - 1
+    uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
+    pinned = tuple(
+        (i, column, tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
+        for i, column in enumerate(zip(*nodes))
+        if any(v is None for v in column)
+    )
+    return PinnedBridges(
+        pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), pinned,
+        _bridge_coefficients(pot.family, tau, dt),
+    )
+
+
 def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration) -> list:
     """(offsets of the path ends from y, kernel bandwidth h) per site.
 

@@ -255,7 +255,8 @@ SUBCOMMANDS: Dict[str, Callable] = {
 
 def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) -> dict:
     """Execute one subcommand; writes artifacts and the run manifest,
-    staged beside ``out_dir`` and moved into it (new or not) on success."""
+    staged under the nearest existing ancestor of ``out_dir`` and moved
+    into it (new or not, its parents created) on success."""
     if subcommand not in SUBCOMMANDS:
         raise ValidationError(
             f"unknown subcommand '{subcommand}'; choose from {sorted(SUBCOMMANDS)}"
@@ -265,9 +266,12 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
         resolved["seed"] = seed
     cfgmod.check(resolved)
     resolved["seed"] = cfgmod.value(resolved, "seed")
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".stage-", dir=parent) as stage:
+    # staged under the nearest existing ancestor, so a failed run creates
+    # no directory at all
+    anchor = os.path.dirname(os.path.abspath(out_dir))
+    while not os.path.exists(anchor):
+        anchor = os.path.dirname(anchor)
+    with tempfile.TemporaryDirectory(prefix=".stage-", dir=anchor) as stage:
         record = Run(resolved, out_dir, stage)
         record.write_json("config.resolved.json", resolved)
         summary = SUBCOMMANDS[subcommand](record)

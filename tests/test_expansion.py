@@ -232,7 +232,7 @@ def test_sampler_weight_matches_the_per_configuration_reference(family, M, radiu
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
         kinds.update({"time"} if G.time_clusters else set())
         for bridge in sampler.bridges:
-            kinds.add(f"{len(bridge.layers) - 1} segments")
+            kinds.add(f"{(len(bridge.times) - 1) // (len(bridge.coef) - 1)} segments")
             if len(bridge.pinned) < len(bridge.sites):
                 kinds.add("unpinned site")
             if bridge.pinned:

@@ -28,6 +28,7 @@ from gibbslab.girsanov import (
     free_bridge_paths,
     log_girsanov_weight,
     multi_bridge_bundle,
+    pinned_bridges,
     psi,
 )
 from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior, wrap_angle
@@ -285,6 +286,82 @@ def test_bundle_holds_only_its_paths():
     assert [f.name for f in dataclasses.fields(PathBundle)] == ["sites", "times", "values", "pot"]
     bundle = multi_bridge_bundle(CIRC, [(0,)], [[[6.0]], [[0.2]]], 0.0, 0.2, 0.05, substream(1, "b"), 3)
     assert bundle.state_space == CIRC.state_space
+
+
+def _pinned_case(pot, n_seg, pins, P=1):
+    """Layer values of three sites over n_seg segments of 6 steps: sites 0
+    and 1 pinned at the first layer, the last or both, site 2 never.
+    Returns (sites, nodes with None where pinned, the pinned values at P
+    points, shape (P, 1), with None elsewhere, R)."""
+    sites, R = ((0,), (1,), (2,)), 5
+    pinned = {"first": (0,), "last": (n_seg,), "both": (0, n_seg)}[pins]
+    hi = 1.5 if pot is QUAD else TWO_PI
+    lo = -hi if pot is QUAD else 0.0
+    src = np.random.default_rng(n_seg)
+    nodes = [
+        [None if i < 2 and n in pinned else src.uniform(lo, hi, R) for i in range(3)]
+        for n in range(n_seg + 1)
+    ]
+    values = [[None if v is not None else src.uniform(lo, hi, (P, 1)) for v in row] for row in nodes]
+    return sites, nodes, values, R
+
+
+def _pinned_layers(nodes, fill):
+    """The (layers, sites, R) array of the nodes, fill(n, i) where pinned."""
+    return np.array([
+        [fill(n, i) if v is None else v for i, v in enumerate(row)] for n, row in enumerate(nodes)
+    ])
+
+
+PINNED_CASES = [
+    (pot, n_seg, pins)
+    for pot in (QUAD, CIRC) for n_seg in (1, 2) for pins in ("first", "last", "both")
+]
+PINNED_IDS = [
+    f"{'line' if pot is QUAD else 'circle'}-{n_seg}seg-{pins}" for pot, n_seg, pins in PINNED_CASES
+]
+
+
+@pytest.mark.parametrize("pot, n_seg, pins", PINNED_CASES, ids=PINNED_IDS)
+def test_pinned_bridges_draw_what_the_bundle_draws_through_zeros(pot, n_seg, pins):
+    # one multi_bridge_bundle call with the pinned values at 0: the same
+    # paths, and the generator is left where that call leaves it
+    sites, nodes, _, R = _pinned_case(pot, n_seg, pins)
+    rng = substream(4, "pinned")
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, rng, R)
+    ref_rng = substream(4, "pinned")
+    layers = _pinned_layers(nodes, lambda n, i: np.zeros(R))
+    drawn = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, ref_rng, R)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(bridges.values, drawn.values.transpose(2, 1, 0))
+    assert bridges.sites == drawn.sites and np.array_equal(bridges.times, drawn.times)
+
+
+@pytest.mark.parametrize("pot, n_seg, pins", PINNED_CASES, ids=PINNED_IDS)
+def test_moved_bridges_equal_bridges_drawn_through_the_pinned_values(pot, n_seg, pins):
+    # a bridge is affine in its (lifted) layer values given its noise, and
+    # the circle's windings are picked again from the kept uniforms
+    sites, nodes, values, R = _pinned_case(pot, n_seg, pins)
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
+    moved = bridges.moved(values, 1)
+    layers = _pinned_layers(nodes, lambda n, i: np.full(R, values[n][i].item()))
+    ref = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
+    assert moved.values.shape == ref.values.shape == (R, 3, 6 * n_seg + 1)
+    np.testing.assert_allclose(moved.values, ref.values, rtol=0, atol=1e-12 * np.abs(ref.values).max())
+    assert moved.sites == ref.sites and np.array_equal(moved.times, ref.times)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+@pytest.mark.parametrize("n_seg", [1, 2])
+def test_a_move_at_P_points_equals_P_one_point_moves(pot, n_seg):
+    # replicas p R .. (p+1) R - 1 are point p's, bit for bit
+    sites, nodes, values, R = _pinned_case(pot, n_seg, "both", P=4)
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
+    batch = bridges.moved(values, 4)
+    assert batch.values.shape == (4 * R, 3, 6 * n_seg + 1)
+    for p in range(4):
+        point = [[None if v is None else v[p:p + 1] for v in row] for row in values]
+        assert np.array_equal(batch.values[p * R:(p + 1) * R], bridges.moved(point, 1).values)
 
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,7 +266,7 @@ def test_nmax_default_is_shared_by_expand_and_bispace(tmp_path, monkeypatch):
 
 def _readme_config() -> dict:
     """The config documented in README.md, comments stripped."""
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = Path(os.path.dirname(__file__), "..", "README.md").read_text()
     (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
     return json.loads(re.sub(r"//[^\n]*", "", block))
 
@@ -290,12 +291,12 @@ def test_expand_over_the_collection_cap_exits_before_any_weight(tmp_path, capsys
 
 def test_a_failed_run_leaves_no_directory(tmp_path):
     # expand at nMax 12 exits 2, and used to leave a directory holding only
-    # config.resolved.json
+    # config.resolved.json, and then an empty parent directory
     cfg = _readme_config()
     cfg["truncation"]["nMax"] = 12
     with pytest.raises(BudgetError, match="collection enumeration exceeded cap"):
         run("expand", cfg, str(tmp_path / "runs" / "o"))
-    assert os.listdir(tmp_path / "runs") == []
+    assert not (tmp_path / "runs").exists()
     # an existing directory keeps what it held and gets nothing new
     out = tmp_path / "existing"
     out.mkdir()
@@ -303,7 +304,15 @@ def test_a_failed_run_leaves_no_directory(tmp_path):
     with pytest.raises(BudgetError):
         run("expand", cfg, str(out))
     assert os.listdir(out) == ["kept.txt"]
-    assert sorted(os.listdir(tmp_path)) == ["existing", "runs"]
+    assert sorted(os.listdir(tmp_path)) == ["existing"]
+
+
+def test_a_run_into_new_nested_directories_creates_them(tmp_path):
+    out = tmp_path / "runs" / "a" / "o"
+    summary = run("dobrushin", DOB_CFG, str(out))
+    assert sorted(os.listdir(out)) == sorted(summary["artifacts"] + ["manifest.txt"])
+    assert os.listdir(tmp_path) == ["runs"]
+    assert os.listdir(tmp_path / "runs") == ["a"]
 
 
 def test_a_run_into_an_existing_directory_writes_its_files_there(tmp_path):
@@ -416,9 +425,9 @@ def test_run_simulate_artifacts_and_manifest(tmp_path):
     assert summary["seed"] == 7
     for name in ("paths.csv", "terminal_summary.csv", "config.resolved.json", "manifest.txt"):
         assert os.path.exists(os.path.join(out, name))
-    header = open(os.path.join(out, "paths.csv")).readline().strip().split(",")
+    header = Path(out, "paths.csv").read_text().splitlines()[0].strip().split(",")
     assert header[-2:] == ["seed", "configHash"]
-    manifest = open(os.path.join(out, "manifest.txt")).read()
+    manifest = Path(out, "manifest.txt").read_text()
     assert "subcommand: simulate" in manifest
     assert manifest.count("sha256") == 3  # config + two csv artifacts
 
@@ -427,8 +436,8 @@ def test_seed_override_changes_hash_and_output(tmp_path):
     a = run("simulate", SIM_CFG, str(tmp_path / "a"))
     b = run("simulate", SIM_CFG, str(tmp_path / "b"), seed=99)
     assert a["configHash"] != b["configHash"]
-    pa = open(tmp_path / "a" / "paths.csv").read()
-    pb = open(tmp_path / "b" / "paths.csv").read()
+    pa = (tmp_path / "a" / "paths.csv").read_text()
+    pb = (tmp_path / "b" / "paths.csv").read_text()
     assert pa != pb
 
 
@@ -437,10 +446,10 @@ def test_replay_roundtrip_and_tamper_detection(tmp_path):
     run("simulate", SIM_CFG, out)
     assert replay(out) == {"ok": True, "firstDivergence": None}
     # tamper with one artifact line
-    path = os.path.join(out, "paths.csv")
-    lines = open(path).read().splitlines()
+    path = Path(out, "paths.csv")
+    lines = path.read_text().splitlines()
     lines[1] = lines[1].replace(lines[1].split(",")[1], "9.999")
-    open(path, "w").write("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     res = replay(out)
     assert res["ok"] is False
     assert res["firstDivergence"].startswith("paths.csv:2")
@@ -465,10 +474,13 @@ def test_replay_roundtrip_of_an_expand_run(tmp_path):
     }
     out = str(tmp_path / "expand")
     run("expand", cfg, out)
-    manifest = open(os.path.join(out, "manifest.txt")).read()
+    manifest = Path(out, "manifest.txt").read_text()
     for name in ("weights.jsonl", "interaction.jsonl", "expand_summary.json"):
         assert f"artifact: {name} sha256" in manifest
-    traces = [json.loads(line)["trace"] for line in open(os.path.join(out, "interaction.jsonl"))]
+    traces = [
+        json.loads(line)["trace"]
+        for line in Path(out, "interaction.jsonl").read_text().splitlines()
+    ]
     assert any(len(t) > 1 for t in traces)
     assert replay(out) == {"ok": True, "firstDivergence": None}
 
@@ -561,7 +573,7 @@ def test_csv_rows_read_back_with_plain_numbers(tmp_path):
 def test_run_kp_subcommand(tmp_path):
     summary = run("kp", KP_CFG, str(tmp_path / "kp"))
     assert summary["lambdaStar"] > 0.0
-    rows = open(tmp_path / "kp" / "kp.csv").read().splitlines()
+    rows = (tmp_path / "kp" / "kp.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 + 1  # header, two probes, lambda-star row
 
 
@@ -890,3 +902,14 @@ def test_a_non_numeric_config_value_exits_2(tmp_path, capsys, sub, base, path, v
     config_path.write_text(json.dumps(cfg))
     assert main([sub, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_the_interaction_total_of_no_clusters_is_a_float(tmp_path):
+    # box 0..0 at radius 1 has an empty interior, so no clusters: the total
+    # is written as 0.0, a float like every other total, not as the int 0
+    cfg = _readme_config()
+    cfg["lattice"]["box"] = [[0], [0]]
+    summary = run("expand", cfg, str(tmp_path / "o"))
+    assert summary["nClusters"] == 0
+    total = json.loads((tmp_path / "o" / "expand_summary.json").read_text())["interactionTotal"]
+    assert isinstance(total["value"], float) and total["value"] == 0.0
