@@ -488,6 +488,11 @@ class PathBundle:
         return out
 
 
+# Elements of one block of a replica array that a loop walks at a time
+# (noise rows drawn, steps of the Girsanov exponent), so its temporaries
+# stay about 1 MB whatever the path length.
+BLOCK_ELEMENTS = 1 << 17
+
 # More steps than a path array could ever hold; a longer span is refused.
 MAX_STEPS = 2**31 - 1
 
@@ -588,15 +593,17 @@ def drift_values(drift: DriftSpec, path: PathBundle, site) -> np.ndarray:
     return np.array(drift.evaluate(site, *windows))
 
 
-def _euler_grid(pot: PotentialSpec, vol: Volume, x0: Configuration, t: float, dt: float):
-    """The checks of an Euler run from x0 over [0, t]: returns the volume's
-    sites in sorted order and the number of steps K = t / dt."""
+def _euler_grid(pot: PotentialSpec, vol: Volume, starts, t: float, dt: float):
+    """The checks of Euler runs from each Configuration of ``starts`` over
+    [0, t]: returns the volume's sites in sorted order and the number of
+    steps K = t / dt."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    if not vol.issubset(x0.domain):
-        raise CoverageError("x0 does not cover the volume")
-    if x0.state_space != pot.state_space:
-        raise ValidationError("x0 state space does not match the potential")
+    for x0 in starts:
+        if not vol.issubset(x0.domain):
+            raise CoverageError("x0 does not cover the volume")
+        if x0.state_space != pot.state_space:
+            raise ValidationError("x0 state space does not match the potential")
     return tuple(vol.sorted_sites()), whole_steps(t, dt, "t")
 
 
@@ -604,7 +611,7 @@ def simulate(
     drift: DriftSpec,
     pot: PotentialSpec,
     vol: Volume,
-    x0: Configuration,
+    x0,
     t: float,
     dt: float,
     rng: np.random.Generator,
@@ -614,20 +621,35 @@ def simulate(
 
     Interior sites feel the interacting drift, the boundary layer runs free.
     Deterministic given the state of rng, dt and the inputs; replicas share
-    one vectorized noise stream, rng.
+    one vectorized noise stream, rng.  ``x0`` is one Configuration, or a
+    sequence of P of them, held as a (sites, P) array of starts: the bundle
+    then holds P x R replicas, start-major (replica p R + r is path r from
+    the p-th start), and every start's R paths read the same Euler noise,
+    drawn once for R replicas.
     """
-    sites, K = _euler_grid(pot, vol, x0, t, dt)
+    starts = [x0] if isinstance(x0, Configuration) else list(x0)
+    sites, K = _euler_grid(pot, vol, starts, t, dt)
     inner = interior(vol, drift.nbhd)
 
-    R, n = n_replicas, len(sites)
+    R, n, P = n_replicas, len(sites), len(starts)
     W = _window_length(drift, dt)
     times = dt * np.arange(K + 1)
     # path rows (time, site, replica): W rows of frozen pre-history, then
     # x_0 .. x_K; the rows of x_1 .. x_K first hold the standard normals
-    # that step k scales and overwrites
-    history = np.empty((W + K + 1, n, R))
-    rng.standard_normal(out=history[W + 1 :])
-    history[: W + 1] = x0.array_for(sites)[:, None]
+    # that step k scales and overwrites.  ``slots`` views the replica axis
+    # as (start, replica)
+    history = np.empty((W + K + 1, n, P * R))
+    slots = history.reshape(W + K + 1, n, P, R)
+    # the normals are drawn time-major in row blocks of at most
+    # BLOCK_ELEMENTS values, the same draws as one call, and each block is
+    # copied into every start's slot
+    noise = np.empty((max(1, min(K, BLOCK_ELEMENTS // (n * R))), n, R))
+    for lo in range(W + 1, W + K + 1, len(noise)):
+        rows = noise[: min(len(noise), W + K + 1 - lo)]
+        rng.standard_normal(out=rows)
+        slots[lo : lo + len(rows)] = rows[:, :, None]
+    del noise
+    slots[: W + 1] = np.stack([x.array_for(sites) for x in starts], axis=1)[:, :, None]
     circle = pot.state_space == CIRCLE
     # the drift and U' read wrapped angles on the circle
     state = np.empty_like(history) if circle else history

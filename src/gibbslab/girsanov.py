@@ -18,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .dynamics import (
+    BLOCK_ELEMENTS,
     DriftSpec,
     PathBundle,
     PotentialSpec,
@@ -61,11 +62,6 @@ def _window_indices(path: PathBundle, window: Tuple[float, float]) -> Tuple[int,
     k_hi = int(np.searchsorted(path.times[:-1], b - tol))
     return k_lo, k_hi
 
-
-# Elements of one (R, steps) block of the Girsanov exponent: psi walks its
-# window this many replica-steps at a time, so its temporaries stay about
-# 1 MB whatever the path length.
-BLOCK_ELEMENTS = 1 << 17
 
 # Effective sample size below which a reweighted bridge estimate raises
 # PrecisionError.
@@ -279,18 +275,21 @@ def multi_bridge_bundle(
 ) -> PathBundle:
     """Concatenated exact bridges through the given layer values.
 
-    ``layers`` is a three-axis array that broadcasts to (layers, sites, R),
-    the sites in the order given, e.g. (layers, sites, 1) for one value per
-    site and layer; consecutive layers are tau apart and every segment is
-    bridged exactly.  Only the quadratic and drift-free-circle potentials
-    admit exact bridges.
+    ``layers`` broadcasts to (layers, sites, R), the sites in the order
+    given, e.g. (layers, sites, 1) for one value per site and layer, or to
+    (layers, sites, P, R) for P points: the bundle then holds P x R
+    replicas, point-major (replica p R + r is point p's path r), and the
+    points' bridges share their draws.  Consecutive layers are tau apart and
+    every segment is bridged exactly.  Only the quadratic and
+    drift-free-circle potentials admit exact bridges.
 
-    The randomness is drawn site by site, and within a site segment by
-    segment (on the circle: each segment's winding uniforms, then its step
-    noise); each site's layer values are then lifted through
-    ``_bridge_lifts``.  Once drawn, the segments are independent given
-    their ends, so the steps then run for every site and segment of the
-    bundle together, one step index at a time.
+    The randomness is drawn for R replicas, site by site, and within a site
+    segment by segment (on the circle: each segment's winding uniforms,
+    then its step noise), and copied into every point's slot; each site's
+    layer values are then lifted through ``_bridge_lifts``.  Once drawn,
+    the segments are independent given their ends, so the steps then run
+    for every site, segment and point of the bundle together, one step
+    index at a time.
     """
     if pot.family not in ("quadratic", "circle_free"):
         raise ValidationError(
@@ -300,28 +299,33 @@ def multi_bridge_bundle(
     R = n_replicas
     try:
         layers = np.asarray(layers, dtype=float)
-        if layers.ndim != 3:
-            raise ValueError(f"they have {layers.ndim} axes, not 3")
-        layers = np.broadcast_to(layers, (len(layers), len(sites), R))
+        if layers.ndim not in (3, 4):
+            raise ValueError(f"they have {layers.ndim} axes, not 3 or 4")
+        if layers.ndim == 3:
+            layers = layers[:, :, None]
+        layers = np.broadcast_to(layers, (len(layers), len(sites), layers.shape[2], R))
     except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"layer values must broadcast to (layers, {len(sites)} sites, {R} replicas): {exc}"
+            f"layer values must broadcast to (layers, {len(sites)} sites, {R} replicas)"
+            f" or (layers, {len(sites)} sites, points, {R} replicas): {exc}"
         ) from None
     n_seg = len(layers) - 1
     if n_seg < 1:
         raise ValidationError("need at least two layers to bridge")
     Kseg = whole_steps(tau, dt, "tau")
     K = n_seg * Kseg
+    P = layers.shape[2]
     circle = pot.family == "circle_free"
     # time-major, as ``simulate`` stores its paths: row k holds every site's
-    # values at step k.  A segment's rows hold its start, then the step
-    # noise, then its (lifted) end
-    values = np.empty((K + 1, len(sites), R))
+    # values at step k, each point's R replicas in a slot of their own.  A
+    # segment's rows hold its start, then the step noise, then its (lifted)
+    # end
+    values = np.empty((K + 1, len(sites), P, R))
     # the generator refuses a strided ``out``, so a (site, segment)'s noise
     # rows are drawn into one scratch block of at most BLOCK_ELEMENTS values
-    # and copied into place, in row order: the same draws as one call.  It
-    # keeps one row when a segment has none (tau == dt) so the loop's step
-    # is positive
+    # and copied into every point's slot, in row order: the same draws as
+    # one call.  It keeps one row when a segment has none (tau == dt) so the
+    # loop's step is positive
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
     for i in range(len(sites)):
         uniforms = []
@@ -331,14 +335,16 @@ def multi_bridge_bundle(
             for lo in range(j + 1, j + Kseg, len(noise)):
                 block = noise[: min(len(noise), j + Kseg - lo)]
                 rng.standard_normal(out=block)
-                values[lo : lo + len(block), i] = block
+                values[lo : lo + len(block), i] = block[:, None]
         values[::Kseg, i] = _bridge_lifts(pot, layers[:, i], tau, uniforms)
     del noise
-    # a (step, segment, site, replica) view of rows 0 .. Kseg-1 of every
-    # segment, and a (segment, site, replica) view of the segment ends
-    rows = np.moveaxis(values[:K].reshape(n_seg, Kseg, len(sites), R), 1, 0)
+    # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1 of
+    # every segment, and a (segment, site, point, replica) view of the
+    # segment ends
+    rows = np.moveaxis(values[:K].reshape((n_seg, Kseg) + values.shape[1:]), 1, 0)
     _bridge_steps(rows, values[Kseg::Kseg], _step_coefficients(pot.family, tau, dt))
     times = t_start + dt * np.arange(K + 1)
+    values = values.reshape(K + 1, len(sites), P * R)
     return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
@@ -455,61 +461,93 @@ def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuratio
     return out
 
 
-def _path_ends(bundle: PathBundle) -> np.ndarray:
-    """The last value of every path of a bundle, shape (sites, R)."""
-    return bundle.values[:, :, -1].T
+def _path_ends(bundle: PathBundle, n_pairs: int) -> np.ndarray:
+    """The last value of every path of a pair-major bundle of P x R
+    replicas, shape (P, sites, R)."""
+    ends = bundle.values[:, :, -1]
+    return ends.reshape(n_pairs, -1, ends.shape[1]).transpose(0, 2, 1)
+
+
+def _replica_blocks(n_replicas: int, n_pairs: int) -> list:
+    """The slices of the blocks of ceil(R / P) replicas that a run over P
+    pairs walks: each block's noise is drawn once for all pairs, so the
+    pairs' bundle of a block holds about R replicas whatever P is."""
+    if n_pairs < 1:
+        raise ValidationError("need at least one (x, y) pair")
+    size = -(-n_replicas // n_pairs)
+    return [slice(lo, min(lo + size, n_replicas)) for lo in range(0, n_replicas, size)]
 
 
 def free_bridge_paths(
     pot: PotentialSpec,
     vol: Volume,
-    x: Configuration,
-    y: Configuration,
+    pairs,
     t: float,
-    mc: MCParams,
+    dt: float,
     rng: np.random.Generator,
-) -> Tuple[PathBundle, Optional[np.ndarray]]:
-    """Replica bundle of free bridges from x to y over [0, t].
+    n_replicas: int,
+) -> PathBundle:
+    """Free bridges from x to y over [0, t] for each (x, y) of ``pairs``.
 
-    Returns (bundle, log_weights); weights are None when the bridges are
-    exact, otherwise they reweight forward paths by a Gaussian kernel in
-    the offsets of their ends from y (``_endpoint_offsets``).
+    The bundle holds P x R replicas, pair-major (replica p R + r is pair
+    p's path r), and all pairs share one draw of R replicas.  The bridges
+    are exact for the quadratic and drift-free circle families
+    (``multi_bridge_bundle``); any other potential gets forward paths from
+    x (``simulate``), which ``density`` reweights by a Gaussian kernel in
+    the offsets of their ends from y.
     """
-    if not (vol.issubset(x.domain) and vol.issubset(y.domain)):
-        raise CoverageError("endpoint configurations must cover the volume")
+    for x, y in pairs:
+        if not (vol.issubset(x.domain) and vol.issubset(y.domain)):
+            raise CoverageError("endpoint configurations must cover the volume")
     sites = tuple(vol.sorted_sites())
-    R = mc.n_samples
+    starts = [x for x, _ in pairs]
     if pot.family in ("quadratic", "circle_free"):
-        layers = np.stack([x.array_for(sites), y.array_for(sites)])[:, :, None]
-        return multi_bridge_bundle(pot, sites, layers, 0.0, t, mc.dt, rng, R), None
-    bundle = simulate(_free_drift(), pot, vol, x, t, mc.dt, rng, R)
-    logw = np.zeros(R)
-    for diff, h in _endpoint_offsets(bundle.sites, _path_ends(bundle), pot.state_space, y):
-        logw += -(diff**2) / (2.0 * h * h)
-    return bundle, logw
+        # (layers, sites, pairs, 1)
+        layers = np.array([[x.array_for(sites) for x in starts],
+                           [y.array_for(sites) for _, y in pairs]]).transpose(0, 2, 1)
+        return multi_bridge_bundle(pot, sites, layers[..., None], 0.0, t, dt, rng, n_replicas)
+    return simulate(_free_drift(), pot, vol, starts, t, dt, rng, n_replicas)
 
 
 def density(
     drift: DriftSpec,
     pot: PotentialSpec,
     vol: Volume,
-    x: Configuration,
-    y: Configuration,
+    pairs,
     t: float,
     mc: MCParams,
     seed: int,
-) -> Estimate:
-    """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting:
-    the mean of the Girsanov weight over free bridges from x to y.
+) -> List[Estimate]:
+    """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting,
+    one Estimate per (x, y) of ``pairs``: the mean of the Girsanov weight
+    over free bridges from x to y.
 
-    Reweighted bridges (``free_bridge_paths``) are self-normalized; an
+    The R replicas are walked in blocks of ceil(R / P)
+    (``_replica_blocks``), each block's bridges drawn once for all pairs on
+    the (seed, "bridge") substream (``free_bridge_paths``).  So a pair's
+    estimate depends on how many pairs there are, not on their values, and
+    a single pair draws as one block.  Reweighted bridges are
+    self-normalized over each pair's R ends, gathered from all blocks; an
     effective sample size below ESS_THRESHOLD raises PrecisionError.
     """
-    bundle, logw = free_bridge_paths(pot, vol, x, y, t, mc, substream(seed, "bridge"))
-    samples = np.exp(log_girsanov_weight(drift, vol, bundle))
-    if logw is None:
-        return mean_estimate(samples, method="bridge")
-    return weighted_mean_estimate(samples, logw, ESS_THRESHOLD, method="bridge")
+    rng = substream(seed, "bridge")
+    R, P = mc.n_samples, len(pairs)
+    samples, ends = np.empty((P, R)), np.empty((P, len(vol), R))
+    for block in _replica_blocks(R, P):
+        bundle = free_bridge_paths(pot, vol, pairs, t, mc.dt, rng, block.stop - block.start)
+        samples[:, block] = np.exp(log_girsanov_weight(drift, vol, bundle)).reshape(P, -1)
+        ends[:, :, block] = _path_ends(bundle, P)
+        # dropped before the next block is drawn
+        del bundle
+    if pot.family in ("quadratic", "circle_free"):
+        return [mean_estimate(s, method="bridge") for s in samples]
+    out = []
+    for s, end, (_, y) in zip(samples, ends, pairs):
+        logw = np.zeros(R)
+        for diff, h in _endpoint_offsets(vol.sorted_sites(), end, pot.state_space, y):
+            logw += -(diff**2) / (2.0 * h * h)
+        out.append(weighted_mean_estimate(s, logw, ESS_THRESHOLD, method="bridge"))
+    return out
 
 
 def _kde_products(terms, n_replicas: int) -> np.ndarray:
@@ -520,46 +558,69 @@ def _kde_products(terms, n_replicas: int) -> np.ndarray:
     return prod
 
 
-def _free_endpoints(
+def _forward_ends(
+    drift: DriftSpec,
     pot: PotentialSpec,
     vol: Volume,
-    x: Configuration,
+    starts,
     t: float,
     dt: float,
     n_replicas: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ends x_K of free Euler runs from x over [0, t], shape (sites, R).
+    """Ends of Euler runs of R replicas from each of ``starts``, shape
+    (P, sites, R): one ``simulate`` call per block of ``_replica_blocks``,
+    whose noise all starts share."""
+    P = len(starts)
+    ends = np.empty((P, len(vol), n_replicas))
+    for block in _replica_blocks(n_replicas, P):
+        # only the ends are kept: the block's bundle is gone before the next
+        # one is run
+        ends[:, :, block] = _path_ends(
+            simulate(drift, pot, vol, starts, t, dt, rng, block.stop - block.start), P
+        )
+    return ends
+
+
+def _free_endpoints(
+    pot: PotentialSpec,
+    vol: Volume,
+    starts,
+    t: float,
+    dt: float,
+    n_replicas: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Ends x_K of free Euler runs from each Configuration of ``starts``
+    over [0, t], shape (P, sites, R).
 
     The sites are in sorted order.  The quadratic and drift-free circle
-    families draw x_K from the exact law of the Euler scheme's end, one
-    standard normal per (site, replica), site-major:
+    families draw one standard normal per (site, replica), site-major, and
+    map it onto the exact law of the Euler scheme's end for each start:
 
     - quadratic, x_{k+1} = a x_k + sqrt(dt) xi with a = 1 - dt: x_K is
       normal with mean a^K x and variance dt (1 - a^{2K}) / (1 - a^2)
       = (1 - a^{2K}) / (2 - dt), or dt K when a^2 = 1;
     - circle_free: the lift x_K = x + sqrt(K dt) xi.
 
-    Any other potential runs ``simulate`` and keeps its ends.  Either way t
-    must be a whole number of dt, x must cover vol in the potential's state
-    space, and a non-finite end raises NumericalError.
+    Any other potential runs ``simulate`` (``_forward_ends``) and keeps its
+    ends.  Either way t must be a whole number of dt, every start must
+    cover vol in the potential's state space, and a non-finite end raises
+    NumericalError.
     """
     if pot.family not in ("quadratic", "circle_free"):
-        bundle = simulate(_free_drift(), pot, vol, x, t, dt, rng, n_replicas)
-        return _path_ends(bundle)
-    sites, K = _euler_grid(pot, vol, x, t, dt)
-    x0 = x.array_for(sites)[:, None]
-    ends = rng.standard_normal((len(sites), n_replicas))
+        return _forward_ends(_free_drift(), pot, vol, starts, t, dt, n_replicas, rng)
+    sites, K = _euler_grid(pot, vol, starts, t, dt)
+    x0 = np.array([x.array_for(sites) for x in starts])[:, :, None]
+    xi = rng.standard_normal((len(sites), n_replicas))
     if pot.family == "quadratic":
         a = np.float64(1.0 - dt)
         # |a| > 1 overflows as the Euler run would; the check below raises
         with np.errstate(over="ignore", invalid="ignore"):
             var = dt * K if a * a == 1.0 else (1.0 - a ** (2 * K)) / (2.0 - dt)
-            ends *= np.sqrt(var)
-            ends += a**K * x0
+            ends = xi * np.sqrt(var) + a**K * x0
     else:
-        ends *= math.sqrt(K * dt)
-        ends += x0
+        ends = xi * math.sqrt(K * dt) + x0
     if not np.all(np.isfinite(ends)):
         raise NumericalError("the free endpoint law is not finite")
     return ends
@@ -569,32 +630,34 @@ def density_endpoint_ratio(
     drift: DriftSpec,
     pot: PotentialSpec,
     vol: Volume,
-    x: Configuration,
-    y: Configuration,
+    pairs,
     t: float,
     mc: MCParams,
     seed: int,
-) -> Estimate:
-    """Independent density route: ratio of kernel-smoothed endpoint laws.
+) -> List[Estimate]:
+    """Independent density route, one Estimate per (x, y) of ``pairs``:
+    the ratio of kernel-smoothed endpoint laws.
 
-    Simulates the interacting system forward from x, draws the free
-    system's ends (``_free_endpoints``) and compares kernel density
+    Simulates the interacting system forward from each x, all pairs
+    sharing each replica block's Euler noise (``_forward_ends``), draws the
+    free system's ends (``_free_endpoints``) and compares kernel density
     estimates at y, with one shared bandwidth per site so the smoothing
     bias cancels to leading order in the ratio.
     """
     R = mc.n_samples
-    # only the path ends are read, so the interacting bundle is dropped as
-    # soon as its offsets are taken
-    interacting = simulate(drift, pot, vol, x, t, mc.dt,
-                           substream(seed, "endpoint", "interacting"), R)
-    q_offsets = _endpoint_offsets(interacting.sites, _path_ends(interacting),
-                                  pot.state_space, y)
-    del interacting
-    free = _free_endpoints(pot, vol, x, t, mc.dt, R, substream(seed, "endpoint", "free"))
-    p_terms = _endpoint_offsets(vol.sorted_sites(), free, pot.state_space, y)
-    q_terms = [(d, h) for (d, _), (_, h) in zip(q_offsets, p_terms)]
-    q_hat = mean_estimate(_kde_products(q_terms, R))
-    p_hat = mean_estimate(_kde_products(p_terms, R))
-    if p_hat.value <= 0 or p_hat.value < 3.0 * p_hat.stderr:
-        raise PrecisionError("free endpoint density at y is not resolved")
-    return ratio_estimate(q_hat, p_hat, method="endpoint-ratio")
+    starts = [x for x, _ in pairs]
+    sites = vol.sorted_sites()
+    interacting = _forward_ends(drift, pot, vol, starts, t, mc.dt, R,
+                                substream(seed, "endpoint", "interacting"))
+    free = _free_endpoints(pot, vol, starts, t, mc.dt, R, substream(seed, "endpoint", "free"))
+    out = []
+    for q_ends, p_ends, (_, y) in zip(interacting, free, pairs):
+        p_terms = _endpoint_offsets(sites, p_ends, pot.state_space, y)
+        q_terms = [(d, h) for (d, _), (_, h) in
+                   zip(_endpoint_offsets(sites, q_ends, pot.state_space, y), p_terms)]
+        q_hat = mean_estimate(_kde_products(q_terms, R))
+        p_hat = mean_estimate(_kde_products(p_terms, R))
+        if p_hat.value <= 0 or p_hat.value < 3.0 * p_hat.stderr:
+            raise PrecisionError("free endpoint density at y is not resolved")
+        out.append(ratio_estimate(q_hat, p_hat, method="endpoint-ratio"))
+    return out

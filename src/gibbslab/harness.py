@@ -122,11 +122,12 @@ def _run_simulate(run: Run) -> dict:
 
 def _run_density(run: Run) -> dict:
     t, _ = run.time
+    # each route draws its noise once for all pairs
+    bridge = density(run.drift, run.pot, run.vol, run.pairs, t, run.mc, run.seed)
+    ratio = density_endpoint_ratio(run.drift, run.pot, run.vol, run.pairs, t, run.mc, run.seed)
     rows = []
-    for i, (x, y) in enumerate(run.pairs):
-        est = density(run.drift, run.pot, run.vol, x, y, t, run.mc, run.seed)
+    for i, (est, oracle) in enumerate(zip(bridge, ratio)):
         rows.append([i, "bridge", est.value, est.stderr, est.n])
-        oracle = density_endpoint_ratio(run.drift, run.pot, run.vol, x, y, t, run.mc, run.seed)
         rows.append([i, "endpoint-ratio", oracle.value, oracle.stderr, oracle.n])
     run.write_csv("density.csv", ["pair", "method", "value", "stderr", "n"], rows)
     return {"pairs": len(rows) // 2}
@@ -271,6 +272,9 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: Optional[int] = None) ->
     anchor = os.path.dirname(os.path.abspath(out_dir))
     while not os.path.exists(anchor):
         anchor = os.path.dirname(anchor)
+    for path in (anchor, out_dir):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ValidationError(f"output directory {out_dir}: {path} is not a directory")
     with tempfile.TemporaryDirectory(prefix=".stage-", dir=anchor) as stage:
         record = Run(resolved, out_dir, stage)
         record.write_json("config.resolved.json", resolved)

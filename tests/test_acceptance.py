@@ -111,7 +111,7 @@ def test_criterion_3_density_oracle():
     for i, (x0, y0) in enumerate(pairs):
         x = Configuration.constant(vol, x0)
         y = Configuration.constant(vol, y0)
-        est = density(drift, QUAD, vol, x, y, t, mc, seed=300 + i)
+        (est,) = density(drift, QUAD, vol, [(x, y)], t, mc, seed=300 + i)
         exact = _exact_density_const_drift(c, beta, x0, y0, t)
         worst = max(worst, abs(est.value - exact) / est.stderr)
     _verdict(3, "density vs Gaussian oracle", worst < 4.0, f"worst z = {worst:.2f} over 5 pairs")
@@ -136,8 +136,8 @@ def test_criterion_4_expansion_identity():
                 MCParams(n_samples=4000, dt=0.05), seed=404,
             )
             rec = reconstruct_density(tab)
-            direct = density(
-                drift, QUAD, vol, x, y, 2 * T, MCParams(n_samples=20_000, dt=0.05),
+            (direct,) = density(
+                drift, QUAD, vol, [(x, y)], 2 * T, MCParams(n_samples=20_000, dt=0.05),
                 seed=500 + i,
             )
             worst_rec = max(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gibbslab import dynamics
 from gibbslab.dynamics import (
     DriftSpec,
     _evaluation_windows,
@@ -319,6 +320,26 @@ def test_simulate_deterministic_replay():
     assert np.array_equal(a.values, b.values)
     c = simulate(d, QUAD, vol, x0, t=0.2, dt=0.02, rng=substream(10, "simulate"), n_replicas=4)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_simulate_from_several_starts_shares_the_noise(pot, monkeypatch):
+    # start p's slot is the run from that start alone, on the same stream;
+    # at BLOCK_ELEMENTS = 2 n R the noise comes in row blocks of two, and
+    # the paths are those of one draw
+    vol = Volume.box((0,), (2,))
+    d = markov_local_drift(0.5, Neighborhood.range1d(1))
+    starts = [Configuration({(0,): 0.1, (1,): 6.0, (2,): -0.4}, pot.state_space),
+              Configuration({(0,): -1.0, (1,): 0.3, (2,): 2.0}, pot.state_space)]
+    R = 4
+    whole = simulate(d, pot, vol, starts, t=0.2, dt=0.02, rng=substream(9, "simulate"), n_replicas=R)
+    assert whole.values.shape == (2 * R, 3, 11)
+    for p, x0 in enumerate(starts):
+        alone = simulate(d, pot, vol, x0, t=0.2, dt=0.02, rng=substream(9, "simulate"), n_replicas=R)
+        assert np.array_equal(whole.values[p * R:(p + 1) * R], alone.values)
+    monkeypatch.setattr(dynamics, "BLOCK_ELEMENTS", 2 * 3 * R)
+    blocks = simulate(d, pot, vol, starts, t=0.2, dt=0.02, rng=substream(9, "simulate"), n_replicas=R)
+    assert np.array_equal(blocks.values, whole.values)
 
 
 def test_substream_independence_and_determinism():

@@ -139,6 +139,21 @@ def test_bridge_layers_that_do_not_broadcast_raise(layers):
         multi_bridge_bundle(QUAD, [(0,), (1,)], layers, 0.0, 0.2, 0.05, substream(1, "b"), 4)
 
 
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_bridge_points_share_their_draws(pot):
+    # point p's slot is the bundle through point p's layer values alone, on
+    # the same stream; the circle picks each point's windings from the same
+    # uniforms
+    layers = np.array([[[0.1, 6.0], [2.0, -0.5]], [[0.4, 0.2], [0.0, 3.0]],
+                       [[-0.3, 5.5], [1.0, 0.7]]])[..., None]  # (layers, sites, points, 1)
+    R = 6
+    both = multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.0, 0.2, 0.05, substream(3, "b"), R)
+    assert both.values.shape == (2 * R, 2, 9)
+    for p in range(2):
+        alone = multi_bridge_bundle(pot, [(0,), (1,)], layers[:, :, p], 0.0, 0.2, 0.05, substream(3, "b"), R)
+        assert np.array_equal(both.values[p * R:(p + 1) * R], alone.values)
+
+
 def test_circle_bridge_hits_endpoint_mod_wrap():
     rng = substream(3, "circ")
     a, b = 0.3, 6.0
@@ -409,17 +424,42 @@ def test_psi_allocates_blocks_not_the_path():
     assert _traced_peak(lambda: psi(drift, (0,), (0.0, 4.0), long)) <= 1.1 * short_peak
 
 
+# three probe pairs on the two sites of the density workload's geometry
+THREE_PAIRS = [
+    ({(0,): 0.3, (1,): -0.5}, {(0,): 0.1, (1,): -0.2}),
+    ({(0,): -0.8, (1,): 0.6}, {(0,): -0.1, (1,): 0.4}),
+    ({(0,): 0.9, (1,): 0.2}, {(0,): 0.5, (1,): -0.1}),
+]
+
+
+def _pairs(pot, values=THREE_PAIRS):
+    return [(Configuration(x, pot.state_space), Configuration(y, pot.state_space)) for x, y in values]
+
+
 def test_endpoint_ratio_holds_one_system_at_a_time():
     # the route reads only the path ends, so the interacting bundle is gone
-    # before the free one is simulated
+    # before the free one is simulated; three pairs walk blocks of a third
+    # of the replicas, so they hold no more than one
     vol = Volume.box((0,), (1,))
-    x = Configuration({(0,): 0.3, (1,): -0.5})
-    y = Configuration({(0,): 0.1, (1,): -0.2})
     drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
     mc = MCParams(n_samples=8000, dt=0.01)
+    pairs = _pairs(QUAD)
+    x = pairs[0][0]
     one = _traced_peak(lambda: simulate(drift, QUAD, vol, x, 1.0, 0.01, substream(0, "simulate"), 8000))
-    both = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, x, y, 1.0, mc, seed=5))
+    both = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, pairs[:1], 1.0, mc, seed=5))
     assert both <= 1.1 * one
+    three = _traced_peak(lambda: density_endpoint_ratio(drift, QUAD, vol, pairs, 1.0, mc, seed=5))
+    assert three <= 1.1 * both
+
+
+def test_bridge_route_holds_one_bundle_whatever_the_pairs():
+    vol = Volume.box((0,), (1,))
+    drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
+    mc = MCParams(n_samples=8000, dt=0.01)
+    pairs = _pairs(QUAD)
+    one = _traced_peak(lambda: density(drift, QUAD, vol, pairs[:1], 1.0, mc, seed=5))
+    three = _traced_peak(lambda: density(drift, QUAD, vol, pairs, 1.0, mc, seed=5))
+    assert three <= 1.1 * one
 
 
 def _moments(a):
@@ -442,7 +482,7 @@ def test_free_endpoints_follow_the_euler_ends(pot, dt):
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 6.2 if pot is CIRC else 1.5, (1,): -0.4}, pot.state_space)
     y = Configuration({(0,): 0.1, (1,): 0.2}, pot.state_space)
-    drawn = _free_endpoints(pot, vol, x, t, dt, R, substream(3, "free"))
+    (drawn,) = _free_endpoints(pot, vol, [x], t, dt, R, substream(3, "free"))
     ran = simulate(_free_drift(), pot, vol, x, t, dt, substream(4, "simulate"), R).values[:, :, -1].T
     sites = vol.sorted_sites()
     for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y),
@@ -459,7 +499,7 @@ def test_free_endpoints_take_one_draw_per_site_and_replica(pot):
     R, t, dt = 5, 0.3, 0.1
     vol = Volume.box((0,), (2,))
     x = Configuration({(0,): 0.5, (1,): 6.0, (2,): -0.2}, pot.state_space)
-    ends = _free_endpoints(pot, vol, x, t, dt, R, substream(8, "free"))
+    (ends,) = _free_endpoints(pot, vol, [x], t, dt, R, substream(8, "free"))
     xi = substream(8, "free").standard_normal((3, R))
     x0 = x.array_for(vol.sorted_sites())[:, None]  # wrapped on the circle
     if pot is QUAD:
@@ -475,7 +515,7 @@ def test_free_endpoints_of_a_general_potential_run_simulate():
     pot = custom_potential(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x))
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 0.3, (1,): -0.5})
-    ends = _free_endpoints(pot, vol, x, 0.5, 0.01, 50, substream(6, "free"))
+    (ends,) = _free_endpoints(pot, vol, [x], 0.5, 0.01, 50, substream(6, "free"))
     bundle = simulate(_free_drift(), pot, vol, x, 0.5, 0.01, substream(6, "free"), 50)
     assert np.array_equal(ends, bundle.values[:, :, -1].T)
 
@@ -486,7 +526,7 @@ def test_free_endpoints_keep_the_checks_of_simulate(pot):
     x = Configuration({(0,): 0.3, (1,): -0.5}, pot.state_space)
 
     def draw(**changed):
-        args = dict(pot=pot, vol=vol, x=x, t=1.0, dt=0.01, n_replicas=4, rng=substream(1, "free"))
+        args = dict(pot=pot, vol=vol, starts=[x], t=1.0, dt=0.01, n_replicas=4, rng=substream(1, "free"))
         return _free_endpoints(**{**args, **changed})
 
     with pytest.raises(ValidationError):
@@ -497,7 +537,7 @@ def test_free_endpoints_keep_the_checks_of_simulate(pot):
         draw(vol=Volume.box((0,), (2,)))
     other = CIRC if pot is QUAD else QUAD
     with pytest.raises(ValidationError):
-        draw(x=Configuration({(0,): 0.3, (1,): -0.5}, other.state_space))
+        draw(starts=[Configuration({(0,): 0.3, (1,): -0.5}, other.state_space)])
     if pot is QUAD:
         # a = 1 - dt = -2: a^K overflows, as the Euler run would
         with pytest.raises(NumericalError):
@@ -571,8 +611,7 @@ def test_free_bridge_paths_midpoint():
     x = Configuration.constant(vol, 0.3)
     y = Configuration.constant(vol, 0.8)
     mc = MCParams(n_samples=20_000, dt=0.01)
-    bundle, logw = free_bridge_paths(QUAD, vol, x, y, 1.0, mc, substream(7, "bridge"))
-    assert logw is None
+    bundle = free_bridge_paths(QUAD, vol, [(x, y)], 1.0, mc.dt, substream(7, "bridge"), mc.n_samples)
     est = mean_estimate(bundle.values[:, 0, bundle.values.shape[2] // 2])
     v = lambda s: 0.5 * (1.0 - math.exp(-2.0 * s))
     er = math.exp(-0.5)
@@ -587,7 +626,7 @@ def test_density_matches_constant_drift_oracle():
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
     d = constant_drift(c)
-    est = density(d, QUAD, vol, x, y, t, MCParams(n_samples=20_000, dt=0.005), seed=13)
+    (est,) = density(d, QUAD, vol, [(x, y)], t, MCParams(n_samples=20_000, dt=0.005), seed=13)
     exact = _exact_density_const_drift(c, beta, x0, y0, t)
     # small O(dt) discretization bias on top of the MC error
     assert abs(est.value - exact) < 4 * est.stderr + 0.01
@@ -600,7 +639,7 @@ def test_density_over_a_single_step(pot):
     vol = Volume.box((0,), (1,))
     x = Configuration.constant(vol, 0.2)
     y = Configuration.constant(vol, 0.5)
-    est = density(constant_drift(0.8), pot, vol, x, y, 0.05, MCParams(n_samples=64, dt=0.05), seed=13)
+    (est,) = density(constant_drift(0.8), pot, vol, [(x, y)], 0.05, MCParams(n_samples=64, dt=0.05), seed=13)
     assert math.isfinite(est.value) and est.value > 0.0
 
 
@@ -611,9 +650,104 @@ def test_density_routes_agree():
     y = Configuration.constant(vol, y0)
     d = constant_drift(c)
     mc = MCParams(n_samples=20_000, dt=0.01)
-    a = density(d, QUAD, vol, x, y, t, mc, seed=13)
-    b = density_endpoint_ratio(d, QUAD, vol, x, y, t, mc, seed=13)
+    (a,) = density(d, QUAD, vol, [(x, y)], t, mc, seed=13)
+    (b,) = density_endpoint_ratio(d, QUAD, vol, [(x, y)], t, mc, seed=13)
     assert a.agrees_with(b, n_sigma=4.0, atol=0.01)
+
+
+DENSITY_DRIFT = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
+
+
+@pytest.mark.parametrize("route", [density, density_endpoint_ratio], ids=["bridge", "endpoint-ratio"])
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_a_pairs_estimate_does_not_depend_on_the_other_pairs_values(pot, route):
+    # the pairs share each replica block's draws, so moving pairs 0 and 2
+    # leaves pair 1 bit for bit; at R = 1000 the last of the three blocks
+    # is one replica short
+    vol = Volume.box((0,), (1,))
+    mc = MCParams(n_samples=1000, dt=0.01)
+    moved = [({(0,): 0.0, (1,): 0.1}, {(0,): 0.2, (1,): 0.0}), THREE_PAIRS[1],
+             ({(0,): -0.3, (1,): -0.4}, {(0,): -0.2, (1,): -0.1})]
+    a = route(DENSITY_DRIFT, pot, vol, _pairs(pot), 0.5, mc, seed=4)
+    b = route(DENSITY_DRIFT, pot, vol, _pairs(pot, moved), 0.5, mc, seed=4)
+    assert len(a) == len(b) == 3 and all(e.n == 1000 for e in a + b)
+    assert a[1] == b[1]
+    assert a[0] != b[0] and a[2] != b[2]
+
+
+@pytest.mark.parametrize("route", [density, density_endpoint_ratio], ids=["bridge", "endpoint-ratio"])
+def test_a_density_without_pairs_raises(route):
+    with pytest.raises(ValidationError, match="at least one"):
+        route(DENSITY_DRIFT, QUAD, Volume.box((0,), (1,)), [], 0.5, MCParams(n_samples=100), seed=4)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_a_single_pair_draws_one_bridge_bundle(pot):
+    # one pair is one block: the bundle of one multi_bridge_bundle call on
+    # the (seed, "bridge") substream, weighted and averaged
+    vol = Volume.box((0,), (1,))
+    mc = MCParams(n_samples=600, dt=0.01)
+    x, y = _pairs(pot)[0]
+    (est,) = density(DENSITY_DRIFT, pot, vol, [(x, y)], 0.5, mc, seed=4)
+    sites = vol.sorted_sites()
+    layers = np.stack([x.array_for(sites), y.array_for(sites)])[:, :, None]
+    bundle = multi_bridge_bundle(pot, sites, layers, 0.0, 0.5, mc.dt, substream(4, "bridge"), 600)
+    assert est == mean_estimate(np.exp(log_girsanov_weight(DENSITY_DRIFT, vol, bundle)), method="bridge")
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_a_single_pair_runs_one_interacting_simulation(pot):
+    # the endpoint route's interacting ends are those of one simulate call
+    # on its substream, and its free ends those of one draw
+    vol = Volume.box((0,), (1,))
+    x, _ = _pairs(pot)[0]
+    ends = girsanov._forward_ends(DENSITY_DRIFT, pot, vol, [x], 0.5, 0.01, 600, substream(4, "q"))
+    ran = simulate(DENSITY_DRIFT, pot, vol, x, 0.5, 0.01, substream(4, "q"), 600)
+    assert np.array_equal(ends, ran.values[:, :, -1].T[None])
+    (one,) = _free_endpoints(pot, vol, [x], 0.5, 0.01, 600, substream(4, "p"))
+    three = _free_endpoints(pot, vol, [p[0] for p in _pairs(pot)], 0.5, 0.01, 600, substream(4, "p"))
+    assert np.array_equal(one, three[0])
+
+
+class _CountingGenerator:
+    """Passes a generator's draws through and counts the values drawn."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def _count(self, kind, size, out):
+        self._counts[kind] = self._counts.get(kind, 0) + (out.size if out is not None else int(np.prod(size)))
+
+    def standard_normal(self, size=None, out=None):
+        self._count("normal", size, out)
+        return self._rng.standard_normal(size, out=out)
+
+    def uniform(self, size=None):
+        self._count("uniform", size, None)
+        return self._rng.uniform(size=size)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_three_pairs_draw_as_much_as_one(pot, monkeypatch):
+    vol = Volume.box((0,), (1,))
+    mc = MCParams(n_samples=1000, dt=0.01)
+    counts = {}
+    monkeypatch.setattr(
+        girsanov, "substream",
+        lambda *labels: _CountingGenerator(substream(*labels), counts.setdefault(labels, {})),
+    )
+    drawn = []
+    for pairs in (_pairs(pot)[:1], _pairs(pot)):
+        counts.clear()
+        density(DENSITY_DRIFT, pot, vol, pairs, 0.5, mc, seed=4)
+        density_endpoint_ratio(DENSITY_DRIFT, pot, vol, pairs, 0.5, mc, seed=4)
+        drawn.append(dict(counts))
+    one, three = drawn
+    assert three == one
+    K, n, R = 50, 2, 1000
+    assert one[(4, "bridge")] == {"normal": n * (K - 1) * R, **({"uniform": n * R} if pot is CIRC else {})}
+    assert one[(4, "endpoint", "interacting")] == {"normal": K * n * R}
+    assert one[(4, "endpoint", "free")] == {"normal": n * R}
 
 
 def test_circle_density_against_winding_sum():
@@ -632,7 +766,7 @@ def test_circle_density_against_winding_sum():
     x = Configuration.constant(vol, x0, "circle")
     y = Configuration.constant(vol, y0, "circle")
     d = constant_drift(c)
-    est = density(d, CIRC, vol, x, y, t, MCParams(n_samples=20_000, dt=0.005), seed=21)
+    (est,) = density(d, CIRC, vol, [(x, y)], t, MCParams(n_samples=20_000, dt=0.005), seed=21)
     assert abs(est.value - exact) < 4 * est.stderr + 0.02
 
 
@@ -648,10 +782,11 @@ def test_free_bridge_reweighted_fallback():
     x = Configuration.constant(vol, 0.0)
     y = Configuration.constant(vol, 0.3)
     rng = substream(5, "fallback")
-    bundle, logw = free_bridge_paths(pot, vol, x, y, 0.5, MCParams(n_samples=500, dt=0.01), rng)
-    assert logw is not None and logw.shape == (500,)
-    exact_bundle, none_w = free_bridge_paths(QUAD, vol, x, y, 0.5, MCParams(n_samples=16, dt=0.01), rng)
-    assert none_w is None
+    forward = free_bridge_paths(pot, vol, [(x, y)], 0.5, 0.01, rng, 500)
+    assert forward.values.shape == (500, 1, 51)
+    assert np.all(forward.values[:, 0, 0] == 0.0) and not np.any(forward.values[:, 0, -1] == 0.3)
+    exact = free_bridge_paths(QUAD, vol, [(x, y)], 0.5, 0.01, rng, 16)
+    assert np.all(exact.values[:, 0, -1] == 0.3)
 
 
 @pytest.mark.parametrize("x0,y0", [(6.2, 0.05), (0.05, 6.2)])
@@ -669,8 +804,8 @@ def test_reweighted_circle_bridges_across_the_seam(x0, y0):
     y = Configuration.constant(vol, y0, "circle")
     d = constant_drift(0.8)
     mc = MCParams(n_samples=20_000, dt=0.01)
-    est = density(d, general, vol, x, y, 0.5, mc, seed=3)
-    exact = density(d, CIRC, vol, x, y, 0.5, mc, seed=3)
+    (est,) = density(d, general, vol, [(x, y)], 0.5, mc, seed=3)
+    (exact,) = density(d, CIRC, vol, [(x, y)], 0.5, mc, seed=3)
     assert abs(est.value - exact.value) < 4 * math.hypot(est.stderr, exact.stderr) + 0.01
 
 

@@ -326,6 +326,22 @@ def test_a_run_into_an_existing_directory_writes_its_files_there(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["existing"]
 
 
+@pytest.mark.parametrize("sub", sorted(harness.SUBCOMMANDS))
+def test_an_output_directory_at_or_under_a_regular_file_exits_2(tmp_path, capsys, sub):
+    # under a regular file the staging directory ended in a raw
+    # NotADirectoryError from tempfile.mkdtemp; at the file itself the run
+    # did its work and then failed in os.makedirs
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(_readme_config()))
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    for out in (afile / "o", afile / "a" / "o", afile):
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+        assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["afile", "readme.json"]
+    assert afile.read_text() == "kept"
+
+
 def test_expand_tests_each_pair_of_clusters_once(tmp_path, monkeypatch):
     # the collections, the reconstruction and the weights read one cluster
     # set, whose conflict graph is built once: expand used to build it twice
