@@ -40,8 +40,10 @@ from .dynamics import (
     DriftSpec,
     PotentialSpec,
     _sample_reference_rng,
+    _window_length,
     free_kernel,
     reference_quadrature,
+    step_count,
 )
 from .errors import BudgetError, CoverageError, ValidationError
 from .estimates import Estimate, MCParams, mean_estimate
@@ -74,7 +76,9 @@ def pinned_sites(G: SpaceTimeCluster) -> Tuple[tuple, tuple]:
 def _bridge_span(sc: SpaceCluster, T: float) -> Tuple[tuple, Tuple[float, float]]:
     """The layers a space cluster's bridges run through, and the window its
     Psi is scored on: slice j's two layers, and from j = 1 on the layer
-    before, whose slice holds the drift's memory at the window's start."""
+    before, whose slice holds the drift's memory at the window's start.
+    Psi reads that slice only in its last t0, so ``cluster_sampler`` starts
+    the bridge there, one exact jump from the layer before."""
     j = sc.slice
     return (0, 1) if j == 0 else (j - 1, j, j + 1), (j * T, (j + 1) * T)
 
@@ -120,7 +124,10 @@ def cluster_sampler(
     bridge sites outside those vertices get fresh stationary draws (layer
     by layer), followed by the bridge noise, drawn once with the pinned
     values at 0 (``girsanov.pinned_bridges``), so that ``cluster_weight``
-    moves the bridges to any (x, y).
+    moves the bridges to any (x, y).  A bridge on slice j >= 1 leaves out
+    the first T / dt - W steps of slice j - 1, W = t0 / dt, which Psi does
+    not read: it starts at jT - W dt with one exact bridge jump from the
+    layer j - 1 values (none are left out when W >= T / dt).
     """
     grid = G.grid
     T, M = grid.T, grid.M
@@ -146,7 +153,8 @@ def cluster_sampler(
             ]
             for l in layer_ids
         ]
-        bridges.append(pinned_bridges(pot, sites, nodes, layer_ids[0] * T, T, mc.dt, rng, R))
+        skip = max(step_count(T, mc.dt) - _window_length(drift, mc.dt), 0) if sc.slice else 0
+        bridges.append(pinned_bridges(pot, sites, nodes, layer_ids[0] * T, T, mc.dt, rng, R, skip))
     return ClusterSampler(G, drift, pot, R, pinned_sites(G), shared, tuple(bridges))
 
 

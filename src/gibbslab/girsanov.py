@@ -135,33 +135,42 @@ def _ou_variance(s: float) -> float:
     return 0.5 * (1.0 - math.exp(-2.0 * s))
 
 
+def _step(family: str, tau: float, dt: float, prev: int, n: int) -> tuple:
+    """(a, b, c) of the exact bridge step x_n = c xi + a x_prev + b end from
+    grid point prev to grid point n of [0, tau], the end at tau.
+
+    With s = (n - prev) dt and the OU variance v:
+
+    - quadratic (OU): with rem = tau - n dt,
+      prec = 1 / v(s) + e^{-2 rem} / v(rem), a = e^{-s} / (v(s) prec),
+      b = e^{-rem} / (v(rem) prec) and c = 1 / sqrt(prec);
+    - otherwise the linear Brownian bridge towards the lifted end: with
+      rem = tau - prev dt, a = 1 - s / rem, b = s / rem and
+      c = sqrt(max(s (rem - s) / rem, 0)).
+    """
+    s = (n - prev) * dt
+    if family == "quadratic":
+        rem = tau - n * dt
+        es, vs = math.exp(-s), _ou_variance(s)
+        er, vr = math.exp(-rem), _ou_variance(rem)
+        prec = 1.0 / vs + er * er / vr
+        return es / (vs * prec), er / (vr * prec), 1.0 / math.sqrt(prec)
+    rem = tau - prev * dt
+    return 1.0 - s / rem, s / rem, math.sqrt(max(s * (rem - s) / rem, 0.0))
+
+
 @functools.lru_cache(maxsize=32)
 def _step_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
     """Row k, 1 <= k < K, holds (a_k, b_k, c_k) of the exact bridge step
-    x_k = c_k xi_k + a_k x_{k-1} + b_k end over [0, tau] in K = tau / dt steps.
-
-    - quadratic (OU): with rem = tau - k dt and the OU variance v(s),
-      prec = 1 / v(dt) + e^{-2 rem} / v(rem), a = e^{-dt} / (v(dt) prec),
-      b = e^{-rem} / (v(rem) prec) and c = 1 / sqrt(prec);
-    - otherwise the linear Brownian bridge towards the lifted end: with
-      rem = tau - (k - 1) dt, a = 1 - dt / rem, b = dt / rem and
-      c = sqrt(max(dt (rem - dt) / rem, 0)).
+    x_k = c_k xi_k + a_k x_{k-1} + b_k end over [0, tau] in K = tau / dt
+    steps, ``_step`` from grid point k - 1 to k.
 
     Row 0 is unused.  The result is a read-only (K, 3) array, computed once
     per family, tau and dt.
     """
-    K = int(round(tau / dt))
-    table = np.zeros((K, 3))
-    e1, v1 = math.exp(-dt), _ou_variance(dt)
-    for k in range(1, K):
-        if family == "quadratic":
-            rem = tau - k * dt
-            er, vr = math.exp(-rem), _ou_variance(rem)
-            prec = 1.0 / v1 + er * er / vr
-            table[k] = e1 / (v1 * prec), er / (vr * prec), 1.0 / math.sqrt(prec)
-        else:
-            rem = tau - (k - 1) * dt
-            table[k] = 1.0 - dt / rem, dt / rem, math.sqrt(max(dt * (rem - dt) / rem, 0.0))
+    table = np.zeros((int(round(tau / dt)), 3))
+    for k in range(1, len(table)):
+        table[k] = _step(family, tau, dt, k - 1, k)
     table.flags.writeable = False
     return table
 
@@ -207,20 +216,23 @@ def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> 
 
 
 @functools.lru_cache(maxsize=32)
-def _bridge_coefficients(family: str, tau: float, dt: float) -> np.ndarray:
+def _bridge_coefficients(family: str, tau: float, dt: float, skip: int = 0) -> np.ndarray:
     """Weights of a segment's start and (lifted) end in each of its rows.
 
     Given its noise, every step of an exact bridge segment is affine in the
     previous row and the end, so a path is base + start * coef[:, 0] +
     end * coef[:, 1], where base is the path from 0 to 0.  The weights are
     the segment's own steps run without noise from the start (1, 0) to the
-    end (0, 1); the result is a read-only (K+1, 2) array, computed once per
-    potential family, tau and dt.
+    end (0, 1).  A segment that leaves out its first ``skip`` steps keeps
+    the rows of grid points skip .. K, the first one the jump from the
+    start.  The result is a read-only (K+1-skip, 2) array, computed once per
+    potential family, tau, dt and skip.
     """
-    K = int(round(tau / dt))
-    coef = np.zeros((K + 1, 2))
-    coef[0, 0] = coef[K, 1] = 1.0
-    _bridge_steps(coef[:K], coef[K], _step_coefficients(family, tau, dt))
+    table = _step_coefficients(family, tau, dt)
+    coef = np.zeros((len(table) + 1 - skip, 2))
+    coef[0] = _step(family, tau, dt, 0, skip)[:2] if skip else (1.0, 0.0)
+    coef[-1, 1] = 1.0
+    _bridge_steps(coef[:-1], coef[-1], table[skip:])
     coef.flags.writeable = False
     return coef
 
@@ -272,6 +284,7 @@ def multi_bridge_bundle(
     dt: float,
     rng: np.random.Generator,
     n_replicas: int,
+    skip: int = 0,
 ) -> PathBundle:
     """Concatenated exact bridges through the given layer values.
 
@@ -279,17 +292,25 @@ def multi_bridge_bundle(
     given, e.g. (layers, sites, 1) for one value per site and layer, or to
     (layers, sites, P, R) for P points: the bundle then holds P x R
     replicas, point-major (replica p R + r is point p's path r), and the
-    points' bridges share their draws.  Consecutive layers are tau apart and
-    every segment is bridged exactly.  Only the quadratic and
-    drift-free-circle potentials admit exact bridges.
+    points' bridges share their draws.  Consecutive layers are tau apart,
+    the first at t_start, and every segment is bridged exactly.  Only the
+    quadratic and drift-free-circle potentials admit exact bridges.
+
+    A bundle may leave out the first ``skip`` steps of its first segment,
+    0 <= skip < tau / dt: it then starts at t_start + skip dt with one exact
+    bridge jump over skip dt from the layer-0 values towards the layer-1
+    values (``_step``), and takes the segment's other steps from there.
+    Layer 0 enters only through that jump, and the bundle has the law of
+    the same rows of the whole bridge.
 
     The randomness is drawn for R replicas, site by site, and within a site
     segment by segment (on the circle: each segment's winding uniforms,
-    then its step noise), and copied into every point's slot; each site's
-    layer values are then lifted through ``_bridge_lifts``.  Once drawn,
-    the segments are independent given their ends, so the steps then run
-    for every site, segment and point of the bundle together, one step
-    index at a time.
+    then its step noise, the jump's normal first), and copied into every
+    point's slot; each site's layer values are then lifted through
+    ``_bridge_lifts``.  Once drawn, the segments are independent given
+    their ends, so the steps then run for every site and point together,
+    one step index at a time: a cut first segment alone, then the whole
+    segments together.  At skip 0 the bundle is the whole bridge.
     """
     if pot.family not in ("quadratic", "circle_free"):
         raise ValidationError(
@@ -313,14 +334,23 @@ def multi_bridge_bundle(
     if n_seg < 1:
         raise ValidationError("need at least two layers to bridge")
     Kseg = whole_steps(tau, dt, "tau")
-    K = n_seg * Kseg
+    if not 0 <= skip < Kseg:
+        raise ValidationError(f"skip = {skip} steps must lie in [0, {Kseg}), the steps of a segment")
+    # the row of layer 1, and the last row
+    head = Kseg - skip
+    K = head + (n_seg - 1) * Kseg
     P = layers.shape[2]
     circle = pot.family == "circle_free"
     # time-major, as ``simulate`` stores its paths: row k holds every site's
     # values at step k, each point's R replicas in a slot of their own.  A
     # segment's rows hold its start, then the step noise, then its (lifted)
-    # end
+    # end; a cut first segment has no start row, and its jump reads the
+    # layer-0 values from ``starts``
     values = np.empty((K + 1, len(sites), P, R))
+    starts = np.empty(values.shape[1:]) if skip else values[0]
+    ends = range(head, K + 1, Kseg)
+    # the first noise row of each segment
+    firsts = (0 if skip else 1, *(end + 1 for end in ends))
     # the generator refuses a strided ``out``, so a (site, segment)'s noise
     # rows are drawn into one scratch block of at most BLOCK_ELEMENTS values
     # and copied into every point's slot, in row order: the same draws as
@@ -329,21 +359,36 @@ def multi_bridge_bundle(
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
     for i in range(len(sites)):
         uniforms = []
-        for j in range(0, K, Kseg):
+        for first, end in zip(firsts, ends):
             if circle:
                 uniforms.append(rng.uniform(size=R))
-            for lo in range(j + 1, j + Kseg, len(noise)):
-                block = noise[: min(len(noise), j + Kseg - lo)]
+            for lo in range(first, end, len(noise)):
+                block = noise[: min(len(noise), end - lo)]
                 rng.standard_normal(out=block)
                 values[lo : lo + len(block), i] = block[:, None]
-        values[::Kseg, i] = _bridge_lifts(pot, layers[:, i], tau, uniforms)
+        lifts = _bridge_lifts(pot, layers[:, i], tau, uniforms)
+        starts[i], values[head::Kseg, i] = lifts[0], lifts[1:]
     del noise
-    # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1 of
-    # every segment, and a (segment, site, point, replica) view of the
-    # segment ends
-    rows = np.moveaxis(values[:K].reshape((n_seg, Kseg) + values.shape[1:]), 1, 0)
-    _bridge_steps(rows, values[Kseg::Kseg], _step_coefficients(pot.family, tau, dt))
-    times = t_start + dt * np.arange(K + 1)
+    table = _step_coefficients(pot.family, tau, dt)
+    lo = 0
+    if skip:
+        # the jump, as ``_bridge_steps`` takes a step, then the dt steps
+        # left in the first segment
+        a, b, c = _step(pot.family, tau, dt, 0, skip)
+        jump = values[0]
+        jump *= c
+        jump += starts * a
+        jump += values[head] * b
+        del starts
+        _bridge_steps(values[:head], values[head], table[skip:])
+        lo = head
+    if K > lo:
+        # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1
+        # of every whole segment, and a (segment, site, point, replica) view
+        # of their ends
+        rows = np.moveaxis(values[lo:K].reshape((-1, Kseg) + values.shape[1:]), 1, 0)
+        _bridge_steps(rows, values[lo + Kseg::Kseg], table)
+    times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
     values = values.reshape(K + 1, len(sites), P * R)
     return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
@@ -354,11 +399,14 @@ class PinnedBridges:
 
     Given its noise, a bridge is affine in its (lifted) layer values, so
     ``moved`` carries the paths to any pinned values.  ``values`` is the
-    drawn bundle's time-major buffer, shape (K+1, sites, R).  Each entry of
-    ``pinned`` is (row of a site with a pinned layer, its layer values with
-    None where pinned, its winding uniforms per segment, None off the
-    circle).  ``coef`` holds the weights of a segment's start and end in its
-    rows (``_bridge_coefficients``).
+    drawn bundle's time-major buffer, shape (rows, sites, R): the K+1 rows
+    of the whole bridge, or K+1-skip when its first segment leaves out
+    ``skip`` leading steps.  Each entry of ``pinned`` is (row of a site
+    with a pinned layer, its layer values with None where pinned, its
+    winding uniforms per segment, None off the circle).  ``coef`` holds the
+    weights of a segment's start and end in its rows, ``head`` those in the
+    rows the first segment keeps (``_bridge_coefficients``; equal to
+    ``coef`` when it keeps them all).
     """
 
     pot: PotentialSpec
@@ -368,6 +416,7 @@ class PinnedBridges:
     values: np.ndarray
     pinned: tuple
     coef: np.ndarray
+    head: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -384,10 +433,21 @@ class PinnedBridges:
         from the kept uniforms.  A point's paths do not depend on the other
         points.
         """
-        coef = self.coef[:, :, None, None]
-        K = coef.shape[0] - 1
+        K = len(self.coef) - 1
+        # the leading steps the first segment leaves out: layer n sits in
+        # row n K - cut, and a cut bundle holds no row of layer 0
+        cut = K + 1 - len(self.head)
+        coef, head = self.coef[:, :, None, None], self.head[:, :, None, None]
+
+        def segment(m: int):
+            """The rows of segment m after its start, and their weights."""
+            if m == 0:
+                lo = 0 if cut else 1
+                return slice(lo, K - cut + 1), head[lo:]
+            return slice(m * K - cut + 1, (m + 1) * K - cut + 1), coef[1:]
+
         R = self.values.shape[2]
-        # the drawn paths, (K+1, sites, P, R)
+        # the drawn paths, (rows, sites, P, R)
         values = np.empty(self.values.shape[:2] + (P, R))
         values[...] = self.values[:, :, None, :]
         for i, column, uniforms in self.pinned:
@@ -397,13 +457,16 @@ class PinnedBridges:
             for n, (lift, v) in enumerate(zip(lifts, column)):
                 if lift is v:
                     continue
-                shift = lift - self.values[n * K, i]
-                if n == 0:
+                # a pinned value was drawn at 0, which layer 0 does not lift
+                shift = lift if n == 0 else lift - self.values[n * K - cut, i]
+                if n == 0 and not cut:
                     values[0, i] += shift
-                else:
-                    values[(n - 1) * K + 1:n * K + 1, i] += coef[1:, 1] * shift
+                if n > 0:
+                    rows, w = segment(n - 1)
+                    values[rows, i] += w[:, 1] * shift
                 if n < len(lifts) - 1:
-                    values[n * K + 1:(n + 1) * K + 1, i] += coef[1:, 0] * shift
+                    rows, w = segment(n)
+                    values[rows, i] += w[:, 0] * shift
         replicas = values.reshape(values.shape[:2] + (P * R,)).transpose(2, 1, 0)
         return PathBundle(self.sites, self.times, replicas, self.pot)
 
@@ -417,18 +480,20 @@ def pinned_bridges(
     dt: float,
     rng: np.random.Generator,
     n_replicas: int,
+    skip: int = 0,
 ) -> PinnedBridges:
     """Exact bridges through layer values of which some are pinned later.
 
     ``nodes[n][i]`` is site i's (R,) value at layer n, or None where the
     value is pinned.  One ``multi_bridge_bundle`` call draws the bridges
-    with the pinned values at 0, keeping the circle's winding uniforms;
+    with the pinned values at 0, keeping the circle's winding uniforms and
+    leaving out the first ``skip`` steps of the first segment;
     ``PinnedBridges.moved`` sets the pinned values.
     """
     R = n_replicas
     layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
     kept = _KeptUniforms(rng)
-    drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R)
+    drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R, skip)
     n_seg = len(nodes) - 1
     uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
     pinned = tuple(
@@ -438,7 +503,7 @@ def pinned_bridges(
     )
     return PinnedBridges(
         pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), pinned,
-        _bridge_coefficients(pot.family, tau, dt),
+        _bridge_coefficients(pot.family, tau, dt), _bridge_coefficients(pot.family, tau, dt, skip),
     )
 
 

@@ -68,10 +68,13 @@ def _drift(c, beta):
 
 def _reference_weight(G, x, y, drift, pot, mc, rng):
     """The per-configuration weight: every draw and the bridge loop are
-    redone for each (x, y)."""
+    redone for each (x, y).  From slice 1 on, a bridge starts W = t0 / dt
+    steps before its slice, leaving out the first T / dt - W steps of the
+    slice before (none when W >= T / dt)."""
     grid = G.grid
     T, M = grid.T, grid.M
     R = mc.n_samples
+    skip = max(round(T / mc.dt) - round(drift.memory / mc.dt), 0)
     shared = {}
     for site, layer in sorted(G.support):
         if layer == 0:
@@ -98,7 +101,7 @@ def _reference_weight(G, x, y, drift, pot, mc, rng):
             for l in layer_ids
         ])
         bundle = multi_bridge_bundle(
-            pot, sites_needed, layers, layer_ids[0] * T, T, mc.dt, rng, R
+            pot, sites_needed, layers, layer_ids[0] * T, T, mc.dt, rng, R, skip if j else 0
         )
         psi_sum = np.zeros(R)
         for k in sorted(sc.sites):
@@ -200,26 +203,9 @@ def test_weight_vanishes_at_beta_zero():
     assert est.value == 0.0 and est.stderr == 0.0
 
 
-@pytest.mark.parametrize(
-    "family, M, radius",
-    list(itertools.product(("quadratic", "circle_free"), (1, 2, 3), (0, 1))),
-)
-def test_sampler_weight_matches_the_per_configuration_reference(family, M, radius):
-    # the sampler draws what the reference draws, in the same order, and
-    # moves each bridge to (x, y) by the affine map: same weights up to
-    # rounding, and the generator is left where the reference leaves it
-    pot = QUAD if family == "quadratic" else circle_free_potential()
-    space = LINE if family == "quadratic" else CIRCLE
-    nb = Neighborhood.range1d(radius)
-    vol = Volume.box((0,), (3,))
-    drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
-    mc = MCParams(n_samples=8, dt=0.1)
-    clusters = enumerate_clusters(vol, nb, TimeGrid(0.5, M), 3)
-    draw = np.random.default_rng(M + 10 * radius)
-    hi = 1.5 if space == LINE else 2 * math.pi
-    lo = -hi if space == LINE else 0.0
-    x = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
-    y = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
+def _matched_kinds(clusters, x, y, drift, pot, mc) -> set:
+    """Checks every cluster's sampler against ``_reference_weight`` and
+    returns the kinds of clusters and bridges met."""
     kinds = set()
     for i, G in enumerate(clusters):
         ref_rng = substream(2, "weight", i)
@@ -232,17 +218,88 @@ def test_sampler_weight_matches_the_per_configuration_reference(family, M, radiu
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
         kinds.update({"time"} if G.time_clusters else set())
         for bridge in sampler.bridges:
-            kinds.add(f"{(len(bridge.times) - 1) // (len(bridge.coef) - 1)} segments")
+            cut = len(bridge.coef) - len(bridge.head)
+            kinds.add(f"tail of {len(bridge.times) - 1} steps" if cut else
+                      f"{(len(bridge.times) - 1) // (len(bridge.coef) - 1)} segments")
+            if cut and any(column[0] is None for _, column, _ in bridge.pinned):
+                kinds.add("pinned jump")
             if len(bridge.pinned) < len(bridge.sites):
                 kinds.add("unpinned site")
             if bridge.pinned:
                 kinds.add("pinned site")
+    return kinds
+
+
+def _endpoints(space, seed):
+    draw = np.random.default_rng(seed)
+    hi = 1.5 if space == LINE else 2 * math.pi
+    lo = -hi if space == LINE else 0.0
+    x = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
+    y = Configuration({(i,): draw.uniform(lo, hi) for i in range(4)}, space)
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "family, M, radius",
+    list(itertools.product(("quadratic", "circle_free"), (1, 2, 3), (0, 1))),
+)
+def test_sampler_weight_matches_the_per_configuration_reference(family, M, radius):
+    # the sampler draws what the reference draws, in the same order, and
+    # moves each bridge to (x, y) by the affine map: same weights up to
+    # rounding, and the generator is left where the reference leaves it.
+    # From slice 1 on a bridge keeps the last W = 1 step of the slice
+    # before, reached by one jump of 4 steps (x enters only through it
+    # where layer 0 is pinned)
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    space = LINE if family == "quadratic" else CIRCLE
+    nb = Neighborhood.range1d(radius)
+    drift = dataclasses.replace(markov_local_drift(1.0, nb, memory=0.1), beta=0.4)
+    mc = MCParams(n_samples=8, dt=0.1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), nb, TimeGrid(0.5, M), 3)
+    x, y = _endpoints(space, M + 10 * radius)
+    kinds = _matched_kinds(clusters, x, y, drift, pot, mc)
     expected = {"1 segments", "pinned site"}
     if M > 1:
-        expected |= {"time", "2 segments"}
+        expected |= {"time", "tail of 6 steps", "pinned jump"}
     if radius > 0:
         expected.add("unpinned site")
     assert expected <= kinds
+
+
+@pytest.mark.parametrize("family", ["quadratic", "circle_free"])
+def test_a_slice_as_long_as_the_memory_keeps_its_whole_first_segment(family):
+    # T = t0: Psi reads all of slice j - 1, so a slice-1 bridge leaves out
+    # no step and draws what a bridge through layers 0, 1 and 2 drew
+    # before bridges were cut
+    pot = QUAD if family == "quadratic" else circle_free_potential()
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.5), beta=0.4)
+    mc = MCParams(n_samples=8, dt=0.1)
+    clusters = enumerate_clusters(Volume.box((0,), (3,)), NB1, TimeGrid(0.5, 2), 2)
+    x, y = _endpoints(LINE if family == "quadratic" else CIRCLE, 5)
+    kinds = _matched_kinds(clusters, x, y, drift, pot, mc)
+    assert {"1 segments", "2 segments"} <= kinds
+    assert not any(k.startswith("tail") for k in kinds)
+
+
+def test_a_memory_longer_than_the_slice_at_beta_zero_cuts_nothing():
+    # the check T >= t0 binds only when the drift acts: at beta 0 with
+    # t0 = 0.5 > T = 0.2, T / dt - W = 4 - 10 clamps at 0, nothing raises,
+    # and every weight with a space cluster is exactly 0
+    drift = dataclasses.replace(markov_local_drift(1.0, NB1, memory=0.5), beta=0.0)
+    mc = MCParams(n_samples=16, dt=0.05)
+    clusters = enumerate_clusters(Volume.box((0,), (2,)), NB1, TimeGrid(0.2, 2), 2)
+    x, y = _endpoints(LINE, 1)
+    seen = set()
+    for i, G in enumerate(clusters):
+        sampler = cluster_sampler(G, drift, QUAD, mc, substream(3, "weight", i))
+        for sc, bridge in zip(G.space_clusters, sampler.bridges):
+            assert len(bridge.head) == len(bridge.coef)
+            assert len(bridge.times) == 4 * (sc.slice + 1) + 1
+            seen.add(sc.slice)
+        if G.space_clusters:
+            est = cluster_weight(sampler, x, y)
+            assert est.value == 0.0 and est.stderr == 0.0
+    assert seen == {0, 1}
 
 
 def test_sampler_revisits_give_the_same_float():

@@ -328,55 +328,122 @@ def _pinned_layers(nodes, fill):
     ])
 
 
+# skip 4 leaves out the first 4 of a first segment's 6 steps: its bundle
+# starts with one jump over 4 steps, and a pinned first layer enters only
+# through it
 PINNED_CASES = [
-    (pot, n_seg, pins)
+    (pot, n_seg, pins, skip)
+    for skip in (0, 4)
     for pot in (QUAD, CIRC) for n_seg in (1, 2) for pins in ("first", "last", "both")
 ]
 PINNED_IDS = [
-    f"{'line' if pot is QUAD else 'circle'}-{n_seg}seg-{pins}" for pot, n_seg, pins in PINNED_CASES
+    f"{'line' if pot is QUAD else 'circle'}-{n_seg}seg-{pins}" + (f"-skip{skip}" if skip else "")
+    for pot, n_seg, pins, skip in PINNED_CASES
 ]
 
 
-@pytest.mark.parametrize("pot, n_seg, pins", PINNED_CASES, ids=PINNED_IDS)
-def test_pinned_bridges_draw_what_the_bundle_draws_through_zeros(pot, n_seg, pins):
+@pytest.mark.parametrize("pot, n_seg, pins, skip", PINNED_CASES, ids=PINNED_IDS)
+def test_pinned_bridges_draw_what_the_bundle_draws_through_zeros(pot, n_seg, pins, skip):
     # one multi_bridge_bundle call with the pinned values at 0: the same
     # paths, and the generator is left where that call leaves it
     sites, nodes, _, R = _pinned_case(pot, n_seg, pins)
     rng = substream(4, "pinned")
-    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, rng, R)
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, rng, R, skip)
     ref_rng = substream(4, "pinned")
     layers = _pinned_layers(nodes, lambda n, i: np.zeros(R))
-    drawn = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, ref_rng, R)
+    drawn = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, ref_rng, R, skip)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(bridges.values, drawn.values.transpose(2, 1, 0))
     assert bridges.sites == drawn.sites and np.array_equal(bridges.times, drawn.times)
+    assert len(bridges.head) == 7 - skip and len(bridges.coef) == 7
 
 
-@pytest.mark.parametrize("pot, n_seg, pins", PINNED_CASES, ids=PINNED_IDS)
-def test_moved_bridges_equal_bridges_drawn_through_the_pinned_values(pot, n_seg, pins):
+@pytest.mark.parametrize("pot, n_seg, pins, skip", PINNED_CASES, ids=PINNED_IDS)
+def test_moved_bridges_equal_bridges_drawn_through_the_pinned_values(pot, n_seg, pins, skip):
     # a bridge is affine in its (lifted) layer values given its noise, and
     # the circle's windings are picked again from the kept uniforms
     sites, nodes, values, R = _pinned_case(pot, n_seg, pins)
-    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R, skip)
     moved = bridges.moved(values, 1)
     layers = _pinned_layers(nodes, lambda n, i: np.full(R, values[n][i].item()))
-    ref = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
-    assert moved.values.shape == ref.values.shape == (R, 3, 6 * n_seg + 1)
+    ref = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, substream(4, "pinned"), R, skip)
+    assert moved.values.shape == ref.values.shape == (R, 3, 6 * n_seg + 1 - skip)
     np.testing.assert_allclose(moved.values, ref.values, rtol=0, atol=1e-12 * np.abs(ref.values).max())
     assert moved.sites == ref.sites and np.array_equal(moved.times, ref.times)
 
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
-@pytest.mark.parametrize("n_seg", [1, 2])
-def test_a_move_at_P_points_equals_P_one_point_moves(pot, n_seg):
+@pytest.mark.parametrize("n_seg, skip", [(1, 0), (2, 0), (1, 4), (2, 4)], ids=["1", "2", "1-skip4", "2-skip4"])
+def test_a_move_at_P_points_equals_P_one_point_moves(pot, n_seg, skip):
     # replicas p R .. (p+1) R - 1 are point p's, bit for bit
     sites, nodes, values, R = _pinned_case(pot, n_seg, "both", P=4)
-    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R)
+    bridges = pinned_bridges(pot, sites, nodes, 0.5, 0.3, 0.05, substream(4, "pinned"), R, skip)
     batch = bridges.moved(values, 4)
-    assert batch.values.shape == (4 * R, 3, 6 * n_seg + 1)
+    assert batch.values.shape == (4 * R, 3, 6 * n_seg + 1 - skip)
     for p in range(4):
         point = [[None if v is None else v[p:p + 1] for v in row] for row in values]
         assert np.array_equal(batch.values[p * R:(p + 1) * R], bridges.moved(point, 1).values)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_a_bundle_that_leaves_out_one_step_is_the_whole_bundle_without_its_first_row(pot):
+    # a jump over one step is the first dt step: same draws, same paths
+    layers = np.random.default_rng(1).uniform(0.0, 2.0, (3, 2, 5))
+    whole = multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.5, 0.3, 0.05, substream(2, "b"), 5)
+    rng = substream(2, "b")
+    cut = multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.5, 0.3, 0.05, rng, 5, 1)
+    assert np.array_equal(cut.values, whole.values[:, :, 1:])
+    assert np.array_equal(cut.times, whole.times[1:])
+    ref_rng = substream(2, "b")
+    multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.5, 0.3, 0.05, ref_rng, 5)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("skip", [-1, 6, 7])
+def test_a_skip_outside_the_first_segment_raises(skip):
+    with pytest.raises(ValidationError, match="skip"):
+        multi_bridge_bundle(QUAD, [(0,)], np.zeros((3, 1, 1)), 0.0, 0.3, 0.05, substream(1, "b"), 4, skip)
+
+
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_a_cut_bundle_has_the_law_of_the_whole_bundles_last_rows(pot):
+    # through the same stationary layer values, the bundle that leaves out
+    # the first 7 of 10 steps and the whole bundle's rows 7 .. 20, drawn on
+    # streams of their own: each row's mean and variance, and the jump
+    # row's covariance with layer 1, agree within 4 sigma (bound fixed
+    # before the first run).  Layer 1 is shared, so its rows agree exactly
+    R, skip = 40_000, 7
+    draw = np.random.default_rng(9)
+    if pot is QUAD:
+        layers = draw.normal(0.0, math.sqrt(0.5), (3, 1, R))
+    else:
+        layers = draw.uniform(0.0, TWO_PI, (3, 1, R))
+    cut = multi_bridge_bundle(pot, [(0,)], layers, 0.0, 0.5, 0.05, substream(1, "cut"), R, skip)
+    whole = multi_bridge_bundle(pot, [(0,)], layers, 0.0, 0.5, 0.05, substream(1, "whole"), R)
+    a, b = cut.values[:, 0], whole.values[:, 0, skip:]
+    assert a.shape == b.shape == (R, 14)
+    assert np.array_equal(cut.times, whole.times[skip:])
+
+    def mean_se(v):
+        return v.mean(axis=0), v.std(axis=0) / math.sqrt(R)
+
+    def var_se(v):
+        c = v - v.mean(axis=0)
+        return mean_se(c * c)
+
+    def cov_se(u, v):
+        return mean_se((u - u.mean()) * (v - v.mean()))
+
+    def agree(stat_a, stat_b):
+        (ma, sa), (mb, sb) = stat_a, stat_b
+        assert np.all(np.abs(ma - mb) <= 4.0 * np.hypot(sa, sb))
+
+    agree(mean_se(a), mean_se(b))
+    agree(var_se(a), var_se(b))
+    layer1 = 10 - skip
+    agree(cov_se(a[:, 0], a[:, layer1]), cov_se(b[:, 0], b[:, layer1]))
+    # the jump row is neither layer: it moves with both
+    assert abs(cov_se(a[:, 0], a[:, layer1])[0]) > 10 * cov_se(a[:, 0], a[:, layer1])[1]
 
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
