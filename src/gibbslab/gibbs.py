@@ -3,8 +3,9 @@
 
 An interaction is a finite list of volume-local terms with declared
 sup-norms; finite-volume Gibbs measures are sampled by single-site
-Metropolis with proposals from the a-priori measure m, so beta0 = 0 is
-exact.  The two-layer Hamiltonian couples an initial layer x to an evolved
+Metropolis with proposals from the a-priori measure m, one colour class of
+sites at a time, so beta0 = 0 is exact.  The two-layer Hamiltonian couples
+an initial layer x to an evolved
 layer y through coupling terms: the free kernel factors -log p_t(x_i, y_i)
 and a volume-indexed dynamic interaction Phi (typically the truncated
 cluster expansion of the evolved density).  Conditional densities of the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .expansion import (
     volume_key,
 )
 from . import girsanov
-from .lattice import CIRCLE, Configuration, Volume, concat, wrap_angle
+from .lattice import CIRCLE, Configuration, Volume, as_site, concat, wrap_angle
 from .rng import substream
 
 
@@ -50,26 +51,34 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class InteractionTerm:
-    """One volume-local potential with a declared sup-norm."""
+    """One local potential with a declared sup-norm.
 
-    volume: Volume
-    evaluator: Callable  # dict site -> float or array of chain values, restricted to volume
+    Its value at a configuration is ``fn`` of the values of ``sites``, in
+    that order.  ``fn`` broadcasts over arrays, so terms that share one
+    ``fn`` are scored in one call on stacked rows of their site values.
+    """
+
+    sites: tuple
+    fn: Callable
     sup_norm: float
     label: str = "term"
+    volume: Volume = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        sites = tuple(as_site(s) for s in self.sites)
         if self.sup_norm < 0:
             raise SetupError("sup norm must be nonnegative")
-        if not self.volume.sites:
+        if not sites:
             raise SetupError("term volume must be nonempty")
+        if len(set(sites)) != len(sites):
+            raise SetupError(f"term sites {sites} are not distinct")
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "volume", Volume(frozenset(sites)))
 
-    def value(self, values: Dict):
-        """The evaluator on values restricted to the volume.
-
-        Scalar values give a scalar; arrays along a chain axis give the
-        broadcast array of the per-chain values.
-        """
-        return self.evaluator({s: values[s] for s in self.volume.sites})
+    def value(self, values: Mapping):
+        """fn at the values of the term's sites, read from a site -> value
+        mapping; scalars give a scalar, arrays their broadcast array."""
+        return self.fn(*(values[s] for s in self.sites))
 
 
 @dataclass(frozen=True)
@@ -106,17 +115,11 @@ class Interaction:
 
 
 def site_term(site, fn: Callable, sup_norm: float, label: str = "site") -> InteractionTerm:
-    site = tuple(site)
-    return InteractionTerm(
-        Volume(frozenset({site})), lambda v, s=site: fn(v[s]), sup_norm, label
-    )
+    return InteractionTerm((site,), fn, sup_norm, label)
 
 
 def pair_term(a, b, fn: Callable, sup_norm: float, label: str = "pair") -> InteractionTerm:
-    a, b = tuple(a), tuple(b)
-    return InteractionTerm(
-        Volume(frozenset({a, b})), lambda v, a=a, b=b: fn(v[a], v[b]), sup_norm, label
-    )
+    return InteractionTerm((a, b), fn, sup_norm, label)
 
 
 def nearest_neighbor_terms(
@@ -175,97 +178,252 @@ def hamiltonian(
     return total
 
 
+def _colour_classes(terms: Sequence[InteractionTerm], sites: Sequence) -> List[list]:
+    """Greedy colouring of the chain sites, visited in the order given.
+
+    Two chain sites conflict when one term reads both; held sites and terms
+    with one chain site add no constraint.  Each site takes the least
+    colour that no earlier conflicting site has.  Returns the classes in
+    colour order, each in site order, so no term reads two sites of one
+    class.
+    """
+    index = {s: i for i, s in enumerate(sites)}
+    earlier: List[set] = [set() for _ in sites]
+    for t in terms:
+        inside = sorted(index[s] for s in t.sites if s in index)
+        for k, i in enumerate(inside):
+            earlier[i].update(inside[:k])
+    colour: List[int] = []
+    for i in range(len(sites)):
+        used = {colour[j] for j in earlier[i]}
+        colour.append(min(set(range(len(used) + 1)) - used))
+    classes: List[list] = [[] for _ in range(max(colour, default=-1) + 1)]
+    for s, c in zip(sites, colour):
+        classes[c].append(s)
+    return classes
+
+
+def _index(ix):
+    """A run of consecutive indices as a slice, which reads a view; any
+    other list as an index array."""
+    ix = list(ix)
+    if ix and ix == list(range(ix[0], ix[0] + len(ix))):
+        return slice(ix[0], ix[0] + len(ix))
+    return np.asarray(ix, dtype=np.intp)
+
+
 def _draw_chains(
     pot: PotentialSpec,
-    n_sites: int,
+    position: Sequence[int],
     mc: MCParams,
     n_samples: int,
     rngs: Sequence[np.random.Generator],
 ):
     """Initial values and pre-drawn moves of independent chains.
 
-    Chain c reads rngs[c]: n_sites initial draws from m, then for the
-    burn-in and for each of the n_samples blocks of thin sweeps its
-    proposals from m followed by its uniforms.  Chains draw in list order,
-    so a generator shared by several chains is read chain after chain.
-    Returns the initial values, (n_sites, chains), and the proposals and
-    log-uniforms, both (burn_in + n_samples * thin, n_sites, chains).
+    Chains that share one generator object draw together, in groups taken
+    in order of first appearance.  A group of g chains draws g * n_sites
+    initial values from m, then for the burn-in and for each of the
+    n_samples blocks of thin sweeps its g * sweeps * n_sites proposals from
+    m followed by as many uniforms, each draw chain-major: chain by chain in
+    list order, then sweep by sweep, then site by site in sorted order.  So
+    a chain with a generator of its own draws what one chain alone would.
+    The value of sorted site i lands at ``position[i]`` of the site axis.
+
+    Returns ``moves``, (1 + burn_in + n_samples * thin, n_sites, chains),
+    whose row 0 holds the initial values and row 1 + k the proposals of
+    sweep k, and the log-uniforms, (burn_in + n_samples * thin, n_sites,
+    chains).
     """
+    n = len(position)
     blocks = [mc.burn_in] + [mc.thin] * n_samples
-    init = np.empty((n_sites, len(rngs)))
-    proposals = np.empty((sum(blocks), n_sites, len(rngs)))
-    logu = np.empty_like(proposals)
+    groups: Dict[int, list] = {}
     for c, rng in enumerate(rngs):
-        init[:, c] = _sample_reference_rng(pot, n_sites, rng)
+        groups.setdefault(id(rng), []).append(c)
+    moves = np.empty((1 + sum(blocks), n, len(rngs)))
+    logu = np.empty((sum(blocks), n, len(rngs)))
+    at = np.asarray(position, dtype=np.intp)[:, None]
+    for cols in groups.values():
+        rng, g = rngs[cols[0]], len(cols)
+        moves[0, at, cols] = _sample_reference_rng(pot, g * n, rng).reshape(g, n).T
         start = 0
         for sweeps in blocks:
             stop = start + sweeps
-            proposals[start:stop, :, c] = _sample_reference_rng(
-                pot, sweeps * n_sites, rng
-            ).reshape(sweeps, n_sites)
-            logu[start:stop, :, c] = np.log(rng.uniform(size=(sweeps, n_sites)))
+            moves[1 + start:1 + stop, at, cols] = _sample_reference_rng(
+                pot, g * sweeps * n, rng
+            ).reshape(g, sweeps, n).transpose(1, 2, 0)
+            u = rng.uniform(size=(g, sweeps, n))
+            logu[start:stop, at, cols] = np.log(u, out=u).transpose(1, 2, 0)
             start = stop
-    return init, proposals, logu
+    return moves, logu
+
+
+class _ClassMove(NamedTuple):
+    """What a move of one colour class, the chain sites lo..hi-1 of the
+    colour order, reads and writes.
+
+    ``new`` is a zeroed (depth, class sites, chains) buffer whose [k, i]
+    takes the proposal's value of the k-th term at class site i, in
+    ``phi.terms`` order, and ``carried`` the (depth, class sites) indices of
+    those terms' carried values (the zero row past a site's last term).
+    ``groups`` score the terms that read another chain site, one
+    (fn, per-argument state rows, slots of ``new``) per fn; ``tables`` the
+    one-site terms, one (fn, argument a of the chain site, per-argument
+    rows, width) per fn and a, where the rows of argument a are colour
+    positions in ``moves`` and the others held rows; their block tables
+    stack, in order, into the columns that go to ``one_slots``.
+    """
+
+    lo: int
+    hi: int
+    new: np.ndarray
+    carried: np.ndarray
+    groups: list
+    tables: list
+    one_slots: object
+
+
+def _class_moves(terms, classes, row, first, chains) -> List[_ClassMove]:
+    """The ``_ClassMove`` of each colour class; ``row`` maps each chain and
+    held site to its state row, and chain site p of the colour order has
+    its proposal in row first + p."""
+    chain_sites = {s for cls in classes for s in cls}
+    moves, lo = [], 0
+    for cls in classes:
+        at = [[q for q, t in enumerate(terms) if s in t.volume] for s in cls]
+        depth = max(map(len, at), default=0)
+        carried = np.full((depth, len(cls)), len(terms), dtype=np.intp)
+        groups: Dict[Callable, tuple] = {}
+        tables: Dict[tuple, tuple] = {}
+        for i, (s, qs) in enumerate(zip(cls, at)):
+            for k, q in enumerate(qs):
+                slot = k * len(cls) + i
+                carried[k, i] = q
+                t = terms[q]
+                if len(chain_sites.intersection(t.sites)) == 1:
+                    a = t.sites.index(s)
+                    args, slots = tables.setdefault((t.fn, a), ([[] for _ in t.sites], []))
+                    for b, r in enumerate(t.sites):
+                        args[b].append(lo + i if b == a else row[r])
+                else:
+                    args, slots = groups.setdefault(t.fn, ([[] for _ in t.sites], []))
+                    for b, r in enumerate(t.sites):
+                        args[b].append(first + lo + i if r == s else row[r])
+                slots.append(slot)
+        moves.append(_ClassMove(
+            lo, lo + len(cls), np.zeros((depth, len(cls), chains)), carried,
+            [(fn, [_index(r) for r in args], _index(s)) for fn, (args, s) in groups.items()],
+            [
+                (fn, a, [_index(r) for r in args], len(s))
+                for (fn, a), (args, s) in tables.items()
+            ],
+            _index([slot for _, slots in tables.values() for slot in slots]),
+        ))
+        lo += len(cls)
+    return moves
 
 
 def _metropolis_sweeps(
     phi: Interaction,
-    sites: Sequence,
-    values: Dict,
-    proposals: np.ndarray,
+    classes: Sequence[list],
+    held: Mapping,
+    moves: np.ndarray,
     logu: np.ndarray,
     burn_in: int,
     thin: int,
     out: np.ndarray,
+    out_rows,
 ) -> None:
-    """In-place single-site Metropolis of independent chains over pre-drawn moves.
+    """Chromatic Metropolis of independent chains over pre-drawn moves.
 
-    ``values`` maps each site to its (chains,) array, or a held site to its
-    held value.  ``proposals`` and ``logu`` are (sweeps, sites, chains)
-    arrays whose row k drives sweep k; the state after each ``thin`` sweeps
-    past ``burn_in`` goes to ``out``, a (chains, samples, sites) array.
+    ``classes`` are the colour classes of the chain sites
+    (``_colour_classes``), and ``held`` maps each held site to one value
+    for every chain or to a (chains,) array.  ``moves`` and ``logu`` hold
+    the chain sites in colour order on their site axis (``_draw_chains``).
+    One (rows, chains) array holds the chain sites in colour order, then
+    the held sites, then one proposal row per chain site.  A class moves at
+    once: its proposals go into their rows, and each group of the terms it
+    reads that share one fn is scored in one call on gathered rows.  No
+    term reads two sites of one class, so this is the single-site kernel
+    that visits the sites class by class.
 
-    Each term carries its current value, so a move at s scores only the
-    proposal: d_e is the sum of the new values minus the sum of the carried
-    ones, both over ``phi.terms_at(s)`` in order, and a chain rejects when
-    logu >= -beta0 * d_e.  A term with one site in ``sites`` is scored in
-    one call over that site's proposals for a block of sweeps, and the
-    moves read that table; a block holds at most
-    girsanov.BLOCK_ELEMENTS // chains sweeps.  The other terms are scored
-    at the (chains,) proposal state.
+    Each term carries its current value in one (terms, chains) array, so a
+    move scores only the proposal: d_e at a site is the sum of the new
+    values minus the sum of the carried ones, both over the site's terms in
+    ``phi.terms`` order, and a chain rejects when logu >= -beta0 * d_e.
+    The terms with one chain site are scored over that site's proposals for
+    a block of sweeps, one call per fn, stacked per class, and the moves
+    read that table; a block holds at most girsanov.BLOCK_ELEMENTS // chains
+    sweeps, and the first one also scores the initial values.  The state
+    after each ``thin`` sweeps past ``burn_in`` goes to ``out``, a (chains,
+    samples, sites) array, from the state rows ``out_rows``.
     """
-    n_sweeps, _, chains = proposals.shape
+    n_sweeps, n, chains = logu.shape
     block = max(1, girsanov.BLOCK_ELEMENTS // chains)
-    terms = phi.terms
-    at = [[j for j, t in enumerate(terms) if s in t.volume] for s in sites]
-    inside: Dict[int, list] = {}  # term index -> the indices of its sites in sites
-    for i, js in enumerate(at):
-        for j in js:
-            inside.setdefault(j, []).append(i)
-    one_site = {j: i for j, (i, *more) in inside.items() if not more}
-    current = {j: terms[j].value(values) for j in inside}
+    order = [s for cls in classes for s in cls]
+    row = {s: r for r, s in enumerate(order + list(held))}
+    first = len(row)  # the proposal row of the first chain site
+    state = np.empty((first + n, chains))
+    for s, v in held.items():
+        state[row[s]] = v
+    terms = [t for t in phi.terms if t.volume.sites.intersection(order)]
+    plan = _class_moves(terms, classes, row, first, chains)
+    flats = [move.new.reshape(-1, chains) for move in plan]
+    current = np.zeros((len(terms) + 1, chains))  # the last row stays zero
+
+    def tabulate(t0: int, t1: int) -> list:
+        """Per class, its one-site terms at rows t0..t1-1 of ``moves``, a
+        (t1 - t0, terms, chains) table, or None."""
+        tables = []
+        for move in plan:
+            parts = [
+                np.broadcast_to(
+                    fn(*(moves[t0:t1, r] if b == a else state[r] for b, r in enumerate(args))),
+                    (t1 - t0, width, chains),
+                )
+                for fn, a, args, width in move.tables
+            ]
+            tables.append(np.concatenate(parts, axis=1) if len(parts) > 1 else (parts or [None])[0])
+        return tables
+
+    def score(move: _ClassMove, flat: np.ndarray, table, r: int) -> None:
+        """The values of the terms of one class at its proposal rows, into
+        ``move.new``; the one-site terms read row r of the class table."""
+        for fn, args, slots in move.groups:
+            flat[slots] = fn(*(state[a] for a in args))
+        if table is not None:
+            flat[move.one_slots] = table[r]
+
+    # the carried values at the initial state: every class scores its terms
+    # with the initial values in the proposal rows too, and the one-site
+    # terms read row 0 of the first tables
+    state[:n] = state[first:] = moves[0]
+    t0, tables = 0, tabulate(0, 1 + min(block, n_sweeps))
+    for move, flat, table in zip(plan, flats, tables):
+        score(move, flat, table, 0)
+        current[move.carried] = move.new
+
     for k in range(n_sweeps):
-        if k % block == 0:
-            tables = {}  # term index -> its values at the moves of this block
-            for j, i in one_site.items():
-                cand = proposals[k:k + block, i]
-                value = terms[j].value({**values, sites[i]: cand})
-                tables[j] = np.broadcast_to(value, cand.shape)
-        for i, s in enumerate(sites):
-            old, prop = values[s], proposals[k, i]
-            values[s] = prop
-            new = [tables[j][k % block] if j in tables else terms[j].value(values) for j in at[i]]
-            d_e = sum(new) - sum(current[j] for j in at[i])
+        if k and k % block == 0:
+            t0, tables = 1 + k, tabulate(1 + k, 1 + min(k + block, n_sweeps))
+        for move, flat, table in zip(plan, flats, tables):
+            lo, hi = move.lo, move.hi
+            state[first + lo:first + hi] = moves[1 + k, lo:hi]
+            score(move, flat, table, 1 + k - t0)
+            carried = current[move.carried]
+            d_e = sum(move.new) - sum(carried)
             if not np.isfinite(d_e).all():
                 raise SetupError("non-finite local energy in Gibbs sampling")
-            reject = logu[k, i] >= -phi.beta0 * d_e
-            values[s] = np.where(reject, old, prop)
-            for j, v in zip(at[i], new):
-                current[j] = np.where(reject, current[j], v)
+            # d_e is finite, so this is the negation of logu >= -beta0 * d_e
+            accept = logu[k, lo:hi] < -phi.beta0 * d_e
+            np.copyto(state[lo:hi], state[first + lo:first + hi], where=accept)
+            # each term the class reads has one slot; the padding slots
+            # write zeros back to the zero row
+            np.copyto(carried, move.new, where=accept)
+            current[move.carried] = carried
         done = k + 1 - burn_in
         if done > 0 and done % thin == 0:
-            for i, s in enumerate(sites):
-                out[:, done // thin - 1, i] = values[s]
+            out[:, done // thin - 1] = state[out_rows].T
 
 
 def sample_gibbs(
@@ -295,30 +453,38 @@ def gibbs_chain(
 ) -> np.ndarray:
     """Thinned samples of independent Metropolis chains after burn-in.
 
-    There is one chain per generator; chain c draws from rngs[c], as laid
-    out in ``_draw_chains``.  Outside vol every chain is held at
-    ``boundary`` (None for a free boundary), a mapping such as a
-    Configuration from each held site to one value for every chain or to a
-    (chains,) array; a term that reads a site neither in vol nor held
-    raises CoverageError.  All chains advance together.  Returns a
-    (chains, n_samples, |vol|) array in ``vol.sorted_sites()`` order.
+    There is one chain per generator, at least one; chains that share one
+    generator object draw together, as laid out in ``_draw_chains``, and a
+    chain with a generator of its own draws what it would alone.  Outside
+    vol every chain is held at ``boundary`` (None for a free boundary), a
+    mapping such as a Configuration from each held site to one value for
+    every chain or to a (chains,) array; a term that reads a site neither
+    in vol nor held raises CoverageError.  All chains advance together,
+    one colour class of vol's sites at a time, the classes of
+    ``_colour_classes`` over ``vol.sorted_sites()``.  Returns a (chains,
+    n_samples, |vol|) array in ``vol.sorted_sites()`` order.
     """
+    if not len(rngs):
+        raise ValidationError("gibbs_chain runs one chain per generator, and needs one")
     sites = vol.sorted_sites()
-    init, proposals, logu = _draw_chains(pot, len(sites), mc, n_samples, rngs)
-    # init on vol, then the boundary at the other sites the terms read
-    values = dict(zip(sites, init))
-    for t in phi.terms_reaching(vol):
-        for s in sorted(t.volume.sites - values.keys()):
+    reaching = phi.terms_reaching(vol)
+    held: Dict = {}
+    for t in reaching:
+        for s in sorted(t.volume.sites - vol.sites - held.keys()):
             if boundary is None or s not in boundary:
                 raise CoverageError(f"term '{t.label}' reaches {s}, outside vol and not held")
-            held = np.asarray(boundary[s], dtype=float)
-            if held.shape not in ((), (len(rngs),)):
+            value = np.asarray(boundary[s], dtype=float)
+            if value.shape not in ((), (len(rngs),)):
                 raise ValidationError(
-                    f"boundary value at {s} has shape {held.shape}, not () or ({len(rngs)},)"
+                    f"boundary value at {s} has shape {value.shape}, not () or ({len(rngs)},)"
                 )
-            values[s] = held
+            held[s] = value
+    classes = _colour_classes(reaching, sites)
+    position = {s: p for p, s in enumerate(s for cls in classes for s in cls)}
+    rows = [position[s] for s in sites]
+    moves, logu = _draw_chains(pot, rows, mc, n_samples, rngs)
     out = np.empty((len(rngs), n_samples, len(sites)))
-    _metropolis_sweeps(phi, sites, values, proposals, logu, mc.burn_in, mc.thin, out)
+    _metropolis_sweeps(phi, classes, held, moves, logu, mc.burn_in, mc.thin, out, _index(rows))
     return out
 
 
@@ -387,9 +553,9 @@ def dlr_test(
         fs.append(("pair_tanh", lambda c: np.tanh(c[..., 0]) * np.tanh(c[..., 1])))
 
     # every direct and outer draw is the one sample of its own chain, so the
-    # draws are independent as the stderrs assume: the direct chains read
-    # their substream chain after chain, then the outer chains theirs; the
-    # inner chains share the "inner" substream the same way
+    # draws are independent as the stderrs assume: the direct chains draw
+    # together on their substream, the outer chains on theirs, and the inner
+    # chains on the "inner" substream
     big_sites = big_vol.sorted_sites()
     direct_rng, outer_rng = substream(seed, "dlr", "direct"), substream(seed, "dlr", "outer")
     draws = gibbs_chain(
@@ -593,16 +759,27 @@ def _modified_interaction(
 ) -> Interaction:
     """beta0 times the initial terms, and the coupling terms off the window
     vol at y = y_boundary, site -> (chains,) values (no declared bound:
-    -log p_t is unbounded on the line), at inverse temperature 1."""
+    -log p_t is unbounded on the line), at inverse temperature 1.  Each
+    distinct initial fn is scaled once, so the terms of one template still
+    share one fn; each coupling term becomes an fn over its sorted sites.
+    """
     b0 = bsi.initial.beta0
+    scaled: Dict[Callable, Callable] = {}
+    for t in bsi.initial.terms:
+        scaled.setdefault(t.fn, lambda *v, f=t.fn: b0 * f(*v))
     initial = [
-        InteractionTerm(t.volume, lambda v, t=t: b0 * t.evaluator(v), b0 * t.sup_norm, t.label)
+        InteractionTerm(t.sites, scaled[t.fn], b0 * t.sup_norm, t.label)
         for t in bsi.initial.terms
     ]
     coupling = [
-        InteractionTerm(c.volume, lambda v, c=c: c.evaluator(v, y_boundary), math.inf, "coupling")
+        InteractionTerm(
+            sites,
+            lambda *v, c=c, sites=sites: c.evaluator(dict(zip(sites, v)), y_boundary),
+            math.inf, "coupling",
+        )
         for c in bsi.coupling_terms(Volume(frozenset(y_boundary)))
         if not c.volume.sites & vol.sites
+        for sites in [c.volume.sorted_sites()]
     ]
     return Interaction(tuple(initial + coupling), beta0=1.0)
 
