@@ -267,9 +267,9 @@ class _ClassMove(NamedTuple):
     ``phi.terms`` order, and ``carried`` the (depth, class sites) indices of
     those terms' carried values (the zero row past a site's last term).
     ``groups`` score the terms that read another chain site, one
-    (fn, per-argument state rows, slots of ``new``) per fn; ``tables`` the
-    one-site terms, one (fn, argument a of the chain site, per-argument
-    rows, width) per fn and a, where the rows of argument a are colour
+    (fn, per-argument state rows, slots of ``new``) per fn and arity;
+    ``tables`` the one-site terms, one (fn, argument a of the chain site,
+    per-argument rows, width) per fn, arity and a, where the rows of argument a are colour
     positions in ``moves`` and the others held rows; their block tables
     stack, in order, into the columns that go to ``one_slots``.
     """
@@ -293,7 +293,9 @@ def _class_moves(terms, classes, row, first, chains) -> List[_ClassMove]:
         at = [[q for q, t in enumerate(terms) if s in t.volume] for s in cls]
         depth = max(map(len, at), default=0)
         carried = np.full((depth, len(cls)), len(terms), dtype=np.intp)
-        groups: Dict[Callable, tuple] = {}
+        # keyed by fn and arity too: one variadic fn may serve terms of
+        # several sizes, whose rows do not stack
+        groups: Dict[tuple, tuple] = {}
         tables: Dict[tuple, tuple] = {}
         for i, (s, qs) in enumerate(zip(cls, at)):
             for k, q in enumerate(qs):
@@ -302,20 +304,24 @@ def _class_moves(terms, classes, row, first, chains) -> List[_ClassMove]:
                 t = terms[q]
                 if len(chain_sites.intersection(t.sites)) == 1:
                     a = t.sites.index(s)
-                    args, slots = tables.setdefault((t.fn, a), ([[] for _ in t.sites], []))
+                    args, slots = tables.setdefault(
+                        (t.fn, len(t.sites), a), ([[] for _ in t.sites], [])
+                    )
                     for b, r in enumerate(t.sites):
                         args[b].append(lo + i if b == a else row[r])
                 else:
-                    args, slots = groups.setdefault(t.fn, ([[] for _ in t.sites], []))
+                    args, slots = groups.setdefault(
+                        (t.fn, len(t.sites)), ([[] for _ in t.sites], [])
+                    )
                     for b, r in enumerate(t.sites):
                         args[b].append(first + lo + i if r == s else row[r])
                 slots.append(slot)
         moves.append(_ClassMove(
             lo, lo + len(cls), np.zeros((depth, len(cls), chains)), carried,
-            [(fn, [_index(r) for r in args], _index(s)) for fn, (args, s) in groups.items()],
+            [(fn, [_index(r) for r in args], _index(s)) for (fn, _), (args, s) in groups.items()],
             [
                 (fn, a, [_index(r) for r in args], len(s))
-                for (fn, a), (args, s) in tables.items()
+                for (fn, _, a), (args, s) in tables.items()
             ],
             _index([slot for _, slots in tables.values() for slot in slots]),
         ))

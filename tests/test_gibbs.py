@@ -365,6 +365,24 @@ def test_a_call_over_two_generator_groups_equals_one_call_per_group():
         assert np.array_equal(got[cols], alone)
 
 
+def test_terms_that_share_a_variadic_fn_are_grouped_by_size():
+    # one fn of any number of sites serves a pair, a three-site term and a
+    # one-site term; each size is its own group, bit for bit the reference
+    def fn(*v):
+        return 0.4 * np.tanh(sum(v))
+
+    vol = Volume.box((0,), (3,))
+    terms = [
+        InteractionTerm(((0,), (1,)), fn, 0.4), InteractionTerm(((1,), (2,), (3,)), fn, 0.4),
+        InteractionTerm(((2,),), fn, 0.4), InteractionTerm(((2,), (3,)), fn, 0.4),
+    ]
+    phi = Interaction(tuple(terms), beta0=0.8)
+    mc = MCParams(n_samples=2, burn_in=4, thin=2)
+    got = gibbs_chain(phi, QUAD, vol, None, 3, mc, [substream(8, "v")] * 3)
+    ref = _reference_chains(phi, QUAD, vol, [None] * 3, 3, mc, substream(8, "v"))
+    assert np.array_equal(got, ref)
+
+
 def test_gibbs_chain_needs_a_chain_and_keeps_an_empty_volume():
     phi = _line_phi(Volume.box((0,), (2,)))
     mc = MCParams(n_samples=2, burn_in=2, thin=1)
