@@ -9,8 +9,9 @@ exactly, term by term, on the discrete grid.
 Bridges of the free dynamics are sampled exactly for the quadratic
 potential (Gaussian conditioning step by step) and for the drift-free
 circle (winding number first, then a linear Brownian bridge on the lift);
-any other potential falls back to forward paths reweighted by a Gaussian
-kernel at the terminal point, which is consistent as the bandwidth shrinks.
+any other potential falls back to forward paths that reach the terminal
+point through the density of their last Euler step, which is exactly
+Gaussian given the path before it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .dynamics import (
     DriftSpec,
     PathBundle,
     PotentialSpec,
+    _circle_heat_kernel,
     _euler_grid,
     _evaluation_windows,
     constant_drift,
+    free_kernel,
     simulate,
     whole_steps,
 )
@@ -41,7 +44,7 @@ from .estimates import (
     ratio_estimate,
     weighted_mean_estimate,
 )
-from .lattice import CIRCLE, TWO_PI, Configuration, Volume, interior, wrap_angle
+from .lattice import CIRCLE, TWO_PI, Volume, interior, wrap_angle
 from .rng import substream
 
 
@@ -507,32 +510,6 @@ def pinned_bridges(
     )
 
 
-def _endpoint_offsets(sites, ends: np.ndarray, state_space: str, y: Configuration) -> list:
-    """(offsets of the path ends from y, kernel bandwidth h) per site.
-
-    ``ends`` holds the ends of the R paths of each of ``sites``, shape
-    (sites, R), and h = spread * R^(-1/5).  On the circle the offsets are
-    wrapped into [-pi, pi) and the spread is theirs, so an end just across
-    the seam from y counts as near it; on the line the spread is that of
-    the ends."""
-    out = []
-    for s, end in zip(sites, ends):
-        if state_space == CIRCLE:
-            diff = spread = np.mod(wrap_angle(end) - y[s] + np.pi, TWO_PI) - np.pi
-        else:
-            diff, spread = end - y[s], end
-        h = (float(np.std(spread)) or 1.0) * end.size ** (-0.2)
-        out.append((diff, h))
-    return out
-
-
-def _path_ends(bundle: PathBundle, n_pairs: int) -> np.ndarray:
-    """The last value of every path of a pair-major bundle of P x R
-    replicas, shape (P, sites, R)."""
-    ends = bundle.values[:, :, -1]
-    return ends.reshape(n_pairs, -1, ends.shape[1]).transpose(0, 2, 1)
-
-
 def _replica_blocks(n_replicas: int, n_pairs: int) -> list:
     """The slices of the blocks of ceil(R / P) replicas that a run over P
     pairs walks: each block's noise is drawn once for all pairs, so the
@@ -557,9 +534,9 @@ def free_bridge_paths(
     The bundle holds P x R replicas, pair-major (replica p R + r is pair
     p's path r), and all pairs share one draw of R replicas.  The bridges
     are exact for the quadratic and drift-free circle families
-    (``multi_bridge_bundle``); any other potential gets forward paths from
-    x (``simulate``), which ``density`` reweights by a Gaussian kernel in
-    the offsets of their ends from y.
+    (``multi_bridge_bundle``); any other potential gets free forward paths
+    from x (``simulate``), which ``density`` ends at y through the density
+    of their last Euler step.
     """
     for x, y in pairs:
         if not (vol.issubset(x.domain) and vol.issubset(y.domain)):
@@ -574,6 +551,37 @@ def free_bridge_paths(
     return simulate(_free_drift(), pot, vol, starts, t, dt, rng, n_replicas)
 
 
+def _last_step_log_density(drift: DriftSpec, vol: Volume, bundle: PathBundle, ys) -> np.ndarray:
+    """log density at y of the last Euler step of each path of a pair-major
+    bundle of P x R replicas, P = len(ys), shape (P, R).
+
+    Given the path up to t - dt, x_K is normal at each site, with mean
+    x_{K-1} + (-U'(x_{K-1}) / 2 + beta b_{K-1}) dt and variance dt
+    (Pedersen, Scand. J. Statist. 22, 1995); b_{K-1} is 0 on the boundary
+    layer of vol, as in ``simulate``.  On the circle the normal is wrapped
+    (``_circle_heat_kernel`` over 2 pi), and a density that underflows
+    gives -inf.
+    """
+    K, dt, P = bundle.times.size - 1, bundle.dt, len(ys)
+    circle = bundle.state_space == CIRCLE
+    inner = interior(vol, drift.nbhd)
+    out = np.zeros((P, bundle.n_replicas // P))
+    for i, site in enumerate(bundle.sites):
+        last = bundle.values[:, i, K - 1]
+        move = -0.5 * np.asarray(bundle.pot.dU(wrap_angle(last) if circle else last), dtype=float)
+        if drift.beta > 0 and site in inner:
+            b = drift.evaluate(site, *_evaluation_windows(drift, bundle, site, K - 1, K))
+            move += drift.beta * b[:, 0]
+        # each pair's y against its own R paths
+        d = np.array([y[site] for y in ys])[:, None] - (last + move * dt).reshape(P, -1)
+        if circle:
+            with np.errstate(divide="ignore"):
+                out += np.log(_circle_heat_kernel(dt, wrap_angle(d)) / TWO_PI)
+        else:
+            out -= d * d / (2.0 * dt) + 0.5 * math.log(TWO_PI * dt)
+    return out
+
+
 def density(
     drift: DriftSpec,
     pot: PotentialSpec,
@@ -584,111 +592,100 @@ def density(
     seed: int,
 ) -> List[Estimate]:
     """Interacting-vs-free endpoint density f_t(x, y) by bridge reweighting,
-    one Estimate per (x, y) of ``pairs``: the mean of the Girsanov weight
-    over free bridges from x to y.
+    one Estimate per (x, y) of ``pairs``.
 
     The R replicas are walked in blocks of ceil(R / P)
-    (``_replica_blocks``), each block's bridges drawn once for all pairs on
+    (``_replica_blocks``), each block's paths drawn once for all pairs on
     the (seed, "bridge") substream (``free_bridge_paths``).  So a pair's
     estimate depends on how many pairs there are, not on their values, and
-    a single pair draws as one block.  Reweighted bridges are
-    self-normalized over each pair's R ends, gathered from all blocks; an
+    a single pair draws as one block.  On exact free bridges from x to y the
+    estimate is the mean Girsanov weight M.  Forward paths from x reach y
+    through their last Euler step: a path's sample is M over [0, t - dt)
+    times q / p, the interacting and free last-step densities at y
+    (``_last_step_log_density``), self-normalized with weights p; an
     effective sample size below ESS_THRESHOLD raises PrecisionError.
     """
     rng = substream(seed, "bridge")
     R, P = mc.n_samples, len(pairs)
-    samples, ends = np.empty((P, R)), np.empty((P, len(vol), R))
+    exact = pot.family in ("quadratic", "circle_free")
+    ys = [y for _, y in pairs]
+    # the free last-step log densities weigh forward paths only
+    samples, logp = np.empty((P, R)), None if exact else np.empty((P, R))
     for block in _replica_blocks(R, P):
         bundle = free_bridge_paths(pot, vol, pairs, t, mc.dt, rng, block.stop - block.start)
-        samples[:, block] = np.exp(log_girsanov_weight(drift, vol, bundle)).reshape(P, -1)
-        ends[:, :, block] = _path_ends(bundle, P)
+        if exact:
+            samples[:, block] = np.exp(log_girsanov_weight(drift, vol, bundle)).reshape(P, -1)
+        else:
+            # M over [0, t - dt), from the paths up to x_{K-1}; 1 at t = dt
+            head = PathBundle(bundle.sites, bundle.times[:-1], bundle.values[:, :, :-1], pot)
+            logm = log_girsanov_weight(drift, vol, head).reshape(P, -1) if head.times.size > 1 else 0
+            logq = _last_step_log_density(drift, vol, bundle, ys)
+            logp[:, block] = _last_step_log_density(_free_drift(), vol, bundle, ys)
+            # a path whose free density underflows has no weight
+            ratio = np.subtract(logq, logp[:, block], out=np.full(logq.shape, -np.inf),
+                                where=logp[:, block] > -np.inf)
+            samples[:, block] = np.exp(logm + ratio)
         # dropped before the next block is drawn
         del bundle
-    if pot.family in ("quadratic", "circle_free"):
+    if exact:
         return [mean_estimate(s, method="bridge") for s in samples]
-    out = []
-    for s, end, (_, y) in zip(samples, ends, pairs):
-        logw = np.zeros(R)
-        for diff, h in _endpoint_offsets(vol.sorted_sites(), end, pot.state_space, y):
-            logw += -(diff**2) / (2.0 * h * h)
-        out.append(weighted_mean_estimate(s, logw, ESS_THRESHOLD, method="bridge"))
+    return [weighted_mean_estimate(s, w, ESS_THRESHOLD, method="bridge") for s, w in zip(samples, logp)]
+
+
+def _last_step_densities(drift: DriftSpec, pot: PotentialSpec, vol: Volume, pairs, t: float,
+                         dt: float, n_replicas: int, rng: np.random.Generator) -> np.ndarray:
+    """Last-step densities at y of Euler runs of R replicas from x, for each
+    (x, y) of ``pairs``, shape (P, R): one ``simulate`` call per block of
+    ``_replica_blocks``, whose noise all pairs share."""
+    P = len(pairs)
+    out = np.empty((P, n_replicas))
+    for block in _replica_blocks(n_replicas, P):
+        bundle = simulate(drift, pot, vol, [x for x, _ in pairs], t, dt, rng, block.stop - block.start)
+        out[:, block] = np.exp(_last_step_log_density(drift, vol, bundle, [y for _, y in pairs]))
+        # dropped before the next block is run
+        del bundle
     return out
 
 
-def _kde_products(terms, n_replicas: int) -> np.ndarray:
-    """Product over sites of the Gaussian kernel densities of (offsets, h) pairs."""
-    prod = np.ones(n_replicas)
-    for diff, h in terms:
-        prod *= np.exp(-(diff**2) / (2.0 * h * h)) / (h * math.sqrt(2.0 * math.pi))
-    return prod
+def _free_euler_density(pot: PotentialSpec, vol: Volume, pairs, t: float, dt: float) -> np.ndarray:
+    """Density at y of the free Euler scheme's end x_K from x over [0, t],
+    one value per (x, y) of ``pairs``: the product over the sites of
 
+    - quadratic, x_{k+1} = a x_k + sqrt(dt) xi with a = 1 - dt: the normal
+      of mean a^K x and variance (1 - a^{2K}) / (2 - dt), or dt K when
+      a^2 = 1;
+    - circle_free, x + sqrt(t) xi wrapped: ``free_kernel`` at t over 2 pi.
 
-def _forward_ends(
-    drift: DriftSpec,
-    pot: PotentialSpec,
-    vol: Volume,
-    starts,
-    t: float,
-    dt: float,
-    n_replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Ends of Euler runs of R replicas from each of ``starts``, shape
-    (P, sites, R): one ``simulate`` call per block of ``_replica_blocks``,
-    whose noise all starts share."""
-    P = len(starts)
-    ends = np.empty((P, len(vol), n_replicas))
-    for block in _replica_blocks(n_replicas, P):
-        # only the ends are kept: the block's bundle is gone before the next
-        # one is run
-        ends[:, :, block] = _path_ends(
-            simulate(drift, pot, vol, starts, t, dt, rng, block.stop - block.start), P
-        )
-    return ends
-
-
-def _free_endpoints(
-    pot: PotentialSpec,
-    vol: Volume,
-    starts,
-    t: float,
-    dt: float,
-    n_replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Ends x_K of free Euler runs from each Configuration of ``starts``
-    over [0, t], shape (P, sites, R).
-
-    The sites are in sorted order.  The quadratic and drift-free circle
-    families draw one standard normal per (site, replica), site-major, and
-    map it onto the exact law of the Euler scheme's end for each start:
-
-    - quadratic, x_{k+1} = a x_k + sqrt(dt) xi with a = 1 - dt: x_K is
-      normal with mean a^K x and variance dt (1 - a^{2K}) / (1 - a^2)
-      = (1 - a^{2K}) / (2 - dt), or dt K when a^2 = 1;
-    - circle_free: the lift x_K = x + sqrt(K dt) xi.
-
-    Any other potential runs ``simulate`` (``_forward_ends``) and keeps its
-    ends.  Either way t must be a whole number of dt, every start must
-    cover vol in the potential's state space, and a non-finite end raises
-    NumericalError.
+    ``simulate``'s checks apply to x and y, and a law that is not finite
+    raises NumericalError.
     """
-    if pot.family not in ("quadratic", "circle_free"):
-        return _forward_ends(_free_drift(), pot, vol, starts, t, dt, n_replicas, rng)
-    sites, K = _euler_grid(pot, vol, starts, t, dt)
-    x0 = np.array([x.array_for(sites) for x in starts])[:, :, None]
-    xi = rng.standard_normal((len(sites), n_replicas))
+    sites, K = _euler_grid(pot, vol, [c for pair in pairs for c in pair], t, dt)
+    x, y = (np.array([c.array_for(sites) for c in side]) for side in zip(*pairs))
     if pot.family == "quadratic":
         a = np.float64(1.0 - dt)
         # |a| > 1 overflows as the Euler run would; the check below raises
         with np.errstate(over="ignore", invalid="ignore"):
             var = dt * K if a * a == 1.0 else (1.0 - a ** (2 * K)) / (2.0 - dt)
-            ends = xi * np.sqrt(var) + a**K * x0
+            dens = np.exp(-((y - a**K * x) ** 2) / (2.0 * var)) / np.sqrt(TWO_PI * var)
     else:
-        ends = xi * math.sqrt(K * dt) + x0
-    if not np.all(np.isfinite(ends)):
+        dens = free_kernel(pot, t, x, y) / TWO_PI
+    dens = np.prod(dens, axis=1)
+    if not np.all(np.isfinite(dens)):
         raise NumericalError("the free endpoint law is not finite")
-    return ends
+    return dens
+
+
+def _resolved(samples: np.ndarray, side: str) -> Estimate:
+    """The mean of one side's last-step densities; PrecisionError, naming
+    their effective sample size, when it is not 3 standard errors above 0."""
+    est = mean_estimate(samples)
+    if est.value <= 0 or est.value < 3.0 * est.stderr:
+        ess = samples.sum() ** 2 / np.sum(samples * samples) if est.value > 0 else 0.0
+        raise PrecisionError(
+            f"the {side} density at y is not resolved: effective sample size"
+            f" {ess:.1f} of {samples.size} last steps"
+        )
+    return est
 
 
 def density_endpoint_ratio(
@@ -701,28 +698,22 @@ def density_endpoint_ratio(
     seed: int,
 ) -> List[Estimate]:
     """Independent density route, one Estimate per (x, y) of ``pairs``:
-    the ratio of kernel-smoothed endpoint laws.
+    the ratio of the interacting and free Euler end densities at y.
 
-    Simulates the interacting system forward from each x, all pairs
-    sharing each replica block's Euler noise (``_forward_ends``), draws the
-    free system's ends (``_free_endpoints``) and compares kernel density
-    estimates at y, with one shared bandwidth per site so the smoothing
-    bias cancels to leading order in the ratio.
+    The numerator is the mean last-step density at y of the interacting
+    system run forward from x (``_last_step_densities``).  The denominator
+    is a closed form for the quadratic and drift-free circle families
+    (``_free_euler_density``), else the mean last-step density of free
+    runs.  A Monte Carlo side under 3 standard errors raises
+    PrecisionError.
     """
     R = mc.n_samples
-    starts = [x for x, _ in pairs]
-    sites = vol.sorted_sites()
-    interacting = _forward_ends(drift, pot, vol, starts, t, mc.dt, R,
-                                substream(seed, "endpoint", "interacting"))
-    free = _free_endpoints(pot, vol, starts, t, mc.dt, R, substream(seed, "endpoint", "free"))
-    out = []
-    for q_ends, p_ends, (_, y) in zip(interacting, free, pairs):
-        p_terms = _endpoint_offsets(sites, p_ends, pot.state_space, y)
-        q_terms = [(d, h) for (d, _), (_, h) in
-                   zip(_endpoint_offsets(sites, q_ends, pot.state_space, y), p_terms)]
-        q_hat = mean_estimate(_kde_products(q_terms, R))
-        p_hat = mean_estimate(_kde_products(p_terms, R))
-        if p_hat.value <= 0 or p_hat.value < 3.0 * p_hat.stderr:
-            raise PrecisionError("free endpoint density at y is not resolved")
-        out.append(ratio_estimate(q_hat, p_hat, method="endpoint-ratio"))
-    return out
+    interacting = _last_step_densities(drift, pot, vol, pairs, t, mc.dt, R,
+                                       substream(seed, "endpoint", "interacting"))
+    if pot.family in ("quadratic", "circle_free"):
+        free = [Estimate(float(p), 0.0, R) for p in _free_euler_density(pot, vol, pairs, t, mc.dt)]
+    else:
+        free = [_resolved(p, "free") for p in _last_step_densities(
+            _free_drift(), pot, vol, pairs, t, mc.dt, R, substream(seed, "endpoint", "free"))]
+    return [ratio_estimate(_resolved(q, "interacting"), p, method="endpoint-ratio")
+            for q, p in zip(interacting, free)]

@@ -20,9 +20,10 @@ from gibbslab import girsanov
 from gibbslab.errors import CoverageError, NumericalError, ValidationError
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.girsanov import (
-    _endpoint_offsets,
     _free_drift,
-    _free_endpoints,
+    _free_euler_density,
+    _last_step_densities,
+    _last_step_log_density,
     density,
     density_endpoint_ratio,
     free_bridge_paths,
@@ -31,7 +32,7 @@ from gibbslab.girsanov import (
     pinned_bridges,
     psi,
 )
-from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior, wrap_angle
+from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior
 from gibbslab.rng import substream
 
 QUAD = quadratic_potential()
@@ -504,9 +505,10 @@ def _pairs(pot, values=THREE_PAIRS):
 
 
 def test_endpoint_ratio_holds_one_system_at_a_time():
-    # the route reads only the path ends, so the interacting bundle is gone
-    # before the free one is simulated; three pairs walk blocks of a third
-    # of the replicas, so they hold no more than one
+    # the route reads only the last steps, so each block's bundle is gone
+    # before the next one is simulated, and the free side is a closed form;
+    # three pairs walk blocks of a third of the replicas, so they hold no
+    # more than one
     vol = Volume.box((0,), (1,))
     drift = dataclasses.replace(delayed_feedback_drift(1.0, 0.2), beta=0.5)
     mc = MCParams(n_samples=8000, dt=0.01)
@@ -529,62 +531,50 @@ def test_bridge_route_holds_one_bundle_whatever_the_pairs():
     assert three <= 1.1 * one
 
 
-def _moments(a):
-    """Mean and variance of a sample, each with its standard error."""
-    m, v = float(np.mean(a)), float(np.var(a))
-    m4 = float(np.mean((a - m) ** 4))
-    return m, math.sqrt(v / a.size), v, math.sqrt((m4 - v * v) / a.size)
-
-
 @pytest.mark.parametrize(
     "pot,dt", [(QUAD, 0.01), (QUAD, 0.25), (CIRC, 0.01)], ids=["line", "line-coarse", "circle"]
 )
-def test_free_endpoints_follow_the_euler_ends(pot, dt):
-    # the drawn ends and the ends of free Euler runs have one law: means and
-    # variances of the offsets from y (wrapped on the circle, from x = 6.2
-    # across the seam) agree within 4 sigma.  At dt = 0.25 the Euler law
-    # (mean 0.75^4 x, variance 0.514) is far from the OU law (e^{-1} x,
-    # 0.432), which these R would tell apart
+def test_the_free_euler_density_is_the_mean_free_last_step_density(pot, dt):
+    # the closed form against the mean last-step density at y of free Euler
+    # runs, within 4 sigma (bound fixed before the first run); on the circle
+    # from x = 6.2 across the seam.  At dt = 0.25 the Euler law (mean
+    # 0.75^4 x, variance 0.514) is far from the OU law (e^{-1} x, 0.432),
+    # whose density at y these R would tell apart
     R, t = 20_000, 1.0
     vol = Volume.box((0,), (1,))
     x = Configuration({(0,): 6.2 if pot is CIRC else 1.5, (1,): -0.4}, pot.state_space)
     y = Configuration({(0,): 0.1, (1,): 0.2}, pot.state_space)
-    (drawn,) = _free_endpoints(pot, vol, [x], t, dt, R, substream(3, "free"))
-    ran = simulate(_free_drift(), pot, vol, x, t, dt, substream(4, "simulate"), R).values[:, :, -1].T
-    sites = vol.sorted_sites()
-    for (a, _), (b, _) in zip(_endpoint_offsets(sites, drawn, pot.state_space, y),
-                              _endpoint_offsets(sites, ran, pot.state_space, y)):
-        ma, sma, va, sva = _moments(a)
-        mb, smb, vb, svb = _moments(b)
-        assert abs(ma - mb) < 4.0 * math.hypot(sma, smb)
-        assert abs(va - vb) < 4.0 * math.hypot(sva, svb)
+    (closed,) = _free_euler_density(pot, vol, [(x, y)], t, dt)
+    (ran,) = _last_step_densities(_free_drift(), pot, vol, [(x, y)], t, dt, R, substream(4, "simulate"))
+    est = mean_estimate(ran)
+    assert abs(est.value - closed) < 4.0 * est.stderr
 
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
-def test_free_endpoints_take_one_draw_per_site_and_replica(pot):
-    # site-major: the end of site i, replica r is affine in draw i R + r
-    R, t, dt = 5, 0.3, 0.1
+def test_the_last_step_density_is_the_gaussian_of_the_euler_step(pot):
+    # by hand: on three sites under a range-1 drift only the middle one
+    # feels b = 0.5 tanh(mean of the three states at t - dt), and each
+    # site's x_K is normal around x_{K-1} + (-U'/2 + b) dt with variance
+    # dt, summed over windings on the circle; two pairs, each y read
+    # against its own pair's paths
+    dt, K, R = 0.05, 6, 4
     vol = Volume.box((0,), (2,))
-    x = Configuration({(0,): 0.5, (1,): 6.0, (2,): -0.2}, pot.state_space)
-    (ends,) = _free_endpoints(pot, vol, [x], t, dt, R, substream(8, "free"))
-    xi = substream(8, "free").standard_normal((3, R))
-    x0 = x.array_for(vol.sorted_sites())[:, None]  # wrapped on the circle
-    if pot is QUAD:
-        a = 1.0 - dt
-        expected = a**3 * x0 + math.sqrt((1.0 - a**6) / (2.0 - dt)) * xi
-    else:
-        expected = x0 + math.sqrt(t) * xi
-    np.testing.assert_allclose(ends, expected, rtol=1e-14, atol=1e-15)
-
-
-def test_free_endpoints_of_a_general_potential_run_simulate():
-    # a potential without an exact endpoint law keeps the forward Euler run
-    pot = custom_potential(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x))
-    vol = Volume.box((0,), (1,))
-    x = Configuration({(0,): 0.3, (1,): -0.5})
-    (ends,) = _free_endpoints(pot, vol, [x], 0.5, 0.01, 50, substream(6, "free"))
-    bundle = simulate(_free_drift(), pot, vol, x, 0.5, 0.01, substream(6, "free"), 50)
-    assert np.array_equal(ends, bundle.values[:, :, -1].T)
+    drift = markov_local_drift(0.5, Neighborhood.range1d(1))
+    starts = [Configuration({(0,): 6.1, (1,): 0.2, (2,): 3.0}, pot.state_space),
+              Configuration({(0,): -0.4, (1,): 1.0, (2,): 0.5}, pot.state_space)]
+    ys = [Configuration({(0,): 0.1, (1,): 0.4, (2,): 2.8}, pot.state_space),
+          Configuration({(0,): -0.2, (1,): 1.3, (2,): 0.1}, pot.state_space)]
+    bundle = simulate(drift, pot, vol, starts, K * dt, dt, substream(2, "simulate"), R)
+    last = bundle.values[:, :, K - 1].reshape(2, R, 3)
+    state = np.mod(last, TWO_PI) if pot is CIRC else last
+    b = np.zeros_like(last)
+    b[:, :, 1] = 0.5 * np.tanh(state.mean(axis=2))
+    y = np.array([c.array_for(bundle.sites) for c in ys])[:, None, :]
+    d = y - (last + (-0.5 * pot.dU(state) + b) * dt)
+    windings = TWO_PI * np.arange(-3, 4) if pot is CIRC else np.zeros(1)
+    dens = np.exp(-((d[..., None] + windings) ** 2) / (2 * dt)).sum(axis=-1) / math.sqrt(TWO_PI * dt)
+    got = _last_step_log_density(drift, vol, bundle, ys)
+    np.testing.assert_allclose(got, np.log(dens).sum(axis=2), rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
@@ -593,8 +583,8 @@ def test_free_endpoints_keep_the_checks_of_simulate(pot):
     x = Configuration({(0,): 0.3, (1,): -0.5}, pot.state_space)
 
     def draw(**changed):
-        args = dict(pot=pot, vol=vol, starts=[x], t=1.0, dt=0.01, n_replicas=4, rng=substream(1, "free"))
-        return _free_endpoints(**{**args, **changed})
+        args = dict(pot=pot, vol=vol, pairs=[(x, x)], t=1.0, dt=0.01)
+        return _free_euler_density(**{**args, **changed})
 
     with pytest.raises(ValidationError):
         draw(t=1.005)
@@ -604,7 +594,10 @@ def test_free_endpoints_keep_the_checks_of_simulate(pot):
         draw(vol=Volume.box((0,), (2,)))
     other = CIRC if pot is QUAD else QUAD
     with pytest.raises(ValidationError):
-        draw(starts=[Configuration({(0,): 0.3, (1,): -0.5}, other.state_space)])
+        draw(pairs=[(Configuration({(0,): 0.3, (1,): -0.5}, other.state_space), x)])
+    # y is checked as x is
+    with pytest.raises(CoverageError):
+        draw(pairs=[(x, Configuration({(0,): 0.3}, pot.state_space))])
     if pot is QUAD:
         # a = 1 - dt = -2: a^K overflows, as the Euler run would
         with pytest.raises(NumericalError):
@@ -641,28 +634,6 @@ def test_constant_drifts_allocate_nothing(drift, b):
     (val,) = out
     assert val.shape == (R, steps) and not val.flags.writeable
     assert np.array_equal(val, np.full((R, steps), b(t)))
-
-
-@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
-def test_endpoint_offsets_read_only_the_path_ends(pot):
-    # the ends alone are wrapped; the offsets and bandwidths are those of the
-    # ends of the wrapped whole paths
-    vol = Volume.box((0,), (1,))
-    x = Configuration({(0,): 6.2, (1,): 0.1}, pot.state_space)
-    y = Configuration({(0,): 0.05, (1,): 3.0}, pot.state_space)
-    mc = MCParams(n_samples=400, dt=0.01)
-    free = dataclasses.replace(constant_drift(0.0), beta=0.0)
-    bundle = simulate(free, pot, vol, x, 2.0, mc.dt, substream(4, "simulate"), mc.n_samples)
-    ends = bundle.values[:, :, -1].T
-    for i, (diff, h) in enumerate(_endpoint_offsets(bundle.sites, ends, pot.state_space, y)):
-        path = bundle.values[:, i]
-        end = wrap_angle(path)[:, -1] if pot is CIRC else path[:, -1]
-        ref = end - y[bundle.sites[i]]
-        if pot is CIRC:
-            ref = np.mod(ref + np.pi, TWO_PI) - np.pi
-        assert np.array_equal(diff, ref)
-        spread = ref if pot is CIRC else end
-        assert h == (float(np.std(spread)) or 1.0) * mc.n_samples ** (-0.2)
 
 
 def test_circle_bridge_winding_spread():
@@ -764,16 +735,16 @@ def test_a_single_pair_draws_one_bridge_bundle(pot):
 
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
 def test_a_single_pair_runs_one_interacting_simulation(pot):
-    # the endpoint route's interacting ends are those of one simulate call
-    # on its substream, and its free ends those of one draw
+    # the endpoint route's interacting densities are those of one simulate
+    # call on its substream, and a pair's free density does not depend on
+    # the other pairs
     vol = Volume.box((0,), (1,))
-    x, _ = _pairs(pot)[0]
-    ends = girsanov._forward_ends(DENSITY_DRIFT, pot, vol, [x], 0.5, 0.01, 600, substream(4, "q"))
+    x, y = _pairs(pot)[0]
+    dens = _last_step_densities(DENSITY_DRIFT, pot, vol, [(x, y)], 0.5, 0.01, 600, substream(4, "q"))
     ran = simulate(DENSITY_DRIFT, pot, vol, x, 0.5, 0.01, substream(4, "q"), 600)
-    assert np.array_equal(ends, ran.values[:, :, -1].T[None])
-    (one,) = _free_endpoints(pot, vol, [x], 0.5, 0.01, 600, substream(4, "p"))
-    three = _free_endpoints(pot, vol, [p[0] for p in _pairs(pot)], 0.5, 0.01, 600, substream(4, "p"))
-    assert np.array_equal(one, three[0])
+    assert np.array_equal(dens, np.exp(_last_step_log_density(DENSITY_DRIFT, vol, ran, [y])))
+    (one,) = _free_euler_density(pot, vol, [(x, y)], 0.5, 0.01)
+    assert one == _free_euler_density(pot, vol, _pairs(pot), 0.5, 0.01)[0]
 
 
 class _CountingGenerator:
@@ -814,7 +785,8 @@ def test_three_pairs_draw_as_much_as_one(pot, monkeypatch):
     K, n, R = 50, 2, 1000
     assert one[(4, "bridge")] == {"normal": n * (K - 1) * R, **({"uniform": n * R} if pot is CIRC else {})}
     assert one[(4, "endpoint", "interacting")] == {"normal": K * n * R}
-    assert one[(4, "endpoint", "free")] == {"normal": n * R}
+    # the free side is a closed form
+    assert (4, "endpoint", "free") not in one
 
 
 def test_circle_density_against_winding_sum():
@@ -856,14 +828,15 @@ def test_free_bridge_reweighted_fallback():
     assert np.all(exact.values[:, 0, -1] == 0.3)
 
 
-@pytest.mark.parametrize("x0,y0", [(6.2, 0.05), (0.05, 6.2)])
+@pytest.mark.parametrize("x0,y0", [(6.2, 0.05), (0.05, 6.2), (1.0, 2.0)])
 def test_reweighted_circle_bridges_across_the_seam(x0, y0):
     # U = 0 on the circle through the reweighted forward paths vs the exact
-    # circle bridge; ends just across the seam from y used to count as
-    # 2 pi away, and the bandwidth came from the spread of the wrapped ends
-    # (1.1394 and 0.6645 against 0.9480 and 0.7660)
-    from gibbslab.dynamics import custom_potential
-
+    # circle bridge, across the seam and off it.  Under a constant drift, M
+    # over [0, t - dt) times the last step's q / p is exp(beta c (y - x) -
+    # (beta c)^2 t / 2) on every path, windings aside, as is the exact
+    # bridges' M: both routes are exact, so they agree to rounding, and
+    # their stderrs are rounding noise.  A Gaussian kernel at y read 1.8674
+    # +- 0.0028 against 1.8965 at (1.0, 2.0)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     general = custom_potential(zero, zero, state_space="circle")
     vol = Volume.box((0,), (0,))
@@ -873,7 +846,39 @@ def test_reweighted_circle_bridges_across_the_seam(x0, y0):
     mc = MCParams(n_samples=20_000, dt=0.01)
     (est,) = density(d, general, vol, [(x, y)], 0.5, mc, seed=3)
     (exact,) = density(d, CIRC, vol, [(x, y)], 0.5, mc, seed=3)
-    assert abs(est.value - exact.value) < 4 * math.hypot(est.stderr, exact.stderr) + 0.01
+    assert est.value == pytest.approx(exact.value, rel=1e-12)
+
+
+def test_a_free_last_step_density_that_underflows_weighs_nothing():
+    # at dt = 0.002 a wrapped normal of variance dt underflows more than
+    # about 1.73 rad from its mean, where some of the free paths from x to
+    # t - dt end: those paths take no weight, and the constant-drift
+    # estimate stays exact
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    general = custom_potential(zero, zero, state_space="circle")
+    vol = Volume.box((0,), (0,))
+    x = Configuration.constant(vol, 1.0, "circle")
+    y = Configuration.constant(vol, 2.0, "circle")
+    mc = MCParams(n_samples=20_000, dt=0.002)
+    free = simulate(_free_drift(), general, vol, x, 0.5, mc.dt, substream(3, "simulate"), 1000)
+    assert np.isneginf(_last_step_log_density(_free_drift(), vol, free, [y])).any()
+    d = constant_drift(0.8)
+    (est,) = density(d, general, vol, [(x, y)], 0.5, mc, seed=3)
+    (exact,) = density(d, CIRC, vol, [(x, y)], 0.5, mc, seed=3)
+    assert est.value == pytest.approx(exact.value, rel=1e-12)
+
+
+def test_reweighted_line_paths_match_the_exact_bridges():
+    # the quadratic potential as a general one, under the delayed feedback
+    # drift of the density workload: forward paths ended at y through their
+    # last Euler step against the exact OU bridges, within 4 sigma
+    general = custom_potential(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x))
+    vol = Volume.box((0,), (1,))
+    mc = MCParams(n_samples=20_000, dt=0.01)
+    ((x, y),) = pairs = _pairs(QUAD)[:1]
+    (est,) = density(DENSITY_DRIFT, general, vol, pairs, 1.0, mc, seed=3)
+    (exact,) = density(DENSITY_DRIFT, QUAD, vol, pairs, 1.0, mc, seed=3)
+    assert abs(est.value - exact.value) < 4 * math.hypot(est.stderr, exact.stderr)
 
 
 def test_log_weight_additive_over_windows():

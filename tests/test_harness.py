@@ -342,6 +342,21 @@ def test_an_output_directory_at_or_under_a_regular_file_exits_2(tmp_path, capsys
     assert afile.read_text() == "kept"
 
 
+def test_the_readme_config_cannot_resolve_its_density(tmp_path, capsys):
+    # on the five-site box the interacting last-step density at y is a
+    # product of five normals of variance dt, which few of the R paths
+    # carry: the endpoint route exits 4 naming its effective sample size
+    # (3.1 here; the 3-stderr rule keeps it under about 9) and leaves no
+    # run directory
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(_readme_config()))
+    assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    found = re.search(r"the interacting density at y is not resolved: effective sample size ([0-9.]+) of 10000", err)
+    assert found and float(found.group(1)) < 9.0
+    assert sorted(os.listdir(tmp_path)) == ["readme.json"]
+
+
 def test_expand_tests_each_pair_of_clusters_once(tmp_path, monkeypatch):
     # the collections, the reconstruction and the weights read one cluster
     # set, whose conflict graph is built once: expand used to build it twice
@@ -367,7 +382,8 @@ def test_the_manifest_lists_every_file_a_run_writes(tmp_path, sub):
     # the manifest used to list what each subcommand declared it wrote
     cfg = _readme_config()
     if sub == "density":
-        # two sites, as in CI: the endpoint-ratio route does not resolve five
+        # two sites, as in CI: the endpoint-ratio route does not resolve the
+        # README's five (test_the_readme_config_cannot_resolve_its_density)
         cfg["lattice"] = {"box": [[0], [1]], "neighborhoodRadius": 0}
         cfg["drift"]["params"]["radius"] = 0
     else:
