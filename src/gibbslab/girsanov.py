@@ -22,6 +22,7 @@ import math
 from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import (
     BLOCK_ELEMENTS,
@@ -190,9 +191,10 @@ def _bridge_steps(rows: np.ndarray, ends: np.ndarray, table: np.ndarray) -> None
     segments are stepped with it.
     """
     work = np.empty_like(ends)
-    for k, (a, b, c) in enumerate(table.tolist()[1:], start=1):
+    # every row's c_k noise at once, each element scaled as its step would
+    rows[1:] *= table[1:, 2].reshape((-1,) + (1,) * (rows.ndim - 1))
+    for k, (a, b) in enumerate(table[1:, :2].tolist(), start=1):
         row = rows[k]
-        row *= c
         np.multiply(rows[k - 1], a, out=work)
         row += work
         np.multiply(ends, b, out=work)
@@ -278,6 +280,19 @@ def _bridge_lifts(pot: PotentialSpec, nodes, tau: float, uniforms) -> list:
     return lifts
 
 
+# Families whose free bridges are sampled exactly.
+EXACT_FAMILIES = ("quadratic", "circle_free")
+
+
+def require_exact_bridges(pot: PotentialSpec) -> None:
+    """Refuses a potential without exact bridges, naming its family."""
+    if pot.family not in EXACT_FAMILIES:
+        raise ValidationError(
+            f"exact bridges need the quadratic or drift-free circle potential,"
+            f" not the {pot.family!r} family"
+        )
+
+
 def multi_bridge_bundle(
     pot: PotentialSpec,
     sites,
@@ -285,9 +300,10 @@ def multi_bridge_bundle(
     t_start: float,
     tau: float,
     dt: float,
-    rng: np.random.Generator,
+    rng,
     n_replicas: int,
     skip: int = 0,
+    out: np.ndarray = None,
 ) -> PathBundle:
     """Concatenated exact bridges through the given layer values.
 
@@ -306,19 +322,21 @@ def multi_bridge_bundle(
     Layer 0 enters only through that jump, and the bundle has the law of
     the same rows of the whole bridge.
 
-    The randomness is drawn for R replicas, site by site, and within a site
-    segment by segment (on the circle: each segment's winding uniforms,
-    then its step noise, the jump's normal first), and copied into every
-    point's slot; each site's layer values are then lifted through
-    ``_bridge_lifts``.  Once drawn, the segments are independent given
-    their ends, so the steps then run for every site and point together,
-    one step index at a time: a cut first segment alone, then the whole
-    segments together.  At skip 0 the bundle is the whole bridge.
+    ``rng`` is one generator, or a sequence of one per site, so that one
+    call steps a batch of bridges that each draw from a stream of their
+    own.  The randomness is drawn for R replicas, site by site, and within
+    a site segment by segment (on the circle: each segment's winding
+    uniforms, then its step noise, the jump's normal first), and copied
+    into every point's slot; each site's layer values are then lifted
+    through ``_bridge_lifts``.  Once drawn, the segments are independent
+    given their ends, so the steps then run for every site and point
+    together, one step index at a time: a cut first segment alone, then the
+    whole segments together.  At skip 0 the bundle is the whole bridge.
+
+    The values are time-major, shape (rows, sites, P, R); ``out``, an array
+    of that shape, receives them in place of a new array.
     """
-    if pot.family not in ("quadratic", "circle_free"):
-        raise ValidationError(
-            "exact bridges need the quadratic or drift-free circle potential"
-        )
+    require_exact_bridges(pot)
     sites = tuple(tuple(int(c) for c in s) for s in sites)
     R = n_replicas
     try:
@@ -339,6 +357,9 @@ def multi_bridge_bundle(
     Kseg = whole_steps(tau, dt, "tau")
     if not 0 <= skip < Kseg:
         raise ValidationError(f"skip = {skip} steps must lie in [0, {Kseg}), the steps of a segment")
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * len(sites)
+    if len(rngs) != len(sites):
+        raise ValidationError(f"{len(rngs)} generators for {len(sites)} sites")
     # the row of layer 1, and the last row
     head = Kseg - skip
     K = head + (n_seg - 1) * Kseg
@@ -349,7 +370,13 @@ def multi_bridge_bundle(
     # segment's rows hold its start, then the step noise, then its (lifted)
     # end; a cut first segment has no start row, and its jump reads the
     # layer-0 values from ``starts``
-    values = np.empty((K + 1, len(sites), P, R))
+    shape = (K + 1, len(sites), P, R)
+    if out is None:
+        values = np.empty(shape)
+    elif out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}, not {shape}")
+    else:
+        values = out
     starts = np.empty(values.shape[1:]) if skip else values[0]
     ends = range(head, K + 1, Kseg)
     # the first noise row of each segment
@@ -360,40 +387,55 @@ def multi_bridge_bundle(
     # one call.  It keeps one row when a segment has none (tau == dt) so the
     # loop's step is positive
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
-    for i in range(len(sites)):
+    for i, gen in enumerate(rngs):
         uniforms = []
         for first, end in zip(firsts, ends):
             if circle:
-                uniforms.append(rng.uniform(size=R))
+                uniforms.append(gen.uniform(size=R))
             for lo in range(first, end, len(noise)):
                 block = noise[: min(len(noise), end - lo)]
-                rng.standard_normal(out=block)
+                gen.standard_normal(out=block)
                 values[lo : lo + len(block), i] = block[:, None]
         lifts = _bridge_lifts(pot, layers[:, i], tau, uniforms)
         starts[i], values[head::Kseg, i] = lifts[0], lifts[1:]
     del noise
-    table = _step_coefficients(pot.family, tau, dt)
+    _walk(pot.family, tau, dt, skip, values, starts)
+    times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
+    values = values.reshape(K + 1, len(sites), P * R)
+    return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
+
+
+def _walk(family: str, tau: float, dt: float, skip: int, values: np.ndarray,
+          starts: np.ndarray) -> None:
+    """The steps of drawn bridges, in place: ``values`` holds the rows of
+    ``multi_bridge_bundle``, any trailing shape, and ``starts`` the layer-0
+    values that the jump of a cut first segment reads.
+
+    The jump, as ``_bridge_steps`` takes a step, then the steps left in
+    the first segment, then the whole segments together: one walk of the
+    rows whatever number of sites and points they hold.
+    """
+    Kseg = int(round(tau / dt))
+    head, K = Kseg - skip, len(values) - 1
+    table = _step_coefficients(family, tau, dt)
     lo = 0
     if skip:
-        # the jump, as ``_bridge_steps`` takes a step, then the dt steps
-        # left in the first segment
-        a, b, c = _step(pot.family, tau, dt, 0, skip)
+        a, b, c = _step(family, tau, dt, 0, skip)
         jump = values[0]
         jump *= c
         jump += starts * a
         jump += values[head] * b
-        del starts
         _bridge_steps(values[:head], values[head], table[skip:])
         lo = head
     if K > lo:
-        # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1
-        # of every whole segment, and a (segment, site, point, replica) view
-        # of their ends
-        rows = np.moveaxis(values[lo:K].reshape((-1, Kseg) + values.shape[1:]), 1, 0)
+        # a (step, segment, ...) view of rows 0 .. Kseg-1 of every whole
+        # segment, and a (segment, ...) view of their ends; strided, so it
+        # is a view of the rows whatever their own strides
+        rows = values[lo:K]
+        step = rows.strides[0]
+        rows = as_strided(rows, (Kseg, (K - lo) // Kseg) + rows.shape[1:],
+                          (step, Kseg * step) + rows.strides[1:])
         _bridge_steps(rows, values[lo + Kseg::Kseg], table)
-    times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
-    values = values.reshape(K + 1, len(sites), P * R)
-    return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -410,6 +452,10 @@ class PinnedBridges:
     weights of a segment's start and end in its rows, ``head`` those in the
     rows the first segment keeps (``_bridge_coefficients``; equal to
     ``coef`` when it keeps them all).
+
+    The site rows may hold the bridges of several clusters, stacked
+    (``stack``), so ``sites`` may name one site more than once; ``part``
+    is a range of the rows.
     """
 
     pot: PotentialSpec
@@ -426,15 +472,45 @@ class PinnedBridges:
         held = [u for _, nodes, us in self.pinned for u in (*nodes, *us) if u is not None]
         return sum(np.asarray(u).nbytes for u in held + [self.times, self.values])
 
-    def moved(self, nodes, P: int) -> PathBundle:
+    def part(self, lo: int, hi: int) -> "PinnedBridges":
+        """The bridges of site rows lo .. hi-1, a view of their values."""
+        pinned = tuple((i - lo, column, us) for i, column, us in self.pinned if lo <= i < hi)
+        return PinnedBridges(self.pot, self.tau, self.sites[lo:hi], self.times,
+                             self.values[:, lo:hi], pinned, self.coef, self.head)
+
+    def copy(self) -> "PinnedBridges":
+        """The bridges with values of their own."""
+        return dataclasses.replace(self, values=self.values.copy())
+
+    @classmethod
+    def stack(cls, parts, out: np.ndarray) -> "PinnedBridges":
+        """Bridges of one shape and time grid stacked on the site axis, their
+        values copied into ``out``, shape (rows, total sites, R); a part
+        whose values already are its rows of ``out`` is not copied."""
+        lo, sites, pinned = 0, [], []
+        for part in parts:
+            hi = lo + len(part.sites)
+            rows = out[:, lo:hi]
+            if not _same_view(rows, part.values):
+                rows[...] = part.values
+            sites.extend(part.sites)
+            pinned.extend((i + lo, column, us) for i, column, us in part.pinned)
+            lo = hi
+        return dataclasses.replace(
+            parts[0], sites=tuple(sites), values=out[:, :lo], pinned=tuple(pinned)
+        )
+
+    def moved(self, nodes, P: int, out: np.ndarray = None) -> PathBundle:
         """The bundle with its pinned values set, as P x R replicas.
 
-        ``nodes[n][i]`` is site i's values at layer n at P points, shape
+        ``nodes[n][i]`` is site row i's values at layer n at P points, shape
         (P, 1), read only where the layer is pinned.  Each path is the
         drawn path plus the coefficient paths times the shift of its
         (lifted) layer values; on the circle the windings are picked again
         from the kept uniforms.  A point's paths do not depend on the other
-        points.
+        points, nor on the other site rows.  The moved values, shape
+        (rows, sites, P, R), are written into ``out`` when it is given, a
+        buffer the caller reuses, and into a new array otherwise.
         """
         K = len(self.coef) - 1
         # the leading steps the first segment leaves out: layer n sits in
@@ -450,8 +526,14 @@ class PinnedBridges:
             return slice(m * K - cut + 1, (m + 1) * K - cut + 1), coef[1:]
 
         R = self.values.shape[2]
+        shape = self.values.shape[:2] + (P, R)
+        if out is None:
+            values = np.empty(shape)
+        elif out.shape != shape:
+            raise ValidationError(f"out has shape {out.shape}, not {shape}")
+        else:
+            values = out
         # the drawn paths, (rows, sites, P, R)
-        values = np.empty(self.values.shape[:2] + (P, R))
         values[...] = self.values[:, :, None, :]
         for i, column, uniforms in self.pinned:
             filled = [nodes[n][i] if v is None else v for n, v in enumerate(column)]
@@ -474,6 +556,14 @@ class PinnedBridges:
         return PathBundle(self.sites, self.times, replicas, self.pot)
 
 
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b view the same elements in the same layout."""
+    return (
+        a.shape == b.shape and a.strides == b.strides
+        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    )
+
+
 def pinned_bridges(
     pot: PotentialSpec,
     sites,
@@ -481,9 +571,10 @@ def pinned_bridges(
     t_start: float,
     tau: float,
     dt: float,
-    rng: np.random.Generator,
+    rng,
     n_replicas: int,
     skip: int = 0,
+    out: np.ndarray = None,
 ) -> PinnedBridges:
     """Exact bridges through layer values of which some are pinned later.
 
@@ -491,21 +582,26 @@ def pinned_bridges(
     value is pinned.  One ``multi_bridge_bundle`` call draws the bridges
     with the pinned values at 0, keeping the circle's winding uniforms and
     leaving out the first ``skip`` steps of the first segment;
-    ``PinnedBridges.moved`` sets the pinned values.
+    ``PinnedBridges.moved`` sets the pinned values.  ``rng`` is one
+    generator or one per site, and ``out``, shape (rows, sites, 1, R),
+    receives the drawn values, as in ``multi_bridge_bundle``.
     """
     R = n_replicas
     layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
-    kept = _KeptUniforms(rng)
-    drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R, skip)
+    # one keeper per generator, which holds its sites' uniforms in draw order
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * len(sites)
+    keepers: dict = {}
+    kept = [keepers.setdefault(id(g), _KeptUniforms(g)) for g in rngs]
+    drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R, skip, out)
     n_seg = len(nodes) - 1
-    uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
-    pinned = tuple(
-        (i, column, tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
-        for i, column in enumerate(zip(*nodes))
-        if any(v is None for v in column)
-    )
+    taken = {key: iter(k.uniforms) for key, k in keepers.items()}
+    pinned = []
+    for i, (g, column) in enumerate(zip(rngs, zip(*nodes))):
+        uniforms = tuple(next(taken[id(g)]) for _ in range(n_seg)) if pot.family == "circle_free" else (None,) * n_seg
+        if any(v is None for v in column):
+            pinned.append((i, column, uniforms))
     return PinnedBridges(
-        pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), pinned,
+        pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), tuple(pinned),
         _bridge_coefficients(pot.family, tau, dt), _bridge_coefficients(pot.family, tau, dt, skip),
     )
 
@@ -543,7 +639,7 @@ def free_bridge_paths(
             raise CoverageError("endpoint configurations must cover the volume")
     sites = tuple(vol.sorted_sites())
     starts = [x for x, _ in pairs]
-    if pot.family in ("quadratic", "circle_free"):
+    if pot.family in EXACT_FAMILIES:
         # (layers, sites, pairs, 1)
         layers = np.array([[x.array_for(sites) for x in starts],
                            [y.array_for(sites) for _, y in pairs]]).transpose(0, 2, 1)
@@ -607,7 +703,7 @@ def density(
     """
     rng = substream(seed, "bridge")
     R, P = mc.n_samples, len(pairs)
-    exact = pot.family in ("quadratic", "circle_free")
+    exact = pot.family in EXACT_FAMILIES
     ys = [y for _, y in pairs]
     # the free last-step log densities weigh forward paths only
     samples, logp = np.empty((P, R)), None if exact else np.empty((P, R))
@@ -710,7 +806,7 @@ def density_endpoint_ratio(
     R = mc.n_samples
     interacting = _last_step_densities(drift, pot, vol, pairs, t, mc.dt, R,
                                        substream(seed, "endpoint", "interacting"))
-    if pot.family in ("quadratic", "circle_free"):
+    if pot.family in EXACT_FAMILIES:
         free = [Estimate(float(p), 0.0, R) for p in _free_euler_density(pot, vol, pairs, t, mc.dt)]
     else:
         free = [_resolved(p, "free") for p in _last_step_densities(

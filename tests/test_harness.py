@@ -20,6 +20,7 @@ from gibbslab import clusters as clusters_module
 from gibbslab import expansion, harness
 from gibbslab.cli import main
 from gibbslab.clusters import ClusterSet, TimeGrid
+from gibbslab.dynamics import PotentialSpec
 from gibbslab.errors import (
     BudgetError,
     GibbslabError,
@@ -121,9 +122,11 @@ def test_time_section_has_no_step_key(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_expand_on_quartic_exits_with_a_numerical_error(tmp_path, capsys):
-    # exp(-x^4) underflows on the kernel grid; this used to end in a raw
-    # ValueError from the eigensolver and exit code 1
+def test_expand_on_quartic_refuses_the_potential_before_any_weight(tmp_path, capsys, monkeypatch):
+    # a quartic potential has no exact bridges: the weight pass refuses it
+    # with exit 2 before it draws any weight or builds the general kernel,
+    # whose grid exp(-x^4) underflows (which used to exit 3 at M = 2, and 2
+    # at M = 1, whichever cluster came first)
     cfg = {
         "seed": 1,
         "lattice": {"box": [[0], [1]], "neighborhoodRadius": 0},
@@ -135,10 +138,18 @@ def test_expand_on_quartic_exits_with_a_numerical_error(tmp_path, capsys):
         "x": {"constant": 0.0},
         "y": {"constant": 0.2},
     }
-    path = tmp_path / "quartic.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["expand", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "exp(-U) underflows" in capsys.readouterr().err
+    def no_kernel(pot, *args, **kwargs):
+        raise AssertionError("the general kernel was built")
+
+    monkeypatch.setattr(PotentialSpec, "_eigensystem", property(no_kernel))
+    for M in (1, 2):
+        cfg["time"]["M"] = M
+        path = tmp_path / f"quartic-{M}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"o{M}"
+        assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
+        assert "not the 'general' family" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("memory,dt", [(0.1, 0.03), (0.01, 0.05)])
@@ -739,9 +750,10 @@ ROBUSTNESS_CFG = {
 
 
 def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
-    # under quartic, exp(-U) underflows on the general kernel's grid: the
-    # subcommands that read that kernel must say so with exit 3
-    reads_general_kernel = {"expand", "bispace", "quasilocality"}
+    # under quartic, the subcommands that build cluster weights refuse the
+    # potential, which has no exact bridges, with exit 2 before they draw a
+    # weight or read the general kernel, on whose grid exp(-U) underflows
+    builds_weights = {"expand", "bispace", "quasilocality"}
     for family in ("quadratic", "circle_free", "quartic"):
         path = tmp_path / f"{family}.json"
         path.write_text(json.dumps({**ROBUSTNESS_CFG, "potential": {"family": family}}))
@@ -750,8 +762,8 @@ def test_every_subcommand_and_potential_ends_in_a_typed_exit(tmp_path, capsys):
             code = main([sub, "--config", str(path), "--out", out])
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4), (sub, family, code, err)
-            if family == "quartic" and sub in reads_general_kernel:
-                assert code == 3 and "exp(-U) underflows" in err, (sub, err)
+            if family == "quartic" and sub in builds_weights:
+                assert code == 2 and "not the 'general' family" in err, (sub, err)
 
 
 def test_dlr_reads_no_sample_count_from_mc(tmp_path):
