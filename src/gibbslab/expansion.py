@@ -116,6 +116,39 @@ def _bridges(G: SpaceTimeCluster, drift: DriftSpec, dt: float) -> Tuple[_Bridge,
     return tuple(out)
 
 
+# Words of a stream label: ``rng.substream`` keeps 32 bits of an integer
+# label, which are injective on the signed 32-bit range.
+_WORD_RANGE = range(-(2**31), 2**31)
+
+
+def _cluster_words(G: SpaceTimeCluster) -> tuple:
+    """``G.key()`` flattened into integers, each list and site preceded by
+    its length, so that distinct keys give distinct words and no encoding
+    is the start of another; a ValidationError when a word falls outside
+    the signed 32-bit range."""
+    space, time = G.key()
+    words = [len(space)]
+    for j, sites in space:
+        words += [j, len(sites)]
+        for site in sites:
+            words += [len(site), *site]
+    words.append(len(time))
+    for site, start, stop in time:
+        words += [len(site), *site, start, stop]
+    for w in words:
+        if w not in _WORD_RANGE:
+            raise ValidationError(f"cluster key word {w} does not fit in 32 bits")
+    return tuple(words)
+
+
+def weight_stream(seed: int, G: SpaceTimeCluster) -> np.random.Generator:
+    """The generator of G's weight randomness: the (seed, "weight")
+    substream named by ``_cluster_words(G)``.  It is keyed by the cluster's
+    value, so a cluster draws the same randomness in every set that holds
+    it, whatever its position there."""
+    return substream(seed, "weight", *_cluster_words(G))
+
+
 def _require_bridges(clusters: Sequence[SpaceTimeCluster], pot: PotentialSpec) -> None:
     """Refuses a potential without exact bridges when a cluster has a space
     cluster, whose weight needs them: one check before any weight."""
@@ -538,8 +571,9 @@ def weight_table(
     """Estimate the weight of every cluster of the set, which must be built
     on the drift's neighbourhood.
 
-    The random stream of cluster index i is derived from (seed, "weight", i)
-    only, so re-running with a different beta reuses the same randomness
+    Each cluster draws from its own stream, keyed by its value
+    (``weight_stream``), so re-running with a different beta, or on a set
+    that holds the cluster at another position, reuses the same randomness
     per cluster (common random numbers).  One buffer, sized for the
     largest batch, is allocated per table; each batch (``_batches``) is
     drawn into it by one ``cluster_sampler`` call and scored by one
@@ -555,7 +589,7 @@ def weight_table(
     ))
     estimates = []
     for lo, hi in batches:
-        rngs = [substream(seed, "weight", i) for i in range(lo, hi)]
+        rngs = [weight_stream(seed, G) for G in found[lo:hi]]
         samplers = cluster_sampler(found[lo:hi], drift, pot, mc, rngs, buffers)
         estimates.extend(cluster_weight(samplers, x, y, buffers))
     return WeightTable(clusters, tuple(estimates))
@@ -897,7 +931,7 @@ def weight_bound_fit(
 
     For each beta the horizon [0, t] is re-sliced with T ~ max(t0, 1/beta)
     and every cluster weight is estimated with common random numbers
-    (stream keyed by the cluster's enumeration index only), so the fitted
+    (``weight_stream``, keyed by the cluster's value), so the fitted
     lambda values are comparable across the grid.
     """
     rows = []

@@ -45,6 +45,7 @@ from .expansion import (
     cluster_weight,
     connected_collections,
     volume_key,
+    weight_stream,
 )
 from . import girsanov
 from .lattice import CIRCLE, Configuration, Volume, as_site, concat, wrap_angle
@@ -621,14 +622,14 @@ class ExpansionDynamicInteraction:
     The connected-collection combinatorics of the cluster set, built on the
     drift's neighbourhood, are precomputed once.  Each cluster's weight
     randomness is drawn once, by ``cluster_sampler`` on first use from the
-    substream keyed by the cluster's index, and every weight is that
-    sampler evaluated at the pinned values of x and y (common random
-    numbers), so Phi is a fixed deterministic function of the
-    configurations.  ``value`` broadcasts over arrays of pinned values like
-    every other term, evaluating each cluster of the group once per call:
-    the group's missing samplers are drawn and its clusters scored as
-    batches, through one set of ``WeightBuffers`` that the interaction
-    reuses for every call.
+    stream keyed by the cluster's value (``weight_stream``), and every
+    weight is that sampler evaluated at the pinned values of x and y
+    (common random numbers), so Phi is a fixed deterministic function of
+    the configurations.  ``value`` broadcasts over arrays of pinned values
+    like every other term, evaluating each cluster of the group once per
+    call: the group's missing samplers are drawn, and its clusters scored,
+    as batches through one ``WeightBuffers`` that the interaction allocates
+    once and reuses for every call.
 
     Samplers are kept with arrays of their own under SAMPLER_BUDGET_BYTES,
     the least recently used evicted first; ``evictions`` counts the
@@ -681,7 +682,7 @@ class ExpansionDynamicInteraction:
             batch = indices[lo:hi]
             out.extend(s.copy() for s in cluster_sampler(
                 [self._clusters[i] for i in batch], self.drift, self.pot, self.mc,
-                [substream(self.seed, "weight", i) for i in batch], self._buffers,
+                [weight_stream(self.seed, self._clusters[i]) for i in batch], self._buffers,
             ))
         return out
 

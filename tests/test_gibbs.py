@@ -20,7 +20,7 @@ from gibbslab.dynamics import (
 )
 from gibbslab.errors import CoverageError, SetupError, ValidationError
 from gibbslab.estimates import MCParams
-from gibbslab.expansion import cluster_sampler, cluster_weight, volume_key
+from gibbslab.expansion import cluster_sampler, cluster_weight, volume_key, weight_stream
 from gibbslab.gibbs import (
     BiSpaceInteraction,
     ExpansionDynamicInteraction,
@@ -1054,7 +1054,7 @@ def test_pinned_values_1e_13_apart_get_their_own_weights():
         got = [dyn.value(delta, x, y) for x in (xa, xb)]
         fresh = [
             cluster_weight(
-                cluster_sampler([dyn._clusters[i]], drift, pot, mc, [substream(seed, "weight", i)]),
+                cluster_sampler([dyn._clusters[i]], drift, pot, mc, [weight_stream(seed, dyn._clusters[i])]),
                 x, y,
             )[0].value
             for x in (xa, xb)
