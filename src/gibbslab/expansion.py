@@ -11,6 +11,11 @@ pinned to x and y.  Sites that a bridge needs outside the cluster's spatial
 trace run stationary free paths, which keeps every weight measurable with
 respect to the trace alone.
 
+Weights are drawn and scored in batches of clusters: each cluster draws
+from its own stream, keyed by its value, in the order it would draw alone,
+and a batch's bridges on one slice are stepped, moved and scored together
+in one buffer that a weight table allocates once and every batch reuses.
+
 The logarithm of the density is resummed into an interaction indexed by
 spatial volumes: log f = -sum_Delta Phi_Delta, each Phi_Delta collecting
 Ursell-weighted products over connected collections with that trace.

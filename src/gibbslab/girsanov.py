@@ -32,6 +32,7 @@ from .dynamics import (
     _circle_heat_kernel,
     _euler_grid,
     _evaluation_windows,
+    _window_length,
     constant_drift,
     free_kernel,
     simulate,
@@ -81,9 +82,13 @@ def psi(
     so that exp(-sum psi) over interior sites is the Girsanov density.
     Sites outside the drift's interaction reach contribute exactly zero.
 
-    The steps are taken in blocks of max(1, BLOCK_ELEMENTS // R); every
-    element goes through the same operations in the same order whatever
-    the block size, so the result does not depend on it.
+    The steps are taken in blocks of max(1, BLOCK_ELEMENTS // R), and a
+    block ends at step W = t0 / dt, the first whose memory window starts
+    at or after the path start: the steps before it read a padded copy of
+    the path, those from it on read the path in place on the line
+    (``_evaluation_windows``).  Every element goes through the same
+    operations in the same order whatever the blocks, so the result does
+    not depend on them.
     """
     site = tuple(int(c) for c in site)
     k_lo, k_hi = _window_indices(path, window)
@@ -92,8 +97,10 @@ def psi(
     if drift.beta == 0.0:
         return out
     block = max(1, BLOCK_ELEMENTS // path.n_replicas)
-    for lo in range(k_lo, k_hi, block):
-        _add_block(out, drift, path, site, idx, lo, min(lo + block, k_hi))
+    W = _window_length(drift, path.dt)
+    for start, stop in ((k_lo, min(W, k_hi)), (max(W, k_lo), k_hi)):
+        for lo in range(start, stop, block):
+            _add_block(out, drift, path, site, idx, lo, min(lo + block, stop))
     return out
 
 
@@ -191,14 +198,13 @@ def _bridge_steps(rows: np.ndarray, ends: np.ndarray, table: np.ndarray) -> None
     segments are stepped with it.
     """
     work = np.empty_like(ends)
-    # every row's c_k noise at once, each element scaled as its step would
-    rows[1:] *= table[1:, 2].reshape((-1,) + (1,) * (rows.ndim - 1))
-    for k, (a, b) in enumerate(table[1:, :2].tolist(), start=1):
-        row = rows[k]
-        np.multiply(rows[k - 1], a, out=work)
-        row += work
+    views = list(rows)
+    for prev, row, (a, b, c) in zip(views, views[1:], table[1:].tolist()):
+        np.multiply(row, c, out=row)
+        np.multiply(prev, a, out=work)
+        np.add(row, work, out=row)
         np.multiply(ends, b, out=work)
-        row += work
+        np.add(row, work, out=row)
 
 
 def _winding_target(a: np.ndarray, b: np.ndarray, tau: float, u: np.ndarray) -> np.ndarray:
