@@ -200,8 +200,7 @@ class _Layout:
 def _layout(bridges: Tuple[Tuple[_Bridge, ...], ...], nbhd: Neighborhood) -> _Layout:
     """The ``_Layout`` of a batch whose cluster c has the bridges
     ``bridges[c]``, scored on the neighbourhood ``nbhd``; each rank of a
-    group is one run of rows, which one ``pinned_bridges`` call draws.
-    Computed once per batch shape."""
+    group is one run of rows, which one ``pinned_bridges`` call draws."""
     ranked: Dict[int, list] = {}
     for c, bs in enumerate(bridges):
         seen: Dict[int, int] = {}

@@ -405,43 +405,32 @@ def multi_bridge_bundle(
         lifts = _bridge_lifts(pot, layers[:, i], tau, uniforms)
         starts[i], values[head::Kseg, i] = lifts[0], lifts[1:]
     del noise
-    _walk(pot.family, tau, dt, skip, values, starts)
-    times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
-    values = values.reshape(K + 1, len(sites), P * R)
-    return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
-
-
-def _walk(family: str, tau: float, dt: float, skip: int, values: np.ndarray,
-          starts: np.ndarray) -> None:
-    """The steps of drawn bridges, in place: ``values`` holds the rows of
-    ``multi_bridge_bundle``, any trailing shape, and ``starts`` the layer-0
-    values that the jump of a cut first segment reads.
-
-    The jump, as ``_bridge_steps`` takes a step, then the steps left in
-    the first segment, then the whole segments together: one walk of the
-    rows whatever number of sites and points they hold.
-    """
-    Kseg = int(round(tau / dt))
-    head, K = Kseg - skip, len(values) - 1
-    table = _step_coefficients(family, tau, dt)
+    table = _step_coefficients(pot.family, tau, dt)
     lo = 0
     if skip:
-        a, b, c = _step(family, tau, dt, 0, skip)
+        # the jump, as ``_bridge_steps`` takes a step, then the dt steps
+        # left in the first segment
+        a, b, c = _step(pot.family, tau, dt, 0, skip)
         jump = values[0]
         jump *= c
         jump += starts * a
         jump += values[head] * b
+        del starts
         _bridge_steps(values[:head], values[head], table[skip:])
         lo = head
     if K > lo:
-        # a (step, segment, ...) view of rows 0 .. Kseg-1 of every whole
-        # segment, and a (segment, ...) view of their ends; strided, so it
-        # is a view of the rows whatever their own strides
+        # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1
+        # of every whole segment, and a (segment, site, point, replica)
+        # view of their ends; strided by hand, so that it views the rows
+        # whatever the strides of ``out``
         rows = values[lo:K]
         step = rows.strides[0]
         rows = as_strided(rows, (Kseg, (K - lo) // Kseg) + rows.shape[1:],
                           (step, Kseg * step) + rows.strides[1:])
         _bridge_steps(rows, values[lo + Kseg::Kseg], table)
+    times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
+    values = values.reshape(K + 1, len(sites), P * R)
+    return PathBundle(sites, times, values.transpose(2, 1, 0), pot)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -599,11 +588,13 @@ def pinned_bridges(
     keepers: dict = {}
     kept = [keepers.setdefault(id(g), _KeptUniforms(g)) for g in rngs]
     drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R, skip, out)
-    n_seg = len(nodes) - 1
+    n_seg, circle = len(nodes) - 1, pot.family == "circle_free"
+    # each site takes its segments' uniforms in turn from its keeper
     taken = {key: iter(k.uniforms) for key, k in keepers.items()}
     pinned = []
     for i, (g, column) in enumerate(zip(rngs, zip(*nodes))):
-        uniforms = tuple(next(taken[id(g)]) for _ in range(n_seg)) if pot.family == "circle_free" else (None,) * n_seg
+        us = taken[id(g)]
+        uniforms = tuple(next(us) if circle else None for _ in range(n_seg))
         if any(v is None for v in column):
             pinned.append((i, column, uniforms))
     return PinnedBridges(
