@@ -190,17 +190,16 @@ def _bridge_steps(rows: np.ndarray, ends: np.ndarray, table: np.ndarray) -> None
     """Exact bridge steps, in place, for any number of segments.
 
     ``rows`` has the K steps of a segment on its first axis, then any shape:
-    row 0 holds the starts and rows 1 .. K-1 the step noise, which step k
-    replaces by c_k noise + a_k row[k-1] + b_k end, the coefficients read
-    from row k of ``table`` (``_step_coefficients``); ``ends`` holds the
-    (lifted) values at tau.  Every element goes through the same scalar
-    operations, so a segment's path does not depend on which other
-    segments are stepped with it.
+    row 0 holds the starts and rows 1 .. K-1 the scaled step noise c_k
+    noise, to which step k adds a_k row[k-1], then b_k end, the
+    coefficients read from row k of ``table`` (``_step_coefficients``);
+    ``ends`` holds the (lifted) values at tau.  Every element goes through
+    the same scalar operations, so a segment's path does not depend on
+    which other segments are stepped with it.
     """
     work = np.empty_like(ends)
     views = list(rows)
-    for prev, row, (a, b, c) in zip(views, views[1:], table[1:].tolist()):
-        np.multiply(row, c, out=row)
+    for prev, row, (a, b) in zip(views, views[1:], table[1:, :2].tolist()):
         np.multiply(prev, a, out=work)
         np.add(row, work, out=row)
         np.multiply(ends, b, out=work)
@@ -387,32 +386,35 @@ def multi_bridge_bundle(
     ends = range(head, K + 1, Kseg)
     # the first noise row of each segment
     firsts = (0 if skip else 1, *(end + 1 for end in ends))
+    table = _step_coefficients(pot.family, tau, dt)
+    a, b, c = _step(pot.family, tau, dt, 0, skip) if skip else (None, None, None)
+    # the c of each noise row of a segment, which scales its normal as the
+    # row's step would: a cut first segment's jump, then its steps left
+    scales = [np.append(c, table[skip + 1:, 2]) if skip else table[1:, 2]] + [table[1:, 2]] * (n_seg - 1)
     # the generator refuses a strided ``out``, so a (site, segment)'s noise
     # rows are drawn into one scratch block of at most BLOCK_ELEMENTS values
-    # and copied into every point's slot, in row order: the same draws as
-    # one call.  It keeps one row when a segment has none (tau == dt) so the
-    # loop's step is positive
+    # and written, scaled, into every point's slot, in row order: the same
+    # draws as one call.  It keeps one row when a segment has none (tau ==
+    # dt) so the loop's step is positive
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
     for i, gen in enumerate(rngs):
         uniforms = []
-        for first, end in zip(firsts, ends):
+        for first, end, scale in zip(firsts, ends, scales):
             if circle:
                 uniforms.append(gen.uniform(size=R))
             for lo in range(first, end, len(noise)):
                 block = noise[: min(len(noise), end - lo)]
                 gen.standard_normal(out=block)
-                values[lo : lo + len(block), i] = block[:, None]
+                rows = scale[lo - first : lo - first + len(block), None, None]
+                np.multiply(block[:, None], rows, out=values[lo : lo + len(block), i])
         lifts = _bridge_lifts(pot, layers[:, i], tau, uniforms)
         starts[i], values[head::Kseg, i] = lifts[0], lifts[1:]
     del noise
-    table = _step_coefficients(pot.family, tau, dt)
     lo = 0
     if skip:
         # the jump, as ``_bridge_steps`` takes a step, then the dt steps
         # left in the first segment
-        a, b, c = _step(pot.family, tau, dt, 0, skip)
         jump = values[0]
-        jump *= c
         jump += starts * a
         jump += values[head] * b
         del starts
