@@ -341,6 +341,8 @@ def cluster_sampler(
     bridges, each site from its cluster's generator.  The clusters share
     one time grid; without ``buffers`` they get arrays of their own.
     """
+    if len(rngs) != len(clusters):
+        raise ValidationError(f"{len(rngs)} generators for {len(clusters)} clusters")
     if not clusters:
         return ()
     grid = clusters[0].grid
@@ -403,7 +405,8 @@ def cluster_weight(
     holds one weight per point of the broadcast shape of all the pinned
     values it reads, a float for scalars.  The factors are exp(-Psi) - 1
     over each space cluster and p_T - 1 over each time-cluster slice,
-    averaged over the replicas.
+    averaged over the replicas.  The samplers share one drift, potential,
+    sample count and time grid.
 
     The samplers are scored in batches (``_batches``) in ``buffers``, or
     in an array of their own without it.  A batch's bridges on one slice
@@ -418,7 +421,13 @@ def cluster_weight(
     samplers = tuple(samplers)
     if not samplers:
         return ()
-    R = samplers[0].n_samples
+    first = samplers[0]
+    R = first.n_samples
+    if any(
+        (s.drift, s.pot, s.n_samples, s.cluster.grid) != (first.drift, first.pot, R, first.cluster.grid)
+        for s in samplers
+    ):
+        raise ValidationError("the samplers of a batch must share one drift, potential, R and grid")
     pins: Dict[tuple, object] = {}
     try:
         for smp in samplers:

@@ -286,3 +286,15 @@ def test_cluster_words_are_injective_and_fit_32_bits():
     with pytest.raises(ValidationError, match="does not fit in 32 bits"):
         for G in far.clusters:
             _cluster_words(G)
+
+
+def test_a_batch_needs_one_generator_per_cluster_and_one_sample_count():
+    pot, mc, clusters = _case("line", 1)
+    found = clusters.clusters
+    with pytest.raises(ValidationError, match="2 generators for 3 clusters"):
+        cluster_sampler(found, DRIFT, pot, mc, [weight_stream(1, G) for G in found[:2]])
+    (a,) = cluster_sampler(found[:1], DRIFT, pot, mc, [weight_stream(1, found[0])])
+    (b,) = cluster_sampler(found[1:2], DRIFT, pot, MCParams(n_samples=8, dt=0.05), [weight_stream(1, found[1])])
+    x = {s: 0.1 for s in Volume.box((0,), (3,)).sorted_sites()}
+    with pytest.raises(ValidationError, match="must share one drift, potential, R and grid"):
+        cluster_weight([a, b], x, x)
