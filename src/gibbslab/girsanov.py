@@ -32,7 +32,6 @@ from .dynamics import (
     _circle_heat_kernel,
     _euler_grid,
     _evaluation_windows,
-    _window_length,
     constant_drift,
     free_kernel,
     simulate,
@@ -82,13 +81,9 @@ def psi(
     so that exp(-sum psi) over interior sites is the Girsanov density.
     Sites outside the drift's interaction reach contribute exactly zero.
 
-    The steps are taken in blocks of max(1, BLOCK_ELEMENTS // R), and a
-    block ends at step W = t0 / dt, the first whose memory window starts
-    at or after the path start: the steps before it read a padded copy of
-    the path, those from it on read the path in place on the line
-    (``_evaluation_windows``).  Every element goes through the same
-    operations in the same order whatever the blocks, so the result does
-    not depend on them.
+    The steps are taken in blocks of max(1, BLOCK_ELEMENTS // R); every
+    element goes through the same operations in the same order whatever
+    the block size, so the result does not depend on it.
     """
     site = tuple(int(c) for c in site)
     k_lo, k_hi = _window_indices(path, window)
@@ -97,10 +92,8 @@ def psi(
     if drift.beta == 0.0:
         return out
     block = max(1, BLOCK_ELEMENTS // path.n_replicas)
-    W = _window_length(drift, path.dt)
-    for start, stop in ((k_lo, min(W, k_hi)), (max(W, k_lo), k_hi)):
-        for lo in range(start, stop, block):
-            _add_block(out, drift, path, site, idx, lo, min(lo + block, stop))
+    for lo in range(k_lo, k_hi, block):
+        _add_block(out, drift, path, site, idx, lo, min(lo + block, k_hi))
     return out
 
 
