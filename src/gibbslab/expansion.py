@@ -11,10 +11,9 @@ pinned to x and y.  Sites that a bridge needs outside the cluster's spatial
 trace run stationary free paths, which keeps every weight measurable with
 respect to the trace alone.
 
-Weights are drawn and scored in batches of clusters: each cluster draws
-from its own stream, keyed by its value, in the order it would draw alone,
-and a batch's bridges on one slice are stepped, moved and scored together
-in one buffer that a weight table allocates once and every batch reuses.
+Each cluster draws its weight's randomness from its own stream, keyed by
+its value.  A weight table draws and moves every cluster's bridges in one
+buffer that it allocates once and every cluster reuses in turn.
 
 The logarithm of the density is resummed into an interaction indexed by
 spatial volumes: log f = -sum_Delta Phi_Delta, each Phi_Delta collecting
@@ -26,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -44,8 +43,6 @@ from .clusters import (
 from .dynamics import (
     DriftSpec,
     PotentialSpec,
-    PathBundle,
-    _neighbour_block,
     _sample_reference_rng,
     _window_length,
     free_kernel,
@@ -56,7 +53,7 @@ from .errors import BudgetError, CoverageError, ValidationError
 from .estimates import Estimate, MCParams, mean_estimate
 from . import girsanov
 from .girsanov import pinned_bridges, psi
-from .lattice import Configuration, Neighborhood, Volume
+from .lattice import Configuration, Volume
 from .rng import substream
 
 
@@ -97,7 +94,6 @@ class _Bridge:
     through (``_bridge_span``), the leading steps their first segment
     leaves out, and their number of path rows."""
 
-    sc: SpaceCluster
     sites: tuple
     layers: tuple
     skip: int
@@ -117,7 +113,7 @@ def _bridges(G: SpaceTimeCluster, drift: DriftSpec, dt: float) -> Tuple[_Bridge,
         layers, _ = _bridge_span(sc, T)
         K = step_count(T, dt)
         skip = max(K - _window_length(drift, dt), 0) if sc.slice else 0
-        out.append(_Bridge(sc, sites, layers, skip, (len(layers) - 1) * K + 1 - skip))
+        out.append(_Bridge(sites, layers, skip, (len(layers) - 1) * K + 1 - skip))
     return tuple(out)
 
 
@@ -161,124 +157,11 @@ def _require_bridges(clusters: Sequence[SpaceTimeCluster], pot: PotentialSpec) -
         girsanov.require_exact_bridges(pot)
 
 
-@dataclass(frozen=True)
-class _Group:
-    """The bridges of a batch on one slice, stacked on the site axis.
-
-    ``members`` holds (rank, c, k, lo, hi) per bridge: bridge k of cluster
-    c, which holds the group's site rows lo .. hi-1, ordered by rank among
-    its cluster's bridges on the slice, then by cluster; ``scored`` pairs
-    each site that a member scores, ascending, with the positions in
-    ``members`` of the bridges that score it.
-    """
-
-    slice: int
-    members: tuple
-    rows: int
-    sites: int
-    scored: tuple
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Where a batch of clusters keeps its paths: its ``_Group``s by slice,
-    ascending, and the elements per replica of its drawn paths, of the
-    largest group's moved paths per point and of the largest stack of
-    neighbour blocks per point (0 when no site has two members)."""
-
-    groups: tuple
-    drawn: int
-    moved: int
-    stacked: int
-
-    def need(self, R: int, P: int = 1) -> int:
-        """Elements of the buffer that the batch needs at R replicas and P
-        points at a time."""
-        return R * (self.drawn + P * (self.moved + self.stacked))
-
-
-def _layout(bridges: Tuple[Tuple[_Bridge, ...], ...], nbhd: Neighborhood) -> _Layout:
-    """The ``_Layout`` of a batch whose cluster c has the bridges
-    ``bridges[c]``, scored on the neighbourhood ``nbhd``; each rank of a
-    group is one run of rows, which one ``pinned_bridges`` call draws."""
-    ranked: Dict[int, list] = {}
-    for c, bs in enumerate(bridges):
-        seen: Dict[int, int] = {}
-        for k, b in enumerate(bs):
-            j = b.sc.slice
-            ranked.setdefault(j, []).append((seen.get(j, 0), c, k))
-            seen[j] = seen.get(j, 0) + 1
-    groups, drawn, moved, stacked = [], 0, 0, 0
-    for j in sorted(ranked):
-        members, scored, lo = [], {}, 0
-        for m, (rank, c, k) in enumerate(sorted(ranked[j])):
-            b = bridges[c][k]
-            members.append((rank, c, k, lo, lo + len(b.sites)))
-            lo += len(b.sites)
-            for s in b.sc.sites:
-                scored.setdefault(s, []).append(m)
-        rows = bridges[members[0][1]][members[0][2]].rows
-        groups.append(_Group(j, tuple(members), rows, lo, tuple(
-            (s, tuple(scored[s])) for s in sorted(scored)
-        )))
-        drawn += rows * lo
-        moved = max(moved, rows * lo)
-        for s, ms in scored.items():
-            if len(ms) > 1:
-                stacked = max(stacked, rows * len(nbhd.around(s)) * len(ms))
-    return _Layout(tuple(groups), drawn, moved, stacked)
-
-
-def _drawn_elements(bridges: Sequence[_Bridge], R: int) -> int:
-    """Elements of the drawn paths of a cluster's bridges at R replicas."""
-    return R * sum(b.rows * len(b.sites) for b in bridges)
-
-
-def _batches(elements: Sequence[int]) -> List[Tuple[int, int]]:
-    """(lo, hi) of the batches of clusters with these ``_drawn_elements``,
-    in order: a batch takes consecutive clusters while their drawn paths
-    stay within BLOCK_ELEMENTS / 2 elements, so that with the moved paths
-    of its largest group they fit a block of ``girsanov.BLOCK_ELEMENTS``; a
-    larger cluster is a batch of its own."""
-    bound = girsanov.BLOCK_ELEMENTS // 2
-    out, lo, held = [], 0, 0
-    for i, n in enumerate(elements):
-        if i > lo and held + n > bound:
-            out.append((lo, i))
-            lo, held = i, 0
-        held += n
-    if lo < len(elements):
-        out.append((lo, len(elements)))
-    return out
-
-
-class WeightBuffers:
-    """One array that the weight pass reuses for every batch of clusters.
-
-    A batch keeps its drawn bridges at the front, then the moved bridges
-    of one group and the neighbour blocks of one scored site that psi
-    reads (``_Layout``); ``np.empty`` leaves the pages untouched until a
-    batch writes them.
-    """
-
-    def __init__(self, size: int):
-        self.flat = np.empty(size)
-
-    @property
-    def size(self) -> int:
-        return self.flat.size
-
-    def views(self, lo: int, shapes: Sequence[tuple]) -> List[np.ndarray]:
-        """C-contiguous arrays of the given shapes, one after the other from
-        element lo on."""
-        out = []
-        for shape in shapes:
-            n = math.prod(shape)
-            if lo + n > self.size:
-                raise ValidationError(f"a batch needs more than the {self.size} elements of its buffer")
-            out.append(self.flat[lo : lo + n].reshape(shape))
-            lo += n
-        return out
+def _path_elements(G: SpaceTimeCluster, drift: DriftSpec, dt: float) -> Tuple[int, int]:
+    """Elements per replica of G's drawn bridges, all of them and the
+    largest bridge's."""
+    sizes = [b.rows * len(b.sites) for b in _bridges(G, drift, dt)]
+    return sum(sizes), max(sizes, default=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +172,8 @@ class ClusterSampler:
     (x, y).  ``shared`` maps each intermediate (site, layer) vertex of the
     cluster to its drawn values; ``bridges`` holds one
     ``girsanov.PinnedBridges`` per space cluster, in ``G.space_clusters``
-    order, and ``spans`` their ``_Bridge``.  The bridges' values are rows
-    of the buffer of the batch that drew them, until ``copy``.
+    order, with arrays of their own (a weight table's samplers view its
+    buffer instead, and live only while their cluster is scored).
     """
 
     cluster: SpaceTimeCluster
@@ -300,7 +183,6 @@ class ClusterSampler:
     pins: Tuple[tuple, tuple]
     shared: Dict[tuple, np.ndarray]
     bridges: tuple
-    spans: tuple
 
     @property
     def nbytes(self) -> int:
@@ -308,247 +190,149 @@ class ClusterSampler:
         held = sum(v.nbytes for v in self.shared.values())
         return held + sum(b.nbytes for b in self.bridges)
 
-    def copy(self) -> "ClusterSampler":
-        """The sampler with bridge values of its own."""
-        return dataclasses.replace(self, bridges=tuple(b.copy() for b in self.bridges))
-
 
 def cluster_sampler(
-    clusters: Sequence[SpaceTimeCluster],
+    G: SpaceTimeCluster,
     drift: DriftSpec,
     pot: PotentialSpec,
     mc: MCParams,
-    rngs: Sequence[np.random.Generator],
-    buffers: WeightBuffers = None,
-) -> Tuple[ClusterSampler, ...]:
-    """Draw everything the weights K_G(x, y) of a batch of clusters need
-    except x and y, cluster i from ``rngs[i]`` only, in the order it would
-    draw alone.
+    rng: np.random.Generator,
+) -> ClusterSampler:
+    """Draw everything the weight K_G(x, y) needs except x and y.
 
-    Layer values at a cluster's vertices are shared between all its
-    factors: pinned to x at layer 0 and to y at the final layer, drawn from
-    m at the intermediate layers (in sorted-support order).  Then, per
-    space cluster, bridge sites outside those vertices get fresh stationary
-    draws (layer by layer), followed by the bridge noise, drawn once with
-    the pinned values at 0 (``girsanov.pinned_bridges``), so that
-    ``cluster_weight`` moves the bridges to any (x, y).  A bridge on slice
-    j >= 1 starts at jT - W dt with one exact bridge jump from the layer
-    j - 1 values (``_bridges``).
-
-    The bridges are drawn into the rows of ``buffers`` that ``_layout``
-    gives them, slice by slice and rank by rank, which keeps each cluster's
-    draws in order; one ``pinned_bridges`` call draws and steps a rank's
-    bridges, each site from its cluster's generator.  The clusters share
-    one time grid; without ``buffers`` they get arrays of their own.
+    Layer values at the cluster's vertices are shared between all factors:
+    pinned to x at layer 0 and to y at the final layer, drawn from m at the
+    intermediate layers (in sorted-support order).  Then, per space cluster,
+    bridge sites outside those vertices get fresh stationary draws (layer
+    by layer), followed by the bridge noise, drawn once with the pinned
+    values at 0 (``girsanov.pinned_bridges``), so that ``cluster_weight``
+    moves the bridges to any (x, y).  A bridge on slice j >= 1 starts at
+    jT - W dt with one exact bridge jump from the layer j - 1 values
+    (``_bridges``).  The bridges get arrays of their own.
     """
-    if len(rngs) != len(clusters):
-        raise ValidationError(f"{len(rngs)} generators for {len(clusters)} clusters")
-    if not clusters:
-        return ()
-    grid = clusters[0].grid
-    if any(G.grid != grid for G in clusters):
-        raise ValidationError("the clusters of a batch must share one time grid")
+    return _draw(G, drift, pot, mc, rng)
+
+
+def _draw(
+    G: SpaceTimeCluster,
+    drift: DriftSpec,
+    pot: PotentialSpec,
+    mc: MCParams,
+    rng: np.random.Generator,
+    out: np.ndarray = None,
+) -> ClusterSampler:
+    """``cluster_sampler``, whose bridges are drawn, one after the other,
+    into the front of the flat array ``out`` when it is given: the table's
+    buffer, which holds ``_path_elements`` R elements and more, and which
+    the next cluster's draws overwrite."""
+    grid = G.grid
     T, M = grid.T, grid.M
     if drift.beta > 0 and T < drift.memory - 1e-12:
         raise ValidationError("slice length T must be at least the drift memory t0")
-    _require_bridges(clusters, pot)
     R = mc.n_samples
-    bridges = [_bridges(G, drift, mc.dt) for G in clusters]
-    layout = _layout(tuple(bridges), drift.nbhd)
-    if buffers is None:
-        buffers = WeightBuffers(layout.drawn * R)
-    views = buffers.views(0, [(g.rows, g.sites, R) for g in layout.groups])
-    shared = [
-        {v: _sample_reference_rng(pot, R, rng) for v in sorted(G.support) if 0 < v[1] < M}
-        for G, rng in zip(clusters, rngs)
-    ]
-    drawn = [[None] * len(bs) for bs in bridges]
-    for group, view in zip(layout.groups, views):
-        for _, run in groupby(group.members, key=lambda m: m[0]):
-            run = list(run)
-            first = bridges[run[0][1]][run[0][2]]
-            sites, gens, nodes = [], [], [[] for _ in first.layers]
-            for _, c, k, _, _ in run:
-                b, G, rng, own = bridges[c][k], clusters[c], rngs[c], shared[c]
-                # nodes[n][i]: the value of site i at layer n, None where pinned
-                for row, l in zip(nodes, b.layers):
-                    row.extend(
-                        None if (s, l) in G.support and l in (0, M)
-                        else own[(s, l)] if (s, l) in own
-                        else _sample_reference_rng(pot, R, rng)
-                        for s in b.sites
-                    )
-                sites.extend(b.sites)
-                gens.extend([rng] * len(b.sites))
-            lo, hi = run[0][3], run[-1][4]
-            stacked = pinned_bridges(
-                pot, sites, nodes, first.layers[0] * T, T, mc.dt, gens, R, first.skip,
-                view[:, lo:hi, None],
-            )
-            for _, c, k, b_lo, b_hi in run:
-                drawn[c][k] = stacked.part(b_lo - lo, b_hi - lo)
-    return tuple(
-        ClusterSampler(G, drift, pot, R, pinned_sites(G), own, tuple(bs), spans)
-        for G, own, bs, spans in zip(clusters, shared, drawn, bridges)
-    )
+    shared: Dict[tuple, np.ndarray] = {}
+    for site, layer in sorted(G.support):
+        if 0 < layer < M:
+            shared[(site, layer)] = _sample_reference_rng(pot, R, rng)
+
+    bridges, lo = [], 0
+    for b in _bridges(G, drift, mc.dt):
+        # nodes[n][i]: the value of site i at layer n, None where pinned
+        nodes = [
+            [
+                None if (s, l) in G.support and l in (0, M)
+                else shared[(s, l)] if (s, l) in shared
+                else _sample_reference_rng(pot, R, rng)
+                for s in b.sites
+            ]
+            for l in b.layers
+        ]
+        rows = None
+        if out is not None:
+            n = b.rows * len(b.sites) * R
+            rows = out[lo : lo + n].reshape(b.rows, len(b.sites), 1, R)
+            lo += n
+        bridges.append(pinned_bridges(pot, b.sites, nodes, b.layers[0] * T, T, mc.dt, rng, R, b.skip, rows))
+    return ClusterSampler(G, drift, pot, R, pinned_sites(G), shared, tuple(bridges))
 
 
-def cluster_weight(
-    samplers: Sequence[ClusterSampler], x, y, buffers: WeightBuffers = None
-) -> Tuple[Estimate, ...]:
-    """Monte Carlo estimates of the weights K_G(x, y) of a batch of clusters,
-    one per sampler.
+def cluster_weight(sampler: ClusterSampler, x, y, scratch: np.ndarray = None) -> Estimate:
+    """Monte Carlo estimate of the weight K_G(x, y) from the cluster's sampler.
 
     x and y map sites to values (a Configuration or a dict keyed by site
     tuples) and must cover the sites ``pinned_sites`` names.  The pinned
-    values are scalars or arrays of one broadcast shape, and each estimate
-    holds one weight per point of the broadcast shape of all the pinned
-    values it reads, a float for scalars.  The factors are exp(-Psi) - 1
-    over each space cluster and p_T - 1 over each time-cluster slice,
-    averaged over the replicas.  The samplers share one drift, potential,
-    sample count and time grid.
+    values are scalars or arrays of one broadcast shape, and the estimate
+    holds one weight per point of it, a float for scalars.  Each space
+    cluster's bridges are moved to the pinned values
+    (``PinnedBridges.moved``).  The factors are exp(-Psi) - 1 over each
+    space cluster and p_T - 1 over each time-cluster slice, averaged over
+    the replicas.
+    Evaluating one sampler at several (x, y) uses common random numbers; a
+    point's weight does not depend on the other points, which are scored in
+    blocks of about ``girsanov.BLOCK_ELEMENTS`` path elements.
 
-    The samplers are scored in batches (``_batches``) in ``buffers``, or
-    in an array of their own without it.  A batch's bridges on one slice
-    are stacked (copied unless they were drawn in place), moved to the
-    pinned values by one ``PinnedBridges.moved`` and scored by one ``psi``
-    call per scored site over their stacked neighbour blocks
-    (``_scored_bundle``).  Evaluating a sampler at several (x, y) uses
-    common random numbers; a weight depends neither on the other points,
-    which are scored in blocks that fit the buffer, nor on the other
-    clusters of its batch.
+    ``scratch``, a flat float array that the caller reuses, receives the
+    moved bridges in place of new arrays; it must hold one point's moved
+    bridge, apart from the sampler's bridges, and fewer points fit a block
+    when it is smaller.  No view of it outlives the call.
     """
-    samplers = tuple(samplers)
-    if not samplers:
-        return ()
-    first = samplers[0]
-    R = first.n_samples
-    if any(
-        (s.drift, s.pot, s.n_samples, s.cluster.grid) != (first.drift, first.pot, R, first.cluster.grid)
-        for s in samplers
-    ):
-        raise ValidationError("the samplers of a batch must share one drift, potential, R and grid")
-    pins: Dict[tuple, object] = {}
+    R, (xs, ys) = sampler.n_samples, sampler.pins
     try:
-        for smp in samplers:
-            xs, ys = smp.pins
-            M = smp.cluster.grid.M
-            for s in xs:
-                if (s, 0) not in pins:
-                    pins[(s, 0)] = x[s]
-            for s in ys:
-                if (s, M) not in pins:
-                    pins[(s, M)] = y[s]
+        pins = {(s, 0): x[s] for s in xs} | {(s, sampler.cluster.grid.M): y[s] for s in ys}
     except KeyError as exc:
         raise CoverageError(f"x or y does not cover pinned site {exc.args[0]}") from None
-    shape = np.broadcast_shapes(*(np.shape(v) for v in pins.values()))
+    shape = np.broadcast(*pins.values()).shape
     # row j holds the values of the j-th pin at every point
     points = np.empty((len(pins),) + shape)
     for j, v in enumerate(pins.values()):
         points[j] = v
     points = points.reshape(len(pins), math.prod(shape))
-    n = points.shape[1]
-    spans = [smp.spans for smp in samplers]
-    value, stderr = np.empty((len(samplers), n)), np.empty((len(samplers), n))
-    for lo_c, hi_c in _batches([_drawn_elements(b, R) for b in spans]):
-        batch, plan = samplers[lo_c:hi_c], _layout(tuple(spans[lo_c:hi_c]), samplers[0].drift.nbhd)
-        # points at a time: those that fit the buffer, or a block's worth
-        room = buffers.size - R * plan.drawn if buffers else girsanov.BLOCK_ELEMENTS
-        block = max(1, room // max(1, R * (plan.moved + plan.stacked)))
-        held = buffers or WeightBuffers(plan.need(R, min(block, n)))
-        groups = _stacked_groups(batch, plan, held)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            pins_at = dict(zip(pins, points[:, lo:hi, None]))
-            est = mean_estimate(_weight_samples(batch, plan, groups, pins_at, hi - lo, held))
-            value[lo_c:hi_c, lo:hi], stderr[lo_c:hi_c, lo:hi] = est.value, est.stderr
+    rows = max((b.values.shape[0] * b.values.shape[1] for b in sampler.bridges), default=1)
+    block = max(1, girsanov.BLOCK_ELEMENTS // R // rows)
+    if scratch is not None and sampler.bridges:
+        block = min(block, scratch.size // (R * rows))
+        if not block or any(np.may_share_memory(scratch, b.values) for b in sampler.bridges):
+            raise ValidationError("scratch must hold one point's moved bridge apart from the sampler's bridges")
+    value, stderr = np.empty(points.shape[1]), np.empty(points.shape[1])
+    for lo in range(0, value.size, block):
+        hi = min(lo + block, value.size)
+        pins_at = dict(zip(pins, points[:, lo:hi, None]))
+        est = mean_estimate(_weight_samples(sampler, pins_at, hi - lo, scratch))
+        value[lo:hi], stderr[lo:hi] = est.value, est.stderr
     if not shape:
-        return tuple(
-            Estimate(v, s, R, method="cluster-weight")
-            for v, s in zip(value[:, 0].tolist(), stderr[:, 0].tolist())
-        )
-    return tuple(
-        Estimate(v.reshape(shape), s.reshape(shape), R, method="cluster-weight")
-        for v, s in zip(value, stderr)
-    )
+        return Estimate(float(value[0]), float(stderr[0]), R, method="cluster-weight")
+    return Estimate(value.reshape(shape), stderr.reshape(shape), R, method="cluster-weight")
 
 
-def _stacked_groups(batch: Sequence[ClusterSampler], plan: _Layout, buffers: WeightBuffers) -> list:
-    """The stacked ``PinnedBridges`` of each group of the batch, at the
-    front of the buffer; a group of one bridge is that bridge itself."""
-    R = batch[0].n_samples
-    views = buffers.views(0, [(g.rows, g.sites, R) for g in plan.groups])
-    out = []
-    for group, view in zip(plan.groups, views):
-        parts = [batch[c].bridges[k] for _, c, k, _, _ in group.members]
-        out.append(parts[0] if len(parts) == 1 else girsanov.PinnedBridges.stack(parts, view))
-    return out
+def _weight_samples(sampler: ClusterSampler, pins: Dict[tuple, np.ndarray], P: int,
+                    scratch: np.ndarray = None) -> np.ndarray:
+    """(P, R) samples of K_G, ``pins`` mapping each pinned (site, layer) to
+    its values at P points, shape (P, 1); each bridge is moved into the
+    front of ``scratch`` when it is given."""
+    G, pot, R = sampler.cluster, sampler.pot, sampler.n_samples
+    T = G.grid.T
 
+    def layer_value(site, layer) -> np.ndarray:
+        pinned = pins.get((site, layer))
+        return sampler.shared[(site, layer)] if pinned is None else pinned
 
-def _scored_bundle(drift: DriftSpec, stacked, moved: np.ndarray, members: list, site,
-                   stack: np.ndarray) -> PathBundle:
-    """The paths that psi scores at ``site`` for the bridges ``members``,
-    (c, k, lo, hi) each, of a group whose moved values are ``moved``,
-    shape (rows, sites, P, R).  A lone member is read in place; several
-    have their neighbour blocks of the site stacked on the replica axis,
-    member-major, in ``stack``."""
-    rows, P, R = moved.shape[0], moved.shape[2], moved.shape[3]
-    if len(members) == 1:
-        _, _, _, lo, hi = members[0]
-        values = moved[:, lo:hi].reshape(rows, hi - lo, P * R)
-        return PathBundle(stacked.sites[lo:hi], stacked.times, values.transpose(2, 1, 0), stacked.pot)
-    nbhd = tuple(sorted(drift.nbhd.around(site)))
-    width = P * R
-    view = stack[: rows * len(nbhd) * len(members) * width].reshape(rows, len(nbhd), len(members) * width)
-    for m, (_, _, _, lo, hi) in enumerate(members):
-        block = _neighbour_block(drift, stacked.sites[lo:hi], site)
-        view[:, :, m * width : (m + 1) * width] = moved[:, lo:hi][:, block].reshape(rows, len(nbhd), width)
-    return PathBundle(nbhd, stacked.times, view.transpose(2, 1, 0), stacked.pot)
-
-
-def _weight_samples(batch: Sequence[ClusterSampler], plan: _Layout, groups: list,
-                    pins: Dict[tuple, np.ndarray], P: int, buffers: WeightBuffers) -> np.ndarray:
-    """(clusters, P, R) samples of K_G for a batch, ``pins`` mapping each
-    pinned (site, layer) to its values at P points, shape (P, 1).
-
-    Each group is moved into the buffer after the drawn bridges, and its
-    neighbour blocks stacked after the moved paths, one group and one site
-    at a time.
-    """
-    drift, pot, R = batch[0].drift, batch[0].pot, batch[0].n_samples
-    T = batch[0].cluster.grid.T
-    psi_sums = {}
-    for group, stacked in zip(plan.groups, groups):
-        moved, stack = buffers.views(
-            R * plan.drawn, [(group.rows, group.sites, P, R), (R * P * plan.stacked,)]
-        )
-        layers = batch[group.members[0][1]].spans[group.members[0][2]].layers
-        stacked.moved([[pins.get((s, l)) for s in stacked.sites] for l in layers], P, moved)
-        for _, c, k, _, _ in group.members:
-            psi_sums[c, k] = np.zeros(P * R)
-        # each bridge adds its sites' terms in ascending order
-        for site, ms in group.scored:
-            members = [group.members[m] for m in ms]
-            bundle = _scored_bundle(drift, stacked, moved, members, site, stack)
-            terms = psi(drift, site, (group.slice * T, (group.slice + 1) * T), bundle)
-            for m, (_, c, k, _, _) in enumerate(members):
-                psi_sums[c, k] += terms[m * P * R : (m + 1) * P * R]
-    samples = np.empty((len(batch), P, R))
-    for c, smp in enumerate(batch):
-
-        def layer_value(site, layer) -> np.ndarray:
-            pinned = pins.get((site, layer))
-            return smp.shared[(site, layer)] if pinned is None else pinned
-
-        prod = np.ones((P, R))
-        for tc in smp.cluster.time_clusters:
-            for j in tc.slices:
-                v0 = layer_value(tc.site, j)
-                v1 = layer_value(tc.site, j + 1)
-                prod = prod * (free_kernel(pot, T, v0, v1) - 1.0)
-        for k in range(len(smp.spans)):
-            prod = prod * np.expm1(-psi_sums[c, k]).reshape(P, R)
-        samples[c] = prod
+    samples = np.ones((P, R))
+    for tc in G.time_clusters:
+        for j in tc.slices:
+            v0 = layer_value(tc.site, j)
+            v1 = layer_value(tc.site, j + 1)
+            samples = samples * (free_kernel(pot, T, v0, v1) - 1.0)
+    for sc, bridge in zip(G.space_clusters, sampler.bridges):
+        layer_ids, window = _bridge_span(sc, T)
+        moved = None
+        if scratch is not None:
+            shape = bridge.values.shape[:2] + (P, R)
+            moved = scratch[: math.prod(shape)].reshape(shape)
+        bundle = bridge.moved([[pins.get((s, l)) for s in bridge.sites] for l in layer_ids], P, moved)
+        psi_sum = np.zeros(P * R)
+        for k in sorted(sc.sites):
+            psi_sum += psi(sampler.drift, k, window, bundle)
+        samples = samples * np.expm1(-psi_sum).reshape(P, R)
     return samples
 
 
@@ -587,24 +371,20 @@ def weight_table(
     Each cluster draws from its own stream, keyed by its value
     (``weight_stream``), so re-running with a different beta, or on a set
     that holds the cluster at another position, reuses the same randomness
-    per cluster (common random numbers).  One buffer, sized for the
-    largest batch, is allocated per table; each batch (``_batches``) is
-    drawn into it by one ``cluster_sampler`` call and scored by one
-    ``cluster_weight`` call.
+    per cluster (common random numbers).  One buffer is allocated per
+    table, sized for the largest cluster: each cluster in turn draws its
+    bridges into its front and moves them, one bridge at a time, into the
+    rest, so no cluster allocates bridge paths of its own.
     """
     _same_range(clusters, drift)
     _require_bridges(clusters.clusters, pot)
-    found, R = clusters.clusters, mc.n_samples
-    bridges = [_bridges(G, drift, mc.dt) for G in found]
-    batches = _batches([_drawn_elements(b, R) for b in bridges])
-    buffers = WeightBuffers(max(
-        (_layout(tuple(bridges[lo:hi]), drift.nbhd).need(R) for lo, hi in batches), default=0
-    ))
+    R = mc.n_samples
+    sizes = [_path_elements(G, drift, mc.dt) for G in clusters.clusters]
+    buffer = np.empty(R * max((drawn + widest for drawn, widest in sizes), default=0))
     estimates = []
-    for lo, hi in batches:
-        rngs = [weight_stream(seed, G) for G in found[lo:hi]]
-        samplers = cluster_sampler(found[lo:hi], drift, pot, mc, rngs, buffers)
-        estimates.extend(cluster_weight(samplers, x, y, buffers))
+    for G, (drawn, _) in zip(clusters.clusters, sizes):
+        sampler = _draw(G, drift, pot, mc, weight_stream(seed, G), buffer)
+        estimates.append(cluster_weight(sampler, x, y, buffer[R * drawn :]))
     return WeightTable(clusters, tuple(estimates))
 
 

@@ -34,11 +34,7 @@ from .dynamics import (
 from .errors import CoverageError, NumericalError, SetupError, ValidationError
 from .estimates import Estimate, MCParams
 from .expansion import (
-    WeightBuffers,
-    _batches,
-    _bridges,
-    _drawn_elements,
-    _layout,
+    _path_elements,
     _require_bridges,
     _same_range,
     cluster_sampler,
@@ -627,11 +623,10 @@ class ExpansionDynamicInteraction:
     (common random numbers), so Phi is a fixed deterministic function of
     the configurations.  ``value`` broadcasts over arrays of pinned values
     like every other term, evaluating each cluster of the group once per
-    call: the group's missing samplers are drawn, and its clusters scored,
-    as batches through one ``WeightBuffers`` that the interaction allocates
-    once and reuses for every call.
+    call, and moves each bridge into one scratch array that the interaction
+    allocates once and every call reuses.
 
-    Samplers are kept with arrays of their own under SAMPLER_BUDGET_BYTES,
+    Samplers are kept, with arrays of their own, under SAMPLER_BUDGET_BYTES,
     the least recently used evicted first; ``evictions`` counts the
     samplers dropped.  A dropped sampler is drawn again from the same
     substream, so no eviction changes a result.
@@ -660,13 +655,10 @@ class ExpansionDynamicInteraction:
         for row, C, t in zip(coll.index.tolist(), coll.coef.tolist(), coll.trace.tolist()):
             combo = tuple(i for i in row if i >= 0)
             self._groups.setdefault(coll.keys[t], []).append((combo, C))
-        bridges = [_bridges(G, drift, mc.dt) for G in self._clusters]
-        self._elements = [_drawn_elements(b, mc.n_samples) for b in bridges]
-        # room for a batch and its moved paths at one point or more
-        self._buffers = WeightBuffers(max([
-            2 * girsanov.BLOCK_ELEMENTS,
-            *(_layout((b,), drift.nbhd).need(mc.n_samples) for b in bridges),
-        ]))
+        # the moved bridges of one block of points, or of one point of the
+        # largest bridge, which every weight reuses
+        widest = max((_path_elements(G, drift, mc.dt)[1] for G in self._clusters), default=0)
+        self._scratch = np.empty(max(girsanov.BLOCK_ELEMENTS, mc.n_samples * widest))
         self._samplers: OrderedDict = OrderedDict()
         self._sampler_bytes = 0
         self.evictions = {"samplers": 0}
@@ -674,36 +666,22 @@ class ExpansionDynamicInteraction:
     def traces(self) -> List[Volume]:
         return [Volume(frozenset(k)) for k in self._groups]
 
-    def _draw(self, indices: list) -> list:
-        """Samplers of the clusters ``indices``, drawn in batches through the
-        buffers and copied into arrays of their own."""
-        out = []
-        for lo, hi in _batches([self._elements[i] for i in indices]):
-            batch = indices[lo:hi]
-            out.extend(s.copy() for s in cluster_sampler(
-                [self._clusters[i] for i in batch], self.drift, self.pot, self.mc,
-                [weight_stream(self.seed, self._clusters[i]) for i in batch], self._buffers,
-            ))
-        return out
-
-    def _samplers_for(self, indices: list) -> list:
-        """The samplers of the clusters ``indices``, in order: the kept ones,
-        and the missing ones drawn at once; each is then used in turn, so the
-        cache keeps them as one lookup per index would."""
-        found = [self._samplers.get(i) for i in indices]
-        fresh = iter(self._draw([i for i, s in zip(indices, found) if s is None]))
-        samplers = [next(fresh) if s is None else s for s in found]
-        for i, sampler in zip(indices, samplers):
-            if i in self._samplers:
-                self._samplers.move_to_end(i)
-                continue
-            while self._samplers and self._sampler_bytes + sampler.nbytes > SAMPLER_BUDGET_BYTES:
-                _, old = self._samplers.popitem(last=False)
-                self._sampler_bytes -= old.nbytes
-                self.evictions["samplers"] += 1
-            self._samplers[i] = sampler
-            self._sampler_bytes += sampler.nbytes
-        return samplers
+    def _sampler(self, i: int):
+        sampler = self._samplers.get(i)
+        if sampler is not None:
+            self._samplers.move_to_end(i)
+            return sampler
+        sampler = cluster_sampler(
+            self._clusters[i], self.drift, self.pot, self.mc,
+            weight_stream(self.seed, self._clusters[i]),
+        )
+        while self._samplers and self._sampler_bytes + sampler.nbytes > SAMPLER_BUDGET_BYTES:
+            _, old = self._samplers.popitem(last=False)
+            self._sampler_bytes -= old.nbytes
+            self.evictions["samplers"] += 1
+        self._samplers[i] = sampler
+        self._sampler_bytes += sampler.nbytes
+        return sampler
 
     def value(self, delta: Volume, x, y):
         """Phi_delta(x, y).
@@ -717,14 +695,13 @@ class ExpansionDynamicInteraction:
         group = self._groups.get(volume_key(delta))
         if not group:
             return 0.0
-        # the group's clusters in order of first use
-        indices = list(dict.fromkeys(i for combo, _ in group for i in combo))
-        estimates = cluster_weight(self._samplers_for(indices), x, y, self._buffers)
-        weights = {i: e.value for i, e in zip(indices, estimates)}
+        weights: Dict[int, object] = {}
         total = 0.0
         for combo, C in group:
             prod = 1.0
             for i in combo:
+                if i not in weights:
+                    weights[i] = cluster_weight(self._sampler(i), x, y, self._scratch).value
                 prod = prod * weights[i]
             total = total + -C * prod
         return total

@@ -22,7 +22,6 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import (
     BLOCK_ELEMENTS,
@@ -298,7 +297,7 @@ def multi_bridge_bundle(
     t_start: float,
     tau: float,
     dt: float,
-    rng,
+    rng: np.random.Generator,
     n_replicas: int,
     skip: int = 0,
     out: np.ndarray = None,
@@ -320,19 +319,19 @@ def multi_bridge_bundle(
     Layer 0 enters only through that jump, and the bundle has the law of
     the same rows of the whole bridge.
 
-    ``rng`` is one generator, or a sequence of one per site, so that one
-    call steps a batch of bridges that each draw from a stream of their
-    own.  The randomness is drawn for R replicas, site by site, and within
-    a site segment by segment (on the circle: each segment's winding
-    uniforms, then its step noise, the jump's normal first), and copied
-    into every point's slot; each site's layer values are then lifted
-    through ``_bridge_lifts``.  Once drawn, the segments are independent
-    given their ends, so the steps then run for every site and point
-    together, one step index at a time: a cut first segment alone, then the
-    whole segments together.  At skip 0 the bundle is the whole bridge.
+    The randomness is drawn for R replicas, site by site, and within a site
+    segment by segment (on the circle: each segment's winding uniforms,
+    then its step noise, the jump's normal first), and written, scaled by
+    its step's c_k, into every point's slot; each site's layer values are
+    then lifted through ``_bridge_lifts``.  Once drawn, the segments are
+    independent given their ends, so the steps then run for every site and
+    point together, one step index at a time: a cut first segment alone,
+    then the whole segments together.  At skip 0 the bundle is the whole
+    bridge.
 
-    The values are time-major, shape (rows, sites, P, R); ``out``, an array
-    of that shape, receives them in place of a new array.
+    The values are time-major, shape (rows, sites, P, R); ``out``, a
+    C-contiguous array of that shape that the caller reuses, receives them
+    in place of a new array.
     """
     require_exact_bridges(pot)
     sites = tuple(tuple(int(c) for c in s) for s in sites)
@@ -355,9 +354,6 @@ def multi_bridge_bundle(
     Kseg = whole_steps(tau, dt, "tau")
     if not 0 <= skip < Kseg:
         raise ValidationError(f"skip = {skip} steps must lie in [0, {Kseg}), the steps of a segment")
-    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * len(sites)
-    if len(rngs) != len(sites):
-        raise ValidationError(f"{len(rngs)} generators for {len(sites)} sites")
     # the row of layer 1, and the last row
     head = Kseg - skip
     K = head + (n_seg - 1) * Kseg
@@ -371,8 +367,8 @@ def multi_bridge_bundle(
     shape = (K + 1, len(sites), P, R)
     if out is None:
         values = np.empty(shape)
-    elif out.shape != shape:
-        raise ValidationError(f"out has shape {out.shape}, not {shape}")
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a C-contiguous array of shape {shape}")
     else:
         values = out
     starts = np.empty(values.shape[1:]) if skip else values[0]
@@ -390,14 +386,14 @@ def multi_bridge_bundle(
     # draws as one call.  It keeps one row when a segment has none (tau ==
     # dt) so the loop's step is positive
     noise = np.empty((max(1, min(Kseg - 1, BLOCK_ELEMENTS // R)), R))
-    for i, gen in enumerate(rngs):
+    for i in range(len(sites)):
         uniforms = []
         for first, end, scale in zip(firsts, ends, scales):
             if circle:
-                uniforms.append(gen.uniform(size=R))
+                uniforms.append(rng.uniform(size=R))
             for lo in range(first, end, len(noise)):
                 block = noise[: min(len(noise), end - lo)]
-                gen.standard_normal(out=block)
+                rng.standard_normal(out=block)
                 rows = scale[lo - first : lo - first + len(block), None, None]
                 np.multiply(block[:, None], rows, out=values[lo : lo + len(block), i])
         lifts = _bridge_lifts(pot, layers[:, i], tau, uniforms)
@@ -415,13 +411,9 @@ def multi_bridge_bundle(
         lo = head
     if K > lo:
         # a (step, segment, site, point, replica) view of rows 0 .. Kseg-1
-        # of every whole segment, and a (segment, site, point, replica)
-        # view of their ends; strided by hand, so that it views the rows
-        # whatever the strides of ``out``
-        rows = values[lo:K]
-        step = rows.strides[0]
-        rows = as_strided(rows, (Kseg, (K - lo) // Kseg) + rows.shape[1:],
-                          (step, Kseg * step) + rows.strides[1:])
+        # of every whole segment, and a (segment, site, point, replica) view
+        # of their ends
+        rows = np.moveaxis(values[lo:K].reshape((-1, Kseg) + values.shape[1:]), 1, 0)
         _bridge_steps(rows, values[lo + Kseg::Kseg], table)
     times = t_start + dt * np.arange(skip, n_seg * Kseg + 1)
     values = values.reshape(K + 1, len(sites), P * R)
@@ -442,10 +434,6 @@ class PinnedBridges:
     weights of a segment's start and end in its rows, ``head`` those in the
     rows the first segment keeps (``_bridge_coefficients``; equal to
     ``coef`` when it keeps them all).
-
-    The site rows may hold the bridges of several clusters, stacked
-    (``stack``), so ``sites`` may name one site more than once; ``part``
-    is a range of the rows.
     """
 
     pot: PotentialSpec
@@ -462,45 +450,17 @@ class PinnedBridges:
         held = [u for _, nodes, us in self.pinned for u in (*nodes, *us) if u is not None]
         return sum(np.asarray(u).nbytes for u in held + [self.times, self.values])
 
-    def part(self, lo: int, hi: int) -> "PinnedBridges":
-        """The bridges of site rows lo .. hi-1, a view of their values."""
-        pinned = tuple((i - lo, column, us) for i, column, us in self.pinned if lo <= i < hi)
-        return PinnedBridges(self.pot, self.tau, self.sites[lo:hi], self.times,
-                             self.values[:, lo:hi], pinned, self.coef, self.head)
-
-    def copy(self) -> "PinnedBridges":
-        """The bridges with values of their own."""
-        return dataclasses.replace(self, values=self.values.copy())
-
-    @classmethod
-    def stack(cls, parts, out: np.ndarray) -> "PinnedBridges":
-        """Bridges of one shape and time grid stacked on the site axis, their
-        values copied into ``out``, shape (rows, total sites, R); a part
-        whose values already are its rows of ``out`` is not copied."""
-        lo, sites, pinned = 0, [], []
-        for part in parts:
-            hi = lo + len(part.sites)
-            rows = out[:, lo:hi]
-            if not _same_view(rows, part.values):
-                rows[...] = part.values
-            sites.extend(part.sites)
-            pinned.extend((i + lo, column, us) for i, column, us in part.pinned)
-            lo = hi
-        return dataclasses.replace(
-            parts[0], sites=tuple(sites), values=out[:, :lo], pinned=tuple(pinned)
-        )
-
     def moved(self, nodes, P: int, out: np.ndarray = None) -> PathBundle:
         """The bundle with its pinned values set, as P x R replicas.
 
-        ``nodes[n][i]`` is site row i's values at layer n at P points, shape
+        ``nodes[n][i]`` is site i's values at layer n at P points, shape
         (P, 1), read only where the layer is pinned.  Each path is the
         drawn path plus the coefficient paths times the shift of its
         (lifted) layer values; on the circle the windings are picked again
         from the kept uniforms.  A point's paths do not depend on the other
-        points, nor on the other site rows.  The moved values, shape
-        (rows, sites, P, R), are written into ``out`` when it is given, a
-        buffer the caller reuses, and into a new array otherwise.
+        points.  The moved values, shape (rows, sites, P, R), are written
+        into ``out`` when it is given, a buffer the caller reuses, and into
+        a new array otherwise; the bundle views them.
         """
         K = len(self.coef) - 1
         # the leading steps the first segment leaves out: layer n sits in
@@ -546,14 +506,6 @@ class PinnedBridges:
         return PathBundle(self.sites, self.times, replicas, self.pot)
 
 
-def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a and b view the same elements in the same layout."""
-    return (
-        a.shape == b.shape and a.strides == b.strides
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
-
-
 def pinned_bridges(
     pot: PotentialSpec,
     sites,
@@ -561,7 +513,7 @@ def pinned_bridges(
     t_start: float,
     tau: float,
     dt: float,
-    rng,
+    rng: np.random.Generator,
     n_replicas: int,
     skip: int = 0,
     out: np.ndarray = None,
@@ -572,28 +524,23 @@ def pinned_bridges(
     value is pinned.  One ``multi_bridge_bundle`` call draws the bridges
     with the pinned values at 0, keeping the circle's winding uniforms and
     leaving out the first ``skip`` steps of the first segment;
-    ``PinnedBridges.moved`` sets the pinned values.  ``rng`` is one
-    generator or one per site, and ``out``, shape (rows, sites, 1, R),
-    receives the drawn values, as in ``multi_bridge_bundle``.
+    ``PinnedBridges.moved`` sets the pinned values.  ``out``, shape (rows,
+    sites, 1, R), receives the drawn values, as in ``multi_bridge_bundle``,
+    and the bridges then view it.
     """
     R = n_replicas
     layers = np.array([[np.zeros(R) if v is None else v for v in row] for row in nodes])
-    # one keeper per generator, which holds its sites' uniforms in draw order
-    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * len(sites)
-    keepers: dict = {}
-    kept = [keepers.setdefault(id(g), _KeptUniforms(g)) for g in rngs]
+    kept = _KeptUniforms(rng)
     drawn = multi_bridge_bundle(pot, sites, layers, t_start, tau, dt, kept, R, skip, out)
-    n_seg, circle = len(nodes) - 1, pot.family == "circle_free"
-    # each site takes its segments' uniforms in turn from its keeper
-    taken = {key: iter(k.uniforms) for key, k in keepers.items()}
-    pinned = []
-    for i, (g, column) in enumerate(zip(rngs, zip(*nodes))):
-        us = taken[id(g)]
-        uniforms = tuple(next(us) if circle else None for _ in range(n_seg))
-        if any(v is None for v in column):
-            pinned.append((i, column, uniforms))
+    n_seg = len(nodes) - 1
+    uniforms = kept.uniforms or [None] * (len(sites) * n_seg)
+    pinned = tuple(
+        (i, column, tuple(uniforms[i * n_seg:(i + 1) * n_seg]))
+        for i, column in enumerate(zip(*nodes))
+        if any(v is None for v in column)
+    )
     return PinnedBridges(
-        pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), tuple(pinned),
+        pot, tau, drawn.sites, drawn.times, drawn.values.transpose(2, 1, 0), pinned,
         _bridge_coefficients(pot.family, tau, dt), _bridge_coefficients(pot.family, tau, dt, skip),
     )
 

@@ -66,18 +66,6 @@ def _drift(c, beta):
     return dataclasses.replace(constant_drift(c), beta=beta)
 
 
-def _sampler(G, drift, pot, mc, rng):
-    """One cluster's sampler: a batch of one."""
-    [sampler] = cluster_sampler([G], drift, pot, mc, [rng])
-    return sampler
-
-
-def _weight(sampler, x, y):
-    """One sampler's weight: a batch of one."""
-    [est] = cluster_weight([sampler], x, y)
-    return est
-
-
 def _reference_weight(G, x, y, drift, pot, mc, rng):
     """The per-configuration weight: every draw and the bridge loop are
     redone for each (x, y).  From slice 1 on, a bridge starts W = t0 / dt
@@ -132,7 +120,7 @@ def test_cluster_weight_validates_slice_length():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.0)
     with pytest.raises(ValidationError):
-        _sampler(
+        cluster_sampler(
             G, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05),
             substream(0, "cluster-weight"),
         )
@@ -142,17 +130,17 @@ def test_cluster_weight_requires_endpoint_coverage():
     grid = TimeGrid(1.0, 1)
     G = SpaceTimeCluster((SpaceCluster(0, frozenset({(0,)})),), (), grid)
     empty = Configuration({(5,): 0.0})
-    sampler = _sampler(
+    sampler = cluster_sampler(
         G, _drift(0.5, 1.0), QUAD, MCParams(n_samples=8, dt=0.05),
         substream(0, "cluster-weight"),
     )
     with pytest.raises(CoverageError):
-        _weight(sampler, empty, empty)
+        cluster_weight(sampler, empty, empty)
     # a batch as well: every pinned site needs its values
     batch = {(0,): np.linspace(-1.0, 1.0, 5)}
-    assert _weight(sampler, batch, batch).value.shape == (5,)
+    assert cluster_weight(sampler, batch, batch).value.shape == (5,)
     with pytest.raises(CoverageError):
-        _weight(sampler, batch, {(5,): np.zeros(5)})
+        cluster_weight(sampler, batch, {(5,): np.zeros(5)})
 
 
 def test_single_space_cluster_weight_is_density_minus_one():
@@ -164,11 +152,11 @@ def test_single_space_cluster_weight_is_density_minus_one():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, x0)
     y = Configuration.constant(vol, y0)
-    sampler = _sampler(
+    sampler = cluster_sampler(
         G, _drift(c, beta), QUAD, MCParams(n_samples=20_000, dt=0.01),
         substream(3, "cluster-weight"),
     )
-    est = _weight(sampler, x, y)
+    est = cluster_weight(sampler, x, y)
     exact = _exact_density_const_drift(c, beta, x0, y0, T) - 1.0
     assert abs(est.value - exact) < 4 * est.stderr + 0.005
 
@@ -181,11 +169,11 @@ def test_time_cluster_weight_has_zero_mean():
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.4)
     y = Configuration.constant(vol, -0.1)
-    sampler = _sampler(
+    sampler = cluster_sampler(
         G, _drift(0.5, 0.2), QUAD, MCParams(n_samples=20_000, dt=0.05),
         substream(5, "cluster-weight"),
     )
-    est = _weight(sampler, x, y)
+    est = cluster_weight(sampler, x, y)
     assert abs(est.value) < 4 * est.stderr
 
 
@@ -197,8 +185,8 @@ def test_weight_trace_measurability():
     b = Configuration({(0,): 0.2, (1,): -9.0})
     mc = MCParams(n_samples=256, dt=0.05)
     d = _drift(0.7, 0.3)
-    e1 = _weight(_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), a, a)
-    e2 = _weight(_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), b, b)
+    e1 = cluster_weight(cluster_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), a, a)
+    e2 = cluster_weight(cluster_sampler(G, d, QUAD, mc, substream(7, "cluster-weight")), b, b)
     assert e1.value == e2.value and e1.stderr == e2.stderr
 
 
@@ -207,11 +195,11 @@ def test_weight_vanishes_at_beta_zero():
     G = SpaceTimeCluster((SpaceCluster(0, frozenset({(0,)})),), (), grid)
     vol = Volume.box((0,), (0,))
     x = Configuration.constant(vol, 0.3)
-    sampler = _sampler(
+    sampler = cluster_sampler(
         G, _drift(0.7, 0.0), QUAD, MCParams(n_samples=64, dt=0.05),
         substream(1, "cluster-weight"),
     )
-    est = _weight(sampler, x, x)
+    est = cluster_weight(sampler, x, x)
     assert est.value == 0.0 and est.stderr == 0.0
 
 
@@ -223,9 +211,9 @@ def _matched_kinds(clusters, x, y, drift, pot, mc) -> set:
         ref_rng = substream(2, "weight", i)
         ref = _reference_weight(G, x, y, drift, pot, mc, ref_rng)
         rng = substream(2, "weight", i)
-        sampler = _sampler(G, drift, pot, mc, rng)
+        sampler = cluster_sampler(G, drift, pot, mc, rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        est = _weight(sampler, x, y)
+        est = cluster_weight(sampler, x, y)
         assert abs(est.value - ref.value) <= 1e-12 * abs(ref.value)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-12)
         kinds.update({"time"} if G.time_clusters else set())
@@ -303,13 +291,13 @@ def test_a_memory_longer_than_the_slice_at_beta_zero_cuts_nothing():
     x, y = _endpoints(LINE, 1)
     seen = set()
     for i, G in enumerate(clusters):
-        sampler = _sampler(G, drift, QUAD, mc, substream(3, "weight", i))
+        sampler = cluster_sampler(G, drift, QUAD, mc, substream(3, "weight", i))
         for sc, bridge in zip(G.space_clusters, sampler.bridges):
             assert len(bridge.head) == len(bridge.coef)
             assert len(bridge.times) == 4 * (sc.slice + 1) + 1
             seen.add(sc.slice)
         if G.space_clusters:
-            est = _weight(sampler, x, y)
+            est = cluster_weight(sampler, x, y)
             assert est.value == 0.0 and est.stderr == 0.0
     assert seen == {0, 1}
 
@@ -325,10 +313,10 @@ def test_sampler_revisits_give_the_same_float():
     y = Configuration({(0,): -0.2, (1,): 0.5, (2,): 0.1})
     x2 = Configuration({(0,): 1.1, (1,): 0.0, (2,): -0.7})
     for i, G in enumerate(enumerate_clusters(vol, NB1, grid, 2)):
-        sampler = _sampler(G, drift, QUAD, mc, substream(1, "weight", i))
-        first = _weight(sampler, x, y)
-        _weight(sampler, x2, x)
-        assert _weight(sampler, x, y) == first
+        sampler = cluster_sampler(G, drift, QUAD, mc, substream(1, "weight", i))
+        first = cluster_weight(sampler, x, y)
+        cluster_weight(sampler, x2, x)
+        assert cluster_weight(sampler, x, y) == first
 
 
 def _pinned_batch(space, shape, rng):
@@ -363,15 +351,15 @@ def test_batched_weights_equal_per_point_calls(family, M, block_elements, monkey
     clusters = enumerate_clusters(Volume.box((0,), (3,)), NB1, TimeGrid(0.5, M), 2)
     x, y = _pinned_batch(space, (2, 3), np.random.default_rng(M))
     for i, G in enumerate(clusters):
-        sampler = _sampler(G, drift, pot, mc, substream(6, "weight", i))
-        batch = _weight(sampler, x, y)
+        sampler = cluster_sampler(G, drift, pot, mc, substream(6, "weight", i))
+        batch = cluster_weight(sampler, x, y)
         shape = np.broadcast_shapes(*(
             np.shape(v[s]) for v, sites in zip((x, y), sampler.pins) for s in sites
         ))
         assert np.shape(batch.value) == np.shape(batch.stderr) == shape
         for idx in np.ndindex(shape):
             full = (0,) * (2 - len(idx)) + idx
-            one = _weight(sampler, _point(x, full, (2, 3)), _point(y, full, (2, 3)))
+            one = cluster_weight(sampler, _point(x, full, (2, 3)), _point(y, full, (2, 3)))
             assert isinstance(one.value, float)
             assert (np.asarray(batch.value)[idx], np.asarray(batch.stderr)[idx]) == (one.value, one.stderr)
             assert batch.n == one.n == mc.n_samples
@@ -385,7 +373,7 @@ def test_batched_weight_memory_stays_within_blocks():
     mc = MCParams(n_samples=R, dt=0.05)
     clusters = enumerate_clusters(Volume.box((0,), (1,)), drift.nbhd, TimeGrid(0.2, 1), 1)
     G = next(G for G in clusters if G.space_clusters)
-    sampler = _sampler(G, drift, QUAD, mc, substream(5, "weight", 0))
+    sampler = cluster_sampler(G, drift, QUAD, mc, substream(5, "weight", 0))
     [bridge] = sampler.bridges
     rows = bridge.values.shape[0] * bridge.values.shape[1]
     block_bytes = max(1, girsanov.BLOCK_ELEMENTS // R // rows) * R * rows * 8
@@ -394,7 +382,7 @@ def test_batched_weight_memory_stays_within_blocks():
     y = {s: pts.T for s in sampler.pins[1]}
     tracemalloc.start()
     try:
-        est = _weight(sampler, x, y)
+        est = cluster_weight(sampler, x, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1054,9 +1054,9 @@ def test_pinned_values_1e_13_apart_get_their_own_weights():
         got = [dyn.value(delta, x, y) for x in (xa, xb)]
         fresh = [
             cluster_weight(
-                cluster_sampler([dyn._clusters[i]], drift, pot, mc, [weight_stream(seed, dyn._clusters[i])]),
+                cluster_sampler(dyn._clusters[i], drift, pot, mc, weight_stream(seed, dyn._clusters[i])),
                 x, y,
-            )[0].value
+            ).value
             for x in (xa, xb)
         ]
         assert got == [-w for w in fresh]

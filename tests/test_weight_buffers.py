@@ -1,11 +1,12 @@
-"""The batched weight pass against a per-cluster reference, and the weight
-streams keyed by cluster value.
+"""The weight pass through reused buffers against a per-cluster reference
+that allocates its own arrays, and the weight streams keyed by cluster
+value.
 
-``_reference_sampler`` and ``_reference_weight`` evaluate one cluster at a
-time, as the weight pass did before it ran in batches: one
-``pinned_bridges`` call per space cluster, one ``PinnedBridges.moved`` per
-bridge and one ``psi`` call per scored site of each bridge.  The batched
-pass must give the same numbers, bit for bit.
+``_reference_sampler`` and ``_reference_weight`` evaluate one cluster with
+new arrays for every bridge: one ``pinned_bridges`` call per space
+cluster, one ``PinnedBridges.moved`` per bridge and one ``psi`` call per
+scored site.  A weight table, which draws and moves every cluster's
+bridges in one buffer, must give the same numbers, bit for bit.
 """
 
 import dataclasses
@@ -29,13 +30,10 @@ from gibbslab.dynamics import (
 from gibbslab.errors import ValidationError
 from gibbslab.estimates import MCParams, mean_estimate
 from gibbslab.expansion import (
-    WeightBuffers,
-    _batches,
     _bridge_span,
-    _bridges,
     _cluster_words,
-    _drawn_elements,
-    _layout,
+    _draw,
+    _path_elements,
     cluster_sampler,
     cluster_weight,
     connected_collections,
@@ -129,25 +127,15 @@ def _case(space, M, R=16, box=3):
     return pot, mc, clusters
 
 
-def _layouts(clusters, mc):
-    """The batches of a set and each one's ``_Layout``."""
-    bridges = [_bridges(G, DRIFT, mc.dt) for G in clusters]
-    batches = _batches([_drawn_elements(b, mc.n_samples) for b in bridges])
-    return [(lo, hi, _layout(tuple(bridges[lo:hi]), DRIFT.nbhd)) for lo, hi in batches]
-
-
 @pytest.mark.parametrize("space, M", CASES, ids=CASE_IDS)
-def test_a_table_equals_the_per_cluster_reference(space, M, monkeypatch):
-    # a small block makes several batches, some smaller than the one before,
-    # so that a stale row of the reused buffer would reach a later batch
-    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 4800 if M == 2 else 2200)
+def test_a_table_equals_the_per_cluster_reference(space, M):
     pot, mc, clusters = _case(space, M)
-    layouts = _layouts(clusters.clusters, mc)
-    needs = [plan.need(mc.n_samples) for _, _, plan in layouts]
-    assert any(later < earlier for earlier, later in zip(needs, needs[1:]))
-    if M == 2:
-        # some batch stacks the neighbour blocks of two bridges
-        assert any(plan.stacked for _, _, plan in layouts)
+    # the set backwards, largest clusters first: a later cluster draws
+    # fewer path elements than one before it, so a stale row of the reused
+    # buffer would reach its weight
+    clusters = ClusterSet(tuple(reversed(clusters.clusters)), clusters.nbhd, clusters.k_max)
+    drawn = [_path_elements(G, DRIFT, mc.dt)[0] for G in clusters.clusters]
+    assert any(later < max(drawn[:i]) for i, later in enumerate(drawn) if i)
     rng = np.random.default_rng(3)
     sites = Volume.box((0,), (3,)).sorted_sites()
     x = Configuration(_values(space, sites, rng), pot.state_space)
@@ -159,31 +147,30 @@ def test_a_table_equals_the_per_cluster_reference(space, M, monkeypatch):
 
 
 @pytest.mark.parametrize("space, M", CASES, ids=CASE_IDS)
-def test_batches_at_five_points_equal_the_per_cluster_reference(space, M, monkeypatch):
-    # P = 5: each batch is drawn and scored through one buffer, as the table
-    # runs, at every point at once
-    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 4800 if M == 2 else 2200)
+@pytest.mark.parametrize("points_per_block", [5, 2])
+def test_five_points_through_one_buffer_equal_the_per_cluster_reference(space, M, points_per_block):
+    # P = 5, each cluster drawn into the front of one buffer and moved into
+    # the rest, as the table runs; room for two points scores them in
+    # blocks of two and one
     pot, mc, clusters = _case(space, M)
-    layouts = _layouts(clusters.clusters, mc)
-    buffers = WeightBuffers(max(plan.need(mc.n_samples, 5) for _, _, plan in layouts))
+    R = mc.n_samples
+    sizes = [_path_elements(G, DRIFT, mc.dt) for G in clusters.clusters]
+    buffer = np.empty(R * max(drawn + points_per_block * widest for drawn, widest in sizes))
     rng = np.random.default_rng(4)
     sites = Volume.box((0,), (3,)).sorted_sites()
     x, y = _values(space, sites, rng, (5,)), _values(space, sites, rng, (5,))
-    found = clusters.clusters
-    for lo, hi, _ in layouts:
-        samplers = cluster_sampler(
-            found[lo:hi], DRIFT, pot, mc, [weight_stream(2, G) for G in found[lo:hi]], buffers
-        )
-        for G, est in zip(found[lo:hi], cluster_weight(samplers, x, y, buffers)):
-            value, stderr = _reference_weight(G, DRIFT, pot, mc, weight_stream(2, G), x, y)
-            assert est.value.shape == (5,)
-            assert np.array_equal(est.value, value) and np.array_equal(est.stderr, stderr)
+    for G, (drawn, widest) in zip(clusters.clusters, sizes):
+        sampler = _draw(G, DRIFT, pot, mc, weight_stream(2, G), buffer)
+        room = buffer[R * drawn : R * (drawn + points_per_block * widest)]
+        est = cluster_weight(sampler, x, y, room)
+        value, stderr = _reference_weight(G, DRIFT, pot, mc, weight_stream(2, G), x, y)
+        assert est.value.shape == (5,)
+        assert np.array_equal(est.value, value) and np.array_equal(est.stderr, stderr)
 
 
 @pytest.mark.parametrize("space, M", CASES, ids=CASE_IDS)
-def test_dynamic_value_is_minus_the_ursell_sum_over_reference_weights(space, M, monkeypatch):
+def test_dynamic_value_is_minus_the_ursell_sum_over_reference_weights(space, M):
     # nMax = 2: a trace group holds several clusters, each evaluated once
-    monkeypatch.setattr(girsanov, "BLOCK_ELEMENTS", 2200)
     pot, mc, clusters = _case(space, M)
     dyn = ExpansionDynamicInteraction(DRIFT, pot, clusters, 2, mc, seed=6)
     rng = np.random.default_rng(5)
@@ -209,9 +196,30 @@ def test_dynamic_value_is_minus_the_ursell_sum_over_reference_weights(space, M, 
     assert max(sizes) > 1
 
 
+def test_each_weight_keeps_the_shape_of_its_own_pins():
+    # x at three points, y one scalar: through the dynamic interaction's
+    # scratch, a cluster that reads y only is scored at one point and gives
+    # a float, and one that reads x gives three weights
+    pot, mc, clusters = _case("line", 2)
+    dyn = ExpansionDynamicInteraction(DRIFT, pot, clusters, 2, mc, seed=6)
+    rng = np.random.default_rng(6)
+    sites = Volume.box((0,), (3,)).sorted_sites()
+    x, y = _values("line", sites, rng, (3,)), _values("line", sites, rng)
+    kinds = set()
+    for i, G in enumerate(dyn._clusters):
+        xs, _ = pinned_sites(G)
+        est = cluster_weight(dyn._sampler(i), x, y, dyn._scratch)
+        if xs:
+            assert est.value.shape == est.stderr.shape == (3,)
+        else:
+            assert isinstance(est.value, float) and isinstance(est.stderr, float)
+        kinds.add(bool(xs))
+    assert kinds == {True, False}
+
+
 def test_the_weight_table_stays_within_three_blocks():
     # the expansion benchmark's table: box 0..3, radius 1, markov_local
-    # beta 0.2, T = 1, M = 2, kMax 3, R = 300, dt = 0.02.  A batch's drawn
+    # beta 0.2, T = 1, M = 2, kMax 3, R = 300, dt = 0.02.  A cluster's drawn
     # and moved paths fit one block of BLOCK_ELEMENTS elements, psi's window
     # copy and terms take about one more, and the rest (noise block,
     # estimates) much less
@@ -288,13 +296,29 @@ def test_cluster_words_are_injective_and_fit_32_bits():
             _cluster_words(G)
 
 
-def test_a_batch_needs_one_generator_per_cluster_and_one_sample_count():
+def test_scratch_must_hold_a_point_apart_from_the_bridges():
     pot, mc, clusters = _case("line", 1)
-    found = clusters.clusters
-    with pytest.raises(ValidationError, match="2 generators for 3 clusters"):
-        cluster_sampler(found, DRIFT, pot, mc, [weight_stream(1, G) for G in found[:2]])
-    (a,) = cluster_sampler(found[:1], DRIFT, pot, mc, [weight_stream(1, found[0])])
-    (b,) = cluster_sampler(found[1:2], DRIFT, pot, MCParams(n_samples=8, dt=0.05), [weight_stream(1, found[1])])
+    G = next(G for G in clusters.clusters if G.space_clusters)
+    R = mc.n_samples
+    drawn, widest = _path_elements(G, DRIFT, mc.dt)
+    buffer = np.empty(R * (drawn + widest))
+    sampler = _draw(G, DRIFT, pot, mc, weight_stream(1, G), buffer)
     x = {s: 0.1 for s in Volume.box((0,), (3,)).sorted_sites()}
-    with pytest.raises(ValidationError, match="must share one drift, potential, R and grid"):
-        cluster_weight([a, b], x, x)
+    with pytest.raises(ValidationError, match="apart from the sampler's bridges"):
+        cluster_weight(sampler, x, x, buffer)
+    with pytest.raises(ValidationError, match="apart from the sampler's bridges"):
+        cluster_weight(sampler, x, x, buffer[R * drawn + 1 :])
+    expected = cluster_weight(cluster_sampler(G, DRIFT, pot, mc, weight_stream(1, G)), x, x)
+    assert cluster_weight(sampler, x, x, buffer[R * drawn :]) == expected
+
+
+def test_a_drawn_bundle_goes_into_a_contiguous_out_of_its_shape():
+    pot = quadratic_potential()
+    layers = np.zeros((2, 2, 1, 4))
+    rng = np.random.default_rng(1)
+    good = np.empty((11, 2, 1, 4))
+    bundle = girsanov.multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.0, 0.5, 0.05, rng, 4, out=good)
+    assert np.shares_memory(bundle.values, good)
+    for out in (np.empty((10, 2, 1, 4)), np.empty((11, 2, 1, 8))[..., ::2]):
+        with pytest.raises(ValidationError, match="C-contiguous array of shape"):
+            girsanov.multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.0, 0.5, 0.05, rng, 4, out=out)
