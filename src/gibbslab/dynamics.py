@@ -490,8 +490,8 @@ class PathBundle:
 
 # Elements of one block of a replica array that a loop walks at a time
 # (noise rows drawn, steps of the Girsanov exponent), so its temporaries
-# stay about 1 MB whatever the path length.
-BLOCK_ELEMENTS = 1 << 17
+# stay about 0.5 MB whatever the path length.
+BLOCK_ELEMENTS = 1 << 16
 
 # More steps than a path array could ever hold; a longer span is refused.
 MAX_STEPS = 2**31 - 1
@@ -635,18 +635,20 @@ def simulate(
     W = _window_length(drift, dt)
     times = dt * np.arange(K + 1)
     # path rows (time, site, replica): W rows of frozen pre-history, then
-    # x_0 .. x_K; the rows of x_1 .. x_K first hold the standard normals
-    # that step k scales and overwrites.  ``slots`` views the replica axis
-    # as (start, replica)
+    # x_0 .. x_K; the rows of x_1 .. x_K first hold the noise sqrt(dt) Z
+    # that step k overwrites.  ``slots`` views the replica axis as (start,
+    # replica)
     history = np.empty((W + K + 1, n, P * R))
     slots = history.reshape(W + K + 1, n, P, R)
     # the normals are drawn time-major in row blocks of at most
     # BLOCK_ELEMENTS values, the same draws as one call, and each block is
-    # copied into every start's slot
+    # scaled by sqrt(dt) once and copied into every start's slot
+    sqrt_dt = math.sqrt(dt)
     noise = np.empty((max(1, min(K, BLOCK_ELEMENTS // (n * R))), n, R))
     for lo in range(W + 1, W + K + 1, len(noise)):
         rows = noise[: min(len(noise), W + K + 1 - lo)]
         rng.standard_normal(out=rows)
+        rows *= sqrt_dt
         slots[lo : lo + len(rows)] = rows[:, :, None]
     del noise
     slots[: W + 1] = np.stack([x.array_for(sites) for x in starts], axis=1)[:, :, None]
@@ -658,7 +660,6 @@ def simulate(
     wt, wv = _windows(state, W, times[0], dt, -W)
     readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
 
-    sqrt_dt = math.sqrt(dt)
     for k in range(K):
         du = np.asarray(pot.dU(state[W + k]), dtype=float)
         drift_term = -0.5 * du
@@ -669,12 +670,13 @@ def simulate(
                 drift_term[i, :, None] += drift.beta * b
         # x_{k+1} = x_k + (noise * sqrt(dt) + drift * dt), formed in the noise row
         row = history[W + k + 1]
-        row *= sqrt_dt
         drift_term *= dt
         row += drift_term
         row += history[W + k]
         if circle:
             wrap_angle(history[W + k + 1], out=state[W + k + 1])
-    if not np.all(np.isfinite(history)):
+    # each step adds the row before it, so a NaN or inf in any row stays in
+    # its (site, replica) entry of the last one
+    if not np.all(np.isfinite(history[-1])):
         raise NumericalError("simulation produced NaN or overflow")
     return PathBundle(sites, times, history[W:].transpose(2, 1, 0), pot)

@@ -210,6 +210,24 @@ def test_drift_bound_enforced():
         simulate(bad, QUAD, vol, x0, t=0.1, dt=0.05, rng=substream(1, "simulate"))
 
 
+@pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
+def test_simulate_raises_on_a_nan_drift_mid_path(pot):
+    # the bound check skips NaN, and simulate checks only the last path row:
+    # a NaN drift at one replica and one step halfway must still reach it
+    def ev(site, t, wt, wv):
+        b = np.zeros(wv.shape[:2])
+        b[2, np.isclose(t, 0.25)] = np.nan
+        return b
+
+    nan_once = DriftSpec(
+        beta=1.0, nbhd=Neighborhood.range1d(0), memory=0.05, bound=1.0, evaluator=ev, label="nan_once",
+    )
+    vol = Volume.box((0,), (1,))
+    x0 = Configuration.constant(vol, 0.3, pot.state_space)
+    with pytest.raises(NumericalError):
+        simulate(nan_once, pot, vol, x0, t=0.5, dt=0.05, rng=substream(1, "simulate"), n_replicas=4)
+
+
 def test_simulate_validates_inputs():
     vol = Volume.box((0,), (2,))
     x0 = Configuration.constant(Volume.box((0,), (1,)), 0.0)

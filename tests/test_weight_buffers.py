@@ -219,10 +219,12 @@ def test_each_weight_keeps_the_shape_of_its_own_pins():
 
 def test_the_weight_table_stays_within_three_blocks():
     # the expansion benchmark's table: box 0..3, radius 1, markov_local
-    # beta 0.2, T = 1, M = 2, kMax 3, R = 300, dt = 0.02.  A cluster's drawn
-    # and moved paths fit one block of BLOCK_ELEMENTS elements, psi's window
-    # copy and terms take about one more, and the rest (noise block,
-    # estimates) much less
+    # beta 0.2, T = 1, M = 2, kMax 3, R = 300, dt = 0.02.  The table's one
+    # buffer is sized by its widest cluster's paths (``_path_elements``),
+    # not by BLOCK_ELEMENTS; psi's window copy and terms and the noise block
+    # add less.  The bound is the 3 MiB that three blocks of 2^17 elements
+    # allowed when it was written, kept as bytes so that a smaller block
+    # does not tighten it below the buffer (the traced peak is about 2.1 MB)
     pot, mc = quadratic_potential(), MCParams(n_samples=300, dt=0.02)
     clusters = ClusterSet.enumerate(Volume.box((0,), (3,)), NB1, TimeGrid(1.0, 2), 3)
     x = Configuration({s: 0.1 * s[0] for s in Volume.box((0,), (3,)).sorted_sites()})
@@ -234,7 +236,7 @@ def test_the_weight_table_stays_within_three_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * girsanov.BLOCK_ELEMENTS * 8, peak
+    assert peak <= 3 * 2**17 * 8, peak
 
 
 # ---------------------------------------------------------------------------
