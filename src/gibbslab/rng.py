@@ -1,10 +1,18 @@
 """Deterministic random-stream derivation.
 
-All randomness flows from one 64-bit master seed.  A named substream is
-derived as ``SeedSequence([master, crc32(label_0), crc32(label_1), ...])``,
-so the same (seed, labels) pair yields the same generator on every platform
-and independent labels yield statistically independent streams.  Replicas
-are vectorized inside one stream rather than split per replica.
+All randomness flows from one 64-bit master seed.  A named substream is an
+SFC64 generator seeded by
+``SeedSequence([master, word(label_0), ..., word(label_{n-1}), n])``: the
+word of an integer label is its low 32 bits, that of any other label the
+crc32 of its text.  The label count n comes last because SeedSequence pads
+short entropy with zeros, so without it ``(seed, "a", 0)`` and
+``(seed, "a")`` would name one stream, and a master seed above 2^32 (two
+words) would name the stream of a smaller seed with one more label.  The
+same (seed, labels) pair yields the same generator on every platform and
+independent labels yield statistically independent streams.  Replicas are
+vectorized inside one stream rather than split per replica.
+
+This module is the one place that builds generators.
 """
 
 from __future__ import annotations
@@ -22,5 +30,5 @@ def _label_entropy(label) -> int:
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Generator for the substream named by ``labels`` under ``seed``."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_label_entropy(x) for x in labels]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_label_entropy(x) for x in labels] + [len(labels)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))

@@ -34,6 +34,7 @@ from gibbslab.girsanov import (
 )
 from gibbslab.lattice import TWO_PI, Configuration, Neighborhood, Volume, interior
 from gibbslab.rng import substream
+from generator_states import same_state
 
 QUAD = quadratic_potential()
 CIRC = circle_free_potential()
@@ -353,7 +354,7 @@ def test_pinned_bridges_draw_what_the_bundle_draws_through_zeros(pot, n_seg, pin
     ref_rng = substream(4, "pinned")
     layers = _pinned_layers(nodes, lambda n, i: np.zeros(R))
     drawn = multi_bridge_bundle(pot, sites, layers, 0.5, 0.3, 0.05, ref_rng, R, skip)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert np.array_equal(bridges.values, drawn.values.transpose(2, 1, 0))
     assert bridges.sites == drawn.sites and np.array_equal(bridges.times, drawn.times)
     assert len(bridges.head) == 7 - skip and len(bridges.coef) == 7
@@ -397,7 +398,7 @@ def test_a_bundle_that_leaves_out_one_step_is_the_whole_bundle_without_its_first
     assert np.array_equal(cut.times, whole.times[1:])
     ref_rng = substream(2, "b")
     multi_bridge_bundle(pot, [(0,), (1,)], layers, 0.5, 0.3, 0.05, ref_rng, 5)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("skip", [-1, 6, 7])
