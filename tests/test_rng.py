@@ -17,7 +17,7 @@ LIBRARY = {
 }
 # calls that build a generator or a bit generator, by the name called
 BUILDERS = {
-    "default_rng", "Generator", "RandomState", "SeedSequence",
+    "default_rng", "Generator", "RandomState",
     "SFC64", "PCG64", "PCG64DXSM", "Philox", "MT19937",
 }
 
