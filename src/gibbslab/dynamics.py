@@ -52,6 +52,21 @@ class PotentialSpec:
         # owned by the spec, so it lives and dies with the callables it reads
         return _fp_eigensystem(self)
 
+    def free_step(self, x, dt: float) -> np.ndarray:
+        """x - U'(x) dt / 2, the mean of a free Euler step from the path
+        value x, as a new array: (1 - dt) x for the quadratic family, x on
+        the free circle's lift, and otherwise U' read at the wrapped x on
+        the circle.  The one place the free drift is formed."""
+        if self.family == "quadratic":
+            return np.multiply(x, 1.0 - dt)
+        if self.family == "circle_free":
+            return np.array(x, dtype=float)
+        state = wrap_angle(x) if self.state_space == CIRCLE else x
+        # U'(x) unnamed: dU may return a view of x, which must not be written
+        out = np.asarray(self.dU(state), dtype=float) * (-0.5 * dt)
+        out += x
+        return out
+
 
 def quadratic_potential() -> PotentialSpec:
     """U(x) = x^2: Ornstein-Uhlenbeck free dynamics, spectral gap 1."""
@@ -355,7 +370,15 @@ def markov_local_drift(scale: float, nbhd: Neighborhood, memory: float = 0.1) ->
     """b_i = scale * tanh(mean of the current neighborhood values)."""
 
     def ev(site, t, wt, wv):
-        return scale * np.tanh(np.mean(wv[..., -1], axis=-1))
+        # the neighbours' current values summed slice by slice, in axis order
+        now = [wv[:, :, j, -1] for j in range(wv.shape[2])]
+        out = np.add(now[0], now[1]) if len(now) > 1 else np.array(now[0])
+        for value in now[2:]:
+            out += value
+        out /= len(now)
+        np.tanh(out, out=out)
+        out *= scale
+        return out
 
     return DriftSpec(
         beta=1.0, nbhd=nbhd, memory=memory, bound=abs(scale), evaluator=ev,
@@ -367,7 +390,9 @@ def resonance_drift(amplitude: float, memory: float = 0.1) -> DriftSpec:
     """External periodic forcing b = A sin(t); declared bound equals A."""
 
     def ev(site, t, wt, wv):
-        return amplitude * np.sin(t)
+        out = np.sin(t)
+        out *= amplitude
+        return out
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=memory,
@@ -380,7 +405,11 @@ def delayed_feedback_drift(alpha: float, t0: float) -> DriftSpec:
 
     def ev(site, t, wt, wv):
         z = wv[..., 0, 0]  # left edge of the window is t - t0
-        return -alpha * z / (1.0 + z * z)
+        out = np.multiply(z, z)
+        out += 1.0
+        np.divide(z, out, out=out)
+        out *= -alpha
+        return out
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=t0,
@@ -398,7 +427,8 @@ def memory_integral_drift(
         integrand = np.asarray(eps(wt[..., :-1]), dtype=float) * np.asarray(
             f(wv[..., 0, :-1]), dtype=float
         )
-        return np.sum(integrand * ds, axis=-1)
+        integrand *= ds
+        return np.sum(integrand, axis=-1)
 
     return DriftSpec(
         beta=1.0, nbhd=Neighborhood.range1d(0), memory=t0,
@@ -427,7 +457,7 @@ def space_time_integral_drift(
         out = np.zeros(wv.shape[:2])
         dv = np.diff(np.asarray(integrator(wt), dtype=float), axis=-1)
         for l in range(wt.shape[-1] - 1):
-            out = out + np.asarray(alpha(t - wt[:, l], wv[..., l]), dtype=float) * dv[:, l]
+            out += np.asarray(alpha(t - wt[:, l], wv[..., l]), dtype=float) * dv[:, l]
         return out
 
     return DriftSpec(
@@ -475,16 +505,12 @@ class PathBundle:
             raise CoverageError(f"site {site} not covered by this path bundle")
 
     def increments(self, idx: int, k_lo: int, k_hi: int) -> np.ndarray:
-        """dX + (1/2) U'(X_k) dt of site row idx at the steps k_lo .. k_hi-1.
-
-        The left-point rule, with U' read at the wrapped state on the
-        circle; shape (R, steps).
+        """X_{k+1} - free_step(X_k), that is dX + (1/2) U'(X_k) dt, of site
+        row idx at the steps k_lo .. k_hi-1; shape (R, steps).
         """
         vals = self.values[:, idx, k_lo : k_hi + 1]
-        state = wrap_angle(vals[:, :-1]) if self.state_space == CIRCLE else vals[:, :-1]
-        out = vals[:, 1:] - vals[:, :-1]
-        # U' unnamed, so numpy may reuse its temporary for the products
-        out += 0.5 * np.asarray(self.pot.dU(state), dtype=float) * self.dt
+        out = self.pot.free_step(vals[:, :-1], self.dt)
+        np.subtract(vals[:, 1:], out, out=out)
         return out
 
 
@@ -628,7 +654,13 @@ def simulate(
     drawn once for R replicas.
     """
     starts = [x0] if isinstance(x0, Configuration) else list(x0)
+    if not starts:
+        raise ValidationError("simulate needs at least one start")
+    if n_replicas < 1:
+        raise ValidationError(f"n_replicas = {n_replicas}, but simulate needs at least one")
     sites, K = _euler_grid(pot, vol, starts, t, dt)
+    if not sites:
+        raise ValidationError("simulate needs a volume of at least one site")
     inner = interior(vol, drift.nbhd)
 
     R, n, P = n_replicas, len(sites), len(starts)
@@ -653,30 +685,29 @@ def simulate(
     del noise
     slots[: W + 1] = np.stack([x.array_for(sites) for x in starts], axis=1)[:, :, None]
     circle = pot.state_space == CIRCLE
-    # the drift and U' read wrapped angles on the circle
+    # the drift reads wrapped angles on the circle
     state = np.empty_like(history) if circle else history
     if circle:
         wrap_angle(history[: W + 1], out=state[: W + 1])
     wt, wv = _windows(state, W, times[0], dt, -W)
     readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
+    beta_dt = drift.beta * dt
 
     for k in range(K):
-        du = np.asarray(pot.dU(state[W + k]), dtype=float)
-        drift_term = -0.5 * du
+        # x_{k+1} = noise + free_step(x_k) + (beta dt) b, formed in the noise
+        # row; the windows of step k end at row W + k, so they do not see it
+        row = history[W + k + 1]
+        row += pot.free_step(history[W + k], dt)
         if drift.beta > 0:
             step = slice(k, k + 1)
             for i, site, block in readers:
                 b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
-                drift_term[i, :, None] += drift.beta * b
-        # x_{k+1} = x_k + (noise * sqrt(dt) + drift * dt), formed in the noise row
-        row = history[W + k + 1]
-        drift_term *= dt
-        row += drift_term
-        row += history[W + k]
+                row[i, :, None] += beta_dt * b
         if circle:
-            wrap_angle(history[W + k + 1], out=state[W + k + 1])
-    # each step adds the row before it, so a NaN or inf in any row stays in
-    # its (site, replica) entry of the last one
+            wrap_angle(row, out=state[W + k + 1])
+    # each row is formed from free_step of the row before it, which keeps a
+    # NaN or inf, so one in any row stays in its (site, replica) entry of
+    # the last one
     if not np.all(np.isfinite(history[-1])):
         raise NumericalError("simulation produced NaN or overflow")
     return PathBundle(sites, times, history[W:].transpose(2, 1, 0), pot)

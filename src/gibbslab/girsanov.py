@@ -100,20 +100,18 @@ def _add_block(out: np.ndarray, drift: DriftSpec, path: PathBundle, site, idx: i
                lo: int, hi: int) -> None:
     """Adds the terms of psi at the steps lo .. hi-1 to ``out``, in step order.
 
-    The terms -beta b dBbar + (beta^2/2) b^2 dt are formed in two (R, steps)
-    arrays, the increments' (step-major, so each step is contiguous) and one
-    more, with the rounding of ((-beta) b) dBbar + (((beta^2/2) b) b) dt.
-    They are released on return, before the next block.
+    The terms -beta b dBbar + (beta^2/2) b^2 dt are folded into
+    b (c b - beta dBbar), c = (beta^2/2) dt one scalar, and formed in two
+    (R, steps) arrays, the increments' (step-major, so each step is
+    contiguous) and c b.  They are released on return, before the next
+    block.
     """
-    beta, dt = drift.beta, path.dt
+    beta, c = drift.beta, 0.5 * drift.beta * drift.beta * path.dt
     b = drift.evaluate(site, *_evaluation_windows(drift, path, site, lo, hi))
     terms = path.increments(idx, lo, hi)
-    work = np.multiply(b, -beta)
-    terms *= work
-    np.multiply(b, 0.5 * beta * beta, out=work)
-    work *= b
-    work *= dt
-    terms += work
+    terms *= -beta
+    terms += np.multiply(b, c)
+    terms *= b
     # summed in step order, as a running sum over the steps would; a
     # pairwise np.sum along the step axis would change the low bits
     for term in terms.T:
@@ -336,6 +334,10 @@ def multi_bridge_bundle(
     require_exact_bridges(pot)
     sites = tuple(tuple(int(c) for c in s) for s in sites)
     R = n_replicas
+    if R < 1:
+        raise ValidationError(f"n_replicas = {R}, but a bridge bundle needs at least one")
+    if not sites:
+        raise ValidationError("a bridge bundle needs at least one site")
     try:
         layers = np.asarray(layers, dtype=float)
         if layers.ndim not in (3, 4):
@@ -591,9 +593,9 @@ def _last_step_log_density(drift: DriftSpec, vol: Volume, bundle: PathBundle, ys
     bundle of P x R replicas, P = len(ys), shape (P, R).
 
     Given the path up to t - dt, x_K is normal at each site, with mean
-    x_{K-1} + (-U'(x_{K-1}) / 2 + beta b_{K-1}) dt and variance dt
-    (Pedersen, Scand. J. Statist. 22, 1995); b_{K-1} is 0 on the boundary
-    layer of vol, as in ``simulate``.  On the circle the normal is wrapped
+    free_step(x_{K-1}) + (beta dt) b_{K-1} and variance dt (Pedersen,
+    Scand. J. Statist. 22, 1995); b_{K-1} is 0 on the boundary layer of
+    vol, as in ``simulate``.  On the circle the normal is wrapped
     (``_circle_heat_kernel`` over 2 pi), and a density that underflows
     gives -inf.
     """
@@ -602,13 +604,12 @@ def _last_step_log_density(drift: DriftSpec, vol: Volume, bundle: PathBundle, ys
     inner = interior(vol, drift.nbhd)
     out = np.zeros((P, bundle.n_replicas // P))
     for i, site in enumerate(bundle.sites):
-        last = bundle.values[:, i, K - 1]
-        move = -0.5 * np.asarray(bundle.pot.dU(wrap_angle(last) if circle else last), dtype=float)
+        mean = bundle.pot.free_step(bundle.values[:, i, K - 1], dt)
         if drift.beta > 0 and site in inner:
             b = drift.evaluate(site, *_evaluation_windows(drift, bundle, site, K - 1, K))
-            move += drift.beta * b[:, 0]
+            mean += (drift.beta * dt) * b[:, 0]
         # each pair's y against its own R paths
-        d = np.array([y[site] for y in ys])[:, None] - (last + move * dt).reshape(P, -1)
+        d = np.array([y[site] for y in ys])[:, None] - mean.reshape(P, -1)
         if circle:
             with np.errstate(divide="ignore"):
                 out += np.log(_circle_heat_kernel(dt, wrap_angle(d)) / TWO_PI)

@@ -122,9 +122,15 @@ def _run_simulate(run: Run) -> dict:
 
 def _run_density(run: Run) -> dict:
     t, _ = run.time
-    # each route draws its noise once for all pairs
-    bridge = density(run.drift, run.pot, run.vol, run.pairs, t, run.mc, run.seed)
+    # each route draws its noise once for all pairs, on a substream of its
+    # own, so their order does not change the rows.  The endpoint route
+    # runs first: its simulate history, (W + K + 1) sites R floats, is the
+    # largest block of the run, and allocated first it leaves a heap that
+    # the bridge route's smaller bundles reuse.  Allocated second, it may
+    # not fit the heap the bridge route left, and is then mapped beside it,
+    # which raises the peak resident memory by the size of that heap
     ratio = density_endpoint_ratio(run.drift, run.pot, run.vol, run.pairs, t, run.mc, run.seed)
+    bridge = density(run.drift, run.pot, run.vol, run.pairs, t, run.mc, run.seed)
     rows = []
     for i, (est, oracle) in enumerate(zip(bridge, ratio)):
         rows.append([i, "bridge", est.value, est.stderr, est.n])

@@ -241,6 +241,52 @@ def test_simulate_validates_inputs():
         simulate(d, QUAD, vol, x0, t=0.13, dt=0.05, rng=substream(1, "simulate"))  # t not multiple
 
 
+@pytest.mark.parametrize("n_replicas", [0, -2])
+def test_simulate_refuses_fewer_than_one_replica(n_replicas):
+    vol = Volume.box((0,), (1,))
+    x0 = Configuration.constant(vol, 0.0)
+    with pytest.raises(ValidationError, match="n_replicas"):
+        simulate(constant_drift(0.5), QUAD, vol, x0, t=0.2, dt=0.05, rng=substream(1, "simulate"),
+                 n_replicas=n_replicas)
+
+
+def test_simulate_refuses_an_empty_start_list():
+    vol = Volume.box((0,), (1,))
+    with pytest.raises(ValidationError, match="start"):
+        simulate(constant_drift(0.5), QUAD, vol, [], t=0.2, dt=0.05, rng=substream(1, "simulate"), n_replicas=4)
+
+
+def test_simulate_refuses_an_empty_volume():
+    with pytest.raises(ValidationError, match="site"):
+        simulate(constant_drift(0.5), QUAD, Volume(frozenset()), Configuration({}), t=0.2, dt=0.05,
+                 rng=substream(1, "simulate"), n_replicas=4)
+
+
+def test_free_step_is_the_free_euler_mean():
+    # x - U'(x) dt / 2, as a new array: (1 - dt) x for the quadratic
+    # potential, x on the free circle, and U' read at the wrapped angle for
+    # a general circle potential, whose lifts past 2 pi step as their angles
+    dt = 0.01
+    x = np.random.default_rng(2).uniform(-9.0, 16.0, (5, 7))
+    bumpy = custom_potential(np.cos, lambda z: -np.sin(3.0 * np.asarray(z)) * np.asarray(z), state_space="circle")
+    cases = [
+        (QUAD, x - 0.5 * (2.0 * x) * dt),
+        (CIRC, x),
+        (bumpy, x + 0.5 * np.sin(3.0 * np.mod(x, TWO_PI)) * np.mod(x, TWO_PI) * dt),
+    ]
+    for pot, expected in cases:
+        got = pot.free_step(x, dt)
+        assert not np.shares_memory(got, x)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(QUAD.free_step(x, dt), x * (1.0 - dt))
+    assert np.array_equal(CIRC.free_step(x, dt), x)
+    # a lift and its angle take the same step, shifted by the lift
+    lifted = np.mod(x, TWO_PI) + 2 * TWO_PI
+    np.testing.assert_allclose(
+        bumpy.free_step(lifted, dt) - 2 * TWO_PI, bumpy.free_step(np.mod(x, TWO_PI), dt), rtol=0, atol=1e-13
+    )
+
+
 def test_simulate_free_ou_moments():
     # beta = 0: every site is an independent OU path from x0 = 1
     vol = Volume.box((0,), (0,))
@@ -285,7 +331,8 @@ def test_increments_read_u_prime_at_the_wrapped_state():
     path = simulate(constant_drift(0.0), pot, vol, x0, t=0.5, dt=0.01, rng=substream(4, "simulate"), n_replicas=40)
     vals = path.values[:, 0, :]
     assert np.any(vals >= TWO_PI)
-    ref = np.diff(vals, axis=1) + 0.5 * -np.sin(np.mod(vals[:, :-1], TWO_PI)) * 0.01
+    # x_{k+1} - free_step(x_k), free_step(x) = x - (dt/2) U'(x mod 2 pi)
+    ref = vals[:, 1:] - (vals[:, :-1] + (-0.5 * path.dt) * -np.sin(np.mod(vals[:, :-1], TWO_PI)))
     assert np.array_equal(path.increments(0, 0, 50), ref)
     assert np.array_equal(path.increments(0, 10, 30), ref[:, 10:30])
 

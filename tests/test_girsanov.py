@@ -7,6 +7,7 @@ import pytest
 
 from gibbslab.dynamics import (
     PathBundle,
+    _evaluation_windows,
     circle_free_potential,
     constant_drift,
     custom_potential,
@@ -141,6 +142,17 @@ def test_bridge_layers_that_do_not_broadcast_raise(layers):
         multi_bridge_bundle(QUAD, [(0,), (1,)], layers, 0.0, 0.2, 0.05, substream(1, "b"), 4)
 
 
+@pytest.mark.parametrize("n_replicas", [0, -1])
+def test_bridge_bundle_refuses_fewer_than_one_replica(n_replicas):
+    with pytest.raises(ValidationError, match="n_replicas"):
+        multi_bridge_bundle(QUAD, [(0,), (1,)], np.zeros((2, 2, 1)), 0.0, 0.2, 0.05, substream(1, "b"), n_replicas)
+
+
+def test_bridge_bundle_refuses_an_empty_site_list():
+    with pytest.raises(ValidationError, match="site"):
+        multi_bridge_bundle(QUAD, [], np.zeros((2, 0, 1)), 0.0, 0.2, 0.05, substream(1, "b"), 4)
+
+
 @pytest.mark.parametrize("pot", [QUAD, CIRC], ids=["line", "circle"])
 def test_bridge_points_share_their_draws(pot):
     # point p's slot is the bundle through point p's layer values alone, on
@@ -258,13 +270,15 @@ def test_bridge_bundle_matches_the_per_step_loop(pot):
     assert bundle.values.transpose(2, 1, 0).flags.c_contiguous
     assert rng.standard_normal() == ref_rng.standard_normal()
     assert np.array_equal(bundle.times, 0.5 + dt * np.arange(19))
-    # the increments use the grid's own step, which at t_start = 0.5 differs
-    # from dt in the last bits
+    # the increments x_{k+1} - free_step(x_k) use the grid's own step, which
+    # at t_start = 0.5 differs from dt in the last bits; free_step(x) is
+    # (1 - dt) x on the line and x on the free circle's lift
     state = np.mod(values[:, :, :-1], TWO_PI) if pot is CIRC else values[:, :, :-1]
     du = 0.5 * np.asarray(pot.dU(state), dtype=float)
+    mean = values[:, :, :-1] * (1.0 - bundle.dt) if pot is QUAD else values[:, :, :-1]
     for i in range(3):
         incr = bundle.increments(i, 0, 18)
-        assert np.array_equal(incr, np.diff(values[:, i], axis=1) + du[:, i] * bundle.dt)
+        assert np.array_equal(incr, values[:, i, 1:] - mean[:, i])
         np.testing.assert_allclose(incr, np.diff(values[:, i], axis=1) + du[:, i] * dt, rtol=0, atol=1e-15)
 
 
@@ -893,3 +907,109 @@ def test_log_weight_additive_over_windows():
         for window in ((0.0, 0.2), (0.2, 0.4)):
             split -= psi(d, site, window, path)
     assert np.allclose(whole, split, atol=1e-12)
+
+
+# The Euler step, the last-step mean and psi written out term by term: the
+# drift -U'(x)/2 read from ``pot.dU`` at the wrapped state, plus beta b,
+# times dt, and psi as the sum of -beta b dBbar + (beta^2/2) b^2 dt.  The
+# library forms the free part once in ``PotentialSpec.free_step`` and folds
+# the psi terms, the same algebra rounded in another order, so it agrees
+# with these forms to rounding, not bit for bit.
+
+UNFOLDED_CASES = [
+    (drift, space)
+    for drift in ("delayed_feedback", "markov_local")
+    for space in ("line", "circle")
+]
+
+
+def _unfolded_case(drift, space):
+    vol = Volume.box((0,), (3,))
+    pot = QUAD if space == "line" else CIRC
+    if drift == "delayed_feedback":
+        d = dataclasses.replace(delayed_feedback_drift(1.3, 0.06), beta=0.7)
+    else:
+        d = dataclasses.replace(markov_local_drift(0.6, Neighborhood.range1d(1), memory=0.06), beta=0.7)
+    start = {(0,): 0.9, (1,): -0.4, (2,): 1.3, (3,): -1.1} if space == "line" else {
+        (0,): 6.2, (1,): 0.05, (2,): 6.25, (3,): 3.0}
+    return d, pot, vol, Configuration(start, pot.state_space)
+
+
+def _unfolded_drift_step(drift, bundle, site, k):
+    """b at step k, read from the rows 0 .. k of ``bundle``."""
+    return drift.evaluate(site, *_evaluation_windows(drift, bundle, site, k, k + 1))[:, 0]
+
+
+def _unfolded_simulate(drift, pot, vol, x0, t, dt, rng, R):
+    """x_{k+1} = x_k + (sqrt(dt) Z + (-U'(x_k)/2 + beta b) dt)."""
+    sites = tuple(vol.sorted_sites())
+    inner = interior(vol, drift.nbhd)
+    K = int(round(t / dt))
+    times = dt * np.arange(K + 1)
+    noise = rng.standard_normal((K, len(sites), R)) * math.sqrt(dt)
+    values = np.zeros((R, len(sites), K + 1))
+    values[:, :, 0] = x0.array_for(sites)
+    for k in range(K):
+        # rows past k are zeros that the windows of step k do not read
+        grown = PathBundle(sites, times[: k + 2], values[:, :, : k + 2], pot)
+        xk = values[:, :, k]
+        move = -0.5 * np.asarray(pot.dU(np.mod(xk, TWO_PI) if pot is CIRC else xk), dtype=float)
+        for i, site in enumerate(sites):
+            if site in inner:
+                move[:, i] += drift.beta * _unfolded_drift_step(drift, grown, site, k)
+        values[:, :, k + 1] = xk + (noise[k].T + move * dt)
+    return values
+
+
+def _unfolded_psi(drift, site, path):
+    """-beta b dBbar + (beta^2/2) b^2 dt over the path, dBbar = dX + U'(X)/2 dt."""
+    beta, dt = drift.beta, path.dt
+    vals = path.values[:, path.sites.index(site), :]
+    state = np.mod(vals, TWO_PI) if path.pot is CIRC else vals
+    dbar = np.diff(vals, axis=1) + 0.5 * np.asarray(path.pot.dU(state[:, :-1]), dtype=float) * dt
+    out = np.zeros(path.n_replicas)
+    for k in range(dbar.shape[1]):
+        b = _unfolded_drift_step(drift, path, site, k)
+        out += -beta * b * dbar[:, k] + 0.5 * beta * beta * b * b * dt
+    return out
+
+
+def _unfolded_last_step_log_density(drift, vol, bundle, y):
+    """log N(y; x_{K-1} + (-U'(x_{K-1})/2 + beta b) dt, dt), summed over the
+    sites, wrapped on the circle; one pair."""
+    K, dt = bundle.times.size - 1, bundle.dt
+    inner = interior(vol, drift.nbhd)
+    out = np.zeros(bundle.n_replicas)
+    for i, site in enumerate(bundle.sites):
+        last = bundle.values[:, i, K - 1]
+        circle = bundle.pot is CIRC
+        move = -0.5 * np.asarray(bundle.pot.dU(np.mod(last, TWO_PI) if circle else last), dtype=float)
+        if site in inner:
+            move += drift.beta * _unfolded_drift_step(drift, bundle, site, K - 1)
+        d = y[site] - (last + move * dt)
+        if circle:
+            # the wrapped normal over 2 pi
+            wound = sum(np.exp(-((np.mod(d, TWO_PI) + TWO_PI * n) ** 2) / (2 * dt)) for n in range(-3, 4))
+            out += np.log(wound / math.sqrt(TWO_PI * dt))
+        else:
+            out -= d * d / (2.0 * dt) + 0.5 * math.log(TWO_PI * dt)
+    return out
+
+
+def _assert_close(got, unfolded):
+    # relative to the largest magnitude, so entries near 0 do not count
+    # their absolute rounding as a relative error
+    assert np.max(np.abs(got - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+
+
+@pytest.mark.parametrize("drift,space", UNFOLDED_CASES)
+def test_free_step_readers_agree_with_the_unfolded_formulas(drift, space):
+    d, pot, vol, x0 = _unfolded_case(drift, space)
+    t, dt, R = 0.3, 0.02, 50
+    path = simulate(d, pot, vol, x0, t, dt, substream(31, "simulate"), R)
+    _assert_close(path.values, _unfolded_simulate(d, pot, vol, x0, t, dt, substream(31, "simulate"), R))
+    for site in sorted(interior(vol, d.nbhd).sites):
+        _assert_close(psi(d, site, (0.0, t), path), _unfolded_psi(d, site, path))
+    y = Configuration({(0,): 0.2, (1,): -0.3, (2,): 0.8, (3,): 0.1} if space == "line" else {
+        (0,): 0.1, (1,): 6.0, (2,): 3.2, (3,): 2.9}, pot.state_space)
+    _assert_close(_last_step_log_density(d, vol, path, [y])[0], _unfolded_last_step_log_density(d, vol, path, y))

@@ -96,6 +96,13 @@ def _ref_window(drift, path, site, k, cut=False):
     return wt[None], wv[:, None]
 
 
+def _free_mean(pot, x, dt):
+    """x - U'(x) dt / 2, the mean of a free Euler step, rounded as
+    ``PotentialSpec.free_step`` rounds it: (1 - dt) x for the quadratic
+    potential, x on the free circle's lift."""
+    return x * (1.0 - dt) if pot.family == "quadratic" else x
+
+
 class _Growing:
     """The part of a path written so far, read the way a stored one is."""
 
@@ -118,18 +125,15 @@ def _ref_simulate(drift, pot, x0, seed, vol=VOL, cut=False):
     noise = rng.standard_normal((K, n, R)).transpose(2, 1, 0) * math.sqrt(DT)
     path = _Growing(sites, times, values, pot.state_space)
     for k in range(K):
-        xk = values[:, :, k]
-        state = wrap_angle(xk) if pot.state_space == CIRCLE else xk
-        du = np.asarray(pot.dU(state), dtype=float)
-        drift_term = -0.5 * du
+        # (beta dt) b, 0 off the interior
+        pushed = np.zeros((R, n))
         for i, s in enumerate(sites):
             if s in inner:
                 wt, wv = _ref_window(drift, path, s, k, cut)
                 b = drift.evaluate(s, times[k : k + 1], wt, wv)
-                drift_term[:, i] = drift_term[:, i] + drift.beta * b[:, 0]
-        step = noise[:, :, k] + drift_term * DT
-        values[:, :, k + 1] = xk + step
-        dbar[:, :, k] = step + 0.5 * du * DT
+                pushed[:, i] = drift.beta * DT * b[:, 0]
+        values[:, :, k + 1] = noise[:, :, k] + _free_mean(pot, values[:, :, k], DT) + pushed
+        dbar[:, :, k] = noise[:, :, k] + pushed
     return values, dbar
 
 
@@ -142,15 +146,15 @@ def _ref_drift(drift, path, site, k_lo, k_hi, cut=False):
 
 
 def _ref_psi(drift, site, k_lo, k_hi, path, cut=False):
-    beta, dt = drift.beta, path.dt
+    # -beta b dBbar + (beta^2/2) b^2 dt, folded into b (c b - beta dBbar)
+    beta, c = drift.beta, 0.5 * drift.beta * drift.beta * path.dt
     vals = path.values[:, path.sites.index(site), :]
-    state = wrap_angle(vals) if path.state_space == CIRCLE else vals
-    dbar = np.diff(vals, axis=1) + 0.5 * np.asarray(path.pot.dU(state[:, :-1]), dtype=float) * dt
+    dbar = vals[:, 1:] - _free_mean(path.pot, vals[:, :-1], path.dt)
     out = np.zeros(path.values.shape[0])
     for k in range(k_lo, k_hi):
         wt, wv = _ref_window(drift, path, site, k, cut)
         b = drift.evaluate(site, path.times[k : k + 1], wt, wv)[:, 0]
-        out += -beta * b * dbar[:, k] + 0.5 * beta * beta * b * b * dt
+        out += b * (c * b - beta * dbar[:, k])
     return out
 
 
@@ -382,8 +386,9 @@ def test_circle_windows_wrap_in_place():
 # The copy-window psi and the out-of-place Euler update that the in-place
 # forms replace: every block copied its front-padded (W + steps, |N|, R)
 # history and its drift values step-major, and each Euler step formed
-# x_k + (noise * sqrt(dt) + drift * dt) in new arrays.  The in-place forms
-# round every element the same way, so they must agree bit for bit.
+# (noise * sqrt(dt) + free mean of x_k) + (beta dt) b in new arrays.  The
+# in-place forms round every element the same way, so they must agree bit
+# for bit.
 
 def _copy_windows(drift, path, site, k_lo, k_hi):
     W = _window_length(drift, path.dt)
@@ -402,7 +407,7 @@ def _copy_windows(drift, path, site, k_lo, k_hi):
 
 
 def _copy_window_psi(drift, site, k_lo, k_hi, path):
-    beta, dt = drift.beta, path.dt
+    beta, c = drift.beta, 0.5 * drift.beta * drift.beta * path.dt
     idx = path.site_index(site)
     out = np.zeros(path.n_replicas)
     step = max(1, girsanov.BLOCK_ELEMENTS // path.n_replicas)
@@ -410,7 +415,7 @@ def _copy_window_psi(drift, site, k_lo, k_hi, path):
         hi = min(lo + step, k_hi)
         b = np.empty((hi - lo, path.n_replicas)).T
         b[...] = drift.evaluate(site, *_copy_windows(drift, path, site, lo, hi))
-        terms = -beta * b * path.increments(idx, lo, hi) + 0.5 * beta * beta * b * b * dt
+        terms = b * (c * b - beta * path.increments(idx, lo, hi))
         for term in terms.T:
             out += term
     return out
@@ -433,13 +438,12 @@ def _out_of_place_simulate(drift, pot, vol, x0, t, dt, seed, n_replicas):
     wt, wv = _windows(state, W, times[0], dt, -W)
     readers = [(i, s, _neighbour_block(drift, sites, s)) for i, s in enumerate(sites) if s in inner]
     for k in range(K):
-        xk = history[W + k]
-        drift_term = -0.5 * np.asarray(pot.dU(state[W + k]), dtype=float)
+        pushed = np.zeros((n, R))
         step = slice(k, k + 1)
         for i, site, block in readers:
             b = drift.evaluate(site, times[step], wt[step], wv[:, step, block])
-            drift_term[i, :, None] += drift.beta * b
-        history[W + k + 1] = xk + (history[W + k + 1] * math.sqrt(dt) + drift_term * dt)
+            pushed[i] = drift.beta * dt * b[:, 0]
+        history[W + k + 1] = history[W + k + 1] * math.sqrt(dt) + _free_mean(pot, history[W + k], dt) + pushed
         if circle:
             wrap_angle(history[W + k + 1], out=state[W + k + 1])
     return history[W:].transpose(2, 1, 0)
